@@ -166,11 +166,11 @@ class CampaignState:
         mapping doubles as the campaign's contributor set.
         """
         weights = self.aggregator.weights()
-        return {
-            u: float(weights[i])
-            for i, u in enumerate(self.user_table)
-            if self.claims_by_slot[i] > 0
-        }
+        table = self.user_table
+        slots = np.flatnonzero(self.claims_by_slot[: len(table)] > 0)
+        return dict(
+            zip(map(table.__getitem__, slots.tolist()), weights[slots].tolist())
+        )
 
     def snapshot(self) -> TruthSnapshot:
         """Immutable read-side view of the campaign's current state."""

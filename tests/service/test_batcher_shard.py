@@ -100,3 +100,38 @@ def test_duplicate_user_ids_rejected():
         service.register_campaign(
             "dup-users", ("o0",), max_users=2, user_ids=("a", "a")
         )
+
+
+@pytest.mark.parametrize("method", ["crh", "gtm", "catd"])
+def test_contributors_match_the_per_user_loop(method):
+    """Snapshot assembly is vectorised; it must name the same users, in
+    slot order, with the same floats as reading one weight per user —
+    pre-registered users that never submitted excluded, slots past the
+    named table ignored."""
+    from repro.service.aggregator import StreamingAggregator
+    from repro.service.shard import CampaignState
+    from repro.truthdiscovery.streaming import ClaimBatch
+
+    state = CampaignState(
+        "c", ("o0", "o1", "o2"), capacity=6,
+        aggregator=StreamingAggregator(6, 3, method=method),
+        max_batch=64, user_ids=("ann", "bob", "cy", "dee"),
+    )
+    assert state.contributors() == {}
+    users = np.array([3, 0, 3, 2, 0, 5])
+    state.aggregator.ingest(ClaimBatch(
+        users=users, objects=np.array([0, 0, 1, 1, 2, 2]),
+        values=np.array([1.0, 1.5, 2.0, 2.5, 3.0, 9.0]),
+    ))
+    state.claims_by_slot += np.bincount(users, minlength=6)
+
+    weights = state.aggregator.weights()
+    expected = {
+        u: float(weights[i])
+        for i, u in enumerate(state.user_table)
+        if state.claims_by_slot[i] > 0
+    }
+    got = state.contributors()
+    assert list(got) == ["ann", "cy", "dee"] == list(expected)
+    assert got == expected
+    assert all(type(w) is float for w in got.values())
