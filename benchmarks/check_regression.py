@@ -1,42 +1,32 @@
-"""Bench-regression gate: compare a fresh bench JSON against a baseline.
+"""Chaos-drill regression gate: compare a fresh drill JSON to a baseline.
 
-CI runs the smoke benchmarks (``repro service-bench --smoke`` /
-``repro durable-bench --smoke``) on every PR and feeds the fresh JSON
-through this script next to the committed ``results/BENCH_*_smoke.json``
-baselines.  A throughput metric that drops below
-``baseline * (1 - tolerance)`` — or a quality metric that degrades past
-its bound — fails the job, so a PR that halves the hot path can no
-longer land silently.
+CI runs ``repro chaos-drill --smoke`` on every PR and feeds the fresh
+JSON through this script next to the committed
+``results/BENCH_chaos_smoke.json`` baseline.  (Throughput and latency
+are not gated here: ``benchmarks/e2e/run.py`` measures them and
+``benchmarks/e2e/compare.py A/ B/`` compares two sets of runs.)
 
 Metric classes:
 
-* ``higher`` — throughput-style: fresh must be at least
-  ``baseline * (1 - tolerance)``;
-* ``lower`` — cost/error-style: fresh must be at most
+* ``lower`` — cost-style: fresh must be at most
   ``max(baseline * (1 + tolerance), floor)``.  The floor keeps
-  near-zero baselines (an RMSE of 1e-9) from turning float noise into
+  seconds-scale failover timings from turning runner jitter into
   failures — only degradation past an absolute bound matters;
-* ``at_least`` — absolute ratio bound: fresh must be at least
-  ``floor``, independent of the baseline.  For metrics that are a
-  ratio of two single timing samples (the streaming-vs-full read
-  speedup), a baseline-relative bound would gate on runner jitter;
-  the absolute floor only trips when the structural relationship
-  inverts;
-* ``flag`` — boolean invariants (recovered truths bitwise-equal,
-  multi-process truths bitwise-equal): any ``False`` fails regardless
-  of tolerance.
+* ``flag`` — boolean invariants (healed truths bitwise-equal, spent
+  budget preserved, exactly one promotion): any ``False`` fails
+  regardless of tolerance.
 
-Metrics missing from either file are reported and skipped (smoke and
-full runs do not share every section), but comparing two files with
-*no* common metric is an error — that means the wrong baseline was
-wired up.
+Metrics missing from either file are reported and skipped (a drill run
+with ``--scenarios`` lacks the other scenarios' sections), but
+comparing two files with *no* common metric is an error — that means
+the wrong baseline was wired up.
 
 Exit codes: 0 all compared metrics pass, 1 regression, 2 usage error.
 
 Usage::
 
-    python benchmarks/check_regression.py --kind service \
-        --baseline results/BENCH_service_smoke.json \
+    python benchmarks/check_regression.py --kind chaos \
+        --baseline results/BENCH_chaos_smoke.json \
         --fresh /tmp/fresh.json [--tolerance 0.4]
 """
 
@@ -49,8 +39,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 #: Default relative tolerance: CI runners are noisy, shared, and slower
-#: than dev machines; 40% catches "halved the hot path" while riding
-#: out scheduler jitter.
+#: than dev machines; 40% rides out scheduler jitter.
 DEFAULT_TOLERANCE = 0.40
 
 
@@ -59,115 +48,9 @@ class Metric:
     """One comparable value inside a bench report."""
 
     path: str
-    direction: str  # "higher" | "lower" | "flag"
+    direction: str  # "lower" | "flag"
     floor: float = 0.0  # absolute bound for "lower" metrics
 
-
-SERVICE_METRICS = (
-    Metric("bulk.claims_per_sec", "higher"),
-    Metric("bulk_workers.claims_per_sec", "higher"),
-    Metric("submissions.claims_per_sec", "higher"),
-    # The agreement RMSEs are machine-independent: degradation past 1e-3
-    # means the streaming aggregation itself changed, not the runner.
-    Metric("streaming_vs_batch_rmse", "lower", floor=1e-3),
-    Metric("workers_truths_match_bitwise", "flag"),
-    # Socket shard fabric (--hosts): throughput over real sockets, the
-    # clean-run bitwise invariant, and the kill-one-host failover run.
-    Metric("bulk_hosts.claims_per_sec", "higher"),
-    Metric("hosts_truths_match_bitwise", "flag"),
-    Metric("failover.truths_match_bitwise", "flag"),
-    # Recovery = respawn a shard host + replay its journal.  The smoke
-    # run recovers in ~1-2 s; the 30 s floor (the bound is
-    # max(baseline * (1 + tolerance), floor), so the floor governs
-    # here) only trips when failover degrades to something a caller
-    # would actually notice, not on runner jitter.
-    Metric("failover.recovery_seconds", "lower", floor=30.0),
-    # Stage-latency gates from the telemetry histograms.  Both are
-    # "lower" with generous absolute floors (the bound is
-    # max(baseline * (1 + tolerance), floor)): micro-batch flushes are
-    # tens of microseconds and group commits a few milliseconds on any
-    # healthy runner, so only an order-of-magnitude pipeline stall —
-    # not fsync jitter — trips these.
-    Metric("bulk.batch_flush_p99_ms", "lower", floor=250.0),
-    Metric("durable.durable_ack_p99_ms", "lower", floor=2000.0),
-    # WAL-shipping replication (--replicas).  Replica snapshot reads
-    # must at least keep pace with dirty primary reads — serving reads
-    # off the standby is the whole point of the read-replica path —
-    # and a promoted standby must be bit-for-bit the primary at the
-    # replicated watermark with the spent budget intact.  The fan-out
-    # gate is a same-run ratio of two timed read loops, so it takes an
-    # absolute floor rather than a baseline-relative bound.
-    Metric("replication.replica_reads_per_sec", "higher"),
-    Metric("replication.read_fanout_vs_primary", "at_least", floor=1.0),
-    Metric("replication.replica_truths_match_bitwise", "flag"),
-    Metric("replication.promotion_truths_match_bitwise", "flag"),
-    Metric("replication.budget_spent_matches", "flag"),
-) + tuple(
-    metric
-    for method in ("crh", "gtm", "catd")
-    for metric in (
-        # Hard invariant per streaming backend: its truths must keep
-        # matching the batch refit on dense data.
-        Metric(
-            f"methods.{method}.streaming_vs_batch_rmse", "lower", floor=1e-3
-        ),
-        # The whole point of the streaming backends: snapshot reads
-        # must stay decisively cheaper than an O(total-claims) full
-        # refit.  Timing ratios gate against an absolute floor, not
-        # the baseline (runner jitter dwarfs a relative bound), and on
-        # the *mean* speedup — num_reads + 1 samples per backend —
-        # rather than the single-sample final read, so one scheduler
-        # stall on a millisecond-scale read cannot fail the gate.
-        Metric(f"methods.{method}.read_speedup_mean", "at_least", floor=1.5),
-    )
-)
-
-DURABILITY_METRICS = (
-    Metric("unlogged.claims_per_sec", "higher"),
-    Metric("logged.never.claims_per_sec", "higher"),
-    Metric("logged.batch.claims_per_sec", "higher"),
-    Metric("logged.always.claims_per_sec", "higher"),
-    Metric("logged_async.never.claims_per_sec", "higher"),
-    Metric("logged_async.batch.claims_per_sec", "higher"),
-    Metric("logged_async.always.claims_per_sec", "higher"),
-    Metric("recovery.replay_only.claims_per_sec", "higher"),
-    # ~12 B/claim today (u16 slots); alarm only past 20 B/claim so an
-    # encoding-width regression trips but jitter cannot.
-    Metric("logged.batch.bytes_per_claim", "lower", floor=20.0),
-    # Logged-throughput retention floors per fsync mode.  Each is a
-    # ratio of two same-run, same-machine measurements, so an absolute
-    # floor gates the structural relationship (how much of the
-    # unlogged rate survives logging) rather than runner speed; the
-    # floors sit far below dev-box values because CI smoke runs are
-    # tiny and 1-2 vCPU runners leave the background writer no core.
-    Metric("logged.never.retention_vs_unlogged", "at_least", floor=0.30),
-    Metric("logged.batch.retention_vs_unlogged", "at_least", floor=0.20),
-    Metric(
-        "logged_async.never.retention_vs_unlogged", "at_least", floor=0.30
-    ),
-    Metric(
-        "logged_async.batch.retention_vs_unlogged", "at_least", floor=0.25
-    ),
-    Metric(
-        "logged_async.always.retention_vs_unlogged", "at_least", floor=0.15
-    ),
-    # The durable-ack headline: grouped background syncs must stay
-    # ahead of one synchronous fdatasync per frame.  Full runs sit
-    # well above 2x; the floor is sized for smoke workloads, where a
-    # handful of records leaves grouping little to amortise.
-    Metric(
-        "logged_async.always.speedup_vs_sync_always", "at_least", floor=1.1
-    ),
-    # Hard bitwise-recovery invariants: replay-only, checkpoint+suffix,
-    # the async-commit log, and the post-compaction log must all
-    # rebuild the live service's truths exactly.
-    Metric("recovery.replay_only.truths_match_bitwise", "flag"),
-    Metric("recovery.checkpointed.truths_match_bitwise", "flag"),
-    Metric("recovery.async_commit.truths_match_bitwise", "flag"),
-    Metric("compaction.recovery.truths_match_bitwise", "flag"),
-    # Compaction must actually reclaim space on a checkpointed log.
-    Metric("compaction.shrunk", "flag"),
-)
 
 CHAOS_METRICS = (
     # Self-healing failover ceilings from the chaos drill
@@ -201,11 +84,7 @@ CHAOS_METRICS = (
     Metric("invariants.wal_replay_matches", "flag"),
 )
 
-KINDS = {
-    "service": SERVICE_METRICS,
-    "durability": DURABILITY_METRICS,
-    "chaos": CHAOS_METRICS,
-}
+KINDS = {"chaos": CHAOS_METRICS}
 
 
 def lookup(report: dict, path: str):
@@ -249,19 +128,6 @@ def compare_metric(
         )
     base_value = float(base_value)
     fresh_value = float(fresh_value)
-    if metric.direction == "higher":
-        if base_value <= 0.0:
-            return Comparison(
-                metric, base_value, fresh_value, None,
-                "baseline is not positive; skipped",
-            )
-        bound = base_value * (1.0 - tolerance)
-        ok = fresh_value >= bound
-        note = "" if ok else (
-            f"{fresh_value:,.0f} < {bound:,.0f} "
-            f"(= baseline {base_value:,.0f} - {tolerance:.0%})"
-        )
-        return Comparison(metric, base_value, fresh_value, ok, note)
     if metric.direction == "lower":
         bound = max(base_value * (1.0 + tolerance), metric.floor)
         ok = fresh_value <= bound
@@ -269,12 +135,6 @@ def compare_metric(
             f"{fresh_value:g} > {bound:g} "
             f"(= max(baseline {base_value:g} + {tolerance:.0%}, "
             f"floor {metric.floor:g}))"
-        )
-        return Comparison(metric, base_value, fresh_value, ok, note)
-    if metric.direction == "at_least":
-        ok = fresh_value >= metric.floor
-        note = "" if ok else (
-            f"{fresh_value:g} < absolute floor {metric.floor:g}"
         )
         return Comparison(metric, base_value, fresh_value, ok, note)
     raise ValueError(f"unknown metric direction {metric.direction!r}")
@@ -310,12 +170,12 @@ def check_regression(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="fail when a fresh bench report regresses vs a "
-        "committed baseline",
+        description="fail when a fresh chaos-drill report regresses vs "
+        "a committed baseline",
     )
     parser.add_argument(
         "--kind", required=True, choices=sorted(KINDS),
-        help="which bench report layout to compare",
+        help="which report layout to compare",
     )
     parser.add_argument(
         "--baseline", required=True, help="committed baseline JSON path"

@@ -137,10 +137,8 @@ def replay_primary_prefix(directory: Path, up_to_lsn: int):
     the replication stream.
     """
     from repro.durable import records as rec
-    from repro.durable.recovery import RecordApplier
+    from repro.durable.recovery import RecordApplier, service_from_config
     from repro.durable.wal import read_wal
-    from repro.service.ingest import IngestService, ServiceConfig
-    from repro.service.ledger import BudgetLedger
 
     service = None
     applier = None
@@ -149,19 +147,7 @@ def replay_primary_prefix(directory: Path, up_to_lsn: int):
             break
         if record.rtype == rec.CONFIG:
             if service is None:
-                body = record.decode()
-                caps = body.get("ledger")
-                service = IngestService(
-                    ServiceConfig(**body["service_config"]),
-                    ledger=(
-                        None
-                        if caps is None
-                        else BudgetLedger(
-                            caps["epsilon_cap"],
-                            delta_cap=caps["delta_cap"],
-                        )
-                    ),
-                )
+                service = service_from_config(record.decode())
                 applier = RecordApplier(service)
             continue
         applier.apply(record)

@@ -1,13 +1,11 @@
 """CI helper: scrape a live metrics endpoint and assert it is healthy.
 
-Polls a running ``/metrics`` endpoint (as served by
-``repro service-bench --metrics-port ...`` or any
+Polls a running ``/metrics`` endpoint (any
 :class:`repro.obs.MetricsServer`) until every required metric family is
 present *and* carries a non-zero value, or the retry budget runs out.
-CI backgrounds the bench, runs this against the advertised port, and
-fails the job if the live telemetry surface ever goes dark::
+``benchmarks/replication_smoke.py`` calls :func:`check_endpoint` against
+its doomed primary mid-stream; standalone::
 
-    python -m repro.cli service-bench --smoke --metrics-port 9109 ... &
     python benchmarks/scrape_check.py http://127.0.0.1:9109/metrics
 
 Exit codes: 0 healthy, 1 families missing/zero after all retries,

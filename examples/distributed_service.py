@@ -1,7 +1,7 @@
 """Multi-node shard fabric: the ingestion service over real sockets.
 
-``workers=N`` moves shard aggregation into subprocesses behind pipes;
-``hosts=N`` goes one step further and talks to ``repro serve-shard``
+``Topology.workers(n)`` moves shard aggregation into subprocesses behind
+pipes; ``Topology.fabric(n)`` goes one step further and talks to ``repro serve-shard``
 subprocesses over TCP — the same frame protocol, but each shard host is
 now an independently deployable process that could live on another
 machine.  The demo shows:

@@ -8,9 +8,10 @@ working together:
    who exhaust their (epsilon, delta) budget are turned away;
 2. claims land in columnar micro-batches and are aggregated
    incrementally, so fresh truths are queryable mid-stream;
-3. the bulk columnar path sustains orders of magnitude more claims per
-   second than the per-message protocol server (run
-   ``python -m repro service-bench`` for the full comparison).
+3. the bulk columnar path sustains far more claims per second than
+   per-submission ``submit()`` (compare ``ingest_claims_per_s`` of
+   ``python3 benchmarks/e2e/run.py --workload bulk_durable`` and
+   ``--workload device_submit``).
 
 Run:  PYTHONPATH=src python examples/high_throughput_service.py
 """

@@ -1,9 +1,9 @@
 """Multi-process shard workers: the ingestion service beyond one core.
 
 The single-process service aggregates on the thread that pumps; with
-``workers=N`` each shard's aggregation moves into a worker process that
-receives micro-batches as compact ``WorkItem`` frames over a pipe.  The
-demo shows:
+``Topology.workers(n)`` each shard's aggregation moves into a worker
+process that receives micro-batches as compact ``WorkItem`` frames over
+a pipe.  The demo shows:
 
 1. the same service API — register, submit, pump, snapshot — with a
    2-worker pool behind 4 shards (spawn start method, as on CI);

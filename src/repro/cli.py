@@ -6,12 +6,6 @@ Subcommands
 * ``run NAME [--profile quick|full] [--seed N] [--markdown]`` — run one
   experiment and print its tables/charts;
 * ``all [--profile ...]`` — run every experiment in sequence;
-* ``service-bench [--claims N] [--shards N] [--method crh|gtm|catd]
-  [--workers N] [--hosts N] [--output PATH]`` — benchmark the
-  high-throughput claim-ingestion service against the per-message
-  server baseline, plus the per-method streaming-vs-full-refit
-  read-latency comparison; ``--hosts N`` adds socket-fabric runs with
-  a bitwise check and a kill-one-host failover measurement;
 * ``serve-shard [--host H] [--port N] [--worker-id I]`` — run one
   shard host: the worker frame protocol served on a TCP port (the
   multi-node fabric's unit of deployment; ``--port 0`` binds an
@@ -31,9 +25,6 @@ Subcommands
   deterministic ``repro.chaos`` fault schedule, SIGKILL the primary,
   let the watchdog promote, and assert the bitwise-truths and
   spent-budget invariants (exit 1 if any drill fails to heal);
-* ``durable-bench [--smoke] [--output PATH]`` — measure write-ahead
-  logging cost (per fsync policy, synchronous and async commit),
-  commit-latency percentiles, compaction, and crash-recovery speed;
 * ``metrics URL`` — scrape a live ``/metrics`` endpoint once and
   pretty-print every series (``--raw`` prints the Prometheus text);
 * ``top URL [--interval S]`` — live terminal dashboard over a metrics
@@ -47,11 +38,10 @@ Subcommands
 
 The durability subcommands (``recover`` / ``compact`` / ``standby``)
 all take their directory as ``--dir DIR`` (``recover`` and ``compact``
-also accept it positionally, the historical spelling), and the
-benchmarks share one flag vocabulary: ``--output PATH`` (JSON report,
-``-`` to skip), ``--metrics-port PORT`` (live exposition),
-``--trace-output PATH`` (sampled stage traces), ``--smoke`` (tiny CI
-workload).
+also accept it positionally, the historical spelling).  Throughput and
+latency are measured outside the package, by ``python3
+benchmarks/e2e/run.py [--quick] [--workload NAME]`` (see
+``benchmarks/e2e/README.md``).
 
 Exit codes: ``0`` success; ``1`` runtime failure (e.g. a standby's
 listener died, a metrics endpoint went away); ``2`` bad input —
@@ -91,105 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     all_p = sub.add_parser("all", help="run every experiment")
     _add_run_options(all_p)
-
-    bench_p = sub.add_parser(
-        "service-bench",
-        help="benchmark the claim-ingestion service vs the classic server",
-    )
-    bench_p.add_argument(
-        "--claims",
-        type=int,
-        default=400_000,
-        help="claims through the bulk columnar path (default 400k)",
-    )
-    bench_p.add_argument(
-        "--submission-claims",
-        type=int,
-        default=80_000,
-        help="claims through the per-submission path (default 80k)",
-    )
-    bench_p.add_argument(
-        "--baseline-claims",
-        type=int,
-        default=20_000,
-        help="claims through the per-message baseline (default 20k)",
-    )
-    bench_p.add_argument(
-        "--shards", type=int, default=4, help="service shard count"
-    )
-    bench_p.add_argument(
-        "--batch", type=int, default=2048, help="micro-batch size in claims"
-    )
-    bench_p.add_argument(
-        "--seed", type=int, default=2020, help="load-generator seed"
-    )
-    bench_p.add_argument(
-        "--method",
-        choices=("crh", "gtm", "catd"),
-        default="crh",
-        help="truth-discovery method the bulk/submission campaigns run "
-        "(default crh); every choice has a streaming backend",
-    )
-    bench_p.add_argument(
-        "--read-claims",
-        type=int,
-        default=1_000_000,
-        help="claims per campaign in the per-method streaming-vs-full-"
-        "refit read benchmark (default 1M)",
-    )
-    bench_p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="also run the bulk path with N shard-worker processes and "
-        "compare against the in-process run (default 0: in-process only)",
-    )
-    bench_p.add_argument(
-        "--hosts",
-        type=int,
-        default=0,
-        help="also run the bulk path over N socket shard hosts "
-        "(serve-shard subprocesses), with a bitwise check and a "
-        "kill-one-host failover run (default 0: no fabric)",
-    )
-    bench_p.add_argument(
-        "--replicas",
-        type=int,
-        default=0,
-        metavar="N",
-        help="also run the WAL-shipping replication benchmark with N "
-        "warm standbys ('repro standby' subprocesses): replica "
-        "snapshot-read fan-out vs primary reads, replication lag, and "
-        "a promotion bitwise check (default 0: no replication)",
-    )
-    bench_p.add_argument(
-        "--start-method",
-        choices=("spawn", "fork", "forkserver"),
-        default="spawn",
-        help="multiprocessing start method for --workers (default spawn)",
-    )
-    bench_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny workload exercising every code path (CI smoke test)",
-    )
-    bench_p.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve live metrics on this port for the whole benchmark "
-        "(Prometheus text at /metrics, JSON at /metrics.json; watch it "
-        "with 'repro top http://127.0.0.1:PORT/metrics')",
-    )
-    bench_p.add_argument(
-        "--trace-output",
-        metavar="PATH",
-        default=None,
-        help="sample per-submission traces during the WAL-attached "
-        "durable-ack run and write them as a JSON artifact to this path",
-    )
-    _add_output_option(bench_p, "results/BENCH_service.json")
 
     serve_p = sub.add_parser(
         "serve-shard",
@@ -388,70 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(watchdogs=3 with one member network-partitioned; exactly "
         "one promotion).  Default: all",
     )
-    _add_output_option(drill_p, "results/BENCH_chaos.json")
-
-    durable_p = sub.add_parser(
-        "durable-bench",
-        help="measure write-ahead logging cost and crash-recovery speed",
-    )
-    durable_p.add_argument(
-        "--claims",
-        type=int,
-        default=200_000,
-        help="claims through each measured run (default 200k)",
-    )
-    durable_p.add_argument(
-        "--always-claims",
-        type=int,
-        default=None,
-        help="claims for the fsync=always run (default claims/10)",
-    )
-    durable_p.add_argument(
-        "--shards", type=int, default=4, help="service shard count"
-    )
-    durable_p.add_argument(
-        "--batch", type=int, default=2048, help="micro-batch size in claims"
-    )
-    durable_p.add_argument(
-        "--seed", type=int, default=2020, help="load-generator seed"
-    )
-    durable_p.add_argument(
-        "--dir",
-        metavar="DIR",
-        default=None,
-        help="durability directory to use (default: a temp dir, removed "
-        "afterwards)",
-    )
-    durable_p.add_argument(
-        "--always-batch",
-        type=int,
-        default=256,
-        help="micro-batch size for the fsync=always runs (default 256; "
-        "per-record durability is measured at its fine-grained "
-        "operating point)",
-    )
-    durable_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny workload exercising every code path (CI smoke test)",
-    )
-    durable_p.add_argument(
-        "--trace-output",
+    drill_p.add_argument(
+        "--output",
         metavar="PATH",
-        default=None,
-        help="run one extra traced logged workload and write its "
-        "per-submission stage traces as a JSON artifact to this path",
+        default="results/BENCH_chaos.json",
+        help="write the full summary as JSON to this path (default "
+        "results/BENCH_chaos.json); pass '-' to skip writing",
     )
-    durable_p.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help="serve live metrics on this port for the whole benchmark "
-        "(Prometheus text at /metrics, JSON at /metrics.json; watch it "
-        "with 'repro top http://127.0.0.1:PORT/metrics')",
-    )
-    _add_output_option(durable_p, "results/BENCH_durability.json")
 
     metrics_p = sub.add_parser(
         "metrics",
@@ -507,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="durability directory (the flag spelling shared with "
-        "'standby' and 'durable-bench')",
+        "'standby')",
     )
     compact_p.add_argument(
         "--checkpoint-lsn",
@@ -540,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=None,
         help="durability directory (the flag spelling shared with "
-        "'standby' and 'durable-bench')",
+        "'standby')",
     )
     recover_p.add_argument(
         "--campaign",
@@ -573,18 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     return parser
-
-
-def _add_output_option(
-    parser: argparse.ArgumentParser, default: str
-) -> None:
-    parser.add_argument(
-        "--output",
-        metavar="PATH",
-        default=default,
-        help=f"write the full summary as JSON to this path "
-        f"(default {default}); pass '-' to skip writing",
-    )
 
 
 def _resolve_dir(args) -> Optional[str]:
@@ -684,30 +506,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print()
         return 0
 
-    if args.command == "service-bench":
-        from repro.service.bench import format_summary, run_service_bench
-
-        report = run_service_bench(
-            total_claims=args.claims,
-            submission_claims=args.submission_claims,
-            baseline_claims=args.baseline_claims,
-            num_shards=args.shards,
-            max_batch=args.batch,
-            seed=args.seed,
-            method=args.method,
-            read_claims=args.read_claims,
-            workers=args.workers,
-            hosts=args.hosts,
-            replicas=args.replicas,
-            start_method=args.start_method,
-            smoke=args.smoke,
-            metrics_port=args.metrics_port,
-            trace_output=args.trace_output,
-        )
-        print(format_summary(report))
-        _write_output(report, args.output)
-        return 0
-
     if args.command == "metrics":
         from repro.obs import format_metrics, render_prometheus, try_scrape
 
@@ -746,28 +544,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             shard_range=tuple(args.shards),
             announce=announce,
         )
-
-    if args.command == "durable-bench":
-        from repro.durable import (
-            format_durability_summary,
-            run_durability_bench,
-        )
-
-        report = run_durability_bench(
-            total_claims=args.claims,
-            always_claims=args.always_claims,
-            num_shards=args.shards,
-            max_batch=args.batch,
-            always_max_batch=args.always_batch,
-            seed=args.seed,
-            directory=args.dir,
-            smoke=args.smoke,
-            trace_output=args.trace_output,
-            metrics_port=args.metrics_port,
-        )
-        print(format_durability_summary(report))
-        _write_output(report, args.output)
-        return 0
 
     if args.command == "standby":
         from repro.durable import CheckpointError, RecordError, WalError

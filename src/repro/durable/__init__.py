@@ -31,8 +31,8 @@ memory; this package makes that state survive a crash:
   aggregator state and the :class:`~repro.service.ledger.BudgetLedger`,
   bounding how much log a restart must replay;
 * :class:`DurabilityManager` — the hook an
-  :class:`~repro.service.ingest.IngestService` attaches
-  (``durability=``): it logs each flushed micro-batch *before* the
+  :class:`~repro.service.ingest.IngestService` attaches (a topology's
+  ``durability=``): it logs each flushed micro-batch *before* the
   aggregator sees it and drives group commit and automatic
   checkpoints;
 * :class:`RecoveryManager` — rebuilds the service after a crash from
@@ -40,13 +40,13 @@ memory; this package makes that state survive a crash:
   tail, with bit-for-bit identical truths on the replayed batches
   (including after async-commit crashes and mid-compaction crashes);
 * :class:`WorkItem` — the serialisable work-item format the log (and
-  the multi-process shard workers) move around;
-* :func:`run_durability_bench` — the logged-vs-unlogged throughput,
-  commit-latency, compaction, and recovery benchmark behind
-  ``repro durable-bench``.
+  the multi-process shard workers) move around.
+
+Logging cost and recovery speed are measured by ``python3
+benchmarks/e2e/run.py --workload bulk_durable`` (and
+``device_paced_durable`` for ack latency under sync commit).
 """
 
-from repro.durable.bench import format_durability_summary, run_durability_bench
 from repro.durable.checkpoint import (
     Checkpoint,
     CheckpointError,
@@ -112,9 +112,7 @@ __all__ = [
     "WriteAheadLog",
     "attach_resumed_durability",
     "compact_directory",
-    "format_durability_summary",
     "load_compaction_manifest",
     "read_wal",
     "repair_compaction",
-    "run_durability_bench",
 ]

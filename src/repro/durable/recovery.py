@@ -122,6 +122,30 @@ class RecoveredService:
     specs: dict = field(default_factory=dict)
 
 
+def service_from_config(body: dict, *, config=None, accountant=None):
+    """The empty in-process service a CONFIG record body describes.
+
+    Its ``ServiceConfig`` (unless ``config`` overrides the recorded
+    one) and, when the primary ran a ledger, a fresh ledger with the
+    same caps — what replay (:class:`RecordApplier`) starts from, in
+    recovery, on a standby, and in the drills' independent arbiters.
+    """
+    from repro.service.ingest import IngestService, ServiceConfig
+    from repro.service.ledger import BudgetLedger
+
+    if config is None:
+        config = ServiceConfig(**body["service_config"])
+    caps = body.get("ledger")
+    ledger = None
+    if caps is not None:
+        ledger = BudgetLedger(
+            caps["epsilon_cap"],
+            delta_cap=caps["delta_cap"],
+            accountant=accountant,
+        )
+    return IngestService(config, ledger=ledger)
+
+
 class RecordApplier:
     """Applies WAL records to a live service, one at a time.
 
@@ -324,8 +348,6 @@ class RecoveryManager:
             Truncate a torn WAL tail in place (disable for read-only
             inspection of a damaged directory).
         """
-        from repro.service.ingest import IngestService, ServiceConfig
-
         start = time.perf_counter()
         if not self._dir.is_dir():
             raise RecoveryError(f"no durability directory at {self._dir}")
@@ -371,14 +393,7 @@ class RecoveryManager:
             truncated_bytes=scan.truncated_bytes,
         )
 
-        service_config, ledger = self._bootstrap(
-            checkpoint, scan, accountant
-        )
-        if config is not None:
-            service_config = config
-        if service_config is None:
-            service_config = ServiceConfig()
-        service = IngestService(service_config, ledger=ledger)
+        service = self._bootstrap(checkpoint, scan, config, accountant)
 
         specs: dict[str, dict] = {}
         if checkpoint is not None:
@@ -401,14 +416,17 @@ class RecoveryManager:
         )
 
     # ------------------------------------------------------------------
-    def _bootstrap(self, checkpoint, scan, accountant):
-        """Service config + ledger from checkpoint or CONFIG record."""
-        from repro.service.ingest import ServiceConfig
+    def _bootstrap(self, checkpoint, scan, config, accountant):
+        """The empty service replay fills: persisted configuration
+        (unless ``config`` overrides it) and ledger, from the
+        checkpoint or else the log's CONFIG record."""
+        from repro.service.ingest import IngestService, ServiceConfig
         from repro.service.ledger import BudgetLedger
 
         if checkpoint is not None:
             payload = checkpoint.payload
-            service_config = ServiceConfig(**payload["service_config"])
+            if config is None:
+                config = ServiceConfig(**payload["service_config"])
             ledger_state = payload.get("ledger")
             ledger = None
             if ledger_state is not None:
@@ -418,21 +436,13 @@ class RecoveryManager:
                     delta_cap=ledger_state["delta_cap"],
                     accountant=accountant,
                 )
-            return service_config, ledger
+            return IngestService(config, ledger=ledger)
         for record in scan.records:
             if record.rtype == rec.CONFIG:
-                body = record.decode()
-                service_config = ServiceConfig(**body["service_config"])
-                caps = body.get("ledger")
-                ledger = None
-                if caps is not None:
-                    ledger = BudgetLedger(
-                        caps["epsilon_cap"],
-                        delta_cap=caps["delta_cap"],
-                        accountant=accountant,
-                    )
-                return service_config, ledger
-        return None, None
+                return service_from_config(
+                    record.decode(), config=config, accountant=accountant
+                )
+        return IngestService(config)
 
     def _restore_checkpoint(
         self, service, checkpoint: Checkpoint, specs: dict

@@ -32,7 +32,7 @@ import select
 import subprocess
 import sys
 import time
-from typing import Optional
+from typing import Optional, Sequence
 
 from repro.chaos import points as _chaos
 from repro.durable import records as rec
@@ -90,15 +90,20 @@ class HostProcess:
                 pass
 
 
-def launch_shard_host(
-    worker_id: int,
-    shard_range: tuple,
+def spawn_cli(
+    argv: Sequence[str],
     *,
-    host: str = "127.0.0.1",
-    start_timeout: float = 120.0,
+    port_timeout: Optional[float] = None,
     python: Optional[str] = None,
-) -> tuple[HostProcess, int]:
-    """Start ``repro serve-shard`` and learn its ephemeral port."""
+) -> tuple[subprocess.Popen, Optional[int]]:
+    """Start ``python -m repro.cli <argv>`` with this checkout importable.
+
+    With ``port_timeout`` the child's stdout is piped and its ``PORT
+    <n>`` announcement awaited (the ``serve-shard`` / ``standby`` launch
+    contract); a child that does not announce is killed and reaped
+    before the error propagates.  Without it the child inherits stdout
+    and the port is ``None``.
+    """
     import repro
 
     env = dict(os.environ)
@@ -109,34 +114,44 @@ def launch_shard_host(
     env["PYTHONPATH"] = (
         src_dir if not existing else src_dir + os.pathsep + existing
     )
-    lo, hi = shard_range
     popen = subprocess.Popen(
-        [
-            python or sys.executable,
-            "-m",
-            "repro.cli",
-            "serve-shard",
-            "--host",
-            host,
-            "--port",
-            "0",
-            "--worker-id",
-            str(worker_id),
-            "--shards",
-            str(lo),
-            str(hi),
-        ],
-        stdout=subprocess.PIPE,
+        [python or sys.executable, "-m", "repro.cli", *argv],
+        stdout=None if port_timeout is None else subprocess.PIPE,
         env=env,
     )
+    if port_timeout is None:
+        return popen, None
     try:
-        port = _read_port(popen, start_timeout)
+        port = _read_port(popen, port_timeout)
     except BaseException:
         popen.kill()
         popen.wait()
-        if popen.stdout is not None:
-            popen.stdout.close()
+        popen.stdout.close()
         raise
+    return popen, port
+
+
+def launch_shard_host(
+    worker_id: int,
+    shard_range: tuple,
+    *,
+    host: str = "127.0.0.1",
+    start_timeout: float = 120.0,
+    python: Optional[str] = None,
+) -> tuple[HostProcess, int]:
+    """Start ``repro serve-shard`` and learn its ephemeral port."""
+    lo, hi = shard_range
+    popen, port = spawn_cli(
+        [
+            "serve-shard",
+            "--host", host,
+            "--port", "0",
+            "--worker-id", str(worker_id),
+            "--shards", str(lo), str(hi),
+        ],
+        port_timeout=start_timeout,
+        python=python,
+    )
     _LOGGER.debug(
         "shard host %d up: pid %d, port %d", worker_id, popen.pid, port
     )
@@ -286,7 +301,7 @@ class FabricPool:
         re-detect the loss.
         """
         for handle in self.handles:
-            if getattr(handle, "lost", False):
+            if handle.lost:
                 continue
             handle.check()
         if self.supervisor is not None:
@@ -295,7 +310,7 @@ class FabricPool:
     def sync(self) -> None:
         """Barrier across all hosts: every shipped frame is processed."""
         for handle in self.handles:
-            if getattr(handle, "lost", False):
+            if handle.lost:
                 continue
             handle.sync()
 
@@ -374,7 +389,7 @@ class FabricPool:
             # is exactly what we want.
             self.supervisor.active = False
         for handle in self.handles:
-            if not getattr(handle, "lost", False):
+            if not handle.lost:
                 handle.shutdown(timeout)
             release = getattr(handle.process, "release", None)
             if release is not None:

@@ -189,7 +189,7 @@ class Supervisor:
         if not self.active:
             return
         for handle in self._pool.handles:
-            if getattr(handle, "lost", False):
+            if handle.lost:
                 continue
             journal = handle.journal
             if journal.claims_since_capture >= self.checkpoint_every_claims:
@@ -333,7 +333,7 @@ class Supervisor:
         survivors = [
             h
             for h in self._pool.handles
-            if h is not dead and not getattr(h, "lost", False)
+            if h is not dead and not h.lost
         ]
         if not survivors:
             raise WorkerCrashedError(
@@ -440,8 +440,6 @@ class SupervisedHandle(WorkerHandle):
         super().__init__(*args, **kwargs)
         self._supervisor = supervisor
         self.journal = HostJournal()
-        #: True once the supervisor declared this host gone for good.
-        self.lost = False
         #: campaign_id -> surviving handle, filled in by ``rehome``;
         #: an RPC caught mid-flight by the loss re-routes through this.
         self.rehome_targets: dict[str, WorkerHandle] = {}

@@ -9,13 +9,10 @@ the backing of ``Topology.replicated(standbys=n)``.
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from repro.net.fabric import HostProcess, _read_port
+from repro.net.fabric import HostProcess, spawn_cli
 from repro.replication.client import ReplicaReadClient
 from repro.utils.logging import get_logger
 
@@ -37,42 +34,17 @@ def launch_standby(
     python: Optional[str] = None,
 ) -> tuple[HostProcess, int]:
     """Start ``repro standby`` and learn its ephemeral port."""
-    import repro
-
-    env = dict(os.environ)
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(
-        repro.__file__
-    )))
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_dir if not existing else src_dir + os.pathsep + existing
-    )
-    popen = subprocess.Popen(
+    popen, port = spawn_cli(
         [
-            python or sys.executable,
-            "-m",
-            "repro.cli",
             "standby",
-            "--dir",
-            str(directory),
-            "--host",
-            host,
-            "--port",
-            "0",
-            "--fsync",
-            fsync,
+            "--dir", str(directory),
+            "--host", host,
+            "--port", "0",
+            "--fsync", fsync,
         ],
-        stdout=subprocess.PIPE,
-        env=env,
+        port_timeout=start_timeout,
+        python=python,
     )
-    try:
-        port = _read_port(popen, start_timeout)
-    except BaseException:
-        popen.kill()
-        popen.wait()
-        if popen.stdout is not None:
-            popen.stdout.close()
-        raise
     _LOGGER.debug(
         "standby up: dir %s, pid %d, port %d", directory, popen.pid, port
     )
@@ -149,6 +121,7 @@ class StandbyPool:
             else [standby_directory(primary_dir, i) for i in range(count)]
         )
         self.handles: list[StandbyHandle] = []
+        self._closed = False
         try:
             for index, directory in enumerate(dirs):
                 process, port = launch_standby(
@@ -162,7 +135,6 @@ class StandbyPool:
         except BaseException:
             self.close()
             raise
-        self._closed = False
 
     @property
     def addresses(self) -> list[tuple]:
@@ -179,7 +151,7 @@ class StandbyPool:
 
     def close(self, *, timeout: float = 10.0) -> None:
         """Shut every standby down cleanly (idempotent)."""
-        if getattr(self, "_closed", False):
+        if self._closed:
             return
         self._closed = True
         for handle in self.handles:

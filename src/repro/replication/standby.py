@@ -42,6 +42,7 @@ from repro.durable.recovery import (
     RecordApplier,
     RecoveryManager,
     attach_resumed_durability,
+    service_from_config,
 )
 from repro.durable.wal import FSYNC_POLICIES, WriteAheadLog, list_segments
 from repro.net.transport import SocketListener
@@ -377,9 +378,8 @@ class StandbyServer:
     def _apply(self, record) -> None:
         if record.rtype == rec.CONFIG:
             if self._service is None:
-                self._service, self._applier = _service_from_config(
-                    record.decode()
-                )
+                self._service = service_from_config(record.decode())
+                self._applier = RecordApplier(self._service)
             self.records_applied += 1
             return
         if self._applier is None:
@@ -580,22 +580,6 @@ class StandbyServer:
             len(report["campaigns"]),
         )
         return report
-
-
-def _service_from_config(body: dict):
-    """Build the replica service+applier from a CONFIG record body."""
-    from repro.service.ingest import IngestService, ServiceConfig
-    from repro.service.ledger import BudgetLedger
-
-    config = ServiceConfig(**body["service_config"])
-    caps = body.get("ledger")
-    ledger = None
-    if caps is not None:
-        ledger = BudgetLedger(
-            caps["epsilon_cap"], delta_cap=caps["delta_cap"]
-        )
-    service = IngestService(config, ledger=ledger)
-    return service, RecordApplier(service)
 
 
 def serve_standby(

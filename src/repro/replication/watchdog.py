@@ -45,11 +45,11 @@ from __future__ import annotations
 
 import os
 import subprocess
-import sys
 import threading
 import time
 from typing import Callable, Optional, Sequence
 
+from repro.net.fabric import spawn_cli
 from repro.net.transport import SocketListener, connect
 from repro.replication import protocol as rp
 from repro.replication.client import ReplicaError, ReplicaReadClient
@@ -871,20 +871,7 @@ def launch_watchdog(
     install a :class:`~repro.chaos.plan.FaultPlan` inside the child —
     how a drill partitions one fleet member without touching the rest.
     """
-    import repro
-
-    env = dict(os.environ)
-    src_dir = os.path.dirname(
-        os.path.dirname(os.path.abspath(repro.__file__))
-    )
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_dir if not existing else src_dir + os.pathsep + existing
-    )
     argv = [
-        python or sys.executable,
-        "-m",
-        "repro.cli",
         "watchdog",
         "--primary",
         format_address(primary_address),
@@ -907,7 +894,7 @@ def launch_watchdog(
         argv.extend(["--chaos-seed", str(chaos_seed)])
         for point, rate in sorted((chaos_rates or {}).items()):
             argv.extend(["--chaos-rate", f"{point}={rate}"])
-    popen = subprocess.Popen(argv, env=env)
+    popen, _ = spawn_cli(argv, python=python)
     _LOGGER.info(
         "watchdog %d pid %d armed over primary %s, %d standby(s), "
         "%d peer(s)",

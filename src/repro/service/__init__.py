@@ -19,8 +19,9 @@ for rate rather than for protocol fidelity (which lives in
   queryable at any time mid-stream;
 * :class:`ServiceCampaignAdapter` — runs the existing crowdsensing
   protocol on top of the service;
-* :class:`LoadGenerator` and :func:`run_service_bench` — synthetic
-  traffic and the throughput benchmark behind ``repro service-bench``.
+* :class:`LoadGenerator` — seeded synthetic traffic; the throughput
+  and latency benchmark that drives it lives outside the package
+  (``python3 benchmarks/e2e/run.py``).
 """
 
 from repro.service.aggregator import (
@@ -32,11 +33,6 @@ from repro.service.aggregator import (
 )
 from repro.service.adapter import ServiceCampaignAdapter
 from repro.service.batcher import MicroBatcher
-from repro.service.bench import (
-    bench_method_reads,
-    run_service_bench,
-    streaming_agreement_rmse,
-)
 from repro.service.ingest import (
     IngestResult,
     IngestService,
@@ -67,10 +63,7 @@ __all__ = [
     "StreamingAggregator",
     "Topology",
     "TruthSnapshot",
-    "bench_method_reads",
     "make_aggregator",
     "resolve_backend",
-    "run_service_bench",
     "shard_for",
-    "streaming_agreement_rmse",
 ]

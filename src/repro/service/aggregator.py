@@ -39,9 +39,9 @@ Backend selection (:func:`resolve_backend`, used by
 Both backends expose the same surface (``ingest`` / ``truths`` /
 ``weights`` / counters), so shards treat them uniformly.  Each also
 counts its deferred-work cost — ``refreshes`` and ``refresh_seconds``
-— so the service benchmark can show what a read actually pays per
-backend (the streaming-vs-full read-latency comparison in
-``repro service-bench``).
+— so a benchmark can show what a read actually pays per backend
+(``python3 benchmarks/e2e/run.py --workload read_mix`` times dirty and
+clean reads on all three streaming methods).
 
 Semantics note: the streaming backend applies its decay once per
 ``refine_every`` ingested claims — not per micro-batch, and not on

@@ -19,17 +19,18 @@ queued work into micro-batchers and incremental aggregators;
 
 The service is single-threaded by design — shards are a state
 partition, not threads — so callers control when aggregation work
-happens (after each drain, on a timer, ...).  With ``workers=N`` the
-aggregation half of each pump moves into shard-worker processes
-(:mod:`repro.workers`): ``pump()`` then ships completed micro-batches
-over a pipe and returns, while the workers aggregate concurrently —
-validation, admission, and durability logging stay in this process.
+happens (after each drain, on a timer, ...).  Under
+``Topology.workers(n)`` the aggregation half of each pump moves into
+shard-worker processes (:mod:`repro.workers`): ``pump()`` then ships
+completed micro-batches over a pipe and returns, while the workers
+aggregate concurrently — validation, admission, and durability logging
+stay in this process.
 """
 
 from __future__ import annotations
 
+import subprocess
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -46,10 +47,6 @@ from repro.utils.logging import get_logger
 from repro.utils.validation import ensure_in_range, ensure_int
 
 _LOGGER = get_logger("service.ingest")
-
-#: Distinguishes "keyword not passed" from an explicit None in the
-#: deprecated IngestService construction keywords.
-_UNSET = object()
 
 
 def _resolve_durability(durability):
@@ -258,40 +255,29 @@ class IngestService:
         with a per-submission ``cost`` charge it on every accepted
         submission; exhausted users are rejected with reason
         ``"budget"``.
-    durability:
-        Optional :class:`~repro.durable.manager.DurabilityManager`.
-        When set, every registration, admitted budget charge, and
-        flushed micro-batch is written ahead to an append-only log and
-        the service's state can be rebuilt after a crash with
-        :class:`~repro.durable.recovery.RecoveryManager`.  Attach it at
-        construction (before registering campaigns).
-    workers:
-        ``0`` (default) keeps every shard in-process.  ``N >= 1``
-        starts a :class:`~repro.workers.pool.WorkerPool` of N processes,
-        each owning a contiguous range of shards: campaign aggregators
-        live in the workers (as
-        :class:`~repro.workers.handles.RemoteAggregator` proxies
-        parent-side), while validation, admission, queues,
-        micro-batching, and durability logging stay here.  Call
+    topology:
+        The deployment shape, one :class:`~repro.service.topology.
+        Topology` value (default ``Topology.in_process()``).
+        ``Topology.workers(n)`` moves campaign aggregators into a
+        :class:`~repro.workers.pool.WorkerPool` of ``n`` pipe-connected
+        processes, each owning a contiguous range of shards
+        (:class:`~repro.workers.handles.RemoteAggregator` proxies
+        parent-side; validation, admission, queues, micro-batching and
+        durability logging stay here).  ``Topology.fabric(n)`` is the
+        same pool surface over ``n`` shard-host processes on TCP ports
+        (:class:`~repro.net.fabric.FabricPool`), supervised by default:
+        a dead host is restarted and replayed, with recovered truths
+        bitwise-identical to an uncrashed run.
+        ``Topology.replicated(...)`` ships the write-ahead log to warm
+        standbys.  Every factory takes ``durability=`` (a
+        :class:`~repro.durable.manager.DurabilityManager`, a
+        :class:`~repro.durable.manager.DurabilityConfig`, or a
+        directory): every registration, admitted budget charge and
+        flushed micro-batch is then written ahead to an append-only log
+        and the state can be rebuilt after a crash with
+        :class:`~repro.durable.recovery.RecoveryManager`.  Call
         :meth:`close` (or use the service as a context manager) to shut
-        the pool down.
-    hosts:
-        ``N >= 1`` starts a :class:`~repro.net.fabric.FabricPool` of N
-        shard-host *processes on TCP ports* instead of pipe workers —
-        the multi-node deployment shape, exercised on localhost.  The
-        service code path is identical to ``workers``: the fabric
-        exposes the same pool surface, so every proxy works unchanged
-        over sockets.  Mutually exclusive with ``workers``.
-    supervise:
-        With ``hosts``, journal every shard host and transparently
-        restart-and-replay one that dies
-        (:class:`~repro.net.supervisor.Supervisor`); recovered truths
-        are bitwise-identical to an uncrashed run.  ``False``
-        reproduces the pipe pool's fail-fast behaviour.
-    start_method:
-        ``multiprocessing`` start method for the pool (``"spawn"`` by
-        default — safe on every supported platform and Python
-        3.10–3.13; ``"fork"`` starts faster on POSIX).
+        down whatever processes the topology started.
     """
 
     def __init__(
@@ -300,38 +286,7 @@ class IngestService:
         *,
         topology: Optional[Topology] = None,
         ledger: Optional[BudgetLedger] = None,
-        durability=_UNSET,
-        workers=_UNSET,
-        hosts=_UNSET,
-        supervise=_UNSET,
-        start_method=_UNSET,
     ) -> None:
-        legacy = {
-            name: value
-            for name, value in (
-                ("durability", durability),
-                ("workers", workers),
-                ("hosts", hosts),
-                ("supervise", supervise),
-                ("start_method", start_method),
-            )
-            if value is not _UNSET
-        }
-        if legacy:
-            if topology is not None:
-                raise ValueError(
-                    f"pass either topology= or the deprecated keywords "
-                    f"({sorted(legacy)}), not both"
-                )
-            warnings.warn(
-                "IngestService(durability=/workers=/hosts=/supervise=/"
-                "start_method=) is deprecated; pass a single "
-                "topology=Topology.in_process()/.workers(n)/.fabric(n)/"
-                ".replicated(...) instead (see docs/api.md)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            topology = Topology._from_legacy_kwargs(**legacy)
         if topology is None:
             topology = Topology.in_process()
         self._topology = topology
@@ -361,7 +316,6 @@ class IngestService:
         self._standby_pool = None
         self._replication = None
         self._status_server = None
-        self._watchdog_proc = None
         self._watchdog_procs = []
         #: An in-process :class:`~repro.replication.watchdog.
         #: FailoverWatchdog` whose stats should fold into telemetry
@@ -447,7 +401,6 @@ class IngestService:
                 peer_ports = (
                     allocate_peer_ports(count) if count > 1 else [None]
                 )
-                self._watchdog_procs = []
                 for i in range(count):
                     peers = [
                         ("127.0.0.1", port)
@@ -465,7 +418,6 @@ class IngestService:
                             peers=peers,
                         )
                     )
-                self._watchdog_proc = self._watchdog_procs[0]
         except BaseException:
             if status_server is not None:
                 status_server.stop()
@@ -506,7 +458,7 @@ class IngestService:
     def watchdog_process(self):
         """The first detached ``repro watchdog`` process (None unless
         ``auto_failover``)."""
-        return self._watchdog_proc
+        return self._watchdog_procs[0] if self._watchdog_procs else None
 
     @property
     def watchdog_processes(self):
@@ -1093,7 +1045,7 @@ class IngestService:
         if self._pool is None:
             raise RuntimeError(
                 "rebalancing requires a worker pool or fabric "
-                "(workers=N or hosts=N)"
+                "(Topology.workers(n) or Topology.fabric(n))"
             )
         if not 0 <= shard_index < len(self._shards):
             raise IndexError(
@@ -1160,30 +1112,27 @@ class IngestService:
         Queued-but-unpumped work is dropped, exactly like abandoning an
         in-process service.  A durability *manager* the caller attached
         is *not* closed here — its WAL may outlive the service for
-        recovery — but one the service built itself (``durability=`` as
-        a config or directory path) is, since nothing else holds it.  A
-        ``replicated`` topology's sender and standby processes *are*
-        closed: the service owns them (a standby that should survive
-        this primary is promoted first).
+        recovery — but one the service built itself (a topology's
+        ``durability=`` given as a config or directory path) is, since
+        nothing else holds it.  A ``replicated`` topology's sender and
+        standby processes *are* closed: the service owns them (a
+        standby that should survive this primary is promoted first).
         """
         if self._closed:
             return
         self._closed = True
-        if self._watchdog_proc is not None:
-            # Stand the watchdogs down *first*: a planned shutdown must
-            # not read as a primary death, or the fleet would promote a
-            # standby we are about to close.
-            fleet = self._watchdog_procs or [self._watchdog_proc]
-            for proc in fleet:
-                proc.terminate()
-            for proc in fleet:
-                try:
-                    proc.wait(10.0)
-                except Exception:  # pragma: no cover - stuck watchdog
-                    proc.kill()
-                    proc.wait()
-            self._watchdog_proc = None
-            self._watchdog_procs = []
+        # Stand the watchdogs down *first*: a planned shutdown must
+        # not read as a primary death, or the fleet would promote a
+        # standby we are about to close.
+        for proc in self._watchdog_procs:
+            proc.terminate()
+        for proc in self._watchdog_procs:
+            try:
+                proc.wait(10.0)
+            except subprocess.TimeoutExpired:  # pragma: no cover
+                proc.kill()
+                proc.wait()
+        self._watchdog_procs = []
         if self._status_server is not None:
             self._status_server.stop()
             self._status_server = None

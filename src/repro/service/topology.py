@@ -1,10 +1,7 @@
 """The service-topology API: one object says how a service deploys.
 
-Construction used to be a sprawl of mutually-exclusive keywords
-(``IngestService(config, workers=N, hosts=N, durability=...,
-supervise=..., start_method=...)``).  A :class:`Topology` replaces them
-with one value describing the whole deployment shape, built by a named
-factory per shape::
+A :class:`Topology` is one value describing the whole deployment
+shape, built by a named factory per shape::
 
     IngestService(config, topology=Topology.in_process())
     IngestService(config, topology=Topology.workers(4))
@@ -17,11 +14,8 @@ Every factory accepts ``durability=`` — a
 :class:`~repro.durable.manager.DurabilityConfig`, or a bare directory
 path — because durability composes with every shape.
 ``Topology.replicated`` *requires* it: the write-ahead log is the
-replicated object.
-
-The old keywords still work as thin shims emitting
-``DeprecationWarning`` (see ``IngestService``); ``docs/api.md`` is the
-migration guide.
+replicated object.  ``topology=`` and ``ledger=`` are the only
+keywords ``IngestService`` takes besides its config.
 """
 
 from __future__ import annotations
@@ -226,30 +220,3 @@ class Topology:
             heartbeat_misses=heartbeat_misses,
             watchdogs=watchdogs,
         )
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def _from_legacy_kwargs(
-        cls,
-        *,
-        durability=None,
-        workers: int = 0,
-        hosts: int = 0,
-        supervise: bool = True,
-        start_method: str = "spawn",
-    ) -> "Topology":
-        """The deprecation shim behind the old ``IngestService`` kwargs."""
-        if workers and hosts:
-            raise ValueError(
-                "workers (pipe pool) and hosts (socket fabric) are "
-                "mutually exclusive; pick one"
-            )
-        if workers:
-            return cls.workers(
-                workers, start_method=start_method, durability=durability
-            )
-        if hosts:
-            return cls.fabric(
-                hosts, supervise=supervise, durability=durability
-            )
-        return cls.in_process(durability=durability)

@@ -42,7 +42,7 @@ moments accumulate), which is what makes the statistics mergeable and
 O(1) per claim; batch refits built on :class:`ClaimMatrix` instead keep
 the last claim per cell.  On duplicate-free dense data the streaming
 fixed points match their batch counterparts to iteration tolerance
-(asserted by the service benchmark and ``tests/service``).
+(asserted by ``tests/service`` and the benchmark's ``read_mix`` checks).
 
 The perturbation mechanism is orthogonal: feed perturbed batches and the
 stream stays locally private — demonstrated in

@@ -20,8 +20,8 @@ durability logging:
   :class:`~repro.service.shard.Shard` machinery, durability logging,
   and checkpointing run unchanged against remote campaigns.
 
-Entry point: ``IngestService(config, workers=N)`` — see
-:class:`repro.service.ingest.IngestService`.
+Entry point: ``IngestService(config, topology=Topology.workers(n))``
+— see :class:`repro.service.ingest.IngestService`.
 """
 
 from repro.workers.handles import (

@@ -59,6 +59,9 @@ class WorkerHandle:
     #: worker hung (generous: a worker may be draining a deep backlog).
     RPC_TIMEOUT = 120.0
 
+    #: True once a supervisor declared this host gone for good.
+    lost = False
+
     def __init__(
         self,
         worker_id: int,

@@ -1,4 +1,4 @@
-"""Unit tests for the CI bench-regression gate."""
+"""Unit tests for the CI chaos-drill regression gate."""
 
 import importlib.util
 import json
@@ -18,110 +18,6 @@ _spec = importlib.util.spec_from_file_location(
 check_regression = importlib.util.module_from_spec(_spec)
 sys.modules.setdefault("check_regression", check_regression)
 _spec.loader.exec_module(check_regression)
-
-
-def service_report(
-    *,
-    bulk=3_000_000.0,
-    workers=1_600_000.0,
-    submissions=450_000.0,
-    rmse=1.4e-9,
-    bitwise=True,
-    method_rmse=3.2e-8,
-    read_speedup=4.0,
-    hosts=1_500_000.0,
-    hosts_bitwise=True,
-    failover_bitwise=True,
-    recovery_seconds=1.2,
-):
-    return {
-        "bulk": {"claims_per_sec": bulk},
-        "bulk_workers": {"claims_per_sec": workers},
-        "submissions": {"claims_per_sec": submissions},
-        "streaming_vs_batch_rmse": rmse,
-        "workers_truths_match_bitwise": bitwise,
-        "bulk_hosts": {"claims_per_sec": hosts},
-        "hosts_truths_match_bitwise": hosts_bitwise,
-        "failover": {
-            "restarts": 1,
-            "recovery_seconds": recovery_seconds,
-            "truths_match_bitwise": failover_bitwise,
-            "claims_per_sec": hosts * 0.8,
-        },
-        "methods": {
-            method: {
-                "streaming_vs_batch_rmse": method_rmse,
-                "read_speedup_final": read_speedup,
-                "read_speedup_mean": read_speedup,
-            }
-            for method in ("crh", "gtm", "catd")
-        },
-    }
-
-
-def durability_report(
-    *,
-    batch=2_500_000.0,
-    bitwise=True,
-    bytes_per=12.1,
-    async_retention=0.7,
-    always_speedup=2.3,
-    async_bitwise=True,
-    compaction_bitwise=True,
-    shrunk=True,
-):
-    return {
-        "unlogged": {"claims_per_sec": 6_000_000.0},
-        "unlogged_always": {"claims_per_sec": 4_000_000.0},
-        "logged": {
-            "never": {
-                "claims_per_sec": 4_000_000.0,
-                "retention_vs_unlogged": 0.75,
-            },
-            "batch": {
-                "claims_per_sec": batch,
-                "bytes_per_claim": bytes_per,
-                "retention_vs_unlogged": 0.6,
-            },
-            "always": {
-                "claims_per_sec": 1_300_000.0,
-                "retention_vs_unlogged": 0.3,
-            },
-        },
-        "logged_async": {
-            "never": {
-                "claims_per_sec": 4_500_000.0,
-                "retention_vs_unlogged": 0.8,
-            },
-            "batch": {
-                "claims_per_sec": 4_200_000.0,
-                "retention_vs_unlogged": async_retention,
-            },
-            "always": {
-                "claims_per_sec": 3_000_000.0,
-                "retention_vs_unlogged": 0.65,
-                "speedup_vs_sync_always": always_speedup,
-            },
-        },
-        "recovery": {
-            "replay_only": {
-                "claims_per_sec": 3_500_000.0,
-                "truths_match_bitwise": bitwise,
-            },
-            "checkpointed": {
-                "claims_per_sec": 0.0,
-                "truths_match_bitwise": True,
-            },
-            "async_commit": {
-                "claims_per_sec": 3_500_000.0,
-                "truths_match_bitwise": async_bitwise,
-            },
-        },
-        "compaction": {
-            "shrunk": shrunk,
-            "recovery": {"truths_match_bitwise": compaction_bitwise},
-        },
-    }
 
 
 def chaos_report(
@@ -154,229 +50,39 @@ def failures(results):
 
 
 class TestCompare:
-    def test_identical_reports_pass(self):
-        results = check_regression.check_regression(
-            service_report(), service_report(), kind="service"
-        )
-        assert not failures(results)
-
-    def test_throughput_below_tolerance_fails(self):
-        fresh = service_report(bulk=3_000_000.0 * 0.5)
-        results = check_regression.check_regression(
-            service_report(), fresh, kind="service", tolerance=0.4
-        )
-        assert failures(results) == ["bulk.claims_per_sec"]
-
-    def test_throughput_within_tolerance_passes(self):
-        fresh = service_report(bulk=3_000_000.0 * 0.7)
-        results = check_regression.check_regression(
-            service_report(), fresh, kind="service", tolerance=0.4
-        )
-        assert not failures(results)
-
-    def test_rmse_noise_below_floor_passes(self):
-        # 100x the (near-zero) baseline but far under the 1e-3 floor.
-        fresh = service_report(rmse=1.4e-7)
-        results = check_regression.check_regression(
-            service_report(), fresh, kind="service"
-        )
-        assert not failures(results)
-
-    def test_rmse_past_floor_fails(self):
-        fresh = service_report(rmse=5e-3)
-        results = check_regression.check_regression(
-            service_report(), fresh, kind="service"
-        )
-        assert failures(results) == ["streaming_vs_batch_rmse"]
-
     def test_bitwise_flag_false_fails_regardless_of_tolerance(self):
-        fresh = service_report(bitwise=False)
         results = check_regression.check_regression(
-            service_report(), fresh, kind="service", tolerance=0.99
-        )
-        assert failures(results) == ["workers_truths_match_bitwise"]
-
-    def test_method_rmse_past_floor_fails(self):
-        results = check_regression.check_regression(
-            service_report(),
-            service_report(method_rmse=2e-3),
-            kind="service",
-        )
-        assert "methods.gtm.streaming_vs_batch_rmse" in failures(results)
-
-    def test_read_speedup_gates_on_absolute_floor_only(self):
-        # Jitter relative to the baseline is fine as long as the
-        # streaming read stays structurally cheaper than the refit...
-        results = check_regression.check_regression(
-            service_report(read_speedup=40.0),
-            service_report(read_speedup=1.8),
-            kind="service",
-        )
-        assert failures(results) == []
-        # ...but a speedup collapsing toward 1x trips the floor.
-        results = check_regression.check_regression(
-            service_report(),
-            service_report(read_speedup=1.05),
-            kind="service",
-        )
-        assert "methods.crh.read_speedup_mean" in failures(results)
-
-    def test_hosts_bitwise_flag_false_fails(self):
-        results = check_regression.check_regression(
-            service_report(),
-            service_report(hosts_bitwise=False),
-            kind="service",
+            chaos_report(),
+            chaos_report(bitwise=False),
+            kind="chaos",
             tolerance=0.99,
         )
-        assert failures(results) == ["hosts_truths_match_bitwise"]
-
-    def test_failover_bitwise_flag_false_fails(self):
-        results = check_regression.check_regression(
-            service_report(),
-            service_report(failover_bitwise=False),
-            kind="service",
-            tolerance=0.99,
-        )
-        assert failures(results) == ["failover.truths_match_bitwise"]
-
-    def test_failover_recovery_gates_on_absolute_ceiling(self):
-        # Recovery time is seconds-scale and jittery: 20x the baseline
-        # still passes while under the 30 s floor...
-        results = check_regression.check_regression(
-            service_report(recovery_seconds=1.2),
-            service_report(recovery_seconds=24.0),
-            kind="service",
-        )
-        assert not failures(results)
-        # ...but a recovery a caller would notice trips it.
-        results = check_regression.check_regression(
-            service_report(),
-            service_report(recovery_seconds=45.0),
-            kind="service",
-        )
-        assert failures(results) == ["failover.recovery_seconds"]
-
-    def test_legacy_service_report_without_fabric_skips(self):
-        """Pre-fabric baselines lack the hosts sections: skip, not
-        fail."""
-        base = service_report()
-        for key in ("bulk_hosts", "hosts_truths_match_bitwise", "failover"):
-            del base[key]
-        results = check_regression.check_regression(
-            base, service_report(), kind="service"
-        )
-        skipped = [c.metric.path for c in results if c.ok is None]
-        assert "bulk_hosts.claims_per_sec" in skipped
-        assert "failover.recovery_seconds" in skipped
-        assert not failures(results)
+        assert failures(results) == ["invariants.truths_match_bitwise"]
 
     def test_missing_sections_are_skipped(self):
-        base = service_report()
-        fresh = service_report()
-        del base["bulk_workers"]
+        base = chaos_report()
+        del base["watchdog"]
         results = check_regression.check_regression(
-            base, fresh, kind="service"
+            base, chaos_report(), kind="chaos"
         )
         skipped = [c.metric.path for c in results if c.ok is None]
-        assert "bulk_workers.claims_per_sec" in skipped
+        assert "watchdog.detection_seconds_max" in skipped
+        # chaos_report() has no host-loss section on either side.
+        assert "rehome.rehome_seconds_max" in skipped
         assert not failures(results)
-
-    def test_zero_baseline_is_skipped_not_divided(self):
-        results = check_regression.check_regression(
-            durability_report(), durability_report(), kind="durability"
-        )
-        by_path = {c.metric.path: c for c in results}
-        # recovery.checkpointed replays nothing in smoke runs.
-        assert (
-            by_path["recovery.checkpointed.truths_match_bitwise"].ok
-            is True
-        )
 
     def test_no_common_metric_is_an_error(self):
         with pytest.raises(ValueError):
             check_regression.check_regression(
-                {"x": 1}, {"y": 2}, kind="service"
+                {"x": 1}, {"y": 2}, kind="chaos"
             )
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(ValueError):
             check_regression.check_regression(
-                service_report(), service_report(), kind="service",
+                chaos_report(), chaos_report(), kind="chaos",
                 tolerance=1.5,
             )
-
-    def test_durability_bytes_per_claim_guard(self):
-        fresh = durability_report(bytes_per=30.0)
-        results = check_regression.check_regression(
-            durability_report(), fresh, kind="durability"
-        )
-        assert failures(results) == ["logged.batch.bytes_per_claim"]
-
-    def test_async_retention_floor(self):
-        fresh = durability_report(async_retention=0.1)
-        results = check_regression.check_regression(
-            durability_report(), fresh, kind="durability", tolerance=0.9
-        )
-        assert failures(results) == [
-            "logged_async.batch.retention_vs_unlogged"
-        ]
-
-    def test_always_speedup_floor(self):
-        # Above the floor: jitter down from the baseline is fine.
-        results = check_regression.check_regression(
-            durability_report(always_speedup=3.0),
-            durability_report(always_speedup=1.4),
-            kind="durability",
-        )
-        assert not failures(results)
-        # Collapsing to parity with per-frame sync trips it.
-        results = check_regression.check_regression(
-            durability_report(),
-            durability_report(always_speedup=0.9),
-            kind="durability",
-        )
-        assert failures(results) == [
-            "logged_async.always.speedup_vs_sync_always"
-        ]
-
-    def test_async_and_compaction_bitwise_flags_are_hard(self):
-        for kwargs, path in (
-            (
-                {"async_bitwise": False},
-                "recovery.async_commit.truths_match_bitwise",
-            ),
-            (
-                {"compaction_bitwise": False},
-                "compaction.recovery.truths_match_bitwise",
-            ),
-            ({"shrunk": False}, "compaction.shrunk"),
-        ):
-            results = check_regression.check_regression(
-                durability_report(),
-                durability_report(**kwargs),
-                kind="durability",
-                tolerance=0.99,
-            )
-            assert failures(results) == [path]
-
-    def test_legacy_report_without_async_sections_skips(self):
-        """Pre-async baselines lack the new sections: skip, not fail."""
-        legacy = {
-            "unlogged": {"claims_per_sec": 6_000_000.0},
-            "logged": {
-                "batch": {
-                    "claims_per_sec": 2_500_000.0,
-                    "bytes_per_claim": 16.1,
-                }
-            },
-            "recovery": {
-                "replay_only": {"truths_match_bitwise": True}
-            },
-        }
-        results = check_regression.check_regression(
-            legacy, legacy, kind="durability"
-        )
-        assert not failures(results)
 
 
 class TestChaosKind:
@@ -425,21 +131,21 @@ class TestCli:
         return str(path)
 
     def test_exit_zero_on_pass(self, tmp_path, capsys):
-        base = self.write(tmp_path, "base.json", service_report())
-        fresh = self.write(tmp_path, "fresh.json", service_report())
+        base = self.write(tmp_path, "base.json", chaos_report())
+        fresh = self.write(tmp_path, "fresh.json", chaos_report())
         code = check_regression.main(
-            ["--kind", "service", "--baseline", base, "--fresh", fresh]
+            ["--kind", "chaos", "--baseline", base, "--fresh", fresh]
         )
         assert code == 0
         assert "no regression" in capsys.readouterr().out
 
-    def test_exit_nonzero_on_doctored_throughput(self, tmp_path, capsys):
-        base = self.write(tmp_path, "base.json", service_report())
+    def test_exit_nonzero_on_doctored_detection(self, tmp_path, capsys):
+        base = self.write(tmp_path, "base.json", chaos_report())
         fresh = self.write(
-            tmp_path, "fresh.json", service_report(bulk=100.0)
+            tmp_path, "fresh.json", chaos_report(detection=100.0)
         )
         code = check_regression.main(
-            ["--kind", "service", "--baseline", base, "--fresh", fresh]
+            ["--kind", "chaos", "--baseline", base, "--fresh", fresh]
         )
         assert code == 1
         out = capsys.readouterr()
@@ -447,10 +153,10 @@ class TestCli:
         assert "regressed" in out.err
 
     def test_exit_two_on_unreadable_input(self, tmp_path):
-        base = self.write(tmp_path, "base.json", service_report())
+        base = self.write(tmp_path, "base.json", chaos_report())
         code = check_regression.main(
             [
-                "--kind", "service",
+                "--kind", "chaos",
                 "--baseline", base,
                 "--fresh", str(tmp_path / "missing.json"),
             ]
@@ -458,14 +164,10 @@ class TestCli:
         assert code == 2
 
     def test_committed_smoke_baselines_self_compare(self):
-        """The baselines CI diffs against must pass against themselves."""
-        results_dir = _MODULE_PATH.parent.parent / "results"
-        for kind, name in (
-            ("service", "BENCH_service_smoke.json"),
-            ("durability", "BENCH_durability_smoke.json"),
-            ("chaos", "BENCH_chaos_smoke.json"),
-        ):
-            path = str(results_dir / name)
-            assert check_regression.main(
-                ["--kind", kind, "--baseline", path, "--fresh", path]
-            ) == 0
+        """The baseline CI diffs against must pass against itself."""
+        path = str(
+            _MODULE_PATH.parent.parent / "results" / "BENCH_chaos_smoke.json"
+        )
+        assert check_regression.main(
+            ["--kind", "chaos", "--baseline", path, "--fresh", path]
+        ) == 0

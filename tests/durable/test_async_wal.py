@@ -279,6 +279,7 @@ class TestServiceWalObservability:
             IngestService,
             LoadGenerator,
             ServiceConfig,
+            Topology,
         )
 
         manager = DurabilityManager(
@@ -290,7 +291,7 @@ class TestServiceWalObservability:
         )
         service = IngestService(
             ServiceConfig(num_shards=2, max_batch=256),
-            durability=manager,
+            topology=Topology.in_process(durability=manager),
         )
         gen = LoadGenerator(
             "obs", num_users=20, num_objects=8, random_state=5

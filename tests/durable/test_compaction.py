@@ -27,6 +27,7 @@ from repro.service import (
     IngestService,
     LoadGenerator,
     ServiceConfig,
+    Topology,
 )
 
 
@@ -51,7 +52,7 @@ def build_durable_run(
     service = IngestService(
         ServiceConfig(num_shards=2, max_batch=512),
         ledger=ledger,
-        durability=manager,
+        topology=Topology.in_process(durability=manager),
     )
     gen = LoadGenerator(
         "compact-camp", num_users=60, num_objects=20, random_state=7
@@ -145,7 +146,7 @@ class TestCompactionShrinks:
         )
         service = IngestService(
             ServiceConfig(num_shards=2, max_batch=512),
-            durability=manager,
+            topology=Topology.in_process(durability=manager),
         )
         gen = LoadGenerator(
             "live-compact", num_users=40, num_objects=16, random_state=3

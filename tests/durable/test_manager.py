@@ -6,7 +6,7 @@ import pytest
 from repro.durable import DurabilityConfig, DurabilityManager
 from repro.durable.records import RecordError
 from repro.durable.wal import read_wal
-from repro.service.ingest import IngestService, ServiceConfig
+from repro.service import IngestService, ServiceConfig, Topology
 
 
 def chunk(campaign_id, n=64, seed=0):
@@ -24,7 +24,8 @@ def make_service(tmp_path, **durability_kwargs):
         DurabilityConfig(directory=tmp_path, **durability_kwargs)
     )
     service = IngestService(
-        ServiceConfig(num_shards=1, max_batch=64), durability=manager
+        ServiceConfig(num_shards=1, max_batch=64),
+        topology=Topology.in_process(durability=manager),
     )
     return service, manager
 

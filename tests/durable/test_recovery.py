@@ -12,7 +12,7 @@ from repro.durable import (
 from repro.durable import records as rec
 from repro.durable.wal import list_segments
 from repro.privacy.ldp import LDPGuarantee
-from repro.service.ingest import IngestService, ServiceConfig
+from repro.service import IngestService, ServiceConfig, Topology
 from repro.service.ledger import BudgetLedger
 from repro.service.loadgen import LoadGenerator
 
@@ -67,7 +67,9 @@ def durable_service(tmp_path, **durability_kwargs):
     manager = DurabilityManager(
         DurabilityConfig(directory=tmp_path, **durability_kwargs)
     )
-    service = IngestService(service_config(), durability=manager)
+    service = IngestService(
+        service_config(), topology=Topology.in_process(durability=manager)
+    )
     return service, manager
 
 
@@ -362,7 +364,9 @@ class TestLedgerContinuity:
         manager = DurabilityManager(DurabilityConfig(directory=tmp_path))
         ledger = BudgetLedger(epsilon_cap=1.0)
         service = IngestService(
-            service_config(), ledger=ledger, durability=manager
+            service_config(),
+            ledger=ledger,
+            topology=Topology.in_process(durability=manager),
         )
         register(service, gen, cost=cost)
         submission = submission_for(gen, "user0")
@@ -389,7 +393,7 @@ class TestLedgerContinuity:
         service = IngestService(
             service_config(),
             ledger=BudgetLedger(epsilon_cap=1.0),
-            durability=manager,
+            topology=Topology.in_process(durability=manager),
         )
         register(service, gen, cost=cost)
         submission = submission_for(gen, "user1")
@@ -493,7 +497,9 @@ class TestGapSafety:
         )
         ledger = BudgetLedger(epsilon_cap=1e9)
         service = IngestService(
-            service_config(), ledger=ledger, durability=manager
+            service_config(),
+            ledger=ledger,
+            topology=Topology.in_process(durability=manager),
         )
         register(service, gen, cost=cost)
 

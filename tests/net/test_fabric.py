@@ -16,13 +16,20 @@ import signal
 import numpy as np
 import pytest
 
-from repro.service import IngestService, LoadGenerator, ServiceConfig
+from repro.service import (
+    IngestService,
+    LoadGenerator,
+    ServiceConfig,
+    Topology,
+)
 
 
 def make_service(hosts, *, num_shards=4, **overrides):
     defaults = dict(num_shards=num_shards, max_batch=256)
     defaults.update(overrides)
-    return IngestService(ServiceConfig(**defaults), hosts=hosts)
+    return IngestService(
+        ServiceConfig(**defaults), topology=Topology.fabric(hosts)
+    )
 
 
 def stream_campaigns(service, *, num_campaigns=3, claims=3000, seed=23,
@@ -133,10 +140,6 @@ class TestBitwiseOverSockets:
 
 
 class TestFabricLifecycle:
-    def test_workers_and_hosts_mutually_exclusive(self):
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            IngestService(ServiceConfig(), workers=1, hosts=1)
-
     def test_close_idempotent_and_ping(self):
         service = make_service(2, num_shards=2)
         rtt = service.worker_pool.ping(0)

@@ -16,7 +16,12 @@ from repro.durable import records as rec
 from repro.net.supervisor import JOURNALLED_TYPES, HostJournal, Supervisor
 from repro.privacy.accountant import PrivacyAccountant
 from repro.privacy.ldp import LDPGuarantee
-from repro.service import BudgetLedger, IngestService, ServiceConfig
+from repro.service import (
+    BudgetLedger,
+    IngestService,
+    ServiceConfig,
+    Topology,
+)
 from repro.workers import WorkerCrashedError
 from repro.workers import protocol as proto
 
@@ -29,8 +34,11 @@ def make_budgeted_service(hosts, *, supervise=True):
     return IngestService(
         ServiceConfig(num_shards=4, max_batch=256),
         ledger=BudgetLedger(epsilon_cap=50.0, accountant=PrivacyAccountant()),
-        hosts=hosts,
-        supervise=supervise,
+        topology=(
+            Topology.fabric(hosts, supervise=supervise)
+            if hosts
+            else Topology.in_process()
+        ),
     )
 
 
@@ -138,7 +146,8 @@ class TestFailover:
             expected = stream_campaigns(baseline)
 
         service = IngestService(
-            ServiceConfig(num_shards=4, max_batch=256), hosts=2
+            ServiceConfig(num_shards=4, max_batch=256),
+            topology=Topology.fabric(2),
         )
         service.worker_pool.supervisor.checkpoint_every_claims = 400
         try:
@@ -160,7 +169,8 @@ class TestFailover:
 
         def run(crash):
             with IngestService(
-                ServiceConfig(num_shards=2, max_batch=64), hosts=2
+                ServiceConfig(num_shards=2, max_batch=64),
+                topology=Topology.fabric(2),
             ) as service:
                 service.register_campaign(
                     "net-rpc", [f"o{i}" for i in range(6)], max_users=8
@@ -265,7 +275,8 @@ class TestFailover:
         install(FaultPlan(5, rates=rates))
         try:
             with IngestService(
-                ServiceConfig(num_shards=2, max_batch=64), hosts=1
+                ServiceConfig(num_shards=2, max_batch=64),
+                topology=Topology.fabric(1),
             ) as service:
                 service.register_campaign(
                     "net-lone", ["o1", "o2"], max_users=4
@@ -289,8 +300,7 @@ class TestFailover:
         host surfaces as WorkerCrashedError instead of healing."""
         with IngestService(
             ServiceConfig(num_shards=2, max_batch=64),
-            hosts=2,
-            supervise=False,
+            topology=Topology.fabric(2, supervise=False),
         ) as service:
             assert service.worker_pool.supervisor is None
             service.register_campaign("net-ff", ["o1", "o2"], max_users=4)

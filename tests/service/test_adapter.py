@@ -213,16 +213,3 @@ class TestServerRegressions:
         assert report.submissions_received == 1
         assert report.truths[0] == pytest.approx(3.0)  # last retry wins
 
-
-@pytest.mark.slow
-def test_service_meets_throughput_targets():
-    """Full-scale acceptance run (also exercised by the benchmark)."""
-    from repro.service.bench import run_service_bench
-
-    report = run_service_bench(
-        total_claims=200_000, submission_claims=40_000,
-        baseline_claims=10_000,
-    )
-    assert report["bulk"]["claims_per_sec"] >= 100_000
-    assert report["speedup_bulk_vs_baseline"] >= 10.0
-    assert report["streaming_vs_batch_rmse"] <= 1e-3

@@ -6,14 +6,17 @@ import pytest
 
 from repro.crowdsensing.messages import ClaimSubmission
 from repro.durable.manager import DurabilityConfig, DurabilityManager
-from repro.service.ingest import IngestService, ServiceConfig
+from repro.service import IngestService, ServiceConfig, Topology
 
 
 def make_service(**overrides) -> IngestService:
     defaults = dict(num_shards=2, max_batch=8, queue_capacity=16)
     defaults.update(overrides)
     durability = defaults.pop("durability", None)
-    return IngestService(ServiceConfig(**defaults), durability=durability)
+    return IngestService(
+        ServiceConfig(**defaults),
+        topology=Topology.in_process(durability=durability),
+    )
 
 
 def sub(campaign="c1", user="u1", objects=("o0", "o1"), values=(1.0, 2.0)):

@@ -1,4 +1,4 @@
-"""The service-topology API and its deprecation shims."""
+"""The service-topology API."""
 
 import warnings
 
@@ -88,78 +88,20 @@ class TestValidation:
             )
 
 
-class TestLegacyKwargShim:
-    def test_workers_and_hosts_mutually_exclusive(self):
-        with pytest.raises(
-            ValueError,
-            match=(
-                r"workers \(pipe pool\) and hosts \(socket fabric\) are "
-                r"mutually exclusive; pick one"
-            ),
+class TestIngestServiceTopology:
+    def test_legacy_keywords_raise_type_error(self):
+        """``topology=`` is the only way to say a deployment shape; a
+        worker pool and a socket fabric are different kinds of it."""
+        for keyword, value in (
+            ("durability", None),
+            ("workers", 1),
+            ("hosts", 1),
+            ("supervise", True),
+            ("start_method", "fork"),
         ):
-            Topology._from_legacy_kwargs(workers=2, hosts=2)
-
-    def test_legacy_workers_maps_to_workers(self):
-        assert Topology._from_legacy_kwargs(
-            workers=3, start_method="fork"
-        ) == Topology.workers(3, start_method="fork")
-
-    def test_legacy_hosts_maps_to_fabric(self):
-        assert Topology._from_legacy_kwargs(
-            hosts=2, supervise=False
-        ) == Topology.fabric(2, supervise=False)
-
-    def test_legacy_default_maps_to_in_process(self):
-        assert Topology._from_legacy_kwargs() == Topology.in_process()
-
-    def test_legacy_durability_is_preserved(self, tmp_path):
-        topo = Topology._from_legacy_kwargs(durability=tmp_path)
-        assert topo == Topology.in_process(durability=tmp_path)
-
-
-class TestIngestServiceShims:
-    def test_legacy_durability_kwarg_warns_once_same_topology(
-        self, tmp_path
-    ):
-        manager = DurabilityManager(DurabilityConfig(directory=tmp_path))
-        with pytest.warns(DeprecationWarning) as caught:
-            service = IngestService(
-                ServiceConfig(num_shards=2), durability=manager
-            )
-        try:
-            assert len(caught) == 1
-            assert "topology=" in str(caught[0].message)
-            assert service.topology == Topology.in_process(
-                durability=manager
-            )
-            assert service.durability is manager
-        finally:
-            service.close()
-            manager.close()
-
-    def test_legacy_workers_kwarg_builds_worker_topology(self):
-        with pytest.warns(DeprecationWarning):
-            service = IngestService(
-                ServiceConfig(num_shards=2), workers=1
-            )
-        try:
-            assert service.topology == Topology.workers(1)
-        finally:
-            service.close()
-
-    def test_topology_and_legacy_kwargs_conflict(self, tmp_path):
-        manager = DurabilityManager(DurabilityConfig(directory=tmp_path))
-        try:
-            with pytest.raises(
-                ValueError, match="either topology= or the deprecated"
-            ):
-                IngestService(
-                    ServiceConfig(num_shards=2),
-                    topology=Topology.in_process(),
-                    durability=manager,
-                )
-        finally:
-            manager.close()
+            with pytest.raises(TypeError, match=keyword):
+                IngestService(ServiceConfig(), **{keyword: value})
+        assert Topology.workers(1) != Topology.fabric(1)
 
     def test_default_is_in_process_without_warning(self):
         with warnings.catch_warnings():

@@ -6,15 +6,19 @@ from repro.service import (
     IngestService,
     LoadGenerator,
     ServiceConfig,
+    Topology,
 )
 
 
 def make_service(workers, **overrides):
     defaults = dict(num_shards=4, max_batch=512)
     defaults.update(overrides)
-    return IngestService(
-        ServiceConfig(**defaults), workers=workers, start_method="fork"
+    topology = (
+        Topology.workers(workers, start_method="fork")
+        if workers
+        else Topology.in_process()
     )
+    return IngestService(ServiceConfig(**defaults), topology=topology)
 
 
 def stream(service, *, claims=4_000, seed=7):
@@ -58,29 +62,40 @@ class TestStatsRpc:
             service.close()
 
     def test_merged_snapshot_carries_proc_labelled_series(self):
-        service = make_service(workers=2)
-        try:
-            gen = stream(service)
-            service.snapshot(gen.campaign_id)
-            service.sync_workers()  # refreshes cached remote snapshots
-            snap = service.metrics_snapshot()
-            per_proc = {
-                labels_dict.get("proc"): value
-                for (name, labels), value in snap.counters.items()
-                if name == "repro_worker_claims_total"
-                for labels_dict in [dict(labels)]
-            }
-            assert set(per_proc) <= {"worker0", "worker1"}
-            assert sum(per_proc.values()) == service.stats.claims_accepted
-            # RPC latency histograms per handle proc label.
-            rpc_procs = {
-                dict(labels).get("proc")
-                for (name, labels) in snap.histograms
-                if name == "repro_fabric_rpc_seconds"
-            }
-            assert rpc_procs
-        finally:
-            service.close()
+        """One scrape of the parent sees every process, over pipes and
+        over the socket fabric (same STATS frames, same runtime)."""
+        for topology in (
+            Topology.workers(2, start_method="fork"),
+            Topology.fabric(2),
+        ):
+            service = IngestService(
+                ServiceConfig(num_shards=4, max_batch=512),
+                topology=topology,
+            )
+            try:
+                gen = stream(service)
+                service.snapshot(gen.campaign_id)
+                service.sync_workers()  # refreshes cached remote snapshots
+                snap = service.metrics_snapshot()
+                per_proc = {
+                    labels_dict.get("proc"): value
+                    for (name, labels), value in snap.counters.items()
+                    if name == "repro_worker_claims_total"
+                    for labels_dict in [dict(labels)]
+                }
+                assert set(per_proc) <= {"worker0", "worker1"}
+                assert (
+                    sum(per_proc.values()) == service.stats.claims_accepted
+                )
+                # RPC latency histograms per handle proc label.
+                rpc_procs = {
+                    dict(labels).get("proc")
+                    for (name, labels) in snap.histograms
+                    if name == "repro_fabric_rpc_seconds"
+                }
+                assert rpc_procs
+            finally:
+                service.close()
 
     def test_stats_rpc_does_not_perturb_aggregation(self):
         solo = make_service(workers=0)

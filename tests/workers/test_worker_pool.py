@@ -24,6 +24,7 @@ from repro.service import (
     IngestService,
     LoadGenerator,
     ServiceConfig,
+    Topology,
 )
 from repro.workers import WorkerCrashedError, WorkerError
 from repro.workers.handles import RemoteAggregator
@@ -34,12 +35,14 @@ def make_service(workers, *, start_method="fork", num_shards=4, **overrides):
     defaults.update(overrides)
     ledger = defaults.pop("ledger", None)
     durability = defaults.pop("durability", None)
+    if workers:
+        topology = Topology.workers(
+            workers, start_method=start_method, durability=durability
+        )
+    else:
+        topology = Topology.in_process(durability=durability)
     return IngestService(
-        ServiceConfig(**defaults),
-        ledger=ledger,
-        durability=durability,
-        workers=workers,
-        start_method=start_method,
+        ServiceConfig(**defaults), ledger=ledger, topology=topology
     )
 
 
