@@ -26,8 +26,8 @@ class MicroBatcher:
     ----------
     max_batch:
         Claims per emitted batch.  The buffer is preallocated at this
-        size; ``add`` fills it and returns completed batches as copies,
-        so the buffer is immediately reusable.
+        size; ``add_columns`` fills it and returns completed batches as
+        copies, so the buffer is immediately reusable.
     """
 
     def __init__(self, max_batch: int = 1024) -> None:
@@ -50,19 +50,6 @@ class MicroBatcher:
         return self._fill
 
     # ------------------------------------------------------------------
-    def add(
-        self,
-        user_slot: int,
-        object_indices: np.ndarray,
-        values: np.ndarray,
-    ) -> list[ClaimBatch]:
-        """Append one user's claims; return any batches that filled up."""
-        objects = np.asarray(object_indices, dtype=np.int64)
-        vals = np.asarray(values, dtype=float)
-        return self.add_columns(
-            np.full(objects.shape, user_slot, dtype=np.int64), objects, vals
-        )
-
     def add_columns(
         self,
         user_slots: np.ndarray,

@@ -32,6 +32,7 @@ from __future__ import annotations
 import subprocess
 import time
 from dataclasses import dataclass
+from math import isfinite
 from typing import Optional, Sequence
 
 import numpy as np
@@ -696,7 +697,8 @@ class IngestService:
         """Validate, admit, and queue one protocol submission."""
         stats = self.stats
         stats.submissions += 1
-        n = len(submission.values)
+        values = submission.values
+        n = len(values)
         trace = self.telemetry.traces.maybe_start(submission.campaign_id, n)
         shard = self._campaign_shard.get(submission.campaign_id)
         if shard is None:
@@ -709,11 +711,13 @@ class IngestService:
             stats.rejected_unknown_object += n
             shard_rejected[shard.index] += n
             return IngestResult(0, n, "unknown-object")
-        values = np.asarray(submission.values, dtype=float)
-        if not np.isfinite(values).all():
-            stats.rejected_invalid_value += n
-            shard_rejected[shard.index] += n
-            return IngestResult(0, n, "invalid-value")
+        if type(values) is not tuple:
+            values = tuple(values)  # the caller's buffer may change
+        for value in values:  # non-numeric values raise, here
+            if not isfinite(value):
+                stats.rejected_invalid_value += n
+                shard_rejected[shard.index] += n
+                return IngestResult(0, n, "invalid-value")
         # Peek capacity without consuming a slot: rejected traffic must
         # not exhaust the campaign's user table.
         slot = state.user_index.get(submission.user_id)
@@ -773,9 +777,9 @@ class IngestService:
                 stats.rejected_capacity += n
                 shard_rejected[shard.index] += n
                 return IngestResult(0, n, "capacity")
-        user_slots = np.full(n, slot, dtype=np.int64)
+        # A scalar work item: the pump builds the columns.
         return self._enqueue(
-            shard, state, user_slots, object_slots, values,
+            shard, state, slot, object_slots, values,
             reserved=reserved, trace=trace,
         )
 
@@ -1185,14 +1189,14 @@ class IngestService:
         self,
         shard: Shard,
         state: CampaignState,
-        user_slots: np.ndarray,
-        object_slots: np.ndarray,
-        values: np.ndarray,
+        users: int | np.ndarray,
+        objects: list[int] | np.ndarray,
+        values: tuple | np.ndarray,
         *,
         reserved: bool = False,
         trace=None,
     ) -> IngestResult:
-        n = values.size
+        n = len(values)
         now = time.perf_counter()
         if trace is not None:
             trace.enqueue_ts = now
@@ -1200,7 +1204,7 @@ class IngestService:
             # The timestamp feeds the queue-wait histogram at pump time;
             # the trace (almost always None) rides along to be stamped
             # through flush/durable/aggregated.
-            (state, user_slots, object_slots, values, now, trace),
+            (state, users, objects, values, now, trace),
             overflow=self._config.overflow,
             reserved=reserved,
         )

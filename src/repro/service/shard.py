@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 import time
 import zlib
-from collections import deque
+from collections import deque, namedtuple
 from typing import Optional, Sequence
 
 import numpy as np
@@ -52,7 +52,6 @@ class CampaignState:
         "claims_accepted",
         "claims_by_slot",
         "user_lock",
-        "_object_cache",
         "pending_traces",
     )
 
@@ -94,12 +93,9 @@ class CampaignState:
         # append would give two slots one identity — which would let
         # bulk admission under-charge privacy budget.
         self.user_lock = threading.Lock()
-        # Submissions typically reuse the same object_ids tuple; cache the
-        # tuple -> index-array translation so the hot path never re-maps.
-        self._object_cache: dict[tuple, np.ndarray] = {}
         # Sampled traces whose claims are in the batcher but whose batch
-        # has not flushed yet (None until the first trace arrives).
-        self.pending_traces: Optional[list] = None
+        # has not flushed yet.
+        self.pending_traces: list = []
 
     # ------------------------------------------------------------------
     def user_slot(self, user_id: str) -> int:
@@ -137,27 +133,13 @@ class CampaignState:
                 self.user_table.append(user_id)
                 self.user_index[user_id] = slot
 
-    #: Cap on distinct object-id tuples cached per campaign; workloads
-    #: where every submission picks a fresh random subset would
-    #: otherwise grow the cache linearly with stream length.
-    _OBJECT_CACHE_LIMIT = 1024
-
-    def object_slots(self, object_ids: tuple) -> Optional[np.ndarray]:
-        """Index array for an object-id tuple; None when any id is unknown."""
-        cached = self._object_cache.get(object_ids)
-        if cached is not None:
-            return cached
+    def object_slots(self, object_ids: Sequence) -> Optional[list[int]]:
+        """Object indices for a submission's ids; None when any is unknown."""
+        index = self.object_index
         try:
-            slots = np.fromiter(
-                (self.object_index[o] for o in object_ids),
-                dtype=np.int64,
-                count=len(object_ids),
-            )
+            return [index[o] for o in object_ids]
         except KeyError:
             return None
-        if len(self._object_cache) < self._OBJECT_CACHE_LIMIT:
-            self._object_cache[object_ids] = slots
-        return slots
 
     def contributors(self) -> dict[str, float]:
         """Current weight for every user with at least one accepted claim.
@@ -186,13 +168,22 @@ class CampaignState:
         )
 
 
+#: One campaign's scalar work items awaiting one column assembly;
+#: ``room`` is what its batcher took before emitting when the run opened.
+_Run = namedtuple("_Run", "slots lengths objects values room")
+
+
 class Shard:
     """One shard: a bounded work queue plus the campaigns routed to it.
 
-    Work items are pre-validated at ingress (admission, id resolution),
-    so the pump loop is pure array movement: drain items into the
-    campaign's micro-batcher, feed completed batches to the aggregator,
-    and record per-batch service latency for the benchmark's p50/p99.
+    Work items are pre-validated at ingress (admission, id resolution):
+    ``(state, users, objects, values, enqueue_ts, trace)``, *scalar*
+    from ``submit()`` (int slot, list of indices, tuple of values) or
+    *array* from ``submit_columns()``.  The pump builds a campaign's
+    scalar items into columns once per run; a run ends where pumping
+    item by item would have emitted a batch, and before an array item
+    of that campaign, so batches, WAL records and LSNs are the per-item
+    loop's (``tests/service/per_item_reference.py``).
 
     A shard is single-consumer (one thread pumps) but safely
     multi-producer: enqueue and the pump's queue takeover run under a
@@ -307,37 +298,41 @@ class Shard:
         moved = 0
         telemetry = self.telemetry
         now = time.perf_counter() if telemetry is not None else 0.0
-        for item in queue[head:] if head else queue:
-            # Items are (state, user_slots, object_slots, values) plus,
-            # from the service's enqueue path, an enqueue timestamp and
-            # an optional sampled trace; bare 4-tuples (tests, tools)
-            # still work.
-            state, user_slots, object_slots, values = item[:4]
+        runs: dict[CampaignState, _Run] = {}
+        stamps: list[float] = []
+        for state, users, objects, values, stamp, trace in (
+            queue[head:] if head else queue
+        ):
             if self.campaigns.get(state.campaign_id) is not state:
                 # The campaign was unregistered (or re-registered fresh)
                 # after this item was queued; drop it unprocessed.
                 continue
-            if telemetry is not None and len(item) > 4:
-                telemetry.on_dequeue(
-                    self.index, now - item[4], item[5], state
-                )
-            for batch in state.batcher.add_columns(
-                user_slots, object_slots, values
-            ):
-                self._ingest(state, batch)
+            stamps.append(stamp)
+            if trace is not None:
+                state.pending_traces.append(trace)
             n = len(values)
-            # Contributor accounting happens here — when claims actually
-            # reach the batcher — so items shed by drop_oldest eviction
-            # never inflate a campaign's contributor set or quorum.
-            state.claims_accepted += n
-            if n and (user_slots == user_slots[0]).all():
-                # Per-submission items carry a single user.
-                state.claims_by_slot[user_slots[0]] += n
-            else:
-                state.claims_by_slot += np.bincount(
-                    user_slots, minlength=state.capacity
-                )
             moved += n
+            if type(users) is int:
+                run = runs.get(state)
+                if run is None:
+                    batcher = state.batcher
+                    room = batcher.capacity - batcher.pending
+                    run = runs[state] = _Run([], [], [], [], room)
+                run.slots.append(users)
+                run.lengths.append(n)
+                run.objects.extend(objects)
+                run.values.extend(values)
+                if len(run.values) >= run.room:
+                    # The per-item loop would emit a batch here.
+                    self._drain(state, runs.pop(state))
+            else:
+                if state in runs:
+                    self._drain(state, runs.pop(state))
+                self._add(state, users, objects, values)
+        for state, run in runs.items():
+            self._drain(state, run)
+        if telemetry is not None:
+            telemetry.on_dequeue(self.index, now, stamps)
         self.claims_processed += moved
         return moved
 
@@ -357,6 +352,24 @@ class Shard:
         self._flush_state(self.campaigns[campaign_id])
 
     # ------------------------------------------------------------------
+    def _drain(self, state: CampaignState, run: _Run) -> None:
+        """Build a run's columns, once, and hand them to the batcher."""
+        self._add(
+            state,
+            np.repeat(run.slots, run.lengths),
+            np.array(run.objects, dtype=np.int64),
+            np.array(run.values, dtype=float),
+        )
+
+    def _add(self, state: CampaignState, users, objects, values) -> None:
+        for batch in state.batcher.add_columns(users, objects, values):
+            self._ingest(state, batch)
+        # Contributor accounting happens here — when claims actually
+        # reach the batcher — so items shed by drop_oldest eviction
+        # never inflate a campaign's contributor set or quorum.
+        state.claims_accepted += len(values)
+        state.claims_by_slot += np.bincount(users, minlength=state.capacity)
+
     def _flush_state(self, state: CampaignState) -> None:
         tail = state.batcher.flush()
         if tail is not None:

@@ -28,6 +28,8 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+import numpy as np
+
 from repro.obs.registry import (
     NULL_REGISTRY,
     Histogram,
@@ -119,14 +121,16 @@ class ServiceTelemetry:
 
     # ------------------------------------------------------------------
     # Pump-thread hooks (hot path).
-    def on_dequeue(self, shard_index: int, waited: float, trace, state) -> None:
-        """One work item left its shard queue (pre-batcher)."""
-        self.queue_wait[shard_index].observe(waited)
-        if trace is not None:
-            pending = state.pending_traces
-            if pending is None:
-                pending = state.pending_traces = []
-            pending.append(trace)
+    def on_dequeue(self, shard_index: int, now: float, stamps: list) -> None:
+        """A pump dequeued the items enqueued at ``stamps``: a wait each."""
+        histogram = self.queue_wait[shard_index]
+        if len(stamps) >= 64:
+            histogram.observe_many(now - np.array(stamps))
+        else:
+            # Below ~70 items (a bulk pump moves a few big chunks) the
+            # loop beats the vectorised pass's fixed ~15 us.
+            for stamp in stamps:
+                histogram.observe(now - stamp)
 
     def on_batch(
         self,

@@ -1,7 +1,9 @@
 """Unit tests for the metric registry core (repro.obs.registry)."""
 
+import json
 import math
 
+import numpy as np
 import pytest
 
 from repro.obs.registry import (
@@ -130,10 +132,76 @@ class TestRegistry:
         metric = NULL_REGISTRY.counter("anything")
         metric.inc()
         metric.observe(1.0)
+        metric.observe_many(np.array([1.0, 2.0]))
         metric.set(2.0)
         assert metric.labels(shard=3) is metric
         snap = NULL_REGISTRY.snapshot()
         assert snap.counters == {} and snap.histograms == {}
+
+
+class TestObserveMany:
+    """One vectorised pass == a loop of ``observe``."""
+
+    SAMPLES = (
+        [0.0, BUCKET_BASE / 1024, 3e-7, BUCKET_BASE]  # bucket 0
+        + list(BUCKET_EDGES)  # exact powers of two: each on its edge
+        + [edge * 1.0001 for edge in BUCKET_EDGES]  # just above it
+        + [1.3e-5, 0.0042, 0.73, 9.9, BUCKET_EDGES[-1] * 8, 1e9]
+        + [float("inf")]
+    )
+
+    @staticmethod
+    def pair(values):
+        looped, vectorised = MetricRegistry(), MetricRegistry()
+        one = looped.histogram("h_seconds")
+        for value in values:
+            one.observe(value)
+        many = vectorised.histogram("h_seconds")
+        many.observe_many(np.array(values, dtype=float))
+        return looped, one, vectorised, many
+
+    def test_counts_and_count_equal_the_loop(self):
+        _, one, _, many = self.pair(self.SAMPLES)
+        assert many.counts == one.counts
+        assert all(type(c) is int for c in many.counts)
+        assert many.count == one.count == len(self.SAMPLES)
+        assert type(many.count) is int
+        assert many.sum == one.sum == float("inf")
+
+    def test_sum_agrees_to_rounding(self):
+        finite = [v for v in self.SAMPLES if math.isfinite(v)] * 7
+        _, one, _, many = self.pair(finite)
+        assert many.counts == one.counts
+        assert math.isclose(many.sum, one.sum, rel_tol=1e-12)
+        assert type(many.sum) is float
+
+    def test_accumulates_onto_earlier_observations(self):
+        _, one, _, many = self.pair([2e-6, 0.5])
+        for value in (3e-6, 0.25, 70.0):
+            one.observe(value)
+        many.observe_many(np.array([3e-6, 0.25, 70.0]))
+        assert (many.counts, many.count) == (one.counts, one.count)
+
+    def test_empty_array_changes_nothing(self):
+        _, one, _, many = self.pair([])
+        assert many.counts == one.counts == [0] * NUM_BUCKETS
+        assert (many.count, many.sum) == (0, 0.0)
+
+    def test_snapshots_merge_alike(self):
+        looped, _, vectorised, _ = self.pair(self.SAMPLES[:-1])
+        other = MetricRegistry()
+        other.histogram("h_seconds").observe(1e-4)
+        a = looped.snapshot().merge(other.snapshot())
+        b = vectorised.snapshot().merge(other.snapshot())
+        key = series_key("h_seconds")
+        assert a.histograms[key]["counts"] == b.histograms[key]["counts"]
+        assert a.histograms[key]["count"] == b.histograms[key]["count"]
+        assert math.isclose(
+            a.histograms[key]["sum"], b.histograms[key]["sum"], rel_tol=1e-12
+        )
+        # Plain ints and floats: the snapshot still serialises.
+        wire = json.loads(json.dumps(b.to_dict()))
+        assert RegistrySnapshot.from_dict(wire).histograms == b.histograms
 
 
 class TestSnapshot:

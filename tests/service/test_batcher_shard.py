@@ -10,7 +10,9 @@ from repro.service.shard import shard_for
 class TestMicroBatcher:
     def test_emits_full_batches_and_splits_overflow(self):
         batcher = MicroBatcher(max_batch=4)
-        out = batcher.add(0, np.array([0, 1]), np.array([1.0, 2.0]))
+        out = batcher.add_columns(
+            np.array([0, 0]), np.array([0, 1]), np.array([1.0, 2.0])
+        )
         assert out == [] and batcher.pending == 2
         # 5 more claims: fills one batch of 4, leaves 3 pending.
         out = batcher.add_columns(
@@ -27,7 +29,7 @@ class TestMicroBatcher:
 
     def test_flush_emits_partial_and_empties(self):
         batcher = MicroBatcher(max_batch=8)
-        batcher.add(3, np.array([0]), np.array([9.0]))
+        batcher.add_columns(np.array([3]), np.array([0]), np.array([9.0]))
         tail = batcher.flush()
         assert tail.size == 1 and tail.users[0] == 3
         assert batcher.flush() is None

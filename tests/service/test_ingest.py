@@ -86,6 +86,82 @@ class TestValidationAndAdmission:
             service.register_campaign("c1", ("o0",), max_users=2)
 
 
+class TestScalarWorkItems:
+    """``submit()`` queues what it validated, as plain Python values."""
+
+    @pytest.mark.parametrize("container", [np.array, list])
+    def test_mutation_after_submit_cannot_reach_the_aggregator(self, container):
+        # The caller's buffer is theirs again once submit() returns:
+        # a NaN written into it used to fail flush() — and every later
+        # flush of the campaign, wedging other users' buffered claims.
+        def run(mutate):
+            service = make_service(num_shards=1, max_batch=64)
+            service.register_campaign("c1", ("o0", "o1"), max_users=4)
+            values = container([1.0, 2.0])
+            message = ClaimSubmission(
+                campaign_id="c1", user_id="u1",
+                object_ids=("o0", "o1"), values=values,
+            )
+            assert service.submit(message).ok
+            assert service.submit(sub(user="u2", values=(3.0, 5.0))).ok
+            if mutate:
+                values[0] = float("nan")
+            service.flush()
+            assert service.submit(sub(user="u3", values=(2.0, 2.0))).ok
+            service.flush()
+            return service.snapshot("c1")
+
+        mutated, untouched = run(True), run(False)
+        assert mutated.claims_ingested == untouched.claims_ingested == 6
+        assert mutated.truths.tobytes() == untouched.truths.tobytes()
+        assert np.isfinite(mutated.truths).all()
+        assert mutated.weights_by_user == untouched.weights_by_user
+
+    def test_accepted_submit_creates_no_ndarray(self, monkeypatch):
+        import repro.service.ingest as ingest_module
+        import repro.service.shard as shard_module
+
+        class NoNumPy:
+            def __getattr__(self, name):
+                raise AssertionError(f"np.{name} on the submit path")
+
+        ledger = BudgetLedger(epsilon_cap=10.0)
+        service = make_service(num_shards=1, ledger=ledger)
+        service.register_campaign(
+            "c1", ("o0", "o1"), max_users=4,
+            cost=LDPGuarantee(epsilon=1.0, delta=0.0),
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(ingest_module, "np", NoNumPy())
+            patch.setattr(shard_module, "np", NoNumPy())
+            assert service.submit(sub(user="u1")).ok
+            assert service.submit(sub(user="u2", values=[4, 2.5])).ok
+        state, slot, objects, values, _, _ = service._shards[0]._queue[-1]
+        assert (slot, objects, values) == (1, [0, 1], (4, 2.5))
+        assert type(slot) is int and type(objects) is list
+        assert type(values) is tuple
+        service.flush()
+        assert service.snapshot("c1").claims_ingested == 4
+
+    @pytest.mark.parametrize("values", ["ab", ("1.5", "x"), (1.0, None),
+                                        ((1.0, 2.0), (3.0, 4.0))])
+    def test_non_numeric_values_raise_on_the_callers_thread(self, values):
+        service = make_service(num_shards=1)
+        service.register_campaign("c1", ("o0", "o1"), max_users=4)
+        assert service.submit(sub(user="u1")).ok
+        message = ClaimSubmission(
+            campaign_id="c1", user_id="u2",
+            object_ids=("o0", "o1"), values=values,
+        )
+        with pytest.raises(TypeError):
+            service.submit(message)
+        # Nothing of it was queued: the pump and the other user's
+        # claims are unaffected.
+        assert service.flush() == 2
+        snap = service.snapshot("c1")
+        assert snap.claims_ingested == 2 and set(snap.weights_by_user) == {"u1"}
+
+
 class TestBackpressure:
     def test_reject_policy_refuses_when_queue_full(self):
         service = make_service(num_shards=1, queue_capacity=2, overflow="reject")
