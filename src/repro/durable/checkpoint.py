@@ -14,6 +14,17 @@ binary npz entries and replaced by ``{"__nd__": key}`` placeholders in
 the JSON manifest, so bulk state (the streaming CRH cell statistics)
 stays binary and bit-exact while the structure stays readable.
 
+The same tree walk feeds a second, *wire* encoding
+(:func:`pack_payload` / :func:`unpack_payload`: worker state/snapshot
+RPCs, the replica read, the replication resync blob) that is
+deliberately not byte-compatible with the files: a ``u32`` manifest
+length, the manifest with ``{"__nd__": [dtype_str, shape, offset]}``
+placeholders, then each array's raw bytes.  A file is written rarely
+and must keep loading across releases, and zip's per-entry CRC is what
+catches a torn or rotted one; a blob lives for one RPC between two
+processes of one build, so it carries no version and no CRC and costs
+a memcpy per array where an in-memory npz cost a zip archive per read.
+
 Loading walks checkpoints newest-first and silently skips unreadable
 files, so a torn checkpoint can never block recovery — it just falls
 back to the previous one plus a longer log replay.
@@ -22,7 +33,9 @@ back to the previous one plus a longer log replay.
 from __future__ import annotations
 
 import json
+import math
 import os
+import struct
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,18 +52,23 @@ CHECKPOINT_PREFIX = "ckpt-"
 CHECKPOINT_SUFFIX = ".npz"
 _ARRAY_KEY = "__nd__"
 _MANIFEST_KEY = "manifest"
+_U32 = struct.Struct("<I")
+#: What a wire blob may carry (bool, (u)int8-64, float16-64) as
+#: little-endian ``dtype.str``; anything else is refused both ways.
+_WIRE_DTYPES = frozenset(
+    np.dtype(code).newbyteorder("<").str for code in "?bBhHiIqQefd"
+)
+_WIRE_MAX_NDIM = 8
 
 
 class CheckpointError(RuntimeError):
     """A checkpoint could not be written or decoded."""
 
 
-def _hoist_arrays(obj, arrays: dict, path: str):
-    """Replace ndarrays in ``obj`` with placeholders; collect them."""
+def _hoist_arrays(obj, place, path: str):
+    """Replace ndarrays in ``obj`` with ``{"__nd__": place(array, path)}``."""
     if isinstance(obj, np.ndarray):
-        key = f"a{len(arrays)}"
-        arrays[key] = obj
-        return {_ARRAY_KEY: key}
+        return {_ARRAY_KEY: place(obj, path)}
     if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, dict):
@@ -60,63 +78,120 @@ def _hoist_arrays(obj, arrays: dict, path: str):
                 f"{_ARRAY_KEY!r}"
             )
         return {
-            str(k): _hoist_arrays(v, arrays, f"{path}.{k}")
+            str(k): _hoist_arrays(v, place, f"{path}.{k}")
             for k, v in obj.items()
         }
     if isinstance(obj, (list, tuple)):
         return [
-            _hoist_arrays(v, arrays, f"{path}[{i}]")
+            _hoist_arrays(v, place, f"{path}[{i}]")
             for i, v in enumerate(obj)
         ]
     return obj
 
 
-def _lower_arrays(obj, npz):
-    """Inverse of :func:`_hoist_arrays` against a loaded npz mapping."""
+def _lower_arrays(obj, fetch):
+    """Inverse of :func:`_hoist_arrays`: placeholders become ``fetch(ref)``."""
     if isinstance(obj, dict):
         if set(obj.keys()) == {_ARRAY_KEY}:
-            return npz[obj[_ARRAY_KEY]]
-        return {k: _lower_arrays(v, npz) for k, v in obj.items()}
+            return fetch(obj[_ARRAY_KEY])
+        return {k: _lower_arrays(v, fetch) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_lower_arrays(v, npz) for v in obj]
+        return [_lower_arrays(v, fetch) for v in obj]
     return obj
 
 
 def pack_payload(payload) -> bytes:
-    """Encode a dict-with-arrays payload to in-memory npz bytes.
+    """Encode a dict-with-arrays payload as one raw wire blob::
 
-    The exact encoding checkpoints use on disk, minus the file: binary,
-    bit-exact, pickle-free.  The worker protocol's state RPCs
-    (:func:`repro.workers.protocol.pack_state`) and the fabric's
-    checkpoint hand-off both delegate here, so a state blob is one
-    format everywhere — what a worker ships over a socket is what a
-    checkpoint stores.
+        u32   manifest length (little-endian)
+        ...   UTF-8 JSON manifest (``sort_keys``); every array replaced
+              by {"__nd__": [dtype_str, shape, offset]}
+        ...   body: each array's C-contiguous little-endian bytes at
+              ``offset`` from the body start, back to back
+
+    Binary, bit-exact, pickle-free; not the on-disk npz (see the module
+    docstring).  :func:`repro.workers.protocol.pack_state`, the replica
+    read and the replication resync blob all delegate here.
     """
-    import io
+    chunks: list[bytes] = []
+    size = 0
 
-    arrays: dict[str, np.ndarray] = {}
-    manifest = _hoist_arrays(payload, arrays, "payload")
+    def place(array: np.ndarray, path: str) -> list:
+        nonlocal size
+        dtype = array.dtype.newbyteorder("<")
+        if dtype.str not in _WIRE_DTYPES or array.ndim > _WIRE_MAX_NDIM:
+            raise CheckpointError(
+                f"no wire encoding for {array.dtype} {array.ndim}-d: {path!r}"
+            )
+        ref = [dtype.str, list(array.shape), size]
+        chunks.append(array.astype(dtype, copy=False).tobytes())
+        size += len(chunks[-1])
+        return ref
+
+    manifest = _hoist_arrays(payload, place, "payload")
     try:
-        manifest_json = json.dumps(manifest, sort_keys=True)
+        manifest_json = json.dumps(manifest, sort_keys=True).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise CheckpointError(
             f"payload is not JSON-encodable outside its arrays: {exc}"
         ) from exc
-    buf = io.BytesIO()
-    np.savez(buf, **{_MANIFEST_KEY: np.array(manifest_json)}, **arrays)
-    return buf.getvalue()
+    return b"".join((_U32.pack(len(manifest_json)), manifest_json, *chunks))
+
+
+def payload_manifest(blob: bytes) -> tuple:
+    """``(manifest, body)`` of a wire blob; no array is materialised.
+
+    The manifest is the payload with its placeholders left in place —
+    enough to read an envelope field such as a campaign id.
+    """
+    view = memoryview(blob)
+    if len(view) < _U32.size:
+        raise CheckpointError(f"{len(view)}-byte blob has no length header")
+    end = _U32.size + _U32.unpack_from(view)[0]
+    if end > len(view):
+        raise CheckpointError(f"manifest overruns a {len(view)}-byte blob")
+    try:
+        manifest = json.loads(bytes(view[_U32.size:end]))
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointError(f"malformed manifest: {exc}") from exc
+    return manifest, view[end:]
 
 
 def unpack_payload(blob: bytes):
-    """Inverse of :func:`pack_payload`."""
-    import io
+    """Inverse of :func:`pack_payload`.
+
+    Every length a manifest declares is checked against the blob
+    *before* anything is allocated for it, so a hostile blob cannot
+    make the decoder allocate more than the blob's own size.  Arrays
+    come back writable and owning their memory.
+    """
+    manifest, body = payload_manifest(blob)
+    used = 0
+
+    def fetch(ref) -> np.ndarray:
+        nonlocal used
+        dtype_str, shape, offset = ref
+        if (
+            dtype_str not in _WIRE_DTYPES
+            or type(shape) is not list
+            or len(shape) > _WIRE_MAX_NDIM
+            or any(type(n) is not int or n < 0 for n in (*shape, offset))
+        ):
+            raise ValueError(f"bad array reference {ref!r}")
+        dtype = np.dtype(dtype_str)
+        count = math.prod(shape)
+        used += count * dtype.itemsize
+        if max(used, offset + count * dtype.itemsize) > len(body):
+            raise ValueError(f"{ref!r} overruns a {len(body)}-byte body")
+        return np.frombuffer(body, dtype, count, offset).reshape(shape).copy()
 
     try:
-        with np.load(io.BytesIO(blob), allow_pickle=False) as npz:
-            manifest = json.loads(str(npz[_MANIFEST_KEY][()]))
-            return _lower_arrays(manifest, npz)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+        payload = _lower_arrays(manifest, fetch)
+    except (TypeError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"malformed payload blob: {exc}") from exc
+    if used != len(body):
+        raise CheckpointError(f"{len(body) - used} unreferenced body byte(s)")
+    return payload
 
 
 @dataclass(frozen=True)
@@ -171,7 +246,13 @@ class CheckpointStore:
             raise ValueError(f"lsn must be >= 0, got {lsn}")
         self._dir.mkdir(parents=True, exist_ok=True)
         arrays: dict[str, np.ndarray] = {}
-        manifest = _hoist_arrays(payload, arrays, "payload")
+
+        def place(array: np.ndarray, path: str) -> str:
+            key = f"a{len(arrays)}"
+            arrays[key] = array
+            return key
+
+        manifest = _hoist_arrays(payload, place, "payload")
         try:
             manifest_json = json.dumps(
                 {"lsn": lsn, "payload": manifest}, sort_keys=True
@@ -199,7 +280,7 @@ class CheckpointStore:
         try:
             with np.load(path, allow_pickle=False) as npz:
                 manifest = json.loads(str(npz[_MANIFEST_KEY][()]))
-                payload = _lower_arrays(manifest["payload"], npz)
+                payload = _lower_arrays(manifest["payload"], npz.__getitem__)
                 lsn = int(manifest["lsn"])
         except (
             OSError,

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.truthdiscovery.base import TruthDiscoveryMethod
 from repro.truthdiscovery.claims import ClaimMatrix
@@ -74,6 +73,8 @@ class WeightComparison:
             pearson = 0.0
             spearman = 0.0
         else:
+            from scipy import stats
+
             pearson = float(stats.pearsonr(estimated, true).statistic)
             spearman = float(stats.spearmanr(estimated, true).statistic)
         return cls(

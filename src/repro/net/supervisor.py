@@ -17,8 +17,10 @@ tier already guarantees:
   ``LOAD_STATE`` restores it, bit for bit.
 
 So the parent keeps, per host, a :class:`HostJournal`: the last
-*capture* (``state_dict`` of every campaign, taken through the normal
-RPC path) plus every state-changing frame sent since.  When a host
+*capture* (every campaign's ``STATE_RESP`` body, taken through the
+normal RPC path and kept as the bytes the host sent — it is already a
+``LOAD_STATE`` payload, so the parent never decodes it) plus every
+state-changing frame sent since.  When a host
 dies, :meth:`Supervisor.failover` spawns a replacement, replays
 capture + journal in order, and the service continues as if nothing
 happened — recovered truths are bitwise-identical to an uncrashed run,
@@ -87,13 +89,13 @@ def _frame_campaign(rtype: int, payload: bytes) -> str:
 
     BATCH frames prefix the campaign id (u16 length + bytes); REGISTER/
     UNREGISTER/REFRESH are JSON; LOAD_STATE is a packed state whose
-    envelope carries ``campaign_id``.
+    manifest carries ``campaign_id`` (its arrays stay untouched).
     """
     if rtype == rec.BATCH:
         (cid_len,) = _U16.unpack_from(payload, 0)
         return payload[_U16.size:_U16.size + cid_len].decode("utf-8")
     if rtype == proto.LOAD_STATE:
-        return proto.unpack_state(payload)["campaign_id"]
+        return proto.state_campaign(payload)
     return json.loads(payload.decode("utf-8"))["campaign_id"]
 
 
@@ -103,8 +105,8 @@ class HostJournal:
     def __init__(self) -> None:
         #: Current registrations: campaign_id -> REGISTER spec.
         self.specs: dict[str, dict] = {}
-        #: Last capture: campaign_id -> (spec, state_dict).
-        self.captured: dict[str, tuple[dict, dict]] = {}
+        #: Last capture: campaign_id -> (spec, LOAD_STATE payload).
+        self.captured: dict[str, tuple[dict, bytes]] = {}
         #: State-changing frames sent since the last capture, in order.
         self.frames: list[tuple[int, bytes]] = []
         self.claims_since_capture = 0
@@ -122,8 +124,9 @@ class HostJournal:
             self.claims_since_capture += _batch_claims(payload)
         self.frames.append((rtype, bytes(payload)))
 
-    def capture(self, states: dict[str, dict]) -> None:
-        """Adopt fresh per-campaign states; the journal restarts empty."""
+    def capture(self, states: dict[str, bytes]) -> None:
+        """Adopt fresh per-campaign state blobs; the journal restarts
+        empty."""
         self.captured = {
             cid: (dict(self.specs[cid]), state)
             for cid, state in states.items()
@@ -200,10 +203,16 @@ class Supervisor:
 
         ``state_dict`` does not fold staged work (checkpointing cannot
         perturb the stream), and the RPC is ordered after every frame
-        already sent, so the capture is exact without any barrier.
+        already sent, so the capture is exact without any barrier.  The
+        response bodies are journaled undecoded.
         """
         states = {
-            cid: handle.state_dict(cid) for cid in sorted(handle.journal.specs)
+            cid: handle.request(
+                proto.STATE_REQ,
+                rec.encode_json_payload({"campaign_id": cid}),
+                proto.STATE_RESP,
+            )
+            for cid in sorted(handle.journal.specs)
         }
         handle.journal.capture(states)
         _LOGGER.debug(
@@ -237,16 +246,11 @@ class Supervisor:
                     proto.READY, timeout=self._pool.start_timeout
                 )
                 journal = handle.journal
-                for cid, (spec, state) in journal.captured.items():
+                for spec, blob in journal.captured.values():
                     handle.send(
                         rec.REGISTER, rec.encode_json_payload(spec)
                     )
-                    handle.send(
-                        proto.LOAD_STATE,
-                        proto.pack_state(
-                            {"campaign_id": cid, "state": state}
-                        ),
-                    )
+                    handle.send(proto.LOAD_STATE, blob)
                 for rtype, payload in journal.frames:
                     handle.send(rtype, payload)
                 # Barrier: the replacement is only "recovered" once it
@@ -359,13 +363,10 @@ class Supervisor:
         # order; interleaving across campaigns is irrelevant because
         # shard-host state is per-campaign independent.
         for cid in sorted(journal.captured):
-            spec, state = journal.captured[cid]
+            spec, blob = journal.captured[cid]
             target = target_of(cid)
             target.send(rec.REGISTER, rec.encode_json_payload(spec))
-            target.send(
-                proto.LOAD_STATE,
-                proto.pack_state({"campaign_id": cid, "state": state}),
-            )
+            target.send(proto.LOAD_STATE, blob)
         for rtype, payload in journal.frames:
             target_of(_frame_campaign(rtype, payload)).send(rtype, payload)
         affected = sorted(

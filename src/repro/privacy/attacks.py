@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import ensure_int, ensure_positive
@@ -129,6 +128,8 @@ def marginal_density(lambda2: float):
 
 def marginal_density_numeric(lambda2: float):
     """Quadrature version of :func:`marginal_density` (for verification)."""
+    from scipy import integrate
+
     ensure_positive(lambda2, "lambda2")
 
     def density(observed: float, centre: float) -> float:

@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from repro.utils.rng import RandomState, as_generator
 from repro.utils.validation import ensure_positive
@@ -126,6 +125,8 @@ class PairDeviationDistribution:
     # -- numeric cross-checks ------------------------------------------
     def mean_numeric(self) -> float:
         """``E[Y]`` by adaptive quadrature over ``h(y)`` (for testing)."""
+        from scipy import integrate
+
         val, _err = integrate.quad(
             lambda y: y * float(self.pdf_y(np.array([y]))[0]), 0.0, np.inf,
             limit=200,
@@ -134,6 +135,8 @@ class PairDeviationDistribution:
 
     def mean_square_numeric(self) -> float:
         """``E[Y^2]`` by quadrature (for testing)."""
+        from scipy import integrate
+
         val, _err = integrate.quad(
             lambda y: y**2 * float(self.pdf_y(np.array([y]))[0]), 0.0, np.inf,
             limit=200,
@@ -142,6 +145,8 @@ class PairDeviationDistribution:
 
     def normalisation_numeric(self) -> float:
         """Integral of ``h`` over (0, inf); should be 1."""
+        from scipy import integrate
+
         val, _err = integrate.quad(
             lambda y: float(self.pdf_y(np.array([y]))[0]), 0.0, np.inf,
             limit=200,

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from scipy import optimize
-
 from repro.theory.privacy import min_noise_level
 from repro.theory.utility import alpha_threshold, max_noise_level
 from repro.utils.validation import (
@@ -129,6 +127,8 @@ def matched_lambda1(
             "window closed across the whole bracket; requested guarantees "
             "are infeasible for any lambda1 in it"
         )
+    from scipy import optimize
+
     return float(optimize.brentq(gap, lo, hi))
 
 

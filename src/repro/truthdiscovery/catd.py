@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Optional, Union
 
 import numpy as np
-from scipy import stats
 
 from repro.truthdiscovery.base import TruthDiscoveryMethod
 from repro.truthdiscovery.claims import ClaimMatrix
@@ -66,6 +65,8 @@ class CATD(TruthDiscoveryMethod):
     def estimate_weights(
         self, claims: ClaimMatrix, truths: np.ndarray
     ) -> np.ndarray:
+        from scipy import stats
+
         distances = np.maximum(self._distance(claims, truths), self._floor)
         counts = np.maximum(claims.observation_counts, 1)
         quantiles = stats.chi2.ppf(self._significance / 2.0, df=counts)

@@ -21,10 +21,15 @@ shutdown) use a disjoint type range so the two namespaces can never
 collide.
 
 RPC payloads that carry aggregator state — arbitrary nested dicts with
-NumPy arrays at the leaves — are encoded with the same
-array-hoisting-into-npz scheme the checkpoint store uses
-(:func:`pack_state` / :func:`unpack_state`), so remote snapshots are
-bit-exact, pickle-free, and byte-compatible with checkpoint payloads.
+NumPy arrays at the leaves — are raw frames (:func:`pack_state` /
+:func:`unpack_state`): a ``u32`` length, a JSON manifest in which each
+array is ``{"__nd__": [dtype_str, shape, offset]}``, then the arrays'
+contiguous little-endian bytes.  Bit-exact and pickle-free like the
+checkpoint files, but *not* byte-compatible with them any more: disk
+stays npz (long-lived, CRC per entry), the wire is raw because a blob
+lives for one RPC between two processes of one build and an in-memory
+zip archive per read cost more than the aggregation it reported on
+(:mod:`repro.durable.checkpoint` owns both encodings).
 """
 
 from __future__ import annotations
@@ -126,11 +131,10 @@ def recv_frame(conn) -> tuple[int, bytes]:
 
 
 # ---------------------------------------------------------------------------
-# State payloads: nested dicts with NumPy arrays at the leaves, encoded
-# as an in-memory npz with a JSON manifest — byte-for-byte the
-# checkpoint layout (the durable tier owns the codec), so a state blob
-# shipped over a socket and a state blob stored in a checkpoint are the
-# same format and can hand off to each other.
+# State payloads: nested dicts with NumPy arrays at the leaves, as a
+# JSON manifest plus raw array bytes (the durable tier owns the codec).
+# A STATE_RESP body and a LOAD_STATE payload are the same envelope,
+# ``{"campaign_id", "state"}``, so a captured response replays verbatim.
 
 
 def pack_state(payload: dict) -> bytes:
@@ -146,4 +150,12 @@ def unpack_state(blob: bytes) -> dict:
     try:
         return checkpoint.unpack_payload(blob)
     except checkpoint.CheckpointError as exc:
+        raise ProtocolError(f"malformed state payload: {exc}") from exc
+
+
+def state_campaign(blob: bytes) -> str:
+    """Campaign id of a state envelope, read off the manifest alone."""
+    try:
+        return checkpoint.payload_manifest(blob)[0]["campaign_id"]
+    except (checkpoint.CheckpointError, KeyError, TypeError) as exc:
         raise ProtocolError(f"malformed state payload: {exc}") from exc

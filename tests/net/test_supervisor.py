@@ -69,8 +69,9 @@ class TestHostJournal:
         journal = HostJournal()
         spec = {"campaign_id": "c1", "num_users": 3, "num_objects": 2}
         journal.record(rec.REGISTER, rec.encode_json_payload(spec))
-        journal.capture({"c1": {"kind": "streaming"}})
-        assert journal.captured["c1"][0] == spec
+        blob = proto.pack_state({"campaign_id": "c1", "state": {}})
+        journal.capture({"c1": blob})
+        assert journal.captured["c1"] == (spec, blob)
         assert journal.frames == []
         assert journal.claims_since_capture == 0
         assert journal.captures == 1

@@ -7,6 +7,8 @@ README must work verbatim.
 
 import importlib
 import inspect
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -93,3 +95,34 @@ def test_module_docstring_quickstart_runs():
     pipeline = PrivateTruthDiscovery(method="crh", lambda2=1.0)
     outcome = pipeline.run(claims, random_state=7)
     assert outcome.truths.shape == (12,)
+
+
+#: What a spawned process imports before it can serve: the CLI, a shard
+#: host, a pipe worker, a standby — and ``repro.service`` for the parent.
+SPAWN_PATH_MODULES = [
+    "repro.cli",
+    "repro.net.host",
+    "repro.workers.worker",
+    "repro.replication.standby",
+    "repro.service",
+]
+
+
+@pytest.mark.parametrize("module_name", SPAWN_PATH_MODULES)
+def test_spawn_path_imports_stay_scipy_free(module_name):
+    """scipy costs ~0.8 s per interpreter; a CRH shard host never calls
+    it, so a module-level import lands on every spawn and failover.
+    Import it inside the function that needs it."""
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import {module_name}, sys; sys.exit('scipy' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, (
+        f"importing {module_name} pulled in scipy\n{proc.stderr}"
+    )

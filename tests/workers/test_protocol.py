@@ -1,6 +1,8 @@
 """Frame and state-payload encoding tests for the worker protocol."""
 
+import json
 import multiprocessing
+import struct
 
 import numpy as np
 import pytest
@@ -65,6 +67,40 @@ class TestFrames:
         child.close()
 
 
+def _raw_blob(manifest, body=b""):
+    text = json.dumps(manifest).encode("utf-8")
+    return struct.pack("<I", len(text)) + text + body
+
+
+_VALID_BLOB = proto.pack_state(
+    {"campaign_id": "c", "state": {"v": np.arange(16.0)}}
+)
+MALFORMED_BLOBS = {
+    "zip-prefixed-garbage": b"PK\x03\x04" + b"\x00" * 64,
+    "truncated-to-half": _VALID_BLOB[: len(_VALID_BLOB) // 2],
+    "manifest-byte-flipped": (
+        _VALID_BLOB[:6] + bytes([_VALID_BLOB[6] ^ 0xFF]) + _VALID_BLOB[7:]
+    ),
+    "empty": b"",
+    "shape-2**40": _raw_blob({"__nd__": ["<f8", [2**40], 0]}),
+    "trailing-bytes": _VALID_BLOB + b"\x00",
+    "big-endian-dtype": _raw_blob({"__nd__": [">f8", [1], 0]}, b"\x00" * 8),
+    "object-dtype": _raw_blob({"__nd__": ["|O", [1], 0]}, b"\x00" * 8),
+    "unicode-dtype": _raw_blob({"__nd__": ["<U2", [1], 0]}, b"\x00" * 8),
+    "json-nesting-bomb": (
+        struct.pack("<I", 200_000) + b"[" * 100_000 + b"]" * 100_000
+    ),
+    "negative-offset": _raw_blob({"__nd__": ["<f8", [1], -8]}, b"\x00" * 8),
+    "bool-dimension": _raw_blob({"__nd__": ["<f8", [True], 0]}, b"\x00" * 8),
+    "nine-dimensions": _raw_blob({"__nd__": ["|u1", [1] * 9, 0]}, b"\x00"),
+    "offset-past-body": _raw_blob({"__nd__": ["<f8", [1], 8]}, b"\x00" * 8),
+    "body-read-twice": _raw_blob(
+        [{"__nd__": ["<f8", [1], 0]}] * 2, b"\x00" * 8
+    ),
+    "npz-era-placeholder": _raw_blob({"__nd__": "a0"}),
+}
+
+
 class TestStatePayloads:
     def test_roundtrip_nested_arrays(self):
         payload = {
@@ -99,6 +135,26 @@ class TestStatePayloads:
     def test_malformed_blob_raises(self):
         with pytest.raises(proto.ProtocolError):
             proto.unpack_state(b"not an npz")
+
+    @pytest.mark.parametrize("blob", MALFORMED_BLOBS.values(),
+                             ids=MALFORMED_BLOBS.keys())
+    def test_malformed_blob_is_a_protocol_error(self, blob):
+        """Every hostile blob maps to the typed error — the first four
+        escaped as ``BadZipFile`` / ``EOFError`` from the npz codec."""
+        with pytest.raises(proto.ProtocolError):
+            proto.unpack_state(blob)
+
+    def test_campaign_id_reads_off_the_manifest(self):
+        blob = proto.pack_state(
+            {"campaign_id": "c/one", "state": {"v": np.arange(4.0)}}
+        )
+        assert proto.state_campaign(blob) == "c/one"
+        # The manifest alone answers: array bytes may be missing.
+        assert proto.state_campaign(blob[:-32]) == "c/one"
+        for bad in (b"", proto.pack_state({"state": {}}),
+                    proto.pack_state([1, 2])):
+            with pytest.raises(proto.ProtocolError):
+                proto.state_campaign(bad)
 
 
 class TestShardRanges:
