@@ -1,17 +1,23 @@
 """The chaos drill: seeded faults, a murdered primary, a self-healing check.
 
-``repro chaos-drill`` runs N fully-seeded failure scenarios against a
-*live* replicated topology and asserts the system healed itself:
+``python benchmarks/chaos_drill.py`` (no ``PYTHONPATH`` needed) runs N
+fully-seeded failure scenarios against a *live* replicated topology and
+asserts the system healed itself — the one kill-the-primary driver of
+this repository, kept outside the library it drives:
 
-1. spawn a **primary driver** child (this module re-exec'd with
+1. spawn a **primary driver** child (this script re-exec'd with
    ``--run-primary``) that installs ``FaultPlan(seed)``, builds
    ``Topology.replicated(standbys=2, auto_failover=True)`` — real
    ``repro standby`` processes, a real detached ``repro watchdog`` —
-   plus a tight background-compaction policy, and streams claims
-   under injected connection resets, delays, and dial refusals;
+   plus a tight background-compaction policy, serves ``/metrics`` on
+   an ephemeral port (announced as ``METRICS <url>``), and streams
+   claims under injected connection resets, delays, and dial refusals;
 2. wait until the watchdog prints ``ARMED`` and a standby holds a
-   replicated prefix, optionally SIGKILL one standby (seed-derived),
-   then **SIGKILL the primary** — every drill includes this fault;
+   replicated prefix, scrape the doomed primary's replication
+   telemetry live (:data:`ACTIVE_FAMILIES` non-zero, the lag gauges
+   exposed — ``scrape_check.py``), optionally SIGKILL one standby
+   (seed-derived), then **SIGKILL the primary** — every drill includes
+   this fault;
 3. read the watchdog's ``PROMOTED <json>`` line off the still-open
    stdout pipe (the watchdog inherited it and outlives the primary —
    no operator, no ``promote()`` call from the harness);
@@ -33,14 +39,16 @@ That is the ``promotion`` scenario.  Two more ride the same harness
   onto a survivor from the journal — bitwise-equal to an uncrashed
   reference run, budget intact, and the WAL replay agreeing;
 - ``partition`` — the child launches a **3-watchdog fleet** with one
-  member's dials chaos-refused; after the primary SIGKILL the two
-  healthy members race, and quorum votes plus the fencing epoch must
-  yield *exactly one* ``PROMOTED`` line, with a stale-epoch PROMOTE
-  refused by every surviving standby.
+  member's dials chaos-refused (that member is this script re-exec'd
+  with ``--run-watchdog``: it installs the refusing ``FaultPlan`` in
+  its own process and then runs the stock ``repro watchdog``); after
+  the primary SIGKILL the two healthy members race, and quorum votes
+  plus the fencing epoch must yield *exactly one* ``PROMOTED`` line,
+  with a stale-epoch PROMOTE refused by every surviving standby.
 
 Determinism: the injected fault schedule is a pure function of the
 drill seed (see :mod:`repro.chaos.plan`), so a failing seed replays
-with ``repro chaos-drill --seeds <seed>``.  Wall-clock timings
+with ``python benchmarks/chaos_drill.py --seeds <seed>``.  Wall-clock timings
 (detection/promotion/rehome) are environment-dependent and are gated,
 not replayed.
 """
@@ -60,6 +68,9 @@ import threading
 import time
 from pathlib import Path
 from typing import Optional, Sequence
+
+# Like benchmarks/e2e/run.py: drive the checkout's own src/.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 CHUNK = 256
 NUM_USERS = 60
@@ -81,6 +92,20 @@ PARTITION_SMOKE_SEEDS = (7,)
 #: so the promoted state is never trivially empty.
 MIN_REPLICATED_LSN = 40
 
+#: Replication families the doomed primary must expose, non-zero,
+#: before it is killed.  (The lag gauges are only asserted present: a
+#: caught-up standby legitimately reports zero lag.)
+ACTIVE_FAMILIES = (
+    "repro_replication_connected",
+    "repro_replication_records_shipped_total",
+    "repro_replication_bytes_shipped_total",
+    "repro_replication_ship_seconds",
+)
+LAG_FAMILIES = (
+    "repro_replication_lag_lsn",
+    "repro_replication_lag_seconds",
+)
+
 
 # ----------------------------------------------------------------------
 # Child: the primary that is going to die, faults installed.
@@ -90,6 +115,7 @@ def run_primary(args) -> int:
         CompactionPolicy,
         DurabilityConfig,
     )
+    from repro.obs.exposition import MetricsServer
     from repro.privacy.ldp import LDPGuarantee
     from repro.service.ingest import IngestService, ServiceConfig
     from repro.service.ledger import BudgetLedger
@@ -125,6 +151,8 @@ def run_primary(args) -> int:
             heartbeat_misses=3,
         ),
     )
+    metrics = MetricsServer(service.metrics_snapshot)
+    print(f"METRICS {metrics.url}", flush=True)
     for handle in service.standbys.handles:
         print(
             f"STANDBY {handle.index} {handle.address[1]} "
@@ -145,30 +173,30 @@ def run_primary(args) -> int:
             h.address for h in service.standbys.handles
         ]
         for i in range(args.watchdogs):
-            chaos = {}
+            peers = [
+                ("127.0.0.1", port)
+                for j, port in enumerate(peer_ports)
+                if j != i
+            ]
             if i == args.partition_watchdog:
-                # This member's every outbound dial is refused (until
-                # the plan's per-point cap heals the partition): it can
-                # never probe the primary, reach a standby, or collect
-                # a vote — the minority side of the partition.
-                chaos = {
-                    "chaos_seed": args.seed,
-                    "chaos_rates": {"net.connect": 1.0},
-                }
-            proc = launch_watchdog(
-                status_server.address,
-                standby_addresses,
-                interval=0.2,
-                misses=3,
-                index=i,
-                peer_port=peer_ports[i],
-                peers=[
-                    ("127.0.0.1", port)
-                    for j, port in enumerate(peer_ports)
-                    if j != i
-                ],
-                **chaos,
-            )
+                proc = _launch_partitioned_watchdog(
+                    args.seed,
+                    status_server.address,
+                    standby_addresses,
+                    index=i,
+                    peer_port=peer_ports[i],
+                    peers=peers,
+                )
+            else:
+                proc = launch_watchdog(
+                    status_server.address,
+                    standby_addresses,
+                    interval=0.2,
+                    misses=3,
+                    index=i,
+                    peer_port=peer_ports[i],
+                    peers=peers,
+                )
             print(f"WATCHDOG {proc.pid}", flush=True)
     else:
         print(f"WATCHDOG {service.watchdog_process.pid}", flush=True)
@@ -214,6 +242,45 @@ def run_primary(args) -> int:
     time.sleep(120.0)
     service.close()
     return 0
+
+
+def _launch_partitioned_watchdog(
+    seed: int, primary, standbys, *, index: int, peer_port: int, peers
+) -> subprocess.Popen:
+    """Start the fleet member on the minority side of the partition:
+    this script again, which installs the refusing plan in its own
+    process (:func:`run_watchdog`) before becoming ``repro watchdog``.
+    Inherits stdout, like every watchdog."""
+    from repro.replication.watchdog import format_address
+
+    argv = [
+        "--primary", format_address(primary),
+        "--interval", "0.2",
+        "--misses", "3",
+        "--index", str(index),
+        "--peer-port", str(peer_port),
+    ]
+    for address in standbys:
+        argv += ["--standby", format_address(address)]
+    for address in peers:
+        argv += ["--peer", format_address(address)]
+    return subprocess.Popen(
+        [
+            sys.executable, os.path.abspath(__file__),
+            "--seed", str(seed), "--run-watchdog", *argv,
+        ]
+    )
+
+
+def run_watchdog(seed: int, argv: Sequence[str]) -> int:
+    """Child: a stock watchdog whose every outbound dial is refused
+    (until the plan's per-point cap heals the partition) — it can never
+    probe the primary, reach a standby, or collect a vote."""
+    from repro.chaos import FaultPlan, install
+    from repro.cli import main as repro_main
+
+    install(FaultPlan(seed, rates={"net.connect": 1.0}))
+    return repro_main(["watchdog", *argv])
 
 
 # ----------------------------------------------------------------------
@@ -307,6 +374,26 @@ def _kill_pid(pid: int) -> None:
         pass
 
 
+def check_live_metrics(url: str) -> None:
+    """The doomed primary's replication telemetry, scraped mid-stream:
+    shipping families non-zero, lag gauges exposed."""
+    import scrape_check
+
+    from repro.obs.exposition import try_scrape
+
+    if scrape_check.check_endpoint(
+        url, ACTIVE_FAMILIES, retries=60, interval=0.25
+    ):
+        raise RuntimeError(
+            "replication metric families not live on the primary"
+        )
+    snapshot = try_scrape(url)
+    names = set() if snapshot is None else snapshot.names()
+    missing = [family for family in LAG_FAMILIES if family not in names]
+    if missing:
+        raise RuntimeError(f"lag gauges not exposed: {missing}")
+
+
 def run_one_drill(
     seed: int,
     *,
@@ -314,7 +401,6 @@ def run_one_drill(
     standbys: int = 2,
     watchdogs: int = 1,
     partition_watchdog: Optional[int] = None,
-    python: Optional[str] = None,
     log=print,
 ) -> dict:
     """One seeded drill; returns the per-seed result dict.
@@ -326,8 +412,6 @@ def run_one_drill(
     appears, and a re-``promote()`` at the winning fencing epoch is
     refused by *every* surviving standby.
     """
-    import numpy as np
-
     from repro.replication.client import (
         FailoverReadClient,
         ReplicaError,
@@ -338,9 +422,8 @@ def run_one_drill(
     root = Path(tempfile.mkdtemp(prefix=f"repro-chaos-{seed}-"))
     primary_dir = root / "wal"
     argv = [
-        python or sys.executable,
-        "-m",
-        "repro.chaos.drill",
+        sys.executable,
+        os.path.abspath(__file__),
         "--run-primary",
         "--seed",
         str(seed),
@@ -365,12 +448,15 @@ def run_one_drill(
     standby_pids: dict[int, int] = {}
     watchdog_pids: list[int] = []
     faults: dict = {}
+    metrics_url = None
     armed = 0
     promoted_lines = 0
 
     def sink(line: str) -> None:
-        nonlocal armed, promoted_lines
-        if line.startswith("STANDBY "):
+        nonlocal armed, promoted_lines, metrics_url
+        if line.startswith("METRICS "):
+            metrics_url = line.split(" ", 1)[1]
+        elif line.startswith("STANDBY "):
             _, index, port, pid = line.split()
             standby_ports[int(index)] = int(port)
             standby_pids[int(index)] = int(pid)
@@ -425,6 +511,10 @@ def run_one_drill(
                     f"saw {watermarks}"
                 )
             time.sleep(0.05)
+
+        if metrics_url is None:
+            raise RuntimeError("child never announced /metrics")
+        check_live_metrics(metrics_url)
 
         # Seed-derived extra process fault: SIGKILL at most one standby
         # (never all — someone must be left to elect).  Distinct bits
@@ -554,12 +644,8 @@ def run_one_drill(
             primary_dir, promoted["watermark_lsn"]
         )
         crashed = arbiter.snapshot(CAMPAIGN)
-        result["truths_match_bitwise"] = bool(
-            snapshot.truths.tobytes() == crashed.truths.tobytes()
-            and np.all(np.isfinite(snapshot.truths))
-            and snapshot.weights_by_user == crashed.weights_by_user
-            and snapshot.claims_ingested == crashed.claims_ingested
-            and snapshot.claims_ingested > 0
+        result["truths_match_bitwise"] = _snapshots_bitwise_equal(
+            snapshot, crashed
         )
         spent = status["ledger"]["records"]
         result["budget_spent_matches"] = bool(
@@ -713,7 +799,7 @@ def run_host_loss_drill(
         uninstall,
     )
 
-    log(f"  reference run (uncrashed, in-process)")
+    log("  reference run (uncrashed, in-process)")
     reference = _host_loss_service(num_shards, "in_process")
     try:
         _stream_host_loss(reference, seed, claims)
@@ -745,10 +831,7 @@ def run_host_loss_drill(
             log(f"  chaos: SIGKILL shard host {victim.worker_id} "
                 f"(pid {victim.process.pid}); respawns refused")
             _kill_pid(victim.process.pid)
-            waiter = getattr(victim.process, "wait", None)
-            if waiter is None:
-                waiter = victim.process.join
-            waiter(10)
+            victim.process.join(10)
 
         _stream_host_loss(service, seed, claims, midstream=kill_host)
         stats = service.worker_pool.supervisor.stats()
@@ -1051,20 +1134,51 @@ def format_drill_summary(report: dict) -> str:
 # ----------------------------------------------------------------------
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
-        description="seeded chaos drill against a replicated topology"
+        description="seeded chaos drills against a live replicated "
+        "topology: SIGKILL the primary under injected faults, wait for "
+        "the watchdog to promote, verify the bitwise-truths and "
+        "spent-budget invariants (exit 1 if any drill fails to heal)"
     )
-    parser.add_argument("--seeds", type=int, nargs="+", default=None)
-    parser.add_argument("--drills", type=int, default=5)
-    parser.add_argument("--base-seed", type=int, default=2020)
-    parser.add_argument("--claims", type=int, default=6000)
-    parser.add_argument("--smoke", action="store_true")
     parser.add_argument(
-        "--scenarios", nargs="+", default=None, choices=SCENARIOS
+        "--seeds", type=int, nargs="+", default=None, metavar="SEED",
+        help="explicit drill seeds, applied to every selected scenario "
+        "(default: --drills seeds derived from --base-seed)",
     )
-    parser.add_argument("--output", default=None)
-    # Internal: the doomed-primary child re-exec.
+    parser.add_argument(
+        "--drills", type=int, default=5, metavar="N",
+        help="promotion drills when --seeds is not given (default 5)",
+    )
+    parser.add_argument(
+        "--base-seed", type=int, default=2020,
+        help="base seed the default drill seeds derive from",
+    )
+    parser.add_argument(
+        "--claims", type=int, default=6000,
+        help="claims streamed per drill (default 6000)",
+    )
+    parser.add_argument(
+        "--smoke", action="store_true",
+        help="tiny pinned workload over the pinned CI seeds",
+    )
+    parser.add_argument(
+        "--scenarios", nargs="+", default=None, choices=SCENARIOS,
+        metavar="NAME",
+        help="promotion (kill the primary, watchdog promotes), "
+        "host-loss (kill a shard host with respawn blocked; shards "
+        "re-home onto survivors), partition (watchdogs=3, one member "
+        "network-partitioned; exactly one promotion).  Default: all",
+    )
+    parser.add_argument(
+        "--output", metavar="PATH", default=None,
+        help="write the full report as JSON here ('-' or absent: don't)",
+    )
+    # Internal: the doomed-primary and partitioned-watchdog re-execs.
     parser.add_argument(
         "--run-primary", action="store_true", help=argparse.SUPPRESS
+    )
+    parser.add_argument(
+        "--run-watchdog", nargs=argparse.REMAINDER, default=None,
+        help=argparse.SUPPRESS,
     )
     parser.add_argument("--seed", type=int, default=0,
                         help=argparse.SUPPRESS)
@@ -1078,6 +1192,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.run_primary:
         return run_primary(args)
+    if args.run_watchdog is not None:
+        return run_watchdog(args.seed, args.run_watchdog)
     report = run_chaos_drill(
         seeds=args.seeds,
         drills=args.drills,
@@ -1087,7 +1203,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         scenarios=args.scenarios,
     )
     print(format_drill_summary(report))
-    if args.output:
+    if args.output and args.output != "-":
         os.makedirs(os.path.dirname(args.output) or ".", exist_ok=True)
         with open(args.output, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)

@@ -1,4 +1,4 @@
-"""repro.chaos — deterministic fault injection and chaos drills.
+"""repro.chaos — deterministic fault injection.
 
 The invariants this codebase sells — recovered truths bitwise-equal,
 spent budget stays spent — were historically proven at hand-placed
@@ -11,13 +11,12 @@ schedules instead:
   transport, and the process pools; per-point child streams keep the
   schedule stable under interleaving;
 * :mod:`repro.chaos.points` — the process-wide switchboard hook sites
-  query (a no-op unless a plan is installed);
-* :func:`run_chaos_drill` — the harness behind ``repro chaos-drill``:
-  N seeded schedules against a live replicated topology, each ending
-  in a SIGKILLed primary, an *automated* watchdog promotion, and the
-  bitwise/budget invariant checks.
+  query (a no-op unless a plan is installed).
 
-See ``docs/operations.md`` for reproducing a drill seed locally.
+The driver that runs seeded schedules against a live topology —
+SIGKILLed primary, automated watchdog promotion, bitwise/budget checks
+— is not part of the library: ``python benchmarks/chaos_drill.py`` (see
+``docs/operations.md`` for reproducing a drill seed locally).
 """
 
 from repro.chaos.plan import (
@@ -46,12 +45,4 @@ __all__ = [
     "install",
     "installed",
     "uninstall",
-    "run_chaos_drill",
 ]
-
-
-def run_chaos_drill(*args, **kwargs):
-    """Lazy alias for :func:`repro.chaos.drill.run_chaos_drill`."""
-    from repro.chaos.drill import run_chaos_drill as _run
-
-    return _run(*args, **kwargs)

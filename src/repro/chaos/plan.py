@@ -9,8 +9,8 @@ shifts when another point is queried more or less often (adding a WAL
 fault cannot move a network fault), and an interleaved multi-threaded
 trace still gives every point an identical per-point schedule.
 
-That per-point independence is what makes chaos drills replayable: the
-``repro chaos-drill`` harness records only the seed, and anyone can
+That per-point independence is what makes chaos drills replayable:
+``benchmarks/chaos_drill.py`` records only the seed, and anyone can
 re-run the exact same injection schedule locally (see
 ``docs/operations.md``).  The property test in
 ``tests/properties/test_chaos_properties.py`` pins the contract.

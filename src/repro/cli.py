@@ -20,11 +20,6 @@ Subcommands
   elect the freshest standby and promote it (prints ``ARMED`` when
   live and ``PROMOTED <json>`` after a failover; spawned detached by
   ``Topology.replicated(auto_failover=True)``);
-* ``chaos-drill [--seeds N ...] [--smoke] [--output PATH]`` — seeded
-  fault-injection drills: run a replicated topology under a
-  deterministic ``repro.chaos`` fault schedule, SIGKILL the primary,
-  let the watchdog promote, and assert the bitwise-truths and
-  spent-budget invariants (exit 1 if any drill fails to heal);
 * ``metrics URL`` — scrape a live ``/metrics`` endpoint once and
   pretty-print every series (``--raw`` prints the Prometheus text);
 * ``top URL [--interval S]`` — live terminal dashboard over a metrics
@@ -41,7 +36,8 @@ all take their directory as ``--dir DIR`` (``recover`` and ``compact``
 also accept it positionally, the historical spelling).  Throughput and
 latency are measured outside the package, by ``python3
 benchmarks/e2e/run.py [--quick] [--workload NAME]`` (see
-``benchmarks/e2e/README.md``).
+``benchmarks/e2e/README.md``); the seeded failover drills are ``python
+benchmarks/chaos_drill.py`` (see ``docs/operations.md``).
 
 Exit codes: ``0`` success; ``1`` runtime failure (e.g. a standby's
 listener died, a metrics endpoint went away); ``2`` bad input —
@@ -55,8 +51,6 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.experiments import available_experiments, run_experiment
-from repro.experiments.reporting import figure_markdown
 from repro.utils.logging import enable_console_logging
 
 
@@ -207,84 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="peers",
         help="another fleet member's voting listener (repeat per "
         "peer); any peer switches on majority voting before promotion",
-    )
-    watchdog_p.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=None,
-        help="install a seeded FaultPlan inside this watchdog (drill "
-        "use: partition one fleet member)",
-    )
-    watchdog_p.add_argument(
-        "--chaos-rate",
-        action="append",
-        default=None,
-        metavar="POINT=RATE",
-        dest="chaos_rates",
-        help="per-point fault rate override for --chaos-seed "
-        "(repeatable, e.g. net.connect=1.0)",
-    )
-
-    drill_p = sub.add_parser(
-        "chaos-drill",
-        help="run seeded fault-injection drills against a live "
-        "replicated topology: SIGKILL the primary under injected "
-        "faults, wait for the watchdog to promote, and verify the "
-        "bitwise-truths and spent-budget invariants",
-    )
-    drill_p.add_argument(
-        "--seeds",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="SEED",
-        help="explicit drill seeds (default: --drills seeds derived "
-        "from --base-seed)",
-    )
-    drill_p.add_argument(
-        "--drills",
-        type=int,
-        default=5,
-        metavar="N",
-        help="number of seeded drills when --seeds is not given "
-        "(default 5)",
-    )
-    drill_p.add_argument(
-        "--base-seed",
-        type=int,
-        default=2020,
-        help="base seed the default drill seeds derive from",
-    )
-    drill_p.add_argument(
-        "--claims",
-        type=int,
-        default=6000,
-        help="claims streamed through the primary per drill "
-        "(default 6000)",
-    )
-    drill_p.add_argument(
-        "--smoke",
-        action="store_true",
-        help="tiny pinned workload over the pinned CI seeds",
-    )
-    drill_p.add_argument(
-        "--scenarios",
-        nargs="+",
-        default=None,
-        choices=["promotion", "host-loss", "partition"],
-        metavar="NAME",
-        help="scenario classes to run: promotion (kill the primary, "
-        "watchdog promotes), host-loss (kill a shard host with "
-        "respawn blocked; shards re-home onto survivors), partition "
-        "(watchdogs=3 with one member network-partitioned; exactly "
-        "one promotion).  Default: all",
-    )
-    drill_p.add_argument(
-        "--output",
-        metavar="PATH",
-        default="results/BENCH_chaos.json",
-        help="write the full summary as JSON to this path (default "
-        "results/BENCH_chaos.json); pass '-' to skip writing",
     )
 
     metrics_p = sub.add_parser(
@@ -470,6 +386,8 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
 
 def _print_result(result, markdown: bool) -> None:
     if markdown:
+        from repro.experiments.reporting import figure_markdown
+
         print(figure_markdown(result))
     else:
         print(result.render())
@@ -479,6 +397,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.verbose:
         enable_console_logging()
+
+    if args.command in ("list", "run", "all"):
+        # Imported here: every spawned serve-shard / standby / watchdog
+        # runs this module, and none of them draws a figure.
+        from repro.experiments import available_experiments, run_experiment
 
     if args.command == "list":
         for name in available_experiments():
@@ -586,29 +509,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except ValueError as exc:
             print(str(exc), file=sys.stderr)
             return 2
-        if args.chaos_seed is not None:
-            # Drill hook: a seeded FaultPlan inside *this* watchdog
-            # only — how a drill partitions one fleet member.
-            from repro.chaos import points as chaos_points
-            from repro.chaos.plan import FaultPlan
-
-            rates = {}
-            for item in args.chaos_rates or []:
-                point, sep, rate = item.partition("=")
-                if not sep:
-                    print(
-                        f"--chaos-rate must be POINT=RATE, got {item!r}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                rates[point] = float(rate)
-            try:
-                chaos_points.install(
-                    FaultPlan(args.chaos_seed, rates=rates)
-                )
-            except ValueError as exc:
-                print(str(exc), file=sys.stderr)
-                return 2
         watchdog = FailoverWatchdog(
             primary,
             standbys,
@@ -642,23 +542,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"{tag} " + json.dumps(result, sort_keys=True), flush=True
         )
         return 0
-
-    if args.command == "chaos-drill":
-        from repro.chaos.drill import format_drill_summary, run_chaos_drill
-
-        report = run_chaos_drill(
-            seeds=args.seeds,
-            drills=args.drills,
-            base_seed=args.base_seed,
-            claims=args.claims,
-            smoke=args.smoke,
-            scenarios=args.scenarios,
-        )
-        print(format_drill_summary(report))
-        _write_output(report, args.output)
-        invariants = report.get("invariants", {})
-        healthy = all(bool(v) for v in invariants.values())
-        return 0 if healthy else 1
 
     if args.command == "compact":
         from repro.durable import WalError, compact_directory

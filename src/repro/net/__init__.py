@@ -13,8 +13,10 @@ boundary with it:
   an asyncio socket server (``repro serve-shard``);
 * :mod:`repro.net.placement` — :class:`PlacementMap`, the mutable
   shard→host table;
-* :mod:`repro.net.fabric` — :class:`FabricPool`, the worker-pool
-  surface backed by shard-host processes on ports;
+* :mod:`repro.net.fabric` — :class:`SocketLauncher`, what makes the
+  one :class:`~repro.workers.pool.ShardPool` a fabric of shard-host
+  processes on ports, beside the helpers every child of the service
+  is launched and owned through (``spawn_cli``, ``HostProcess``);
 * :mod:`repro.net.supervisor` — :class:`Supervisor`, journal-based
   checkpoint/replay failover keeping recovered truths bitwise-identical.
 
@@ -24,8 +26,8 @@ so eager re-imports here would close an import cycle.
 """
 
 _EXPORTS = {
-    "FabricPool": "repro.net.fabric",
-    "launch_shard_host": "repro.net.fabric",
+    "ShardPool": "repro.workers.pool",
+    "SocketLauncher": "repro.net.fabric",
     "FrameReader": "repro.net.framing",
     "FramingError": "repro.net.framing",
     "ShardHost": "repro.net.host",

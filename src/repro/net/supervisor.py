@@ -137,7 +137,7 @@ class HostJournal:
 
 
 class Supervisor:
-    """Watches a :class:`~repro.net.fabric.FabricPool`'s hosts.
+    """Watches a :class:`~repro.workers.pool.ShardPool`'s hosts.
 
     The pool's handles route every state-changing frame through their
     journal (see :class:`SupervisedHandle`); the supervisor decides
@@ -243,7 +243,7 @@ class Supervisor:
             if respawned:
                 handle.send(rec.CONFIG, self._pool.config_frame)
                 handle.expect(
-                    proto.READY, timeout=self._pool.start_timeout
+                    proto.READY, timeout=self._pool.ready_timeout
                 )
                 journal = handle.journal
                 for spec, blob in journal.captured.values():
@@ -420,9 +420,7 @@ class Supervisor:
             "rehomes": self.rehomes,
             "last_rehome_seconds": self.last_rehome_seconds,
             "rehome_seconds": list(self.rehome_seconds),
-            "placement_epoch": getattr(
-                self._pool.placement, "epoch", 0
-            ),
+            "placement_epoch": self._pool.placement.epoch,
         }
 
 

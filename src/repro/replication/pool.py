@@ -2,9 +2,12 @@
 
 :func:`launch_standby` starts ``repro standby`` with the same launch
 contract as ``repro serve-shard`` (the child prints ``PORT <n>`` once
-its listener is bound); :class:`StandbyPool` owns N of them plus the
-:class:`~repro.replication.sender.ReplicationSender` shipping to them —
-the backing of ``Topology.replicated(standbys=n)``.
+its listener is bound); :class:`StandbyPool` owns N of them — the
+backing of ``Topology.replicated(standbys=n)``.  It is not a
+:class:`~repro.workers.pool.ShardPool`: a standby takes no CONFIG
+frame, answers no READY and owns no shards, so it shares only the
+process helpers (:func:`~repro.net.fabric.spawn_cli` to launch,
+:func:`~repro.utils.process.reap` to shut down).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from typing import Optional, Sequence, Union
 from repro.net.fabric import HostProcess, spawn_cli
 from repro.replication.client import ReplicaReadClient
 from repro.utils.logging import get_logger
+from repro.utils.process import reap
 
 _LOGGER = get_logger("replication.pool")
 
@@ -31,10 +35,9 @@ def launch_standby(
     host: str = "127.0.0.1",
     fsync: str = "batch",
     start_timeout: float = 120.0,
-    python: Optional[str] = None,
 ) -> tuple[HostProcess, int]:
     """Start ``repro standby`` and learn its ephemeral port."""
-    popen, port = spawn_cli(
+    process, port = spawn_cli(
         [
             "standby",
             "--dir", str(directory),
@@ -43,12 +46,11 @@ def launch_standby(
             "--fsync", fsync,
         ],
         port_timeout=start_timeout,
-        python=python,
     )
     _LOGGER.debug(
-        "standby up: dir %s, pid %d, port %d", directory, popen.pid, port
+        "standby up: dir %s, pid %d, port %d", directory, process.pid, port
     )
-    return HostProcess(popen), port
+    return process, port
 
 
 class StandbyHandle:
@@ -162,11 +164,4 @@ class StandbyPool:
                 except (OSError, EOFError, TimeoutError):
                     pass
         for handle in self.handles:
-            handle.process.join(timeout)
-            if handle.is_alive():
-                handle.process.terminate()
-                handle.process.join(2.0)
-            if handle.is_alive():  # pragma: no cover - last resort
-                handle.process.kill()
-                handle.process.join(2.0)
-            handle.process.release()
+            reap(handle.process, timeout)

@@ -44,12 +44,11 @@ is armed.
 from __future__ import annotations
 
 import os
-import subprocess
 import threading
 import time
 from typing import Callable, Optional, Sequence
 
-from repro.net.fabric import spawn_cli
+from repro.net.fabric import HostProcess, spawn_cli
 from repro.net.transport import SocketListener, connect
 from repro.replication import protocol as rp
 from repro.replication.client import ReplicaError, ReplicaReadClient
@@ -71,32 +70,33 @@ class WatchdogError(RuntimeError):
     """The watchdog could not complete a failover."""
 
 
-class PrimaryStatusServer:
-    """The primary's liveness/status listener (one background thread).
+class _FrameListener:
+    """One listener thread serving one connection at a time.
 
-    Answers ``PING`` → ``PONG`` and ``STATUS_REQ`` → ``STATUS_RESP``
-    with the primary's role and WAL watermarks, read straight off the
-    :class:`~repro.durable.manager.DurabilityManager` — no locks shared
-    with the ingest path.  Serves one connection at a time: the only
-    expected client is a watchdog that dials, probes, and hangs up.
+    The expected clients dial, ask, and hang up.  A subclass supplies
+    the frame table as :meth:`handle`; this class owns the accept loop,
+    the idle drop, ``SHUTDOWN`` and the unsupported-frame reply.
     """
 
-    def __init__(
-        self, manager, *, host: str = "127.0.0.1", port: int = 0
-    ) -> None:
-        self._manager = manager
+    _thread_name = "repro-frame-listener"
+
+    def __init__(self, host: str, port: int) -> None:
         self._listener = SocketListener(host, port)
         self.address = self._listener.address
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
-        self.probes_answered = 0
+
+    def handle(self, rtype: int, payload: bytes) -> Optional[tuple]:
+        """The reply ``(rtype, payload)`` to one frame, or None when
+        the frame type is not served."""
+        raise NotImplementedError
 
     # ------------------------------------------------------------------
     def start(self) -> None:
         if self._thread is not None:
-            raise RuntimeError("status server already started")
+            raise RuntimeError(f"{self._thread_name} already started")
         self._thread = threading.Thread(
-            target=self._run, name="repro-primary-status", daemon=True
+            target=self._run, name=self._thread_name, daemon=True
         )
         self._thread.start()
 
@@ -108,14 +108,6 @@ class PrimaryStatusServer:
             self._thread = None
 
     # ------------------------------------------------------------------
-    def _status(self) -> dict:
-        return {
-            "role": "primary",
-            "pid": os.getpid(),
-            "durable_lsn": self._manager.durable_lsn,
-            "last_lsn": self._manager.last_lsn,
-        }
-
     def _run(self) -> None:
         while not self._stop.is_set():
             try:
@@ -137,35 +129,63 @@ class PrimaryStatusServer:
                     if time.monotonic() - idle_since > _IDLE_SECONDS:
                         return
                     continue
-                rtype, _payload = recv_frame(conn)
+                rtype, payload = recv_frame(conn)
             except (OSError, EOFError):
                 return
             idle_since = time.monotonic()
+            if rtype == proto.SHUTDOWN:
+                return
+            reply = self.handle(rtype, payload)
+            if reply is None:
+                reply = (
+                    rp.REPL_ERROR,
+                    rp.encode_json(
+                        {"error": f"unsupported frame type {rtype}"}
+                    ),
+                )
             try:
-                if rtype == proto.PING:
-                    send_frame(conn, proto.PONG)
-                    self.probes_answered += 1
-                elif rtype == rp.STATUS_REQ:
-                    send_frame(
-                        conn,
-                        rp.STATUS_RESP,
-                        rp.encode_json(self._status()),
-                    )
-                elif rtype == proto.SHUTDOWN:
-                    return
-                else:
-                    send_frame(
-                        conn,
-                        rp.REPL_ERROR,
-                        rp.encode_json(
-                            {"error": f"unsupported frame type {rtype}"}
-                        ),
-                    )
+                send_frame(conn, *reply)
             except (OSError, BrokenPipeError):
                 return
 
 
-class WatchdogPeerServer:
+class PrimaryStatusServer(_FrameListener):
+    """The primary's liveness/status listener (one background thread).
+
+    Answers ``PING`` → ``PONG`` and ``STATUS_REQ`` → ``STATUS_RESP``
+    with the primary's role and WAL watermarks, read straight off the
+    :class:`~repro.durable.manager.DurabilityManager` — no locks shared
+    with the ingest path.  Serves one connection at a time: the only
+    expected client is a watchdog that dials, probes, and hangs up.
+    """
+
+    _thread_name = "repro-primary-status"
+
+    def __init__(
+        self, manager, *, host: str = "127.0.0.1", port: int = 0
+    ) -> None:
+        super().__init__(host, port)
+        self._manager = manager
+        self.probes_answered = 0
+
+    def _status(self) -> dict:
+        return {
+            "role": "primary",
+            "pid": os.getpid(),
+            "durable_lsn": self._manager.durable_lsn,
+            "last_lsn": self._manager.last_lsn,
+        }
+
+    def handle(self, rtype: int, payload: bytes) -> Optional[tuple]:
+        if rtype == proto.PING:
+            self.probes_answered += 1
+            return proto.PONG, b""
+        if rtype == rp.STATUS_REQ:
+            return rp.STATUS_RESP, rp.encode_json(self._status())
+        return None
+
+
+class WatchdogPeerServer(_FrameListener):
     """One watchdog's voting surface (quorum-fenced promotion).
 
     Answers three frames on its own listener, one connection at a time
@@ -186,6 +206,8 @@ class WatchdogPeerServer:
     * ``PING`` → ``PONG`` (liveness).
     """
 
+    _thread_name = "repro-watchdog-peer"
+
     #: How long a granted vote stays exclusive when the grantee never
     #: promotes (it died mid-failover).  Long enough for any real
     #: promotion to complete, short enough that a drill retries fast.
@@ -195,11 +217,8 @@ class WatchdogPeerServer:
         self, watchdog: "FailoverWatchdog", *, host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__(host, port)
         self._watchdog = watchdog
-        self._listener = SocketListener(host, port)
-        self.address = self._listener.address
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
         self._lock = threading.Lock()
         #: The one outstanding grant: (requester, epoch, granted_at).
         self._grant: Optional[tuple[int, int, float]] = None
@@ -208,23 +227,6 @@ class WatchdogPeerServer:
         #: Report announced via WD_PROMOTED (or None).
         self.promotion_observed: Optional[dict] = None
 
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self._thread is not None:
-            raise RuntimeError("peer server already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-watchdog-peer", daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._listener.close()
-        if self._thread is not None:
-            self._thread.join(10.0)
-            self._thread = None
-
-    # ------------------------------------------------------------------
     def _holder(self, requester: int) -> Optional[int]:
         """The live grantee blocking ``requester``, or None (lock held)."""
         if self._grant is None:
@@ -291,55 +293,16 @@ class WatchdogPeerServer:
             if self.promotion_observed is None:
                 self.promotion_observed = dict(report)
 
-    # ------------------------------------------------------------------
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn = self._listener.accept(timeout=0.2)
-            except TimeoutError:
-                continue
-            except OSError:
-                return  # listener closed under us: shutting down
-            try:
-                self._serve(conn)
-            finally:
-                conn.close()
-
-    def _serve(self, conn) -> None:
-        idle_since = time.monotonic()
-        while not self._stop.is_set():
-            try:
-                if not conn.poll(0.2):
-                    if time.monotonic() - idle_since > _IDLE_SECONDS:
-                        return
-                    continue
-                rtype, payload = recv_frame(conn)
-            except (OSError, EOFError):
-                return
-            idle_since = time.monotonic()
-            try:
-                if rtype == rp.WD_VOTE_REQ:
-                    verdict = self._vote(rp.decode_json(payload))
-                    send_frame(
-                        conn, rp.WD_VOTE_RESP, rp.encode_json(verdict)
-                    )
-                elif rtype == rp.WD_PROMOTED:
-                    self.observe_promotion(rp.decode_json(payload))
-                    send_frame(conn, proto.PONG)
-                elif rtype == proto.PING:
-                    send_frame(conn, proto.PONG)
-                elif rtype == proto.SHUTDOWN:
-                    return
-                else:
-                    send_frame(
-                        conn,
-                        rp.REPL_ERROR,
-                        rp.encode_json(
-                            {"error": f"unsupported frame type {rtype}"}
-                        ),
-                    )
-            except (OSError, BrokenPipeError):
-                return
+    def handle(self, rtype: int, payload: bytes) -> Optional[tuple]:
+        if rtype == rp.WD_VOTE_REQ:
+            verdict = self._vote(rp.decode_json(payload))
+            return rp.WD_VOTE_RESP, rp.encode_json(verdict)
+        if rtype == rp.WD_PROMOTED:
+            self.observe_promotion(rp.decode_json(payload))
+            return proto.PONG, b""
+        if rtype == proto.PING:
+            return proto.PONG, b""
+        return None
 
 
 class FailoverWatchdog:
@@ -855,10 +818,7 @@ def launch_watchdog(
     index: int = 0,
     peer_port: Optional[int] = None,
     peers: Sequence[tuple] = (),
-    chaos_seed: Optional[int] = None,
-    chaos_rates: Optional[dict] = None,
-    python: Optional[str] = None,
-) -> subprocess.Popen:
+) -> HostProcess:
     """Start a detached ``repro watchdog`` process.
 
     The child inherits stdout/stderr (its ``ARMED`` and ``PROMOTED``
@@ -867,9 +827,7 @@ def launch_watchdog(
     waited on: it must outlive this process, that is its job.
 
     ``index``/``peer_port``/``peers`` configure quorum voting (see
-    :class:`WatchdogPeerServer`); ``chaos_seed``/``chaos_rates``
-    install a :class:`~repro.chaos.plan.FaultPlan` inside the child —
-    how a drill partitions one fleet member without touching the rest.
+    :class:`WatchdogPeerServer`).
     """
     argv = [
         "watchdog",
@@ -890,18 +848,14 @@ def launch_watchdog(
         argv.extend(["--peer-port", str(peer_port)])
     for address in peers:
         argv.extend(["--peer", format_address(address)])
-    if chaos_seed is not None:
-        argv.extend(["--chaos-seed", str(chaos_seed)])
-        for point, rate in sorted((chaos_rates or {}).items()):
-            argv.extend(["--chaos-rate", f"{point}={rate}"])
-    popen, _ = spawn_cli(argv, python=python)
+    process, _ = spawn_cli(argv)
     _LOGGER.info(
         "watchdog %d pid %d armed over primary %s, %d standby(s), "
         "%d peer(s)",
         index,
-        popen.pid,
+        process.pid,
         format_address(primary_address),
         len(standby_addresses),
         len(peers),
     )
-    return popen
+    return process

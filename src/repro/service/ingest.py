@@ -29,7 +29,6 @@ stay in this process.
 
 from __future__ import annotations
 
-import subprocess
 import time
 from dataclasses import dataclass
 from math import isfinite
@@ -45,6 +44,7 @@ from repro.service.shard import CampaignState, Shard, shard_for
 from repro.service.snapshot import TruthSnapshot
 from repro.service.topology import Topology
 from repro.utils.logging import get_logger
+from repro.utils.process import reap
 from repro.utils.validation import ensure_in_range, ensure_int
 
 _LOGGER = get_logger("service.ingest")
@@ -260,15 +260,15 @@ class IngestService:
         The deployment shape, one :class:`~repro.service.topology.
         Topology` value (default ``Topology.in_process()``).
         ``Topology.workers(n)`` moves campaign aggregators into a
-        :class:`~repro.workers.pool.WorkerPool` of ``n`` pipe-connected
+        :class:`~repro.workers.pool.ShardPool` of ``n`` pipe-connected
         processes, each owning a contiguous range of shards
         (:class:`~repro.workers.handles.RemoteAggregator` proxies
         parent-side; validation, admission, queues, micro-batching and
         durability logging stay here).  ``Topology.fabric(n)`` is the
-        same pool surface over ``n`` shard-host processes on TCP ports
-        (:class:`~repro.net.fabric.FabricPool`), supervised by default:
-        a dead host is restarted and replayed, with recovered truths
-        bitwise-identical to an uncrashed run.
+        same pool over ``n`` shard-host processes on TCP ports
+        (launched by :class:`~repro.net.fabric.SocketLauncher`),
+        supervised by default: a dead host is restarted and replayed,
+        with recovered truths bitwise-identical to an uncrashed run.
         ``Topology.replicated(...)`` ships the write-ahead log to warm
         standbys.  Every factory takes ``durability=`` (a
         :class:`~repro.durable.manager.DurabilityManager`, a
@@ -324,27 +324,28 @@ class IngestService:
         #: watchdog is a detached process and reports via its own exit).
         self.watchdog = None
         self._pumps = 0
-        if topology.kind == "workers":
+        if topology.kind in ("workers", "fabric"):
             from dataclasses import asdict
 
-            from repro.workers.pool import WorkerPool
+            from repro.workers.pool import ShardPool, pipe_launcher
 
-            self._pool = WorkerPool(
+            if topology.kind == "workers":
+                launch = pipe_launcher(topology.start_method)
+                # Pipe workers are fail-fast: a crash raises
+                # WorkerCrashedError and the operator recovers from
+                # the WAL.
+                supervise = False
+            else:
+                from repro.net.fabric import SocketLauncher
+
+                launch = SocketLauncher()
+                supervise = topology.supervise
+            self._pool = ShardPool(
                 self._config.num_shards,
                 topology.processes,
                 asdict(self._config),
-                start_method=topology.start_method,
-            )
-        elif topology.kind == "fabric":
-            from dataclasses import asdict
-
-            from repro.net.fabric import FabricPool
-
-            self._pool = FabricPool(
-                self._config.num_shards,
-                topology.processes,
-                asdict(self._config),
-                supervise=topology.supervise,
+                launch,
+                supervise=supervise,
             )
             if self._pool.supervisor is not None:
                 # Permanent host loss: the supervisor re-homes the
@@ -420,6 +421,7 @@ class IngestService:
                         )
                     )
         except BaseException:
+            self._stand_down_watchdogs()
             if status_server is not None:
                 status_server.stop()
             if pool is not None:
@@ -987,9 +989,8 @@ class IngestService:
 
     def _fold_supervision(self) -> None:
         """Mirror supervisor failover timings into the histogram."""
-        supervisor = getattr(self._pool, "supervisor", None)
-        if supervisor is not None:
-            self.telemetry.on_failover(supervisor)
+        if self._pool is not None and self._pool.supervisor is not None:
+            self.telemetry.on_failover(self._pool.supervisor)
 
     def snapshot(self, campaign_id: str) -> TruthSnapshot:
         """Fresh read-side view of one campaign.
@@ -1033,9 +1034,8 @@ class IngestService:
     def rebalance_shard(self, shard_index: int, target_worker: int) -> int:
         """Move one shard's campaigns to another worker/host, online.
 
-        Works identically over pipes (:class:`~repro.workers.pool.
-        WorkerPool`) and sockets (:class:`~repro.net.fabric.FabricPool`)
-        because both route through the same
+        Works identically over pipes and sockets: routing is the
+        :class:`~repro.workers.pool.ShardPool`'s
         :class:`~repro.net.placement.PlacementMap`.  Per campaign on the
         shard: register the spec on the target, ship ``state_dict``
         (the RPC is ordered after every frame already sent, so shipped
@@ -1096,14 +1096,22 @@ class IngestService:
         """Placement and supervision counters (None without a pool)."""
         if self._pool is None:
             return None
-        stats: dict = {"workers": self._pool.num_workers}
-        placement = getattr(self._pool, "placement", None)
-        if placement is not None:
-            stats["placement"] = placement.describe()
-        supervisor = getattr(self._pool, "supervisor", None)
-        if supervisor is not None:
-            stats["supervision"] = supervisor.stats()
+        stats: dict = {
+            "workers": self._pool.num_workers,
+            "placement": self._pool.placement.describe(),
+        }
+        if self._pool.supervisor is not None:
+            stats["supervision"] = self._pool.supervisor.stats()
         return stats
+
+    def _stand_down_watchdogs(self) -> None:
+        """SIGTERM every watchdog, then reap them (escalating on one
+        that ignores it)."""
+        for proc in self._watchdog_procs:
+            proc.terminate()
+        for proc in self._watchdog_procs:
+            reap(proc)
+        self._watchdog_procs = []
 
     def close(self) -> None:
         """Shut down the worker pool (if any); idempotent.
@@ -1128,15 +1136,7 @@ class IngestService:
         # Stand the watchdogs down *first*: a planned shutdown must
         # not read as a primary death, or the fleet would promote a
         # standby we are about to close.
-        for proc in self._watchdog_procs:
-            proc.terminate()
-        for proc in self._watchdog_procs:
-            try:
-                proc.wait(10.0)
-            except subprocess.TimeoutExpired:  # pragma: no cover
-                proc.kill()
-                proc.wait()
-        self._watchdog_procs = []
+        self._stand_down_watchdogs()
         if self._status_server is not None:
             self._status_server.stop()
             self._status_server = None

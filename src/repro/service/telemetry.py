@@ -177,7 +177,7 @@ class ServiceTelemetry:
         for value in seconds[self._failovers_seen:]:
             self.failover.observe(value)
         self._failovers_seen = len(seconds)
-        rehomes = getattr(supervisor, "rehome_seconds", ())
+        rehomes = supervisor.rehome_seconds
         for value in rehomes[self._rehomes_seen:]:
             self.rehome.observe(value)
         self._rehomes_seen = len(rehomes)
@@ -271,7 +271,7 @@ class ServiceTelemetry:
                 add("counter",
                     series_key("repro_compaction_evaluations_total"),
                     float(stats["evaluations"]))
-        replication = getattr(service, "replication", None)
+        replication = service.replication
         if replication is None and service.durability is not None:
             # A sender wired straight onto the manager (no
             # Topology.replicated) still deserves lag gauges.
@@ -334,11 +334,11 @@ class ServiceTelemetry:
         # Failover watchdog: the detached auto_failover process shows
         # up as an armed gauge; an in-process watchdog (service.watchdog)
         # folds its full counter set.
-        watchdog_proc = getattr(service, "watchdog_process", None)
-        watchdog = getattr(service, "watchdog", None)
+        watchdog_proc = service.watchdog_process
+        watchdog = service.watchdog
         if watchdog_proc is not None and watchdog is None:
             add("gauge", series_key("repro_watchdog_armed"),
-                1.0 if watchdog_proc.poll() is None else 0.0)
+                1.0 if watchdog_proc.is_alive() else 0.0)
         if watchdog is not None:
             stats = watchdog.stats()
             add("gauge", series_key("repro_watchdog_armed"),
@@ -391,7 +391,7 @@ class ServiceTelemetry:
         pool = service.worker_pool
         if pool is not None:
             for handle in pool.handles:
-                latencies = getattr(handle, "rpc_latencies", None)
+                latencies = handle.rpc_latencies
                 if latencies:
                     hist = Histogram(series_key(
                         "repro_fabric_rpc_seconds",
@@ -404,12 +404,12 @@ class ServiceTelemetry:
                         "sum": hist.sum,
                         "counts": hist.counts,
                     })
-            supervisor = getattr(pool, "supervisor", None)
+            supervisor = pool.supervisor
             if supervisor is not None:
                 add("counter",
                     series_key("repro_fabric_restarts_total"),
                     float(supervisor.restarts))
-                lost = getattr(supervisor, "lost_hosts", ())
+                lost = supervisor.lost_hosts
                 add("gauge", series_key("repro_degraded_hosts"),
                     float(len(lost)))
                 add("counter",
@@ -417,11 +417,9 @@ class ServiceTelemetry:
                     float(len(lost)))
                 add("counter",
                     series_key("repro_fabric_rehomes_total"),
-                    float(getattr(supervisor, "rehomes", 0)))
-            placement = getattr(pool, "placement", None)
-            if placement is not None:
-                add("gauge", series_key("repro_placement_epoch"),
-                    float(getattr(placement, "epoch", 0)))
+                    float(supervisor.rehomes))
+            add("gauge", series_key("repro_placement_epoch"),
+                float(pool.placement.epoch))
             for worker_id, remote in list(self.remote_snapshots.items()):
                 snap = snap.merge(
                     remote.relabel(proc=f"worker{worker_id}")

@@ -12,8 +12,10 @@ durability logging:
 * :mod:`repro.workers.worker` — the spawn-safe worker loop: per-campaign
   :class:`~repro.service.aggregator.IncrementalAggregator` instances fed
   strictly in frame order;
-* :mod:`repro.workers.pool` — process lifecycle and contiguous
-  shard-range placement;
+* :mod:`repro.workers.pool` — :class:`ShardPool`: process lifecycle
+  and contiguous shard-range placement over a launcher
+  (:func:`pipe_launcher` here; the socket fabric's
+  :class:`~repro.net.fabric.SocketLauncher` drives the same pool);
 * :mod:`repro.workers.handles` — :class:`WorkerHandle` (pipe + crash
   detection + RPCs) and :class:`RemoteAggregator`, the
   ``IncrementalAggregator`` proxy that lets the existing
@@ -30,7 +32,7 @@ from repro.workers.handles import (
     WorkerError,
     WorkerHandle,
 )
-from repro.workers.pool import WorkerPool, shard_ranges
+from repro.workers.pool import ShardPool, pipe_launcher, shard_ranges
 from repro.workers.protocol import (
     ProtocolError,
     decode_frame,
@@ -45,13 +47,14 @@ from repro.workers.worker import worker_main
 __all__ = [
     "ProtocolError",
     "RemoteAggregator",
+    "ShardPool",
     "WorkerCrashedError",
     "WorkerError",
     "WorkerHandle",
-    "WorkerPool",
     "decode_frame",
     "encode_frame",
     "pack_state",
+    "pipe_launcher",
     "recv_frame",
     "send_frame",
     "shard_ranges",

@@ -41,6 +41,7 @@ import numpy as np
 from repro.durable import records as rec
 from repro.service.aggregator import IncrementalAggregator
 from repro.truthdiscovery.streaming import ClaimBatch
+from repro.utils.process import reap
 from repro.workers import protocol as proto
 
 
@@ -229,13 +230,7 @@ class WorkerHandle:
             proto.send_frame(self._conn, proto.SHUTDOWN, b"")
         except (BrokenPipeError, ConnectionResetError, OSError):
             pass  # already dead; just reap it below
-        self.process.join(timeout)
-        if self.process.is_alive():  # pragma: no cover - hung worker
-            self.process.terminate()
-            self.process.join(timeout)
-            if self.process.is_alive():
-                self.process.kill()
-                self.process.join(timeout)
+        reap(self.process, timeout)
         try:
             self._conn.close()
         except OSError:  # pragma: no cover - double close

@@ -1,44 +1,80 @@
-"""The worker pool: process lifecycle and shard-to-worker placement.
+"""The shard pool: process lifecycle and shard-to-worker placement.
 
-A :class:`WorkerPool` spawns N worker processes and assigns each a
-contiguous range of the service's shards via the same mutable
-:class:`~repro.net.placement.PlacementMap` the socket fabric
-(:class:`~repro.net.fabric.FabricPool`) uses — so routing and online
-rebalancing work identically over pipes and sockets.  Startup is a handshake: each worker receives a
-``CONFIG`` frame (the service configuration, as the same JSON record
-the write-ahead log stores) and must answer ``READY`` — a worker that
+A :class:`ShardPool` owns N child processes and assigns each a
+contiguous range of the service's shards through a mutable
+:class:`~repro.net.placement.PlacementMap`, so routing and online
+rebalancing work identically whatever carries the frames.  The pool is
+transport-free: its one transport-specific input is a *launcher*,
+``launch(worker_id, shard_range) -> (process, conn)``, returning a
+started child (the ``multiprocessing.Process`` surface) and a connected
+frame stream to it.  Two launchers exist:
+
+* :func:`pipe_launcher` — a ``multiprocessing`` process running
+  :func:`~repro.workers.worker.worker_main` on a duplex pipe
+  (``Topology.workers(n)``);
+* :class:`~repro.net.fabric.SocketLauncher` — a ``repro serve-shard``
+  child on a TCP port (``Topology.fabric(n)``).
+
+Startup is a handshake: each child receives a ``CONFIG`` frame (the
+service configuration, as the same JSON record the write-ahead log
+stores) as soon as it is launched and must answer ``READY`` — awaited
+only once every child is started, so slow starts overlap.  A child that
 dies importing NumPy or decoding the config is reported with its
 traceback instead of hanging the parent.
 
-The pool defaults to the ``spawn`` start method: it is the only method
-available everywhere Python 3.10–3.13 runs, it cannot inherit locks or
-buffered state from a threaded parent, and it forces the frame protocol
-to carry everything a worker needs (which is exactly what a future
-socket transport requires).  Tests that need fast startup on POSIX can
-pass ``start_method="fork"``.
+With ``supervise=True`` every handle journals its state-changing frames
+and a dead child is restarted through the same launcher and replayed
+from its last capture (:class:`~repro.net.supervisor.Supervisor`)
+instead of poisoning the service with
+:class:`~repro.workers.handles.WorkerCrashedError`.
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 
+from repro.chaos import points as _chaos
 from repro.durable import records as rec
 from repro.net.placement import PlacementMap, shard_ranges
 from repro.utils.logging import get_logger
+from repro.utils.process import reap
 from repro.workers import protocol as proto
 from repro.workers.handles import WorkerHandle
 from repro.workers.worker import worker_main
 
 _LOGGER = get_logger("workers.pool")
 
-#: Start methods the pool accepts (``forkserver`` adds nothing here).
-START_METHODS = ("spawn", "fork", "forkserver")
+__all__ = ["ShardPool", "pipe_launcher", "shard_ranges"]
 
 
-__all__ = ["START_METHODS", "WorkerPool", "shard_ranges"]
+def pipe_launcher(start_method: str = "spawn"):
+    """A launcher of pipe-connected ``multiprocessing`` workers.
+
+    ``spawn`` is the default start method: it is the only one available
+    everywhere Python 3.10–3.13 runs, it cannot inherit locks or
+    buffered state from a threaded parent, and it forces the frame
+    protocol to carry everything a worker needs.  Tests that need fast
+    startup on POSIX pass ``"fork"``.
+    """
+    ctx = multiprocessing.get_context(start_method)
+
+    def launch(worker_id: int, shard_range: tuple):
+        parent_conn, child_conn = ctx.Pipe(duplex=True)
+        process = ctx.Process(
+            target=worker_main,
+            args=(child_conn, worker_id, shard_range),
+            name=f"repro-shard-worker-{worker_id}",
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        return process, parent_conn
+
+    return launch
 
 
-class WorkerPool:
+class ShardPool:
     """N shard-worker processes behind one ingestion service.
 
     Parameters
@@ -46,15 +82,19 @@ class WorkerPool:
     num_shards:
         The service's shard count (placement domain).
     num_workers:
-        Worker processes to spawn (``1 <= num_workers <= num_shards``).
+        Child processes to launch (``1 <= num_workers <= num_shards``).
     config_payload:
-        JSON-serialisable service configuration, sent to every worker
-        as its first (``CONFIG``) frame.
-    start_method:
-        ``multiprocessing`` start method; ``"spawn"`` by default (see
-        the module docstring).
+        JSON-serialisable service configuration, sent to every child as
+        its first (``CONFIG``) frame.
+    launch:
+        The launcher (see the module docstring); also what
+        :meth:`respawn` calls to replace a dead child.
+    supervise:
+        Journal every child and transparently restart/replay a dead
+        one.  ``False`` is fail-fast: a crash surfaces as
+        :class:`~repro.workers.handles.WorkerCrashedError`.
     ready_timeout:
-        Seconds to wait for each worker's READY handshake (spawning
+        Seconds to wait for each child's READY handshake (spawning
         interpreters and importing NumPy on a cold CI runner is slow).
     """
 
@@ -63,41 +103,36 @@ class WorkerPool:
         num_shards: int,
         num_workers: int,
         config_payload: dict,
+        launch,
         *,
-        start_method: str = "spawn",
+        supervise: bool = False,
         ready_timeout: float = 120.0,
     ) -> None:
-        if start_method not in START_METHODS:
-            raise ValueError(
-                f"start_method must be one of {START_METHODS}, "
-                f"got {start_method!r}"
-            )
         self._closed = False
-        self.handles: list[WorkerHandle] = []
-        #: Explicit, mutable shard->worker table: the same placement
-        #: object the socket fabric uses, so rebalancing works
-        #: identically over pipes and sockets.
+        self._launch = launch
+        self.ready_timeout = ready_timeout
+        self.config_frame = rec.encode_json_payload(config_payload)
+        #: Explicit, mutable shard->worker table.
         self.placement = PlacementMap(num_shards, num_workers)
-        ctx = multiprocessing.get_context(start_method)
-        ranges = shard_ranges(num_shards, num_workers)
-        config_frame = rec.encode_json_payload(config_payload)
+        self.supervisor = None
+        make_handle = WorkerHandle
+        if supervise:
+            from repro.net.supervisor import SupervisedHandle, Supervisor
+
+            self.supervisor = Supervisor(self)
+            make_handle = functools.partial(
+                SupervisedHandle, supervisor=self.supervisor
+            )
+        self.handles: list[WorkerHandle] = []
         try:
-            for worker_id, (lo, hi) in enumerate(ranges):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                process = ctx.Process(
-                    target=worker_main,
-                    args=(child_conn, worker_id, (lo, hi)),
-                    name=f"repro-shard-worker-{worker_id}",
-                    daemon=True,
-                )
-                process.start()
-                child_conn.close()
-                handle = WorkerHandle(
-                    worker_id, (lo, hi), process, parent_conn
-                )
+            for worker_id, shard_range in enumerate(
+                shard_ranges(num_shards, num_workers)
+            ):
+                process, conn = launch(worker_id, shard_range)
+                handle = make_handle(worker_id, shard_range, process, conn)
                 self.handles.append(handle)
-                handle.send(rec.CONFIG, config_frame)
-            # Handshake after every process is launched, so slow spawns
+                handle.send(rec.CONFIG, self.config_frame)
+            # Handshake after every child is launched, so slow starts
             # overlap instead of serialising.
             for handle in self.handles:
                 handle.expect(proto.READY, timeout=ready_timeout)
@@ -105,10 +140,9 @@ class WorkerPool:
             self.close()
             raise
         _LOGGER.debug(
-            "worker pool up: %d worker(s) over %d shard(s) via %s",
+            "shard pool up: %d worker(s) over %d shard(s)",
             num_workers,
             num_shards,
-            start_method,
         )
 
     # ------------------------------------------------------------------
@@ -130,27 +164,72 @@ class WorkerPool:
         return self.placement.move(shard_index, target_worker)
 
     def check(self) -> None:
-        """Probe every worker for crashes (cheap; called per pump)."""
+        """Probe every child for crashes (cheap; called per pump).
+
+        Supervised handles absorb crashes by restarting the child;
+        afterwards any child whose journal outgrew the claim budget is
+        re-captured.  Children declared lost for good (re-homed by the
+        supervisor) are skipped — probing a retired corpse would only
+        re-detect the loss.
+        """
         for handle in self.handles:
-            handle.check()
+            if not handle.lost:
+                handle.check()
+        if self.supervisor is not None:
+            self.supervisor.maybe_checkpoint()
 
     def sync(self) -> None:
-        """Barrier across all workers: every shipped frame is processed."""
+        """Barrier across all children: every shipped frame is processed."""
         for handle in self.handles:
-            handle.sync()
+            if not handle.lost:
+                handle.sync()
+
+    def ping(self, worker_id: int, *, timeout: float = 5.0) -> float:
+        """Heartbeat one shard host off the data plane; returns the RTT
+        (socket launchers only — a pipe has no second stream)."""
+        return self._launch.ping(worker_id, timeout=timeout)
+
+    # ------------------------------------------------------------------
+    def respawn(self, handle) -> None:
+        """Replace a dead child's process and stream (supervisor hook).
+
+        Raises ``OSError`` when the replacement cannot be launched —
+        including when the injectable ``proc.spawn`` fault point fires,
+        which is how chaos drills model a machine that is gone for good
+        (the supervisor's bounded retries exhaust and it re-homes the
+        child's shards instead).
+        """
+        fault = _chaos.fire("proc.spawn")
+        if fault is not None:
+            raise OSError(
+                f"chaos: spawn of shard host {handle.worker_id} refused "
+                f"(#{fault.index})"
+            )
+        old = handle.process
+        if old.is_alive():
+            old.kill()
+        reap(old)
+        handle.reset(*self._launch(handle.worker_id, handle.shard_range))
 
     # ------------------------------------------------------------------
     def close(self, timeout: float = 10.0) -> None:
-        """Shut every worker down cleanly; idempotent."""
+        """Shut every child down cleanly; idempotent and crash-safe."""
         if self._closed:
             return
         self._closed = True
+        if self.supervisor is not None:
+            # No failover during teardown: a child that is already gone
+            # is exactly what we want.
+            self.supervisor.active = False
         for handle in self.handles:
-            handle.shutdown(timeout)
+            if handle.lost:
+                # Retired: no stream left to say goodbye on.
+                reap(handle.process, timeout)
+            else:
+                handle.shutdown(timeout)
 
-    def __enter__(self) -> "WorkerPool":
+    def __enter__(self) -> "ShardPool":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-

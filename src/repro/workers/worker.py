@@ -5,7 +5,7 @@ frame and a ``send`` callback it applies the frame to its campaign
 aggregators and emits any response frames.  Two transports drive it:
 
 * :func:`worker_main` — the (spawn-safe, module-level) entrypoint of a
-  pipe-connected worker process (``repro.workers.pool.WorkerPool``);
+  pipe-connected worker process (:func:`repro.workers.pool.pipe_launcher`);
 * :class:`repro.net.host.ShardHost` — the same runtime behind an
   asyncio socket server (``repro serve-shard``), one host process per
   port.

@@ -12,7 +12,7 @@ The chaos layer's replayability contract has two halves:
   cannot shift a network fault's schedule, and a multi-threaded drill
   replays identically however the threads raced.
 
-``repro chaos-drill`` records only the seed; these properties are what
+``benchmarks/chaos_drill.py`` records only the seed; these properties are what
 make that a complete description of the run's injected faults.
 """
 

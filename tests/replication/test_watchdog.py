@@ -5,7 +5,7 @@ Everything runs in-process (:meth:`StandbyServer.start` and
 self-healing loop — heartbeat, miss accounting, election over STATUS
 frames, ``PROMOTE`` — is exercised without subprocesses.  The
 subprocess flavour (``launch_watchdog`` + the drill harness) is
-covered by ``repro chaos-drill --smoke`` in CI.
+covered by ``benchmarks/chaos_drill.py --smoke`` in CI.
 """
 
 import time

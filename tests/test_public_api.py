@@ -126,3 +126,35 @@ def test_spawn_path_imports_stay_scipy_free(module_name):
     assert proc.returncode == 0, (
         f"importing {module_name} pulled in scipy\n{proc.stderr}"
     )
+
+
+def test_cli_import_leaves_the_figure_code_out():
+    """Every spawned serve-shard / standby / watchdog imports
+    ``repro.cli``; only ``list`` / ``run`` / ``all`` / ``show`` draw
+    figures, so they import ``repro.experiments`` themselves."""
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import repro.cli, sys; "
+            "sys.exit('repro.experiments' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, (
+        f"importing repro.cli pulled in repro.experiments\n{proc.stderr}"
+    )
+
+
+def test_one_pool_and_no_drill_in_the_library():
+    import repro.chaos
+    import repro.net
+    import repro.workers
+
+    assert "run_chaos_drill" not in repro.chaos.__all__
+    assert not hasattr(repro.chaos, "run_chaos_drill")
+    assert "ShardPool" in repro.workers.__all__
+    assert "ShardPool" in repro.net.__all__
+    assert repro.net.ShardPool is repro.workers.ShardPool
