@@ -135,7 +135,10 @@ def main() -> None:
     supervision = stats["supervision"]
     print(
         f"  supervisor: {supervision['restarts']} restart(s), "
-        f"recovered in {supervision['last_failover_seconds']:.2f} s"
+        f"recovered in {supervision['last_failover_seconds']:.2f} s\n"
+        f"              {supervision['captures']} capture(s): "
+        f"{supervision['capture_bytes_total']:,} B of state captured for "
+        f"{supervision['journaled_bytes_total']:,} B journaled"
     )
     assert_bitwise(generators, single, healed, "after failover + replay")
 

@@ -33,9 +33,20 @@ markers — replaying the marker reproduces the fold at the same point
 in the stream, and a marker hitting an empty staging buffer is a
 no-op, so over-marking cannot perturb state.
 
-Captures are taken automatically every ``checkpoint_every_claims``
-journaled claims (bounding replay work and journal memory), and after
-every failover.
+Captures cost what the stream costs.  A capture moves every campaign's
+full state back over the socket, so a host is re-captured only once
+its journal has grown to the size of the capture it would replace
+(``bytes_since_capture >= captured_bytes`` — both are sizes the journal
+already holds), and after every failover or re-home.  That one rule
+gives three bounds, whatever the state size: every capture is paid for
+by the stream that follows it, so capture traffic never exceeds the
+journaled bytes plus the captures still in force (write amplification
+<= 2); the parent holds at most blob + journal <= 2 x state per host;
+and a crash replays at most one state's worth of frames.
+``checkpoint_every_claims`` stays as the floor under it: when states
+are tiny the byte rule would fire every few frames, and the claim
+spacing is what amortises a sweep's fixed round-trip cost (it alone
+decides a host's first capture, when there is nothing to replace).
 
 Hosts can also disappear *for good* — the machine is gone, not the
 process.  Respawn attempts are bounded by the shared jittered
@@ -110,7 +121,14 @@ class HostJournal:
         #: State-changing frames sent since the last capture, in order.
         self.frames: list[tuple[int, bytes]] = []
         self.claims_since_capture = 0
+        #: Payload bytes held in ``frames`` (replay work, parent memory).
+        self.bytes_since_capture = 0
+        #: Blob bytes held in ``captured``: what the next capture costs.
+        self.captured_bytes = 0
         self.captures = 0
+        #: Lifetime totals: capture traffic against the stream it insures.
+        self.capture_bytes_total = 0
+        self.journaled_bytes_total = 0
 
     def record(self, rtype: int, payload: bytes) -> None:
         """Note one state-changing frame about to go on the wire."""
@@ -123,6 +141,8 @@ class HostJournal:
         elif rtype == rec.BATCH:
             self.claims_since_capture += _batch_claims(payload)
         self.frames.append((rtype, bytes(payload)))
+        self.bytes_since_capture += len(payload)
+        self.journaled_bytes_total += len(payload)
 
     def capture(self, states: dict[str, bytes]) -> None:
         """Adopt fresh per-campaign state blobs; the journal restarts
@@ -133,7 +153,10 @@ class HostJournal:
         }
         self.frames.clear()
         self.claims_since_capture = 0
+        self.bytes_since_capture = 0
+        self.captured_bytes = sum(len(blob) for blob in states.values())
         self.captures += 1
+        self.capture_bytes_total += self.captured_bytes
 
 
 class Supervisor:
@@ -188,14 +211,22 @@ class Supervisor:
 
     # ------------------------------------------------------------------
     def maybe_checkpoint(self) -> None:
-        """Capture any host whose journal outgrew the claim budget."""
+        """Capture any host whose journal outgrew its last capture.
+
+        Due means the journal holds at least as many bytes as the
+        capture it would replace, and at least the claim floor (see the
+        module docstring for what the pair bounds).
+        """
         if not self.active:
             return
         for handle in self._pool.handles:
             if handle.lost:
                 continue
             journal = handle.journal
-            if journal.claims_since_capture >= self.checkpoint_every_claims:
+            if (
+                journal.claims_since_capture >= self.checkpoint_every_claims
+                and journal.bytes_since_capture >= journal.captured_bytes
+            ):
                 self.checkpoint(handle)
 
     def checkpoint(self, handle: "SupervisedHandle") -> None:
@@ -206,15 +237,21 @@ class Supervisor:
         already sent, so the capture is exact without any barrier.  The
         response bodies are journaled undecoded.
         """
-        states = {
-            cid: handle.request(
+        journal = handle.journal
+        epoch = journal.captures
+        states = {}
+        for cid in sorted(journal.specs):
+            states[cid] = handle.request(
                 proto.STATE_REQ,
                 rec.encode_json_payload({"campaign_id": cid}),
                 proto.STATE_RESP,
             )
-            for cid in sorted(handle.journal.specs)
-        }
-        handle.journal.capture(states)
+            if journal.captures != epoch or handle.lost:
+                # The host died under that request: the failover that
+                # answered it already captured the replacement (or
+                # re-homed the campaigns and captured the survivors).
+                return
+        journal.capture(states)
         _LOGGER.debug(
             "captured host %d (%d campaign(s))",
             handle.worker_id,
@@ -406,16 +443,30 @@ class Supervisor:
         )
 
     def stats(self) -> dict:
-        """JSON-friendly counters (bench / observability)."""
+        """JSON-friendly counters (bench / observability).
+
+        ``journal_bytes`` and ``captured_bytes`` are what the parent
+        holds right now for its live hosts (a crash replays the first
+        on top of the second); the ``*_total`` pair is lifetime capture
+        traffic against the journaled stream it insured.
+        """
+        journals = [h.journal for h in self._pool.handles]
+        live = [h.journal for h in self._pool.handles if not h.lost]
         return {
             "restarts": self.restarts,
             "respawn_retries": self.respawn_retries,
             "last_failover_seconds": self.last_failover_seconds,
             "failover_seconds": list(self.failover_seconds),
             "checkpoint_every_claims": self.checkpoint_every_claims,
-            "captures": sum(
-                h.journal.captures for h in self._pool.handles
+            "captures": sum(j.captures for j in journals),
+            "capture_bytes_total": sum(
+                j.capture_bytes_total for j in journals
             ),
+            "journaled_bytes_total": sum(
+                j.journaled_bytes_total for j in journals
+            ),
+            "journal_bytes": sum(j.bytes_since_capture for j in live),
+            "captured_bytes": sum(j.captured_bytes for j in live),
             "hosts_lost": sorted(self.lost_hosts),
             "rehomes": self.rehomes,
             "last_rehome_seconds": self.last_rehome_seconds,
@@ -536,7 +587,10 @@ class SupervisedHandle(WorkerHandle):
         try:
             return super().request(rtype, payload, expect)
         except WorkerCrashedError:
-            self._supervisor.failover(self)
+            if not self.lost:
+                # (Lost already: the request's own send hit the corpse,
+                # failed over and re-homed before raising.)
+                self._supervisor.failover(self)
             if self.lost:
                 return self._reroute_request(rtype, payload, expect)
             return super().request(rtype, payload, expect)

@@ -409,6 +409,15 @@ class ServiceTelemetry:
                 add("counter",
                     series_key("repro_fabric_restarts_total"),
                     float(supervisor.restarts))
+                supervision = supervisor.stats()
+                add("counter",
+                    series_key("repro_fabric_captures_total"),
+                    float(supervision["captures"]))
+                add("counter",
+                    series_key("repro_fabric_capture_bytes_total"),
+                    float(supervision["capture_bytes_total"]))
+                add("gauge", series_key("repro_fabric_journal_bytes"),
+                    float(supervision["journal_bytes"]))
                 lost = supervisor.lost_hosts
                 add("gauge", series_key("repro_degraded_hosts"),
                     float(len(lost)))

@@ -167,8 +167,9 @@ class ShardPool:
         """Probe every child for crashes (cheap; called per pump).
 
         Supervised handles absorb crashes by restarting the child;
-        afterwards any child whose journal outgrew the claim budget is
-        re-captured.  Children declared lost for good (re-homed by the
+        afterwards any child whose journal has grown to the size of its
+        last capture (and past the claim floor) is re-captured.
+        Children declared lost for good (re-homed by the
         supervisor) are skipped — probing a retired corpse would only
         re-detect the loss.
         """

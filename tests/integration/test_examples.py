@@ -6,6 +6,7 @@ execute with stdout captured, asserting on its key output lines.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
@@ -88,6 +89,27 @@ def test_multiprocess_workers(capsys):
     assert "truths identical across modes" in out
     assert "caught: WorkerHandle(" in out
     assert "bit-for-bit" in out
+
+
+def test_distributed_service(capsys):
+    out = run_example("distributed_service", capsys)
+    assert "truths identical bit-for-bit (sockets vs in-process)" in out
+    assert "truths identical bit-for-bit (after failover + replay)" in out
+    assert "truths identical bit-for-bit (after online rebalancing)" in out
+    assert "supervisor: 1 restart(s)" in out
+    captures, captured, journaled = (
+        int(group.replace(",", ""))
+        for group in re.search(
+            r"(\d+) capture\(s\): ([\d,]+) B of state captured for "
+            r"([\d,]+) B journaled",
+            out,
+        ).groups()
+    )
+    # Too short a stream for the cadence (a 50 000-claim floor): the
+    # one capture is the failover's, and state traffic stays below the
+    # stream it insures.
+    assert captures == 1
+    assert 0 < captured <= journaled
 
 
 def test_replicated_service(capsys):

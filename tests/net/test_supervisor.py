@@ -6,6 +6,7 @@ bitwise-equal to a run that never crashed — and that privacy budget
 spent before the crash stays spent.
 """
 
+import json
 import os
 import signal
 
@@ -24,6 +25,7 @@ from repro.service import (
 )
 from repro.workers import WorkerCrashedError
 from repro.workers import protocol as proto
+from repro.workers.handles import WorkerHandle
 
 from test_fabric import assert_snapshots_bitwise_equal, stream_campaigns
 
@@ -64,6 +66,7 @@ class TestHostJournal:
         )
         journal.record(rec.BATCH, item.to_bytes())
         assert journal.claims_since_capture == 3
+        assert journal.bytes_since_capture == len(item.to_bytes())
 
     def test_capture_restarts_the_journal(self):
         journal = HostJournal()
@@ -74,6 +77,8 @@ class TestHostJournal:
         assert journal.captured["c1"] == (spec, blob)
         assert journal.frames == []
         assert journal.claims_since_capture == 0
+        assert journal.bytes_since_capture == 0
+        assert journal.captured_bytes == len(blob)
         assert journal.captures == 1
         # The registration itself lives in the capture now, not the
         # frame tail — replay must not register twice.
@@ -316,3 +321,104 @@ class TestFailover:
                     )
                     service.pump()
                     service.sync_workers()
+
+
+class TestDeathMidSweep:
+    """A host dying inside ``Supervisor.checkpoint``'s sweep: the
+    failover the interrupted request triggers already captured the
+    replacement (or re-homed the campaigns), so the sweep must stop
+    there instead of fetching and adopting everything a second time.
+
+    The death is noticed either when the request's write fails or when
+    its response never comes; which one is the kernel's choice (a peer
+    killed with unread frames resets the connection), so both are
+    forced here: a drained host closes quietly and the write goes
+    through, a closed parent-side stream fails the write.
+    """
+
+    @staticmethod
+    def kill_before_state_req(monkeypatch, victim, nth, noticed_on, issued):
+        """SIGKILL ``victim`` right before its ``nth`` ``STATE_REQ``
+        goes on the wire; every one it is asked lands in ``issued``."""
+        real_request = WorkerHandle.request
+        victim.sync()
+
+        def request(handle, rtype, payload, expect):
+            if handle is victim and rtype == proto.STATE_REQ:
+                issued.append(json.loads(payload)["campaign_id"])
+                if len(issued) == nth:
+                    os.kill(victim.process.pid, signal.SIGKILL)
+                    victim.process.join(10.0)
+                    if noticed_on == "send":
+                        victim._conn.close()
+            return real_request(handle, rtype, payload, expect)
+
+        monkeypatch.setattr(WorkerHandle, "request", request)
+
+    @pytest.mark.parametrize("noticed_on", ["send", "response"])
+    def test_respawned_host_is_captured_once(self, monkeypatch, noticed_on):
+        with make_budgeted_service(0) as baseline:
+            expected = stream_campaigns(baseline)
+
+        issued = []
+        seen = {}
+
+        def sweep(service):
+            (victim,) = service.worker_pool.handles
+            supervisor = service.worker_pool.supervisor
+            captures = victim.journal.captures
+            self.kill_before_state_req(
+                monkeypatch, victim, 2, noticed_on, issued
+            )
+            supervisor.checkpoint(victim)
+            seen["captures"] = victim.journal.captures - captures
+            seen["restarts"] = supervisor.restarts
+
+        with make_budgeted_service(1) as service:
+            got = stream_campaigns(service, midstream=sweep)
+
+        assert seen == {"captures": 1, "restarts": 1}
+        # One answered, one that hit the corpse, the failover's own
+        # sweep of three — and nothing once the interrupted request was
+        # answered: by its retry when the response went missing, by the
+        # re-sent frame (no new request) when the write failed.
+        retry = ["net-c1"] if noticed_on == "response" else []
+        assert issued == [
+            "net-c0", "net-c1", "net-c0", "net-c1", "net-c2", *retry
+        ]
+        assert_snapshots_bitwise_equal(expected, got)
+
+    @pytest.mark.parametrize("noticed_on", ["send", "response"])
+    def test_lost_host_ends_the_sweep(self, monkeypatch, noticed_on):
+        from repro.chaos import DEFAULT_RATES, FaultPlan, installed
+
+        with make_budgeted_service(0) as baseline:
+            expected = stream_campaigns(baseline)
+
+        issued = []
+        seen = {}
+
+        def sweep(service):
+            pool = service.worker_pool
+            victim = max(pool.handles, key=lambda h: len(h.journal.specs))
+            assert len(victim.journal.specs) >= 2
+            captures = victim.journal.captures
+            self.kill_before_state_req(
+                monkeypatch, victim, 1, noticed_on, issued
+            )
+            pool.supervisor.checkpoint(victim)
+            seen["lost"] = victim.lost
+            seen["captures"] = victim.journal.captures - captures
+            seen["rehomes"] = pool.supervisor.rehomes
+
+        rates = {**dict.fromkeys(DEFAULT_RATES, 0.0), "proc.spawn": 1.0}
+        with installed(FaultPlan(5, rates=rates)), \
+                make_budgeted_service(2) as service:
+            got = stream_campaigns(service, midstream=sweep)
+
+        # The request that hit the corpse was answered by the survivor
+        # that adopted the campaign; the retired host is asked nothing
+        # more, is re-homed once, and its journal adopts nothing.
+        assert seen == {"lost": True, "captures": 0, "rehomes": 1}
+        assert len(issued) == 1
+        assert_snapshots_bitwise_equal(expected, got)
