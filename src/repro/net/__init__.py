@@ -8,9 +8,10 @@ boundary with it:
   incremental decoder both pipes and sockets use;
 * :mod:`repro.net.transport` — :class:`SocketListener` /
   :class:`SocketConnection`, the ``multiprocessing``-connection surface
-  over TCP;
-* :mod:`repro.net.host` — :class:`ShardHost`, the worker runtime behind
-  an asyncio socket server (``repro serve-shard``);
+  over TCP; :class:`FrameServer`, the one accept loop (threads over
+  blocking sockets), and :func:`call`, the one dial–ask–hang-up client;
+* :mod:`repro.net.host` — :class:`ShardHost`, the pipe worker's loop
+  behind a :class:`FrameServer` (``repro serve-shard``);
 * :mod:`repro.net.placement` — :class:`PlacementMap`, the mutable
   shard→host table;
 * :mod:`repro.net.fabric` — :class:`SocketLauncher`, what makes the
@@ -29,6 +30,7 @@ _EXPORTS = {
     "ShardPool": "repro.workers.pool",
     "SocketLauncher": "repro.net.fabric",
     "FrameReader": "repro.net.framing",
+    "FrameServer": "repro.net.transport",
     "FramingError": "repro.net.framing",
     "ShardHost": "repro.net.host",
     "serve_shard": "repro.net.host",
@@ -38,6 +40,7 @@ _EXPORTS = {
     "Supervisor": "repro.net.supervisor",
     "SocketConnection": "repro.net.transport",
     "SocketListener": "repro.net.transport",
+    "call": "repro.net.transport",
     "connect": "repro.net.transport",
 }
 

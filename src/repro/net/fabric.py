@@ -28,7 +28,7 @@ import sys
 import time
 from typing import Optional, Sequence
 
-from repro.net.transport import SocketConnection, connect
+from repro.net.transport import SocketConnection, call, connect
 from repro.utils.logging import get_logger
 from repro.workers import protocol as proto
 
@@ -193,20 +193,12 @@ class SocketLauncher:
         data plane would be read as an error report, so liveness probes
         get their own stream (the shard host serves both concurrently).
         """
-        sock = connect(self.addresses[worker_id], timeout=timeout)
-        try:
-            start = time.perf_counter()
-            proto.send_frame(sock, proto.PING, b"ping")
-            if not sock.poll(timeout):
-                raise TimeoutError(
-                    f"host {worker_id} answered no PONG within {timeout}s"
-                )
-            rtype, _payload = proto.recv_frame(sock)
-            if rtype != proto.PONG:
-                raise proto.ProtocolError(
-                    f"host {worker_id} answered frame type {rtype} to a "
-                    f"PING"
-                )
-            return time.perf_counter() - start
-        finally:
-            sock.close()
+        start = time.perf_counter()
+        rtype, _payload = call(
+            self.addresses[worker_id], proto.PING, b"ping", timeout=timeout
+        )
+        if rtype != proto.PONG:
+            raise proto.ProtocolError(
+                f"host {worker_id} answered frame type {rtype} to a PING"
+            )
+        return time.perf_counter() - start

@@ -1,45 +1,40 @@
-"""The shard host: the worker runtime behind an asyncio socket server.
+"""The shard host: the pipe worker's loop, on a socket.
 
-``repro serve-shard`` turns a shard worker into a process on a port.
-The host serves the same frame protocol the pipe workers speak — driven
-by the shared :class:`~repro.workers.worker.ShardRuntime` — but over
-TCP, and accepts *multiple* concurrent connections:
+``repro serve-shard`` turns a shard worker into a process on a port:
+the frame protocol the pipe workers speak, each frame handed to the
+shared :class:`~repro.workers.worker.ShardRuntime`, behind a
+:class:`~repro.net.transport.FrameServer` — so it accepts *multiple*
+connections, each on its own thread:
 
-* the **primary** connection is whichever peer completes the
-  ``CONFIG`` → ``READY`` handshake (the fabric's data plane; frames on
-  it are processed strictly in order, preserving the bitwise-identical
-  truths invariant);
-* any other connection may probe liveness with ``PING`` → ``PONG``
-  (the supervisor's heartbeat) without perturbing the data plane —
-  an unsolicited frame on the primary connection would be read as an
-  error report by the parent, so heartbeats need their own stream.
+* the **data plane** is the connection that sends ``CONFIG`` (answered
+  ``READY``): the only one that feeds the runtime, its frames processed
+  strictly in order on one thread, which is what keeps truths
+  bitwise-identical to an in-process run;
+* any other connection gets ``PING`` → ``PONG`` (the supervisor's
+  heartbeat) — an unsolicited frame on the data plane would be read as
+  an error report by the parent, so heartbeats need their own stream.
 
-Lifecycle mirrors the pipe worker: a ``SHUTDOWN`` frame exits cleanly;
-the primary connection closing without one means the parent is gone and
-the host exits rather than linger orphaned.  A dispatch failure is
-reported as an ``ERROR`` frame carrying the traceback, then the host
-exits nonzero — the parent raises a useful error instead of a bare
-connection reset, exactly like the pipe path.
+Lifecycle mirrors the pipe worker: ``SHUTDOWN`` exits cleanly; the data
+plane closing without one means the parent is gone, and the host exits
+rather than linger orphaned; a dispatch failure is reported as an
+``ERROR`` frame carrying the traceback, then the host exits nonzero
+(:meth:`ShardRuntime.serve_frame`, shared with the pipe path).  SIGTERM
+is a graceful stop: a response a client is waiting on is sent whole
+before the host exits.
 """
 
 from __future__ import annotations
 
-import asyncio
-import signal
-import traceback
+import threading
 from typing import Callable, Optional
 
-from repro.durable import records as rec
-from repro.net.framing import FrameReader, FramingError
-from repro.net.transport import RECV_CHUNK
-from repro.utils.logging import get_logger
+from repro.net.transport import FrameServer
+from repro.utils.process import on_sigterm
 from repro.workers import protocol as proto
 from repro.workers.worker import ShardRuntime
 
-_LOGGER = get_logger("net.host")
 
-
-class ShardHost:
+class ShardHost(FrameServer):
     """One shard-worker runtime served over TCP."""
 
     def __init__(
@@ -50,127 +45,36 @@ class ShardHost:
         host: str = "127.0.0.1",
         port: int = 0,
     ) -> None:
+        super().__init__(host, port, self._feed, on_close=self._closed)
         self._runtime = ShardRuntime(worker_id, shard_range)
-        self._host = host
-        self._requested_port = port
-        self._stop: Optional[asyncio.Event] = None
-        #: Bound port, set once the server is listening (``port=0``
-        #: binds an ephemeral port; the parent learns it via
-        #: ``announce``).
-        self.port: Optional[int] = None
-        self.exit_code = 0
-        self._writers: set = set()
+        self._data_plane = None
+        self._claim = threading.Lock()
 
-    # ------------------------------------------------------------------
-    def request_stop(self) -> None:
-        """Ask :meth:`serve` to exit (the SIGTERM handler; loop thread)."""
-        if self._stop is not None:
-            self._stop.set()
+    def serve(self, announce: Optional[Callable[[int], None]] = None) -> int:
+        """Announce, then dispatch until shutdown; returns the exit code."""
+        super().serve(announce)
+        return self._runtime.exit_code
 
-    async def serve(
-        self, *, announce: Optional[Callable[[int], None]] = None
-    ) -> int:
-        """Listen and dispatch until shutdown; returns the exit code.
+    def _feed(self, conn, rtype: int, payload: bytes) -> bool:
+        if conn is not self._data_plane and rtype != proto.PING:
+            with self._claim:
+                # The first connection to say anything but PING is the
+                # data plane (the runtime refuses it unless that frame
+                # is CONFIG); a second one has no business here.
+                if self._data_plane is None:
+                    self._data_plane = conn
+            if conn is not self._data_plane:
+                return False
+        if self._runtime.serve_frame(conn, rtype, payload):
+            return True
+        self.request_stop()  # SHUTDOWN, or a reported failure
+        return False
 
-        SIGTERM is a graceful stop: the listener closes, every open
-        connection's write buffer is flushed to the peer (a response a
-        client is waiting on still arrives), and only then does the
-        host exit — instead of the interpreter's default instant death
-        mid-frame.
-        """
-        self._stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        signal_installed = False
-        try:
-            loop.add_signal_handler(signal.SIGTERM, self.request_stop)
-            signal_installed = True
-        except (NotImplementedError, RuntimeError, ValueError):
-            pass  # non-main thread or non-Unix loop: no handler
-        server = await asyncio.start_server(
-            self._on_client, self._host, self._requested_port
-        )
-        self.port = server.sockets[0].getsockname()[1]
-        if announce is not None:
-            announce(self.port)
-        _LOGGER.debug(
-            "shard host %d listening on %s:%d",
-            self._runtime.worker_id,
-            self._host,
-            self.port,
-        )
-        try:
-            await self._stop.wait()
-        finally:
-            if signal_installed:
-                loop.remove_signal_handler(signal.SIGTERM)
-            server.close()
-            await server.wait_closed()
-            # Transport close flushes queued frames before EOFing the
-            # peer; waiting on it is the graceful part of shutdown.
-            for writer in list(self._writers):
-                try:
-                    writer.close()
-                except OSError:  # pragma: no cover - teardown race
-                    continue
-            for writer in list(self._writers):
-                try:
-                    await asyncio.wait_for(
-                        writer.wait_closed(), timeout=2.0
-                    )
-                except (asyncio.TimeoutError, OSError, ConnectionError):
-                    pass
-        return self.exit_code
-
-    # ------------------------------------------------------------------
-    async def _on_client(self, reader, writer) -> None:
-        frames = FrameReader()
-        is_primary = False
-        self._writers.add(writer)
-
-        def send(rtype: int, payload: bytes = b"") -> None:
-            writer.write(proto.encode_frame(rtype, payload))
-
-        try:
-            while not self._stop.is_set():
-                data = await reader.read(RECV_CHUNK)
-                if not data:
-                    break
-                for rtype, payload in frames.feed(data):
-                    if rtype == rec.CONFIG and not self._runtime.configured:
-                        is_primary = True
-                    if not self._runtime.on_frame(rtype, payload, send):
-                        self._stop.set()
-                        break
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass  # peer vanished; the finally block decides what it means
-        except Exception:
-            self.exit_code = 1
-            try:
-                send(
-                    proto.ERROR,
-                    rec.encode_json_payload(
-                        {
-                            "worker_id": self._runtime.worker_id,
-                            "traceback": traceback.format_exc(),
-                        }
-                    ),
-                )
-                await writer.drain()
-            except (OSError, ConnectionResetError, FramingError):
-                pass  # parent already gone; exit code still says "failed"
-            self._stop.set()
-        finally:
-            self._writers.discard(writer)
-            try:
-                writer.close()
-            except OSError:  # pragma: no cover - teardown race
-                pass
-            if is_primary and self._stop is not None \
-                    and not self._stop.is_set():
-                # The data plane closed without a SHUTDOWN: the parent
-                # is gone, and an orphaned host would serve no one.
-                self._stop.set()
+    def _closed(self, conn) -> None:
+        if conn is self._data_plane:
+            # Closed without a SHUTDOWN: the parent is gone, and an
+            # orphaned host would serve no one.
+            self.request_stop()
 
 
 def serve_shard(
@@ -185,4 +89,5 @@ def serve_shard(
     shard_host = ShardHost(
         worker_id=worker_id, shard_range=shard_range, host=host, port=port
     )
-    return asyncio.run(shard_host.serve(announce=announce))
+    with on_sigterm(shard_host.request_stop):
+        return shard_host.serve(announce)

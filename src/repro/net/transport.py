@@ -12,19 +12,31 @@ are buffered, so the caller never blocks mid-frame.
 :class:`SocketListener` is the accepting side; :func:`connect` the
 dialling side.  Both default to localhost — the fabric's first target
 is N processes on one machine — but take any ``(host, port)`` address.
+
+On top of those sit the one way to serve frames and the one way to ask
+for one: :class:`FrameServer`, the accept loop of every listener in the
+failover stack (a thread per connection over blocking sockets), and
+:func:`call`, its client for a peer that should be *up* — one dial, one
+frame out, a bounded wait for one frame back.  :func:`connect` keeps
+the retry loop, for callers dialling a peer that is still booting.
 """
 
 from __future__ import annotations
 
 import select
 import socket
+import threading
 import time
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.chaos import points as _chaos
 from repro.net.framing import FrameReader, FramingError
 from repro.utils.backoff import Backoff
+from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
+from repro.workers.protocol import encode_frame
+
+_LOGGER = get_logger("net.transport")
 
 #: Bytes per ``recv`` call; large enough that a state-RPC payload
 #: crosses in a few syscalls, small enough to stay allocation-friendly.
@@ -203,6 +215,16 @@ class SocketListener:
         self.close()
 
 
+def _dial(address: tuple[str, int], timeout: float) -> SocketConnection:
+    """One dial attempt, through the ``net.connect`` fault point."""
+    fault = _chaos.fire("net.connect")
+    if fault is not None:
+        raise ConnectionRefusedError(
+            f"chaos: injected dial refusal (#{fault.index})"
+        )
+    return SocketConnection(socket.create_connection(address, timeout=timeout))
+
+
 def connect(
     address: tuple[str, int],
     *,
@@ -228,18 +250,10 @@ def connect(
     deadline = time.monotonic() + timeout
     last_error: Optional[Exception] = None
     while time.monotonic() < deadline:
-        fault = _chaos.fire("net.connect")
-        if fault is None:
-            try:
-                sock = socket.create_connection(address, timeout=5.0)
-            except OSError as exc:
-                last_error = exc
-            else:
-                return SocketConnection(sock)
-        else:
-            last_error = ConnectionRefusedError(
-                f"chaos: injected dial refusal (#{fault.index})"
-            )
+        try:
+            return _dial(address, 5.0)
+        except OSError as exc:
+            last_error = exc
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             break
@@ -247,3 +261,134 @@ def connect(
     raise ConnectionError(
         f"could not connect to {address} within {timeout}s: {last_error}"
     )
+
+
+def call(
+    address: tuple[str, int],
+    rtype: int,
+    payload: bytes = b"",
+    *,
+    timeout: float,
+) -> tuple[int, bytes]:
+    """Dial once, send one frame, return the one frame sent back.
+
+    For a peer that should already be listening (a liveness probe, a
+    vote, a status query): there a refused dial *is* the answer, so
+    nothing is retried, and ``timeout`` bounds the whole exchange.
+    Every failure is an ``OSError``: ``ConnectionRefusedError`` (nobody
+    listens, or an injected ``net.connect`` refusal), ``TimeoutError``
+    (accepted, then no reply), ``ConnectionError`` (hung up, garbage).
+    """
+    deadline = time.monotonic() + timeout
+    with _dial(address, timeout) as conn:
+        conn.send_bytes(encode_frame(rtype, payload))
+        try:
+            if conn.poll(max(deadline - time.monotonic(), 0.0)):
+                return conn.recv_frame()
+        except (EOFError, FramingError) as exc:
+            raise ConnectionError(
+                f"{address} closed without a reply: {exc}"
+            ) from exc
+    raise TimeoutError(f"{address} sent no reply within {timeout}s")
+
+
+class FrameServer:
+    """The accept loop: a thread per connection, a handler per frame.
+
+    ``on_frame(conn, rtype, payload)`` runs on its connection's thread
+    (a handler that blocks delays only its own peer), replies by
+    sending on ``conn`` and returns False to end *that* connection;
+    ``on_close(conn)`` runs as a connection ends, whatever the reason.
+    The stop flag is read only *between* frames, and :meth:`serve` /
+    :meth:`stop` wait for handlers that are mid-frame: a stop never
+    tears a reply a client is waiting on.  A peer that hangs up or
+    sends garbage ends its connection quietly; a handler that raises
+    is logged and costs its connection, never the server.
+    """
+
+    POLL_SECONDS = 0.2  #: between looks at the stop flag, in every loop
+    DRAIN_SECONDS = 5.0  #: how long a stop waits for handlers mid-frame
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        on_frame: Callable[[SocketConnection, int, bytes], bool],
+        *,
+        on_close: Callable[[SocketConnection], None] = lambda conn: None,
+        name: str = "repro-frame-server",
+    ) -> None:
+        self._listener = SocketListener(host, port)
+        self.address = self._listener.address
+        self.port = self._listener.port
+        self._on_frame = on_frame
+        self._on_close = on_close
+        self._name = name
+        self._stopping = False
+        self._thread: Optional[threading.Thread] = None
+        self._connections: list[threading.Thread] = []
+
+    def serve(self, announce: Optional[Callable[[int], None]] = None) -> None:
+        """Announce the bound port, then accept until stopped (blocking)."""
+        if announce is not None:
+            announce(self.port)
+        try:
+            while not self._stopping:
+                try:
+                    conn = self._listener.accept(timeout=self.POLL_SECONDS)
+                except TimeoutError:
+                    continue
+                except OSError:
+                    break  # listener closed under us: stopping
+                thread = threading.Thread(
+                    target=self._serve_connection,
+                    args=(conn,),
+                    name=f"{self._name}-conn",
+                    daemon=True,
+                )
+                thread.start()
+                self._connections = [
+                    t for t in self._connections if t.is_alive()
+                ] + [thread]
+        finally:
+            self._stopping = True
+            self._listener.close()
+            deadline = time.monotonic() + self.DRAIN_SECONDS
+            for thread in self._connections:
+                thread.join(max(deadline - time.monotonic(), 0.0))
+
+    def start(self) -> None:
+        """:meth:`serve` on a daemon thread."""
+        if self._thread is not None:
+            raise RuntimeError(f"{self._name} already started")
+        self._thread = threading.Thread(
+            target=self.serve, name=self._name, daemon=True
+        )
+        self._thread.start()
+
+    def request_stop(self) -> None:
+        """Ask :meth:`serve` to wind down (only sets a flag: signal-safe)."""
+        self._stopping = True
+
+    def stop(self) -> None:
+        """Stop accepting, let handlers finish, join (idempotent)."""
+        self._stopping = True
+        if self._thread is not None:
+            self._thread.join(self.DRAIN_SECONDS + 1.0)
+            self._thread = None
+        self._listener.close()
+
+    def _serve_connection(self, conn: SocketConnection) -> None:
+        with conn:
+            try:
+                while not self._stopping:
+                    if not conn.poll(self.POLL_SECONDS):
+                        continue
+                    if not self._on_frame(conn, *conn.recv_frame()):
+                        break
+            except (OSError, EOFError, FramingError):
+                pass  # peer hung up, reset, or sent garbage
+            except Exception:
+                _LOGGER.exception("%s: frame handler failed", self._name)
+            finally:
+                self._on_close(conn)

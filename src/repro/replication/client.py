@@ -25,6 +25,19 @@ class ReplicaError(RuntimeError):
     """The standby refused or failed a request."""
 
 
+def expect_reply(reply: tuple, expected: int) -> bytes:
+    """The payload of a ``(rtype, payload)`` reply of type ``expected``;
+    a ``REPL_ERROR`` (or any other type) raises :class:`ReplicaError`."""
+    resp_type, resp = reply
+    if resp_type == rp.REPL_ERROR:
+        raise ReplicaError(
+            rp.decode_json(resp).get("error", "standby error")
+        )
+    if resp_type != expected:
+        raise ReplicaError(f"expected frame {expected}, got {resp_type}")
+    return resp
+
+
 class ReplicaReadClient:
     """One connection to a standby (thread-safe, request/response).
 
@@ -33,11 +46,14 @@ class ReplicaReadClient:
     address:
         The standby listener's ``(host, port)``.
     timeout:
-        Dial budget (the standby may still be starting up).
+        Dial budget (the standby may still be starting up), and the
+        bound on each wait for a reply: a standby that accepted and then
+        went mute (wedged, SIGSTOPped) raises ``TimeoutError``.
     """
 
     def __init__(self, address, *, timeout: float = 30.0) -> None:
         self._address = tuple(address)
+        self._timeout = timeout
         self._conn = connect(self._address, timeout=timeout)
         self._lock = threading.Lock()
 
@@ -45,16 +61,16 @@ class ReplicaReadClient:
     def _call(self, rtype: int, payload: bytes, expected: int):
         with self._lock:
             send_frame(self._conn, rtype, payload)
-            resp_type, resp = recv_frame(self._conn)
-        if resp_type == rp.REPL_ERROR:
-            raise ReplicaError(
-                rp.decode_json(resp).get("error", "standby error")
-            )
-        if resp_type != expected:
-            raise ReplicaError(
-                f"expected frame {expected}, got {resp_type}"
-            )
-        return resp
+            if not self._conn.poll(self._timeout):
+                # A late reply would answer the *next* request: the
+                # stream is unusable from here on.
+                self._conn.close()
+                raise TimeoutError(
+                    f"standby {self._address} sent no reply within "
+                    f"{self._timeout}s"
+                )
+            reply = recv_frame(self._conn)
+        return expect_reply(reply, expected)
 
     def snapshot(self, campaign_id: str) -> TruthSnapshot:
         """A fresh :class:`TruthSnapshot` served off the replica."""

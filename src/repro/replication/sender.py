@@ -43,6 +43,7 @@ from typing import Optional, Sequence
 from repro.durable import checkpoint as ckpt_codec
 from repro.durable.stream import TailGapError, WalTailReader
 from repro.net.transport import connect
+from repro.obs.registry import Histogram, series_key
 from repro.replication import protocol as rp
 from repro.utils.backoff import Backoff
 from repro.utils.logging import get_logger
@@ -78,8 +79,12 @@ class _StandbyLink:
         self.groups_shipped = 0
         self.checkpoints_shipped = 0
         self.ack_timeouts = 0
-        #: Wall seconds from group send to standby ack, newest last.
-        self.ship_latencies: deque = deque(maxlen=4096)
+        #: Seconds from group send to standby ack (cumulative).
+        self.ship_histogram = Histogram(
+            series_key(
+                "repro_replication_ship_seconds", {"standby": str(index)}
+            )
+        )
         self.last_error: Optional[str] = None
         # The shared reconnect schedule: capped exponential backoff
         # with jitter seeded per link, so two links never redial on
@@ -214,7 +219,7 @@ class _StandbyLink:
             start = time.perf_counter()
             send_frame(conn, rp.RECORDS, payload)
             ack = self._await_ack(conn)
-            self.ship_latencies.append(time.perf_counter() - start)
+            self.ship_histogram.observe(time.perf_counter() - start)
             self.records_shipped += len(group)
             self.bytes_shipped += len(payload)
             self.groups_shipped += 1

@@ -13,7 +13,9 @@ a pure function of the acked record sequence, which is what the
 promotion bitwise-equality invariant rests on.
 
 Because the aggregators are live, reads are instant: the same listener
-answers snapshot (``READ_REQ``), status (``STATUS_REQ``) and promotion
+(a :class:`~repro.net.transport.FrameServer` — a thread per
+connection, so a read never queues behind the stream) answers snapshot
+(``READ_REQ``), status (``STATUS_REQ``) and promotion
 (``PROMOTE_REQ``) requests from
 :class:`~repro.replication.client.ReplicaReadClient` peers while the
 stream flows.  :meth:`StandbyServer.promote` turns the standby into a
@@ -45,11 +47,12 @@ from repro.durable.recovery import (
     service_from_config,
 )
 from repro.durable.wal import FSYNC_POLICIES, WriteAheadLog, list_segments
-from repro.net.transport import SocketListener
+from repro.net.transport import FrameServer
 from repro.replication import protocol as rp
 from repro.utils.logging import get_logger
+from repro.utils.process import on_sigterm
 from repro.workers import protocol as proto
-from repro.workers.protocol import recv_frame, send_frame
+from repro.workers.protocol import send_frame
 
 _LOGGER = get_logger("replication.standby")
 
@@ -58,7 +61,7 @@ class StandbyError(RuntimeError):
     """The standby cannot serve or promote."""
 
 
-class StandbyServer:
+class StandbyServer(FrameServer):
     """One warm standby process (or in-process thread, for tests).
 
     Parameters
@@ -68,7 +71,8 @@ class StandbyServer:
         replicated prefix (a restarted standby), it is recovered first
         and the replication cursor resumes after it.
     host / port:
-        Listener bind address (port 0 picks a free one).
+        Listener bind address (port 0 picks a free one), bound once
+        the directory is recovered.
     fsync:
         Commit policy of the standby's WAL generation.
     """
@@ -86,14 +90,7 @@ class StandbyServer:
                 f"fsync must be one of {FSYNC_POLICIES}, got {fsync!r}"
             )
         self._dir = Path(directory)
-        self._host = host
-        self._requested_port = port
         self._fsync = fsync
-        self.port: Optional[int] = None
-        self._listener: Optional[SocketListener] = None
-        self._stop = threading.Event()
-        self._threads: list[threading.Thread] = []
-        self._serve_thread: Optional[threading.Thread] = None
         # One lock orders append/apply/read/promote: the stream applies
         # under it, reads snapshot under it, promote flips under it.
         self._apply_lock = threading.RLock()
@@ -106,6 +103,7 @@ class StandbyServer:
         self.groups_applied = 0
         self._fencing_epoch = 0
         self._bootstrap()
+        super().__init__(host, port, self._serve_frame, name="repro-standby")
 
     # ------------------------------------------------------------------
     @property
@@ -178,97 +176,32 @@ class StandbyServer:
         return self._durability
 
     # ------------------------------------------------------------------
-    def serve(self, announce=None) -> None:
-        """Bind, announce, and serve until :meth:`stop` (blocking)."""
-        self._listener = SocketListener(self._host, self._requested_port)
-        self.port = self._listener.port
-        if announce is not None:
-            announce(self.port)
-        try:
-            while not self._stop.is_set():
-                try:
-                    conn = self._listener.accept(timeout=0.2)
-                except TimeoutError:
-                    continue
-                except OSError:
-                    break
-                thread = threading.Thread(
-                    target=self._serve_connection,
-                    args=(conn,),
-                    daemon=True,
-                )
-                thread.start()
-                self._threads.append(thread)
-        finally:
-            self._listener.close()
-
     def start(self) -> int:
         """Serve on a background thread; returns the bound port."""
-        ready = threading.Event()
-
-        def _announce(_port):
-            ready.set()
-
-        self._serve_thread = threading.Thread(
-            target=self.serve,
-            kwargs={"announce": _announce},
-            name="standby-serve",
-            daemon=True,
-        )
-        self._serve_thread.start()
-        if not ready.wait(timeout=30.0):
-            raise StandbyError("standby listener failed to bind")
+        super().start()
         return self.port
 
-    def request_stop(self) -> None:
-        """Ask the serve loop to exit (signal-handler safe).
-
-        Only flips the stop flag; the serving thread notices within
-        its accept timeout and the caller's :meth:`stop` then does the
-        real teardown — joining connection threads and closing the
-        standby's WAL, which fsyncs the replication cursor so a
-        restart resumes exactly where this process stopped.
-        """
-        self._stop.set()
-
     def stop(self) -> None:
-        """Stop serving and close the standby's WAL (idempotent)."""
-        self._stop.set()
-        if self._listener is not None:
-            self._listener.close()
-        if self._serve_thread is not None:
-            self._serve_thread.join(timeout=5.0)
-            self._serve_thread = None
-        for thread in self._threads:
-            thread.join(timeout=1.0)
-        self._threads.clear()
+        """Stop serving and close the standby's WAL (idempotent) — which
+        fsyncs the replication cursor, so a restart resumes exactly
+        where this process stopped."""
+        super().stop()
         with self._apply_lock:
             if self._wal is not None and not self._promoted:
                 self._wal.close()
                 self._wal = None
 
     # ------------------------------------------------------------------
-    def _serve_connection(self, conn) -> None:
+    def _serve_frame(self, conn, rtype: int, payload: bytes) -> bool:
         try:
-            while not self._stop.is_set():
-                try:
-                    rtype, payload = recv_frame(conn)
-                except (EOFError, OSError):
-                    break
-                if not self._dispatch(conn, rtype, payload):
-                    break
-        except Exception as exc:  # pragma: no cover - defensive
+            return self._dispatch(conn, rtype, payload)
+        except Exception as exc:
+            # Tell the peer why before hanging up on it: the sender
+            # logs this instead of a bare connection reset.
             _LOGGER.exception("standby connection failed")
-            try:
-                send_frame(
-                    conn,
-                    rp.REPL_ERROR,
-                    rp.encode_json({"error": str(exc)}),
-                )
-            except OSError:
-                pass
-        finally:
-            conn.close()
+            error = rp.encode_json({"error": str(exc)})
+            send_frame(conn, rp.REPL_ERROR, error)
+            return False
 
     def _dispatch(self, conn, rtype: int, payload: bytes) -> bool:
         """Handle one frame; returns False to end the connection."""
@@ -293,7 +226,7 @@ class StandbyServer:
             send_frame(conn, proto.PONG)
             return True
         if rtype == proto.SHUTDOWN:
-            self._stop.set()
+            self.request_stop()
             return False
         send_frame(
             conn,
@@ -599,23 +532,9 @@ def serve_standby(
     installed when running on the main thread (tests drive
     :class:`StandbyServer` directly from worker threads).
     """
-    import signal
-
     server = StandbyServer(directory, host=host, port=port, fsync=fsync)
-    previous = None
-    installed = False
-    if threading.current_thread() is threading.main_thread():
-        try:
-            previous = signal.signal(
-                signal.SIGTERM,
-                lambda signum, frame: server.request_stop(),
-            )
-            installed = True
-        except ValueError:  # pragma: no cover - exotic embedding
-            pass
     try:
-        server.serve(announce=announce)
+        with on_sigterm(server.request_stop):
+            server.serve(announce=announce)
     finally:
         server.stop()
-        if installed:
-            signal.signal(signal.SIGTERM, previous)

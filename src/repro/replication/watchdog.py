@@ -49,104 +49,52 @@ import time
 from typing import Callable, Optional, Sequence
 
 from repro.net.fabric import HostProcess, spawn_cli
-from repro.net.transport import SocketListener, connect
+from repro.net.transport import FrameServer, call
 from repro.replication import protocol as rp
-from repro.replication.client import ReplicaError, ReplicaReadClient
+from repro.replication.client import ReplicaError, expect_reply
 from repro.utils.backoff import Backoff
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
 from repro.utils.validation import ensure_int, ensure_positive
 from repro.workers import protocol as proto
-from repro.workers.protocol import ProtocolError, recv_frame, send_frame
+from repro.workers.protocol import ProtocolError, send_frame
 
 _LOGGER = get_logger("replication.watchdog")
-
-#: How long a status connection may sit idle before the server drops it
-#: (a watchdog probes and disconnects; anything quieter is dead).
-_IDLE_SECONDS = 10.0
 
 
 class WatchdogError(RuntimeError):
     """The watchdog could not complete a failover."""
 
 
-class _FrameListener:
-    """One listener thread serving one connection at a time.
+class _FrameListener(FrameServer):
+    """A :class:`FrameServer` answering from a request/reply table.
 
-    The expected clients dial, ask, and hang up.  A subclass supplies
-    the frame table as :meth:`handle`; this class owns the accept loop,
-    the idle drop, ``SHUTDOWN`` and the unsupported-frame reply.
+    A subclass supplies the table as :meth:`handle`; this class owns
+    ``SHUTDOWN`` (ends the connection) and the unsupported-frame reply.
+    Connections are served concurrently, so ``handle`` may be running
+    for several peers at once: shared counters go under ``_lock``.
     """
 
-    _thread_name = "repro-frame-listener"
-
     def __init__(self, host: str, port: int) -> None:
-        self._listener = SocketListener(host, port)
-        self.address = self._listener.address
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        super().__init__(host, port, self._reply, name=type(self).__name__)
+        self._lock = threading.Lock()
 
     def handle(self, rtype: int, payload: bytes) -> Optional[tuple]:
         """The reply ``(rtype, payload)`` to one frame, or None when
         the frame type is not served."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self._thread is not None:
-            raise RuntimeError(f"{self._thread_name} already started")
-        self._thread = threading.Thread(
-            target=self._run, name=self._thread_name, daemon=True
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._stop.set()
-        self._listener.close()
-        if self._thread is not None:
-            self._thread.join(10.0)
-            self._thread = None
-
-    # ------------------------------------------------------------------
-    def _run(self) -> None:
-        while not self._stop.is_set():
-            try:
-                conn = self._listener.accept(timeout=0.2)
-            except TimeoutError:
-                continue
-            except OSError:
-                return  # listener closed under us: shutting down
-            try:
-                self._serve(conn)
-            finally:
-                conn.close()
-
-    def _serve(self, conn) -> None:
-        idle_since = time.monotonic()
-        while not self._stop.is_set():
-            try:
-                if not conn.poll(0.2):
-                    if time.monotonic() - idle_since > _IDLE_SECONDS:
-                        return
-                    continue
-                rtype, payload = recv_frame(conn)
-            except (OSError, EOFError):
-                return
-            idle_since = time.monotonic()
-            if rtype == proto.SHUTDOWN:
-                return
-            reply = self.handle(rtype, payload)
-            if reply is None:
-                reply = (
-                    rp.REPL_ERROR,
-                    rp.encode_json(
-                        {"error": f"unsupported frame type {rtype}"}
-                    ),
-                )
-            try:
-                send_frame(conn, *reply)
-            except (OSError, BrokenPipeError):
-                return
+    def _reply(self, conn, rtype: int, payload: bytes) -> bool:
+        if rtype == proto.SHUTDOWN:
+            return False
+        reply = self.handle(rtype, payload)
+        if reply is None:
+            reply = (
+                rp.REPL_ERROR,
+                rp.encode_json({"error": f"unsupported frame type {rtype}"}),
+            )
+        send_frame(conn, *reply)
+        return True
 
 
 class PrimaryStatusServer(_FrameListener):
@@ -155,11 +103,9 @@ class PrimaryStatusServer(_FrameListener):
     Answers ``PING`` → ``PONG`` and ``STATUS_REQ`` → ``STATUS_RESP``
     with the primary's role and WAL watermarks, read straight off the
     :class:`~repro.durable.manager.DurabilityManager` — no locks shared
-    with the ingest path.  Serves one connection at a time: the only
-    expected client is a watchdog that dials, probes, and hangs up.
+    with the ingest path.  The expected clients are watchdogs that
+    dial, probe, and hang up.
     """
-
-    _thread_name = "repro-primary-status"
 
     def __init__(
         self, manager, *, host: str = "127.0.0.1", port: int = 0
@@ -178,7 +124,8 @@ class PrimaryStatusServer(_FrameListener):
 
     def handle(self, rtype: int, payload: bytes) -> Optional[tuple]:
         if rtype == proto.PING:
-            self.probes_answered += 1
+            with self._lock:
+                self.probes_answered += 1
             return proto.PONG, b""
         if rtype == rp.STATUS_REQ:
             return rp.STATUS_RESP, rp.encode_json(self._status())
@@ -188,8 +135,8 @@ class PrimaryStatusServer(_FrameListener):
 class WatchdogPeerServer(_FrameListener):
     """One watchdog's voting surface (quorum-fenced promotion).
 
-    Answers three frames on its own listener, one connection at a time
-    (peers dial, ask, hang up):
+    Answers three frames on its own listener (peers dial, ask, hang
+    up):
 
     * ``WD_VOTE_REQ`` (JSON ``{"epoch": E, "requester": i}``): grant
       iff this watchdog has not observed a promotion, its *own*
@@ -206,8 +153,6 @@ class WatchdogPeerServer(_FrameListener):
     * ``PING`` → ``PONG`` (liveness).
     """
 
-    _thread_name = "repro-watchdog-peer"
-
     #: How long a granted vote stays exclusive when the grantee never
     #: promotes (it died mid-failover).  Long enough for any real
     #: promotion to complete, short enough that a drill retries fast.
@@ -219,7 +164,6 @@ class WatchdogPeerServer(_FrameListener):
     ) -> None:
         super().__init__(host, port)
         self._watchdog = watchdog
-        self._lock = threading.Lock()
         #: The one outstanding grant: (requester, epoch, granted_at).
         self._grant: Optional[tuple[int, int, float]] = None
         self.votes_granted = 0
@@ -402,23 +346,23 @@ class FailoverWatchdog:
 
     # ------------------------------------------------------------------
     def probe(self) -> bool:
-        """One PING round-trip against the primary's status listener."""
+        """One PING round-trip against the primary's status listener
+        (one dial: a refused connection *is* the answer, at once)."""
         try:
-            conn = connect(
-                self.primary_address, timeout=self.probe_timeout
+            rtype, _ = call(
+                self.primary_address, proto.PING, timeout=self.probe_timeout
             )
-        except (ConnectionError, OSError):
+        except OSError:
             return False
-        try:
-            send_frame(conn, proto.PING)
-            if not conn.poll(self.probe_timeout):
-                return False
-            rtype, _ = recv_frame(conn)
-            return rtype == proto.PONG
-        except (OSError, EOFError, ProtocolError):
-            return False
-        finally:
-            conn.close()
+        return rtype == proto.PONG
+
+    def _ask(
+        self, address: tuple, rtype: int, payload: bytes, expected: int
+    ) -> dict:
+        """One JSON request/reply with a standby: ``OSError`` if not had
+        within ``probe_timeout``, :class:`ReplicaError` if refused."""
+        reply = call(address, rtype, payload, timeout=self.probe_timeout)
+        return rp.decode_json(expect_reply(reply, expected))
 
     # ------------------------------------------------------------------
     def elect(self) -> tuple[int, tuple, int]:
@@ -437,17 +381,10 @@ class FailoverWatchdog:
         best: Optional[tuple[int, tuple, int]] = None
         for index, address in enumerate(self.standby_addresses):
             try:
-                with ReplicaReadClient(
-                    address, timeout=self.probe_timeout
-                ) as client:
-                    status = client.status()
-            except (
-                ConnectionError,
-                OSError,
-                EOFError,
-                ReplicaError,
-                ProtocolError,
-            ):
+                status = self._ask(
+                    address, rp.STATUS_REQ, b"", rp.STATUS_RESP
+                )
+            except (OSError, ReplicaError, ProtocolError):
                 if self._standby_reachable.get(index, True):
                     _LOGGER.warning(
                         "election: standby %d at %s unreachable",
@@ -506,21 +443,14 @@ class FailoverWatchdog:
         )
         for address in self.peers:
             try:
-                conn = connect(address, timeout=self.probe_timeout)
-            except (ConnectionError, OSError):
-                continue
-            try:
-                send_frame(conn, rp.WD_VOTE_REQ, body)
-                if not conn.poll(self.probe_timeout):
-                    continue
-                rtype, payload = recv_frame(conn)
+                rtype, payload = call(
+                    address, rp.WD_VOTE_REQ, body, timeout=self.probe_timeout
+                )
                 if rtype != rp.WD_VOTE_RESP:
                     continue
                 verdict = rp.decode_json(payload)
-            except (OSError, EOFError, ProtocolError):
+            except (OSError, ProtocolError):
                 continue
-            finally:
-                conn.close()
             if verdict.get("granted"):
                 granted += 1
             elif verdict.get("promoted") and self.peer_server is not None:
@@ -548,16 +478,9 @@ class FailoverWatchdog:
         ]
         for address in targets:
             try:
-                conn = connect(address, timeout=self.probe_timeout)
-            except (ConnectionError, OSError):
+                call(address, rp.WD_PROMOTED, body, timeout=self.probe_timeout)
+            except OSError:
                 continue
-            try:
-                send_frame(conn, rp.WD_PROMOTED, body)
-                conn.poll(self.probe_timeout)
-            except (OSError, EOFError):
-                pass
-            finally:
-                conn.close()
 
     def _observed_promotion(self) -> Optional[dict]:
         if self.peer_server is None:
@@ -625,10 +548,12 @@ class FailoverWatchdog:
                     self._stop.wait(backoff.next())
                     continue
             try:
-                with ReplicaReadClient(
-                    address, timeout=self.probe_timeout
-                ) as client:
-                    report = client.promote(epoch=epoch)
+                report = self._ask(
+                    address,
+                    rp.PROMOTE_REQ,
+                    rp.encode_json({"epoch": epoch}),
+                    rp.PROMOTE_RESP,
+                )
             except ReplicaError as exc:
                 # Lost the race: another watchdog fenced a higher (or
                 # this) epoch first, or the standby refused.  Re-elect;
@@ -642,7 +567,7 @@ class FailoverWatchdog:
                 )
                 self._stop.wait(backoff.next())
                 continue
-            except (ConnectionError, OSError, EOFError, ProtocolError):
+            except (OSError, ProtocolError):
                 self._stop.wait(backoff.next())
                 continue
             self.promotion_seconds = time.perf_counter() - start

@@ -25,14 +25,12 @@ Metric names are documented in ``docs/observability.md``.
 
 from __future__ import annotations
 
-import time
 from typing import Optional
 
 import numpy as np
 
 from repro.obs.registry import (
     NULL_REGISTRY,
-    Histogram,
     MetricRegistry,
     RegistrySnapshot,
     series_key,
@@ -91,11 +89,6 @@ class ServiceTelemetry:
             "repro_wal_commit_seconds",
             "WAL group-commit latency (write+flush+fsync per group)",
             labels=("fsync",),
-        )
-        self.fabric_rpc = registry.histogram(
-            "repro_fabric_rpc_seconds",
-            "blocking worker/host RPC round-trip latency",
-            labels=("proc",),
         )
         self.failover = registry.histogram(
             "repro_fabric_failover_seconds",
@@ -308,19 +301,7 @@ class ServiceTelemetry:
                     ),
                     float(standby["reconnects"]))
             for link in replication.links:
-                latencies = list(link.ship_latencies)
-                if latencies:
-                    hist = Histogram(series_key(
-                        "repro_replication_ship_seconds",
-                        {"standby": str(link.index)},
-                    ))
-                    for value in latencies:
-                        hist.observe(value)
-                    add("histogram", hist.key, {
-                        "count": hist.count,
-                        "sum": hist.sum,
-                        "counts": hist.counts,
-                    })
+                _add_histogram(snap, link.ship_histogram)
         # Chaos injection counters (zero-cardinality when no plan is
         # installed; one counter per fault point while one is).
         from repro.chaos import points as _chaos_points
@@ -391,19 +372,7 @@ class ServiceTelemetry:
         pool = service.worker_pool
         if pool is not None:
             for handle in pool.handles:
-                latencies = handle.rpc_latencies
-                if latencies:
-                    hist = Histogram(series_key(
-                        "repro_fabric_rpc_seconds",
-                        {"proc": f"worker{handle.worker_id}"},
-                    ))
-                    for value in list(latencies):
-                        hist.observe(value)
-                    add("histogram", hist.key, {
-                        "count": hist.count,
-                        "sum": hist.sum,
-                        "counts": hist.counts,
-                    })
+                _add_histogram(snap, handle.rpc_histogram)
             supervisor = pool.supervisor
             if supervisor is not None:
                 add("counter",
@@ -436,20 +405,12 @@ class ServiceTelemetry:
         return snap
 
 
-def timed(histogram):
-    """Tiny context helper: ``with timed(h):`` observes the block."""
-    return _Timed(histogram)
-
-
-class _Timed:
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram) -> None:
-        self._histogram = histogram
-
-    def __enter__(self) -> "_Timed":
-        self._start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._histogram.observe(time.perf_counter() - self._start)
+def _add_histogram(snap: RegistrySnapshot, hist) -> None:
+    """Fold the cumulative state of a histogram kept outside the
+    registry (per worker handle, per standby link) into ``snap``."""
+    if hist.count:
+        snap.add(
+            "histogram",
+            hist.key,
+            {"count": hist.count, "sum": hist.sum, "counts": hist.counts},
+        )

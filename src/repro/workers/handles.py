@@ -34,11 +34,11 @@ from __future__ import annotations
 
 import json
 import time
-from collections import deque
 
 import numpy as np
 
 from repro.durable import records as rec
+from repro.obs.registry import Histogram, series_key
 from repro.service.aggregator import IncrementalAggregator
 from repro.truthdiscovery.streaming import ClaimBatch
 from repro.utils.process import reap
@@ -80,11 +80,15 @@ class WorkerHandle:
         self._closed = False
         self._crashing = False
         #: RPC observability: round-trip count, accumulated seconds,
-        #: and a bounded window of recent latencies (the telemetry
-        #: layer folds the window into ``repro_fabric_rpc_seconds``).
+        #: and the cumulative latency histogram the telemetry layer
+        #: exports as ``repro_fabric_rpc_seconds``.
         self.rpc_count = 0
         self.rpc_seconds = 0.0
-        self.rpc_latencies: deque[float] = deque(maxlen=1024)
+        self.rpc_histogram = Histogram(
+            series_key(
+                "repro_fabric_rpc_seconds", {"proc": f"worker{worker_id}"}
+            )
+        )
 
     # ------------------------------------------------------------------
     def __repr__(self) -> str:
@@ -130,7 +134,7 @@ class WorkerHandle:
         elapsed = time.perf_counter() - start
         self.rpc_count += 1
         self.rpc_seconds += elapsed
-        self.rpc_latencies.append(elapsed)
+        self.rpc_histogram.observe(elapsed)
         return body
 
     def expect(self, expect: int, timeout: float | None = None) -> bytes:

@@ -6,9 +6,8 @@ aggregators and emits any response frames.  Two transports drive it:
 
 * :func:`worker_main` — the (spawn-safe, module-level) entrypoint of a
   pipe-connected worker process (:func:`repro.workers.pool.pipe_launcher`);
-* :class:`repro.net.host.ShardHost` — the same runtime behind an
-  asyncio socket server (``repro serve-shard``), one host process per
-  port.
+* :class:`repro.net.host.ShardHost` — the same loop over a socket
+  (``repro serve-shard``), one host process per port.
 
 A runtime owns a contiguous range of shards: every campaign routed to
 those shards lives here as an
@@ -41,11 +40,13 @@ Protocol (see :mod:`repro.workers.protocol`):
 
 Any exception is reported back as an ``ERROR`` frame carrying the full
 traceback before the process exits nonzero, so the parent can raise a
-useful error instead of a bare broken pipe.
+useful error instead of a bare broken pipe
+(:meth:`ShardRuntime.serve_frame`, the one place that contract lives).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 import time
@@ -78,6 +79,8 @@ class ShardRuntime:
         self._config: dict | None = None
         self._aggregators: dict = {}
         self.claims_aggregated = 0
+        #: What the process should exit with: 1 once a frame failed.
+        self.exit_code = 0
         self.registry = NULL_REGISTRY
         self._bind_metrics()
 
@@ -105,10 +108,6 @@ class ShardRuntime:
         )
 
     # ------------------------------------------------------------------
-    @property
-    def configured(self) -> bool:
-        return self._config is not None
-
     def on_frame(self, rtype: int, payload: bytes, send) -> bool:
         """Apply one frame; ``send(rtype, payload)`` emits responses."""
         if rtype == proto.SHUTDOWN:
@@ -130,6 +129,29 @@ class ShardRuntime:
             return True
         self._dispatch(rtype, payload, send)
         return True
+
+    def serve_frame(self, conn, rtype: int, payload: bytes) -> bool:
+        """:meth:`on_frame` replying on ``conn``, plus the failure
+        contract of both transports: a frame whose dispatch raises is
+        reported as an ``ERROR`` frame carrying the traceback,
+        :attr:`exit_code` becomes 1 and False stops the transport.  If
+        the parent is already gone the send raises, and the traceback
+        reaches stderr instead."""
+        send = functools.partial(proto.send_frame, conn)
+        try:
+            return self.on_frame(rtype, payload, send)
+        except Exception:
+            self.exit_code = 1
+            send(
+                proto.ERROR,
+                rec.encode_json_payload(
+                    {
+                        "worker_id": self.worker_id,
+                        "traceback": traceback.format_exc(),
+                    }
+                ),
+            )
+            return False
 
     # ------------------------------------------------------------------
     def _dispatch(self, rtype: int, payload: bytes, send) -> None:
@@ -247,10 +269,6 @@ def worker_main(conn, worker_id: int, shard_range: tuple) -> None:
     Python 3.14 on Linux) can import and call it.
     """
     runtime = ShardRuntime(worker_id, shard_range)
-
-    def send(rtype: int, payload: bytes = b"") -> None:
-        proto.send_frame(conn, rtype, payload)
-
     try:
         while True:
             try:
@@ -258,32 +276,15 @@ def worker_main(conn, worker_id: int, shard_range: tuple) -> None:
             except EOFError:
                 # Parent went away without a SHUTDOWN; nothing left to
                 # serve.
-                return
-            if not runtime.on_frame(rtype, payload, send):
-                return
-    except Exception:
-        reported = False
-        try:
-            proto.send_frame(
-                conn,
-                proto.ERROR,
-                rec.encode_json_payload(
-                    {
-                        "worker_id": worker_id,
-                        "traceback": traceback.format_exc(),
-                    }
-                ),
-            )
-            reported = True
-        except (OSError, ValueError):
-            pass  # parent already gone; exit code still says "failed"
-        if not reported:
-            raise
-        # The parent holds the full traceback; exit nonzero without
-        # spraying it on stderr a second time.
-        sys.exit(1)
+                break
+            if not runtime.serve_frame(conn, rtype, payload):
+                break
     finally:
         try:
             conn.close()
         except OSError:  # pragma: no cover - double close on teardown
             pass
+    if runtime.exit_code:
+        # The parent holds the full traceback; exit nonzero without
+        # spraying it on stderr a second time.
+        sys.exit(runtime.exit_code)

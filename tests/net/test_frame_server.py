@@ -1,0 +1,164 @@
+"""FrameServer and call(): the one accept loop and its one-shot client."""
+
+import socket
+import threading
+import time
+
+import pytest
+
+from repro.chaos import FaultPlan
+from repro.chaos import points as chaos_points
+from repro.net.transport import FrameServer, SocketListener, call, connect
+from repro.workers import protocol as proto
+
+BLOCK = 77  # a frame type whose handler waits for the test's go-ahead
+HANGUP = 78  # a frame type whose handler ends the connection
+BIG = 79  # a frame type answered with a multi-megabyte frame
+
+
+def recv(conn, *, timeout=10.0):
+    assert conn.poll(timeout), "server sent no frame in time"
+    return proto.recv_frame(conn)
+
+
+@pytest.fixture
+def server():
+    """A started echo server; ``server.release`` unblocks BLOCK frames."""
+    release = threading.Event()
+    entered = threading.Event()
+
+    def on_frame(conn, rtype, payload):
+        if rtype == BLOCK:
+            entered.set()
+            assert release.wait(30.0)
+        if rtype == HANGUP:
+            return False
+        if rtype == BIG:
+            payload = bytes(8 << 20)
+        proto.send_frame(conn, rtype, payload)
+        return True
+
+    srv = FrameServer("127.0.0.1", 0, on_frame)
+    srv.release = release
+    srv.entered = entered
+    srv.start()
+    try:
+        yield srv
+    finally:
+        release.set()
+        srv.stop()
+
+
+class TestFrameServer:
+    def test_blocked_handler_does_not_delay_another_connection(
+        self, server
+    ):
+        """What the vote handler's "a PING must never queue behind it"
+        asks for: each connection has its own thread."""
+        slow = connect(server.address, timeout=5.0)
+        proto.send_frame(slow, BLOCK, b"slow")
+        assert server.entered.wait(10.0)
+        start = time.monotonic()
+        assert call(server.address, proto.PING, b"x", timeout=5.0) == (
+            proto.PING,
+            b"x",
+        )
+        assert time.monotonic() - start < 1.0
+        assert not slow.poll(0)  # still blocked, still unanswered
+        server.release.set()
+        assert recv(slow) == (BLOCK, b"slow")
+        slow.close()
+
+    def test_false_closes_that_connection_only(self, server):
+        stays = connect(server.address, timeout=5.0)
+        leaves = connect(server.address, timeout=5.0)
+        proto.send_frame(leaves, HANGUP)
+        assert leaves.poll(10.0)
+        with pytest.raises(EOFError):
+            proto.recv_frame(leaves)
+        proto.send_frame(stays, 5, b"still here")
+        assert recv(stays) == (5, b"still here")
+        stays.close()
+        leaves.close()
+
+    def test_garbage_ends_the_connection_not_the_server(self, server):
+        raw = socket.create_connection(server.address, timeout=5.0)
+        # A declared length of zero cannot hold the type byte: the
+        # decoder refuses it, and the server drops this peer.
+        raw.sendall(b"\x00\x00\x00\x00\x00garbage")
+        raw.settimeout(10.0)
+        assert raw.recv(1) == b""
+        raw.close()
+        assert call(server.address, 5, b"next", timeout=5.0) == (5, b"next")
+
+    def test_request_stop_mid_reply_delivers_the_whole_frame(self, server):
+        conn = connect(server.address, timeout=5.0)
+        proto.send_frame(conn, BIG)
+        # The reply outgrows the socket buffers, so the handler is
+        # blocked mid-send until this side reads.
+        time.sleep(0.3)
+        server.request_stop()
+        time.sleep(0.3)
+        rtype, payload = recv(conn)
+        assert (rtype, len(payload)) == (BIG, 8 << 20)
+        # ... and the stop is then honoured: the connection ends.
+        assert conn.poll(10.0)
+        with pytest.raises(EOFError):
+            proto.recv_frame(conn)
+        conn.close()
+
+    def test_stop_twice_returns_and_leaves_no_thread(self, server):
+        def live():
+            return [
+                t.name for t in threading.enumerate()
+                if t.name.startswith("repro-frame-server")
+            ]
+
+        idle = connect(server.address, timeout=5.0)
+        proto.send_frame(idle, 5, b"hello")
+        assert recv(idle) == (5, b"hello")
+        assert len(live()) == 2  # the accept loop and idle's thread
+        server.stop()
+        server.stop()
+        assert live() == []
+        with pytest.raises(OSError):
+            call(server.address, proto.PING, timeout=0.5)
+        idle.close()
+
+    def test_start_twice_is_refused(self, server):
+        with pytest.raises(RuntimeError, match="already started"):
+            server.start()
+
+
+class TestCall:
+    def test_mute_peer_raises_timeout_within_timeout(self):
+        """A peer that accepts and never answers costs ``timeout``."""
+        with SocketListener() as mute:  # listens, never reads
+            start = time.monotonic()
+            with pytest.raises(TimeoutError):
+                call(mute.address, proto.PING, timeout=0.3)
+            assert time.monotonic() - start < 1.0
+
+    def test_refused_dial_is_an_immediate_answer(self):
+        with SocketListener() as listener:
+            address = listener.address
+        start = time.monotonic()
+        with pytest.raises(ConnectionRefusedError):
+            call(address, proto.PING, timeout=5.0)
+        assert time.monotonic() - start < 0.5
+
+    def test_peer_hanging_up_without_a_reply_is_a_connection_error(
+        self, server
+    ):
+        with pytest.raises(ConnectionError, match="without a reply"):
+            call(server.address, HANGUP, timeout=5.0)
+
+    def test_injected_dial_refusal_applies(self, server):
+        """The partition drill cuts a watchdog off with ``net.connect``
+        refusals; a probe through call() must feel them too."""
+        plan = FaultPlan(31, rates={"net.connect": 1.0})
+        with chaos_points.installed(plan):
+            with pytest.raises(ConnectionRefusedError, match="chaos"):
+                call(server.address, proto.PING, timeout=5.0)
+        assert plan.counts()["net.connect"] == 1
+        assert call(server.address, proto.PING, timeout=5.0)[0] == proto.PING

@@ -8,11 +8,14 @@ subprocess flavour (``launch_watchdog`` + the drill harness) is
 covered by ``benchmarks/chaos_drill.py --smoke`` in CI.
 """
 
+import sys
+import threading
 import time
 
 import pytest
 
 from repro.durable import DurabilityConfig, DurabilityManager
+from repro.net.transport import SocketListener, call
 from repro.replication.client import (
     FailoverReadClient,
     ReplicaError,
@@ -31,6 +34,7 @@ from repro.replication.watchdog import (
 from repro.service.ingest import IngestService, ServiceConfig
 from repro.service.loadgen import LoadGenerator
 from repro.service.topology import Topology
+from repro.workers import protocol as proto
 
 CHUNK = 128
 NUM_USERS = 40
@@ -128,6 +132,46 @@ class TestPrimaryStatusServer:
         _service.close()
 
 
+    def test_concurrent_probes_are_all_counted(self):
+        """Connections are served on their own threads, so the probe
+        counter is bumped concurrently: none may be lost."""
+        server = PrimaryStatusServer(manager=None)
+        server.start()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def probe_many():
+                for _ in range(50):
+                    assert call(
+                        server.address, proto.PING, timeout=10.0
+                    ) == (proto.PONG, b"")
+
+            threads = [
+                threading.Thread(target=probe_many) for _ in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60.0)
+                assert not thread.is_alive()
+            assert server.probes_answered == 8 * 50
+        finally:
+            sys.setswitchinterval(interval)
+            server.stop()
+
+    def test_probe_of_a_dead_primary_answers_at_once(self):
+        """To a prober a refused dial is the answer: no redialling a
+        corpse until ``probe_timeout`` runs out."""
+        with SocketListener() as listener:
+            closed_port = listener.address
+        watchdog = FailoverWatchdog(
+            closed_port, [("127.0.0.1", 1)], probe_timeout=1.0
+        )
+        start = time.monotonic()
+        assert watchdog.probe() is False
+        assert time.monotonic() - start < 0.1
+
+
 # ------------------------------------------------------------- election
 class TestElection:
     def test_validation(self):
@@ -198,6 +242,31 @@ class TestElection:
             assert index == 1
         finally:
             live.stop()
+
+    def test_mute_standby_does_not_hang_the_election(self, tmp_path):
+        """A standby that accepts and never answers (wedged, SIGSTOPped)
+        costs an election ``probe_timeout``, not for ever — and the
+        healthy standby is still elected."""
+        live = StandbyServer(tmp_path / "sb1")
+        with SocketListener() as mute:  # listens, never reads
+            addresses = [mute.address, ("127.0.0.1", live.start())]
+            try:
+                watchdog = FailoverWatchdog(
+                    ("127.0.0.1", 1), addresses, probe_timeout=0.5
+                )
+                start = time.monotonic()
+                index, address, _lsn = watchdog.elect()
+                assert time.monotonic() - start < 0.5 + 1.0
+                assert (index, address) == (1, addresses[1])
+
+                client = ReplicaReadClient(mute.address, timeout=1.0)
+                start = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    client.status()
+                assert time.monotonic() - start < 1.0 + 1.0
+                client.close()
+            finally:
+                live.stop()
 
     def test_no_reachable_standby_raises(self):
         watchdog = FailoverWatchdog(

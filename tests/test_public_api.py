@@ -98,12 +98,14 @@ def test_module_docstring_quickstart_runs():
 
 
 #: What a spawned process imports before it can serve: the CLI, a shard
-#: host, a pipe worker, a standby — and ``repro.service`` for the parent.
+#: host, a pipe worker, a standby, a watchdog — and ``repro.service``
+#: for the parent.
 SPAWN_PATH_MODULES = [
     "repro.cli",
     "repro.net.host",
     "repro.workers.worker",
     "repro.replication.standby",
+    "repro.replication.watchdog",
     "repro.service",
 ]
 
@@ -112,19 +114,23 @@ SPAWN_PATH_MODULES = [
 def test_spawn_path_imports_stay_scipy_free(module_name):
     """scipy costs ~0.8 s per interpreter; a CRH shard host never calls
     it, so a module-level import lands on every spawn and failover.
-    Import it inside the function that needs it."""
+    Import it inside the function that needs it.  asyncio is refused
+    too: every server here is threads over blocking sockets
+    (``repro.net.transport.FrameServer``), and a second concurrency
+    model would come back one convenient import at a time."""
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            f"import {module_name}, sys; sys.exit('scipy' in sys.modules)",
+            f"import {module_name}, sys; "
+            "sys.exit(bool({'scipy', 'asyncio'} & set(sys.modules)))",
         ],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, (
-        f"importing {module_name} pulled in scipy\n{proc.stderr}"
+        f"importing {module_name} pulled in scipy or asyncio\n{proc.stderr}"
     )
 
 

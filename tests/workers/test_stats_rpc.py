@@ -97,6 +97,37 @@ class TestStatsRpc:
             finally:
                 service.close()
 
+    def test_fabric_rpc_histogram_is_cumulative(self):
+        """``repro_fabric_rpc_seconds`` counts every RPC a handle ever
+        made — not the last 1 024 of them re-bucketed per scrape, which
+        pinned ``_count`` and let ``_sum`` fall between scrapes."""
+
+        def scrape(service):
+            snap = service.metrics_snapshot()
+            (hist,) = [
+                value
+                for (name, _labels), value in snap.histograms.items()
+                if name == "repro_fabric_rpc_seconds"
+            ]
+            return hist
+
+        service = make_service(workers=1)
+        try:
+            handle = service.worker_pool.handles[0]
+            base = handle.rpc_count
+            for _ in range(750):
+                handle.sync()
+            first = scrape(service)
+            for _ in range(750):
+                handle.sync()
+            second = scrape(service)
+            assert first["count"] == base + 750
+            assert second["count"] == base + 1500 == handle.rpc_count
+            assert sum(second["counts"]) == second["count"]
+            assert second["sum"] >= first["sum"] > 0.0
+        finally:
+            service.close()
+
     def test_stats_rpc_does_not_perturb_aggregation(self):
         solo = make_service(workers=0)
         pooled = make_service(workers=2)

@@ -295,8 +295,20 @@ class TestLifecycle:
         service.close()
         service.close()
 
-    def test_remote_failure_surfaces_traceback(self):
-        service = make_service(1)
+    @pytest.mark.parametrize(
+        "topology",
+        [
+            Topology.workers(1, start_method="fork"),
+            Topology.fabric(1, supervise=False),
+        ],
+        ids=["pipe", "socket"],
+    )
+    def test_remote_failure_surfaces_traceback(self, topology):
+        """One contract, both transports: the frame that failed comes
+        back as the remote traceback, not as a bare broken stream."""
+        service = IngestService(
+            ServiceConfig(num_shards=4, max_batch=512), topology=topology
+        )
         try:
             handle = service.worker_pool.handles[0]
             handle.send(rec.BATCH, b"garbage bytes")
