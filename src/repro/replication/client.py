@@ -80,18 +80,13 @@ class ReplicaReadClient:
             rp.READ_RESP,
         )
         state = proto.unpack_state(resp)
-        weights = {
-            user: float(value)
-            for user, value in zip(
-                state["weight_users"], state["weight_values"]
-            )
-        }
         return TruthSnapshot(
             campaign_id=state["campaign_id"],
             object_ids=tuple(state["object_ids"]),
             truths=np.asarray(state["truths"], dtype=float),
             seen_objects=np.asarray(state["seen_objects"], dtype=bool),
-            weights_by_user=weights,
+            contributor_ids=tuple(state["weight_users"]),
+            contributor_weights=state["weight_values"],
             claims_ingested=int(state["claims_ingested"]),
             batches_ingested=int(state["batches_ingested"]),
             pending_claims=int(state["pending_claims"]),

@@ -376,7 +376,6 @@ class StandbyServer(FrameServer):
                 )
                 return True
             snapshot = self._service.snapshot(campaign_id)
-        users = sorted(snapshot.weights_by_user)
         send_frame(
             conn,
             rp.READ_RESP,
@@ -386,10 +385,8 @@ class StandbyServer(FrameServer):
                     "object_ids": list(snapshot.object_ids),
                     "truths": snapshot.truths,
                     "seen_objects": snapshot.seen_objects,
-                    "weight_users": users,
-                    "weight_values": [
-                        snapshot.weights_by_user[u] for u in users
-                    ],
+                    "weight_users": list(snapshot.contributor_ids),
+                    "weight_values": snapshot.contributor_weights,
                     "claims_ingested": snapshot.claims_ingested,
                     "batches_ingested": snapshot.batches_ingested,
                     "pending_claims": snapshot.pending_claims,

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.service.aggregator import IncrementalAggregator
 from repro.service.batcher import MicroBatcher
-from repro.service.snapshot import TruthSnapshot
+from repro.service.snapshot import SlotIds, TruthSnapshot
 from repro.privacy.ldp import LDPGuarantee
 
 
@@ -141,27 +141,34 @@ class CampaignState:
         except KeyError:
             return None
 
-    def contributors(self) -> dict[str, float]:
-        """Current weight for every user with at least one accepted claim.
+    def snapshot(self) -> TruthSnapshot:
+        """Immutable read-side view of the campaign's current state.
 
-        Pre-registered users that never submitted are excluded, so the
-        mapping doubles as the campaign's contributor set.
+        Contributors are the users with an accepted claim (pre-registered
+        users that never submitted are excluded), in slot order.  No
+        per-user Python work: weights are copied out now, because
+        ``claims_by_slot`` and the estimator change in place later; ids
+        are a slice of the table when every slot contributed, else a
+        :class:`SlotIds` view resolved by whoever reads them.
         """
         weights = self.aggregator.weights()
         table = self.user_table
-        slots = np.flatnonzero(self.claims_by_slot[: len(table)] > 0)
-        return dict(
-            zip(map(table.__getitem__, slots.tolist()), weights[slots].tolist())
-        )
-
-    def snapshot(self) -> TruthSnapshot:
-        """Immutable read-side view of the campaign's current state."""
+        filled = len(table)
+        counts = self.claims_by_slot[:filled]
+        if np.count_nonzero(counts) == filled:
+            ids = tuple(table[:filled])
+            weights = weights[:filled].copy()
+        else:
+            slots = np.flatnonzero(counts)
+            ids = SlotIds(table, slots)
+            weights = weights[slots]
         return TruthSnapshot(
             campaign_id=self.campaign_id,
             object_ids=self.object_ids,
             truths=self.aggregator.truths(),
             seen_objects=self.aggregator.seen_objects(),
-            weights_by_user=self.contributors(),
+            contributor_ids=ids,
+            contributor_weights=weights,
             claims_ingested=self.aggregator.claims_ingested,
             batches_ingested=self.aggregator.batches_ingested,
             pending_claims=self.batcher.pending,

@@ -9,10 +9,36 @@ fresh aggregates at any time without racing the hot path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
+
+
+class SlotIds(Sequence):
+    """The ids at ``slots`` of a campaign's user table, looked up on access.
+
+    Holds the table, not a copy: a table is only ever appended to (or
+    replaced wholesale by recovery) and ``slots`` existed when the view
+    was made, so it reads the same later and from any thread.
+    """
+
+    __slots__ = ("_table", "_slots")
+
+    def __init__(self, table: Sequence, slots: np.ndarray) -> None:
+        self._table = table
+        self._slots = slots
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __getitem__(self, index: int):
+        return self._table[self._slots[index]]
+
+    def __iter__(self):
+        return map(self._table.__getitem__, self._slots.tolist())
 
 
 @dataclass(frozen=True)
@@ -32,9 +58,12 @@ class TruthSnapshot:
     seen_objects:
         ``(N,)`` boolean mask — True where at least one claim has been
         aggregated for the object.
-    weights_by_user:
-        Current reliability weight for every user that has contributed
-        at least one accepted claim.
+    contributor_ids:
+        Every user that has contributed at least one accepted claim,
+        in slot order: a sequence (a tuple or a :class:`SlotIds` view).
+    contributor_weights:
+        Read-only ``float64`` array: ``contributor_weights[i]`` is the
+        current reliability weight of ``contributor_ids[i]``.
     claims_ingested:
         Accepted claims aggregated so far (excludes queued/pending).
     batches_ingested:
@@ -48,7 +77,8 @@ class TruthSnapshot:
     object_ids: tuple
     truths: np.ndarray
     seen_objects: np.ndarray
-    weights_by_user: Mapping[str, float] = field(default_factory=dict)
+    contributor_ids: Sequence = ()
+    contributor_weights: np.ndarray = ()
     claims_ingested: int = 0
     batches_ingested: int = 0
     pending_claims: int = 0
@@ -63,16 +93,30 @@ class TruthSnapshot:
             )
         if seen.shape != truths.shape:
             raise ValueError("seen_objects must match truths in shape")
-        truths.setflags(write=False)
-        seen.setflags(write=False)
+        weights = np.asarray(self.contributor_weights, dtype=float)
+        if weights.shape != (len(self.contributor_ids),):
+            raise ValueError(
+                f"contributor_weights has shape {weights.shape} for "
+                f"{len(self.contributor_ids)} contributor ids"
+            )
+        for array in (truths, seen, weights):
+            array.setflags(write=False)
         object.__setattr__(self, "truths", truths)
         object.__setattr__(self, "seen_objects", seen)
-        object.__setattr__(self, "weights_by_user", dict(self.weights_by_user))
+        object.__setattr__(self, "contributor_weights", weights)
+
+    @cached_property
+    def weights_by_user(self) -> Mapping[str, float]:
+        """``{user id: weight}`` in ``contributor_ids`` order — built on
+        first access (the one O(contributors) step of a read) and kept."""
+        return dict(
+            zip(self.contributor_ids, self.contributor_weights.tolist())
+        )
 
     @property
     def num_contributors(self) -> int:
         """Users with at least one aggregated claim."""
-        return len(self.weights_by_user)
+        return len(self.contributor_ids)
 
     @property
     def coverage(self) -> float:

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.durable.checkpoint import CheckpointError, CheckpointStore
+from repro.durable.checkpoint import (
+    CheckpointError,
+    CheckpointStore,
+    pack_payload,
+    unpack_payload,
+)
 
 
 def payload(tag="x"):
@@ -53,6 +58,22 @@ class TestRoundTrip:
     def test_reserved_key_rejected(self, tmp_path):
         with pytest.raises(CheckpointError, match="reserved key"):
             CheckpointStore(tmp_path).save(1, {"d": {"__nd__": "a0"}})
+
+    def test_errors_name_the_path_through_lists(self):
+        # Scalar leaves are passed over without a path; a container or
+        # an array further along must still be named in full.
+        rows = ["id-0", 1, 2.5, None, True]
+        with pytest.raises(CheckpointError, match=r"'payload\.rows\[5\]\.d'"):
+            pack_payload({"rows": rows + [{"d": {"__nd__": 0}}]})
+        with pytest.raises(CheckpointError, match=r"'payload\.rows\[5\]'"):
+            pack_payload({"rows": rows + [np.array(["text"])]})
+
+    def test_numpy_scalars_in_a_list_still_lower(self):
+        # np.float64 is a float subclass; the others JSON cannot encode.
+        row = [np.float64(0.1), 0.2, np.float32(0.25), np.int64(3), np.bool_(True)]
+        assert unpack_payload(pack_payload({"w": row})) == {
+            "w": [0.1, 0.2, 0.25, 3, True]
+        }
 
 
 class TestLifecycle:

@@ -171,6 +171,42 @@ class TestShipAndRead:
             service.close()
             standby.stop()
 
+    @pytest.mark.parametrize("silent", [(), ("never-submits",)])
+    def test_replica_contributors_are_the_primarys_columns(
+        self, tmp_path, silent
+    ):
+        """Slot order on both sides (not sorted by id) and the weights'
+        array bytes — with every slot active, and with a silent one."""
+        gen, chunks = make_traffic(total_chunks=4)
+        user_ids = tuple(reversed(gen.user_ids)) + silent
+        standby = StandbyServer(tmp_path / "sb0")
+        address = ("127.0.0.1", standby.start())
+        service, manager = primary_service(tmp_path)
+        sender = attach_sender(manager, [address])
+        try:
+            service.register_campaign(
+                gen.campaign_id, gen.object_ids,
+                max_users=len(user_ids), user_ids=user_ids,
+            )
+            feed(service, chunks)
+            quiesce(service, manager, sender)
+            primary = service.snapshot(gen.campaign_id)
+            with ReplicaReadClient(address) as client:
+                replica = client.snapshot(gen.campaign_id)
+            order = list(primary.weights_by_user)
+            assert order == list(user_ids[:NUM_USERS]) != sorted(order)
+            assert list(replica.weights_by_user) == order
+            assert list(replica.contributor_ids) == order
+            assert (
+                replica.contributor_weights.tobytes()
+                == primary.contributor_weights.tobytes()
+            )
+            assert replica.num_contributors == NUM_USERS
+            assert not replica.contributor_weights.flags.writeable
+        finally:
+            service.close()
+            standby.stop()
+
     def test_replication_metrics_exposed(self, tmp_path):
         from repro.obs.exposition import render_prometheus
 

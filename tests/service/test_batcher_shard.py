@@ -119,7 +119,7 @@ def test_contributors_match_the_per_user_loop(method):
         aggregator=StreamingAggregator(6, 3, method=method),
         max_batch=64, user_ids=("ann", "bob", "cy", "dee"),
     )
-    assert state.contributors() == {}
+    assert state.snapshot().weights_by_user == {}
     users = np.array([3, 0, 3, 2, 0, 5])
     state.aggregator.ingest(ClaimBatch(
         users=users, objects=np.array([0, 0, 1, 1, 2, 2]),
@@ -133,7 +133,7 @@ def test_contributors_match_the_per_user_loop(method):
         for i, u in enumerate(state.user_table)
         if state.claims_by_slot[i] > 0
     }
-    got = state.contributors()
+    got = state.snapshot().weights_by_user
     assert list(got) == ["ann", "cy", "dee"] == list(expected)
     assert got == expected
     assert all(type(w) is float for w in got.values())
