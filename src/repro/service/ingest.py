@@ -19,12 +19,12 @@ queued work into micro-batchers and incremental aggregators;
 
 The service is single-threaded by design — shards are a state
 partition, not threads — so callers control when aggregation work
-happens (after each drain, on a timer, ...).  Under
-``Topology.workers(n)`` the aggregation half of each pump moves into
-shard-worker processes (:mod:`repro.workers`): ``pump()`` then ships
-completed micro-batches over a pipe and returns, while the workers
-aggregate concurrently — validation, admission, and durability logging
-stay in this process.
+happens (after each drain, on a timer, ...).  Under a sharded
+:class:`~repro.service.topology.Topology` the aggregation half of each
+pump moves into shard-worker processes, which aggregate concurrently;
+validation, admission, and durability logging stay in this process.
+This module is the data plane only: what a topology starts, and how it
+stops, is :class:`~repro.service.topology.Deployment`.
 """
 
 from __future__ import annotations
@@ -44,19 +44,9 @@ from repro.service.shard import CampaignState, Shard, shard_for
 from repro.service.snapshot import TruthSnapshot
 from repro.service.topology import Topology
 from repro.utils.logging import get_logger
-from repro.utils.process import reap
 from repro.utils.validation import ensure_in_range, ensure_int
 
 _LOGGER = get_logger("service.ingest")
-
-
-def _resolve_durability(durability):
-    """A DurabilityManager from a manager / config / directory value."""
-    if hasattr(durability, "wal"):
-        return durability
-    from repro.durable.manager import DurabilityManager
-
-    return DurabilityManager(durability)
 
 #: Accepted overflow policies for full shard queues.
 OVERFLOW_POLICIES = ("reject", "drop_oldest")
@@ -258,27 +248,13 @@ class IngestService:
         ``"budget"``.
     topology:
         The deployment shape, one :class:`~repro.service.topology.
-        Topology` value (default ``Topology.in_process()``).
-        ``Topology.workers(n)`` moves campaign aggregators into a
-        :class:`~repro.workers.pool.ShardPool` of ``n`` pipe-connected
-        processes, each owning a contiguous range of shards
-        (:class:`~repro.workers.handles.RemoteAggregator` proxies
-        parent-side; validation, admission, queues, micro-batching and
-        durability logging stay here).  ``Topology.fabric(n)`` is the
-        same pool over ``n`` shard-host processes on TCP ports
-        (launched by :class:`~repro.net.fabric.SocketLauncher`),
-        supervised by default: a dead host is restarted and replayed,
-        with recovered truths bitwise-identical to an uncrashed run.
-        ``Topology.replicated(...)`` ships the write-ahead log to warm
-        standbys.  Every factory takes ``durability=`` (a
-        :class:`~repro.durable.manager.DurabilityManager`, a
-        :class:`~repro.durable.manager.DurabilityConfig`, or a
-        directory): every registration, admitted budget charge and
-        flushed micro-batch is then written ahead to an append-only log
-        and the state can be rebuilt after a crash with
-        :class:`~repro.durable.recovery.RecoveryManager`.  Call
-        :meth:`close` (or use the service as a context manager) to shut
-        down whatever processes the topology started.
+        Topology` value (default ``Topology.in_process()``): pipe
+        workers, socket shard hosts or warm standbys, each optionally
+        with ``durability=`` — every registration, admitted budget
+        charge and flushed micro-batch written ahead to a log that
+        :class:`~repro.durable.recovery.RecoveryManager` rebuilds the
+        state from.  Call :meth:`close` (or use the service as a
+        context manager) to stop whatever the topology started.
     """
 
     def __init__(
@@ -309,127 +285,11 @@ class IngestService:
         for shard in self._shards:
             shard.telemetry = self.telemetry
         self._campaign_shard: dict[str, Shard] = {}
-        #: Worker-side REGISTER spec per campaign — what rebalancing
-        #: replays on the target worker before shipping the state.
-        self._worker_specs: dict[str, dict] = {}
         self.stats = ServiceStats(self)
-        self._pool = None
-        self._standby_pool = None
-        self._replication = None
-        self._status_server = None
-        self._watchdog_procs = []
-        #: An in-process :class:`~repro.replication.watchdog.
-        #: FailoverWatchdog` whose stats should fold into telemetry
-        #: (set by tests or custom deployments; the auto_failover
-        #: watchdog is a detached process and reports via its own exit).
-        self.watchdog = None
         self._pumps = 0
-        if topology.kind in ("workers", "fabric"):
-            from dataclasses import asdict
-
-            from repro.workers.pool import ShardPool, pipe_launcher
-
-            if topology.kind == "workers":
-                launch = pipe_launcher(topology.start_method)
-                # Pipe workers are fail-fast: a crash raises
-                # WorkerCrashedError and the operator recovers from
-                # the WAL.
-                supervise = False
-            else:
-                from repro.net.fabric import SocketLauncher
-
-                launch = SocketLauncher()
-                supervise = topology.supervise
-            self._pool = ShardPool(
-                self._config.num_shards,
-                topology.processes,
-                asdict(self._config),
-                launch,
-                supervise=supervise,
-            )
-            if self._pool.supervisor is not None:
-                # Permanent host loss: the supervisor re-homes the
-                # journaled state onto survivors, then this hook
-                # re-points the campaign's aggregator proxy.
-                self._pool.supervisor.on_rehome = self._repoint_campaign
-        # A manager the service built itself (from a config or path)
-        # has no other owner, so close() must close it; a manager the
-        # caller passed in may outlive the service for recovery.
-        self._owns_durability = topology.durability is not None and not hasattr(
-            topology.durability, "wal"
-        )
-        if topology.kind == "replicated":
-            self._start_replicated(topology)
-        elif topology.durability is not None:
-            self.attach_durability(
-                _resolve_durability(topology.durability)
-            )
-
-    def _start_replicated(self, topology: Topology) -> None:
-        """Bring up the replicated shape: logger, standbys, sender —
-        and, under ``auto_failover``, the status listener plus the
-        detached watchdog process that will promote a standby if this
-        process dies."""
-        from repro.replication.pool import StandbyPool
-        from repro.replication.sender import ReplicationSender
-
-        manager = _resolve_durability(topology.durability)
-        pool = None
-        status_server = None
-        try:
-            pool = StandbyPool(
-                topology.standbys,
-                manager.directory,
-                directories=topology.standby_dirs,
-                fsync=topology.standby_fsync,
-            )
-            self.attach_durability(manager)
-            sender = ReplicationSender(
-                pool.addresses,
-                sync=topology.sync,
-                ack_timeout=topology.ack_timeout,
-            )
-            manager.attach_replication(sender)
-            if topology.auto_failover:
-                from repro.replication.watchdog import (
-                    PrimaryStatusServer,
-                    allocate_peer_ports,
-                    launch_watchdog,
-                )
-
-                status_server = PrimaryStatusServer(manager)
-                status_server.start()
-                count = topology.watchdogs
-                peer_ports = (
-                    allocate_peer_ports(count) if count > 1 else [None]
-                )
-                for i in range(count):
-                    peers = [
-                        ("127.0.0.1", port)
-                        for j, port in enumerate(peer_ports)
-                        if j != i and port is not None
-                    ]
-                    self._watchdog_procs.append(
-                        launch_watchdog(
-                            status_server.address,
-                            pool.addresses,
-                            interval=topology.heartbeat_interval,
-                            misses=topology.heartbeat_misses,
-                            index=i,
-                            peer_port=peer_ports[i],
-                            peers=peers,
-                        )
-                    )
-        except BaseException:
-            self._stand_down_watchdogs()
-            if status_server is not None:
-                status_server.stop()
-            if pool is not None:
-                pool.close()
-            raise
-        self._standby_pool = pool
-        self._replication = sender
-        self._status_server = status_server
+        #: What the topology started, and the one way to stop it.
+        self._deployment = topology.start(self)
+        self._pool = self._deployment.pool
 
     # ------------------------------------------------------------------
     @property
@@ -443,30 +303,29 @@ class IngestService:
 
     @property
     def replication(self):
-        """The WAL-shipping sender (None unless ``replicated``)."""
-        return self._replication
+        """The durability manager's WAL sender (None without one)."""
+        durability = self._durability
+        return None if durability is None else durability.replication
 
     @property
     def standbys(self):
         """The owned standby pool (None unless ``replicated``)."""
-        return self._standby_pool
+        return self._deployment.standbys
 
     @property
     def status_server(self):
-        """The primary's liveness listener (None unless
-        ``auto_failover``)."""
-        return self._status_server
+        """The primary's status listener (None unless auto_failover)."""
+        return self._deployment.status_server
 
     @property
     def watchdog_process(self):
-        """The first detached ``repro watchdog`` process (None unless
-        ``auto_failover``)."""
-        return self._watchdog_procs[0] if self._watchdog_procs else None
+        """The first detached watchdog (None unless auto_failover)."""
+        return next(iter(self._deployment.watchdogs), None)
 
     @property
     def watchdog_processes(self):
         """Every detached watchdog process (the quorum fleet)."""
-        return list(self._watchdog_procs)
+        return list(self._deployment.watchdogs)
 
     @property
     def ledger(self) -> Optional[BudgetLedger]:
@@ -565,6 +424,29 @@ class IngestService:
             method_kwargs=method_kwargs,
         )
         shard_index = self.shard_of(campaign_id)
+        # What a shard worker builds the campaign's aggregator from.
+        spec = {
+            "campaign_id": campaign_id,
+            "num_users": max_users,
+            "num_objects": len(object_ids),
+            "method": method,
+            "aggregator": aggregator,
+            "method_kwargs": dict(method_kwargs),
+        }
+        if self._pool is None:
+            campaign_aggregator = make_aggregator(
+                max_users,
+                len(object_ids),
+                kind=aggregator,
+                method=method,
+                decay=cfg.decay,
+                refine_sweeps=cfg.refine_sweeps,
+                refine_every=cfg.refine_every,
+                full_refit_max_cells=cfg.full_refit_max_cells,
+                **method_kwargs,
+            )
+        else:
+            campaign_aggregator = self._deployment.proxy(shard_index, spec)
         state = CampaignState(
             campaign_id,
             object_ids,
@@ -572,15 +454,7 @@ class IngestService:
             user_ids=user_ids,
             cost=cost,
             max_batch=cfg.max_batch,
-            aggregator=self._build_aggregator(
-                campaign_id,
-                shard_index,
-                max_users,
-                len(object_ids),
-                aggregator_kind=aggregator,
-                method=method,
-                method_kwargs=method_kwargs,
-            ),
+            aggregator=campaign_aggregator,
         )
         if self._durability is not None:
             # Log the registration before claims can reference it.  The
@@ -608,16 +482,7 @@ class IngestService:
             # The worker must know the campaign before any batch frame
             # can reference it (frames are processed strictly in order,
             # so sending the registration first is sufficient).
-            spec = {
-                "campaign_id": campaign_id,
-                "num_users": max_users,
-                "num_objects": len(object_ids),
-                "method": method,
-                "aggregator": aggregator,
-                "method_kwargs": dict(method_kwargs),
-            }
-            self._worker_specs[campaign_id] = spec
-            self._pool.handle_for(shard_index).register(spec)
+            self._deployment.register(shard_index, spec)
         shard = self._shards[shard_index]
         shard.register(state)
         self._campaign_shard[campaign_id] = shard
@@ -641,11 +506,10 @@ class IngestService:
         if shard is None:
             raise KeyError(f"campaign {campaign_id!r} not registered")
         del shard.campaigns[campaign_id]
-        self._worker_specs.pop(campaign_id, None)
         if self._durability is not None:
             self._durability.log_unregister(campaign_id)
         if self._pool is not None:
-            self._pool.handle_for(shard.index).unregister(campaign_id)
+            self._deployment.unregister(shard.index, campaign_id)
 
     def campaign_state(self, campaign_id: str) -> CampaignState:
         """The shard-side state of a campaign (read-mostly; for tests)."""
@@ -653,46 +517,6 @@ class IngestService:
         if shard is None:
             raise KeyError(f"campaign {campaign_id!r} not registered")
         return shard.campaigns[campaign_id]
-
-    def _build_aggregator(
-        self,
-        campaign_id: str,
-        shard_index: int,
-        num_users: int,
-        num_objects: int,
-        *,
-        aggregator_kind: str,
-        method: str,
-        method_kwargs: dict,
-    ):
-        cfg = self._config
-        if self._pool is None:
-            return make_aggregator(
-                num_users,
-                num_objects,
-                kind=aggregator_kind,
-                method=method,
-                decay=cfg.decay,
-                refine_sweeps=cfg.refine_sweeps,
-                refine_every=cfg.refine_every,
-                full_refit_max_cells=cfg.full_refit_max_cells,
-                **method_kwargs,
-            )
-        from repro.workers.handles import RemoteAggregator
-
-        # register_campaign resolved "auto" to the concrete kind before
-        # calling here (a bad configuration already failed there, with
-        # a local traceback), and the worker spec carries the same
-        # resolved kind — so the proxy's bookkeeping
-        # (refresh_changes_state) mirrors the real backend exactly.
-        return RemoteAggregator(
-            self._pool.handle_for(shard_index),
-            campaign_id,
-            num_users,
-            num_objects,
-            backend=aggregator_kind,
-            refine_every=cfg.refine_every,
-        )
 
     # ------------------------------------------------------------------
     def submit(self, submission: ClaimSubmission) -> IngestResult:
@@ -1017,13 +841,10 @@ class IngestService:
         return snapshot
 
     def sync_workers(self) -> None:
-        """Barrier: return once workers aggregated every shipped batch.
-
-        In-process mode this is a no-op (pump already aggregated
-        synchronously).  Benchmarks call it before stopping the clock
-        so multi-process throughput counts finished aggregation, not
-        frames parked in a pipe.
-        """
+        """Barrier: return once workers aggregated every shipped batch
+        (a no-op in-process, where pump aggregated synchronously) — so
+        multi-process throughput counts finished aggregation, not
+        frames parked in a pipe."""
         if self._pool is not None:
             self._pool.sync()
             if self.telemetry.enabled:
@@ -1032,128 +853,33 @@ class IngestService:
 
     # ------------------------------------------------------------------
     def rebalance_shard(self, shard_index: int, target_worker: int) -> int:
-        """Move one shard's campaigns to another worker/host, online.
-
-        Works identically over pipes and sockets: routing is the
-        :class:`~repro.workers.pool.ShardPool`'s
-        :class:`~repro.net.placement.PlacementMap`.  Per campaign on the
-        shard: register the spec on the target, ship ``state_dict``
-        (the RPC is ordered after every frame already sent, so shipped
-        batches — staged claims included — arrive in the state, bit for
-        bit), drop the source copy, and re-home the
-        :class:`~repro.workers.handles.RemoteAggregator` proxy.  Claims
-        still queued parent-side need nothing: they resolve their
-        handle at pump time, after the placement move.  Returns the
-        number of campaigns moved.
-        """
-        if self._pool is None:
-            raise RuntimeError(
-                "rebalancing requires a worker pool or fabric "
-                "(Topology.workers(n) or Topology.fabric(n))"
-            )
-        if not 0 <= shard_index < len(self._shards):
-            raise IndexError(
-                f"shard {shard_index} outside 0..{len(self._shards) - 1}"
-            )
-        source = self._pool.handle_for(shard_index)
-        target = self._pool.handles[target_worker]
-        if target is source:
-            return 0
-        shard = self._shards[shard_index]
-        moved = 0
-        for campaign_id in sorted(shard.campaigns):
-            target.register(self._worker_specs[campaign_id])
-            state = source.state_dict(campaign_id)
-            target.load_state(campaign_id, state)
-            source.unregister(campaign_id)
-            shard.campaigns[campaign_id].aggregator.rehome(target)
-            moved += 1
-        self._pool.move_shard(shard_index, target_worker)
-        _LOGGER.debug(
-            "shard %d re-homed: worker %d -> %d (%d campaign(s))",
-            shard_index,
-            source.worker_id,
-            target.worker_id,
-            moved,
-        )
-        return moved
-
-    def _repoint_campaign(self, campaign_id: str, handle) -> None:
-        """Supervisor re-home hook: point one campaign's aggregator
-        proxy at the survivor that adopted its state.
-
-        Claims still queued parent-side need nothing — they resolve
-        their handle through the placement map at pump time, after the
-        supervisor's placement moves."""
-        shard = self._shards[self.shard_of(campaign_id)]
-        campaign = shard.campaigns.get(campaign_id)
-        if campaign is not None:
-            rehome = getattr(campaign.aggregator, "rehome", None)
-            if rehome is not None:
-                rehome(handle)
+        """Move one shard's campaigns to another worker/host, online
+        (see :meth:`~repro.service.topology.Deployment.rebalance_shard`);
+        returns the number of campaigns moved."""
+        return self._deployment.rebalance_shard(shard_index, target_worker)
 
     def fabric_stats(self) -> Optional[dict]:
         """Placement and supervision counters (None without a pool)."""
-        if self._pool is None:
-            return None
-        stats: dict = {
-            "workers": self._pool.num_workers,
-            "placement": self._pool.placement.describe(),
-        }
-        if self._pool.supervisor is not None:
-            stats["supervision"] = self._pool.supervisor.stats()
-        return stats
-
-    def _stand_down_watchdogs(self) -> None:
-        """SIGTERM every watchdog, then reap them (escalating on one
-        that ignores it)."""
-        for proc in self._watchdog_procs:
-            proc.terminate()
-        for proc in self._watchdog_procs:
-            reap(proc)
-        self._watchdog_procs = []
+        return self._deployment.fabric_stats()
 
     def close(self) -> None:
-        """Shut down the worker pool (if any); idempotent.
-
-        Safe to call twice, and safe after a
-        :class:`~repro.workers.handles.WorkerCrashedError` — shutdown
-        never writes to a pipe it cannot prove alive without catching
-        the failure, so a dead worker is simply reaped.
+        """Stop what the topology started, in reverse start order
+        (:class:`~repro.service.topology.Deployment`); idempotent, and
+        safe after a :class:`~repro.workers.handles.WorkerCrashedError`.
 
         Queued-but-unpumped work is dropped, exactly like abandoning an
-        in-process service.  A durability *manager* the caller attached
-        is *not* closed here — its WAL may outlive the service for
-        recovery — but one the service built itself (a topology's
-        ``durability=`` given as a config or directory path) is, since
-        nothing else holds it.  A ``replicated`` topology's sender and
-        standby processes *are* closed: the service owns them (a
-        standby that should survive this primary is promoted first).
+        in-process service.  A durability manager is closed only if the
+        topology built it from a config or path: one the caller passed
+        in may outlive the service for recovery.
         """
         if self._closed:
             return
         self._closed = True
-        # Stand the watchdogs down *first*: a planned shutdown must
-        # not read as a primary death, or the fleet would promote a
-        # standby we are about to close.
-        self._stand_down_watchdogs()
-        if self._status_server is not None:
-            self._status_server.stop()
-            self._status_server = None
-        if self.watchdog is not None:
-            self.watchdog.stop()
         if self._durability is not None:
             # Final WAL sample: a stats object read after close must
             # report the log's closing counters, not the last pump's.
             self._sample_wal_stats()
-        if self._replication is not None:
-            self._replication.close()
-        if self._pool is not None:
-            self._pool.close()
-        if self._standby_pool is not None:
-            self._standby_pool.close()
-        if self._owns_durability and self._durability is not None:
-            self._durability.close()
+        self._deployment.close()
 
     def __enter__(self) -> "IngestService":
         return self

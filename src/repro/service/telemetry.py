@@ -265,10 +265,6 @@ class ServiceTelemetry:
                     series_key("repro_compaction_evaluations_total"),
                     float(stats["evaluations"]))
         replication = service.replication
-        if replication is None and service.durability is not None:
-            # A sender wired straight onto the manager (no
-            # Topology.replicated) still deserves lag gauges.
-            replication = service.durability.replication
         if replication is not None:
             repl = replication.stats()
             add("counter",
@@ -312,47 +308,12 @@ class ServiceTelemetry:
                     "repro_chaos_faults_injected_total", {"point": point}
                 ),
                 float(count))
-        # Failover watchdog: the detached auto_failover process shows
-        # up as an armed gauge; an in-process watchdog (service.watchdog)
-        # folds its full counter set.
+        # The detached auto_failover watchdog shows up as an armed gauge;
+        # its counters live in its own process.
         watchdog_proc = service.watchdog_process
-        watchdog = service.watchdog
-        if watchdog_proc is not None and watchdog is None:
+        if watchdog_proc is not None:
             add("gauge", series_key("repro_watchdog_armed"),
                 1.0 if watchdog_proc.is_alive() else 0.0)
-        if watchdog is not None:
-            stats = watchdog.stats()
-            add("gauge", series_key("repro_watchdog_armed"),
-                1.0 if stats["armed"] else 0.0)
-            add("counter",
-                series_key("repro_watchdog_heartbeats_total"),
-                float(stats["heartbeats_sent"]))
-            add("counter",
-                series_key("repro_watchdog_heartbeat_misses_total"),
-                float(stats["heartbeat_misses"]))
-            add("counter",
-                series_key("repro_watchdog_elections_total"),
-                float(stats["elections"]))
-            add("counter",
-                series_key("repro_watchdog_failed_elections_total"),
-                float(stats.get("failed_elections", 0)))
-            add("counter",
-                series_key("repro_watchdog_quorum_denied_total"),
-                float(stats.get("quorum_denied", 0)))
-            add("counter",
-                series_key("repro_watchdog_votes_granted_total"),
-                float(stats.get("votes_granted", 0)))
-            add("counter",
-                series_key("repro_watchdog_auto_promotions_total"),
-                float(stats["auto_promotions"]))
-            if stats["detection_seconds"] is not None:
-                add("gauge",
-                    series_key("repro_watchdog_detection_seconds"),
-                    float(stats["detection_seconds"]))
-            if stats["promotion_seconds"] is not None:
-                add("gauge",
-                    series_key("repro_watchdog_promotion_seconds"),
-                    float(stats["promotion_seconds"]))
         refreshes = 0
         refresh_seconds = 0.0
         for shard in service._shards:

@@ -1,19 +1,24 @@
 """A launched child always has an owner that reaps it.
 
-Two places used to start a process and then fail before anything owned
-it: the socket launch (``serve-shard`` up, dial fails — a shard host
-nobody ever dialled never exits on its own) and the watchdog fleet of
+Places that used to start something and then fail before anything
+owned it: the socket launch (``serve-shard`` up, dial fails — a shard
+host nobody ever dialled never exits on its own), the watchdog fleet of
 ``Topology.replicated(auto_failover=True)`` (member k fails to launch,
-members 0..k-1 keep heartbeating a primary that never came up).
+members 0..k-1 keep heartbeating a primary that never came up), the
+sender and the service-built log behind that fleet, and a worker pool
+started before its durability directory turned out to be unusable.
 """
 
 import os
 import signal
+import threading
 
 import pytest
 
+import repro.durable.manager as manager_mod
 import repro.net.fabric as fabric
 import repro.replication.watchdog as watchdog_mod
+import repro.workers.pool as pool_mod
 from repro.net.fabric import SocketLauncher
 from repro.service import IngestService, ServiceConfig, Topology
 from repro.workers import ShardPool
@@ -44,6 +49,20 @@ def fail_next_connect(monkeypatch):
         return real_connect(address, **kwargs)
 
     monkeypatch.setattr(fabric, "connect", connect)
+
+
+def spy_on(monkeypatch, module, name):
+    """Every instance of ``module.name`` built while the test runs."""
+    built = []
+    real = getattr(module, name)
+
+    class Spy(real):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, Spy)
+    return built
 
 
 def assert_reaped(process):
@@ -112,3 +131,51 @@ class TestWatchdogFleetLaunch:
         assert len(started) == 2
         for process in started:
             assert_reaped(process)
+
+    def test_failed_watchdog_launch_stops_the_sender_and_built_log(
+        self, tmp_path, monkeypatch
+    ):
+        managers = spy_on(monkeypatch, manager_mod, "DurabilityManager")
+
+        def launch(*args, **kwargs):
+            raise OSError("injected: cannot launch watchdog")
+
+        monkeypatch.setattr(watchdog_mod, "launch_watchdog", launch)
+        threads_before = set(threading.enumerate())
+        with pytest.raises(OSError, match="cannot launch watchdog"):
+            IngestService(
+                ServiceConfig(num_shards=1),
+                topology=Topology.replicated(
+                    standbys=1,
+                    durability=tmp_path / "wal",
+                    auto_failover=True,
+                ),
+            )
+        (manager,) = managers
+        assert manager.replication.stopped
+        assert manager.wal.closed
+        shipping = [
+            thread
+            for thread in set(threading.enumerate()) - threads_before
+            if thread.name.startswith("repl-sender-")
+        ]
+        assert shipping == []
+
+
+class TestDurabilityAfterPool:
+    def test_unusable_durability_directory_leaves_no_worker(
+        self, tmp_path, monkeypatch
+    ):
+        pools = spy_on(monkeypatch, pool_mod, "ShardPool")
+        occupied = tmp_path / "a-file-not-a-directory"
+        occupied.write_text("")
+        with pytest.raises(FileExistsError):
+            IngestService(
+                ServiceConfig(num_shards=1),
+                topology=Topology.workers(
+                    1, start_method="fork", durability=occupied
+                ),
+            )
+        for pool in pools:
+            for handle in pool.handles:
+                assert_reaped(handle.process)

@@ -1,12 +1,14 @@
 """The service-topology API."""
 
+import subprocess
+import sys
 import warnings
 
 import pytest
 
 from repro.durable import DurabilityConfig, DurabilityManager
 from repro.service.ingest import IngestService, ServiceConfig
-from repro.service.topology import Topology
+from repro.service.topology import Deployment, Topology
 
 
 class TestFactories:
@@ -159,3 +161,72 @@ class TestIngestServiceTopology:
         service.close()
         assert not caller_owned.wal.closed
         caller_owned.close()
+
+
+class TestDeployment:
+    def test_members_close_in_reverse_start_order_past_a_failing_one(self):
+        deployment = Deployment(service=None)
+        closed = []
+        first = RuntimeError("watchdogs would not stand down")
+
+        def member(name, error=None):
+            def close():
+                closed.append(name)
+                if error is not None:
+                    raise error
+
+            return close
+
+        deployment.own(member("manager"))
+        deployment.own(member("pool", RuntimeError("pool close failed")))
+        deployment.own(member("sender"))
+        deployment.own(member("watchdogs", first))
+        with pytest.raises(RuntimeError) as raised:
+            deployment.close()
+        assert raised.value is first
+        assert closed == ["watchdogs", "sender", "pool", "manager"]
+        deployment.close()  # idempotent: every member is already closed
+        assert closed == ["watchdogs", "sender", "pool", "manager"]
+
+    def test_failed_start_closes_the_manager_it_built(self, tmp_path):
+        class RefusingService:
+            config = ServiceConfig(num_shards=1)
+
+            def attach_durability(self, manager):
+                self.manager = manager
+                raise RuntimeError("injected: attach refused")
+
+        service = RefusingService()
+        with pytest.raises(RuntimeError, match="attach refused"):
+            Topology.in_process(durability=tmp_path / "wal").start(service)
+        assert service.manager.wal.closed
+
+
+#: Each sharded, durable or replicated shape imports its own stack; a
+#: plain in-process service must load none of it.
+IN_PROCESS_SERVICE = """
+import sys
+import numpy as np
+from repro.crowdsensing.messages import ClaimSubmission
+from repro.service import IngestService, ServiceConfig
+with IngestService(ServiceConfig(num_shards=2)) as service:
+    service.register_campaign("c", ["a", "b"], max_users=4)
+    service.submit(ClaimSubmission("c", "u0", ("a", "b"), (1.0, 2.0)))
+    service.submit_columns(
+        "c", np.array([1, 2]), np.array([0, 1]), np.array([1.5, 2.5])
+    )
+    service.pump()
+    service.snapshot("c")
+loaded = {"repro.workers", "repro.net", "repro.replication", "repro.durable"}
+sys.exit(", ".join(sorted(loaded & set(sys.modules))) or 0)
+"""
+
+
+def test_in_process_service_loads_no_deployment_stack():
+    proc = subprocess.run(
+        [sys.executable, "-c", IN_PROCESS_SERVICE],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
