@@ -6,15 +6,16 @@ memory; this package makes that state survive a crash:
 * :class:`WriteAheadLog` — segmented, CRC-checked, append-only log of
   every accepted micro-batch (plus campaign registrations, user-slot
   assignments, and privacy-budget charges), with ``never`` / ``batch``
-  / ``always`` fsync policies, segment rotation, and retention.  With
-  ``async_commit`` a background writer thread owns all write+fsync
-  work: appends stage frames in a double-buffered queue, the writer
-  commits them in groups (one write + one fdatasync each), and the
-  monotone ``durable_lsn`` watermark plus ``wait_durable(lsn)`` give
-  callers a durable-ack primitive — ``always`` means "acknowledged
-  after durable" via grouped syncs instead of one fdatasync per frame,
-  and ``batch`` group-commit latency leaves the ingest thread
-  entirely;
+  / ``always`` fsync policies, segment rotation, and retention.  Every
+  append stages its record, and each drain commits the staged group
+  with one ``writev`` and one fdatasync; the monotone ``durable_lsn``
+  watermark plus ``wait_durable(lsn)`` give callers a durable-ack
+  primitive.  Synchronous commit drains on the calling thread (at sync
+  points, or per record under ``always``); with ``async_commit`` a
+  background writer thread drains instead, so ``always`` means
+  "acknowledged after durable" via grouped syncs and ``batch``
+  group-commit latency leaves the ingest thread entirely.  A failed
+  drain stays failed in both modes;
 * :func:`compact_directory` /
   :meth:`~repro.durable.manager.DurabilityManager.compact` —
   claim-granular log compaction: rewrite the live records (the

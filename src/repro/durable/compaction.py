@@ -54,7 +54,6 @@ import json
 import os
 import shutil
 import time
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -70,9 +69,8 @@ from repro.durable.wal import (
     SEGMENT_SUFFIX,
     WalError,
     WalRecord,
-    _BODY_HEADER,
-    _FRAME_HEADER,
     _commit_compaction,
+    _frame_header,
     _fsync_dir,
     list_segments,
     read_wal,
@@ -215,8 +213,9 @@ def _select_live(
 
 def _encode_frame(record: WalRecord) -> bytes:
     """Re-encode a scanned record into its exact on-disk frame bytes."""
-    body = _BODY_HEADER.pack(record.rtype, record.lsn) + record.payload
-    return _FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
+    payload = record.payload
+    header = _frame_header(record.rtype, record.lsn, (payload,), len(payload))
+    return header + payload
 
 
 def _close_synced(fh) -> None:

@@ -16,45 +16,44 @@ LSNs.
 Commit semantics
 ----------------
 
-Durability policy (``fsync=``):
+Every record takes one path.  :meth:`WriteAheadLog.append` assigns the
+LSN and *stages* ``(type, LSN, payload buffers)``; a *drain* commits
+everything staged as one group — one ``os.writev`` per segment it
+touches (split further only at ``IOV_MAX``), then one ``fdatasync``
+unless the policy is ``never`` — and only then advances the monotone
+watermark :attr:`WriteAheadLog.durable_lsn` that
+:meth:`WriteAheadLog.wait_durable` blocks on.  A frame opens a new
+segment exactly when it would overflow the current one, so where
+groups end never changes the bytes on disk.  Policies (``fsync=``):
+``"never"`` writes without fsync (survives process crashes, not power
+loss); ``"batch"`` commits at each sync point
+(:meth:`WriteAheadLog.sync`, which the service calls after each pump);
+``"always"`` is described per mode below.
 
-* ``"never"`` — frames are flushed to the OS at sync points but never
-  fsynced: survives process crashes, not power loss;
-* ``"batch"`` — group commit: :meth:`WriteAheadLog.sync` (called by the
-  service after each pump) flushes and fsyncs once per group;
-* ``"always"`` — every appended frame is flushed and fsynced before
-  :meth:`WriteAheadLog.append` returns.
+In synchronous mode (the default) the calling thread drains: at
+``sync()``, ``compact()`` and ``close()``, inline under ``always`` (a
+group of one, durable before ``append()`` returns), and whenever the
+staged bytes cross a high-water mark that bounds staging memory.  A
+record reaches the file only at a drain; only records at or below
+``durable_lsn`` were ever promised.
 
-With ``async_commit=True`` the write+fsync work leaves the appending
-thread entirely: :meth:`WriteAheadLog.append` stages ``(type, LSN,
-payload)`` in an in-memory buffer and returns; a dedicated background
-writer thread builds the frames and drains staged records in groups —
-one batched write plus (under ``batch``/``always``) one ``fdatasync``
-per group.  Groups form at sync points (:meth:`WriteAheadLog.sync` /
-:meth:`WriteAheadLog.request_sync` / :meth:`WriteAheadLog.wait_durable`)
-and whenever the staged bytes cross a high-water mark, which bounds
-staging memory and keeps the writer draining in the background between
-sync points.  Durability is tracked by a monotone watermark,
-:attr:`WriteAheadLog.durable_lsn`, and acknowledged through
-:meth:`WriteAheadLog.wait_durable`:
+With ``async_commit=True`` a background writer thread drains, at sync
+points (``sync()`` / ``request_sync()`` / ``wait_durable()``) and at
+the high-water mark, so write and fsync leave the appending thread.
+``always`` then means *ack after durable*: a sync point commits
+everything staged since the last one and blocks until the watermark
+passes, so a record is durable before the caller's next sync point
+acknowledges it (the ingestion service acks at every pump) instead of
+paying one fdatasync per record.  Under ``batch``,
+:meth:`WriteAheadLog.request_sync` (the service's pump hook) only
+schedules the commit, so its latency leaves the ingest thread.
 
-* ``always`` + async — callers *ack after durable*: a sync point
-  commits everything staged since the last one in a handful of grouped
-  syncs and blocks until the watermark passes, instead of paying one
-  synchronous fdatasync per appended frame.  The per-record guarantee
-  becomes "durable before the caller's next sync point acknowledges
-  it" — the ingestion service acks at every pump;
-* ``batch`` + async — :meth:`WriteAheadLog.request_sync` (the service's
-  pump hook) is non-blocking: it schedules a group commit and returns,
-  so group-commit latency disappears from the ingest thread;
-* ``never`` + async — groups are written and flushed without fsync.
-
-Writer-thread IO failures are sticky: they surface as
-:class:`WalError` on the next ``append``/``sync``/``wait_durable``/
-``close`` call.  ``close()`` drains every staged frame before
-returning.  Every mode records per-group commit latencies
-(:attr:`WriteAheadLog.commit_latencies`, plus ``groups_committed`` /
-``commit_seconds`` accumulators) for observability.
+A failed drain is sticky in both modes: the first IO error is kept, and
+it and every later ``append``/``sync``/``wait_durable``/``close`` raise
+:class:`WalError` chained to it (``close()`` still releases the segment;
+only the first close raises).  Every group commit records its latency
+(:attr:`WriteAheadLog.commit_latencies`, ``groups_committed``,
+``commit_seconds``).
 
 Compaction
 ----------
@@ -121,12 +120,16 @@ FSYNC_POLICIES = ("never", "batch", "always")
 
 _FRAME_HEADER = struct.Struct("<II")  # body length, CRC-32
 _BODY_HEADER = struct.Struct("<BQ")  # record type, LSN
+_FRAME_OVERHEAD = _FRAME_HEADER.size + _BODY_HEADER.size
 
 #: Hard ceiling on a single frame body; anything larger in a file is
 #: treated as corruption rather than an allocation request.
 MAX_BODY_BYTES = 1 << 30
 
 _fdatasync = getattr(os, "fdatasync", os.fsync)
+
+#: Most buffers one ``os.writev`` call may take.
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 def _buffer_len(part) -> int:
@@ -135,6 +138,36 @@ def _buffer_len(part) -> int:
     if isinstance(part, memoryview):
         return part.nbytes
     return len(part)
+
+
+def _frame_header(rtype: int, lsn: int, parts, payload_len: int) -> bytes:
+    """Frame header plus body header of one record, whose payload
+    ``parts`` follow unchanged (the CRC runs over them in place)."""
+    body_header = _BODY_HEADER.pack(rtype, lsn)
+    crc = zlib.crc32(body_header)
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    body_len = _BODY_HEADER.size + payload_len
+    return _FRAME_HEADER.pack(body_len, crc) + body_header
+
+
+def _write_all(fd: int, buffers: list, size: int) -> None:
+    """Write ``buffers`` (``size`` bytes in all) to ``fd``: one
+    ``os.writev`` per ``_IOV_MAX`` buffers, and no per-buffer Python
+    work unless a call writes less than all (then it resumes there)."""
+    while True:
+        written = os.writev(
+            fd, buffers if len(buffers) <= _IOV_MAX else buffers[:_IOV_MAX]
+        )
+        size -= written
+        if size <= 0:
+            return
+        for index, buf in enumerate(buffers):
+            length = _buffer_len(buf)
+            if written < length:
+                break
+            written -= length
+        buffers = [memoryview(buf).cast("B")[written:], *buffers[index + 1:]]
 
 
 def _fsync_dir(directory: Path) -> None:
@@ -331,21 +364,20 @@ class WriteAheadLog:
     ----------
     directory:
         Log directory (created if missing).  A writer never appends
-        into pre-existing segments: its first append starts a fresh
+        into pre-existing segments: its first drain starts a fresh
         segment, which keeps resuming after recovery trivially safe.
     fsync:
         Durability policy; see the module docstring.
     max_segment_bytes:
-        Rotation threshold; a segment is sealed once it reaches this
-        size and the next append opens a new one.
+        Rotation threshold; a segment is sealed once the next frame
+        would overflow it, and that frame opens a new one.
     start_lsn:
         First LSN this writer assigns (``last recovered LSN + 1`` when
         resuming).
     async_commit:
-        Move write+fsync work onto a background writer thread (see the
-        module docstring).  ``append()`` then stages frames and
-        returns; durability is acknowledged via :attr:`durable_lsn` /
-        :meth:`wait_durable`, and ``close()`` drains.
+        Drain on a background writer thread instead of the calling
+        thread (see the module docstring).  Durability is acknowledged
+        via :attr:`durable_lsn` / :meth:`wait_durable` in both modes.
     commit_latency_window:
         Per-group commit-latency samples retained in
         :attr:`commit_latencies` (a bounded deque).
@@ -395,18 +427,29 @@ class WriteAheadLog:
         self._fsync = fsync
         self._max_segment_bytes = max_segment_bytes
         self._next_lsn = start_lsn
-        self._fh = None
+        self._fh = None  # the open segment, unbuffered: writev only
         self._segment_bytes = 0
-        self._dirty = False
         # Appends arrive from producer threads (budget charges) as well
-        # as the pump thread (batches); one lock keeps LSNs monotonic
-        # and frames contiguous.  In async mode it doubles as the
-        # producer barrier compact() takes to quiesce appends.
+        # as the pump thread (batches); this lock keeps LSNs monotonic,
+        # is the producer barrier of compact() and close(), and covers
+        # the drain in synchronous mode.
         self._io_lock = threading.Lock()
+        # Staged group and watermark, shared with the async writer.
+        self._commit_cv = threading.Condition(threading.Lock())
+        self._staging: list[tuple] = []
+        self._staged_bytes = 0
+        # Crossing this drains without waiting for a sync point: bounds
+        # staging memory and, in async mode, keeps background commits
+        # flowing between pumps.
+        self._stage_high_water = max(
+            min(self._max_segment_bytes, 1024 * 1024), 1
+        )
         self.bytes_written = 0
         self.records_written = 0
+        #: Record-committing fdatasyncs: group commits and segment
+        #: seals (0 under ``never``).
         self.syncs = 0
-        #: Wall seconds of each group commit (write + flush + fsync),
+        #: Wall seconds of each group commit (writev + fdatasync),
         #: newest last; bounded so long-running services stay O(1).
         self.commit_latencies: deque[float] = deque(
             maxlen=commit_latency_window
@@ -415,32 +458,12 @@ class WriteAheadLog:
         self.commit_seconds = 0.0
         self._durable_lsn = start_lsn - 1
         self._closed = False
-        self._async = bool(async_commit)
-        self._writer_error: Optional[BaseException] = None
-        # Called with the new durable watermark after every group
-        # commit (replication senders wake on this).  Async mode calls
-        # from the writer thread, sync mode from the committing thread;
-        # listeners must be cheap and must never raise.
+        self._error: Optional[BaseException] = None  # first failed drain
         self._commit_listeners: list = []
+        self._async = bool(async_commit)
+        self._commit_requested = False
+        self._stop = False
         if self._async:
-            self._commit_cv = threading.Condition()
-            # Double-buffered staging: producers fill one record list
-            # while the writer drains the other; the two lists swap at
-            # each group boundary so neither side ever copies.  Frame
-            # construction (headers, CRC, concatenation) happens on the
-            # writer thread — the appending thread only stages.
-            self._staging: list[tuple[int, int, bytes]] = []
-            self._staged_bytes = 0
-            self._staged_last_lsn = self._durable_lsn
-            # Cross this and the writer drains without waiting for a
-            # sync point: bounds staging memory and keeps background
-            # commits flowing between pumps (so the blocking drain at a
-            # sync point only covers the most recent suffix).
-            self._stage_high_water = max(
-                min(self._max_segment_bytes, 1024 * 1024), 1
-            )
-            self._commit_requested = False
-            self._stop = False
             self._writer = threading.Thread(
                 target=self._writer_loop,
                 name=f"wal-writer-{self._dir.name}",
@@ -459,7 +482,7 @@ class WriteAheadLog:
 
     @property
     def async_commit(self) -> bool:
-        """Whether a background writer thread owns write+fsync work."""
+        """Whether a background writer thread drains staged groups."""
         return self._async
 
     @property
@@ -477,14 +500,11 @@ class WriteAheadLog:
 
     @property
     def durable_lsn(self) -> int:
-        """Monotone watermark: records at or below it are committed.
-
-        "Committed" is relative to the fsync policy — fdatasynced under
-        ``batch``/``always``, flushed to the OS under ``never``.  With
-        ``async_commit`` the watermark trails :attr:`last_lsn` by the
-        staged-but-unwritten suffix; :meth:`wait_durable` closes the
-        gap.
-        """
+        """Monotone watermark: records at or below it are committed —
+        fdatasynced under ``batch``/``always``, written to the OS under
+        ``never``.  It trails :attr:`last_lsn` by the staged suffix
+        until a drain; :meth:`sync` / :meth:`wait_durable` close the
+        gap."""
         return self._durable_lsn
 
     def add_commit_listener(self, listener) -> None:
@@ -492,10 +512,10 @@ class WriteAheadLog:
         commit, once the records at or below the watermark are on disk
         (fdatasynced unless the policy is ``never``).
 
-        Listeners run on the committing thread (the background writer
-        in async mode) and must be cheap — typically just waking a
-        shipping thread.  Exceptions are swallowed and logged so a
-        misbehaving listener can never poison the commit path.
+        Listeners run on the draining thread and must be cheap —
+        typically just waking a shipping thread.  Exceptions are
+        swallowed and logged so a misbehaving listener can never poison
+        the commit path.
         """
         self._commit_listeners.append(listener)
 
@@ -515,19 +535,18 @@ class WriteAheadLog:
 
     # ------------------------------------------------------------------
     def append(self, rtype: int, payload) -> int:
-        """Write one record; returns its LSN.
+        """Stage one record; returns its LSN.
 
         ``payload`` is the record body: ``bytes``, or a tuple/list of
         buffer-likes (bytes / memoryviews) written back to back — the
         zero-copy path the hot batch encoder uses; buffers must not be
         mutated until the record is durable.
 
-        Synchronous mode: under ``fsync="always"`` the record is
-        durable on return; under the other policies it becomes durable
-        at the next :meth:`sync`.  Async mode: the record is staged for
-        the background writer and its durability is acknowledged by
-        :attr:`durable_lsn` / :meth:`wait_durable`; a previously failed
-        writer raises here.
+        The record reaches the file at the next drain: before this
+        returns under synchronous ``fsync="always"``, else at the next
+        sync point or high-water drain; :attr:`durable_lsn` /
+        :meth:`wait_durable` acknowledge it.  A closed log, or one
+        whose drain has failed, raises :class:`WalError`.
         """
         if rtype not in RECORD_TYPES:
             raise ValueError(f"unknown record type {rtype}")
@@ -541,137 +560,47 @@ class WriteAheadLog:
             raise WalError(
                 f"record body of {payload_len} bytes is too large"
             )
-        if self._async:
-            return self._append_async(rtype, parts, payload_len)
-        with self._io_lock:
-            if self._closed:
-                raise WalError("log is closed")
-            frame_len = self._write_frame(
-                rtype, self._next_lsn, parts, payload_len
-            )
-            self._segment_bytes += frame_len
-            self.bytes_written += frame_len
-            self.records_written += 1
-            self._dirty = True
-            lsn = self._next_lsn
-            self._next_lsn += 1
-            if self._fsync == "always":
-                self._flush(force_fsync=True)
-        return lsn
-
-    def _write_frame(
-        self, rtype: int, lsn: int, parts: tuple, payload_len: int
-    ) -> int:
-        """Frame one record into the current segment; returns its size.
-
-        The CRC is computed incrementally and the headers are written
-        separately from the payload buffers, so a large batch record is
-        never copied into a concatenated frame — every payload byte
-        crosses to the file buffer exactly once.  Rotation happens here
-        when the frame would overflow the segment.
-        """
-        fault = _chaos.fire("wal.write")
-        if fault is not None:
-            raise OSError(
-                f"chaos: injected WAL write error at lsn {lsn} "
-                f"(#{fault.index})"
-            )
-        body_len = _BODY_HEADER.size + payload_len
-        frame_len = _FRAME_HEADER.size + body_len
-        if (
-            self._fh is not None
-            and self._segment_bytes + frame_len > self._max_segment_bytes
-            and self._segment_bytes > len(SEGMENT_MAGIC)
-        ):
-            self._seal()
-        if self._fh is None:
-            self._open_segment(lsn)
-        body_header = _BODY_HEADER.pack(rtype, lsn)
-        crc = zlib.crc32(body_header)
-        for part in parts:
-            crc = zlib.crc32(part, crc)
-        torn = _chaos.fire("wal.torn_tail")
-        if torn is not None:
-            # Simulated power loss mid-write: a frame header plus a
-            # truncated body reaches the disk, then the writer "dies".
-            # The record was never durable (the watermark does not
-            # advance), so the scan-time torn-tail repair must truncate
-            # it on the next recovery.  The log is unusable afterwards,
-            # exactly like a real torn write.
-            self._fh.write(
-                _FRAME_HEADER.pack(body_len, crc) + body_header[:3]
-            )
-            self._fh.flush()
-            self._closed = True
-            raise OSError(
-                f"chaos: torn WAL tail injected at lsn {lsn} "
-                f"(#{torn.index})"
-            )
-        self._fh.write(_FRAME_HEADER.pack(body_len, crc) + body_header)
-        for part in parts:
-            self._fh.write(part)
-        return frame_len
-
-    def _append_async(
-        self, rtype: int, parts: tuple, payload_len: int
-    ) -> int:
         with self._io_lock:
             with self._commit_cv:
-                self._raise_writer_error()
+                self._raise_if_failed()
                 if self._closed:
                     raise WalError("log is closed")
                 lsn = self._next_lsn
-                self._next_lsn += 1
+                self._next_lsn = lsn + 1
                 self.records_written += 1
                 self._staging.append((rtype, lsn, parts, payload_len))
-                self._staged_bytes += (
-                    payload_len + _BODY_HEADER.size + _FRAME_HEADER.size
-                )
-                self._staged_last_lsn = lsn
-                if self._staged_bytes >= self._stage_high_water:
-                    # Bound staging memory even if no sync point comes;
-                    # groups otherwise form at sync points, which is
-                    # what makes the ``always`` durable-ack *grouped*
-                    # (one fdatasync per sync interval, not per frame).
+                self._staged_bytes += _FRAME_OVERHEAD + payload_len
+                full = self._staged_bytes >= self._stage_high_water
+                if full and self._async:
                     self._commit_requested = True
                     self._commit_cv.notify_all()
+            if not self._async and (full or self._fsync == "always"):
+                self._drain()
         return lsn
 
     def sync(self) -> None:
-        """Blocking group-commit point.
-
-        On return, every record appended so far is committed to the
-        fsync policy's level (fdatasynced unless ``never``).  In async
-        mode this waits for the background writer to drain and commit
-        the staged suffix, surfacing any writer failure.
-        """
-        if not self._async:
-            with self._io_lock:
-                if not self._dirty:
-                    return
-                self._flush(force_fsync=self._fsync != "never")
-                self.syncs += 1
+        """Blocking group-commit point: on return every record appended
+        so far is committed (fdatasynced unless ``never``).  This thread
+        drains the staged group in synchronous mode and waits for the
+        writer in async mode; a failed drain raises :class:`WalError`."""
+        if self._async:
+            self._commit_staged()
             return
-        with self._commit_cv:
-            self._raise_writer_error()
-            target = self._next_lsn - 1
-            if self._durable_lsn >= target and not self._staging:
-                return
-        self.wait_durable(target)
-        self.syncs += 1
+        with self._io_lock:
+            self._commit_staged()
 
     def request_sync(self) -> None:
         """Non-blocking commit request (async mode).
 
         Schedules a group commit of everything staged and returns
         immediately; in synchronous mode this is just :meth:`sync`.
-        A previous writer failure raises here.
+        A previous failed drain raises here.
         """
         if not self._async:
             self.sync()
             return
         with self._commit_cv:
-            self._raise_writer_error()
+            self._raise_if_failed()
             if self._staging:
                 self._commit_requested = True
                 self._commit_cv.notify_all()
@@ -684,10 +613,11 @@ class WriteAheadLog:
         Returns True once :attr:`durable_lsn` >= ``lsn``; False when
         ``timeout`` (seconds) elapses first.  The wait arms a commit
         request, so callers never deadlock waiting for a group the
-        writer was not asked to commit; a failed writer raises
+        writer was not asked to commit; a failed drain raises
         :class:`WalError` instead of blocking forever.  In synchronous
         mode a lagging watermark forces a :meth:`sync`.
         """
+        self._raise_if_failed()
         if not self._async:
             if self._durable_lsn < lsn:
                 self.sync()
@@ -695,7 +625,7 @@ class WriteAheadLog:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._commit_cv:
             while self._durable_lsn < lsn:
-                self._raise_writer_error()
+                self._raise_if_failed()
                 if self._closed:
                     raise WalError("log is closed")
                 self._commit_requested = True
@@ -736,25 +666,17 @@ class WriteAheadLog:
         """Rewrite the log to its live records; returns the report.
 
         Safe on a live writer: appends are blocked for the duration,
-        the async writer (if any) is drained to durability first, the
-        current segment is sealed, and the next append starts a fresh
-        segment above the compacted generation.  See
+        everything staged is drained to durability first, the current
+        segment is closed, and the next drain starts a fresh segment
+        above the compacted generation.  See
         :func:`repro.durable.compaction.compact_directory` for the
         rewrite itself and the crash-safety protocol.
         """
         from repro.durable.compaction import compact_directory
 
         with self._io_lock:
-            if self._async:
-                with self._commit_cv:
-                    self._raise_writer_error()
-                    target = self._next_lsn - 1
-                self.wait_durable(target)
-            if self._fh is not None:
-                self._flush(force_fsync=self._fsync != "never")
-                self._fh.close()
-                self._fh = None
-                self._segment_bytes = 0
+            self._commit_staged()
+            self._close_segment()
             return compact_directory(
                 self._dir,
                 checkpoint_lsn=checkpoint_lsn,
@@ -762,40 +684,31 @@ class WriteAheadLog:
             )
 
     def close(self) -> None:
-        """Drain, flush, and close the log (the directory stays
-        recoverable).  In async mode every staged frame is committed
-        before the file handle closes; a writer failure raises after
-        the handle is released.  Idempotent: only the *first* close
-        surfaces a sticky writer error — repeated closes (common in
-        ``finally`` blocks unwinding after that first raise) are
-        no-ops."""
-        if self._async:
-            # Mark closed while holding the producer lock: an append
-            # racing close() either completes its staging before the
-            # writer is told to stop (and is drained) or observes
-            # _closed and raises — it can never return an LSN the
-            # dying writer will silently drop.
-            with self._io_lock:
-                with self._commit_cv:
-                    first_close = not self._closed
-                    self._closed = True
-                    self._stop = True
-                    self._commit_cv.notify_all()
-            if first_close:
-                self._writer.join()
-            with self._io_lock:
-                if self._fh is not None:
-                    self._fh.close()
-                    self._fh = None
-            if first_close:
-                self._raise_writer_error()
-            return
+        """Drain and close the log (the directory stays recoverable).
+
+        Every staged record is committed before the segment closes; a
+        failed drain raises :class:`WalError` after the segment is
+        released.  Idempotent: only the *first* close surfaces the
+        sticky error — repeated closes (common in ``finally`` blocks
+        unwinding after that first raise) are no-ops.
+        """
         with self._io_lock:
-            self._closed = True
-            if self._fh is not None:
-                self._flush(force_fsync=self._fsync != "never")
-                self._fh.close()
-                self._fh = None
+            if self._closed:
+                return
+            try:
+                self._commit_staged()
+            except WalError:
+                pass  # raised below, once the segment is released
+            # Under the producer lock, so a racing append either staged
+            # before the drain above or sees _closed and raises.
+            with self._commit_cv:
+                self._closed = True
+                self._stop = True
+                self._commit_cv.notify_all()
+            if self._async:
+                self._writer.join()
+            self._close_segment()
+        self._raise_if_failed()
 
     def __enter__(self) -> "WriteAheadLog":
         return self
@@ -804,73 +717,136 @@ class WriteAheadLog:
         self.close()
 
     # ------------------------------------------------------------------
-    def _raise_writer_error(self) -> None:
-        if self._writer_error is not None:
+    # Draining: the one path every record takes to disk.
+    def _raise_if_failed(self) -> None:
+        if self._error is not None:
             raise WalError(
-                "background WAL writer failed; staged records may not be "
-                "durable"
-            ) from self._writer_error
+                f"WAL group commit failed; records above durable lsn "
+                f"{self._durable_lsn} may not be durable"
+            ) from self._error
+
+    def _commit_staged(self) -> None:
+        """Commit everything staged so far (synchronous mode: drains
+        here, with ``_io_lock`` held; async: waits for the writer)."""
+        if self._async:
+            self.wait_durable(self._next_lsn - 1)
+        else:
+            self._drain()
+
+    def _drain(self) -> None:
+        """Synchronous mode: commit the staged group on this thread
+        (``_io_lock`` held, which is all that guards staging here)."""
+        self._raise_if_failed()
+        group, self._staging, self._staged_bytes = self._staging, [], 0
+        if group:
+            self._commit_group(group)
 
     def _writer_loop(self) -> None:
-        """Background committer: drain staged groups until stopped."""
-        spare: list[tuple] = []
-        try:
-            while True:
-                with self._commit_cv:
-                    while not self._stop and not self._drain_ready():
-                        self._commit_cv.wait()
-                    staged = self._staging
-                    group_last = self._staged_last_lsn
-                    if staged:
-                        self._staging = spare
-                        self._staged_bytes = 0
-                    self._commit_requested = False
-                    if not staged and self._stop:
-                        break
-                start = time.perf_counter()
-                self._write_group(staged)
-                elapsed = time.perf_counter() - start
-                staged.clear()
-                spare = staged
-                with self._commit_cv:
-                    self._durable_lsn = group_last
-                    self.groups_committed += 1
-                    self.commit_seconds += elapsed
-                    self.commit_latencies.append(elapsed)
-                    self._commit_cv.notify_all()
-                self._notify_commit(group_last)
-        except Exception as exc:
-            # Sticky: surfaces on the next append/sync/wait/close.
+        """Async mode: drain staged groups until close() stops us."""
+        while True:
             with self._commit_cv:
-                self._writer_error = exc
+                while not self._stop and not (
+                    self._commit_requested and self._staging
+                ):
+                    self._commit_cv.wait()
+                self._commit_requested = False
+                group, self._staging, self._staged_bytes = self._staging, [], 0
+            if not group:
+                return
+            try:
+                self._commit_group(group)
+            except WalError:
+                return  # sticky: the next append/sync/wait/close raises
+
+    def _commit_group(self, group: list) -> None:
+        """Write one group, then advance the watermark and tell the
+        listeners — the one owner of the commit bookkeeping.  A failure
+        becomes the log's sticky error and raises :class:`WalError`."""
+        start = time.perf_counter()
+        try:
+            self._write_group(group)
+        except Exception as exc:
+            with self._commit_cv:
+                self._error = exc
                 self._commit_cv.notify_all()
+            self._raise_if_failed()
+        elapsed = time.perf_counter() - start
+        durable = self._durable_lsn = group[-1][1]
+        self.groups_committed += 1
+        self.commit_seconds += elapsed
+        self.commit_latencies.append(elapsed)
+        if self._async:
+            with self._commit_cv:  # only async mode has waiters
+                self._commit_cv.notify_all()
+        self._notify_commit(durable)
 
-    def _drain_ready(self) -> bool:
-        if not self._staging:
-            return False
-        return (
-            self._commit_requested
-            or self._staged_bytes >= self._stage_high_water
-        )
-
-    def _write_group(self, staged: list[tuple]) -> None:
-        """One group commit: frame and write every staged record, then
-        one flush (plus one fdatasync unless ``never``) for the whole
-        group — all off the appending thread."""
-        for rtype, lsn, parts, payload_len in staged:
-            frame_len = self._write_frame(rtype, lsn, parts, payload_len)
+    def _write_group(self, group: list) -> None:
+        """Frame ``group`` into the log: one ``writev`` per segment it
+        touches, then one fdatasync unless the policy is ``never``.
+        Rotation is a rule over the frame sequence alone, so group
+        boundaries never change the bytes on disk."""
+        fault = _chaos.fire("wal.write")
+        if fault is not None:
+            raise OSError(
+                f"chaos: injected WAL write error at lsn {group[0][1]} "
+                f"(#{fault.index})"
+            )
+        torn = _chaos.fire("wal.torn_tail")
+        buffers: list = []
+        size = 0
+        last_frame = last_frame_start = 0
+        for rtype, lsn, parts, payload_len in group:
+            frame_len = _FRAME_OVERHEAD + payload_len
+            if (
+                self._fh is not None
+                and self._segment_bytes + frame_len > self._max_segment_bytes
+                and self._segment_bytes > len(SEGMENT_MAGIC)
+            ):
+                _write_all(self._fh.fileno(), buffers, size)
+                if self._fsync != "never":
+                    self._sync_segment()
+                self._close_segment()
+                buffers, size = [], 0
+            if self._fh is None:
+                self._open_segment(lsn)
+                buffers.append(SEGMENT_MAGIC)
+                size += len(SEGMENT_MAGIC)
+            last_frame, last_frame_start = len(buffers), size
+            buffers.append(_frame_header(rtype, lsn, parts, payload_len))
+            buffers.extend(parts)
+            size += frame_len
             self._segment_bytes += frame_len
             self.bytes_written += frame_len
-        self._fh.flush()
+        if torn is not None:
+            # Simulated power loss mid-write: the writev stops three
+            # bytes into the last frame's body header and the writer
+            # "dies".  Nothing in the group was acknowledged; the next
+            # recovery's torn-tail repair truncates the partial frame.
+            cut = _FRAME_HEADER.size + 3
+            _write_all(
+                self._fh.fileno(),
+                buffers[:last_frame] + [buffers[last_frame][:cut]],
+                last_frame_start + cut,
+            )
+            raise OSError(
+                f"chaos: torn WAL tail injected at lsn {group[-1][1]} "
+                f"(#{torn.index})"
+            )
+        _write_all(self._fh.fileno(), buffers, size)
         if self._fsync != "never":
-            fault = _chaos.fire("wal.fsync")
-            if fault is not None:
-                raise OSError(
-                    f"chaos: injected fsync error (#{fault.index})"
-                )
-            _fdatasync(self._fh.fileno())
+            self._sync_segment()
 
-    # ------------------------------------------------------------------
+    def _sync_segment(self) -> None:
+        """fdatasync the open segment: the one record-committing sync."""
+        fault = _chaos.fire("wal.fsync")
+        if fault is not None:
+            raise OSError(f"chaos: injected fsync error (#{fault.index})")
+        # fdatasync skips the metadata flush (mtime etc.) where the
+        # platform offers it; the file length change that matters for
+        # replay is part of the data journal either way.
+        _fdatasync(self._fh.fileno())
+        self.syncs += 1
+
     def _open_segment(self, first_lsn: int) -> None:
         path = segment_path(self._dir, first_lsn)
         if path.exists():
@@ -879,47 +855,19 @@ class WriteAheadLog:
             # replaced; anything with content is a real collision.
             if path.stat().st_size > len(SEGMENT_MAGIC):
                 raise WalError(f"segment {path.name} already exists")
-        self._fh = open(path, "wb")
-        self._fh.write(SEGMENT_MAGIC)
+        self._fh = open(path, "wb", buffering=0)
         self._segment_bytes = len(SEGMENT_MAGIC)
         if self._fsync != "never":
             # The new directory entry must survive power loss too, or
-            # every "durable" frame in this segment is unreachable.
-            self._fh.flush()
-            _fdatasync(self._fh.fileno())
+            # every "durable" frame in this segment is unreachable; the
+            # magic itself rides in the group's writev and fdatasync.
             _fsync_dir(self._dir)
 
-    def _seal(self) -> None:
-        self._flush(force_fsync=self._fsync != "never")
-        self._fh.close()
-        self._fh = None
-        self._segment_bytes = 0
-
-    def _flush(self, *, force_fsync: bool) -> None:
-        if self._fh is None:
-            return
-        was_dirty = self._dirty
-        start = time.perf_counter() if was_dirty else 0.0
-        self._fh.flush()
-        if force_fsync:
-            fault = _chaos.fire("wal.fsync")
-            if fault is not None:
-                raise OSError(
-                    f"chaos: injected fsync error (#{fault.index})"
-                )
-            # fdatasync skips the metadata flush (mtime etc.) where the
-            # platform offers it; the file length change that matters
-            # for replay is part of the data journal either way.
-            _fdatasync(self._fh.fileno())
-        if was_dirty:
-            elapsed = time.perf_counter() - start
-            self.groups_committed += 1
-            self.commit_seconds += elapsed
-            self.commit_latencies.append(elapsed)
-            if not self._async:
-                self._durable_lsn = self._next_lsn - 1
-                self._notify_commit(self._durable_lsn)
-        self._dirty = False
+    def _close_segment(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+            self._segment_bytes = 0
 
 
 # ---------------------------------------------------------------------------

@@ -146,22 +146,22 @@ class ServiceTelemetry:
         """Fold new group-commit latencies into the fsync-mode histogram.
 
         A cursor over ``wal.groups_committed`` keeps this incremental:
-        no WAL hot-path change, no double counting.  The latency deque
-        is bounded, so a huge burst between drains can lose samples —
-        the count/sum totals still come from the WAL's own counters at
-        snapshot time.
+        no WAL hot-path change, no double counting, and only the new
+        samples are read — indexed from the right end of the ring,
+        never copied.  The latency deque is bounded, so a huge burst
+        between drains can lose samples — the count/sum totals still
+        come from the WAL's own counters at snapshot time.
         """
         total = wal.groups_committed
-        seen = self._wal_groups_seen
-        if total <= seen:
+        new = total - self._wal_groups_seen
+        if new <= 0:
             return
         if self._wal_commit_child is None:
             self._wal_commit_child = self.wal_commit.labels(fsync=fsync)
-        child = self._wal_commit_child
-        new = total - seen
-        latencies = list(wal.commit_latencies)
-        for value in latencies[-new:] if new < len(latencies) else latencies:
-            child.observe(value)
+        observe = self._wal_commit_child.observe
+        latencies = wal.commit_latencies
+        for back in range(min(new, len(latencies)), 0, -1):
+            observe(latencies[-back])
         self._wal_groups_seen = total
 
     def on_failover(self, supervisor) -> None:

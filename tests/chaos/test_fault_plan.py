@@ -4,7 +4,8 @@ The property tests in ``tests/properties/test_chaos_properties.py``
 pin the determinism contract; these cover the plan's validation and
 bookkeeping, the process-wide switchboard semantics, and that the WAL
 and transport hook sites actually translate a firing point into the
-documented failure (OSError, torn tail on disk, refused dial).
+documented failure (a sticky WalError chained to the injected
+OSError, a torn tail on disk, a refused dial).
 """
 
 import pytest
@@ -16,7 +17,7 @@ from repro.chaos import (
     InjectedFault,
 )
 from repro.chaos import points as chaos_points
-from repro.durable import WriteAheadLog, read_wal
+from repro.durable import WalError, WriteAheadLog, read_wal
 from repro.durable.records import BATCH
 
 
@@ -136,44 +137,64 @@ class TestSwitchboard:
 
 
 # ----------------------------------------------------------- hook sites
+def assert_chaos_cause(excinfo, match: str) -> None:
+    """The WalError is chained to the injected OSError."""
+    cause = excinfo.value.__cause__
+    assert isinstance(cause, OSError) and match in str(cause)
+
+
 class TestWalHooks:
     def test_injected_write_error_surfaces_as_oserror(self, tmp_path):
+        # The fault fires at the group write, so the append only stages
+        # and the drain at sync() fails.  The failure is sticky: with
+        # chaos off again the log still refuses appends, the first close
+        # raises, and nothing of the failed group reached the disk.
         plan = FaultPlan(17, rates={"wal.write": 1.0})
-        with WriteAheadLog(tmp_path, fsync="never") as wal:
-            with chaos_points.installed(plan):
-                with pytest.raises(OSError, match="chaos"):
-                    wal.append(BATCH, b"payload")
-            # Chaos off again: the log keeps working.
+        wal = WriteAheadLog(tmp_path, fsync="never")
+        wal.append(BATCH, b"payload")
+        with chaos_points.installed(plan):
+            with pytest.raises(WalError) as excinfo:
+                wal.sync()
+        assert_chaos_cause(excinfo, "chaos")
+        with pytest.raises(WalError, match="group commit failed"):
             wal.append(BATCH, b"payload")
-            wal.sync()
-        assert len(read_wal(tmp_path).records) == 1
+        with pytest.raises(WalError, match="group commit failed"):
+            wal.close()
+        wal.close()
+        assert wal.durable_lsn == 0
+        assert read_wal(tmp_path).records == []
 
     def test_injected_fsync_error_surfaces_as_oserror(self, tmp_path):
+        # Under fsync="always" the append is a group of one drained
+        # inline, so it raises itself; the watermark never covers it.
         plan = FaultPlan(19, rates={"wal.fsync": 1.0})
         wal = WriteAheadLog(tmp_path, fsync="always")
-        try:
-            with chaos_points.installed(plan):
-                with pytest.raises(OSError, match="chaos"):
-                    wal.append(BATCH, b"payload")
-        finally:
-            chaos_points.uninstall()
-            try:
-                wal.close()
-            except OSError:
-                pass
+        with chaos_points.installed(plan):
+            with pytest.raises(WalError) as excinfo:
+                wal.append(BATCH, b"payload")
+        assert_chaos_cause(excinfo, "chaos")
+        assert wal.durable_lsn == 0
+        with pytest.raises(WalError, match="group commit failed"):
+            wal.close()
 
     def test_torn_tail_is_truncated_by_recovery(self, tmp_path):
-        # Healthy prefix, then a torn append: the partial frame must
-        # reach disk (that is the fault) and the next reader must
-        # repair it away, leaving exactly the durable prefix.
-        with WriteAheadLog(tmp_path, fsync="never") as wal:
-            for i in range(3):
-                wal.append(BATCH, b"ok%d" % i)
-            wal.sync()
-            plan = FaultPlan(23, rates={"wal.torn_tail": 1.0})
-            with chaos_points.installed(plan):
-                with pytest.raises(OSError, match="torn"):
-                    wal.append(BATCH, b"never-lands")
+        # Healthy prefix, then a torn group: the drain writes a real
+        # writev prefix that stops inside the frame (that is the fault),
+        # every later call refuses, and the next reader repairs the
+        # partial frame away, leaving exactly the durable prefix.
+        wal = WriteAheadLog(tmp_path, fsync="never")
+        for i in range(3):
+            wal.append(BATCH, b"ok%d" % i)
+        wal.sync()
+        wal.append(BATCH, b"never-lands")
+        plan = FaultPlan(23, rates={"wal.torn_tail": 1.0})
+        with chaos_points.installed(plan):
+            with pytest.raises(WalError) as excinfo:
+                wal.sync()
+        assert_chaos_cause(excinfo, "torn")
+        assert wal.durable_lsn == 3
+        with pytest.raises(WalError, match="group commit failed"):
+            wal.close()
         scan = read_wal(tmp_path)
         assert scan.torn_tail
         payloads = [r.payload for r in scan.records]

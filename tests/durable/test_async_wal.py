@@ -150,13 +150,13 @@ class TestWriterFailure:
 
         monkeypatch.setattr("repro.durable.wal._fdatasync", boom)
         wal.append(rec.REFRESH, PAYLOAD)
-        with pytest.raises(WalError, match="background WAL writer"):
+        with pytest.raises(WalError, match="group commit failed"):
             wal.sync()
         # The error is sticky: appends refuse too, and close re-raises.
-        with pytest.raises(WalError, match="background WAL writer"):
+        with pytest.raises(WalError, match="group commit failed"):
             for _ in range(100):
                 wal.append(rec.REFRESH, PAYLOAD)
-        with pytest.raises(WalError, match="background WAL writer"):
+        with pytest.raises(WalError, match="group commit failed"):
             wal.close()
 
     def test_close_raises_once_then_no_ops(self, tmp_path, monkeypatch):
@@ -170,7 +170,7 @@ class TestWriterFailure:
 
         monkeypatch.setattr("repro.durable.wal._fdatasync", boom)
         wal.append(rec.REFRESH, PAYLOAD)
-        with pytest.raises(WalError, match="background WAL writer"):
+        with pytest.raises(WalError, match="group commit failed"):
             wal.close()
         wal.close()
         wal.close()
@@ -198,7 +198,7 @@ class TestWriterFailure:
         manager.wal.append(rec.REFRESH, PAYLOAD)
         monkeypatch.setattr("repro.durable.wal._fdatasync", boom)
         manager.wal.append(rec.REFRESH, PAYLOAD)
-        with pytest.raises(WalError, match="background WAL writer"):
+        with pytest.raises(WalError, match="group commit failed"):
             manager.close()
         manager.close()
         manager.close()
@@ -332,18 +332,21 @@ class TestServiceWalObservability:
 
 
 class TestCrashLosesOnlyUnackedSuffix:
-    def test_subprocess_crash_preserves_acked_prefix(self, tmp_path):
+    @pytest.mark.parametrize("async_commit", [False, True])
+    def test_subprocess_crash_preserves_acked_prefix(
+        self, tmp_path, async_commit
+    ):
         """Kill a process mid-stream: every record at or below the
         durable-ack watermark survives; only a staged, never-acked
         suffix may be lost — and what survives is a contiguous prefix,
-        never a gap."""
+        never a gap.  Both modes stage, so both can lose that suffix."""
         script = """
 import os, sys
 sys.path.insert(0, {src!r})
 from repro.durable import records as rec
 from repro.durable.wal import WriteAheadLog
 
-wal = WriteAheadLog(sys.argv[1], fsync="batch", async_commit=True)
+wal = WriteAheadLog(sys.argv[1], fsync="batch", async_commit={async_commit})
 payload = rec.encode_json_payload({{"campaign_id": "c"}})
 for _ in range(60):
     wal.append(rec.REFRESH, payload)
@@ -352,9 +355,10 @@ for _ in range(60):
     wal.append(rec.REFRESH, payload)
 print(wal.durable_lsn, flush=True)
 os._exit(1)  # crash: no drain, no close
-""".format(src=str(
-            (os.path.dirname(__file__) or ".") + "/../../src"
-        ))
+""".format(
+            src=str((os.path.dirname(__file__) or ".") + "/../../src"),
+            async_commit=async_commit,
+        )
         proc = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path)],
             capture_output=True,

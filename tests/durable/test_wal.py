@@ -87,9 +87,13 @@ class TestRotation:
             WriteAheadLog(tmp_path, start_lsn=2)
 
     def test_retention_drops_covered_segments(self, tmp_path):
+        # Records reach the file at a drain, so the segments exist once
+        # sync() has committed the group; retention then keeps only the
+        # active one.
         with WriteAheadLog(tmp_path, max_segment_bytes=128) as wal:
             for i in range(10):
                 wal.append(rec.REFRESH, payload(i))
+            wal.sync()
             total = len(list_segments(tmp_path))
             assert total > 2
             removed = wal.retain(wal.last_lsn)

@@ -1,12 +1,15 @@
 """Service telemetry tests: registry wiring, stats surface, tracing."""
 
 import json
+from collections import deque
+from types import SimpleNamespace
 
 import pytest
 
 from repro.crowdsensing.messages import ClaimSubmission
 from repro.durable.manager import DurabilityConfig, DurabilityManager
 from repro.service import IngestService, ServiceConfig, Topology
+from repro.service.telemetry import ServiceTelemetry
 
 
 def make_service(**overrides) -> IngestService:
@@ -161,6 +164,30 @@ class TestStatsSurface:
         assert snap.value("repro_wal_commit_groups_total") >= 1
         service.close()
         manager.close()
+
+    def test_wal_drain_stays_exact_across_ring_wrap_around(self):
+        class Ring(deque):
+            def __iter__(self):
+                raise AssertionError("drain_wal copied the latency ring")
+
+        wal = SimpleNamespace(
+            groups_committed=0, commit_latencies=Ring(maxlen=8)
+        )
+        telemetry = ServiceTelemetry(1)
+        samples = []
+        # Bursts up to the ring's size between drains; the ring wraps
+        # many times over.  Dyadic values keep every float sum exact.
+        for burst in (1, 3, 8, 5, 0, 2, 7, 8, 1, 6):
+            for _ in range(burst):
+                samples.append((len(samples) + 1) / 1024)
+                wal.commit_latencies.append(samples[-1])
+            wal.groups_committed += burst
+            telemetry.drain_wal(wal, "batch")
+        hist = telemetry.registry.snapshot().histograms[
+            ("repro_wal_commit_seconds", (("fsync", "batch"),))
+        ]
+        assert hist["count"] == len(samples) == 41
+        assert hist["sum"] == sum(samples)
 
 
 class TestTracing:
