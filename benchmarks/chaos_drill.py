@@ -9,7 +9,7 @@ this repository, kept outside the library it drives:
    ``--run-primary``) that installs ``FaultPlan(seed)``, builds
    ``Topology.replicated(standbys=2, auto_failover=True)`` — real
    ``repro standby`` processes, a real detached ``repro watchdog`` —
-   plus a tight background-compaction policy, serves ``/metrics`` on
+   plus a tight compaction policy, serves ``/metrics`` on
    an ephemeral port (announced as ``METRICS <url>``), and streams
    claims under injected connection resets, delays, and dial refusals;
 2. wait until the watchdog prints ``ARMED`` and a standby holds a

@@ -3,23 +3,19 @@
 Server, user devices, message protocol, and an in-process transport with
 fault injection — a runnable model of Figure 1's architecture in which
 Algorithm 2's client side executes on the devices and the untrusted
-server only ever sees perturbed claims.
+server only ever sees perturbed claims.  The deployment is strictly
+server-mediated: devices talk only to the server, never to each other,
+and :class:`TransportStats` counts any message that breaks that shape.
+Per-user privacy budgets are enforced by the serving layer, not here:
+:func:`run_campaign` given ``service=`` an
+:class:`~repro.service.ingest.IngestService` with a
+:class:`~repro.service.ledger.BudgetLedger` admits every submission
+against it.
 """
 
 from repro.crowdsensing.campaign import CampaignReport, CampaignSpec
 from repro.crowdsensing.device import SensorModel, UserDevice
 from repro.crowdsensing.faults import RELIABLE, FaultModel, lossy
-from repro.crowdsensing.incentives import (
-    RewardPolicy,
-    allocate_rewards,
-    reward_distortion,
-    top_contributor_overlap,
-)
-from repro.crowdsensing.orchestrator import (
-    BudgetPolicy,
-    CampaignOrchestrator,
-    OrchestratorReport,
-)
 from repro.crowdsensing.messages import (
     AggregateAnnouncement,
     ClaimSubmission,
@@ -35,9 +31,6 @@ from repro.crowdsensing.transport import InProcessTransport, TransportStats
 __all__ = [
     "AggregateAnnouncement",
     "AggregationServer",
-    "BudgetPolicy",
-    "CampaignOrchestrator",
-    "OrchestratorReport",
     "CampaignReport",
     "CampaignSpec",
     "ClaimSubmission",
@@ -45,12 +38,8 @@ __all__ = [
     "FaultModel",
     "InProcessTransport",
     "RELIABLE",
-    "RewardPolicy",
     "SensorModel",
     "TaskAssignment",
-    "allocate_rewards",
-    "reward_distortion",
-    "top_contributor_overlap",
     "TransportStats",
     "UserDevice",
     "build_devices",

@@ -24,10 +24,10 @@ memory; this package makes that state survive a crash:
   directory-fsync swap, so disk usage is bounded by live state rather
   than segment boundaries; a crash at any point mid-swap is rolled
   forward or back on the next open;
-* :class:`CompactionPolicy` / :class:`CompactionDaemon` — background
-  policy engine (disk-usage and segment-age thresholds) that requests
-  compactions; the work itself runs at the manager's pump-side quiesce
-  point, never from the daemon thread;
+* :class:`CompactionPolicy` / :class:`CompactionTrigger` — policy-driven
+  compaction (disk-usage and segment-age thresholds), evaluated and run
+  on the pump thread at the manager's ``after_pump`` quiesce point, at
+  most once per check interval;
 * :class:`CheckpointStore` — atomic snapshots of per-campaign
   aggregator state and the :class:`~repro.service.ledger.BudgetLedger`,
   bounding how much log a restart must replay;
@@ -58,7 +58,7 @@ from repro.durable.compaction import (
     CompactionReport,
     compact_directory,
 )
-from repro.durable.daemon import CompactionDaemon, CompactionPolicy
+from repro.durable.daemon import CompactionPolicy, CompactionTrigger
 from repro.durable.manager import (
     DurabilityConfig,
     DurabilityManager,
@@ -89,10 +89,10 @@ __all__ = [
     "Checkpoint",
     "CheckpointError",
     "CheckpointStore",
-    "CompactionDaemon",
     "CompactionInterrupted",
     "CompactionPolicy",
     "CompactionReport",
+    "CompactionTrigger",
     "DurabilityConfig",
     "DurabilityManager",
     "FORMAT_VERSION",

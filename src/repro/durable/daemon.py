@@ -1,4 +1,4 @@
-"""Policy-driven background compaction.
+"""Policy-driven compaction.
 
 Compaction (:meth:`DurabilityManager.compact`) rewrites the log down to
 live records, but something has to *decide* to run it.  Leaving that to
@@ -6,39 +6,33 @@ the operator means the WAL grows until someone notices; wiring it to a
 claim counter (the checkpoint cadence) misses the common failure mode —
 a quiet service whose old segments sit on disk forever.
 
-:class:`CompactionDaemon` closes that gap.  A daemon thread evaluates a
-:class:`CompactionPolicy` against the directory on a fixed cadence —
-total segment bytes, and the age of the oldest segment — and, when a
-threshold trips, raises a *request flag*.  It never calls ``compact()``
-itself: checkpointing captures aggregator state and must not race the
-pump thread's aggregation, so the actual work runs inline in
-:meth:`DurabilityManager.after_pump`, the natural quiesce point where
-the pump thread is between batches.  The daemon only looks at the
-filesystem (cheap ``stat`` calls), so its cadence can be tight without
-touching the ingest hot path.
-
-The flag-honouring side lives in the manager; this module is the
-policy, the clock, and the counters.
+:class:`CompactionTrigger` closes that gap.  It evaluates a
+:class:`CompactionPolicy` against the directory — total segment bytes,
+and the age of the oldest segment — and names the threshold that
+tripped.  It runs on the pump thread, from
+:meth:`DurabilityManager.after_pump`, which then compacts on the spot:
+checkpointing captures aggregator state and must not race aggregation,
+and between batches on the pump thread is where it cannot.  An
+evaluation is a few ``stat`` calls, made at most once per
+``check_interval_seconds`` however often the service pumps, so the
+ingest hot path pays one clock read per pump.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
+from repro.durable.compaction import CompactionReport
 from repro.durable.wal import list_segments
-from repro.utils.logging import get_logger
 from repro.utils.validation import ensure_positive
-
-_LOGGER = get_logger("durable.daemon")
 
 
 @dataclass(frozen=True)
 class CompactionPolicy:
-    """When background compaction should trigger.
+    """When policy-driven compaction should trigger.
 
     Parameters
     ----------
@@ -54,7 +48,7 @@ class CompactionPolicy:
         Floor between two policy-triggered compactions, so a directory
         hovering at a threshold does not compact on every evaluation.
     check_interval_seconds:
-        How often the daemon thread re-evaluates the policy.
+        How often the pump thread re-evaluates the policy.
     """
 
     max_wal_bytes: Optional[int] = 256 * 1024 * 1024
@@ -81,7 +75,8 @@ class CompactionPolicy:
     def evaluate(self, directory: Path, now: float) -> Optional[str]:
         """The reason compaction should run now, or None.
 
-        Pure filesystem inspection — callable from any thread.
+        Pure filesystem inspection; ``now`` is wall-clock time, the
+        clock segment mtimes are on.
         """
         segments = list_segments(directory)
         if not segments:
@@ -110,24 +105,23 @@ class CompactionPolicy:
         return None
 
 
-class CompactionDaemon:
-    """Evaluates a :class:`CompactionPolicy` on a background thread.
+class CompactionTrigger:
+    """Decides when a :class:`CompactionPolicy` compacts a directory.
 
-    The daemon communicates with the pump thread through one flag:
-    :meth:`take_request` (called from ``after_pump``) atomically claims
-    a pending trigger, and the caller reports back via
-    :meth:`record_compaction` so the ``min_interval_seconds`` floor is
-    measured from actual compactions, not from requests.
+    The owner calls :meth:`due` with the monotonic time on every pump,
+    compacts when it returns a reason, and reports the compaction back
+    through :meth:`record_compaction`, so the ``min_interval_seconds``
+    floor is measured from actual compactions.  Both intervals start at
+    construction.  Single-threaded by design: only the pump thread
+    calls in, and scrapers read the counters.
     """
 
     def __init__(self, directory: Path, policy: CompactionPolicy) -> None:
         self._directory = Path(directory)
         self.policy = policy
-        self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._pending_reason: Optional[str] = None
-        self._last_compaction = time.monotonic()
+        now = time.monotonic()
+        self._next_check = now + policy.check_interval_seconds
+        self._last_compaction = now
         self.evaluations = 0
         self.policy_triggers = 0
         self.compactions_run = 0
@@ -135,74 +129,38 @@ class CompactionDaemon:
         self.last_reason: Optional[str] = None
 
     # ------------------------------------------------------------------
-    def start(self) -> None:
-        if self._thread is not None:
-            raise RuntimeError("compaction daemon already started")
-        self._thread = threading.Thread(
-            target=self._run, name="repro-compaction", daemon=True
-        )
-        self._thread.start()
+    def due(self, now: float) -> Optional[str]:
+        """The reason to compact at monotonic time ``now``, or None.
 
-    def stop(self) -> None:
-        self._stop.set()
-        if self._thread is not None:
-            self._thread.join(10.0)
-            self._thread = None
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.policy.check_interval_seconds):
-            self.evaluate_once()
-
-    # ------------------------------------------------------------------
-    def evaluate_once(self) -> Optional[str]:
-        """One policy evaluation (the thread's beat; tests call it too)."""
-        with self._lock:
-            self.evaluations += 1
-            if self._pending_reason is not None:
-                return self._pending_reason  # still waiting on the pump
-            if (
-                time.monotonic() - self._last_compaction
-                < self.policy.min_interval_seconds
-            ):
-                return None
-        reason = self.policy.evaluate(self._directory, time.time())
-        if reason is None:
+        Evaluates at most once per ``check_interval_seconds``, and an
+        evaluation inside ``min_interval_seconds`` of the last
+        compaction skips the filesystem and answers None.
+        """
+        if now < self._next_check:
             return None
-        with self._lock:
-            if self._pending_reason is None:
-                self._pending_reason = reason
-                self.policy_triggers += 1
-                self.last_reason = reason
-                _LOGGER.info("compaction requested: %s", reason)
+        self._next_check = now + self.policy.check_interval_seconds
+        self.evaluations += 1
+        if now - self._last_compaction < self.policy.min_interval_seconds:
+            return None
+        reason = self.policy.evaluate(self._directory, time.time())
+        if reason is not None:
+            self.policy_triggers += 1
+            self.last_reason = reason
         return reason
 
-    def take_request(self) -> Optional[str]:
-        """Claim the pending trigger, if any (pump thread, after_pump)."""
-        with self._lock:
-            reason = self._pending_reason
-            self._pending_reason = None
-            return reason
-
-    def record_compaction(self, report) -> None:
-        """Note a completed policy-triggered compaction."""
-        with self._lock:
-            self._last_compaction = time.monotonic()
-            self.compactions_run += 1
-            reclaimed = getattr(report, "bytes_reclaimed", None)
-            if reclaimed is None and isinstance(report, dict):
-                reclaimed = report.get("bytes_reclaimed")
-            if reclaimed:
-                self.bytes_reclaimed += int(reclaimed)
+    def record_compaction(self, report: CompactionReport, now: float) -> None:
+        """Note a policy-triggered compaction finished at ``now``."""
+        self._last_compaction = now
+        self.compactions_run += 1
+        self.bytes_reclaimed += report.bytes_reclaimed
 
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """JSON-friendly counters (service scrape / drill report)."""
-        with self._lock:
-            return {
-                "evaluations": self.evaluations,
-                "policy_triggers": self.policy_triggers,
-                "compactions_run": self.compactions_run,
-                "bytes_reclaimed": self.bytes_reclaimed,
-                "last_reason": self.last_reason,
-                "pending": self._pending_reason is not None,
-            }
+        return {
+            "evaluations": self.evaluations,
+            "policy_triggers": self.policy_triggers,
+            "compactions_run": self.compactions_run,
+            "bytes_reclaimed": self.bytes_reclaimed,
+            "last_reason": self.last_reason,
+        }

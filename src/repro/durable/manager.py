@@ -34,6 +34,7 @@ shadow counters are what checkpoints store and what recovery restores.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -42,7 +43,7 @@ import numpy as np
 
 from repro.durable import records as rec
 from repro.durable.checkpoint import CheckpointStore
-from repro.durable.daemon import CompactionDaemon, CompactionPolicy
+from repro.durable.daemon import CompactionPolicy, CompactionTrigger
 from repro.durable.wal import FSYNC_POLICIES, WriteAheadLog
 from repro.privacy.ldp import LDPGuarantee
 from repro.utils.logging import get_logger
@@ -84,11 +85,12 @@ class DurabilityConfig:
         ``always``.  Control records (registrations, checkpoints) and
         read-path syncs still block until durable.
     compaction:
-        A :class:`~repro.durable.daemon.CompactionPolicy` enabling the
-        background compaction daemon: a thread watches the directory's
-        disk usage and segment age, and :meth:`DurabilityManager.compact`
-        runs from ``after_pump`` when a threshold trips.  None (the
-        default) keeps compaction operator-driven.
+        A :class:`~repro.durable.daemon.CompactionPolicy` enabling
+        policy-driven compaction: ``after_pump`` checks the directory's
+        disk usage and segment age on the pump thread, at most once per
+        ``check_interval_seconds``, and runs
+        :meth:`DurabilityManager.compact` there when a threshold trips.
+        None (the default) keeps compaction operator-driven.
     """
 
     directory: Union[str, Path]
@@ -165,7 +167,7 @@ class DurabilityManager:
         self._u16_slots: dict[str, bool] = {}
         self._claims_since_checkpoint = 0
         self._replication = None
-        self._compaction_daemon: Optional[CompactionDaemon] = None
+        self._compaction: Optional[CompactionTrigger] = None
         self.claims_logged = 0
         self.batches_logged = 0
         self.charges_logged = 0
@@ -225,18 +227,12 @@ class DurabilityManager:
                 }
             ),
         )
-        if (
-            self._config.compaction is not None
-            and self._compaction_daemon is None
-        ):
-            # The daemon only watches the filesystem; the compactions it
-            # requests run on the pump thread (see after_pump), which
-            # exists only once a service is bound — hence starting here,
-            # not in __init__.
-            self._compaction_daemon = CompactionDaemon(
+        if self._config.compaction is not None and self._compaction is None:
+            # Compaction checkpoints first, which needs a bound service;
+            # the policy's intervals start now, not at __init__.
+            self._compaction = CompactionTrigger(
                 self.directory, self._config.compaction
             )
-            self._compaction_daemon.start()
 
     # ------------------------------------------------------------------
     def log_register(self, spec: dict) -> int:
@@ -403,16 +399,15 @@ class DurabilityManager:
             # no-op in async mode).
             self._replication.after_group_commit(self._wal.last_lsn)
         self.maybe_checkpoint()
-        if self._compaction_daemon is not None:
+        if self._compaction is not None:
             # Policy-triggered compaction runs here, on the pump thread
             # between batches — the one point where checkpointing cannot
-            # race aggregation.  The daemon thread only ever raises the
-            # flag.
-            reason = self._compaction_daemon.take_request()
+            # race aggregation.
+            reason = self._compaction.due(time.monotonic())
             if reason is not None:
                 _LOGGER.info("policy-triggered compaction: %s", reason)
                 report = self.compact()
-                self._compaction_daemon.record_compaction(report)
+                self._compaction.record_compaction(report, time.monotonic())
 
     def maybe_checkpoint(self) -> Optional[Path]:
         """Checkpoint when the automatic cadence says so."""
@@ -520,17 +515,16 @@ class DurabilityManager:
         return self._replication
 
     @property
-    def compaction_daemon(self) -> Optional[CompactionDaemon]:
-        """The background compaction daemon (None unless configured)."""
-        return self._compaction_daemon
+    def compaction_trigger(self) -> Optional[CompactionTrigger]:
+        """The policy-driven compaction trigger ``after_pump`` consults
+        (None unless configured, or before :meth:`bind`)."""
+        return self._compaction
 
     def close(self) -> None:
         """Drain, flush, and close the log (the directory stays
         recoverable).  Idempotent — a sticky async-writer error is
         raised by the first close only (see
         :meth:`~repro.durable.wal.WriteAheadLog.close`)."""
-        if self._compaction_daemon is not None:
-            self._compaction_daemon.stop()
         if self._replication is not None:
             self._replication.close()
         self._wal.close()

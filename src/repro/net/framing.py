@@ -1,8 +1,8 @@
 """Incremental length-prefixed frame decoding.
 
 Every byte stream in the system — the worker pipes, the shard-host
-sockets, the crowdsensing device links — carries the same frame
-layout::
+sockets, the replication stream and the watchdog's status links —
+carries the same frame layout::
 
     u32  length of everything after this field (little-endian)
     u8   frame type

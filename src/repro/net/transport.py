@@ -62,6 +62,8 @@ class SocketConnection:
         return self._sock is None
 
     def fileno(self) -> int:
+        """The socket's descriptor: ``select`` takes a connection, as
+        it takes a ``multiprocessing`` one."""
         if self._sock is None:
             raise OSError("connection is closed")
         return self._sock.fileno()

@@ -249,9 +249,9 @@ class ServiceTelemetry:
                 float(wal.last_lsn - wal.durable_lsn))
             add("counter", series_key("repro_wal_commit_seconds_total"),
                 float(wal.commit_seconds))
-            daemon = durability.compaction_daemon
-            if daemon is not None:
-                stats = daemon.stats()
+            trigger = durability.compaction_trigger
+            if trigger is not None:
+                stats = trigger.stats()
                 add("counter",
                     series_key("repro_compaction_policy_triggers_total"),
                     float(stats["policy_triggers"]))

@@ -1,19 +1,21 @@
-"""Policy-driven background compaction: policy, daemon, manager wiring.
+"""Policy-driven compaction: policy, trigger, manager wiring.
 
-The daemon's contract is deliberately narrow — it *requests* compaction
-(a flag) and the pump thread *runs* it inside ``after_pump`` — so the
-tests split the same way: policy evaluation against real segment
-files, the request/claim/record lifecycle without any thread, and the
-full loop through a live :class:`IngestService`.
+The pump thread both decides and runs a compaction inside
+``after_pump`` — no thread of its own — so the tests split the same
+way: policy evaluation against real segment files, the trigger's
+cadence and floor on a caller-supplied clock, and the full loop through
+a live :class:`IngestService`.
 """
 
+import threading
 import time
 
 import pytest
 
 from repro.durable import (
-    CompactionDaemon,
     CompactionPolicy,
+    CompactionReport,
+    CompactionTrigger,
     DurabilityConfig,
     DurabilityManager,
     WriteAheadLog,
@@ -72,72 +74,62 @@ class TestCompactionPolicy:
         assert reason is not None and "oldest segment" in reason
 
 
-# --------------------------------------------------------------- daemon
+# -------------------------------------------------------------- trigger
 class TestCompactionDaemon:
-    def fast_daemon(self, directory, **overrides):
+    """:class:`CompactionTrigger` on the pump thread's clock: callers
+    pass monotonic time, so cadence and floor need no sleeping."""
+
+    def trigger(
+        self, directory, *, min_interval_seconds=10.0, check_interval_seconds=1.0
+    ):
         policy = CompactionPolicy(
-            max_wal_bytes=overrides.pop("max_wal_bytes", 512),
-            min_interval_seconds=overrides.pop(
-                "min_interval_seconds", 0.01
-            ),
-            check_interval_seconds=0.01,
-            **overrides,
+            max_wal_bytes=512,
+            min_interval_seconds=min_interval_seconds,
+            check_interval_seconds=check_interval_seconds,
         )
-        return CompactionDaemon(directory, policy)
+        trigger = CompactionTrigger(directory, policy)
+        return trigger, time.monotonic()
 
     def test_trigger_take_record_lifecycle(self, tmp_path):
         write_segments(tmp_path)
-        daemon = self.fast_daemon(tmp_path)
-        time.sleep(0.02)  # past the min-interval floor from __init__
-        reason = daemon.evaluate_once()
-        assert reason is not None
-        stats = daemon.stats()
+        trigger, t0 = self.trigger(tmp_path)
+        reason = trigger.due(t0 + 10.0)
+        assert reason is not None and "wal size" in reason
+        stats = trigger.stats()
         assert stats["policy_triggers"] == 1
-        assert stats["pending"] is True
         assert stats["last_reason"] == reason
-        # A second evaluation while pending must not double-trigger.
-        daemon.evaluate_once()
-        assert daemon.stats()["policy_triggers"] == 1
-
-        assert daemon.take_request() == reason
-        assert daemon.take_request() is None  # claimed exactly once
-        daemon.record_compaction({"bytes_reclaimed": 4096})
-        stats = daemon.stats()
+        assert "pending" not in stats  # nothing waits between pumps
+        trigger.record_compaction(
+            CompactionReport(str(tmp_path), bytes_before=5000, bytes_after=904),
+            t0 + 10.5,
+        )
+        stats = trigger.stats()
         assert stats["compactions_run"] == 1
         assert stats["bytes_reclaimed"] == 4096
-        assert stats["pending"] is False
 
     def test_min_interval_floors_retriggering(self, tmp_path):
         write_segments(tmp_path)
-        daemon = self.fast_daemon(
-            tmp_path, min_interval_seconds=3600.0
+        trigger, t0 = self.trigger(tmp_path)
+        # The floor runs from construction, then from each compaction.
+        assert trigger.due(t0 + 5.0) is None
+        assert trigger.due(t0 + 10.0) is not None
+        trigger.record_compaction(CompactionReport(str(tmp_path)), t0 + 10.0)
+        for dt in (11.0, 12.0, 19.0):
+            assert trigger.due(t0 + dt) is None  # still over threshold
+        assert trigger.due(t0 + 20.0) is not None
+        stats = trigger.stats()
+        assert stats["policy_triggers"] == 2
+        assert stats["evaluations"] == 6
+
+    def test_at_most_one_evaluation_per_check_interval(self, tmp_path):
+        trigger, t0 = self.trigger(
+            tmp_path, min_interval_seconds=0.001, check_interval_seconds=1.0
         )
-        # _last_compaction starts at construction time, so a fresh
-        # daemon with a tall floor must stay quiet even over threshold.
-        assert daemon.evaluate_once() is None
-        assert daemon.stats()["policy_triggers"] == 0
-
-    def test_thread_evaluates_on_cadence(self, tmp_path):
-        write_segments(tmp_path)
-        daemon = self.fast_daemon(tmp_path)
-        daemon.start()
-        try:
-            deadline = time.monotonic() + 10.0
-            while daemon.stats()["policy_triggers"] < 1:
-                assert time.monotonic() < deadline, "never triggered"
-                time.sleep(0.01)
-        finally:
-            daemon.stop()
-        assert daemon.stats()["evaluations"] >= 1
-
-    def test_double_start_rejected(self, tmp_path):
-        daemon = self.fast_daemon(tmp_path)
-        daemon.start()
-        try:
-            with pytest.raises(RuntimeError, match="already started"):
-                daemon.start()
-        finally:
-            daemon.stop()
+        assert trigger.due(t0 + 0.5) is None  # first check is one interval in
+        assert trigger.evaluations == 0
+        for i in range(1000):  # a thousand pumps inside three intervals
+            trigger.due(t0 + 1.0 + i * 0.003)
+        assert trigger.evaluations == 3
 
 
 # ------------------------------------------------------- manager wiring
@@ -162,8 +154,8 @@ class TestManagerWiring:
         )
         try:
             manager = service.durability
-            daemon = manager.compaction_daemon
-            assert daemon is not None
+            trigger = manager.compaction_trigger
+            assert trigger is not None
             service.register_campaign(
                 gen.campaign_id,
                 gen.object_ids,
@@ -181,18 +173,17 @@ class TestManagerWiring:
                     chunk.values,
                 )
                 service.pump()
-                if daemon.stats()["compactions_run"] >= 1:
+                if trigger.stats()["compactions_run"] >= 1:
                     compacted = True
                     break
                 assert time.monotonic() < deadline
                 time.sleep(0.01)
-            assert compacted, daemon.stats()
-            stats = daemon.stats()
+            assert compacted, trigger.stats()
+            stats = trigger.stats()
             assert stats["policy_triggers"] >= 1
             assert stats["bytes_reclaimed"] > 0
             assert "wal size" in stats["last_reason"]
-            # The service after compaction still aggregates sanely and
-            # the daemon flag was consumed by the pump.
+            # The service after compaction still aggregates sanely.
             snapshot = service.snapshot(gen.campaign_id)
             assert snapshot.claims_ingested > 0
         finally:
@@ -203,20 +194,23 @@ class TestManagerWiring:
             DurabilityConfig(directory=tmp_path / "wal")
         )
         try:
-            assert manager.compaction_daemon is None
+            assert manager.compaction_trigger is None
         finally:
             manager.close()
 
-    def test_close_stops_daemon_thread(self, tmp_path):
+    def test_policy_starts_no_thread(self, tmp_path):
         config = DurabilityConfig(
             directory=tmp_path / "wal",
             compaction=CompactionPolicy(max_wal_bytes=1024),
         )
+        before = set(threading.enumerate())
         service = IngestService(
             ServiceConfig(num_shards=1, max_batch=CHUNK),
             topology=Topology.in_process(durability=config),
         )
-        daemon = service.durability.compaction_daemon
-        service.close()
-        assert daemon is not None
-        assert daemon._thread is None  # joined by close()
+        try:
+            assert service.durability.compaction_trigger is not None
+            started = set(threading.enumerate()) - before
+            assert not started, [thread.name for thread in started]
+        finally:
+            service.close()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.durable.records import WalRecord
 from repro.replication import protocol as rp
+from repro.workers import protocol as wp
 
 
 class TestJson:
@@ -84,3 +85,17 @@ class TestFrameTypeSpace:
         }
         assert len(replication_types) == 12
         assert all(t >= 50 for t in replication_types)
+
+    def test_frame_types_unique_across_protocols(self):
+        # One FrameReader / FrameServer stack decodes both protocols, so
+        # a reused number is a frame misread, not a naming clash.
+        frame_types = {}
+        for module in (wp, rp):
+            for name, value in vars(module).items():
+                if name.isupper() and type(value) is int and name != "REPLICATION_FORMAT":
+                    frame_types[f"{module.__name__}.{name}"] = value
+        assert len(frame_types) == 14 + 15  # the scan saw both sets
+        by_value = {}
+        for name, value in frame_types.items():
+            by_value.setdefault(value, []).append(name)
+        assert {v: n for v, n in by_value.items() if len(n) > 1} == {}

@@ -164,3 +164,25 @@ def test_one_pool_and_no_drill_in_the_library():
     assert "ShardPool" in repro.workers.__all__
     assert "ShardPool" in repro.net.__all__
     assert repro.net.ShardPool is repro.workers.ShardPool
+
+
+def test_one_device_surface_and_one_cap_rule():
+    """Devices reach the server through the simulated transport only, and
+    per-user budget caps live in ``BudgetLedger``; the second socket
+    stack, the orchestrator's cap rule and the incentives module are
+    gone."""
+    import repro.crowdsensing
+
+    for name in (
+        "BudgetPolicy",
+        "CampaignOrchestrator",
+        "OrchestratorReport",
+        "RewardPolicy",
+        "allocate_rewards",
+        "reward_distortion",
+        "top_contributor_overlap",
+    ):
+        assert name not in repro.crowdsensing.__all__
+        assert not hasattr(repro.crowdsensing, name)
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.crowdsensing.socket_transport")
