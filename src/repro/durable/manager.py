@@ -355,13 +355,8 @@ class DurabilityManager:
         self.charges_logged += 1
         return self._wal.append(
             rec.CHARGE,
-            rec.encode_json_payload(
-                {
-                    "user_id": user_id,
-                    "epsilon": guarantee.epsilon,
-                    "delta": guarantee.delta,
-                    "label": label,
-                }
+            rec.encode_charge_payload(
+                user_id, guarantee.epsilon, guarantee.delta, label
             ),
         )
 

@@ -35,6 +35,8 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
+from math import isfinite
 
 import numpy as np
 
@@ -271,6 +273,36 @@ def encode_json_payload(obj: dict) -> bytes:
     try:
         return json.dumps(
             obj, separators=(",", ":"), sort_keys=True
+        ).encode("utf-8")
+    except (TypeError, ValueError) as exc:
+        raise RecordError(
+            f"record payload is not JSON-serialisable: {exc}"
+        ) from exc
+
+
+def _json_scalar(value) -> str:
+    """``value`` as :func:`encode_json_payload` writes it inside a dict."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is float and isfinite(value):
+        return float.__repr__(value)
+    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+
+
+def encode_charge_payload(user_id, epsilon, delta, label) -> bytes:
+    """A CHARGE payload: byte-identical to :func:`encode_json_payload`
+    of ``{"user_id", "epsilon", "delta", "label"}``, without building
+    the dict or running the general encoder — one per admitted device
+    submission.  Keys are written in ``sort_keys`` order; a value that
+    is not JSON-serialisable raises :class:`RecordError` as there.
+    """
+    try:
+        return (
+            f'{{"delta":{_json_scalar(delta)},'
+            f'"epsilon":{_json_scalar(epsilon)},'
+            f'"label":{_json_scalar(label)},'
+            f'"user_id":{_json_scalar(user_id)}}}'
         ).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise RecordError(

@@ -98,6 +98,12 @@ class IngestResult:
         return self.rejected == 0
 
 
+#: Prebuilt accepted results by claim count: a result is a value, so an
+#: accepted submission of up to this many claims shares one instead of
+#: allocating its own.
+_ACCEPTED = tuple(IngestResult(n) for n in range(256))
+
+
 class ServiceStats:
     """Running counters across the whole service (all shards).
 
@@ -284,6 +290,10 @@ class IngestService:
         )
         for shard in self._shards:
             shard.telemetry = self.telemetry
+        #: The trace sampler, or None when sampling is off (the submit
+        #: paths then skip it without a call).
+        traces = self.telemetry.traces
+        self._traces = traces if traces.enabled else None
         self._campaign_shard: dict[str, Shard] = {}
         self.stats = ServiceStats(self)
         self._pumps = 0
@@ -520,36 +530,44 @@ class IngestService:
 
     # ------------------------------------------------------------------
     def submit(self, submission: ClaimSubmission) -> IngestResult:
-        """Validate, admit, and queue one protocol submission."""
+        """Validate, admit, and queue one protocol submission.
+
+        A submission without claims is a no-op, as an empty chunk is on
+        :meth:`submit_columns`: it reserves no queue slot, charges no
+        budget and takes no user slot.
+        """
         stats = self.stats
         stats.submissions += 1
+        campaign_id = submission.campaign_id
         values = submission.values
         n = len(values)
-        trace = self.telemetry.traces.maybe_start(submission.campaign_id, n)
-        shard = self._campaign_shard.get(submission.campaign_id)
+        traces = self._traces
+        trace = None if traces is None else traces.maybe_start(campaign_id, n)
+        shard = self._campaign_shard.get(campaign_id)
         if shard is None:
             stats.rejected_unknown_campaign += n
             return IngestResult(0, n, "unknown-campaign")
-        shard_rejected = self.telemetry.shard_claims_rejected
-        state = shard.campaigns[submission.campaign_id]
+        if n == 0:
+            return _ACCEPTED[0]
+        state = shard.campaigns[campaign_id]
         object_slots = state.object_slots(submission.object_ids)
         if object_slots is None:
             stats.rejected_unknown_object += n
-            shard_rejected[shard.index] += n
+            self.telemetry.shard_claims_rejected[shard.index] += n
             return IngestResult(0, n, "unknown-object")
         if type(values) is not tuple:
             values = tuple(values)  # the caller's buffer may change
-        for value in values:  # non-numeric values raise, here
-            if not isfinite(value):
-                stats.rejected_invalid_value += n
-                shard_rejected[shard.index] += n
-                return IngestResult(0, n, "invalid-value")
+        if not all(map(isfinite, values)):  # non-numeric values raise
+            stats.rejected_invalid_value += n
+            self.telemetry.shard_claims_rejected[shard.index] += n
+            return IngestResult(0, n, "invalid-value")
         # Peek capacity without consuming a slot: rejected traffic must
         # not exhaust the campaign's user table.
-        slot = state.user_index.get(submission.user_id)
+        user_id = submission.user_id
+        slot = state.user_index.get(user_id)
         if slot is None and len(state.user_table) >= state.capacity:
             stats.rejected_capacity += n
-            shard_rejected[shard.index] += n
+            self.telemetry.shard_claims_rejected[shard.index] += n
             return IngestResult(0, n, "capacity")
         reserved = False
         if self._config.overflow == "reject":
@@ -559,50 +577,54 @@ class IngestService:
             # under concurrent producers.
             if not shard.try_reserve():
                 stats.rejected_overflow += n
-                shard_rejected[shard.index] += n
+                self.telemetry.shard_claims_rejected[shard.index] += n
                 return IngestResult(0, n, "overflow")
             reserved = True
-        if state.cost is not None and self._ledger is not None:
-            # Admission and its write-ahead charge record form one
-            # atomic section under the ledger lock, so a concurrent
-            # checkpoint (which snapshots the ledger and the log
-            # position under the same lock) sees either both or
-            # neither — a charge can never fall between a checkpoint's
-            # ledger records and its replayed log suffix.
-            with self._ledger.lock:
-                decision = self._ledger.admit(
-                    submission.user_id,
-                    state.cost,
-                    label=submission.campaign_id,
-                )
-                if decision.admitted and self._durability is not None:
-                    # Charges are logged at admission, not at
-                    # aggregation: if the claims are lost in a crash
-                    # before their batch becomes durable, the budget
-                    # stays spent (safe side).
-                    self._durability.log_charge(
-                        submission.user_id,
-                        state.cost,
-                        label=submission.campaign_id,
-                    )
-            if not decision.admitted:
-                if reserved:
-                    shard.cancel_reservation()
-                stats.rejected_budget += n
-                shard_rejected[shard.index] += n
-                return IngestResult(0, n, "budget")
-        if slot is None:
-            slot = state.user_slot(submission.user_id)
-            if slot < 0:
-                # Concurrent submitters filled the user table between
-                # the capacity peek and the assignment.  The budget
-                # charge (if any) stands — over-charging is the safe
-                # direction — but the claims are refused.
-                if reserved:
-                    shard.cancel_reservation()
-                stats.rejected_capacity += n
-                shard_rejected[shard.index] += n
-                return IngestResult(0, n, "capacity")
+        try:
+            cost = state.cost
+            ledger = self._ledger
+            if cost is not None and ledger is not None:
+                # Admission and its write-ahead charge record form one
+                # atomic section under the ledger lock, so a concurrent
+                # checkpoint (which snapshots the ledger and the log
+                # position under the same lock) sees either both or
+                # neither — a charge can never fall between a
+                # checkpoint's ledger records and its replayed log
+                # suffix.
+                with ledger.lock:
+                    refused = ledger.charge(user_id, cost, label=campaign_id)
+                    if not refused and self._durability is not None:
+                        # Charges are logged at admission, not at
+                        # aggregation: if the claims are lost in a
+                        # crash before their batch becomes durable, the
+                        # budget stays spent (safe side).
+                        self._durability.log_charge(
+                            user_id, cost, label=campaign_id
+                        )
+                if refused:
+                    if reserved:
+                        shard.cancel_reservation()
+                    stats.rejected_budget += n
+                    self.telemetry.shard_claims_rejected[shard.index] += n
+                    return IngestResult(0, n, "budget")
+            if slot is None:
+                slot = state.user_slot(user_id)
+                if slot < 0:
+                    # Concurrent submitters filled the user table
+                    # between the capacity peek and the assignment.  The
+                    # budget charge (if any) stands — over-charging is
+                    # the safe direction — but the claims are refused.
+                    if reserved:
+                        shard.cancel_reservation()
+                    stats.rejected_capacity += n
+                    self.telemetry.shard_claims_rejected[shard.index] += n
+                    return IngestResult(0, n, "capacity")
+        except BaseException:
+            # A charge record that failed to encode or reach the log:
+            # the charge stands (safe side), the queue slot must not.
+            if reserved:
+                shard.cancel_reservation()
+            raise
         # A scalar work item: the pump builds the columns.
         return self._enqueue(
             shard, state, slot, object_slots, values,
@@ -631,7 +653,8 @@ class IngestService:
         shard = self._campaign_shard.get(campaign_id)
         values = np.asarray(values, dtype=float)
         n = values.size
-        trace = self.telemetry.traces.maybe_start(campaign_id, n)
+        traces = self._traces
+        trace = None if traces is None else traces.maybe_start(campaign_id, n)
         if shard is None:
             stats.rejected_unknown_campaign += n
             return IngestResult(0, n, "unknown-campaign")
@@ -646,7 +669,7 @@ class IngestService:
             # later inside pump(), poisoning the whole shard queue.
             raise ValueError("claim columns must be 1-D arrays")
         if n == 0:
-            return IngestResult(0, 0, "")
+            return _ACCEPTED[0]
         if (object_slots.min() < 0
                 or object_slots.max() >= len(state.object_ids)):
             stats.rejected_unknown_object += n
@@ -669,82 +692,36 @@ class IngestService:
                 shard_rejected[shard.index] += n
                 return IngestResult(0, n, "overflow")
             reserved = True
-        if state.cost is not None and self._ledger is not None:
-            # Two-phase atomic admission: resolve each distinct slot to
-            # its (possibly prospective) user id, check every user's
-            # headroom first, and only then charge — so a rejected
-            # chunk spends no one's budget.  Unlike the protocol path
-            # (one submission = one release under a shared variance
-            # draw), each bulk claim is an independent release, so a
-            # user is charged ``cost`` composed over their claim count
-            # in the chunk — merging submissions into chunks cannot
-            # under-charge.
-            unique_slots, claim_counts = np.unique(
-                user_slots, return_counts=True
-            )
-            chunk_charges = [
-                (
-                    state.user_table[s]
-                    if s < len(state.user_table)
-                    else f"slot:{s}",
-                    LDPGuarantee(
-                        epsilon=state.cost.epsilon * int(c),
-                        delta=min(state.cost.delta * int(c), 1.0),
-                    ),
+        try:
+            if state.cost is not None and self._ledger is not None:
+                refused_user = self._charge_chunk(
+                    state, campaign_id, user_slots
                 )
-                for s, c in zip(unique_slots, claim_counts)
-            ]
-            # The whole check-then-charge sequence holds the ledger
-            # lock: concurrent producers cannot admit against the same
-            # headroom between our check and our charge, and a
-            # concurrent checkpoint sees the chunk's charges and their
-            # log records together or not at all.
-            with self._ledger.lock:
-                rejected_user = None
-                for user_id, charge in chunk_charges:
-                    if not self._ledger.can_admit(user_id, charge):
-                        rejected_user = user_id
-                        break
-                if rejected_user is None:
-                    for user_id, charge in chunk_charges:
-                        decision = self._ledger.admit(
-                            user_id, charge, label=campaign_id
-                        )
-                        if (
-                            decision.admitted
-                            and self._durability is not None
-                        ):
-                            self._durability.log_charge(
-                                user_id, charge, label=campaign_id
-                            )
-                        if not decision.admitted:  # pragma: no cover
-                            # Cannot happen while slots map to distinct
-                            # users (can_admit passed above, under the
-                            # same lock hold); never swallow a failed
-                            # charge for accepted claims.
-                            raise RuntimeError(
-                                f"budget charge failed after admission "
-                                f"check for {user_id!r}"
-                            )
-            if rejected_user is not None:
-                if reserved:
-                    shard.cancel_reservation()
-                stats.rejected_budget += n
-                shard_rejected[shard.index] += n
-                _LOGGER.debug(
-                    "chunk for %s rejected: %s out of budget",
-                    campaign_id,
-                    rejected_user,
-                )
-                return IngestResult(0, n, "budget")
-        # Columnar callers address users by slot; make sure the slots
-        # exist in the id table so snapshots can name contributors.  The
-        # "slot:" namespace cannot collide with protocol user ids that
-        # were (or will be) assigned through user_slot() — register
-        # explicit user_ids to get real names in snapshots.
-        top_slot = int(user_slots.max())
-        if len(state.user_table) <= top_slot:
-            state.ensure_placeholder_slots(top_slot)
+                if refused_user is not None:
+                    if reserved:
+                        shard.cancel_reservation()
+                    stats.rejected_budget += n
+                    shard_rejected[shard.index] += n
+                    _LOGGER.debug(
+                        "chunk for %s rejected: %s out of budget",
+                        campaign_id,
+                        refused_user,
+                    )
+                    return IngestResult(0, n, "budget")
+            # Columnar callers address users by slot; make sure the
+            # slots exist in the id table so snapshots can name
+            # contributors.  The "slot:" namespace cannot collide with
+            # protocol user ids that were (or will be) assigned through
+            # user_slot() — register explicit user_ids to get real
+            # names in snapshots.
+            top_slot = int(user_slots.max())
+            if len(state.user_table) <= top_slot:
+                state.ensure_placeholder_slots(top_slot)
+        except BaseException:
+            # As in submit(): a charge stands, its queue slot does not.
+            if reserved:
+                shard.cancel_reservation()
+            raise
         return self._enqueue(
             shard, state, user_slots, object_slots, values,
             reserved=reserved, trace=trace,
@@ -911,6 +888,60 @@ class IngestService:
         return self.telemetry.snapshot(self)
 
     # ------------------------------------------------------------------
+    def _charge_chunk(
+        self, state: CampaignState, campaign_id: str, user_slots: np.ndarray
+    ):
+        """Charge a chunk's users all or none; the refused user, or None.
+
+        Two-phase atomic admission: resolve each distinct slot to its
+        (possibly prospective) user id, check every user's headroom
+        first, and only then charge — so a rejected chunk spends no
+        one's budget.  Unlike the protocol path (one submission = one
+        release under a shared variance draw), each bulk claim is an
+        independent release, so a user is charged ``cost`` composed over
+        their claim count in the chunk — merging submissions into chunks
+        cannot under-charge.
+        """
+        cost = state.cost
+        ledger = self._ledger
+        unique_slots, claim_counts = np.unique(user_slots, return_counts=True)
+        chunk_charges = [
+            (
+                state.user_table[s]
+                if s < len(state.user_table)
+                else f"slot:{s}",
+                LDPGuarantee(
+                    epsilon=cost.epsilon * int(c),
+                    delta=min(cost.delta * int(c), 1.0),
+                ),
+            )
+            for s, c in zip(unique_slots, claim_counts)
+        ]
+        # The whole check-then-charge sequence holds the ledger lock:
+        # concurrent producers cannot admit against the same headroom
+        # between our check and our charge, and a concurrent checkpoint
+        # sees the chunk's charges and their log records together or
+        # not at all.
+        with ledger.lock:
+            for user_id, charge in chunk_charges:
+                if not ledger.can_admit(user_id, charge):
+                    return user_id
+            for user_id, charge in chunk_charges:
+                if ledger.charge(user_id, charge, label=campaign_id):  # pragma: no cover
+                    # Cannot happen while slots map to distinct users
+                    # (can_admit passed above, under the same lock
+                    # hold); never swallow a failed charge for accepted
+                    # claims.
+                    raise RuntimeError(
+                        f"budget charge failed after admission check "
+                        f"for {user_id!r}"
+                    )
+                if self._durability is not None:
+                    self._durability.log_charge(
+                        user_id, charge, label=campaign_id
+                    )
+        return None
+
     def _enqueue(
         self,
         shard: Shard,
@@ -940,7 +971,7 @@ class IngestService:
             return IngestResult(0, n, "overflow")
         self.stats.claims_accepted += n
         self.telemetry.shard_claims_accepted[shard.index] += n
-        return IngestResult(n)
+        return _ACCEPTED[n] if n < len(_ACCEPTED) else IngestResult(n)
     # NOTE: under "drop_oldest" an *evicted* item's claims stay in the
     # service-level ``claims_accepted`` (they were admitted, then shed —
     # visible via ``Shard.items_dropped``), but per-campaign contributor

@@ -117,6 +117,39 @@ class BudgetLedger:
             delta = self._spent_delta.get(user_id, 0.0)
             return delta + guarantee.delta <= self._delta_cap + 1e-15
 
+    def charge(
+        self,
+        user_id: Hashable,
+        guarantee: LDPGuarantee,
+        *,
+        mechanism: str = "",
+        label: str = "",
+    ) -> str:
+        """Charge ``guarantee`` to ``user_id`` if it fits under the caps.
+
+        The one admission rule: returns ``""`` when admitted, else the
+        refusal tag (``"epsilon-exhausted"`` / ``"delta-exhausted"``).
+        Builds no decision object, so both submit paths call it per
+        submission; :meth:`admit` is the same charge with one.
+        """
+        with self.lock:
+            new_eps = self._spent_epsilon.get(user_id, 0.0) + guarantee.epsilon
+            if new_eps > self._epsilon_cap + 1e-12:
+                self.denied += 1
+                return "epsilon-exhausted"
+            new_delta = self._spent_delta.get(user_id, 0.0) + guarantee.delta
+            if new_delta > self._delta_cap + 1e-15:
+                self.denied += 1
+                return "delta-exhausted"
+            self._spent_epsilon[user_id] = new_eps
+            self._spent_delta[user_id] = new_delta
+            self.admitted += 1
+            if self._accountant is not None:
+                self._accountant.record(
+                    user_id, guarantee, mechanism=mechanism, label=label
+                )
+            return ""
+
     def admit(
         self,
         user_id: Hashable,
@@ -125,37 +158,15 @@ class BudgetLedger:
         mechanism: str = "",
         label: str = "",
     ) -> AdmissionDecision:
-        """Charge ``guarantee`` to ``user_id`` if it fits under the caps."""
+        """:meth:`charge`, reported as an :class:`AdmissionDecision`."""
         with self.lock:
-            eps = self._spent_epsilon.get(user_id, 0.0)
-            new_eps = eps + guarantee.epsilon
-            if new_eps > self._epsilon_cap + 1e-12:
-                self.denied += 1
-                return AdmissionDecision(
-                    admitted=False,
-                    reason="epsilon-exhausted",
-                    remaining_epsilon=self._epsilon_cap - eps,
-                )
-            delta = self._spent_delta.get(user_id, 0.0)
-            new_delta = delta + guarantee.delta
-            if new_delta > self._delta_cap + 1e-15:
-                self.denied += 1
-                return AdmissionDecision(
-                    admitted=False,
-                    reason="delta-exhausted",
-                    remaining_epsilon=self._epsilon_cap - eps,
-                )
-            self._spent_epsilon[user_id] = new_eps
-            self._spent_delta[user_id] = new_delta
-            self.admitted += 1
-            if self._accountant is not None:
-                self._accountant.record(
-                    user_id, guarantee, mechanism=mechanism, label=label
-                )
+            reason = self.charge(
+                user_id, guarantee, mechanism=mechanism, label=label
+            )
             return AdmissionDecision(
-                admitted=True,
-                reason="",
-                remaining_epsilon=self._epsilon_cap - new_eps,
+                admitted=not reason,
+                reason=reason,
+                remaining_epsilon=self.remaining_epsilon(user_id),
             )
 
     def record_spent(

@@ -135,9 +135,8 @@ class CampaignState:
 
     def object_slots(self, object_ids: Sequence) -> Optional[list[int]]:
         """Object indices for a submission's ids; None when any is unknown."""
-        index = self.object_index
         try:
-            return [index[o] for o in object_ids]
+            return list(map(self.object_index.__getitem__, object_ids))
         except KeyError:
             return None
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.durable import records as rec
 from repro.durable.records import RecordError, WalRecord, WorkItem
@@ -105,3 +107,49 @@ class TestWalRecord:
         payload = rec.encode_json_payload({"b": 1, "a": 2})
         assert payload == b'{"a":2,"b":1}'
         assert json.loads(payload) == {"a": 2, "b": 1}
+
+
+def _json_charge(user_id, epsilon, delta, label):
+    return rec.encode_json_payload(
+        {"user_id": user_id, "epsilon": epsilon, "delta": delta, "label": label}
+    )
+
+
+_AWKWARD_TEXT = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", '\\"', "\x00\x1f\x7f", "\n\t\r\b\f", "é☃𝄞", "\ud800", ""]),
+)
+_FLOATS = st.one_of(
+    st.floats(),  # NaN and infinities take the general encoder's spelling
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+                     1e16, 1e-7, 0.1, 1 / 3, float("nan"), float("inf"), float("-inf")]),
+    st.integers(0, 2**70),
+    st.floats().map(np.float64),
+)
+
+
+class TestChargePayload:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        user_id=st.one_of(_AWKWARD_TEXT, st.integers(), st.booleans(), st.none()),
+        epsilon=_FLOATS,
+        delta=_FLOATS,
+        label=_AWKWARD_TEXT,
+    )
+    def test_bytes_equal_the_general_encoder(self, user_id, epsilon, delta, label):
+        assert rec.encode_charge_payload(user_id, epsilon, delta, label) == (
+            _json_charge(user_id, epsilon, delta, label)
+        )
+
+    @pytest.mark.parametrize("user_id", [b"raw", object(), {1, 2}, np.int64(3)])
+    def test_unserialisable_user_ids_raise_on_both(self, user_id):
+        with pytest.raises(RecordError):
+            _json_charge(user_id, 0.5, 0.0, "c1")
+        with pytest.raises(RecordError):
+            rec.encode_charge_payload(user_id, 0.5, 0.0, "c1")
+
+    def test_round_trips_through_a_wal_record(self):
+        payload = rec.encode_charge_payload("ué", 0.5, 1e-7, "c1")
+        assert WalRecord(1, rec.CHARGE, payload).decode() == {
+            "user_id": "ué", "epsilon": 0.5, "delta": 1e-7, "label": "c1",
+        }

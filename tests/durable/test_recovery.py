@@ -386,6 +386,52 @@ class TestLedgerContinuity:
         result = recovered.service.submit(submission)
         assert not result.ok and result.reason == "budget"
 
+    def test_device_session_charge_records_are_canonical(self, tmp_path):
+        # CHARGE payloads have their own encoder: every one in the log
+        # must be the bytes the general JSON encoder writes for what it
+        # decodes to, and replaying them must rebuild the live ledger.
+        from repro.crowdsensing.messages import ClaimSubmission
+        from repro.durable.wal import read_wal
+
+        gen = LoadGenerator(
+            "dev-\"c0\"", num_users=NUM_USERS, num_objects=NUM_OBJECTS,
+            claims_per_submission=4, random_state=11,
+        )
+        manager = DurabilityManager(DurabilityConfig(directory=tmp_path))
+        ledger = BudgetLedger(epsilon_cap=1.3, delta_cap=1e-5)
+        service = IngestService(
+            service_config(),
+            ledger=ledger,
+            topology=Topology.in_process(durability=manager),
+        )
+        service.register_campaign(
+            gen.campaign_id, gen.object_ids, max_users=NUM_USERS,
+            cost=LDPGuarantee(epsilon=0.3, delta=1e-7),
+        )
+        reasons = [
+            service.submit(
+                ClaimSubmission(
+                    gen.campaign_id, f"{s.user_id} \\ \"é\"\t☃",
+                    s.object_ids, s.values,
+                )
+            ).reason
+            for s in gen.submissions(300)
+        ]
+        service.flush()
+        assert "" in reasons and "budget" in reasons
+        live = ledger.to_records()
+
+        charges = [
+            r for r in read_wal(tmp_path).records if r.rtype == rec.CHARGE
+        ]
+        assert len(charges) == ledger.admitted == reasons.count("")
+        for record in charges:
+            assert record.payload == rec.encode_json_payload(record.decode())
+        del service, manager, ledger
+
+        recovered = RecoveryManager(tmp_path).recover()
+        assert recovered.service.ledger.to_records() == live
+
     def test_exhausted_user_stays_exhausted_after_recovery(self, tmp_path):
         gen, _ = make_traffic()
         cost = LDPGuarantee(epsilon=0.6, delta=0.0)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.crowdsensing.messages import ClaimSubmission
 from repro.privacy.ldp import LDPGuarantee
-from repro.service.ingest import IngestService, ServiceConfig
+from repro.service.ingest import IngestResult, IngestService, ServiceConfig
 from repro.service.ledger import BudgetLedger
 
 
@@ -78,6 +78,29 @@ class TestValidationAndAdmission:
         service.register_campaign("c1", ("o0", "o1"), max_users=4, cost=cost)
         for _ in range(5):
             assert service.submit(sub(user="u1")).ok
+
+    def test_empty_submission_is_a_no_op(self):
+        # An empty submission used to be accepted, charge epsilon and
+        # take a user slot: two of them filled this 2-user campaign and
+        # the next real submission was refused as "capacity".
+        ledger = BudgetLedger(epsilon_cap=10.0)
+        service = make_service(num_shards=1, ledger=ledger)
+        cost = LDPGuarantee(epsilon=1.0, delta=0.0)
+        service.register_campaign("c1", ("o0", "o1"), max_users=2, cost=cost)
+        for user in ("e1", "e2"):
+            result = service.submit(sub(user=user, objects=(), values=()))
+            assert result == IngestResult(0, 0, "") and result.ok
+        assert ledger.admitted == 0 and ledger.num_users == 0
+        assert service.campaign_state("c1").user_table == []
+        assert service.queue_depths() == [0]
+        assert service.stats.claims_accepted == 0
+        assert service.submit(sub(user="u1")).ok
+        assert service.submit(sub(user="u2")).ok
+        # The bulk path's answer to an empty chunk, unchanged.
+        empty = np.array([], dtype=np.int64)
+        assert service.submit_columns(
+            "c1", empty, empty, np.array([])
+        ) == IngestResult(0, 0, "")
 
     def test_duplicate_registration_rejected(self):
         service = make_service()
@@ -195,6 +218,57 @@ class TestBackpressure:
         )
         assert result.reason == "overflow"
         assert ledger.admitted == 1 and ledger.denied == 0
+
+    def test_failed_charge_log_releases_the_reservation(self, tmp_path):
+        # Three charge records that could not be encoded (bytes user
+        # ids are not JSON) used to leave three reservations behind:
+        # the empty shard then refused every submission as "overflow".
+        from repro.durable.records import RecordError
+        from repro.service.topology import Topology
+
+        ledger = BudgetLedger(epsilon_cap=10.0)
+        service = IngestService(
+            ServiceConfig(num_shards=1, max_batch=8, queue_capacity=3),
+            ledger=ledger,
+            topology=Topology.in_process(durability=str(tmp_path / "wal")),
+        )
+        with service:
+            cost = LDPGuarantee(epsilon=1.0, delta=0.0)
+            service.register_campaign("c1", ("o0", "o1"), max_users=8, cost=cost)
+            for i in range(3):
+                with pytest.raises(RecordError):
+                    service.submit(sub(user=b"raw-%d" % i))
+                # The charge stands: over-charging is the safe side.
+                assert ledger.spent(b"raw-%d" % i).epsilon == 1.0
+            assert service._shards[0]._reserved == 0
+            assert service.submit(sub(user="u1")).ok
+
+    def test_failed_chunk_charge_log_releases_the_reservation(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.durable.wal import WalError
+        from repro.service.topology import Topology
+
+        service = IngestService(
+            ServiceConfig(num_shards=1, max_batch=8, queue_capacity=2),
+            ledger=BudgetLedger(epsilon_cap=10.0),
+            topology=Topology.in_process(durability=str(tmp_path / "wal")),
+        )
+        with service:
+            cost = LDPGuarantee(epsilon=1.0, delta=0.0)
+            service.register_campaign("c1", ("o0", "o1"), max_users=8, cost=cost)
+            chunk = ("c1", np.array([0, 1]), np.array([0, 1]), np.array([1.0, 2.0]))
+
+            def sticky(*args, **kwargs):
+                raise WalError("earlier fsync failed")
+
+            with monkeypatch.context() as patch:
+                patch.setattr(service.durability, "log_charge", sticky)
+                for _ in range(2):
+                    with pytest.raises(WalError):
+                        service.submit_columns(*chunk)
+            assert service._shards[0]._reserved == 0
+            assert service.submit_columns(*chunk).ok
 
     def test_drop_oldest_policy_sheds_head_of_queue(self):
         service = make_service(

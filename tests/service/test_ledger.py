@@ -1,6 +1,8 @@
 """Budget-ledger admission control tests."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.privacy.accountant import PrivacyAccountant
 from repro.privacy.ldp import LDPGuarantee
@@ -182,3 +184,77 @@ class TestLedgerConcurrency:
             assert ledger.can_admit("u1", RELEASE)
             assert ledger.admit("u1", RELEASE).admitted
         assert ledger.spent("u1").epsilon == pytest.approx(1.0)
+
+
+def _reference_admit(spent_eps, spent_delta, user_id, guarantee, eps_cap, delta_cap):
+    """The admission arithmetic as ``admit()`` held it before ``charge()``."""
+    eps = spent_eps.get(user_id, 0.0)
+    new_eps = eps + guarantee.epsilon
+    if new_eps > eps_cap + 1e-12:
+        return False, "epsilon-exhausted", eps_cap - eps
+    new_delta = spent_delta.get(user_id, 0.0) + guarantee.delta
+    if new_delta > delta_cap + 1e-15:
+        return False, "delta-exhausted", eps_cap - eps
+    spent_eps[user_id] = new_eps
+    spent_delta[user_id] = new_delta
+    return True, "", eps_cap - new_eps
+
+
+# Shares whose running sums land on or within rounding of both caps
+# (0.1 x 10 is 0.9999999999999999), steps on either side of the
+# slack (1e-12 on epsilon, 1e-15 on delta), plus arbitrary draws.
+_EPSILONS = st.one_of(
+    st.sampled_from([0.1, 0.2, 0.25, 1 / 3, 0.5, 0.7, 1.0]),
+    st.sampled_from([5e-13, 2e-12]),
+    st.floats(0.0, 1.5),
+)
+_DELTAS = st.one_of(
+    st.sampled_from([0.0, 1e-6, 2.5e-6, 1e-5 / 3, 5e-6, 1e-5]),
+    st.sampled_from([5e-16, 2e-15]),
+    st.floats(0.0, 2e-5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    eps_cap=st.sampled_from([1.0, 1.5, 0.3]),
+    delta_cap=st.sampled_from([1e-5, 0.0, 1.0]),
+    steps=st.lists(
+        st.tuples(st.sampled_from(["a", "b", "c"]), _EPSILONS, _DELTAS),
+        max_size=40,
+    ),
+)
+# Fill both caps exactly, then step just inside and just past each
+# slack: the slack is part of the rule.
+@example(1.0, 1e-5, [("a", 1.0, 1e-5), ("a", 5e-13, 0.0), ("a", 2e-12, 0.0),
+                     ("a", 0.0, 5e-16), ("a", 0.0, 2e-15)])
+@example(1.0, 1e-5, [("b", 0.5, 5e-6), ("b", 0.5, 5e-6), ("b", 2e-12, 0.0),
+                     ("b", 0.0, 2e-15), ("b", 5e-13, 5e-16)])
+def test_charge_and_admit_are_one_rule(eps_cap, delta_cap, steps):
+    twins = [
+        BudgetLedger(eps_cap, delta_cap=delta_cap, accountant=PrivacyAccountant())
+        for _ in range(2)
+    ]
+    via_charge, via_admit = twins
+    spent_eps, spent_delta = {}, {}
+    for user_id, eps, delta in steps:
+        guarantee = LDPGuarantee(eps, delta)
+        reason = via_charge.charge(user_id, guarantee, mechanism="m", label="l")
+        decision = via_admit.admit(user_id, guarantee, mechanism="m", label="l")
+        expected = _reference_admit(
+            spent_eps, spent_delta, user_id, guarantee, eps_cap, delta_cap
+        )
+        assert (decision.admitted, decision.reason) == (not reason, reason)
+        assert (
+            decision.admitted, decision.reason, decision.remaining_epsilon
+        ) == expected
+    assert via_charge.to_records() == via_admit.to_records()
+    assert {r["user_id"]: r["epsilon"] for r in via_charge.to_records()} == spent_eps
+    assert via_charge.worst_case() == via_admit.worst_case()
+    assert (via_charge.admitted, via_charge.denied) == (
+        via_admit.admitted, via_admit.denied,
+    )
+    for user_id in "abc":
+        assert via_charge.accountant.events_for(user_id) == (
+            via_admit.accountant.events_for(user_id)
+        )
