@@ -5,7 +5,8 @@
 framed transport and exposes the replica read path the ROADMAP promises
 — ``TruthSnapshot`` reads that never touch the primary's ingest hot
 path — plus the operational verbs (status, promote) the promotion
-runbook in ``docs/replication.md`` uses.
+runbook in ``docs/replication.md`` uses.  A read whose last reply still
+holds costs one round trip with an empty answer.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from repro.net.transport import connect
 from repro.replication import protocol as rp
 from repro.service.snapshot import TruthSnapshot
 from repro.workers import protocol as proto
-from repro.workers.protocol import recv_frame, send_frame
+from repro.workers.protocol import ProtocolError, recv_frame, send_frame
 
 
 class ReplicaError(RuntimeError):
@@ -36,6 +37,22 @@ def expect_reply(reply: tuple, expected: int) -> bytes:
     if resp_type != expected:
         raise ReplicaError(f"expected frame {expected}, got {resp_type}")
     return resp
+
+
+def _decode_read(blob: bytes) -> tuple:
+    """``(version, snapshot)`` from a non-empty ``READ_RESP``."""
+    state = proto.unpack_state(blob)
+    return state["version"], TruthSnapshot(
+        campaign_id=state["campaign_id"],
+        object_ids=tuple(state["object_ids"]),
+        truths=np.asarray(state["truths"], dtype=float),
+        seen_objects=np.asarray(state["seen_objects"], dtype=bool),
+        contributor_ids=tuple(state["weight_users"]),
+        contributor_weights=state["weight_values"],
+        claims_ingested=int(state["claims_ingested"]),
+        batches_ingested=int(state["batches_ingested"]),
+        pending_claims=int(state["pending_claims"]),
+    )
 
 
 class ReplicaReadClient:
@@ -56,41 +73,56 @@ class ReplicaReadClient:
         self._timeout = timeout
         self._conn = connect(self._address, timeout=timeout)
         self._lock = threading.Lock()
+        #: campaign id -> (the standby's version, the last snapshot)
+        self._cache: dict[str, tuple] = {}
 
     # ------------------------------------------------------------------
+    def _exchange(self, rtype: int, payload: bytes, expected: int):
+        """One request and its reply; the caller holds ``_lock``."""
+        send_frame(self._conn, rtype, payload)
+        if not self._conn.poll(self._timeout):
+            # A late reply would answer the *next* request: the
+            # stream is unusable from here on.
+            self._conn.close()
+            raise TimeoutError(
+                f"standby {self._address} sent no reply within "
+                f"{self._timeout}s"
+            )
+        return expect_reply(recv_frame(self._conn), expected)
+
     def _call(self, rtype: int, payload: bytes, expected: int):
         with self._lock:
-            send_frame(self._conn, rtype, payload)
-            if not self._conn.poll(self._timeout):
-                # A late reply would answer the *next* request: the
-                # stream is unusable from here on.
-                self._conn.close()
-                raise TimeoutError(
-                    f"standby {self._address} sent no reply within "
-                    f"{self._timeout}s"
-                )
-            reply = recv_frame(self._conn)
-        return expect_reply(reply, expected)
+            return self._exchange(rtype, payload, expected)
 
     def snapshot(self, campaign_id: str) -> TruthSnapshot:
-        """A fresh :class:`TruthSnapshot` served off the replica."""
-        resp = self._call(
-            rp.READ_REQ,
-            rp.encode_json({"campaign_id": campaign_id}),
-            rp.READ_RESP,
-        )
-        state = proto.unpack_state(resp)
-        return TruthSnapshot(
-            campaign_id=state["campaign_id"],
-            object_ids=tuple(state["object_ids"]),
-            truths=np.asarray(state["truths"], dtype=float),
-            seen_objects=np.asarray(state["seen_objects"], dtype=bool),
-            contributor_ids=tuple(state["weight_users"]),
-            contributor_weights=state["weight_values"],
-            claims_ingested=int(state["claims_ingested"]),
-            batches_ingested=int(state["batches_ingested"]),
-            pending_claims=int(state["pending_claims"]),
-        )
+        """The campaign's :class:`TruthSnapshot` as the standby's applied
+        log defines it (``pending_claims`` counts what its truths trail).
+
+        The request carries the version of this client's last reply for
+        the campaign; while it holds, the standby answers empty and that
+        reply's snapshot, which is immutable, is returned again.  A reply
+        this client cannot decode raises :class:`ReplicaError` and drops
+        the campaign's cache, so the next read starts over.
+        """
+        with self._lock:
+            cached = self._cache.get(campaign_id)
+            request = {"campaign_id": campaign_id}
+            if cached is not None:
+                request["version"] = cached[0]
+            resp = self._exchange(
+                rp.READ_REQ, rp.encode_json(request), rp.READ_RESP
+            )
+            if not resp and cached is not None:
+                return cached[1]
+            try:
+                version, snapshot = _decode_read(resp)
+            except (ProtocolError, KeyError, TypeError, ValueError) as exc:
+                self._cache.pop(campaign_id, None)
+                raise ReplicaError(
+                    f"bad READ_RESP for {campaign_id!r}: {exc}"
+                ) from exc
+            self._cache[campaign_id] = (version, snapshot)
+            return snapshot
 
     def status(self) -> dict:
         """Watermarks, campaign list, spent-budget ledger."""

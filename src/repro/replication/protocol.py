@@ -21,7 +21,9 @@ Stream shape (sender = primary, dialing; standby = listening):
    above it.
 
 Read-side clients (:class:`~repro.replication.client.ReplicaReadClient`)
-use ``READ_REQ``/``READ_RESP`` (truth snapshots), ``STATUS_REQ``/
+use ``READ_REQ``/``READ_RESP`` (truth snapshots; a request carries the
+version of the reader's last reply, and an empty ``READ_RESP`` means
+that version still holds), ``STATUS_REQ``/
 ``STATUS_RESP`` (watermarks, campaigns, spent budget) and
 ``PROMOTE_REQ``/``PROMOTE_RESP`` on the same listener.  A
 ``PROMOTE_REQ`` may carry a JSON body with a monotone fencing

@@ -18,7 +18,10 @@ connection, so a read never queues behind the stream) answers snapshot
 (``READ_REQ``), status (``STATUS_REQ``) and promotion
 (``PROMOTE_REQ``) requests from
 :class:`~repro.replication.client.ReplicaReadClient` peers while the
-stream flows.  :meth:`StandbyServer.promote` turns the standby into a
+stream flows.  A read serves the state the applied log defines, folding
+nothing the log did not, and a reader whose last reply still holds gets
+an empty one (see :meth:`StandbyServer._on_read`).
+:meth:`StandbyServer.promote` turns the standby into a
 fully-functional primary: the replication WAL handle is closed and a
 fresh :class:`~repro.durable.manager.DurabilityManager` (continuing
 LSNs after the replicated watermark) is attached via the shared
@@ -32,6 +35,7 @@ Run one with ``repro standby --dir DIR``; the process announces
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from pathlib import Path
@@ -102,6 +106,13 @@ class StandbyServer(FrameServer):
         self.records_applied = 0
         self.groups_applied = 0
         self._fencing_epoch = 0
+        # A read's version names this process (the nonce), the
+        # campaign's state object (its read_serial) and the applied LSN:
+        # re-registration, resync and restart all change it.
+        self._nonce = os.urandom(8).hex()
+        self._applied_lsn = 0
+        self.reads_full = 0
+        self.reads_unchanged = 0
         self._bootstrap()
         super().__init__(host, port, self._serve_frame, name="repro-standby")
 
@@ -127,8 +138,6 @@ class StandbyServer(FrameServer):
         the new one, never a torn file — the refusal of stale PROMOTEs
         must survive a standby restart.
         """
-        import os
-
         tmp = self._fence_path().with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(f"{epoch}\n")
@@ -153,6 +162,7 @@ class StandbyServer(FrameServer):
                 self._service, specs=recovered.specs
             )
             start_lsn = recovered.report.last_lsn + 1
+            self._applied_lsn = recovered.report.last_lsn
         self._wal = WriteAheadLog(
             self._dir, fsync=self._fsync, start_lsn=start_lsn
         )
@@ -303,6 +313,9 @@ class StandbyServer(FrameServer):
                 conn, rp.ACK, rp.encode_lsn(self._wal.durable_lsn)
             )
             for record in fresh:
+                # Bumped before applying: a record that fails half-way
+                # has still changed what a read would see.
+                self._applied_lsn = record.lsn
                 self._apply(record)
             if fresh:
                 self.groups_applied += 1
@@ -356,16 +369,30 @@ class StandbyServer(FrameServer):
             self._wal = WriteAheadLog(
                 self._dir, fsync=self._fsync, start_lsn=lsn + 1
             )
+            self._applied_lsn = lsn
             send_frame(conn, rp.ACK, rp.encode_lsn(lsn))
         return True
 
     # ------------------------------------------------------------------
     def _on_read(self, conn, payload: bytes) -> bool:
+        """Answer a ``READ_REQ``: empty when the reader's ``version``
+        still holds, else the whole snapshot and its version.
+
+        The version is a string naming this standby process, the
+        campaign's state object and the last LSN applied; one that is
+        missing or of another type never matches.  The reply is the
+        state this standby's applied log defines: a read folds nothing
+        the log did not, so it never sets the replica apart from its
+        primary.  A promoted standby's reads are always whole.
+        """
         body = rp.decode_json(payload)
         campaign_id = body.get("campaign_id")
         with self._apply_lock:
-            if self._service is None or not self._service.has_campaign(
-                campaign_id
+            service = self._service
+            if (
+                service is None
+                or type(campaign_id) is not str
+                or not service.has_campaign(campaign_id)
             ):
                 send_frame(
                     conn,
@@ -375,13 +402,32 @@ class StandbyServer(FrameServer):
                     ),
                 )
                 return True
-            snapshot = self._service.snapshot(campaign_id)
+            state = service.campaign_state(campaign_id)
+            version = (
+                f"{self._nonce}:{state.read_serial}:{self._applied_lsn}"
+            )
+            if self._promoted:
+                # A promoted standby is a primary: its read folds, and
+                # its own durability manager logs the fold as REFRESH.
+                snapshot = service.snapshot(campaign_id)
+            elif body.get("version") == version:
+                snapshot = None
+            else:
+                snapshot = state.folded_snapshot()
+            if snapshot is None:
+                self.reads_unchanged += 1
+            else:
+                self.reads_full += 1
+        if snapshot is None:
+            send_frame(conn, rp.READ_RESP, b"")
+            return True
         send_frame(
             conn,
             rp.READ_RESP,
             proto.pack_state(
                 {
                     "campaign_id": snapshot.campaign_id,
+                    "version": version,
                     "object_ids": list(snapshot.object_ids),
                     "truths": snapshot.truths,
                     "seen_objects": snapshot.seen_objects,
@@ -411,6 +457,8 @@ class StandbyServer(FrameServer):
                 "durable_lsn": self.durable_lsn,
                 "records_applied": self.records_applied,
                 "groups_applied": self.groups_applied,
+                "reads_full": self.reads_full,
+                "reads_unchanged": self.reads_unchanged,
                 "promoted": self._promoted,
                 "campaigns": (
                     [] if service is None else service.campaign_ids

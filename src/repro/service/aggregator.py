@@ -127,6 +127,22 @@ class IncrementalAggregator(ABC):
     def seen_objects(self) -> np.ndarray:
         """``(N,)`` mask of objects with at least one ingested claim."""
 
+    def folded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(truths, weights, seen_objects)`` as the folds so far left
+        them, folding nothing in: what a replica serves, since a fold
+        its log does not hold would set it apart from its primary.
+
+        This default reads through a refresh, which only a backend whose
+        refresh is timing-independent (``refresh_changes_state`` always
+        False, like the full refit) may do.
+        """
+        return self.truths(), self.weights(), self.seen_objects()
+
+    @property
+    def staged_claims(self) -> int:
+        """Ingested claims :meth:`folded` does not reflect yet."""
+        return 0
+
     @abstractmethod
     def state_dict(self) -> dict:
         """Complete serialisable state (for durable checkpoints).
@@ -251,6 +267,14 @@ class StreamingAggregator(IncrementalAggregator):
     def seen_objects(self) -> np.ndarray:
         self.refresh()
         return self._stream.seen_objects
+
+    def folded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        stream = self._stream
+        return stream.truths, stream.weights, stream.seen_objects
+
+    @property
+    def staged_claims(self) -> int:
+        return self._staged_claims
 
     def state_dict(self) -> dict:
         # Array form: the cell statistics dominate the state and go

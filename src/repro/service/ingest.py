@@ -522,7 +522,8 @@ class IngestService:
             self._deployment.unregister(shard.index, campaign_id)
 
     def campaign_state(self, campaign_id: str) -> CampaignState:
-        """The shard-side state of a campaign (read-mostly; for tests)."""
+        """The shard-side state of a campaign: what log replay applies
+        records to and a standby's read is served from."""
         shard = self._campaign_shard.get(campaign_id)
         if shard is None:
             raise KeyError(f"campaign {campaign_id!r} not registered")

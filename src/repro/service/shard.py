@@ -10,6 +10,7 @@ re-partitioning (see ROADMAP "Architecture").
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 import zlib
@@ -36,6 +37,9 @@ def shard_for(campaign_id: str, num_shards: int) -> int:
     return zlib.crc32(campaign_id.encode("utf-8")) % num_shards
 
 
+_READ_SERIALS = itertools.count(1)
+
+
 class CampaignState:
     """Everything one shard holds for one campaign."""
 
@@ -53,6 +57,7 @@ class CampaignState:
         "claims_by_slot",
         "user_lock",
         "pending_traces",
+        "read_serial",
     )
 
     def __init__(
@@ -96,6 +101,10 @@ class CampaignState:
         # Sampled traces whose claims are in the batcher but whose batch
         # has not flushed yet.
         self.pending_traces: list = []
+        # Unique in this process: a replica's read version names the
+        # state object by it, so a re-registered campaign or a resynced
+        # service never passes for the state a reader last saw.
+        self.read_serial = next(_READ_SERIALS)
 
     # ------------------------------------------------------------------
     def user_slot(self, user_id: str) -> int:
@@ -150,7 +159,33 @@ class CampaignState:
         are a slice of the table when every slot contributed, else a
         :class:`SlotIds` view resolved by whoever reads them.
         """
-        weights = self.aggregator.weights()
+        aggregator = self.aggregator
+        weights = aggregator.weights()
+        return self._view(
+            aggregator.truths(),
+            weights,
+            aggregator.seen_objects(),
+            self.batcher.pending,
+        )
+
+    def folded_snapshot(self) -> TruthSnapshot:
+        """What a replica serves: :meth:`snapshot` of the state its folds
+        so far left, folding nothing in.
+
+        A fold the replication log does not hold would set a replica
+        apart from its primary, so claims the aggregator has staged stay
+        staged and count in ``pending_claims``.
+        """
+        aggregator = self.aggregator
+        truths, weights, seen = aggregator.folded()
+        return self._view(
+            truths,
+            weights,
+            seen,
+            self.batcher.pending + aggregator.staged_claims,
+        )
+
+    def _view(self, truths, weights, seen, pending: int) -> TruthSnapshot:
         table = self.user_table
         filled = len(table)
         counts = self.claims_by_slot[:filled]
@@ -164,13 +199,13 @@ class CampaignState:
         return TruthSnapshot(
             campaign_id=self.campaign_id,
             object_ids=self.object_ids,
-            truths=self.aggregator.truths(),
-            seen_objects=self.aggregator.seen_objects(),
+            truths=truths,
+            seen_objects=seen,
             contributor_ids=ids,
             contributor_weights=weights,
             claims_ingested=self.aggregator.claims_ingested,
             batches_ingested=self.aggregator.batches_ingested,
-            pending_claims=self.batcher.pending,
+            pending_claims=pending,
         )
 
 

@@ -96,6 +96,11 @@ def attach_sender(manager, addresses, **kwargs):
 def quiesce(service, manager, sender, *, timeout=60.0):
     """Flush the primary and wait for every standby to ack it."""
     service.flush()
+    return wait_shipped(manager, sender, timeout=timeout)
+
+
+def wait_shipped(manager, sender, *, timeout=60.0):
+    """Wait for every standby to ack what the primary has logged."""
     manager.sync()
     watermark = manager.wal.durable_lsn
     deadline = time.monotonic() + timeout
