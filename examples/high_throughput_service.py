@@ -22,6 +22,7 @@ import time
 
 import numpy as np
 
+from repro.obs import percentile_from_counts
 from repro.privacy.accountant import PrivacyAccountant
 from repro.privacy.ldp import LDPGuarantee
 from repro.service import (
@@ -107,15 +108,25 @@ def main() -> None:
     elapsed = time.perf_counter() - start
 
     accepted = bulk_service.stats.claims_accepted
-    lats = bulk_service.batch_latencies()
     print(
         f"bulk path: {accepted:,} claims in {elapsed:.3f}s "
         f"({accepted / elapsed:,.0f} claims/s across "
         f"{bulk_service.num_shards} shards)"
     )
+    # The per-shard micro-batch flush histograms, merged.
+    flush_counts = np.sum(
+        [
+            hist["counts"]
+            for (name, _labels), hist
+            in bulk_service.metrics_snapshot().histograms.items()
+            if name == "repro_batch_flush_seconds"
+        ],
+        axis=0,
+    )
+    p50, p99 = (percentile_from_counts(flush_counts, q) for q in (50, 99))
     print(
-        f"micro-batch latency: p50 {np.percentile(lats, 50) * 1e3:.3f} ms, "
-        f"p99 {np.percentile(lats, 99) * 1e3:.3f} ms"
+        f"micro-batch latency: p50 {p50 * 1e3:.3f} ms, "
+        f"p99 {p99 * 1e3:.3f} ms"
     )
 
 

@@ -301,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     recover_p.add_argument(
         "--checkpoint",
         action="store_true",
-        help="write a post-recovery checkpoint (bounds the next replay "
-        "and retires covered WAL segments)",
+        help="resume the log and checkpoint the recovered campaigns and "
+        "spent budget (bounds the next replay and retires covered WAL "
+        "segments)",
     )
     recover_p.add_argument(
         "--output",

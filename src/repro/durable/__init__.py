@@ -71,7 +71,6 @@ from repro.durable.recovery import (
     RecoveryError,
     RecoveryManager,
     RecoveryReport,
-    attach_resumed_durability,
 )
 from repro.durable.stream import TailGapError, WalTailReader
 from repro.durable.wal import (
@@ -111,7 +110,6 @@ __all__ = [
     "WalTailReader",
     "WorkItem",
     "WriteAheadLog",
-    "attach_resumed_durability",
     "compact_directory",
     "load_compaction_manifest",
     "read_wal",

@@ -5,7 +5,9 @@ to.  The contract mirrors the ingest pipeline's own events:
 
 * ``bind(service)`` — called once when a service attaches; records the
   service configuration and ledger caps so recovery can rebuild the
-  same service from an empty directory;
+  same service from an empty directory, and checkpoints a service that
+  already holds campaigns or spent budget (resume, promotion, a late
+  attach);
 * ``log_register`` / ``log_unregister`` — campaign lifecycle;
 * ``log_batch`` — called by a shard for *every* micro-batch immediately
   before it reaches the aggregator; this is the write-ahead property:
@@ -24,18 +26,21 @@ to.  The contract mirrors the ingest pipeline's own events:
   its batches are on disk — grouped syncs instead of one fdatasync
   per frame.
 
-The manager also keeps *shadow counters* per campaign — claims and
-per-slot claim counts at logged-batch granularity.  Live
-``CampaignState`` counters advance at pump time and include claims
-still buffered in a micro-batcher; checkpoints must not include those
-(their batches, if they survive, appear later in the log), so the
-shadow counters are what checkpoints store and what recovery restores.
+The manager keeps no record of its own of the campaigns it logs: a
+checkpoint reads the bound service's live ``CampaignState`` (its
+REGISTER body, user table, claim counters and aggregator).  One
+subtraction makes those counters the log's.  Live counters advance as
+claims reach a micro-batcher, so they include claims still buffered
+there, whose batch is not logged yet; a checkpoint subtracts them (their
+count, and a bincount of the batcher's buffered user slots), because
+their batch, if it survives, appears later in the log and replays on
+top.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -115,14 +120,6 @@ class DurabilityConfig:
         ensure_int(self.keep_checkpoints, "keep_checkpoints", minimum=1)
 
 
-@dataclass
-class _ShadowCounters:
-    """Per-campaign counters at logged-batch granularity."""
-
-    claims: int = 0
-    by_slot: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))
-
-
 class DurabilityManager:
     """Write-ahead logging and checkpointing for one ingestion service.
 
@@ -156,15 +153,13 @@ class DurabilityManager:
             config.directory, keep=config.keep_checkpoints
         )
         self._service = None
-        self._specs: dict[str, dict] = {}
-        self._shadow: dict[str, _ShadowCounters] = {}
+        #: User-table length already written per campaign (USERS records).
         self._users_synced: dict[str, int] = {}
-        # Hot-path encoding caches, derived from the spec once per
-        # registration: the length-prefixed campaign-id header, and
-        # whether every slot the campaign can ever emit fits u16 (then
-        # log_batch takes the fast columnar encoder).
-        self._cid_prefix: dict[str, bytes] = {}
-        self._u16_slots: dict[str, bool] = {}
+        # Hot-path encoding cache, derived from a campaign's state at its
+        # first logged batch: the length-prefixed campaign-id header when
+        # every slot the campaign can ever emit fits u16 (log_batch then
+        # takes the fast columnar encoder), else None.
+        self._u16_prefix: dict[str, Optional[bytes]] = {}
         self._claims_since_checkpoint = 0
         self._replication = None
         self._compaction: Optional[CompactionTrigger] = None
@@ -194,17 +189,17 @@ class DurabilityManager:
     def checkpoints(self) -> CheckpointStore:
         return self._checkpoints
 
-    @property
-    def known_campaigns(self) -> set:
-        """Campaign ids this manager has registration specs for."""
-        return set(self._specs)
-
     # ------------------------------------------------------------------
     def bind(self, service) -> None:
         """Attach to an :class:`~repro.service.ingest.IngestService`.
 
         Writes a CONFIG record so a log replayed from scratch knows how
         to rebuild the service (shard count, batch size, ledger caps).
+        A service that already holds campaigns or spent budget — a
+        replayed one being resumed or promoted, or a volatile one
+        attached late — is checkpointed right after, at the CONFIG
+        record's LSN: its campaigns have no REGISTER record in this log,
+        and the checkpoint is what makes them recoverable.
         """
         from dataclasses import asdict
 
@@ -233,6 +228,13 @@ class DurabilityManager:
             self._compaction = CompactionTrigger(
                 self.directory, self._config.compaction
             )
+        campaign_ids = service.campaign_ids
+        self._users_synced = {
+            campaign_id: len(service.campaign_state(campaign_id).user_table)
+            for campaign_id in campaign_ids
+        }
+        if campaign_ids or (ledger is not None and ledger.num_users):
+            self.checkpoint()
 
     # ------------------------------------------------------------------
     def log_register(self, spec: dict) -> int:
@@ -243,27 +245,14 @@ class DurabilityManager:
         registration and this manager must not be left tracking a
         campaign the service never created.
         """
-        campaign_id = spec["campaign_id"]
         lsn = self._wal.append(rec.REGISTER, rec.encode_json_payload(spec))
         # Control-plane records are rare and must not sit in a buffer: a
         # crash must never replay claims into a campaign whose
         # registration (or removal) it forgot.
         self._wal.sync()
-        self._specs[campaign_id] = spec
-        self._shadow[campaign_id] = _ShadowCounters(
-            claims=0,
-            by_slot=np.zeros(int(spec["max_users"]), dtype=np.int64),
-        )
+        campaign_id = spec["campaign_id"]
         self._users_synced[campaign_id] = len(spec.get("user_ids") or [])
-        self._seed_encoding_cache(campaign_id, spec)
         return lsn
-
-    def _seed_encoding_cache(self, campaign_id: str, spec: dict) -> None:
-        self._cid_prefix[campaign_id] = rec.campaign_id_prefix(campaign_id)
-        self._u16_slots[campaign_id] = (
-            int(spec["max_users"]) <= 0x10000
-            and len(spec["object_ids"]) <= 0x10000
-        )
 
     def log_unregister(self, campaign_id: str) -> int:
         lsn = self._wal.append(
@@ -271,11 +260,8 @@ class DurabilityManager:
             rec.encode_json_payload({"campaign_id": campaign_id}),
         )
         self._wal.sync()
-        self._specs.pop(campaign_id, None)
-        self._shadow.pop(campaign_id, None)
         self._users_synced.pop(campaign_id, None)
-        self._cid_prefix.pop(campaign_id, None)
-        self._u16_slots.pop(campaign_id, None)
+        self._u16_prefix.pop(campaign_id, None)
         return lsn
 
     def log_batch(self, state, batch) -> int:
@@ -309,7 +295,16 @@ class DurabilityManager:
                 ),
             )
             self._users_synced[campaign_id] = table_len
-        if self._u16_slots.get(campaign_id):
+        try:
+            prefix = self._u16_prefix[campaign_id]
+        except KeyError:
+            prefix = self._u16_prefix[campaign_id] = (
+                rec.campaign_id_prefix(campaign_id)
+                if state.capacity <= 0x10000
+                and len(state.object_ids) <= 0x10000
+                else None
+            )
+        if prefix is not None:
             # Fast path: slots are bounded by the campaign's capacity
             # and object universe (validated at ingress), so the u16
             # encoding and the cached id prefix apply to every batch —
@@ -317,7 +312,7 @@ class DurabilityManager:
             # payload serialisation (the value column is handed to the
             # log as a buffer and written directly).
             payload = rec.encode_batch_parts(
-                self._cid_prefix[campaign_id],
+                prefix,
                 batch.users,
                 batch.objects,
                 batch.values,
@@ -330,12 +325,6 @@ class DurabilityManager:
                 values=batch.values,
             ).to_bytes()
         lsn = self._wal.append(rec.BATCH, payload)
-        shadow = self._shadow.get(campaign_id)
-        if shadow is not None:
-            shadow.claims += batch.size
-            shadow.by_slot += np.bincount(
-                batch.users, minlength=shadow.by_slot.size
-            )
         self.claims_logged += batch.size
         self.batches_logged += 1
         self._claims_since_checkpoint += batch.size
@@ -417,9 +406,11 @@ class DurabilityManager:
         The checkpoint covers every record up to the current last LSN:
         aggregator state is captured *after* those batches were
         aggregated (logging and aggregation are adjacent and
-        synchronous), shadow counters match the logged batches exactly,
-        and the ledger holds every charge logged so far.  WAL segments
-        fully below the checkpoint are deleted.
+        synchronous), claim counters are the live ones minus what the
+        micro-batchers still buffer (exactly the logged batches), and
+        the ledger holds every charge logged so far.  Campaigns are
+        written in ``campaign_ids`` order.  WAL segments fully below the
+        checkpoint are deleted.
         """
         from dataclasses import asdict
 
@@ -430,15 +421,18 @@ class DurabilityManager:
         service = self._service
         ledger = service.ledger
         campaigns = []
-        for campaign_id, spec in sorted(list(self._specs.items())):
+        for campaign_id in service.campaign_ids:
             state = service.campaign_state(campaign_id)
-            shadow = self._shadow[campaign_id]
+            # Claims still in the micro-batcher are counted live but not
+            # logged yet: their batch replays on top of this checkpoint.
+            buffered = state.batcher.buffered_users
             campaigns.append(
                 {
-                    "spec": spec,
+                    "spec": state.spec,
                     "user_table": list(state.user_table),
-                    "claims_accepted": shadow.claims,
-                    "claims_by_slot": shadow.by_slot.copy(),
+                    "claims_accepted": state.claims_accepted - buffered.size,
+                    "claims_by_slot": state.claims_by_slot
+                    - np.bincount(buffered, minlength=state.capacity),
                     "aggregator": state.aggregator.state_dict(),
                 }
             )
@@ -529,18 +523,3 @@ class DurabilityManager:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-    # ------------------------------------------------------------------
-    def seed_recovered_state(
-        self,
-        *,
-        specs: dict[str, dict],
-        shadows: dict[str, "_ShadowCounters"],
-        users_synced: dict[str, int],
-    ) -> None:
-        """Adopt recovered campaign bookkeeping (used when resuming)."""
-        self._specs = dict(specs)
-        self._shadow = dict(shadows)
-        self._users_synced = dict(users_synced)
-        for campaign_id, spec in self._specs.items():
-            self._seed_encoding_cache(campaign_id, spec)

@@ -42,12 +42,8 @@ import numpy as np
 
 from repro.durable import records as rec
 from repro.durable.checkpoint import Checkpoint, CheckpointStore
-from repro.durable.manager import (
-    DurabilityConfig,
-    DurabilityManager,
-    _ShadowCounters,
-)
-from repro.durable.wal import WalScan, read_wal
+from repro.durable.manager import DurabilityConfig, DurabilityManager
+from repro.durable.wal import read_wal
 from repro.privacy.ldp import LDPGuarantee
 from repro.truthdiscovery.streaming import ClaimBatch
 from repro.utils.logging import get_logger
@@ -117,9 +113,6 @@ class RecoveredService:
     service: "IngestService"  # noqa: F821 - forward ref, see recover()
     report: RecoveryReport
     durability: Optional[DurabilityManager] = None
-    #: Registration specs of every live campaign (what a resumed or
-    #: promoted logger needs to seed its bookkeeping).
-    specs: dict = field(default_factory=dict)
 
 
 def service_from_config(body: dict, *, config=None, accountant=None):
@@ -157,14 +150,9 @@ class RecordApplier:
     """
 
     def __init__(
-        self,
-        service,
-        *,
-        specs: Optional[dict] = None,
-        report: Optional[RecoveryReport] = None,
+        self, service, *, report: Optional[RecoveryReport] = None
     ) -> None:
         self.service = service
-        self.specs: dict[str, dict] = specs if specs is not None else {}
         self.report = (
             report
             if report is not None
@@ -178,15 +166,12 @@ class RecordApplier:
             return
         self.report.records_replayed += 1
         if record.rtype == rec.REGISTER:
-            spec = record.decode()
-            register_from_spec(service, spec)
-            self.specs[spec["campaign_id"]] = spec
+            register_from_spec(service, record.decode())
             self.report.registers_replayed += 1
         elif record.rtype == rec.UNREGISTER:
             campaign_id = record.decode()["campaign_id"]
             if service.has_campaign(campaign_id):
                 service.unregister_campaign(campaign_id)
-            self.specs.pop(campaign_id, None)
         elif record.rtype == rec.USERS:
             self._apply_users(record.decode())
         elif record.rtype == rec.REFRESH:
@@ -263,46 +248,6 @@ class RecordApplier:
         self.report.claims_replayed += item.size
 
 
-def attach_resumed_durability(
-    service,
-    specs: dict,
-    last_lsn: int,
-    directory: Union[str, Path],
-    durability_config: Optional[DurabilityConfig] = None,
-) -> DurabilityManager:
-    """Give a replayed service a fresh logger continuing after ``last_lsn``.
-
-    This is the promotion step shared by crash recovery's ``resume``
-    path and a replication standby's ``promote()``: a new
-    :class:`DurabilityManager` starts at ``last_lsn + 1``, its shadow
-    counters are seeded from the live campaign state (so checkpoints
-    stay truthful without a re-scan), and a post-attach checkpoint
-    bounds the next crash's replay.
-    """
-    if durability_config is None:
-        durability_config = DurabilityConfig(directory=Path(directory))
-    manager = DurabilityManager(
-        durability_config, start_lsn=last_lsn + 1
-    )
-    shadows = {}
-    users_synced = {}
-    for campaign_id in specs:
-        state = service.campaign_state(campaign_id)
-        shadows[campaign_id] = _ShadowCounters(
-            claims=state.claims_accepted,
-            by_slot=state.claims_by_slot.copy(),
-        )
-        users_synced[campaign_id] = len(state.user_table)
-    manager.seed_recovered_state(
-        specs=specs, shadows=shadows, users_synced=users_synced
-    )
-    service.attach_durability(manager)
-    # A fresh checkpoint bounds the next crash's replay and lets
-    # retention drop the pre-crash segments.
-    manager.checkpoint()
-    return manager
-
-
 class RecoveryManager:
     """Rebuilds :class:`~repro.service.ingest.IngestService` state.
 
@@ -337,9 +282,9 @@ class RecoveryManager:
             ledger (event history is not persisted, only totals).
         resume:
             When true, attach a fresh :class:`DurabilityManager` to the
-            recovered service (continuing LSNs after the recovered
-            tail) and write a post-recovery checkpoint so old segments
-            can be retired.
+            recovered service, continuing LSNs after the recovered
+            tail; attaching to a service that holds campaigns writes a
+            checkpoint, so old segments can be retired.
         durability_config:
             Policies for the resumed manager (defaults to this
             directory with default policies).  Ignored unless
@@ -394,25 +339,24 @@ class RecoveryManager:
         )
 
         service = self._bootstrap(checkpoint, scan, config, accountant)
-
-        specs: dict[str, dict] = {}
         if checkpoint is not None:
-            self._restore_checkpoint(service, checkpoint, specs)
-        self._replay(service, scan, specs, report)
+            self._restore_checkpoint(service, checkpoint)
+        applier = RecordApplier(service, report=report)
+        for record in scan.records:
+            applier.apply(record)
         report.campaigns = service.campaign_ids
         report.seconds = time.perf_counter() - start
         _LOGGER.info("%s", report.summary())
 
         durability = None
         if resume:
-            durability = self._resume(
-                service, specs, report, durability_config
+            durability = DurabilityManager(
+                durability_config or self._dir,
+                start_lsn=report.last_lsn + 1,
             )
+            service.attach_durability(durability)
         return RecoveredService(
-            service=service,
-            report=report,
-            durability=durability,
-            specs=specs,
+            service=service, report=report, durability=durability
         )
 
     # ------------------------------------------------------------------
@@ -444,14 +388,11 @@ class RecoveryManager:
                 )
         return IngestService(config)
 
-    def _restore_checkpoint(
-        self, service, checkpoint: Checkpoint, specs: dict
-    ) -> None:
+    def _restore_checkpoint(self, service, checkpoint: Checkpoint) -> None:
         for entry in checkpoint.payload.get("campaigns", []):
             spec = entry["spec"]
             campaign_id = spec["campaign_id"]
-            self._register_from_spec(service, spec)
-            specs[campaign_id] = spec
+            register_from_spec(service, spec)
             state = service.campaign_state(campaign_id)
             user_table = list(entry["user_table"])
             if len(user_table) > state.capacity:
@@ -473,32 +414,14 @@ class RecoveryManager:
             state.claims_accepted = int(entry["claims_accepted"])
             state.aggregator.load_state(entry["aggregator"])
 
-    def _replay(
-        self, service, scan: WalScan, specs: dict, report: RecoveryReport
-    ) -> None:
-        applier = RecordApplier(service, specs=specs, report=report)
-        for record in scan.records:
-            applier.apply(record)
-
-    def _resume(
-        self, service, specs, report, durability_config
-    ) -> DurabilityManager:
-        return attach_resumed_durability(
-            service,
-            specs,
-            report.last_lsn,
-            self._dir,
-            durability_config,
-        )
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _register_from_spec(service, spec: dict) -> None:
-        register_from_spec(service, spec)
-
 
 def register_from_spec(service, spec: dict) -> None:
-    """Re-register a campaign from its persisted REGISTER spec."""
+    """Re-register a campaign from its persisted REGISTER spec.
+
+    The campaign keeps ``spec`` verbatim as its record (a format-v1
+    ``"auto"`` body included), so the next checkpoint stores exactly
+    the body this one was replayed from.
+    """
     cost = spec.get("cost")
     if service.has_campaign(spec["campaign_id"]):
         raise RecoveryError(
@@ -550,3 +473,4 @@ def register_from_spec(service, spec: dict) -> None:
         ),
         **method_kwargs,
     )
+    service.campaign_state(spec["campaign_id"]).spec = spec

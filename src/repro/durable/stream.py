@@ -27,17 +27,15 @@ to a checkpoint-based resync (see ``repro.replication``).
 
 from __future__ import annotations
 
-import zlib
 from pathlib import Path
 from typing import Union
 
 from repro.durable.records import WalRecord
 from repro.durable.wal import (
     _BODY_HEADER,
-    _FRAME_HEADER,
-    MAX_BODY_BYTES,
     SEGMENT_MAGIC,
     WalError,
+    _iter_frames,
     _segment_first_lsn,
     list_segments,
     segment_path,
@@ -143,25 +141,14 @@ class WalTailReader:
                 f"segment {self._path.name} was retired under the "
                 f"reader (cursor at lsn {self._next})"
             ) from None
-        offset = 0
-        size = len(data)
-        while offset + _FRAME_HEADER.size <= size:
-            length, crc = _FRAME_HEADER.unpack_from(data, offset)
-            if length < _BODY_HEADER.size or length > MAX_BODY_BYTES:
-                break
-            body_start = offset + _FRAME_HEADER.size
-            if body_start + length > size:
-                break
-            body = data[body_start:body_start + length]
-            if zlib.crc32(body) != crc:
-                break
+        base = self._offset
+        for _offset, body_start, body in _iter_frames(data, 0):
             rtype, lsn = _BODY_HEADER.unpack_from(body, 0)
             if lsn > up_to_lsn:
                 # On disk but not yet acknowledged durable; leave the
                 # offset here and re-read once the watermark advances.
                 return False
-            offset = body_start + length
-            self._offset += _FRAME_HEADER.size + length
+            self._offset = base + body_start + len(body)
             if lsn < self._next:
                 continue
             if lsn != self._next:

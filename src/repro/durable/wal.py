@@ -901,13 +901,17 @@ class WalScan:
         return self.truncated_bytes > 0
 
 
-def _iter_frames(data: bytes) -> Iterator[tuple[int, int, bytes]]:
-    """Yield ``(offset, body_offset, body)`` for intact frames.
+def _iter_frames(
+    data: bytes, start: int = len(SEGMENT_MAGIC)
+) -> Iterator[tuple[int, int, bytes]]:
+    """Yield ``(offset, body_offset, body)`` for intact frames of
+    ``data`` from ``start`` (by default, a whole segment's first frame).
 
-    Stops at the first malformed frame; the caller decides whether that
-    is a torn tail or corruption based on which segment it is.
+    Stops at the first incomplete or malformed frame; the caller
+    decides whether that is a torn tail, corruption, or a frame still
+    being written.
     """
-    offset = len(SEGMENT_MAGIC)
+    offset = start
     size = len(data)
     while offset < size:
         if offset + _FRAME_HEADER.size > size:

@@ -24,10 +24,11 @@ an empty one (see :meth:`StandbyServer._on_read`).
 :meth:`StandbyServer.promote` turns the standby into a
 fully-functional primary: the replication WAL handle is closed and a
 fresh :class:`~repro.durable.manager.DurabilityManager` (continuing
-LSNs after the replicated watermark) is attached via the shared
-:func:`~repro.durable.recovery.attach_resumed_durability` path — spent
-budget stays spent because every charge was logged at admission and
-replayed on arrival.
+LSNs after the replicated watermark) is attached with
+``service.attach_durability`` — the call crash recovery's ``resume``
+makes, which checkpoints the replayed campaigns — and spent budget
+stays spent because every charge was logged at admission and replayed
+on arrival.
 
 Run one with ``repro standby --dir DIR``; the process announces
 ``PORT <n>`` on stdout exactly like ``repro serve-shard``.
@@ -44,10 +45,10 @@ from typing import Optional, Union
 from repro.durable import checkpoint as ckpt_codec
 from repro.durable import records as rec
 from repro.durable.checkpoint import CheckpointStore
+from repro.durable.manager import DurabilityManager
 from repro.durable.recovery import (
     RecordApplier,
     RecoveryManager,
-    attach_resumed_durability,
     service_from_config,
 )
 from repro.durable.wal import FSYNC_POLICIES, WriteAheadLog, list_segments
@@ -158,9 +159,7 @@ class StandbyServer(FrameServer):
         if has_history:
             recovered = RecoveryManager(self._dir).recover()
             self._service = recovered.service
-            self._applier = RecordApplier(
-                self._service, specs=recovered.specs
-            )
+            self._applier = RecordApplier(self._service)
             start_lsn = recovered.report.last_lsn + 1
             self._applied_lsn = recovered.report.last_lsn
         self._wal = WriteAheadLog(
@@ -363,9 +362,7 @@ class StandbyServer(FrameServer):
             CheckpointStore(self._dir).save(lsn, checkpoint_payload)
             recovered = RecoveryManager(self._dir).recover()
             self._service = recovered.service
-            self._applier = RecordApplier(
-                self._service, specs=recovered.specs
-            )
+            self._applier = RecordApplier(self._service)
             self._wal = WriteAheadLog(
                 self._dir, fsync=self._fsync, start_lsn=lsn + 1
             )
@@ -502,14 +499,14 @@ class StandbyServer(FrameServer):
     def promote(self, *, epoch: Optional[int] = None) -> dict:
         """Become a fully-functional primary at the replicated watermark.
 
-        The replication WAL handle closes, a fresh
-        :class:`~repro.durable.manager.DurabilityManager` continues
-        LSNs after the last replicated record, shadow counters are
-        seeded from the live campaign state, and a post-promotion
-        checkpoint is written — the exact resume path crash recovery
-        uses, without re-reading the log.  Subsequent replication
-        streams are refused; reads keep working.  Returns a small
-        report dict.
+        The replication WAL handle closes and the replica service
+        attaches a fresh :class:`~repro.durable.manager.
+        DurabilityManager` continuing LSNs after the last replicated
+        record: its CONFIG record, then a checkpoint of the replayed
+        campaigns at that LSN — the ``attach_durability`` call crash
+        recovery's resume makes, without re-reading the log.
+        Subsequent replication streams are refused; reads keep working.
+        Returns a small report dict.
 
         ``epoch`` is the caller's monotone fencing epoch.  The fence is
         checked *first* and persisted before any state flips: an epoch
@@ -537,12 +534,11 @@ class StandbyServer(FrameServer):
             watermark = self._wal.durable_lsn
             self._wal.close()
             self._wal = None
-            self._durability = attach_resumed_durability(
-                self._service,
-                self._applier.specs,
-                watermark,
-                self._dir,
+            durability = DurabilityManager(
+                self._dir, start_lsn=watermark + 1
             )
+            self._service.attach_durability(durability)
+            self._durability = durability
             self._promoted = True
         report = {
             "watermark_lsn": watermark,

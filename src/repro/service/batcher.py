@@ -49,6 +49,12 @@ class MicroBatcher:
         """Claims currently buffered, not yet emitted."""
         return self._fill
 
+    @property
+    def buffered_users(self) -> np.ndarray:
+        """User slots of the buffered claims (a view; valid until the
+        next ``add_columns`` or ``flush``)."""
+        return self._users[: self._fill]
+
     # ------------------------------------------------------------------
     def add_columns(
         self,

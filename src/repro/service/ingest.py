@@ -133,14 +133,6 @@ class ServiceStats:
         #: aggregation + view construction).
         self.snapshot_reads = 0
         self.snapshot_read_seconds = 0.0
-        # Cached WAL counters: refreshed on every live read and by
-        # ``_sample_wal_stats`` (pump/flush/snapshot/close), so a stats
-        # object that outlives its service still reports the last
-        # sampled values instead of zeros.
-        self._wal_appends = 0
-        self._wal_commit_groups = 0
-        self._wal_commit_seconds = 0.0
-        self._wal_durable_lag = 0
 
     # ------------------------------------------------------------------
     # WAL observability (zero while running volatile): records
@@ -149,7 +141,8 @@ class ServiceStats:
     # synchronous commit, on the background writer under
     # ``async_commit``), and the durable-LSN lag (records appended but
     # not yet committed — the staged suffix a crash under async commit
-    # could lose).  Read live from the WAL itself.
+    # could lose).  Read live from the WAL itself, whose counters stay
+    # readable after it closes.
     def _live_wal(self):
         service = self._service
         if service is None or service.durability is None:
@@ -159,30 +152,22 @@ class ServiceStats:
     @property
     def wal_appends(self) -> int:
         wal = self._live_wal()
-        if wal is not None:
-            self._wal_appends = wal.records_written
-        return self._wal_appends
+        return 0 if wal is None else wal.records_written
 
     @property
     def wal_commit_groups(self) -> int:
         wal = self._live_wal()
-        if wal is not None:
-            self._wal_commit_groups = wal.groups_committed
-        return self._wal_commit_groups
+        return 0 if wal is None else wal.groups_committed
 
     @property
     def wal_commit_seconds(self) -> float:
         wal = self._live_wal()
-        if wal is not None:
-            self._wal_commit_seconds = wal.commit_seconds
-        return self._wal_commit_seconds
+        return 0.0 if wal is None else wal.commit_seconds
 
     @property
     def wal_durable_lag(self) -> int:
         wal = self._live_wal()
-        if wal is not None:
-            self._wal_durable_lag = wal.last_lsn - wal.durable_lsn
-        return self._wal_durable_lag
+        return 0 if wal is None else wal.last_lsn - wal.durable_lsn
 
     @property
     def claims_rejected(self) -> int:
@@ -349,23 +334,19 @@ class IngestService:
     def attach_durability(self, durability) -> None:
         """Wire a durability manager into the pipeline.
 
-        Every already-registered campaign must be known to the manager
-        (true for a fresh service, and for recovery, which seeds the
-        manager from the recovered state) — otherwise those campaigns
-        could never be checkpointed or replayed.
+        The manager binds first: it logs the service configuration and,
+        when the service already holds campaigns or spent budget,
+        checkpoints them — which is how crash recovery's ``resume``, a
+        standby's promotion and a late attach all make existing state
+        recoverable.  Only a bind that succeeded is wired into the
+        shards; a failed one leaves the service volatile.
         """
         if self._durability is not None:
             raise RuntimeError("a durability manager is already attached")
-        missing = set(self._campaign_shard) - durability.known_campaigns
-        if missing:
-            raise ValueError(
-                f"campaigns registered before durability was attached: "
-                f"{sorted(missing)}; attach durability first"
-            )
+        durability.bind(self)
         self._durability = durability
         for shard in self._shards:
             shard.durability = durability
-        durability.bind(self)
 
     @property
     def num_shards(self) -> int:
@@ -434,13 +415,20 @@ class IngestService:
             method_kwargs=method_kwargs,
         )
         shard_index = self.shard_of(campaign_id)
-        # What a shard worker builds the campaign's aggregator from.
+        # The REGISTER body: what the log and every checkpoint store,
+        # and what a shard worker's spec is projected from.
         spec = {
             "campaign_id": campaign_id,
-            "num_users": max_users,
-            "num_objects": len(object_ids),
+            "object_ids": list(object_ids),
+            "max_users": max_users,
+            "user_ids": None if user_ids is None else list(user_ids),
             "method": method,
             "aggregator": aggregator,
+            "cost": (
+                None
+                if cost is None
+                else {"epsilon": cost.epsilon, "delta": cost.delta}
+            ),
             "method_kwargs": dict(method_kwargs),
         }
         if self._pool is None:
@@ -466,28 +454,12 @@ class IngestService:
             max_batch=cfg.max_batch,
             aggregator=campaign_aggregator,
         )
+        state.spec = spec
         if self._durability is not None:
             # Log the registration before claims can reference it.  The
             # spec must round-trip through JSON, so durable campaigns
             # need JSON-representable object ids and method kwargs.
-            self._durability.log_register(
-                {
-                    "campaign_id": campaign_id,
-                    "object_ids": list(object_ids),
-                    "max_users": max_users,
-                    "user_ids": (
-                        None if user_ids is None else list(user_ids)
-                    ),
-                    "method": method,
-                    "aggregator": aggregator,
-                    "cost": (
-                        None
-                        if cost is None
-                        else {"epsilon": cost.epsilon, "delta": cost.delta}
-                    ),
-                    "method_kwargs": dict(method_kwargs),
-                }
-            )
+            self._durability.log_register(spec)
         if self._pool is not None:
             # The worker must know the campaign before any batch frame
             # can reference it (frames are processed strictly in order,
@@ -768,21 +740,12 @@ class IngestService:
         return moved
 
     def _sample_wal_stats(self) -> None:
-        """Fold the WAL's commit activity into the telemetry layer.
-
-        :class:`ServiceStats` reads the WAL counters live (they are
-        properties now), so this only has to (1) refresh the stats
-        object's fallback cache and (2) drain newly completed group
-        commits into the ``repro_wal_commit_seconds`` histogram and
-        resolve traces the durable-ack watermark now covers.
-        """
+        """Fold the WAL's commit activity into the telemetry layer:
+        drain newly completed group commits into the
+        ``repro_wal_commit_seconds`` histogram and resolve traces the
+        durable-ack watermark now covers."""
         durability = self._durability
         wal = durability.wal
-        stats = self.stats
-        stats._wal_appends = wal.records_written
-        stats._wal_commit_groups = wal.groups_committed
-        stats._wal_commit_seconds = wal.commit_seconds
-        stats._wal_durable_lag = wal.last_lsn - wal.durable_lsn
         telemetry = self.telemetry
         if telemetry.enabled:
             telemetry.drain_wal(wal, durability.config.fsync)
@@ -854,8 +817,6 @@ class IngestService:
             return
         self._closed = True
         if self._durability is not None:
-            # Final WAL sample: a stats object read after close must
-            # report the log's closing counters, not the last pump's.
             self._sample_wal_stats()
         self._deployment.close()
 
@@ -869,13 +830,6 @@ class IngestService:
     def queue_depths(self) -> list[int]:
         """Per-shard queued work items (observability)."""
         return [shard.queue_depth for shard in self._shards]
-
-    def batch_latencies(self) -> np.ndarray:
-        """All recorded per-batch aggregation latencies, in seconds."""
-        lats = [
-            lat for shard in self._shards for lat in shard.batch_latencies
-        ]
-        return np.asarray(lats, dtype=float)
 
     def metrics_snapshot(self):
         """The full metric view (:class:`~repro.obs.RegistrySnapshot`).

@@ -14,7 +14,7 @@ import itertools
 import threading
 import time
 import zlib
-from collections import deque, namedtuple
+from collections import namedtuple
 from typing import Optional, Sequence
 
 import numpy as np
@@ -58,6 +58,7 @@ class CampaignState:
         "user_lock",
         "pending_traces",
         "read_serial",
+        "spec",
     )
 
     def __init__(
@@ -105,6 +106,9 @@ class CampaignState:
         # state object by it, so a re-registered campaign or a resynced
         # service never passes for the state a reader last saw.
         self.read_serial = next(_READ_SERIALS)
+        #: The campaign's REGISTER body, set by whoever registered it:
+        #: what a checkpoint stores and a worker's spec is projected from.
+        self.spec: Optional[dict] = None
 
     # ------------------------------------------------------------------
     def user_slot(self, user_id: str) -> int:
@@ -238,10 +242,6 @@ class Shard:
     crash recovery can reproduce their timing.
     """
 
-    #: Retained per-batch latency samples (a bounded window: the list
-    #: would otherwise grow forever in a long-running service).
-    LATENCY_WINDOW = 4096
-
     def __init__(
         self, index: int, *, queue_capacity: int, durability=None
     ) -> None:
@@ -252,7 +252,6 @@ class Shard:
         self._lock = threading.Lock()
         self._reserved = 0
         self.campaigns: dict[str, CampaignState] = {}
-        self.batch_latencies: deque[float] = deque(maxlen=self.LATENCY_WINDOW)
         self.durability = durability
         #: :class:`~repro.service.telemetry.ServiceTelemetry` hook, set
         #: by the owning service (None for bare shards in tests).
@@ -435,10 +434,10 @@ class Shard:
             # the aggregator ever sees it.
             lsn = self.durability.log_batch(state, batch)
         state.aggregator.ingest(batch)
-        elapsed = time.perf_counter() - start
-        self.batch_latencies.append(elapsed)
         if self.telemetry is not None:
-            self.telemetry.on_batch(self.index, state, elapsed, lsn)
+            self.telemetry.on_batch(
+                self.index, state, time.perf_counter() - start, lsn
+            )
 
     def _compact(self) -> None:
         # Reclaim the consumed prefix once it dominates the list.

@@ -256,6 +256,21 @@ def _stand_down(processes: list) -> None:
         reap(process)
 
 
+def _worker_spec(spec: dict) -> dict:
+    """What a shard worker builds a campaign's aggregator from: the
+    projection of the campaign's REGISTER body.  (A pool-backed
+    service registers every campaign through ``register_campaign``, so
+    the body always names the resolved backend kind.)"""
+    return {
+        "campaign_id": spec["campaign_id"],
+        "num_users": spec["max_users"],
+        "num_objects": len(spec["object_ids"]),
+        "method": spec["method"],
+        "aggregator": spec["aggregator"],
+        "method_kwargs": dict(spec["method_kwargs"]),
+    }
+
+
 class Deployment:
     """What a :class:`Topology` started for one service, and the one
     way to stop it.
@@ -281,9 +296,6 @@ class Deployment:
         self.status_server = None
         self.watchdogs: list = []
         self._service = service
-        #: Worker-side REGISTER spec per campaign — what rebalancing
-        #: replays on the target worker before shipping the state.
-        self._specs: dict[str, dict] = {}
         self._stack = contextlib.ExitStack()
         self._errors: list[Exception] = []
 
@@ -409,8 +421,8 @@ class Deployment:
     # Pool-side bookkeeping (``workers`` / ``fabric``).
     def proxy(self, shard_index: int, spec: dict):
         """The parent-side :class:`~repro.workers.handles.
-        RemoteAggregator` of a campaign living in the worker that owns
-        ``shard_index``."""
+        RemoteAggregator` of a campaign (``spec`` is its REGISTER body)
+        living in the worker that owns ``shard_index``."""
         from repro.workers.handles import RemoteAggregator
 
         # The spec carries the *resolved* backend kind (a bad
@@ -420,20 +432,19 @@ class Deployment:
         return RemoteAggregator(
             self.pool.handle_for(shard_index),
             spec["campaign_id"],
-            spec["num_users"],
-            spec["num_objects"],
+            spec["max_users"],
+            len(spec["object_ids"]),
             backend=spec["aggregator"],
             refine_every=self._service.config.refine_every,
         )
 
     def register(self, shard_index: int, spec: dict) -> None:
-        """Register a campaign on the worker owning ``shard_index``."""
-        self._specs[spec["campaign_id"]] = spec
-        self.pool.handle_for(shard_index).register(spec)
+        """Register a campaign, given its REGISTER body, on the worker
+        owning ``shard_index``."""
+        self.pool.handle_for(shard_index).register(_worker_spec(spec))
 
     def unregister(self, shard_index: int, campaign_id: str) -> None:
         """Drop a campaign from the worker owning ``shard_index``."""
-        self._specs.pop(campaign_id, None)
         self.pool.handle_for(shard_index).unregister(campaign_id)
 
     def rebalance_shard(self, shard_index: int, target_worker: int) -> int:
@@ -472,7 +483,9 @@ class Deployment:
             if service.shard_of(campaign_id) == shard_index
         ]
         for campaign_id in campaigns:
-            target.register(self._specs[campaign_id])
+            target.register(
+                _worker_spec(service.campaign_state(campaign_id).spec)
+            )
             target.load_state(campaign_id, source.state_dict(campaign_id))
             source.unregister(campaign_id)
             self._repoint_campaign(campaign_id, target)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.durable import DurabilityConfig, DurabilityManager
 from repro.durable.records import RecordError
-from repro.durable.wal import read_wal
+from repro.durable.wal import WalError, read_wal
 from repro.service import IngestService, ServiceConfig, Topology
 
 
@@ -46,13 +46,38 @@ class TestConfigValidation:
 
 
 class TestBinding:
-    def test_attach_after_register_is_refused(self, tmp_path):
+    def test_attach_after_register_checkpoints_campaigns(self, tmp_path):
+        """A late attach checkpoints what the service already holds, at
+        the CONFIG record's LSN: those campaigns have no REGISTER record
+        in this log."""
         service = IngestService(ServiceConfig(num_shards=1))
         service.register_campaign("early", ["a"], max_users=2)
         manager = DurabilityManager(tmp_path)
-        with pytest.raises(ValueError, match="before durability"):
-            service.attach_durability(manager)
+        service.attach_durability(manager)
+        assert service.durability is manager
+        checkpoint = manager.checkpoints.load_latest()
+        assert checkpoint.lsn == manager.last_lsn == 1
+        [entry] = checkpoint.payload["campaigns"]
+        assert entry["spec"] == service.campaign_state("early").spec
+        assert entry["spec"]["object_ids"] == ["a"]
         manager.close()
+
+    def test_failed_attach_leaves_the_service_volatile(self, tmp_path):
+        """A bind that raises wires nothing: the shards keep running
+        without a log instead of logging into an unbound manager."""
+        service = IngestService(ServiceConfig(num_shards=1, max_batch=64))
+        manager = DurabilityManager(tmp_path)
+        manager.close()
+        with pytest.raises(WalError, match="closed"):
+            service.attach_durability(manager)
+        assert service.durability is None
+        assert all(shard.durability is None for shard in service._shards)
+        service.register_campaign("c1", list(range(4)), max_users=8)
+        service.submit_columns(*chunk("c1", n=100))
+        assert service.pump() == 100
+        snapshot = service.snapshot("c1")
+        assert snapshot.claims_ingested == 100
+        assert service.stats.wal_appends == 0
 
     def test_double_attach_is_refused(self, tmp_path):
         service, manager = make_service(tmp_path)
@@ -86,17 +111,22 @@ class TestLogging:
                 "c", ["a"], max_users=2, bad_kwarg=object()
             )
         # The failed registration must leave no phantom campaign behind:
-        # the manager tracks nothing, and checkpoints keep working.
-        assert manager.known_campaigns == set()
-        assert manager.checkpoint().exists()
+        # the service holds nothing, and checkpoints keep working.
+        assert service.campaign_ids == []
+        path = manager.checkpoint()
+        assert path.exists()
+        assert manager.checkpoints.load_latest().payload["campaigns"] == []
         manager.close()
 
-    def test_known_campaigns_track_lifecycle(self, tmp_path):
+    def test_checkpoint_tracks_campaign_lifecycle(self, tmp_path):
         service, manager = make_service(tmp_path)
         service.register_campaign("c1", ["a", "b"], max_users=4)
-        assert manager.known_campaigns == {"c1"}
+        manager.checkpoint()
+        campaigns = manager.checkpoints.load_latest().payload["campaigns"]
+        assert [entry["spec"]["campaign_id"] for entry in campaigns] == ["c1"]
         service.unregister_campaign("c1")
-        assert manager.known_campaigns == set()
+        manager.checkpoint()
+        assert manager.checkpoints.load_latest().payload["campaigns"] == []
         manager.close()
 
     def test_batches_counted(self, tmp_path):

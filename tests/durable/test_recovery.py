@@ -157,6 +157,7 @@ class TestKillAndRecover:
         must resolve them with the v1 rule (only large plain-CRH
         campaigns streamed) so the rebuilt backend matches the state
         the v1 service checkpointed and the semantics it served."""
+        from repro.durable.recovery import register_from_spec
         from repro.service.aggregator import (
             FullRefitAggregator,
             StreamingAggregator,
@@ -174,14 +175,14 @@ class TestKillAndRecover:
             "cost": None,
             "method_kwargs": {},
         }
-        RecoveryManager._register_from_spec(service, legacy_spec)
+        register_from_spec(service, legacy_spec)
         state = service.campaign_state("legacy-gtm")
         assert isinstance(state.aggregator, FullRefitAggregator)
         # Large plain CRH streamed in v1 — that must survive too, and
         # v1 silently dropped batch-only kwargs on its streaming path,
         # so a spec carrying them must replay (kwargs dropped again)
         # rather than fail the whole directory.
-        RecoveryManager._register_from_spec(
+        register_from_spec(
             service,
             {
                 **legacy_spec,

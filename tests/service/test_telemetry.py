@@ -8,7 +8,8 @@ import pytest
 
 from repro.crowdsensing.messages import ClaimSubmission
 from repro.durable.manager import DurabilityConfig, DurabilityManager
-from repro.service import IngestService, ServiceConfig, Topology
+from repro.privacy.ldp import LDPGuarantee
+from repro.service import BudgetLedger, IngestService, ServiceConfig, Topology
 from repro.service.telemetry import ServiceTelemetry
 
 
@@ -145,10 +146,42 @@ class TestStatsSurface:
         assert service.stats.wal_commit_groups == manager.wal.groups_committed
         service.close()
         stats = service.stats
-        # After close the cached sample keeps answering.
+        # After close the caller's (still open) log keeps answering.
         assert stats.wal_appends == live
         assert stats.as_dict()["wal_appends"] == live
         manager.close()
+
+    def test_wal_counters_after_close_are_the_closed_logs(self, tmp_path):
+        """A deployment-built manager closes with the service; its log's
+        counters stay readable, and the stats read them, not a sample
+        taken before the closing drain."""
+        service = IngestService(
+            ServiceConfig(num_shards=2, max_batch=8),
+            ledger=BudgetLedger(epsilon_cap=10.0),
+            topology=Topology.in_process(
+                durability=DurabilityConfig(directory=tmp_path, fsync="batch")
+            ),
+        )
+        service.register_campaign(
+            "c1", ("o0", "o1"), max_users=8,
+            cost=LDPGuarantee(epsilon=1.0, delta=0.0),
+        )
+        for i in range(4):
+            assert service.submit(sub(user=f"u{i}")).ok
+        service.flush()
+        # A charge record staged after the last sync: close drains it.
+        assert service.submit(sub(user="u0")).ok
+        groups_before_close = service.durability.wal.groups_committed
+        service.close()
+        wal = service.durability.wal
+        assert wal.closed
+        assert wal.groups_committed == groups_before_close + 1
+        stats = service.stats
+        assert stats.wal_appends == wal.records_written > 0
+        assert stats.wal_commit_groups == wal.groups_committed
+        assert stats.wal_commit_seconds == wal.commit_seconds
+        assert stats.wal_durable_lag == wal.last_lsn - wal.durable_lsn == 0
+        assert stats.as_dict()["wal_commit_groups"] == wal.groups_committed
 
     def test_wal_commit_histogram_labelled_by_fsync_mode(self, tmp_path):
         manager = DurabilityManager(
