@@ -122,6 +122,7 @@ def main() -> None:
         snapshot = recovered.service.snapshot(gen.campaign_id)
         identical = np.array_equal(doomed.truths, snapshot.truths)
         print(f"truths bit-for-bit identical after compaction: {identical}")
+        assert identical, "truths diverged after compaction!"
 
         # -- phase 4: a compaction crash mid-swap is survivable ---------
         try:
@@ -133,6 +134,7 @@ def main() -> None:
         survived = np.array_equal(doomed.truths, again.truths)
         print(f"truths bit-for-bit identical after torn compaction: "
               f"{survived}")
+        assert survived, "truths diverged after a torn compaction!"
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 

@@ -112,6 +112,7 @@ def main() -> None:
         identical = np.array_equal(doomed.truths, snapshot.truths)
         print(f"truths bit-for-bit identical to the doomed service: "
               f"{identical}")
+        assert identical, "recovered truths diverged from the doomed service's!"
         spent = recovered.service.ledger.spent("user0")
         print(f"user0's recovered privacy spend: {spent}")
 

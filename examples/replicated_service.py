@@ -108,6 +108,7 @@ def main() -> None:
                 f"truths bitwise "
                 f"{'equal to primary' if match else 'DIFFER'}"
             )
+            assert match, "replica truths diverged from the primary's!"
 
             print("\n== crash the primary, promote the standby ==")
             spent_before = service.ledger.to_records()
@@ -124,11 +125,12 @@ def main() -> None:
                 f"  promoted in {report['seconds']*1e3:.1f} ms at "
                 f"LSN {report['watermark_lsn']}"
             )
+            same_truths = np.array_equal(promoted.truths, crashed.truths)
             print(
-                f"  truths bitwise "
-                f"{'equal' if np.array_equal(promoted.truths, crashed.truths) else 'DIFFER'}"
+                f"  truths bitwise {'equal' if same_truths else 'DIFFER'}"
                 f" to the crashed primary's recovered state"
             )
+            assert same_truths, "promoted truths diverged from the primary's!"
             same_budget = sorted(
                 (r["user_id"], r["epsilon"]) for r in spent_before
             ) == sorted(
@@ -140,6 +142,7 @@ def main() -> None:
                 f"{'preserved' if same_budget else 'LOST'} across the "
                 f"promotion ({len(status['ledger']['records'])} users)"
             )
+            assert same_budget, "spent budget lost across the promotion!"
         finally:
             if recovered.durability is not None:
                 recovered.durability.close()

@@ -5,29 +5,24 @@ replaying the whole log: per-campaign aggregator state, user tables and
 claim counters, the privacy-budget ledger, and the LSN up to which the
 write-ahead log is covered.
 
-Storage format: one ``.npz`` file per checkpoint, written to a
-temporary name and atomically renamed into place (a crash mid-write
-leaves at most a ``*.tmp`` orphan, never a half checkpoint under the
-real name).  The checkpoint payload is an arbitrary JSON-able dict in
-which NumPy arrays may appear anywhere; arrays are hoisted out into
-binary npz entries and replaced by ``{"__nd__": key}`` placeholders in
-the JSON manifest, so bulk state (the streaming CRH cell statistics)
-stays binary and bit-exact while the structure stays readable.
+State has one encoding, :func:`pack_payload`: a ``u32`` manifest
+length, a JSON manifest in which every NumPy array is a
+``{"__nd__": [dtype_str, shape, offset]}`` placeholder, then the
+arrays' raw little-endian bytes.  RPCs, replica reads and checkpoint
+files all carry it.  A blob on a wire lives for one RPC within one
+build; a file must outlive the build that wrote it and catch a torn
+write or bit rot, so a file adds only a header: magic, format version
+(2; format 1 was an npz zip), covered LSN, body length, and a CRC-32
+over those and the body, as the WAL's frames have.  A replication
+resync ships the file's bytes and the standby stores them unchanged.
 
-The same tree walk feeds a second, *wire* encoding
-(:func:`pack_payload` / :func:`unpack_payload`: worker state/snapshot
-RPCs, the replica read, the replication resync blob) that is
-deliberately not byte-compatible with the files: a ``u32`` manifest
-length, the manifest with ``{"__nd__": [dtype_str, shape, offset]}``
-placeholders, then each array's raw bytes.  A file is written rarely
-and must keep loading across releases, and zip's per-entry CRC is what
-catches a torn or rotted one; a blob lives for one RPC between two
-processes of one build, so it carries no version and no CRC and costs
-a memcpy per array where an in-memory npz cost a zip archive per read.
-
-Loading walks checkpoints newest-first and silently skips unreadable
-files, so a torn checkpoint can never block recovery — it just falls
-back to the previous one plus a longer log replay.
+Writes go to a temporary name, are fsynced and atomically renamed into
+place, then the directory is fsynced: a crash mid-write leaves at most
+a ``*.tmp`` orphan, never a half checkpoint under the real name.
+Loading walks checkpoints newest-first and skips unreadable files
+(torn, rotted, or format 1) with a warning, so a bad checkpoint never
+blocks recovery — it falls back to the previous one plus a longer log
+replay.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ import json
 import math
 import os
 import struct
-import zipfile
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -49,9 +44,15 @@ from repro.utils.logging import get_logger
 _LOGGER = get_logger("durable.checkpoint")
 
 CHECKPOINT_PREFIX = "ckpt-"
-CHECKPOINT_SUFFIX = ".npz"
+CHECKPOINT_SUFFIX = ".ckpt"
+#: Format 1's files: listed, so pruning retires them, but never decoded.
+LEGACY_SUFFIX = ".npz"
+FILE_MAGIC = b"RPCKPT\r\n"
+FILE_FORMAT = 2
+#: magic, format, covered LSN, body length, CRC-32 of the rest and body.
+_FILE_HEADER = struct.Struct("<8sIQQI")
+_CRC_AT = _FILE_HEADER.size - 4
 _ARRAY_KEY = "__nd__"
-_MANIFEST_KEY = "manifest"
 _U32 = struct.Struct("<I")
 #: What a wire blob may carry (bool, (u)int8-64, float16-64) as
 #: little-endian ``dtype.str``; anything else is refused both ways.
@@ -123,9 +124,9 @@ def pack_payload(payload) -> bytes:
         ...   body: each array's C-contiguous little-endian bytes at
               ``offset`` from the body start, back to back
 
-    Binary, bit-exact, pickle-free; not the on-disk npz (see the module
-    docstring).  :func:`repro.workers.protocol.pack_state`, the replica
-    read and the replication resync blob all delegate here.
+    Binary, bit-exact, pickle-free.  :func:`repro.workers.protocol.
+    pack_state`, the replica read and checkpoint files (behind
+    :func:`encode_file`'s header) all delegate here.
     """
     chunks: list[bytes] = []
     size = 0
@@ -147,7 +148,7 @@ def pack_payload(payload) -> bytes:
         manifest_json = json.dumps(manifest, sort_keys=True).encode("utf-8")
     except (TypeError, ValueError) as exc:
         raise CheckpointError(
-            f"payload is not JSON-encodable outside its arrays: {exc}"
+            f"payload is not JSON-serialisable outside its arrays: {exc}"
         ) from exc
     return b"".join((_U32.pack(len(manifest_json)), manifest_json, *chunks))
 
@@ -208,13 +209,43 @@ def unpack_payload(blob: bytes):
     return payload
 
 
+def encode_file(lsn: int, payload) -> bytes:
+    """The bytes of one checkpoint file covering ``lsn``."""
+    body = pack_payload(payload)
+    head = _FILE_HEADER.pack(FILE_MAGIC, FILE_FORMAT, lsn, len(body), 0)
+    crc = zlib.crc32(body, zlib.crc32(head[:_CRC_AT]))
+    return b"".join((head[:_CRC_AT], _U32.pack(crc), body))
+
+
+def verify_file(data) -> int:
+    """The covered LSN of checkpoint file bytes whose magic, format,
+    length and CRC all check out; :class:`CheckpointError` otherwise.
+    Nothing is decoded or allocated."""
+    if len(data) < _FILE_HEADER.size:
+        raise CheckpointError(f"{len(data)}-byte file has no header")
+    magic, version, lsn, length, crc = _FILE_HEADER.unpack_from(data)
+    body = memoryview(data)[_FILE_HEADER.size:]
+    if magic.startswith(b"PK\x03\x04"):  # a zip: what format 1 wrote
+        problem = "checkpoint format 1 (npz), which this build no longer reads"
+    elif magic != FILE_MAGIC:
+        problem = f"bad magic {magic!r}"
+    elif version != FILE_FORMAT:
+        problem = f"checkpoint format {version}; this build reads {FILE_FORMAT}"
+    elif length != len(body):
+        problem = f"header declares a {length}-byte body, file has {len(body)}"
+    elif zlib.crc32(body, zlib.crc32(data[:_CRC_AT])) != crc:
+        problem = "CRC mismatch"
+    else:
+        return lsn
+    raise CheckpointError(problem)
+
+
 @dataclass(frozen=True)
 class Checkpoint:
     """One loaded checkpoint: covered LSN plus the state payload."""
 
     lsn: int
     payload: dict
-    path: Optional[Path] = None
 
 
 class CheckpointStore:
@@ -237,48 +268,30 @@ class CheckpointStore:
         self._dir = Path(directory)
         self._keep = keep
 
-    # ------------------------------------------------------------------
-    @property
-    def directory(self) -> Path:
-        return self._dir
-
     def paths(self) -> list[Path]:
-        """Checkpoint files, oldest first."""
+        """Checkpoint files of either format, oldest first (at one LSN,
+        format 1 first)."""
         if not self._dir.is_dir():
             return []
         return sorted(
-            p
-            for p in self._dir.iterdir()
-            if p.name.startswith(CHECKPOINT_PREFIX)
-            and p.name.endswith(CHECKPOINT_SUFFIX)
+            (p for p in self._dir.iterdir() if p.name.startswith(CHECKPOINT_PREFIX)
+             and p.suffix in (CHECKPOINT_SUFFIX, LEGACY_SUFFIX)),
+            key=lambda p: (p.stem, p.suffix == CHECKPOINT_SUFFIX),
         )
 
     # ------------------------------------------------------------------
     def save(self, lsn: int, payload: dict) -> Path:
         """Persist one checkpoint atomically; prune old ones."""
-        if lsn < 0:
-            raise ValueError(f"lsn must be >= 0, got {lsn}")
+        return self.write(lsn, encode_file(lsn, payload))
+
+    def write(self, lsn: int, data) -> Path:
+        """Store checkpoint file bytes covering ``lsn`` atomically and
+        unchanged; prune old ones."""
         self._dir.mkdir(parents=True, exist_ok=True)
-        arrays: dict[str, np.ndarray] = {}
-
-        def place(array: np.ndarray, path: str) -> str:
-            key = f"a{len(arrays)}"
-            arrays[key] = array
-            return key
-
-        manifest = _hoist_arrays(payload, place, "payload")
-        try:
-            manifest_json = json.dumps(
-                {"lsn": lsn, "payload": manifest}, sort_keys=True
-            )
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"checkpoint payload is not JSON-serialisable: {exc}"
-            ) from exc
         path = self._dir / f"{CHECKPOINT_PREFIX}{lsn:020d}{CHECKPOINT_SUFFIX}"
         tmp = path.with_suffix(".tmp")
         with open(tmp, "wb") as fh:
-            np.savez(fh, **{_MANIFEST_KEY: np.array(manifest_json)}, **arrays)
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -289,39 +302,45 @@ class CheckpointStore:
         _LOGGER.debug("checkpoint saved at lsn %d (%s)", lsn, path.name)
         return path
 
-    def load(self, path: Path) -> Checkpoint:
-        """Decode one checkpoint file (raises :class:`CheckpointError`)."""
+    def read(self, path: Path) -> tuple[int, bytes]:
+        """``(covered LSN, bytes)`` of one checkpoint file that passes
+        :func:`verify_file` (raises :class:`CheckpointError`)."""
         try:
-            with np.load(path, allow_pickle=False) as npz:
-                manifest = json.loads(str(npz[_MANIFEST_KEY][()]))
-                payload = _lower_arrays(manifest["payload"], npz.__getitem__)
-                lsn = int(manifest["lsn"])
-        except (
-            OSError,
-            KeyError,
-            ValueError,
-            zipfile.BadZipFile,
-            json.JSONDecodeError,
-        ) as exc:
+            data = path.read_bytes()
+            return verify_file(data), data
+        except (OSError, CheckpointError) as exc:
             raise CheckpointError(
                 f"unreadable checkpoint {path.name}: {exc}"
             ) from exc
-        return Checkpoint(lsn=lsn, payload=payload, path=path)
+
+    def load(self, path: Path) -> Checkpoint:
+        """Decode one checkpoint file (raises :class:`CheckpointError`)."""
+        lsn, data = self.read(path)
+        body = memoryview(data)[_FILE_HEADER.size:]
+        return Checkpoint(lsn=lsn, payload=unpack_payload(body))
+
+    def read_latest(self) -> Optional[tuple[int, bytes]]:
+        """:meth:`read` of the newest checkpoint that passes it, or None."""
+        return self._newest(self.read)
 
     def load_latest(self) -> Optional[Checkpoint]:
         """Newest readable checkpoint, or None.
 
-        Unreadable files (torn by a crash, bit rot) are skipped with a
-        warning; recovery then replays a longer WAL suffix instead.
+        Unreadable files (torn by a crash, bit rot, format 1) are
+        skipped with a warning; recovery then replays a longer WAL
+        suffix instead.
         """
+        return self._newest(self.load)
+
+    # ------------------------------------------------------------------
+    def _newest(self, open_file):
         for path in reversed(self.paths()):
             try:
-                return self.load(path)
+                return open_file(path)
             except CheckpointError as exc:
                 _LOGGER.warning("skipping %s: %s", path.name, exc)
         return None
 
-    # ------------------------------------------------------------------
     def _prune(self) -> None:
         paths = self.paths()
         for stale in paths[: max(len(paths) - self._keep, 0)]:

@@ -16,9 +16,9 @@ Stream shape (sender = primary, dialing; standby = listening):
    the standby's *own* WAL has committed the group, which is what makes
    the cursor crash-safe on both ends;
 4. when the cursor predates the primary's compaction floor the suffix
-   no longer exists; the sender ships a covering ``CHECKPOINT`` (u64
-   LSN + packed checkpoint payload) first and resumes ``RECORDS``
-   above it.
+   no longer exists; the sender ships a covering ``CHECKPOINT`` (the
+   newest checkpoint file's bytes, whose header carries its LSN) first
+   and resumes ``RECORDS`` above it.
 
 Read-side clients (:class:`~repro.replication.client.ReplicaReadClient`)
 use ``READ_REQ``/``READ_RESP`` (truth snapshots; a request carries the
@@ -140,13 +140,3 @@ def decode_records(payload: bytes) -> list[WalRecord]:
         )
     return records
 
-
-def encode_checkpoint(lsn: int, blob: bytes) -> bytes:
-    """A CHECKPOINT frame: covered LSN + packed checkpoint payload."""
-    return encode_lsn(lsn) + blob
-
-
-def decode_checkpoint(payload: bytes) -> tuple[int, bytes]:
-    if len(payload) < _LSN.size:
-        raise ProtocolError("CHECKPOINT payload too short")
-    return _LSN.unpack_from(payload, 0)[0], payload[_LSN.size:]

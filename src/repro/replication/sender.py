@@ -19,7 +19,7 @@ incremental :class:`~repro.durable.stream.WalTailReader`, and ships it
 in bounded groups.  A link that reconnects (or whose cursor fell below
 the primary's compaction floor) resynchronises: records still on disk
 are re-read from the cursor; records compaction dropped are covered by
-shipping the newest checkpoint first.
+shipping the newest checkpoint file's bytes first.
 
 Sync modes:
 
@@ -40,7 +40,6 @@ import time
 from collections import deque
 from typing import Optional, Sequence
 
-from repro.durable import checkpoint as ckpt_codec
 from repro.durable.stream import TailGapError, WalTailReader
 from repro.net.transport import connect
 from repro.obs.registry import Histogram, series_key
@@ -181,36 +180,28 @@ class _StandbyLink:
         """Cursor fell below the retained log: ship a covering
         checkpoint, then resume tailing above it."""
         sender = self.sender
-        checkpoint = sender.checkpoints.load_latest()
-        if checkpoint is None or checkpoint.lsn <= cursor:
+        lsn, data = sender.checkpoints.read_latest() or (0, None)
+        if lsn <= cursor:
             raise ReplicationError(
                 f"standby {self.index} cursor {cursor} predates the "
                 f"retained log and no covering checkpoint exists"
             )
-        blob = ckpt_codec.pack_payload(checkpoint.payload)
-        send_frame(
-            conn,
-            rp.CHECKPOINT,
-            rp.encode_checkpoint(checkpoint.lsn, blob),
-        )
+        # The file's bytes, as they are: the standby checks and stores
+        # them unchanged.
+        send_frame(conn, rp.CHECKPOINT, data)
         ack = self._await_ack(conn)
-        if ack != checkpoint.lsn:
+        if ack != lsn:
             raise ReplicationError(
-                f"standby acked lsn {ack} for a checkpoint at "
-                f"{checkpoint.lsn}"
+                f"standby acked lsn {ack} for a checkpoint at {lsn}"
             )
         self.checkpoints_shipped += 1
         with sender.ack_cv:
             self.ack_lsn = max(self.ack_lsn, ack)
             sender.ack_cv.notify_all()
         _LOGGER.info(
-            "standby %d resynced from checkpoint at lsn %d",
-            self.index,
-            checkpoint.lsn,
+            "standby %d resynced from checkpoint at lsn %d", self.index, lsn
         )
-        return WalTailReader(
-            sender.wal.directory, after_lsn=checkpoint.lsn
-        )
+        return WalTailReader(sender.wal.directory, after_lsn=lsn)
 
     def _ship(self, conn, records) -> None:
         sender = self.sender

@@ -37,14 +37,14 @@ Run one with ``repro standby --dir DIR``; the process announces
 from __future__ import annotations
 
 import os
+import shutil
 import threading
 import time
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.durable import checkpoint as ckpt_codec
 from repro.durable import records as rec
-from repro.durable.checkpoint import CheckpointStore
+from repro.durable.checkpoint import CheckpointStore, verify_file
 from repro.durable.manager import DurabilityManager
 from repro.durable.recovery import (
     RecordApplier,
@@ -153,7 +153,7 @@ class StandbyServer(FrameServer):
         self._dir.mkdir(parents=True, exist_ok=True)
         self._fencing_epoch = self._load_fencing_epoch()
         has_history = bool(list_segments(self._dir)) or (
-            CheckpointStore(self._dir).load_latest() is not None
+            CheckpointStore(self._dir).read_latest() is not None
         )
         start_lsn = 1
         if has_history:
@@ -336,30 +336,31 @@ class StandbyServer(FrameServer):
 
     def _on_checkpoint(self, conn, payload: bytes) -> bool:
         """Full resync: the primary's retained log no longer reaches
-        back to our cursor, so adopt a covering checkpoint instead."""
-        lsn, blob = rp.decode_checkpoint(payload)
-        checkpoint_payload = ckpt_codec.unpack_payload(blob)
-        with self._apply_lock:
-            if self._promoted:
-                send_frame(
-                    conn,
-                    rp.REPL_ERROR,
-                    rp.encode_json({"error": "standby no longer replicates"}),
-                )
-                return False
-            if self._wal is not None:
-                self._wal.close()
-            # The checkpoint supersedes everything replicated so far:
-            # restart this generation from a clean directory.
-            import shutil
+        back to our cursor, so adopt a covering checkpoint instead.
 
-            shutil.rmtree(self._dir)
-            self._dir.mkdir(parents=True, exist_ok=True)
-            if self._fencing_epoch:
-                # The fence outlives the replicated generation: a
-                # resync must not reopen the door to stale PROMOTEs.
-                self._persist_fencing_epoch(self._fencing_epoch)
-            CheckpointStore(self._dir).save(lsn, checkpoint_payload)
+        ``payload`` is a checkpoint file's bytes: its header, CRC and
+        LSN are checked before anything here changes, and it is stored
+        as it came.
+        """
+        lsn = verify_file(payload)
+        with self._apply_lock:
+            if self._promoted or self._wal is None:
+                raise StandbyError("standby no longer replicates")
+            if lsn <= self._wal.durable_lsn:
+                raise StandbyError(
+                    f"checkpoint at lsn {lsn} does not pass the cursor "
+                    f"{self._wal.durable_lsn}"
+                )
+            self._wal.close()
+            # The checkpoint supersedes everything replicated so far,
+            # but the fence never leaves the disk: a resync must not
+            # reopen the door to stale PROMOTEs, not even until a crash.
+            for entry in self._dir.iterdir():
+                if entry.is_dir():
+                    shutil.rmtree(entry)
+                elif entry != self._fence_path():
+                    entry.unlink()
+            CheckpointStore(self._dir).write(lsn, payload)
             recovered = RecoveryManager(self._dir).recover()
             self._service = recovered.service
             self._applier = RecordApplier(self._service)

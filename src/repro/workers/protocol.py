@@ -24,12 +24,9 @@ RPC payloads that carry aggregator state — arbitrary nested dicts with
 NumPy arrays at the leaves — are raw frames (:func:`pack_state` /
 :func:`unpack_state`): a ``u32`` length, a JSON manifest in which each
 array is ``{"__nd__": [dtype_str, shape, offset]}``, then the arrays'
-contiguous little-endian bytes.  Bit-exact and pickle-free like the
-checkpoint files, but *not* byte-compatible with them any more: disk
-stays npz (long-lived, CRC per entry), the wire is raw because a blob
-lives for one RPC between two processes of one build and an in-memory
-zip archive per read cost more than the aggregation it reported on
-(:mod:`repro.durable.checkpoint` owns both encodings).
+contiguous little-endian bytes — the one state encoding, which a
+checkpoint file frames with a version and a CRC
+(:mod:`repro.durable.checkpoint`).
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.durable import records as rec
+from repro.durable.checkpoint import CheckpointStore
 from repro.durable.compaction import (
     FAULT_POINTS,
     CompactionInterrupted,
@@ -252,7 +253,7 @@ class TestCompactionGuards:
     ):
         live, gen, _ = build_durable_run(tmp_path)
         compact_directory(tmp_path)
-        for ckpt in tmp_path.glob("ckpt-*.npz"):
+        for ckpt in CheckpointStore(tmp_path).paths():
             ckpt.unlink()
         with pytest.raises(RecoveryError, match="compacted"):
             RecoveryManager(tmp_path).recover()
@@ -373,7 +374,7 @@ class TestCompactionGuards:
         # Lose the checkpoints covering the retained gap, keeping the
         # oldest (which still covers the compaction floor, so the
         # retention guard — not the compaction guard — must fire).
-        checkpoints = sorted(tmp_path.glob("ckpt-*.npz"))
+        checkpoints = CheckpointStore(tmp_path).paths()
         assert len(checkpoints) >= 2
         for ckpt in checkpoints[1:]:
             ckpt.unlink()

@@ -1,14 +1,22 @@
-"""Properties of the raw state codec (``pack_state`` / ``unpack_state``).
+"""Properties of the raw state codec (``pack_state`` / ``unpack_state``)
+and of the checkpoint file that frames it.
 
 Round trips are bit-exact for every payload shape the wire admits, and
 no byte string — random, truncated or mutated — gets anything out of
 the decoder but a payload or a ``ProtocolError``, within the blob's own
-memory footprint.
+memory footprint.  A checkpoint file decodes every payload to the tree
+format 1 (npz, ``tests/durable/npz_checkpoint_reference.py``) decoded
+it to, and a torn or flipped one is a ``CheckpointError`` that
+``load_latest()`` steps past.
 """
 
 import json
 import struct
+import sys
+import tempfile
 import tracemalloc
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +24,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.durable.checkpoint import CheckpointStore
+from repro.durable import checkpoint as ckpt
+from repro.durable.checkpoint import CheckpointError, CheckpointStore
 from repro.workers import protocol as proto
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "durable"))
+import npz_checkpoint_reference  # noqa: E402
 
 DTYPES = [np.dtype(t) for t in (
     bool, np.int8, np.int16, np.int32, np.int64,
@@ -140,33 +152,85 @@ def test_declared_size_never_drives_an_allocation():
     assert peak < 64 * 1024
 
 
-def test_checkpoint_files_written_by_plain_savez_still_load(tmp_path):
-    """The on-disk format did not move with the wire codec: a
-    ``ckpt-*.npz`` laid out the way every release so far wrote it
-    (manifest entry + ``a<N>`` entries, placeholders naming them) loads."""
-    matrix = np.arange(12.0).reshape(3, 4) / 7.0
-    manifest = {
-        "lsn": 41,
-        "payload": {
-            "campaigns": [{"stats": {"__nd__": "a0"}, "id": "c1"}],
-            "mask": {"__nd__": "a1"},
-        },
-    }
-    np.savez(
-        tmp_path / f"ckpt-{41:020d}.npz",
-        manifest=np.array(json.dumps(manifest, sort_keys=True)),
-        a0=matrix,
-        a1=np.array([True, False]),
+def assert_decodes_like(reference, got):
+    """``got`` is ``reference``, dict key order included; only a
+    big-endian array comes back little-endian, with the same values."""
+    if isinstance(reference, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.shape == reference.shape
+        assert got.dtype == reference.dtype.newbyteorder("<")
+        assert got.tobytes() == reference.astype(got.dtype).tobytes()
+    elif isinstance(reference, dict):
+        assert type(got) is dict and list(got) == list(reference)
+        for key, value in reference.items():
+            assert_decodes_like(value, got[key])
+    elif isinstance(reference, list):
+        assert type(got) is list and len(got) == len(reference)
+        for value, other in zip(reference, got):
+            assert_decodes_like(value, other)
+    else:
+        assert got == reference and type(got) is type(reference)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payloads, st.integers(0, 2**63 - 1))
+def test_checkpoint_file_decodes_as_format_1_did(payload, lsn):
+    with tempfile.TemporaryDirectory() as tmp:
+        legacy = Path(tmp) / "legacy.npz"
+        npz_checkpoint_reference.save(legacy, lsn, payload)
+        expected_lsn, expected = npz_checkpoint_reference.load(legacy)
+        store = CheckpointStore(tmp)
+        loaded = store.load(store.save(lsn, payload))
+    assert loaded.lsn == expected_lsn == lsn
+    assert_decodes_like(expected, loaded.payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(payloads, st.data())
+def test_torn_or_flipped_checkpoint_is_typed_and_skipped(payload, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        store = CheckpointStore(tmp)
+        store.save(1, {"previous": True})
+        path = store.save(2, payload)
+        good = path.read_bytes()
+        cut = data.draw(st.integers(0, len(good) - 1), label="cut")
+        bit = data.draw(st.integers(0, 8 * len(good) - 1), label="bit")
+        flipped = bytearray(good)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        for damaged in (good[:cut], bytes(flipped)):
+            path.write_bytes(damaged)
+            with pytest.raises(CheckpointError):
+                store.load(path)
+            assert store.load_latest().payload == {"previous": True}
+
+
+def _file(body: bytes, *, lsn: int = 7, length=None) -> bytes:
+    """A checkpoint file around ``body`` with a correct CRC."""
+    fields = struct.pack(
+        "<8sIQQ", ckpt.FILE_MAGIC, ckpt.FILE_FORMAT, lsn,
+        len(body) if length is None else length,
     )
-    loaded = CheckpointStore(tmp_path).load_latest()
-    assert loaded.lsn == 41
-    stats = loaded.payload["campaigns"][0]["stats"]
-    assert stats.tobytes() == matrix.tobytes() and stats.shape == (3, 4)
-    assert loaded.payload["mask"].tolist() == [True, False]
-    # ... and what save() writes today is that same layout.
-    path = CheckpointStore(tmp_path).save(42, loaded.payload)
-    with np.load(path, allow_pickle=False) as npz:
-        assert sorted(npz.files) == ["a0", "a1", "manifest"]
-        assert json.loads(str(npz["manifest"][()]))["payload"] == (
-            manifest["payload"]
-        )
+    return fields + struct.pack("<I", zlib.crc32(body, zlib.crc32(fields))) + body
+
+
+_TIB_ARRAY = json.dumps({"__nd__": ["<f8", [2**40], 0]}).encode("utf-8")
+
+
+@pytest.mark.parametrize("data", [
+    _file(b"", length=2**43),
+    _file(struct.pack("<I", len(_TIB_ARRAY)) + _TIB_ARRAY),
+], ids=["8-TiB-body-declared", "8-TiB-array-declared"])
+def test_checkpoint_decoding_allocates_no_more_than_the_file(tmp_path, data):
+    """Declared sizes are checked against the file before anything is
+    allocated for them: a header or a manifest promising terabytes
+    costs the file's own size."""
+    path = tmp_path / f"ckpt-{7:020d}.ckpt"
+    path.write_bytes(data)
+    store = CheckpointStore(tmp_path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError):
+            store.load(path)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < len(data) + 64 * 1024

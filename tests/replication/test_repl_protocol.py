@@ -60,19 +60,6 @@ class TestRecords:
             rp.decode_records(blob + b"x")
 
 
-class TestCheckpoint:
-    def test_roundtrip(self):
-        lsn, blob = rp.decode_checkpoint(
-            rp.encode_checkpoint(41, b"payload-bytes")
-        )
-        assert lsn == 41
-        assert blob == b"payload-bytes"
-
-    def test_short_payload_rejected(self):
-        with pytest.raises(rp.ProtocolError):
-            rp.decode_checkpoint(b"\x01")
-
-
 class TestFrameTypeSpace:
     def test_disjoint_from_durable_and_worker_records(self):
         # Replication frames must never collide with WAL record types

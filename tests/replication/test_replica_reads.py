@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from full_read_reference import assert_same_read, decode, full_read
 from repro.durable import DurabilityConfig, DurabilityManager
-from repro.durable.checkpoint import CheckpointStore, pack_payload
 from repro.durable.stream import WalTailReader
 from repro.net.transport import FrameServer, connect
 from repro.replication import protocol as rp
@@ -239,6 +238,10 @@ class ReadHarness:
         self._barrier()
 
     def chunk(self, campaign_id: str, new_users: int, seed: int) -> None:
+        self._feed(campaign_id, new_users, seed)
+        self.ship()
+
+    def _feed(self, campaign_id: str, new_users: int, seed: int) -> None:
         users, objects, _ = CAMPAIGNS[campaign_id]
         self.top[campaign_id] = min(self.top[campaign_id] + new_users, users)
         rng = np.random.default_rng(seed)
@@ -249,7 +252,6 @@ class ReadHarness:
             rng.normal(size=CHUNK),
         )
         self.primary.pump()
-        self.ship()
 
     def flush(self) -> None:
         self.primary.flush()
@@ -264,25 +266,21 @@ class ReadHarness:
         self.manager.checkpoint()
 
     def resync(self, source=None) -> None:
-        # The newest checkpoint may be older than what the standby has
-        # applied: the next ship re-applies the suffix above it, and the
-        # applied LSN passes values it has already reported.  ``source``
-        # is another harness whose primary's checkpoint to send instead.
+        # Ship a checkpoint file's bytes as a sender's resync does: one
+        # past the standby's cursor, or the standby refuses it.  When
+        # the source's log has not passed the cursor, a chunk it does
+        # not ship moves it there.  ``source`` is another harness whose
+        # primary's checkpoint to send instead.
         source = self if source is None else source
-        store = CheckpointStore(source.manager.wal.directory)
-        if store.load_latest() is None:
-            source.checkpoint()
-        checkpoint = store.load_latest()
-        send_frame(
-            self.link, rp.CHECKPOINT,
-            rp.encode_checkpoint(
-                checkpoint.lsn, pack_payload(checkpoint.payload)
-            ),
-        )
+        if source.manager.wal.last_lsn <= self.shipped:
+            source._feed("refit", 0, self.shipped)
+        source.checkpoint()
+        lsn, data = source.manager.checkpoints.read_latest()
+        send_frame(self.link, rp.CHECKPOINT, data)
         rtype, payload = recv_frame(self.link)
         assert rtype == rp.ACK
         self.shipped = rp.decode_lsn(payload)
-        assert self.shipped == checkpoint.lsn
+        assert self.shipped == lsn
 
     def restart(self) -> None:
         self._stop_standby()
@@ -348,9 +346,9 @@ _steps = st.lists(
         ("chunk", 0, "stream", 0, 1),
         ("checkpoint", 0, "stream", 0, 0),
         ("chunk", 0, "stream", 0, 2),
-        ("resync", 0, "stream", 0, 0),  # back to the checkpoint
+        ("resync", 0, "stream", 0, 0),  # a new state past the cursor
         ("read", 0, "stream", 0, 0),
-        ("ship", 0, "stream", 0, 0),  # forward to the same LSN again
+        ("ship", 0, "stream", 0, 0),  # nothing left to ship
         ("read", 0, "stream", 0, 0),
     ]
 )
@@ -415,8 +413,9 @@ def test_two_histories_at_one_lsn_never_share_a_version(
     """Two standbys that applied different logs up to the same LSN, and
     whose states drew the same serials (as two fresh processes do): a
     reader carried from one to the other gets a full reply, and so does
-    a reader of a standby resynced to the other history at that LSN.
-    The nonce tells the first apart, the state's serial the second."""
+    a reader of a standby resynced to the other history.  The nonce
+    tells the first apart; a resync only ever moves the applied LSN
+    past the cursor."""
     harnesses = []
     for name, seed in (("ours", 1), ("theirs", 2)):
         monkeypatch.setattr(
@@ -442,7 +441,7 @@ def test_two_histories_at_one_lsn_never_share_a_version(
             )
         lsn = ours.shipped
         ours.resync(source=theirs)
-        assert ours.shipped == lsn
+        assert ours.shipped > lsn
         ours.read(0, "stream")
     finally:
         for harness in harnesses:

@@ -7,11 +7,18 @@ reader, framing, standby WAL generation, replay, promotion — is
 exercised without subprocesses.
 """
 
+import contextlib
 import socket
+import struct
+import tempfile
 import time
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.durable import DurabilityConfig, DurabilityManager
 from repro.durable.stream import WalTailReader
@@ -20,7 +27,7 @@ from repro.privacy.ldp import LDPGuarantee
 from repro.replication import protocol as rp
 from repro.replication.client import ReplicaError, ReplicaReadClient
 from repro.replication.sender import ReplicationSender
-from repro.replication.standby import StandbyServer
+from repro.replication.standby import StandbyError, StandbyServer
 from repro.service.ingest import IngestService, ServiceConfig
 from repro.service.ledger import BudgetLedger
 from repro.service.loadgen import LoadGenerator
@@ -657,6 +664,186 @@ class TestCheckpointResync:
         finally:
             service.close()
             standby.stop()
+
+    def test_resync_never_takes_the_fence_off_the_disk(
+        self, tmp_path, monkeypatch
+    ):
+        """A crash where a resync once re-wrote the fence (after wiping
+        the directory) must restart the standby at its old epoch, still
+        refusing the stale PROMOTEs the fence exists for."""
+        gen, chunks = make_traffic(total_chunks=4)
+        service, manager = primary_service(tmp_path)
+        register(service, gen)
+        feed(service, chunks[:2])
+        manager.compact()
+        fence = tmp_path / "sb0" / "FENCE"
+        fence.parent.mkdir()
+        fence.write_text("4\n")
+
+        def crash(self, epoch):
+            raise RuntimeError("crash while re-persisting the fence")
+
+        monkeypatch.setattr(StandbyServer, "_persist_fencing_epoch", crash)
+        standby = StandbyServer(tmp_path / "sb0")
+        sender = attach_sender(manager, [("127.0.0.1", standby.start())])
+        try:
+            feed(service, chunks[2:])
+            deadline = time.monotonic() + 10.0
+            while fence.exists() and not sender.links[0].checkpoints_shipped:
+                assert time.monotonic() < deadline, "no resync happened"
+                time.sleep(0.01)
+        finally:
+            service.close()
+            standby.stop()
+        monkeypatch.undo()
+        restarted = StandbyServer(tmp_path / "sb0")
+        try:
+            assert restarted.fencing_epoch == 4
+            with pytest.raises(StandbyError, match="stale fencing epoch 4"):
+                restarted.promote(epoch=4)
+            assert sender.links[0].checkpoints_shipped == 1
+        finally:
+            restarted.stop()
+
+    @pytest.mark.parametrize("damage, error", [
+        ("bad-magic", "bad magic"),
+        ("future-version", "checkpoint format 3"),
+        ("bad-crc", "CRC mismatch"),
+        ("short-body", "header declares"),
+        ("long-body", "header declares"),
+        ("not-past-cursor", "does not pass the cursor"),
+    ])
+    def test_bad_checkpoint_frame_refused_before_anything_changes(
+        self, tmp_path, damage, error
+    ):
+        """Magic, format, length, CRC and LSN are all checked first: a
+        refused CHECKPOINT leaves the standby's directory byte for byte
+        as it was and its WAL open to the stream."""
+        gen, chunks = make_traffic(total_chunks=4)
+        standby = StandbyServer(tmp_path / "sb0")
+        address = ("127.0.0.1", standby.start())
+        service, manager = primary_service(tmp_path)
+        sender = attach_sender(manager, [address])
+        try:
+            register(service, gen)
+            feed(service, chunks[:2])
+            cursor = quiesce(service, manager, sender)
+            sender.close()
+            at_cursor = manager.checkpoint().read_bytes()
+            feed(service, chunks[2:])
+            ahead = manager.checkpoint().read_bytes()
+            frame = {
+                "bad-magic": reframed(ahead, magic=b"NOTACKPT"),
+                "future-version": reframed(ahead, version=3),
+                "bad-crc": ahead[:-1] + bytes([ahead[-1] ^ 1]),
+                "short-body": ahead[:-1],
+                "long-body": ahead + b"\x00",
+                "not-past-cursor": at_cursor,
+            }[damage]
+            before = directory_bytes(tmp_path / "sb0")
+            with open_stream(address, cursor) as conn:
+                send_frame(conn, rp.CHECKPOINT, frame)
+                rtype, payload = recv_frame(conn)
+            assert rtype == rp.REPL_ERROR
+            assert error in rp.decode_json(payload)["error"]
+            assert directory_bytes(tmp_path / "sb0") == before
+            # The WAL is still open: the same standby takes the rest of
+            # the log as records.
+            service.flush()
+            manager.sync()
+            records = WalTailReader(manager.wal.directory, after_lsn=cursor).poll(
+                manager.wal.durable_lsn
+            )
+            with open_stream(address, cursor) as conn:
+                send_frame(conn, rp.RECORDS, rp.encode_records(records))
+                assert recv_frame(conn) == (rp.ACK, rp.encode_lsn(records[-1].lsn))
+            with ReplicaReadClient(address) as client:
+                replica = client.snapshot(gen.campaign_id)
+            assert replica.truths.tobytes() == (
+                service.snapshot(gen.campaign_id).truths.tobytes()
+            )
+        finally:
+            service.close()
+            standby.stop()
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        before=st.integers(1, 4),
+        between=st.integers(0, 2),
+        # A record past the compaction is what shows the sender its gap.
+        after=st.integers(1, 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_resynced_standby_files_are_the_primarys(
+        self, before, between, after, seed
+    ):
+        """At the same LSN, every checkpoint file and WAL segment in a
+        resynced standby's directory is byte-identical to the
+        primary's file of that name."""
+        gen, chunks = make_traffic(total_chunks=before + between + after, seed=seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            service, manager = primary_service(
+                root, ledger=BudgetLedger(epsilon_cap=100.0)
+            )
+            standby = None
+            try:
+                register(service, gen, cost=COST)
+                feed(service, chunks[:before])
+                manager.compact()
+                feed(service, chunks[before:before + between])
+                standby = StandbyServer(root / "sb0")
+                sender = attach_sender(manager, [("127.0.0.1", standby.start())])
+                feed(service, chunks[before + between:])
+                watermark = quiesce(service, manager, sender)
+                assert sender.links[0].checkpoints_shipped == 1
+                assert standby.durable_lsn == watermark
+                names = sorted(
+                    p.name for p in (root / "sb0").iterdir()
+                    if p.name.startswith(("ckpt-", "wal-"))
+                )
+                assert [n[:5] for n in names] == ["ckpt-", "wal-0"]
+                for name in names:
+                    assert (root / "sb0" / name).read_bytes() == (
+                        manager.wal.directory / name
+                    ).read_bytes(), name
+            finally:
+                service.close()
+                if standby is not None:
+                    standby.stop()
+
+
+def reframed(data: bytes, **fields) -> bytes:
+    """Checkpoint file ``data`` with header fields replaced and the CRC
+    made to fit them."""
+    names = ("magic", "version", "lsn", "length")
+    values = dict(zip(names, struct.unpack_from("<8sIQQ", data)))
+    values.update(fields)
+    head = struct.pack("<8sIQQ", *(values[n] for n in names))
+    body = data[32:]
+    return head + struct.pack("<I", zlib.crc32(body, zlib.crc32(head))) + body
+
+
+def directory_bytes(directory: Path) -> dict:
+    return {
+        str(p.relative_to(directory)): p.read_bytes()
+        for p in sorted(directory.rglob("*"))
+        if p.is_file()
+    }
+
+
+@contextlib.contextmanager
+def open_stream(address, cursor: int):
+    """A hand-driven replication connection, past its handshake."""
+    conn = connect(address, timeout=10.0)
+    try:
+        send_frame(
+            conn, rp.HELLO, rp.encode_json({"format": rp.REPLICATION_FORMAT})
+        )
+        assert recv_frame(conn) == (rp.CURSOR, rp.encode_lsn(cursor))
+        yield conn
+    finally:
+        conn.close()
 
 
 class TestSyncModes:

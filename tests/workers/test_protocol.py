@@ -134,13 +134,12 @@ class TestStatePayloads:
 
     def test_malformed_blob_raises(self):
         with pytest.raises(proto.ProtocolError):
-            proto.unpack_state(b"not an npz")
+            proto.unpack_state(b"not a state blob")
 
     @pytest.mark.parametrize("blob", MALFORMED_BLOBS.values(),
                              ids=MALFORMED_BLOBS.keys())
     def test_malformed_blob_is_a_protocol_error(self, blob):
-        """Every hostile blob maps to the typed error — the first four
-        escaped as ``BadZipFile`` / ``EOFError`` from the npz codec."""
+        """Every hostile blob maps to the typed error."""
         with pytest.raises(proto.ProtocolError):
             proto.unpack_state(blob)
 
