@@ -1,7 +1,7 @@
 """Chaos-drill regression gate: compare a fresh drill JSON to a baseline.
 
-CI runs ``repro chaos-drill --smoke`` on every PR and feeds the fresh
-JSON through this script next to the committed
+CI runs ``python benchmarks/chaos_drill.py --smoke`` on every PR and
+feeds the fresh JSON through this script next to the committed
 ``results/BENCH_chaos_smoke.json`` baseline.  (Throughput and latency
 are not gated here: ``benchmarks/e2e/run.py`` measures them and
 ``benchmarks/e2e/compare.py A/ B/`` compares two sets of runs.)
@@ -54,10 +54,10 @@ class Metric:
 
 CHAOS_METRICS = (
     # Self-healing failover ceilings from the chaos drill
-    # (``repro chaos-drill --smoke``).  Detection is bounded by
-    # interval * misses (0.2s * 3 in the drill) plus probe timeouts,
-    # and promotion by one standby replay; both floors sit an order of
-    # magnitude above healthy values (≈2.4s / ≈1s) so only a watchdog
+    # (``python benchmarks/chaos_drill.py --smoke``).  Detection is
+    # bounded by interval * misses (0.2s * 3 in the drill) plus probe
+    # timeouts, and promotion by one standby replay; both floors sit an
+    # order of magnitude above healthy values (≈2.4s / ≈1s) so only a watchdog
     # that has actually stopped meeting its SLO trips the gate, not a
     # loaded runner.  The bound is max(baseline*(1+tol), floor), so
     # the floor governs while baselines stay small.

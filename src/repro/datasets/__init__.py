@@ -1,11 +1,10 @@
-"""Dataset generators and persistence.
+"""Dataset generators.
 
 * :mod:`repro.datasets.synthetic` — the paper's Section 5.1 simulation
   (users with Exp(lambda1) error variances).
 * :mod:`repro.datasets.floorplan` — simulator standing in for the paper's
   real indoor-floorplan deployment (Section 5.2); see DESIGN.md for the
   substitution rationale.
-* :mod:`repro.datasets.io` — .npz / .csv round-trips.
 """
 
 from repro.datasets.floorplan import (
@@ -14,14 +13,6 @@ from repro.datasets.floorplan import (
     generate_floorplan_dataset,
     generate_segment_lengths,
     sample_walker_profiles,
-)
-from repro.datasets.io import (
-    load_claims_csv,
-    load_claims_npz,
-    load_dataset_npz,
-    save_claims_csv,
-    save_claims_npz,
-    save_dataset_npz,
 )
 from repro.datasets.synthetic import (
     PAPER_NUM_OBJECTS,
@@ -44,12 +35,6 @@ __all__ = [
     "generate_synthetic",
     "generate_with_adversaries",
     "generate_with_variances",
-    "load_claims_csv",
-    "load_claims_npz",
-    "load_dataset_npz",
     "sample_error_variances",
     "sample_walker_profiles",
-    "save_claims_csv",
-    "save_claims_npz",
-    "save_dataset_npz",
 ]

@@ -91,23 +91,23 @@ class WalTailReader:
         """
         records: list[WalRecord] = []
         while self._next <= up_to_lsn:
-            if self._path is None and not self._select_segment():
-                break
+            if self._path is None:
+                self._select_segment()
             if not self._drain_segment(up_to_lsn, records):
                 break
         return records
 
     # ------------------------------------------------------------------
-    def _select_segment(self) -> bool:
-        """Position on the segment that holds (or will hold) ``_next``.
+    def _select_segment(self) -> None:
+        """Position on the segment that holds ``_next``.
 
-        Returns False when the directory has no segments yet (nothing
-        written); raises :class:`TailGapError` when every segment
-        starts above the cursor (the suffix we need was retired).
+        Only called while ``_next`` is at or below the durable
+        watermark, so the records it needs were written: raises
+        :class:`TailGapError` when no top-level segment holds them —
+        there is none (a compaction retired them all and nothing was
+        written since) or every segment starts above the cursor.
         """
         segments = list_segments(self._dir)
-        if not segments:
-            return False
         chosen = None
         for seg in segments:
             if _segment_first_lsn(seg) <= self._next:
@@ -121,7 +121,6 @@ class WalTailReader:
             )
         self._path = chosen
         self._offset = len(SEGMENT_MAGIC)
-        return True
 
     def _drain_segment(
         self, up_to_lsn: int, records: list[WalRecord]

@@ -53,7 +53,6 @@ from repro.truthdiscovery.streaming import (
     StreamingEstimator,
     StreamingGTM,
 )
-from repro.truthdiscovery.uncertainty import TruthIntervals, bootstrap_truths
 
 __all__ = [
     "AccuracyEM",
@@ -82,8 +81,6 @@ __all__ = [
     "TruthChangeCriterion",
     "TruthDiscoveryMethod",
     "TruthDiscoveryResult",
-    "TruthIntervals",
-    "bootstrap_truths",
     "WeightChangeCriterion",
     "available_distances",
     "available_methods",

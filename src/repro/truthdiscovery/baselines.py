@@ -4,7 +4,7 @@ Sections 1 and 3 of the paper contrast truth discovery with "the naive
 approach that regards all the users equally in aggregation" and with
 "traditional aggregation methods, such as mean or median, which do not
 consider user weights".  These baselines make that comparison runnable
-(see ``benchmarks/bench_ablation_methods.py``).
+(see ``repro run ablation-methods``).
 
 They are implemented as degenerate :class:`TruthDiscoveryMethod`
 subclasses — uniform weights, one iteration — so that every experiment can

@@ -1,4 +1,4 @@
-"""Shared low-level utilities: RNG handling, validation, logging, timing.
+"""Shared low-level utilities: RNG handling, validation, logging.
 
 These helpers are deliberately small and dependency-free so that every
 other subpackage can import them without creating cycles.
@@ -6,7 +6,6 @@ other subpackage can import them without creating cycles.
 
 from repro.utils.logging import get_logger
 from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.timing import Stopwatch, timed
 from repro.utils.validation import (
     ensure_1d,
     ensure_2d,
@@ -16,7 +15,6 @@ from repro.utils.validation import (
 )
 
 __all__ = [
-    "Stopwatch",
     "as_generator",
     "ensure_1d",
     "ensure_2d",
@@ -25,5 +23,4 @@ __all__ = [
     "ensure_probability",
     "get_logger",
     "spawn_generators",
-    "timed",
 ]

@@ -7,6 +7,7 @@ from repro.experiments.ablations import (
     mechanisms_ablation,
     methods_ablation,
     scaling_experiment,
+    sparsity_ablation,
 )
 from repro.experiments.runner import Profile
 
@@ -16,8 +17,13 @@ TINY = Profile(name="quick", num_trials=2, grid_points=3, num_users=24, num_obje
 class TestAblations:
     def test_methods_ablation_structure(self):
         result = methods_ablation(TINY, base_seed=3)
-        labels = {s.label for s in result.panels[0].series}
+        panel = result.panels[0]
+        labels = {s.label for s in panel.series}
         assert {"crh", "gtm", "catd", "mean", "median"} <= labels
+        # At the default biased minority too, CRH beats plain averaging.
+        assert sum(panel.series_by_label("crh").y) < sum(
+            panel.series_by_label("mean").y
+        )
 
     def test_weighted_beats_mean_under_adversaries(self):
         result = methods_ablation(TINY, base_seed=3, adversary_fraction=0.25)
@@ -31,12 +37,30 @@ class TestAblations:
         result = mechanisms_ablation(TINY, base_seed=3)
         labels = {s.label for s in result.panels[0].series}
         assert labels == {"exp-gaussian", "fixed-gaussian", "laplace"}
+        # Weighted aggregation absorbs noise whatever its shape: every
+        # mechanism's MAE stays below the noise it injected.
+        for series in result.panels[0].series:
+            for target, mae in zip(series.x, series.y):
+                assert mae < target, (
+                    f"{series.label}: MAE {mae:.3f} not below noise {target:.3f}"
+                )
+
+    def test_sparsity_degrades_gracefully(self):
+        result = sparsity_ablation(TINY, base_seed=3)
+        utility = result.panels[0].series_by_label("vs unperturbed").y
+        # Even at the highest missing rate the private aggregate stays
+        # within the 0.5 injected noise of the unperturbed one.
+        assert max(utility) < 0.5
 
     def test_scaling_monotone(self):
         result = scaling_experiment(TINY, base_seed=3)
+        sizes = result.panels[0].series[0].x
         times = result.panels[0].series[0].y
         # larger problems cannot be systematically faster end-to-end
         assert times[-1] > times[0] * 0.5
+        # Near-linear in objects (Section 5.3): the time ratio stays
+        # under 5x the size ratio.
+        assert times[-1] / times[0] < 5 * sizes[-1] / sizes[0]
 
 
 class TestCli:

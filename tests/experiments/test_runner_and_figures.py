@@ -2,7 +2,8 @@
 
 Figure experiments run under a tiny ad-hoc profile so the whole module
 stays fast; shape assertions mirror the qualitative claims the paper
-makes about each figure (the benchmarks run the real profiles).
+makes about each figure; ``repro all --profile quick`` runs the real
+profile end to end.
 """
 
 import numpy as np
@@ -131,6 +132,13 @@ class TestFig2:
             s.label: s.y[0] for s in noise.series
         }
         assert first_x["delta=0.2"] > first_x["delta=0.5"]
+
+    def test_catd_same_shape(self):
+        # Method generality beyond the paper's CRH and GTM.
+        result = run_experiment("fig2-catd", TINY, base_seed=11)
+        assert result.metadata["method"] == "catd"
+        problems = check_tradeoff_shape(result)
+        assert problems == [], problems
 
 
 class TestFig3:

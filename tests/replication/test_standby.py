@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.durable import DurabilityConfig, DurabilityManager
-from repro.durable.stream import WalTailReader
+from repro.durable.stream import TailGapError, WalTailReader
 from repro.net.transport import connect
 from repro.privacy.ldp import LDPGuarantee
 from repro.replication import protocol as rp
@@ -627,6 +627,29 @@ class TestStreamIntegrity:
 
 
 class TestCheckpointResync:
+    def test_tail_reader_sees_a_quiet_compaction_as_a_gap(self, tmp_path):
+        """Compaction retires every top-level segment and nothing is
+        written after it: a cursor below the durable watermark has lost
+        its records all the same, so the reader says so instead of
+        reporting nothing new."""
+        gen, chunks = make_traffic(total_chunks=4)
+        service, manager = primary_service(tmp_path)
+        try:
+            register(service, gen)
+            feed(service, chunks)
+            service.flush()
+            manager.compact()
+            durable = manager.wal.durable_lsn
+            reader = WalTailReader(manager.wal.directory, after_lsn=0)
+            with pytest.raises(TailGapError, match="lsn 1 "):
+                reader.poll(durable)
+            # A cursor already at the watermark is not behind anything.
+            assert WalTailReader(
+                manager.wal.directory, after_lsn=durable
+            ).poll(durable) == []
+        finally:
+            service.close()
+
     def test_compacted_primary_resyncs_via_checkpoint(self, tmp_path):
         gen, chunks = make_traffic()
         half = len(chunks) // 2
@@ -770,10 +793,12 @@ class TestCheckpointResync:
     @given(
         before=st.integers(1, 4),
         between=st.integers(0, 2),
-        # A record past the compaction is what shows the sender its gap.
-        after=st.integers(1, 3),
+        after=st.integers(0, 3),
         seed=st.integers(0, 2**16),
     )
+    # A primary that stays quiet after compacting still resyncs a
+    # standby joining at cursor 0.
+    @example(before=2, between=0, after=0, seed=0)
     def test_resynced_standby_files_are_the_primarys(
         self, before, between, after, seed
     ):
@@ -802,7 +827,10 @@ class TestCheckpointResync:
                     p.name for p in (root / "sb0").iterdir()
                     if p.name.startswith(("ckpt-", "wal-"))
                 )
-                assert [n[:5] for n in names] == ["ckpt-", "wal-0"]
+                # A WAL segment exists once something was written after
+                # the compaction.
+                logged = ["wal-0"] if between + after else []
+                assert [n[:5] for n in names] == ["ckpt-", *logged]
                 for name in names:
                     assert (root / "sb0" / name).read_bytes() == (
                         manager.wal.directory / name

@@ -186,3 +186,36 @@ def test_one_device_surface_and_one_cap_rule():
         assert not hasattr(repro.crowdsensing, name)
     with pytest.raises(ImportError):
         importlib.import_module("repro.crowdsensing.socket_transport")
+
+
+def test_unreached_helpers_are_gone():
+    """Dataset file round-trips, bootstrap truth intervals and the
+    stopwatch had no caller outside their own tests; their modules and
+    package re-exports are gone."""
+    import repro.datasets
+    import repro.truthdiscovery
+    import repro.utils
+
+    gone = {
+        repro.datasets: (
+            "load_claims_csv",
+            "load_claims_npz",
+            "load_dataset_npz",
+            "save_claims_csv",
+            "save_claims_npz",
+            "save_dataset_npz",
+        ),
+        repro.truthdiscovery: ("TruthIntervals", "bootstrap_truths"),
+        repro.utils: ("Stopwatch", "timed"),
+    }
+    for package, names in gone.items():
+        for name in names:
+            assert name not in package.__all__
+            assert not hasattr(package, name)
+    for package, module in (
+        (repro.datasets, "io"),
+        (repro.truthdiscovery, "uncertainty"),
+        (repro.utils, "timing"),
+    ):
+        with pytest.raises(ImportError):
+            importlib.import_module(f"{package.__name__}.{module}")

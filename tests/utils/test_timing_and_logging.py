@@ -1,47 +1,8 @@
-"""Tests for repro.utils.timing and repro.utils.logging."""
+"""Tests for repro.utils.logging."""
 
 import logging
-import time
 
 from repro.utils.logging import enable_console_logging, get_logger
-from repro.utils.timing import Stopwatch, timed
-
-
-class TestStopwatch:
-    def test_accumulates(self):
-        sw = Stopwatch()
-        with sw.measure():
-            time.sleep(0.01)
-        with sw.measure():
-            time.sleep(0.01)
-        assert sw.count == 2
-        assert sw.total >= 0.02
-        assert sw.mean > 0
-
-    def test_reset(self):
-        sw = Stopwatch()
-        with sw.measure():
-            pass
-        sw.reset()
-        assert sw.count == 0
-        assert sw.total == 0.0
-        assert sw.mean == 0.0
-
-    def test_records_on_exception(self):
-        sw = Stopwatch()
-        try:
-            with sw.measure():
-                raise RuntimeError("boom")
-        except RuntimeError:
-            pass
-        assert sw.count == 1
-
-
-class TestTimed:
-    def test_returns_result_and_elapsed(self):
-        result, elapsed = timed(sum, [1, 2, 3])
-        assert result == 6
-        assert elapsed >= 0.0
 
 
 class TestLogging:
