@@ -89,8 +89,12 @@ HOST_LOSS_SMOKE_SEEDS = (11, 22)
 PARTITION_SMOKE_SEEDS = (7,)
 
 #: A standby must hold at least this LSN before the primary is killed,
-#: so the promoted state is never trivially empty.
-MIN_REPLICATED_LSN = 40
+#: so the promoted state is never trivially empty.  The primary logs
+#: CONFIG and REGISTER, then one CHARGE and one BATCH record per chunk
+#: (its registered users need no USERS record): LSN 12 is the first
+#: five chunks and their charges, what it has logged when it prints
+#: STREAMING.
+MIN_REPLICATED_LSN = 12
 
 #: Replication families the doomed primary must expose, non-zero,
 #: before it is killed.  (The lag gauges are only asserted present: a

@@ -240,6 +240,12 @@ def verify_file(data) -> int:
     raise CheckpointError(problem)
 
 
+def file_manifest(data) -> dict:
+    """The :func:`payload_manifest` of checkpoint file bytes, arrays
+    left as placeholders: enough to read the payload's version."""
+    return payload_manifest(memoryview(data)[_FILE_HEADER.size:])[0]
+
+
 @dataclass(frozen=True)
 class Checkpoint:
     """One loaded checkpoint: covered LSN plus the state payload."""

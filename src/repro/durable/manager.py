@@ -14,8 +14,15 @@ to.  The contract mirrors the ingest pipeline's own events:
   a batch is never aggregated without first being in the log buffer
   (and, under ``fsync="always"``, on disk);
 * ``log_charge`` — every admitted privacy-budget charge, so spent
-  epsilon survives a restart (the safe direction: charges for claims
-  that never became durable stay spent);
+  epsilon survives a restart.  A charge is recorded at admission and
+  logged in order, no later than the first batch or commit point after
+  it: one CHARGE record carries every charge admitted since the last,
+  appended before the next BATCH record (so a batch that survives a
+  crash never outlives the charges that admitted its claims), at
+  ``after_pump``/``sync``/``compact``/``close``, and inside a
+  checkpoint's ledger snapshot.  Under ``fsync="always"`` each charge
+  is appended at admission.  Charges for claims that never became
+  durable stay spent (the safe direction);
 * ``after_pump`` — the group-commit point: syncs the log under the
   ``batch`` fsync policy and triggers automatic checkpoints.  With
   ``async_commit`` enabled the write+fsync work runs on the WAL's
@@ -39,6 +46,7 @@ top.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -60,8 +68,10 @@ _LOGGER = get_logger("durable.manager")
 #: v1: REGISTER records could store aggregator="auto" (recovery
 #: re-applies the v1 auto rule for them).  v2: registrations persist
 #: the resolved backend kind, so replay is independent of the
-#: auto-selection rules in force at recovery time.
-FORMAT_VERSION = 2
+#: auto-selection rules in force at recovery time.  v3: a CHARGE record
+#: carries a commit group's charges as columns (v2 bodies still
+#: replay).  Recovery refuses a log or checkpoint above this version.
+FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -161,6 +171,12 @@ class DurabilityManager:
         # takes the fast columnar encoder), else None.
         self._u16_prefix: dict[str, Optional[bytes]] = {}
         self._claims_since_checkpoint = 0
+        #: Charges admitted since the last CHARGE record, in order:
+        #: ``(user_id, epsilon, delta, label)``.
+        self._pending_charges: list[tuple] = []
+        # Guards the pending charges: the bound ledger's lock, which
+        # admission already holds around log_charge.
+        self._charge_lock = threading.RLock()
         self._replication = None
         self._compaction: Optional[CompactionTrigger] = None
         self.claims_logged = 0
@@ -205,6 +221,8 @@ class DurabilityManager:
 
         self._service = service
         ledger = service.ledger
+        if ledger is not None:
+            self._charge_lock = ledger.lock
         self._wal.append(
             rec.CONFIG,
             rec.encode_json_payload(
@@ -271,8 +289,12 @@ class DurabilityManager:
         :class:`~repro.service.shard.CampaignState`; new user-slot
         assignments since the last logged batch are written first (as a
         USERS record at a lower LSN), so any batch that survives a
-        crash can name its contributors on replay.
+        crash can name its contributors on replay.  Charges admitted
+        since the last CHARGE record are logged before either, so the
+        batch never outlives the charges that admitted its claims.
         """
+        if self._pending_charges:
+            self._log_charges()
         campaign_id = state.campaign_id
         synced = self._users_synced.get(campaign_id, 0)
         # Read the length once and slice only up to it: producers may
@@ -339,19 +361,40 @@ class DurabilityManager:
 
     def log_charge(
         self, user_id, guarantee: LDPGuarantee, *, label: str = ""
-    ) -> int:
-        """Persist one admitted privacy-budget charge."""
+    ) -> None:
+        """Record one admitted privacy-budget charge for the log.
+
+        Called under the ledger lock.  What the log could not write is
+        refused here, at admission: a value a CHARGE record cannot
+        encode raises :class:`~repro.durable.records.RecordError`, a
+        closed or failed log :class:`~repro.durable.wal.WalError`.  The
+        charge joins the next CHARGE record (see the module docstring);
+        under ``fsync="always"`` that record is appended now.
+        """
+        epsilon, delta = guarantee.epsilon, guarantee.delta
+        rec.check_charge(user_id, epsilon, delta, label)
+        self._wal.check_append()
+        self._pending_charges.append((user_id, epsilon, delta, label))
         self.charges_logged += 1
-        return self._wal.append(
-            rec.CHARGE,
-            rec.encode_charge_payload(
-                user_id, guarantee.epsilon, guarantee.delta, label
-            ),
-        )
+        if self._config.fsync == "always":
+            self._log_charges()
+
+    def _log_charges(self) -> None:
+        """Append the charges admitted since the last CHARGE record as
+        one record, under the ledger lock (a no-op when there are
+        none)."""
+        with self._charge_lock:
+            charges = self._pending_charges
+            if charges:
+                # Taken before the append: charges a failed log could
+                # not take are not offered to it again.
+                self._pending_charges = []
+                self._wal.append(rec.CHARGE, rec.encode_charge_group(charges))
 
     # ------------------------------------------------------------------
     def sync(self) -> None:
         """Force the log to disk (up to the fsync policy); blocking."""
+        self._log_charges()
         self._wal.sync()
 
     @property
@@ -373,6 +416,7 @@ class DurabilityManager:
         the durable-ack watermark, so the pump acknowledges its batches
         only once they are on disk (grouped syncs, not one per frame).
         """
+        self._log_charges()
         if self._config.async_commit and self._config.fsync != "always":
             self._wal.request_sync()
         else:
@@ -438,25 +482,22 @@ class DurabilityManager:
             )
         # The ledger snapshot and the covered log position are read
         # under the ledger lock — the same lock producers hold across
-        # (admit + log_charge) — so every charge is either in these
-        # records (LSN at or below the position) or strictly after the
-        # position and replayed from the suffix.  Never both, never
-        # neither.
-        if ledger is None:
-            ledger_state = None
-            self._wal.sync()
+        # (admit + log_charge) — and the charges admitted since the
+        # last CHARGE record are logged first, below the position: so
+        # every charge is either in these records (LSN at or below the
+        # position) or strictly after the position and replayed from
+        # the suffix.  Never both, never neither.
+        with self._charge_lock:
+            self._log_charges()
+            ledger_state = None if ledger is None else {
+                "epsilon_cap": ledger.epsilon_cap,
+                "delta_cap": ledger.delta_cap,
+                "records": ledger.to_records(),
+            }
             lsn = self._wal.last_lsn
-        else:
-            with ledger.lock:
-                ledger_state = {
-                    "epsilon_cap": ledger.epsilon_cap,
-                    "delta_cap": ledger.delta_cap,
-                    "records": ledger.to_records(),
-                }
-                lsn = self._wal.last_lsn
-            # Frames at or below the captured position must be durable
-            # before the checkpoint claims to cover them.
-            self._wal.sync()
+        # Frames at or below the captured position must be durable
+        # before the checkpoint claims to cover them.
+        self._wal.sync()
         payload = {
             "version": FORMAT_VERSION,
             "service_config": asdict(service.config),
@@ -486,6 +527,8 @@ class DurabilityManager:
         """
         if checkpoint_first and self._service is not None:
             self.checkpoint()
+        else:
+            self._log_charges()
         return self._wal.compact()
 
     def attach_replication(self, sender) -> None:
@@ -514,9 +557,12 @@ class DurabilityManager:
         recoverable).  Idempotent — a sticky async-writer error is
         raised by the first close only (see
         :meth:`~repro.durable.wal.WriteAheadLog.close`)."""
-        if self._replication is not None:
-            self._replication.close()
-        self._wal.close()
+        try:
+            self._log_charges()
+        finally:
+            if self._replication is not None:
+                self._replication.close()
+            self._wal.close()
 
     def __enter__(self) -> "DurabilityManager":
         return self

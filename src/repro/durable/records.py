@@ -3,8 +3,9 @@
 Everything the write-ahead log persists is one of a small set of typed
 records.  The hot-path record — an accepted micro-batch — is encoded as
 :class:`WorkItem`, a compact columnar binary layout (no JSON, no
-pickle); the low-rate control records (campaign registration, ledger
-charges, user-table growth, service configuration) are UTF-8 JSON.
+pickle); the control records (campaign registration, a commit group's
+ledger charges, user-table growth, service configuration) are UTF-8
+JSON.
 
 :class:`WorkItem` doubles as the service's serialisable work-item
 format: it is exactly one shard work item — ``(campaign_id,
@@ -35,8 +36,6 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
-from math import isfinite
 
 import numpy as np
 
@@ -53,7 +52,10 @@ UNREGISTER = 3
 USERS = 4
 #: One accepted micro-batch (binary :class:`WorkItem`).
 BATCH = 5
-#: One admitted privacy-budget charge (JSON).
+#: Admitted privacy-budget charges (JSON): one record per commit group,
+#: see :func:`encode_charge_group`.  Format 2 wrote one
+#: ``{"user_id", "epsilon", "delta", "label"}`` body per charge; both
+#: decode through :func:`charge_entries`.
 CHARGE = 6
 #: A read-forced aggregator refresh (JSON); replayed so the streaming
 #: backend folds staged claims at the same points it did live.
@@ -280,31 +282,65 @@ def encode_json_payload(obj: dict) -> bytes:
         ) from exc
 
 
-def _json_scalar(value) -> str:
-    """``value`` as :func:`encode_json_payload` writes it inside a dict."""
-    kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is float and isfinite(value):
-        return float.__repr__(value)
-    return json.dumps(value, separators=(",", ":"), sort_keys=True)
+#: Types every one of whose values JSON encodes (``int`` is not one:
+#: past 4 300 digits ``str(int)`` refuses).
+_JSON_SAFE = frozenset((str, float, bool, type(None)))
 
 
-def encode_charge_payload(user_id, epsilon, delta, label) -> bytes:
-    """A CHARGE payload: byte-identical to :func:`encode_json_payload`
-    of ``{"user_id", "epsilon", "delta", "label"}``, without building
-    the dict or running the general encoder — one per admitted device
-    submission.  Keys are written in ``sort_keys`` order; a value that
-    is not JSON-serialisable raises :class:`RecordError` as there.
+def check_charge(user_id, epsilon, delta, label) -> None:
+    """Raise :class:`RecordError` unless a CHARGE record can carry
+    this charge: each value must be one :func:`encode_json_payload`
+    encodes.  Run at admission, so a charge the log could not write
+    is refused while its caller can still undo the submission.
     """
-    try:
-        return (
-            f'{{"delta":{_json_scalar(delta)},'
-            f'"epsilon":{_json_scalar(epsilon)},'
-            f'"label":{_json_scalar(label)},'
-            f'"user_id":{_json_scalar(user_id)}}}'
-        ).encode("utf-8")
-    except (TypeError, ValueError) as exc:
-        raise RecordError(
-            f"record payload is not JSON-serialisable: {exc}"
-        ) from exc
+    for value in (user_id, epsilon, delta, label):
+        if type(value) not in _JSON_SAFE:
+            try:
+                json.dumps(value, sort_keys=True)
+            except (TypeError, ValueError) as exc:
+                raise RecordError(
+                    f"record payload is not JSON-serialisable: {exc}"
+                ) from exc
+
+
+def encode_charge_group(charges) -> bytes:
+    """The CHARGE body of ``(user_id, epsilon, delta, label)`` charges,
+    in admission order, written as columns::
+
+        {"row": [...], "rows": [[label, epsilon, delta], ...],
+         "user_ids": [...]}
+
+    ``rows`` holds the group's distinct ``(label, epsilon, delta)`` in
+    order of first use, and charge ``i`` is ``user_ids[i]`` charged
+    ``rows[row[i]]``.  Values must have passed :func:`check_charge`.
+    """
+    rows: dict = {}
+    row = []
+    for _user_id, epsilon, delta, label in charges:
+        key = (label, epsilon, delta)
+        index = rows.get(key)
+        if index is None:
+            index = rows[key] = len(rows)
+        row.append(index)
+    return encode_json_payload(
+        {
+            "row": row,
+            "rows": [list(key) for key in rows],
+            "user_ids": [charge[0] for charge in charges],
+        }
+    )
+
+
+def charge_entries(body: dict) -> list[tuple]:
+    """A decoded CHARGE body as ``(user_id, epsilon, delta, label)``
+    tuples in admission order: a group body, or a format-2 one-charge
+    body."""
+    if "user_ids" not in body:
+        return [
+            (body["user_id"], body["epsilon"], body["delta"], body["label"])
+        ]
+    rows = body["rows"]
+    return [
+        (user_id, rows[index][1], rows[index][2], rows[index][0])
+        for user_id, index in zip(body["user_ids"], body["row"])
+    ]

@@ -17,7 +17,8 @@ recovered aggregation state is a pure function of the logged batch
 sequence — bit-for-bit identical to a service that ingested exactly
 those batches.  Claims that were accepted but still buffered in a
 micro-batcher at crash time were never logged and are lost; their
-budget charges, which *were* logged at admission, stay spent (the
+budget charges, logged no later than the first batch or commit point
+after admission, stay spent wherever that point became durable (the
 privacy-safe direction).  Under ``async_commit`` the same applies one
 level down: records staged for the background writer but never
 committed (beyond the durable-ack watermark) are a lost *suffix* —
@@ -42,7 +43,11 @@ import numpy as np
 
 from repro.durable import records as rec
 from repro.durable.checkpoint import Checkpoint, CheckpointStore
-from repro.durable.manager import DurabilityConfig, DurabilityManager
+from repro.durable.manager import (
+    FORMAT_VERSION,
+    DurabilityConfig,
+    DurabilityManager,
+)
 from repro.durable.wal import read_wal
 from repro.privacy.ldp import LDPGuarantee
 from repro.truthdiscovery.streaming import ClaimBatch
@@ -55,9 +60,27 @@ class RecoveryError(RuntimeError):
     """The durability directory cannot be turned back into a service."""
 
 
+def check_format_version(body: dict, source: str) -> None:
+    """Raise :class:`RecoveryError` for a CONFIG record body or
+    checkpoint payload written by a newer layout than this build's
+    :data:`~repro.durable.manager.FORMAT_VERSION`: checked before
+    replay, which would otherwise half-rebuild a service from records
+    it cannot read."""
+    version = body.get("version", 1)
+    if version > FORMAT_VERSION:
+        raise RecoveryError(
+            f"{source} has layout version {version}; this build reads "
+            f"versions up to {FORMAT_VERSION}"
+        )
+
+
 @dataclass
 class RecoveryReport:
-    """What one recovery pass did (for logs, tests, and the CLI)."""
+    """What one recovery pass did (for logs, tests, and the CLI).
+
+    ``charges_replayed`` counts budget charges, not CHARGE records (a
+    record carries a commit group's charges).
+    """
 
     directory: str
     checkpoint_lsn: int = 0
@@ -182,15 +205,14 @@ class RecordApplier:
         elif record.rtype == rec.BATCH:
             self._apply_batch(record.decode())
         elif record.rtype == rec.CHARGE:
-            body = record.decode()
-            if service.ledger is not None:
-                service.ledger.record_spent(
-                    body["user_id"],
-                    LDPGuarantee(
-                        epsilon=body["epsilon"], delta=body["delta"]
-                    ),
-                )
-            self.report.charges_replayed += 1
+            charges = rec.charge_entries(record.decode())
+            ledger = service.ledger
+            if ledger is not None:
+                for user_id, epsilon, delta, _label in charges:
+                    ledger.record_spent(
+                        user_id, LDPGuarantee(epsilon=epsilon, delta=delta)
+                    )
+            self.report.charges_replayed += len(charges)
 
     def _apply_users(self, body: dict) -> None:
         service = self.service
@@ -331,6 +353,15 @@ class RecoveryManager:
                 f"the oldest surviving record is lsn {scan.first_lsn}; "
                 f"records in between are lost"
             )
+        if checkpoint is not None:
+            check_format_version(
+                checkpoint.payload, f"checkpoint at lsn {checkpoint.lsn}"
+            )
+        for record in scan.records:
+            if record.rtype == rec.CONFIG:
+                check_format_version(
+                    record.decode(), f"CONFIG record {record.lsn}"
+                )
         report = RecoveryReport(
             directory=str(self._dir),
             checkpoint_lsn=after_lsn,

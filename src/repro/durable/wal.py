@@ -562,9 +562,7 @@ class WriteAheadLog:
             )
         with self._io_lock:
             with self._commit_cv:
-                self._raise_if_failed()
-                if self._closed:
-                    raise WalError("log is closed")
+                self.check_append()
                 lsn = self._next_lsn
                 self._next_lsn = lsn + 1
                 self.records_written += 1
@@ -577,6 +575,13 @@ class WriteAheadLog:
             if not self._async and (full or self._fsync == "always"):
                 self._drain()
         return lsn
+
+    def check_append(self) -> None:
+        """Raise :class:`WalError` where :meth:`append` would: the log
+        is closed, or a drain has failed."""
+        self._raise_if_failed()
+        if self._closed:
+            raise WalError("log is closed")
 
     def sync(self) -> None:
         """Blocking group-commit point: on return every record appended

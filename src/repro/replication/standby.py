@@ -27,8 +27,10 @@ fresh :class:`~repro.durable.manager.DurabilityManager` (continuing
 LSNs after the replicated watermark) is attached with
 ``service.attach_durability`` — the call crash recovery's ``resume``
 makes, which checkpoints the replayed campaigns — and spent budget
-stays spent because every charge was logged at admission and replayed
-on arrival.
+stays spent because a charge is recorded at admission and logged in
+order, no later than the first batch or commit point after it, so the
+stream carries it before any batch it admitted, and it is replayed on
+arrival.
 
 Run one with ``repro standby --dir DIR``; the process announces
 ``PORT <n>`` on stdout exactly like ``repro serve-shard``.
@@ -44,11 +46,16 @@ from pathlib import Path
 from typing import Optional, Union
 
 from repro.durable import records as rec
-from repro.durable.checkpoint import CheckpointStore, verify_file
+from repro.durable.checkpoint import (
+    CheckpointStore,
+    file_manifest,
+    verify_file,
+)
 from repro.durable.manager import DurabilityManager
 from repro.durable.recovery import (
     RecordApplier,
     RecoveryManager,
+    check_format_version,
     service_from_config,
 )
 from repro.durable.wal import FSYNC_POLICIES, WriteAheadLog, list_segments
@@ -303,6 +310,11 @@ class StandbyServer(FrameServer):
                         ),
                     )
                     return False
+                if record.rtype == rec.CONFIG:
+                    # A newer layout is refused before it is stored.
+                    check_format_version(
+                        record.decode(), f"CONFIG record {record.lsn}"
+                    )
                 self._wal.append(record.rtype, record.payload)
                 fresh.append(record)
             # Durable before acked: the sender's cursor must never run
@@ -338,11 +350,14 @@ class StandbyServer(FrameServer):
         """Full resync: the primary's retained log no longer reaches
         back to our cursor, so adopt a covering checkpoint instead.
 
-        ``payload`` is a checkpoint file's bytes: its header, CRC and
-        LSN are checked before anything here changes, and it is stored
-        as it came.
+        ``payload`` is a checkpoint file's bytes: its header, CRC, LSN
+        and layout version are checked before anything here changes,
+        and it is stored as it came.
         """
         lsn = verify_file(payload)
+        check_format_version(
+            file_manifest(payload), f"checkpoint at lsn {lsn}"
+        )
         with self._apply_lock:
             if self._promoted or self._wal is None:
                 raise StandbyError("standby no longer replicates")

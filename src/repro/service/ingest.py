@@ -557,20 +557,22 @@ class IngestService:
             cost = state.cost
             ledger = self._ledger
             if cost is not None and ledger is not None:
-                # Admission and its write-ahead charge record form one
-                # atomic section under the ledger lock, so a concurrent
-                # checkpoint (which snapshots the ledger and the log
-                # position under the same lock) sees either both or
-                # neither — a charge can never fall between a
-                # checkpoint's ledger records and its replayed log
-                # suffix.
+                # Admission and recording its charge for the log form
+                # one atomic section under the ledger lock, so a
+                # concurrent checkpoint (which snapshots the ledger,
+                # logs the recorded charges and reads the log position
+                # under the same lock) sees either both or neither — a
+                # charge can never fall between a checkpoint's ledger
+                # records and its replayed log suffix.
                 with ledger.lock:
                     refused = ledger.charge(user_id, cost, label=campaign_id)
                     if not refused and self._durability is not None:
-                        # Charges are logged at admission, not at
-                        # aggregation: if the claims are lost in a
-                        # crash before their batch becomes durable, the
-                        # budget stays spent (safe side).
+                        # Recorded at admission, logged in order no
+                        # later than the first batch or commit point
+                        # after it: before this submission's batch, so
+                        # its claims never survive a crash without the
+                        # charge; claims lost before their batch became
+                        # durable keep the budget spent (safe side).
                         self._durability.log_charge(
                             user_id, cost, label=campaign_id
                         )
@@ -593,8 +595,9 @@ class IngestService:
                     self.telemetry.shard_claims_rejected[shard.index] += n
                     return IngestResult(0, n, "capacity")
         except BaseException:
-            # A charge record that failed to encode or reach the log:
-            # the charge stands (safe side), the queue slot must not.
+            # A charge the log refused at admission (a record could not
+            # encode it, or the log is closed or failed): the charge
+            # stands (safe side), the queue slot must not.
             if reserved:
                 shard.cancel_reservation()
             raise

@@ -6,6 +6,7 @@ import shutil
 from dataclasses import asdict
 
 import numpy as np
+import per_charge_reference
 
 from repro.durable import (
     CheckpointStore,
@@ -89,7 +90,7 @@ def write_v1_log(directory):
             {"campaign_id": "legacy-crh"}
         ))
         for i in range(3):
-            wal.append(rec.CHARGE, rec.encode_charge_payload(
+            wal.append(rec.CHARGE, per_charge_reference.encode_charge_payload(
                 f"legacy-gtm-u{i}", 0.5, 0.0, "legacy-gtm"
             ))
         last = wal.last_lsn

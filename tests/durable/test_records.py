@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import per_charge_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,6 +130,10 @@ _FLOATS = st.one_of(
 
 
 class TestChargePayload:
+    """Format 2's one-charge body, which logs written before charge
+    groups still hold (its frozen encoder), and the admission check
+    that refuses what a group record could not encode."""
+
     @settings(max_examples=300, deadline=None)
     @given(
         user_id=st.one_of(_AWKWARD_TEXT, st.integers(), st.booleans(), st.none()),
@@ -137,19 +142,83 @@ class TestChargePayload:
         label=_AWKWARD_TEXT,
     )
     def test_bytes_equal_the_general_encoder(self, user_id, epsilon, delta, label):
-        assert rec.encode_charge_payload(user_id, epsilon, delta, label) == (
-            _json_charge(user_id, epsilon, delta, label)
-        )
+        assert per_charge_reference.encode_charge_payload(
+            user_id, epsilon, delta, label
+        ) == _json_charge(user_id, epsilon, delta, label)
 
     @pytest.mark.parametrize("user_id", [b"raw", object(), {1, 2}, np.int64(3)])
     def test_unserialisable_user_ids_raise_on_both(self, user_id):
         with pytest.raises(RecordError):
             _json_charge(user_id, 0.5, 0.0, "c1")
         with pytest.raises(RecordError):
-            rec.encode_charge_payload(user_id, 0.5, 0.0, "c1")
+            rec.check_charge(user_id, 0.5, 0.0, "c1")
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        values=st.lists(
+            st.one_of(
+                _AWKWARD_TEXT, _FLOATS, st.booleans(), st.none(),
+                st.integers(10**4299, 10**4301), st.binary(max_size=2),
+                st.just(object()), st.just({1: 0, "a": 1}),
+            ),
+            min_size=4, max_size=4,
+        ),
+    )
+    def test_check_refuses_exactly_what_the_general_encoder_refuses(self, values):
+        try:
+            _json_charge(*values)
+        except RecordError:
+            with pytest.raises(RecordError):
+                rec.check_charge(*values)
+        else:
+            rec.check_charge(*values)
+            rec.encode_charge_group([tuple(values)])
 
     def test_round_trips_through_a_wal_record(self):
-        payload = rec.encode_charge_payload("ué", 0.5, 1e-7, "c1")
+        payload = per_charge_reference.encode_charge_payload("ué", 0.5, 1e-7, "c1")
         assert WalRecord(1, rec.CHARGE, payload).decode() == {
             "user_id": "ué", "epsilon": 0.5, "delta": 1e-7, "label": "c1",
         }
+
+    def test_a_format_2_body_still_decodes_to_its_charge(self):
+        payload = per_charge_reference.encode_charge_payload("ué", 0.5, 1e-7, "c1")
+        body = WalRecord(1, rec.CHARGE, payload).decode()
+        assert rec.charge_entries(body) == [("ué", 0.5, 1e-7, "c1")]
+
+
+class TestChargeGroup:
+    def test_group_round_trips_in_admission_order(self):
+        charges = [
+            ("u1", 0.5, 0.0, "c1"),
+            ("u2", 0.25, 1e-7, "c2"),
+            ("u1", 0.5, 0.0, "c1"),
+            (7, 0.5, 0.0, "c2"),
+            ("ué \\ \"☃", 1 / 3, 0.0, "c1"),
+        ]
+        payload = rec.encode_charge_group(charges)
+        body = WalRecord(1, rec.CHARGE, payload).decode()
+        assert rec.charge_entries(body) == charges
+        # Columns: one row per distinct (label, epsilon, delta), in
+        # order of first use; the canonical JSON encoding.
+        assert body["rows"] == [
+            ["c1", 0.5, 0.0], ["c2", 0.25, 1e-7], ["c2", 0.5, 0.0],
+            ["c1", 1 / 3, 0.0],
+        ]
+        assert body["row"] == [0, 1, 0, 2, 3]
+        assert payload == rec.encode_json_payload(body)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        charges=st.lists(
+            st.tuples(
+                st.one_of(_AWKWARD_TEXT, st.integers(), st.none()),
+                st.sampled_from([0.0, 0.1, 0.5, 1 / 3, 1e-300]),
+                st.sampled_from([0.0, 1e-7]),
+                st.sampled_from(["c0", "c1", "é"]),
+            ),
+            min_size=1, max_size=30,
+        )
+    )
+    def test_entries_are_the_charges(self, charges):
+        body = WalRecord(1, rec.CHARGE, rec.encode_charge_group(charges)).decode()
+        assert rec.charge_entries(body) == charges

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from repro.durable import (
+    FORMAT_VERSION,
+    CheckpointStore,
     DurabilityConfig,
     DurabilityManager,
     RecoveryError,
     RecoveryManager,
+    WriteAheadLog,
 )
 from repro.durable import records as rec
 from repro.durable.wal import list_segments
@@ -388,9 +391,10 @@ class TestLedgerContinuity:
         assert not result.ok and result.reason == "budget"
 
     def test_device_session_charge_records_are_canonical(self, tmp_path):
-        # CHARGE payloads have their own encoder: every one in the log
-        # must be the bytes the general JSON encoder writes for what it
-        # decodes to, and replaying them must rebuild the live ledger.
+        # A CHARGE record carries a commit group's charges: flattened,
+        # they are one entry per admission; every payload must be the
+        # bytes the general JSON encoder writes for what it decodes
+        # to, and replaying them must rebuild the live ledger.
         from repro.crowdsensing.messages import ClaimSubmission
         from repro.durable.wal import read_wal
 
@@ -425,7 +429,10 @@ class TestLedgerContinuity:
         charges = [
             r for r in read_wal(tmp_path).records if r.rtype == rec.CHARGE
         ]
-        assert len(charges) == ledger.admitted == reasons.count("")
+        entries = [
+            entry for r in charges for entry in rec.charge_entries(r.decode())
+        ]
+        assert len(entries) == ledger.admitted == reasons.count("")
         for record in charges:
             assert record.payload == rec.encode_json_payload(record.decode())
         del service, manager, ledger
@@ -504,6 +511,64 @@ class TestEdges:
 
         recovered = RecoveryManager(tmp_path).recover()
         assert recovered.service.config == service_config()
+
+
+class TestFormatVersion:
+    """A log or checkpoint from a newer layout is refused, naming both
+    versions, before replay has rebuilt anything from it."""
+
+    def test_newer_config_record_is_refused(self, tmp_path):
+        with WriteAheadLog(tmp_path) as wal:
+            # A v4 body this build cannot read: no service_config.
+            wal.append(rec.CONFIG, rec.encode_json_payload(
+                {"version": FORMAT_VERSION + 1, "layout": {"shards": 2}}
+            ))
+        with pytest.raises(RecoveryError, match=(
+            f"CONFIG record 1 has layout version {FORMAT_VERSION + 1}; "
+            f"this build reads versions up to {FORMAT_VERSION}"
+        )):
+            RecoveryManager(tmp_path).recover()
+
+    def test_newer_config_record_after_a_checkpoint_is_refused(self, tmp_path):
+        gen, chunks = make_traffic(total_chunks=2)
+        service, manager = durable_service(tmp_path)
+        register(service, gen)
+        feed(service, chunks)
+        manager.checkpoint()
+        manager.wal.append(rec.CONFIG, rec.encode_json_payload(
+            {"version": FORMAT_VERSION + 1}
+        ))
+        manager.close()
+        with pytest.raises(RecoveryError, match="layout version"):
+            RecoveryManager(tmp_path).recover()
+
+    def test_newer_checkpoint_is_refused(self, tmp_path):
+        gen, chunks = make_traffic(total_chunks=2)
+        service, manager = durable_service(tmp_path)
+        register(service, gen)
+        feed(service, chunks)
+        store = CheckpointStore(tmp_path)
+        checkpoint = store.load(manager.checkpoint())
+        manager.close()
+        store.save(checkpoint.lsn + 1, {
+            **checkpoint.payload, "version": FORMAT_VERSION + 1,
+        })
+        with pytest.raises(RecoveryError, match=(
+            f"checkpoint at lsn {checkpoint.lsn + 1} has layout version "
+            f"{FORMAT_VERSION + 1}"
+        )):
+            RecoveryManager(tmp_path).recover()
+
+    def test_this_layout_is_stamped_and_read(self, tmp_path):
+        gen, chunks = make_traffic(total_chunks=2)
+        service, manager = durable_service(tmp_path)
+        register(service, gen)
+        feed(service, chunks)
+        path = manager.checkpoint()
+        manager.close()
+        assert CheckpointStore(tmp_path).load(path).payload["version"] == 3
+        assert FORMAT_VERSION == 3
+        RecoveryManager(tmp_path).recover()
 
 
 class TestGapSafety:

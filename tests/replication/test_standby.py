@@ -20,7 +20,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.durable import DurabilityConfig, DurabilityManager
+from repro.durable import FORMAT_VERSION, DurabilityConfig, DurabilityManager
+from repro.durable import records as rec
+from repro.durable.checkpoint import encode_file, unpack_payload, verify_file
 from repro.durable.stream import TailGapError, WalTailReader
 from repro.net.transport import connect
 from repro.privacy.ldp import LDPGuarantee
@@ -500,6 +502,29 @@ class TestFencingEpoch:
 
 
 class TestStreamIntegrity:
+    def test_newer_layout_config_record_refused_before_it_is_stored(
+        self, tmp_path
+    ):
+        standby = StandbyServer(tmp_path / "sb0")
+        address = ("127.0.0.1", standby.start())
+        try:
+            before = directory_bytes(tmp_path / "sb0")
+            config = rec.WalRecord(1, rec.CONFIG, rec.encode_json_payload(
+                {"version": FORMAT_VERSION + 1, "layout": "unknown"}
+            ))
+            with open_stream(address, 0) as conn:
+                send_frame(conn, rp.RECORDS, rp.encode_records([config]))
+                rtype, payload = recv_frame(conn)
+            assert rtype == rp.REPL_ERROR
+            assert (
+                f"CONFIG record 1 has layout version {FORMAT_VERSION + 1}; "
+                f"this build reads versions up to {FORMAT_VERSION}"
+            ) in rp.decode_json(payload)["error"]
+            assert standby.durable_lsn == 0 and standby.service is None
+            assert directory_bytes(tmp_path / "sb0") == before
+        finally:
+            standby.stop()
+
     def test_reconnect_resumes_from_standby_cursor(self, tmp_path):
         gen, chunks = make_traffic()
         half = len(chunks) // 2
@@ -735,6 +760,7 @@ class TestCheckpointResync:
         ("short-body", "header declares"),
         ("long-body", "header declares"),
         ("not-past-cursor", "does not pass the cursor"),
+        ("future-layout", f"layout version {FORMAT_VERSION + 1}"),
     ])
     def test_bad_checkpoint_frame_refused_before_anything_changes(
         self, tmp_path, damage, error
@@ -762,6 +788,9 @@ class TestCheckpointResync:
                 "short-body": ahead[:-1],
                 "long-body": ahead + b"\x00",
                 "not-past-cursor": at_cursor,
+                "future-layout": encode_file(verify_file(ahead), {
+                    **unpack_payload(ahead[32:]), "version": FORMAT_VERSION + 1,
+                }),
             }[damage]
             before = directory_bytes(tmp_path / "sb0")
             with open_stream(address, cursor) as conn:
