@@ -80,6 +80,11 @@ class IncrementalAggregator(ABC):
         self._num_objects = ensure_int(num_objects, "num_objects", minimum=1)
         self.claims_ingested = 0
         self.batches_ingested = 0
+        #: Bumped wherever what the backend reads out can change (an
+        #: ingest, a refresh that did work, a restore), never by a read:
+        #: a reader that saw version v and sees v again knows the
+        #: truths, weights and counters are still what it read.
+        self.version = 0
         #: Refreshes that actually did deferred work (refinement folds
         #: for the streaming backend, full refits for the full-refit
         #: backend), and the seconds they cost.  Process-local
@@ -227,6 +232,7 @@ class StreamingAggregator(IncrementalAggregator):
         self._claims_since_decay += batch.size
         self.claims_ingested += batch.size
         self.batches_ingested += 1
+        self.version += 1
         if self._staged_claims >= self._refine_every:
             self.refresh()
 
@@ -253,6 +259,7 @@ class StreamingAggregator(IncrementalAggregator):
         steps = self._claims_since_decay // self._refine_every
         self._claims_since_decay -= steps * self._refine_every
         self._stream.ingest(merged, decay_steps=steps)
+        self.version += 1
         self.refreshes += 1
         self.refresh_seconds += time.perf_counter() - start
 
@@ -337,6 +344,7 @@ class StreamingAggregator(IncrementalAggregator):
         else:
             self._staged = []
         self._staged_claims = int(users.size)
+        self.version += 1
 
 
 class FullRefitAggregator(IncrementalAggregator):
@@ -379,6 +387,7 @@ class FullRefitAggregator(IncrementalAggregator):
         self._values.append(batch.values)
         self.claims_ingested += batch.size
         self.batches_ingested += 1
+        self.version += 1
         self._dirty = True
 
     def refresh(self) -> None:
@@ -407,6 +416,7 @@ class FullRefitAggregator(IncrementalAggregator):
         self._seen = np.zeros(self._num_objects, dtype=bool)
         self._seen[seen_objects] = True
         self._dirty = False
+        self.version += 1
         self.refreshes += 1
         self.refresh_seconds += time.perf_counter() - start
 
@@ -460,6 +470,11 @@ class FullRefitAggregator(IncrementalAggregator):
         else:
             self._users, self._objects, self._values = [], [], []
             self._dirty = False
+            # Nothing to refit: what a fresh backend reads out.
+            self._truths = np.zeros(self._num_objects)
+            self._weights = np.ones(self._num_users)
+            self._seen = np.zeros(self._num_objects, dtype=bool)
+        self.version += 1
 
 
 def _streaming_unsupported_kwargs(method: str, method_kwargs: dict) -> list:

@@ -133,6 +133,10 @@ class ServiceStats:
         #: aggregation + view construction).
         self.snapshot_reads = 0
         self.snapshot_read_seconds = 0.0
+        #: Reads that found the campaign unchanged since its last read
+        #: and returned that snapshot again (counted in
+        #: ``snapshot_reads`` too).
+        self.snapshot_reads_unchanged = 0
 
     # ------------------------------------------------------------------
     # WAL observability (zero while running volatile): records
@@ -201,6 +205,7 @@ class ServiceStats:
             "rejected_overflow": self.rejected_overflow,
             "snapshot_reads": self.snapshot_reads,
             "snapshot_read_seconds": self.snapshot_read_seconds,
+            "snapshot_reads_unchanged": self.snapshot_reads_unchanged,
             "wal_appends": self.wal_appends,
             "wal_commit_groups": self.wal_commit_groups,
             "wal_commit_seconds": self.wal_commit_seconds,
@@ -764,7 +769,9 @@ class IngestService:
         """Fresh read-side view of one campaign.
 
         Forces only that campaign's partial batch and refinement;
-        co-sharded campaigns are pumped but not refined.
+        co-sharded campaigns are pumped but not refined.  A campaign
+        unchanged since its last read returns that snapshot object
+        again (``stats.snapshot_reads_unchanged`` counts those reads).
         """
         shard = self._campaign_shard.get(campaign_id)
         if shard is None:
@@ -777,10 +784,15 @@ class IngestService:
             # (blocks on the durable-ack watermark under async commit).
             self._durability.sync()
             self._sample_wal_stats()
-        snapshot = shard.campaigns[campaign_id].snapshot()
+        state = shard.campaigns[campaign_id]
+        last = state.last_snapshot
+        snapshot = state.snapshot()
         elapsed = time.perf_counter() - start
-        self.stats.snapshot_reads += 1
-        self.stats.snapshot_read_seconds += elapsed
+        stats = self.stats
+        stats.snapshot_reads += 1
+        stats.snapshot_read_seconds += elapsed
+        if snapshot is last:
+            stats.snapshot_reads_unchanged += 1
         self.telemetry.snapshot_read.observe(elapsed)
         return snapshot
 

@@ -59,6 +59,7 @@ class CampaignState:
         "pending_traces",
         "read_serial",
         "spec",
+        "_last_read",
     )
 
     def __init__(
@@ -109,8 +110,18 @@ class CampaignState:
         #: The campaign's REGISTER body, set by whoever registered it:
         #: what a checkpoint stores and a worker's spec is projected from.
         self.spec: Optional[dict] = None
+        # What snapshot() last returned and the state it showed, set as
+        # one tuple: (aggregator, user table, (aggregator version, claims
+        # accepted, pending claims, table length), snapshot).
+        self._last_read: Optional[tuple] = None
 
     # ------------------------------------------------------------------
+    @property
+    def last_snapshot(self) -> Optional[TruthSnapshot]:
+        """What :meth:`snapshot` last returned (None before any read)."""
+        last = self._last_read
+        return None if last is None else last[3]
+
     def user_slot(self, user_id: str) -> int:
         """Slot for ``user_id``, assigning the next free one; -1 if full.
 
@@ -162,15 +173,33 @@ class CampaignState:
         ``claims_by_slot`` and the estimator change in place later; ids
         are a slice of the table when every slot contributed, else a
         :class:`SlotIds` view resolved by whoever reads them.
+
+        A read of unchanged state returns the last snapshot itself.  The
+        key is the aggregator's ``version`` and identity, the claim and
+        pending counters, and the user table's identity and length:
+        everything a snapshot shows moves one of them (contributors only
+        change as claims are accepted, and the table is only appended
+        to or replaced).
         """
         aggregator = self.aggregator
+        aggregator.refresh()
+        table = self.user_table
+        pending = self.batcher.pending
+        counters = (aggregator.version, self.claims_accepted, pending, len(table))
+        last = self._last_read
+        same_table = last is not None and last[1] is table
+        if same_table and last[0] is aggregator and last[2] == counters:
+            return last[3]
         weights = aggregator.weights()
-        return self._view(
+        snapshot = self._view(
             aggregator.truths(),
             weights,
             aggregator.seen_objects(),
-            self.batcher.pending,
+            pending,
+            last[3].contributor_ids if same_table else None,
         )
+        self._last_read = (aggregator, table, counters, snapshot)
+        return snapshot
 
     def folded_snapshot(self) -> TruthSnapshot:
         """What a replica serves: :meth:`snapshot` of the state its folds
@@ -189,12 +218,17 @@ class CampaignState:
             self.batcher.pending + aggregator.staged_claims,
         )
 
-    def _view(self, truths, weights, seen, pending: int) -> TruthSnapshot:
+    def _view(
+        self, truths, weights, seen, pending: int, ids=None
+    ) -> TruthSnapshot:
+        """``ids`` is an earlier snapshot's ``contributor_ids`` over the
+        same table, reused when it is the tuple this read would slice."""
         table = self.user_table
         filled = len(table)
         counts = self.claims_by_slot[:filled]
         if np.count_nonzero(counts) == filled:
-            ids = tuple(table[:filled])
+            if type(ids) is not tuple or len(ids) != filled:
+                ids = tuple(table[:filled])
             weights = weights[:filled].copy()
         else:
             slots = np.flatnonzero(counts)

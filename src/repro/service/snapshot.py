@@ -34,16 +34,30 @@ class SlotIds(Sequence):
     def __len__(self) -> int:
         return len(self._slots)
 
-    def __getitem__(self, index: int):
+    def __getitem__(self, index):
+        """One id, or a tuple of the ids when ``index`` is a slice (as
+        slicing the tuple form of ``contributor_ids`` gives)."""
+        if isinstance(index, slice):
+            return tuple(map(self._table.__getitem__, self._slots[index].tolist()))
         return self._table[self._slots[index]]
 
     def __iter__(self):
         return map(self._table.__getitem__, self._slots.tolist())
 
 
-@dataclass(frozen=True)
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return (
+        a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class TruthSnapshot:
     """One campaign's aggregation state at a point in the ingest stream.
+
+    Snapshots compare by value: ``==`` holds when the ids, the counters
+    and the three arrays (bitwise, dtype included) are equal, whichever
+    form ``contributor_ids`` takes.  They are not hashable.
 
     Attributes
     ----------
@@ -104,6 +118,30 @@ class TruthSnapshot:
         object.__setattr__(self, "truths", truths)
         object.__setattr__(self, "seen_objects", seen)
         object.__setattr__(self, "contributor_weights", weights)
+
+    __hash__ = None
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TruthSnapshot):
+            return NotImplemented
+        if self is other:
+            return True
+        return (
+            self.campaign_id == other.campaign_id
+            and self.object_ids == other.object_ids
+            and self.claims_ingested == other.claims_ingested
+            and self.batches_ingested == other.batches_ingested
+            and self.pending_claims == other.pending_claims
+            and all(
+                _same_bits(mine, theirs)
+                for mine, theirs in (
+                    (self.truths, other.truths),
+                    (self.seen_objects, other.seen_objects),
+                    (self.contributor_weights, other.contributor_weights),
+                )
+            )
+            and tuple(self.contributor_ids) == tuple(other.contributor_ids)
+        )
 
     @cached_property
     def weights_by_user(self) -> Mapping[str, float]:

@@ -202,6 +202,8 @@ class ServiceTelemetry:
             float(stats.submissions))
         add("counter", series_key("repro_snapshot_reads_total"),
             float(stats.snapshot_reads))
+        add("counter", series_key("repro_snapshot_reads_unchanged_total"),
+            float(stats.snapshot_reads_unchanged))
         add("counter", series_key("repro_traces_sampled_total"),
             float(len(self.traces)))
         for reason, count in (

@@ -338,6 +338,7 @@ class RemoteAggregator(IncrementalAggregator):
         """
         self._handle = handle
         self._cache = None
+        self.version += 1
 
     def ingest(self, batch: ClaimBatch) -> None:
         self._handle.send_batch(
@@ -351,6 +352,7 @@ class RemoteAggregator(IncrementalAggregator):
         self.claims_ingested += batch.size
         self.batches_ingested += 1
         self._cache = None
+        self.version += 1
         if self._backend == "streaming":
             # Mirror StreamingAggregator.ingest: once refine_every
             # claims accumulate the worker folds them on its own.
@@ -367,6 +369,7 @@ class RemoteAggregator(IncrementalAggregator):
             self._handle.send_refresh(self._campaign_id)
             self._staged = 0
             self._cache = None
+            self.version += 1
 
     # ------------------------------------------------------------------
     def truths(self) -> np.ndarray:
@@ -410,3 +413,4 @@ class RemoteAggregator(IncrementalAggregator):
         else:
             self._staged = 0
         self._cache = None
+        self.version += 1

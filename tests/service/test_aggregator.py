@@ -290,6 +290,21 @@ class TestFullRefitAggregator:
         # User 0's later claim (3.0) replaced the earlier 1.0.
         assert 3.0 <= truths[0] <= 5.0
 
+    def test_loading_an_empty_state_forgets_the_last_fit(self):
+        agg = FullRefitAggregator(num_users=2, num_objects=2)
+        empty = agg.state_dict()
+        agg.ingest(ClaimBatch(
+            users=np.array([0, 1]), objects=np.array([0, 1]),
+            values=np.array([2.0, 4.0]),
+        ))
+        agg.refresh()
+        version = agg.version
+        agg.load_state(empty)
+        assert agg.version > version
+        fresh = FullRefitAggregator(num_users=2, num_objects=2)
+        for read in ("truths", "weights", "seen_objects"):
+            assert getattr(agg, read)().tolist() == getattr(fresh, read)().tolist()
+
 
 class TestMakeAggregator:
     def test_auto_small_campaign_full_refit(self):

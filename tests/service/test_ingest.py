@@ -432,8 +432,11 @@ class TestSnapshots:
         service.snapshot("c1")
         assert service.stats.snapshot_reads == 2
         assert service.stats.snapshot_read_seconds > 0.0
+        # The second read found nothing new: the same snapshot again.
+        assert service.stats.snapshot_reads_unchanged == 1
         as_dict = service.stats.as_dict()
         assert as_dict["snapshot_reads"] == 2
+        assert as_dict["snapshot_reads_unchanged"] == 1
         # A failed read (unknown campaign) counts nothing.
         with pytest.raises(KeyError):
             service.snapshot("nope")

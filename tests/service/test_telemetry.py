@@ -102,10 +102,12 @@ class TestMetricsSnapshot:
         service = make_service()
         fill(service)
         service.snapshot("c1")
+        service.snapshot("c1")  # unchanged: counted and timed all the same
         snap = service.metrics_snapshot()
         hist = snap.histograms.get(("repro_snapshot_read_seconds", ()))
-        assert hist is not None and hist["count"] == 1
-        assert snap.value("repro_snapshot_reads_total") == 1
+        assert hist is not None and hist["count"] == 2
+        assert snap.value("repro_snapshot_reads_total") == 2
+        assert snap.value("repro_snapshot_reads_unchanged_total") == 1
 
     def test_snapshot_is_json_serialisable(self):
         service = make_service()
