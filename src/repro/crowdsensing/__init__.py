@@ -6,11 +6,12 @@ Algorithm 2's client side executes on the devices and the untrusted
 server only ever sees perturbed claims.  The deployment is strictly
 server-mediated: devices talk only to the server, never to each other,
 and :class:`TransportStats` counts any message that breaks that shape.
-Per-user privacy budgets are enforced by the serving layer, not here:
-:func:`run_campaign` given ``service=`` an
-:class:`~repro.service.ingest.IngestService` with a
-:class:`~repro.service.ledger.BudgetLedger` admits every submission
-against it.
+The server's storage and aggregation are the serving layer's: every
+campaign runs on an :class:`~repro.service.ingest.IngestService`, a
+fresh in-process one unless :func:`run_campaign` is given ``service=``.
+Per-user privacy budgets are enforced there too, not here: a service
+with a :class:`~repro.service.ledger.BudgetLedger` admits every
+submission against it.
 """
 
 from repro.crowdsensing.campaign import CampaignReport, CampaignSpec

@@ -66,9 +66,10 @@ def run_campaign(
         Supply an existing transport to chain multiple campaigns over
         one network (stats accumulate); default builds a fresh one.
     service:
-        Optional ingestion service; when given, the server delegates
-        campaign storage and aggregation to its sharded micro-batching
-        pipeline (``repro.service``) instead of the in-memory path.
+        The ingestion service the server stores and aggregates the
+        campaign on (``repro.service``) — pass one for a durable,
+        sharded or budget-ledgered deployment; default: a fresh
+        in-process service.
     """
     if transport is None:
         transport = InProcessTransport(

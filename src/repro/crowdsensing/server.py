@@ -6,15 +6,14 @@ truth discovery on whatever arrived, and publishes the aggregate.  It
 never sees noise variances or original values — by construction, those
 fields do not exist in the message schema.
 
-Two storage/aggregation backends share the protocol logic:
-
-* the classic in-memory path files submissions per campaign and fits the
-  configured method once at finalise (claim assembly is vectorised via
-  :meth:`ClaimMatrix.from_submissions`);
-* when constructed with ``service=``, campaigns are delegated to a
-  :class:`repro.service.ingest.IngestService` — submissions stream into
-  sharded columnar micro-batches and finalise reads an incremental
-  snapshot instead of refitting (see ``repro.service.adapter``).
+Campaign storage and aggregation run on an
+:class:`~repro.service.ingest.IngestService`: ``announce_campaign``
+registers the campaign there, every collected submission is submitted
+to it, and ``finalise`` reads the campaign's
+:class:`~repro.service.snapshot.TruthSnapshot`.  Small campaigns fit
+their method on the claims held (a repeated claim for one user and
+object replaces the earlier one); large CRH/GTM/CATD campaigns stream
+(see :func:`~repro.service.aggregator.resolve_backend`).
 
 Campaigns are *closed* by finalise: submissions that arrive afterwards
 (stragglers, duplicates, replays) are counted and logged per campaign
@@ -35,8 +34,6 @@ from repro.crowdsensing.messages import (
     TaskAssignment,
 )
 from repro.crowdsensing.transport import InProcessTransport
-from repro.truthdiscovery.claims import ClaimMatrix
-from repro.truthdiscovery.registry import create_method
 from repro.utils.logging import get_logger
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -56,9 +53,9 @@ class AggregationServer:
         Transport identity; must keep the ``server`` prefix so the
         transport can audit user-to-user traffic.
     service:
-        Optional :class:`~repro.service.ingest.IngestService`; when
-        given, campaign storage and aggregation run on the sharded
-        micro-batching pipeline instead of in-memory lists.
+        The :class:`~repro.service.ingest.IngestService` campaigns run
+        on — pass one for a durable, sharded or budget-ledgered
+        deployment.  Default: a fresh in-process service.
     """
 
     def __init__(
@@ -73,24 +70,20 @@ class AggregationServer:
                 "server node ids must start with 'server' (the transport "
                 "uses the prefix to audit user-to-user traffic)"
             )
+        if service is None:
+            # Imported here: repro.service.ingest imports this package.
+            from repro.service.ingest import IngestService
+
+            service = IngestService()
         self.node_id = node_id
         self._transport = transport
-        self._submissions: dict[str, list[ClaimSubmission]] = {}
+        self._service = service
+        self._announced: set[str] = set()
         self._closed: set[str] = set()
         self._late_counts: dict[str, int] = {}
         self._unknown_counts: dict[str, int] = {}
-        self._adapter = None
-        if service is not None:
-            from repro.service.adapter import ServiceCampaignAdapter
-
-            self._adapter = ServiceCampaignAdapter(service)
 
     # ------------------------------------------------------------------
-    @property
-    def uses_service(self) -> bool:
-        """True when campaigns run on the ingestion-service backend."""
-        return self._adapter is not None
-
     @property
     def late_submission_counts(self) -> dict[str, int]:
         """Per-campaign submissions that arrived after finalise closed it."""
@@ -104,16 +97,33 @@ class AggregationServer:
     def announce_campaign(
         self, spec: CampaignSpec, user_ids: list[str]
     ) -> int:
-        """Send the task assignment to every user; returns the send count."""
-        self._submissions[spec.campaign_id] = []
-        self._closed.discard(spec.campaign_id)
+        """Register the campaign and send the task assignment to every
+        user; returns the send count.
+
+        Re-announcing a campaign starts a fresh round: the service's
+        state for the old round is discarded.  Only the announced users
+        hold a slot, so a submission from anyone else is refused.
+        """
+        campaign_id = spec.campaign_id
+        self._announced.add(campaign_id)
+        self._closed.discard(campaign_id)
         # A fresh round starts with a clean late-arrival counter;
         # round N's stragglers must not show up against round N+1.
-        self._late_counts.pop(spec.campaign_id, None)
-        if self._adapter is not None:
-            self._adapter.register(spec, user_ids)
+        self._late_counts.pop(campaign_id, None)
+        if self._service.has_campaign(campaign_id):
+            self._service.unregister_campaign(campaign_id)
+        # Slots in id order: a refit then sees its users in the report's
+        # contributor order, whatever order they were announced in.
+        slot_ids = sorted(set(user_ids))
+        self._service.register_campaign(
+            campaign_id,
+            spec.object_ids,
+            max_users=max(len(slot_ids), 1),
+            user_ids=slot_ids,
+            method=spec.method,
+        )
         assignment = TaskAssignment(
-            campaign_id=spec.campaign_id,
+            campaign_id=campaign_id,
             object_ids=tuple(spec.object_ids),
             lambda2=spec.lambda2,
             deadline=spec.deadline,
@@ -122,18 +132,17 @@ class AggregationServer:
         for user_id in user_ids:
             self._transport.send(self.node_id, user_id, assignment)
             sent += 1
-        _LOGGER.debug(
-            "campaign %s announced to %d users", spec.campaign_id, sent
-        )
+        _LOGGER.debug("campaign %s announced to %d users", campaign_id, sent)
         return sent
 
     def collect(self) -> dict[str, int]:
-        """Drain the server inbox, filing submissions.
+        """Drain the server inbox into the service.
 
         Returns the number of accepted submissions per campaign.  Late
-        submissions (for campaigns already finalised) and submissions
-        for unknown campaigns are logged and counted — never silently
-        dropped — but excluded from the returned counts.
+        submissions (for campaigns already finalised), submissions for
+        unknown campaigns and submissions the service refuses are
+        logged and counted — never silently dropped — but excluded from
+        the returned counts.
         """
         counts: dict[str, int] = {}
         for message in self._transport.receive(self.node_id):
@@ -152,8 +161,7 @@ class AggregationServer:
                     self._late_counts[campaign_id],
                 )
                 continue
-            bucket = self._submissions.get(campaign_id)
-            if bucket is None:
+            if campaign_id not in self._announced:
                 self._unknown_counts[campaign_id] = (
                     self._unknown_counts.get(campaign_id, 0) + 1
                 )
@@ -162,28 +170,17 @@ class AggregationServer:
                     campaign_id,
                 )
                 continue
-            if self._adapter is not None:
-                result = self._adapter.offer(message)
-                if not result.ok:
-                    continue
-            else:
-                bucket.append(message)
+            result = self._service.submit(message)
+            if not result.ok:
+                _LOGGER.warning(
+                    "service rejected submission from %s for %s: %s",
+                    message.user_id,
+                    campaign_id,
+                    result.reason,
+                )
+                continue
             counts[campaign_id] = counts.get(campaign_id, 0) + 1
         return counts
-
-    def submissions_for(self, campaign_id: str) -> list[ClaimSubmission]:
-        """Submissions filed for a campaign (classic backend only).
-
-        The service backend streams submissions into columnar batches
-        and does not retain message bodies; failing loudly beats
-        silently reporting an empty inbox.
-        """
-        if self._adapter is not None:
-            raise RuntimeError(
-                "submission bodies are not retained on the service "
-                "backend; inspect the service's snapshots/stats instead"
-            )
-        return list(self._submissions.get(campaign_id, []))
 
     # ------------------------------------------------------------------
     def finalise(
@@ -194,54 +191,52 @@ class AggregationServer:
         announce: bool = True,
     ) -> CampaignReport:
         """Aggregate the collected submissions for ``spec`` (Algorithm 2
-        line 6), close the campaign, and optionally publish the result."""
-        if self._adapter is not None:
-            truths, weights, contributors = self._adapter.finalise(spec)
-            num_received = len(contributors)
+        line 6), close the campaign, and optionally publish the result.
+
+        The campaign fails — no truths — when fewer than
+        ``spec.min_contributors`` distinct users contributed claims, or
+        when an object received none (its truth would be a placeholder).
+        A campaign never announced here fails with no contributors.
+        """
+        campaign_id = spec.campaign_id
+        truths = weights = None
+        contributors: tuple = ()
+        if campaign_id in self._announced:
+            snapshot = self._service.snapshot(campaign_id)
+            contributors = tuple(sorted(snapshot.weights_by_user))
+        num_received = len(contributors)
+        self._closed.add(campaign_id)
+
+        # min_contributors >= 1: a campaign never announced stops here.
+        if num_received < spec.min_contributors:
+            _LOGGER.warning(
+                "campaign %s failed: %d contributors < %d required",
+                campaign_id,
+                num_received,
+                spec.min_contributors,
+            )
+        elif not snapshot.seen_objects.all():
+            _LOGGER.warning(
+                "campaign %s failed: %d of %d objects received no claims",
+                campaign_id,
+                int((~snapshot.seen_objects).sum()),
+                len(spec.object_ids),
+            )
         else:
-            submissions = self._submissions.get(spec.campaign_id, [])
-            # Deduplicate by user (keep the last submission, e.g. a retry).
-            latest: dict[str, ClaimSubmission] = {}
-            for sub in submissions:
-                latest[sub.user_id] = sub
-            contributors = tuple(sorted(latest))
-            num_received = len(latest)
-
-            truths = weights = None
-            if num_received >= spec.min_contributors:
-                claims = ClaimMatrix.from_submissions(
-                    (latest[user] for user in contributors),
-                    user_ids=contributors,
-                    object_ids=spec.object_ids,
-                )
-                method = create_method(spec.method)
-                result = method.fit(claims)
-                truths = result.truths
-                weights = result.weights
-
-        self._closed.add(spec.campaign_id)
-        if truths is not None:
+            truths = snapshot.truths.copy()
+            weights = np.array(
+                [snapshot.weights_by_user[u] for u in contributors],
+                dtype=float,
+            )
             if announce:
                 announcement = AggregateAnnouncement(
-                    campaign_id=spec.campaign_id,
+                    campaign_id=campaign_id,
                     object_ids=tuple(spec.object_ids),
                     truths=tuple(float(t) for t in truths),
                     num_contributors=num_received,
                 )
                 for user_id in contributors:
                     self._transport.send(self.node_id, user_id, announcement)
-        elif num_received < spec.min_contributors:
-            _LOGGER.warning(
-                "campaign %s failed: %d contributors < %d required",
-                spec.campaign_id,
-                num_received,
-                spec.min_contributors,
-            )
-        else:
-            # Quorum was met but the backend still withheld the result
-            # (service path: incomplete object coverage — the adapter
-            # already logged the specific cause).
-            _LOGGER.warning("campaign %s failed", spec.campaign_id)
 
         return CampaignReport(
             spec=spec,

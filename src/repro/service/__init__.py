@@ -3,7 +3,8 @@
 The paper's protocol assumes a cloud server absorbing perturbed claims
 from large crowds; this package is that server's serving layer, built
 for rate rather than for protocol fidelity (which lives in
-``repro.crowdsensing``):
+``repro.crowdsensing``, whose ``AggregationServer`` runs every campaign
+on an :class:`IngestService`):
 
 * :class:`IngestService` — the front door: validation, privacy-budget
   admission (:class:`BudgetLedger`), campaign sharding
@@ -17,8 +18,6 @@ for rate rather than for protocol fidelity (which lives in
   full-refit fallback for tiny campaigns and unstreamable methods;
 * :class:`TruthSnapshot` — immutable read-side truth/weight views,
   queryable at any time mid-stream;
-* :class:`ServiceCampaignAdapter` — runs the existing crowdsensing
-  protocol on top of the service;
 * :class:`LoadGenerator` — seeded synthetic traffic; the throughput
   and latency benchmark that drives it lives outside the package
   (``python3 benchmarks/e2e/run.py``).
@@ -31,7 +30,6 @@ from repro.service.aggregator import (
     make_aggregator,
     resolve_backend,
 )
-from repro.service.adapter import ServiceCampaignAdapter
 from repro.service.batcher import MicroBatcher
 from repro.service.ingest import (
     IngestResult,
@@ -56,7 +54,6 @@ __all__ = [
     "IngestService",
     "LoadGenerator",
     "MicroBatcher",
-    "ServiceCampaignAdapter",
     "ServiceConfig",
     "ServiceStats",
     "Shard",

@@ -3,7 +3,7 @@
 The write path (queues, batchers, shards) never hands out references to
 its mutable buffers.  Readers instead receive a :class:`TruthSnapshot` —
 an immutable copy of one campaign's current truths, weights, and
-ingestion counters — so a dashboard or the crowdsensing adapter can poll
+ingestion counters — so a dashboard or the crowdsensing server can poll
 fresh aggregates at any time without racing the hot path.
 """
 

@@ -1,6 +1,8 @@
 """Crowdsensing-over-service integration tests (plus a slow target check)."""
 
-import numpy as np
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.crowdsensing import (
@@ -12,6 +14,23 @@ from repro.crowdsensing import (
 from repro.crowdsensing.messages import ClaimSubmission
 from repro.crowdsensing.server import AggregationServer
 from repro.service import IngestService, ServiceConfig
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "crowdsensing"))
+from classic_server_reference import classic_finalise  # noqa: E402
+
+
+class RecordingTransport(InProcessTransport):
+    """Keeps every message the server drains, in arrival order."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.server_inbox: list = []
+
+    def receive(self, node_id: str) -> list:
+        messages = super().receive(node_id)
+        if node_id == "server":
+            self.server_inbox.extend(messages)
+        return messages
 
 
 def observations(num_users: int) -> dict:
@@ -26,19 +45,21 @@ class TestServiceBackedCampaigns:
         spec = CampaignSpec(
             campaign_id="parity", object_ids=("o1", "o2"), lambda2=2.0
         )
-        classic = run_campaign(
-            spec, build_devices(observations(8), random_state=5),
-            random_state=5,
-        )
+        transport = RecordingTransport(random_state=5)
         service = IngestService(ServiceConfig(num_shards=2, max_batch=4))
         served = run_campaign(
             spec, build_devices(observations(8), random_state=5),
-            random_state=5, service=service,
+            transport=transport, service=service,
+        )
+        truths, weights, contributors, received = classic_finalise(
+            spec, transport.server_inbox
         )
         assert served.succeeded
-        assert served.contributors == classic.contributors
-        # Same dedup'd dense claims, same method: identical aggregates.
-        np.testing.assert_allclose(served.truths, classic.truths, atol=1e-9)
+        assert served.contributors == contributors
+        assert served.submissions_received == received == 8
+        # Same claims, same batch fit: the same bits.
+        assert served.truths.tobytes() == truths.tobytes()
+        assert served.weights.tobytes() == weights.tobytes()
 
     def test_quorum_enforced_on_service_path(self):
         spec = CampaignSpec(
@@ -70,32 +91,33 @@ class TestServiceBackedCampaigns:
         # cannot do this.
         snap = service.snapshot("live")
         assert snap.truth_for("o1") == pytest.approx(4.0)
-        # Message bodies are not retained on this backend: loud failure
-        # instead of a silently empty inbox.
-        with pytest.raises(RuntimeError, match="not retained"):
-            server.submissions_for("live")
         report = server.finalise(spec, assignments_sent=2)
         assert report.succeeded
 
     def test_uncovered_objects_fail_the_campaign(self):
         """No published truth may be a 0.0 placeholder for an unclaimed
-        object."""
-        transport = InProcessTransport(random_state=0)
-        service = IngestService(ServiceConfig(num_shards=1))
-        server = AggregationServer(transport, service=service)
-        spec = CampaignSpec(
-            campaign_id="gaps", object_ids=("o1", "o2"), lambda2=1.0,
-            min_contributors=1,
-        )
-        server.announce_campaign(spec, ["u1"])
-        transport.drain_until_idle()
-        transport.send(
-            "u1", "server", ClaimSubmission("gaps", "u1", ("o1",), (4.0,))
-        )
-        transport.drain_until_idle()
-        server.collect()
-        report = server.finalise(spec, assignments_sent=1, announce=False)
-        assert not report.succeeded  # o2 never received a claim
+        object, and a round that leaves one unclaimed fails, whichever
+        service the server runs on (``None``: its own)."""
+        for service in (IngestService(ServiceConfig(num_shards=1)), None):
+            transport = InProcessTransport(random_state=0)
+            server = AggregationServer(transport, service=service)
+            spec = CampaignSpec(
+                campaign_id="gaps", object_ids=("o1", "o2"), lambda2=1.0,
+                min_contributors=1,
+            )
+            server.announce_campaign(spec, ["u1", "u2"])
+            transport.drain_until_idle()
+            for user, value in (("u1", 4.0), ("u2", 5.0)):
+                transport.send(
+                    user, "server",
+                    ClaimSubmission("gaps", user, ("o1",), (value,)),
+                )
+                transport.drain_until_idle()
+            server.collect()
+            report = server.finalise(spec, assignments_sent=2, announce=False)
+            assert not report.succeeded  # o2 never received a claim
+            assert report.truths is None and report.weights is None
+            assert report.contributors == ("u1", "u2")
 
     def test_finalise_without_announce_fails_like_classic_path(self):
         transport = InProcessTransport(random_state=0)
@@ -133,7 +155,7 @@ class TestServiceBackedCampaigns:
 
 
 class TestServerRegressions:
-    """Late/duplicate submission handling on the classic path."""
+    """Late/duplicate submission handling on the server's own service."""
 
     def test_collect_returns_per_campaign_counts(self):
         transport = InProcessTransport(random_state=0)
@@ -141,7 +163,7 @@ class TestServerRegressions:
         for cid in ("a", "b"):
             server.announce_campaign(
                 CampaignSpec(campaign_id=cid, object_ids=("o1",), lambda2=1.0),
-                [],
+                ["u1", "u2"],
             )
         transport.send("u1", "server", ClaimSubmission("a", "u1", ("o1",), (1.0,)))
         transport.send("u2", "server", ClaimSubmission("a", "u2", ("o1",), (2.0,)))
@@ -213,3 +235,50 @@ class TestServerRegressions:
         assert report.submissions_received == 1
         assert report.truths[0] == pytest.approx(3.0)  # last retry wins
 
+    def test_retry_over_a_subset_replaces_cell_by_cell(self):
+        """Below the full-refit switch a repeated (user, object) claim
+        replaces that cell only; the user's other claims stand."""
+        transport = InProcessTransport(random_state=0)
+        server = AggregationServer(transport)
+        spec = CampaignSpec(
+            campaign_id="cells", object_ids=("o1", "o2"), lambda2=1.0,
+            method="mean",
+        )
+        server.announce_campaign(spec, ["u1", "u2"])
+        for sub in (
+            ClaimSubmission("cells", "u1", ("o1", "o2"), (1.0, 5.0)),
+            ClaimSubmission("cells", "u2", ("o1", "o2"), (2.0, 6.0)),
+            ClaimSubmission("cells", "u1", ("o1",), (1.5,)),  # the retry
+        ):
+            transport.send(sub.user_id, "server", sub)
+            transport.drain_until_idle()
+        assert server.collect() == {"cells": 3}
+        report = server.finalise(spec, assignments_sent=2, announce=False)
+        assert report.submissions_received == 2
+        assert report.truths.tolist() == [1.75, 5.5]
+
+    def test_submission_from_an_unannounced_user_is_refused(self, caplog):
+        transport = InProcessTransport(random_state=0)
+        service = IngestService(ServiceConfig(num_shards=1))
+        server = AggregationServer(transport, service=service)
+        spec = CampaignSpec(
+            campaign_id="closed-list", object_ids=("o1",), lambda2=1.0,
+            min_contributors=1,
+        )
+        server.announce_campaign(spec, ["u1"])
+        for user, value in (("u1", 1.0), ("stranger", 9.0)):
+            transport.send(
+                user, "server",
+                ClaimSubmission("closed-list", user, ("o1",), (value,)),
+            )
+            transport.drain_until_idle()
+        with caplog.at_level("WARNING", logger="repro.crowdsensing.server"):
+            assert server.collect() == {"closed-list": 1}
+        assert service.stats.rejected_capacity == 1
+        assert any(
+            "stranger" in r.getMessage() and "capacity" in r.getMessage()
+            for r in caplog.records
+        )
+        report = server.finalise(spec, assignments_sent=1, announce=False)
+        assert report.contributors == ("u1",)
+        assert report.truths.tolist() == [1.0]

@@ -154,6 +154,31 @@ def test_cli_import_leaves_the_figure_code_out():
     )
 
 
+#: One whole protocol round; the server always runs on an in-process
+#: ``IngestService``, and that must not drag in any deployment stack.
+CAMPAIGN_ROUND = """
+import sys
+from repro.crowdsensing import CampaignSpec, build_devices, run_campaign
+spec = CampaignSpec(campaign_id="c", object_ids=("a", "b"), lambda2=1.0)
+devices = build_devices(
+    {"u1": {"a": 1.0, "b": 2.0}, "u2": {"a": 1.5, "b": 2.5}}, random_state=0
+)
+assert run_campaign(spec, devices, random_state=0).succeeded
+loaded = {"repro.workers", "repro.net", "repro.replication", "repro.durable"}
+sys.exit(", ".join(sorted(loaded & set(sys.modules))) or 0)
+"""
+
+
+def test_campaign_round_loads_no_deployment_stack():
+    proc = subprocess.run(
+        [sys.executable, "-c", CAMPAIGN_ROUND],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_one_pool_and_no_drill_in_the_library():
     import repro.chaos
     import repro.net
