@@ -8,8 +8,10 @@ topology the ``repro.replication`` package exists for:
    write-ahead log shipping to a warm standby (a ``repro standby``
    subprocess) as part of ordinary service construction;
 2. claims stream through the primary; every committed group is shipped
-   post-fsync and the standby acks it only after *its own* fsync, then
-   replays it into live aggregators;
+   post-fsync — the WAL's own frames, sent from the segment file with
+   ``sendfile`` — and the standby verifies each frame, stores it
+   unchanged and acks only after *its own* fsync, then replays it into
+   live aggregators: its log is the primary's bytes;
 3. the standby serves snapshot reads over :class:`ReplicaReadClient`
    while the primary keeps ingesting — reads that never touch the
    primary's log;
@@ -31,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.durable import DurabilityConfig, DurabilityManager, RecoveryManager
+from repro.durable.wal import SEGMENT_MAGIC, list_segments, split_frames
 from repro.privacy.ldp import LDPGuarantee
 from repro.service import (
     BudgetLedger,
@@ -42,6 +45,14 @@ from repro.service import (
 
 CHUNK = 512
 CLAIMS = 30_000
+
+
+def frames_up_to(directory: Path, lsn: int) -> bytes:
+    """A log's frames at or below ``lsn``, segment magics stripped."""
+    stream = b"".join(
+        seg.read_bytes()[len(SEGMENT_MAGIC):] for seg in list_segments(directory)
+    )
+    return b"".join(f.frame for f in split_frames(stream) if f.lsn <= lsn)
 
 
 def main() -> None:
@@ -95,6 +106,13 @@ def main() -> None:
             f"({link['bytes_shipped']:,} bytes) to the standby, "
             f"lag {link['lag_lsn']} LSNs"
         )
+        shipped = frames_up_to(primary_dir, watermark)
+        same_log = frames_up_to(service.standbys.handles[0].directory, watermark) == shipped
+        print(
+            f"  standby log {'is' if same_log else 'is NOT'} the primary's "
+            f"{len(shipped):,} frame bytes up to LSN {watermark}"
+        )
+        assert same_log, "standby log differs from the primary's!"
 
         print("\n== replica reads while the primary ingests ==")
         primary_snap = service.snapshot(gen.campaign_id)

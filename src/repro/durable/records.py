@@ -163,7 +163,7 @@ class WorkItem:
         try:
             (cid_len,) = _U16.unpack_from(payload, 0)
             offset = _U16.size
-            cid = payload[offset:offset + cid_len].decode("utf-8")
+            cid = str(payload[offset:offset + cid_len], "utf-8")
             offset += cid_len
             (flags,) = _U8.unpack_from(payload, offset)
             offset += _U8.size
@@ -250,7 +250,11 @@ def encode_batch_parts(
 
 @dataclass(frozen=True)
 class WalRecord:
-    """One decoded write-ahead-log entry."""
+    """One decoded write-ahead-log entry.
+
+    ``payload`` is bytes, or a byte view into the frame it came in (a
+    replica applies its primary's frames without copying them).
+    """
 
     lsn: int
     rtype: int
@@ -262,7 +266,7 @@ class WalRecord:
             return WorkItem.from_bytes(self.payload)
         if self.rtype in _JSON_TYPES:
             try:
-                return json.loads(self.payload.decode("utf-8"))
+                return json.loads(str(self.payload, "utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise RecordError(
                     f"malformed JSON record (type {self.rtype}): {exc}"

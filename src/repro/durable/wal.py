@@ -17,7 +17,9 @@ Commit semantics
 ----------------
 
 Every record takes one path.  :meth:`WriteAheadLog.append` assigns the
-LSN and *stages* ``(type, LSN, payload buffers)``; a *drain* commits
+LSN and *stages* ``(type, LSN, payload buffers)`` — or, for a replica,
+:meth:`WriteAheadLog.append_frames` stages its primary's frames, which
+:func:`split_frames` verified, as they are; a *drain* commits
 everything staged as one group — one ``os.writev`` per segment it
 touches (split further only at ``IOV_MAX``), then one ``fdatasync``
 unless the policy is ``never`` — and only then advances the monotone
@@ -94,7 +96,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Iterator, NamedTuple, Optional, Union
 
 from repro.chaos import points as _chaos
 from repro.durable.records import RECORD_TYPES, WalRecord
@@ -121,6 +123,8 @@ FSYNC_POLICIES = ("never", "batch", "always")
 _FRAME_HEADER = struct.Struct("<II")  # body length, CRC-32
 _BODY_HEADER = struct.Struct("<BQ")  # record type, LSN
 _FRAME_OVERHEAD = _FRAME_HEADER.size + _BODY_HEADER.size
+#: Both headers at once: body length, CRC-32, record type, LSN.
+_FRAME_PREFIX = struct.Struct("<IIBQ")
 
 #: Hard ceiling on a single frame body; anything larger in a file is
 #: treated as corruption rather than an allocation request.
@@ -196,6 +200,62 @@ class WalError(RuntimeError):
 
 class WalCorruptionError(WalError):
     """The log is damaged somewhere recovery cannot safely skip."""
+
+
+class WalFrame(NamedTuple):
+    """One whole frame of the log — length, CRC and body — as stored."""
+
+    lsn: int
+    rtype: int
+    frame: memoryview
+
+    @property
+    def record(self) -> WalRecord:
+        """The record it carries; the payload is a view into ``frame``."""
+        return WalRecord(self.lsn, self.rtype, self.frame[_FRAME_OVERHEAD:])
+
+
+def split_frames(data) -> list[WalFrame]:
+    """Every frame of ``data``, which must be whole frames back to back.
+
+    Strict where :func:`_iter_frames` is lenient: each frame's declared
+    length must fit the bounds and the bytes that remain, its CRC must
+    match and its record type must be known, and nothing may follow the
+    last frame.  Any defect raises :class:`WalCorruptionError` naming
+    it; LSN order is the caller's to check.
+    """
+    view = memoryview(data).cast("B")
+    size = len(view)
+    frames: list[WalFrame] = []
+    offset = 0
+    while offset < size:
+        if size - offset < _FRAME_OVERHEAD:
+            raise WalCorruptionError(
+                f"frame at byte {offset} is truncated mid-header "
+                f"({size - offset} of {_FRAME_OVERHEAD} bytes)"
+            )
+        length, crc, rtype, lsn = _FRAME_PREFIX.unpack_from(view, offset)
+        body_start = offset + _FRAME_HEADER.size
+        end = body_start + length
+        if length < _BODY_HEADER.size or length > MAX_BODY_BYTES:
+            raise WalCorruptionError(
+                f"frame at byte {offset} declares a body of {length} "
+                f"bytes (bounds {_BODY_HEADER.size}..{MAX_BODY_BYTES})"
+            )
+        if end > size:
+            raise WalCorruptionError(
+                f"frame at lsn {lsn} declares a body of {length} bytes; "
+                f"{size - body_start} follow its header"
+            )
+        if zlib.crc32(view[body_start:end]) != crc:
+            raise WalCorruptionError(f"frame at lsn {lsn} fails its CRC")
+        if rtype not in RECORD_TYPES:
+            raise WalCorruptionError(
+                f"frame at lsn {lsn} has unknown record type {rtype}"
+            )
+        frames.append(WalFrame(lsn, rtype, view[offset:end]))
+        offset = end
+    return frames
 
 
 def segment_path(directory: Path, first_lsn: int) -> Path:
@@ -564,17 +624,55 @@ class WriteAheadLog:
             with self._commit_cv:
                 self.check_append()
                 lsn = self._next_lsn
-                self._next_lsn = lsn + 1
-                self.records_written += 1
-                self._staging.append((rtype, lsn, parts, payload_len))
-                self._staged_bytes += _FRAME_OVERHEAD + payload_len
-                full = self._staged_bytes >= self._stage_high_water
-                if full and self._async:
-                    self._commit_requested = True
-                    self._commit_cv.notify_all()
+                full = self._stage([(rtype, lsn, parts, payload_len)])
             if not self._async and (full or self._fsync == "always"):
                 self._drain()
         return lsn
+
+    def append_frames(self, frames) -> int:
+        """Stage already-framed records unchanged; returns the last LSN.
+
+        ``frames`` are :class:`WalFrame` s that :func:`split_frames`
+        verified, carrying the LSNs this log assigns next, in order (a
+        replica storing its primary's frames).  Nothing is re-framed or
+        CRC'd again: each frame's bytes are written as they are, under
+        the rotation rule and commit semantics of :meth:`append`, and
+        must not be mutated until they are durable.
+        """
+        entries = [
+            (None, lsn, (frame,), len(frame) - _FRAME_OVERHEAD)
+            for lsn, _rtype, frame in frames
+        ]
+        with self._io_lock:
+            with self._commit_cv:
+                self.check_append()
+                for expected, entry in enumerate(entries, self._next_lsn):
+                    if entry[1] != expected:
+                        raise WalError(
+                            f"frame at lsn {entry[1]} does not continue "
+                            f"the log at lsn {expected}"
+                        )
+                full = self._stage(entries)
+            if not self._async and (full or self._fsync == "always"):
+                self._drain()
+        return self._next_lsn - 1
+
+    def _stage(self, entries: list) -> bool:
+        """Queue ``(rtype, lsn, parts, payload_len)`` entries for the next
+        drain (both locks held); an rtype of None marks ``parts`` as one
+        whole frame.  Returns whether staging reached the high-water mark,
+        having already woken the async writer if so."""
+        self._next_lsn += len(entries)
+        self.records_written += len(entries)
+        self._staging.extend(entries)
+        self._staged_bytes += sum(
+            _FRAME_OVERHEAD + entry[3] for entry in entries
+        )
+        full = self._staged_bytes >= self._stage_high_water
+        if full and self._async:
+            self._commit_requested = True
+            self._commit_cv.notify_all()
+        return full
 
     def check_append(self) -> None:
         """Raise :class:`WalError` where :meth:`append` would: the log
@@ -817,7 +915,8 @@ class WriteAheadLog:
                 buffers.append(SEGMENT_MAGIC)
                 size += len(SEGMENT_MAGIC)
             last_frame, last_frame_start = len(buffers), size
-            buffers.append(_frame_header(rtype, lsn, parts, payload_len))
+            if rtype is not None:
+                buffers.append(_frame_header(rtype, lsn, parts, payload_len))
             buffers.extend(parts)
             size += frame_len
             self._segment_bytes += frame_len

@@ -74,25 +74,31 @@ class FrameReader:
         """Absorb ``data``; return every frame completed by it."""
         self._buffer.extend(data)
         frames: list[tuple[int, bytes]] = []
-        view = self._buffer
+        size = len(self._buffer)
         offset = 0
-        while len(view) - offset >= _HEADER.size:
-            length, rtype = _HEADER.unpack_from(view, offset)
-            if length < 1:
-                raise FramingError(
-                    "frame declares a length of 0 bytes, which cannot "
-                    "hold its type byte"
+        # A view, so each payload is copied out once (slicing the
+        # bytearray itself would copy it twice); released before the
+        # buffer is trimmed.
+        with memoryview(self._buffer) as view:
+            while size - offset >= _HEADER.size:
+                length, rtype = _HEADER.unpack_from(view, offset)
+                if length < 1:
+                    raise FramingError(
+                        "frame declares a length of 0 bytes, which cannot "
+                        "hold its type byte"
+                    )
+                if length > self._max:
+                    raise FramingError(
+                        f"frame declares {length} bytes, above the "
+                        f"{self._max}-byte ceiling — corrupt stream?"
+                    )
+                end = offset + _HEADER.size - 1 + length
+                if size < end:
+                    break  # partial tail; wait for more bytes
+                frames.append(
+                    (rtype, view[offset + _HEADER.size:end].tobytes())
                 )
-            if length > self._max:
-                raise FramingError(
-                    f"frame declares {length} bytes, above the "
-                    f"{self._max}-byte ceiling — corrupt stream?"
-                )
-            end = offset + _HEADER.size - 1 + length
-            if len(view) < end:
-                break  # partial tail; wait for more bytes
-            frames.append((rtype, bytes(view[offset + _HEADER.size:end])))
-            offset = end
+                offset = end
         if offset:
             del self._buffer[:offset]
         return frames

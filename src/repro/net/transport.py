@@ -4,10 +4,13 @@
 parent-side worker machinery already speaks against a pipe —
 ``send_bytes`` / ``poll(timeout)`` / ``close`` — plus a ``recv_frame``
 fast path that :func:`repro.workers.protocol.recv_frame` prefers when
-present.  Because sockets fragment where pipes did not, every received
-chunk goes through the shared :class:`~repro.net.framing.FrameReader`;
-a frame is "available" (``poll`` returns True) only once all its bytes
-are buffered, so the caller never blocks mid-frame.
+present, and ``send_file_range``, which sends a frame whose payload is
+a byte range of a file (the replication stream's WAL frames) by
+``os.sendfile``.  Because sockets fragment where pipes did not, every
+received chunk goes through the shared
+:class:`~repro.net.framing.FrameReader`; a frame is "available"
+(``poll`` returns True) only once all its bytes are buffered, so the
+caller never blocks mid-frame.
 
 :class:`SocketListener` is the accepting side; :func:`connect` the
 dialling side.  Both default to localhost — the fabric's first target
@@ -23,6 +26,7 @@ the retry loop, for callers dialling a peer that is still booting.
 
 from __future__ import annotations
 
+import os
 import select
 import socket
 import threading
@@ -41,6 +45,10 @@ _LOGGER = get_logger("net.transport")
 #: Bytes per ``recv`` call; large enough that a state-RPC payload
 #: crosses in a few syscalls, small enough to stay allocation-friendly.
 RECV_CHUNK = 1 << 16
+
+#: Send flag that holds a frame header back until its body follows
+#: (Linux; elsewhere the header leaves on its own).
+_MSG_MORE = getattr(socket, "MSG_MORE", 0)
 
 
 class SocketConnection:
@@ -71,6 +79,42 @@ class SocketConnection:
     # ------------------------------------------------------------------
     def send_bytes(self, data: bytes) -> None:
         """Write one complete buffer (blocking until fully sent)."""
+        self._send_all(self._sending_socket(), memoryview(data))
+
+    def send_file_range(
+        self, header: bytes, fd: int, offset: int, count: int
+    ) -> None:
+        """Write ``header``, then ``count`` bytes of the file ``fd`` from
+        ``offset`` (blocking until all are sent).
+
+        The file bytes go by ``os.sendfile``: the kernel copies them
+        from the page cache, with the interpreter lock released, and a
+        partial send resumes where it stopped, as :meth:`send_bytes`
+        does.  The same fault points fire, once per call.
+        """
+        sock = self._sending_socket()
+        # Held back for the body, so a small frame leaves as one packet.
+        self._send_all(sock, memoryview(header), _MSG_MORE)
+        while count:
+            try:
+                sent = os.sendfile(sock.fileno(), fd, offset, count)
+            except BlockingIOError:
+                select.select([], [sock], [])
+                continue
+            except BrokenPipeError:
+                raise
+            except ConnectionError as exc:
+                raise BrokenPipeError(str(exc)) from exc
+            if sent == 0:
+                raise OSError(
+                    f"file ended {count} byte(s) short of the range to send"
+                )
+            offset += sent
+            count -= sent
+
+    def _sending_socket(self) -> socket.socket:
+        """The socket, once the ``net.delay`` / ``net.send`` fault points
+        have had their say about this send."""
         if self._sock is None:
             raise OSError("connection is closed")
         delay = _chaos.fire("net.delay")
@@ -86,12 +130,17 @@ class SocketConnection:
             raise BrokenPipeError(
                 f"chaos: injected connection reset (#{reset.index})"
             )
-        view = memoryview(data)
+        return self._sock
+
+    @staticmethod
+    def _send_all(
+        sock: socket.socket, view: memoryview, flags: int = 0
+    ) -> None:
         while view:
             try:
-                sent = self._sock.send(view)
+                sent = sock.send(view, flags)
             except BlockingIOError:
-                select.select([], [self._sock], [])
+                select.select([], [sock], [])
                 continue
             except BrokenPipeError:
                 raise

@@ -7,14 +7,22 @@ range: durable record types own 1..31, worker control frames own
 
 Stream shape (sender = primary, dialing; standby = listening):
 
-1. sender → ``HELLO`` (JSON: format version, primary identity);
+1. sender → ``HELLO`` (JSON: format version, primary identity); a
+   standby refuses any format but its own (:data:`REPLICATION_FORMAT`)
+   by name;
 2. standby → ``CURSOR`` (u64: its durable-ack watermark — the LSN of
    the last record it holds on its own disk);
-3. sender → ``RECORDS`` groups (each a batch of committed WAL records
-   above the cursor), answered one-for-one by standby → ``ACK`` (u64:
-   the standby's new durable watermark).  The ack is sent only after
-   the standby's *own* WAL has committed the group, which is what makes
-   the cursor crash-safe on both ends;
+3. sender → ``RECORDS`` groups, answered one-for-one by standby →
+   ``ACK`` (u64: the standby's new durable watermark).  A group's
+   payload is a run of committed WAL frames above the cursor, exactly
+   as the primary's segment file holds them (``u32`` body length |
+   ``u32`` CRC-32 | ``u8`` type | ``u64`` LSN | payload, see
+   :mod:`repro.durable.wal`): the sender ``sendfile``s the bytes
+   without reading them, and the standby checks every frame's bounds,
+   CRC, type and LSN (:func:`verify_records`) and stores the frames
+   unchanged.  The ack is sent only after the standby's *own* WAL has
+   committed the group, which is what makes the cursor crash-safe on
+   both ends;
 4. when the cursor predates the primary's compaction floor the suffix
    no longer exists; the sender ships a covering ``CHECKPOINT`` (the
    newest checkpoint file's bytes, whose header carries its LSN) first
@@ -40,11 +48,12 @@ from __future__ import annotations
 import json
 import struct
 
-from repro.durable.records import WalRecord
+from repro.durable.wal import WalCorruptionError, WalFrame, split_frames
 from repro.workers.protocol import ProtocolError
 
-#: Protocol format version carried in HELLO.
-REPLICATION_FORMAT = 1
+#: Protocol format version carried in HELLO: 2 ships RECORDS groups as
+#: the WAL's own frames (format 1 re-encoded each record).
+REPLICATION_FORMAT = 2
 
 # Frame types (50..69 reserved for replication).
 HELLO = 50
@@ -67,9 +76,6 @@ WD_VOTE_RESP = 63
 WD_PROMOTED = 64
 
 _LSN = struct.Struct("<Q")
-_COUNT = struct.Struct("<I")
-#: Per-record header inside a RECORDS group: type, LSN, payload length.
-_REC_HEADER = struct.Struct("<BQI")
 
 
 def encode_json(body: dict) -> bytes:
@@ -100,43 +106,30 @@ def decode_lsn(payload: bytes) -> int:
     return _LSN.unpack(payload)[0]
 
 
-def encode_records(records: list[WalRecord]) -> bytes:
-    """One RECORDS group: count, then (type | LSN | length | payload)*."""
-    parts = [_COUNT.pack(len(records))]
-    for record in records:
-        payload = bytes(record.payload)
-        parts.append(
-            _REC_HEADER.pack(record.rtype, record.lsn, len(payload))
-        )
-        parts.append(payload)
-    return b"".join(parts)
+def verify_records(payload: bytes, after_lsn: int) -> list[WalFrame]:
+    """The frames of one RECORDS group above ``after_lsn``, verified.
 
-
-def decode_records(payload: bytes) -> list[WalRecord]:
-    """Inverse of :func:`encode_records`; validates framing exactly."""
-    if len(payload) < _COUNT.size:
-        raise ProtocolError("RECORDS group too short for its count")
-    (count,) = _COUNT.unpack_from(payload, 0)
-    offset = _COUNT.size
-    records: list[WalRecord] = []
-    for _ in range(count):
-        if offset + _REC_HEADER.size > len(payload):
-            raise ProtocolError("RECORDS group truncated mid-header")
-        rtype, lsn, length = _REC_HEADER.unpack_from(payload, offset)
-        offset += _REC_HEADER.size
-        if offset + length > len(payload):
-            raise ProtocolError("RECORDS group truncated mid-payload")
-        records.append(
-            WalRecord(
-                lsn=lsn,
-                rtype=rtype,
-                payload=payload[offset:offset + length],
+    ``payload`` is whole WAL frames back to back, as the primary's
+    segment holds them.  Each frame's length bounds, CRC and record type
+    are checked (:func:`~repro.durable.wal.split_frames`) and the LSNs
+    must run on one by one.  Frames at or below ``after_lsn`` — history
+    a reconnect replays — are dropped, and the first frame above it must
+    be ``after_lsn + 1``.  Any defect raises :class:`ProtocolError`
+    naming it, before the caller has stored or applied anything.
+    """
+    try:
+        frames = split_frames(payload)
+    except WalCorruptionError as exc:
+        raise ProtocolError(f"RECORDS group refused: {exc}") from exc
+    for before, frame in zip(frames, frames[1:]):
+        if frame.lsn != before.lsn + 1:
+            raise ProtocolError(
+                f"RECORDS group refused: lsn {frame.lsn} follows "
+                f"lsn {before.lsn}"
             )
-        )
-        offset += length
-    if offset != len(payload):
+    fresh = [frame for frame in frames if frame.lsn > after_lsn]
+    if fresh and fresh[0].lsn != after_lsn + 1:
         raise ProtocolError(
-            f"RECORDS group has {len(payload) - offset} trailing byte(s)"
+            f"stream gap: expected lsn {after_lsn + 1}, got {fresh[0].lsn}"
         )
-    return records
-
+    return fresh

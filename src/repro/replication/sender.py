@@ -14,12 +14,18 @@ replication cursor on both ends:
   exactly what survived on the standby's disk.
 
 One shipping thread per standby (a :class:`_StandbyLink`) wakes on the
-WAL's post-fsync commit hook, drains the committed suffix through an
+WAL's post-fsync commit hook, locates the committed suffix through an
 incremental :class:`~repro.durable.stream.WalTailReader`, and ships it
-in bounded groups.  A link that reconnects (or whose cursor fell below
-the primary's compaction floor) resynchronises: records still on disk
-are re-read from the cursor; records compaction dropped are covered by
-shipping the newest checkpoint file's bytes first.
+in bounded groups: each group is one RECORDS frame header followed by
+a byte range of a segment file, sent with ``os.sendfile`` — the frames
+as the WAL wrote them, never read or copied in this process.  A link
+that reconnects (or whose cursor fell below the primary's compaction
+floor) resynchronises: records still on disk are located again from
+the cursor; records compaction dropped are covered by shipping the
+newest checkpoint file's bytes first.  A link whose standby refuses a
+group (a frame that fails its CRC, say) or whose log cannot be walked
+to the watermark records the error in ``last_error`` and reconnects
+under its backoff.
 
 Sync modes:
 
@@ -47,15 +53,15 @@ from repro.replication import protocol as rp
 from repro.utils.backoff import Backoff
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
-from repro.workers.protocol import recv_frame, send_frame
+from repro.workers.protocol import frame_header, recv_frame, send_frame
 
 _LOGGER = get_logger("replication.sender")
 
 SYNC_MODES = ("async", "semi-sync")
 
-#: Soft cap on one RECORDS group's payload bytes; large committed
-#: suffixes are shipped as several groups so acks (and semi-sync
-#: progress) flow during catch-up.
+#: Soft cap on one RECORDS group's payload bytes (a larger frame ships
+#: alone); large committed suffixes are shipped as several groups so
+#: acks (and semi-sync progress) flow during catch-up.
 MAX_GROUP_BYTES = 4 * 1024 * 1024
 
 
@@ -162,19 +168,23 @@ class _StandbyLink:
             self.ack_lsn = max(self.ack_lsn, cursor)
             sender.ack_cv.notify_all()
         reader = WalTailReader(sender.wal.directory, after_lsn=cursor)
-        while not sender.stopped:
-            durable = sender.wal.durable_lsn
-            try:
-                records = reader.poll(durable)
-            except TailGapError:
-                # The suffix above the cursor was compacted away; a
-                # checkpoint covers the dropped prefix.
-                reader = self._resync(conn, reader.next_lsn - 1)
-                continue
-            if records:
-                self._ship(conn, records)
-                continue
-            sender.wait_for_commit(reader.next_lsn)
+        try:
+            while not sender.stopped:
+                durable = sender.wal.durable_lsn
+                try:
+                    span = reader.poll(durable, max_bytes=MAX_GROUP_BYTES)
+                except TailGapError:
+                    # The suffix above the cursor was compacted away; a
+                    # checkpoint covers the dropped prefix.
+                    reader.close()
+                    reader = self._resync(conn, reader.next_lsn - 1)
+                    continue
+                if span is not None:
+                    self._ship(conn, span)
+                    continue
+                sender.wait_for_commit(reader.next_lsn)
+        finally:
+            reader.close()
 
     def _resync(self, conn, cursor: int) -> WalTailReader:
         """Cursor fell below the retained log: ship a covering
@@ -203,20 +213,24 @@ class _StandbyLink:
         )
         return WalTailReader(sender.wal.directory, after_lsn=lsn)
 
-    def _ship(self, conn, records) -> None:
+    def _ship(self, conn, span) -> None:
+        """One RECORDS group: the span's frames, straight from the file."""
         sender = self.sender
-        for group in _bounded_groups(records):
-            payload = rp.encode_records(group)
-            start = time.perf_counter()
-            send_frame(conn, rp.RECORDS, payload)
-            ack = self._await_ack(conn)
-            self.ship_histogram.observe(time.perf_counter() - start)
-            self.records_shipped += len(group)
-            self.bytes_shipped += len(payload)
-            self.groups_shipped += 1
-            with sender.ack_cv:
-                self.ack_lsn = max(self.ack_lsn, ack)
-                sender.ack_cv.notify_all()
+        start = time.perf_counter()
+        conn.send_file_range(
+            frame_header(rp.RECORDS, span.length),
+            span.fd,
+            span.offset,
+            span.length,
+        )
+        ack = self._await_ack(conn)
+        self.ship_histogram.observe(time.perf_counter() - start)
+        self.records_shipped += span.last_lsn - span.first_lsn + 1
+        self.bytes_shipped += span.length
+        self.groups_shipped += 1
+        with sender.ack_cv:
+            self.ack_lsn = max(self.ack_lsn, ack)
+            sender.ack_cv.notify_all()
 
     def _await_ack(self, conn) -> int:
         rtype, payload = recv_frame(conn)
@@ -227,22 +241,6 @@ class _StandbyLink:
         if rtype != rp.ACK:
             raise ReplicationError(f"expected ACK, got frame {rtype}")
         return rp.decode_lsn(payload)
-
-
-def _bounded_groups(records):
-    """Split a record run into groups of at most MAX_GROUP_BYTES."""
-    group: list = []
-    size = 0
-    for record in records:
-        record_bytes = len(record.payload) + rp._REC_HEADER.size
-        if group and size + record_bytes > MAX_GROUP_BYTES:
-            yield group
-            group = []
-            size = 0
-        group.append(record)
-        size += record_bytes
-    if group:
-        yield group
 
 
 class ReplicationSender:

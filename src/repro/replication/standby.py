@@ -2,10 +2,11 @@
 promotes on demand.
 
 A :class:`StandbyServer` owns its *own* WAL generation of the primary's
-log: every shipped record is appended with its primary LSN (the stream
-is contiguous, so the standby's frames are byte-identical to the
-primary's), group-committed, **acked only after its own fsync**, and
-then replayed into a live :class:`~repro.service.ingest.IngestService`
+log: every shipped frame is verified (bounds, CRC, type, contiguous
+LSN) and stored unchanged, so the standby's frames are the primary's
+bytes by construction; the group is committed, **acked only after its
+own fsync**, and then replayed into a live
+:class:`~repro.service.ingest.IngestService`
 through the same :class:`~repro.durable.recovery.RecordApplier` crash
 recovery uses.  That ordering — append, commit, ack, apply — makes the
 standby's directory independently recoverable and its in-memory truths
@@ -261,8 +262,9 @@ class StandbyServer(FrameServer):
                 rp.encode_json(
                     {
                         "error": (
-                            f"replication format mismatch: standby "
-                            f"speaks {rp.REPLICATION_FORMAT}"
+                            f"replication format {body.get('format')!r} "
+                            f"refused: this standby speaks format "
+                            f"{rp.REPLICATION_FORMAT}"
                         )
                     }
                 ),
@@ -281,7 +283,10 @@ class StandbyServer(FrameServer):
         return True
 
     def _on_records(self, conn, payload: bytes) -> bool:
-        records = rp.decode_records(payload)
+        """Verify a RECORDS group whole, store its frames unchanged,
+        commit, ack, then apply.  A refused group (see
+        :func:`~repro.replication.protocol.verify_records`) stores and
+        applies nothing and leaves the cursor where it was."""
         with self._apply_lock:
             if self._promoted or self._wal is None:
                 send_frame(
@@ -290,45 +295,27 @@ class StandbyServer(FrameServer):
                     rp.encode_json({"error": "standby no longer replicates"}),
                 )
                 return False
-            fresh = []
+            frames = rp.verify_records(payload, self._wal.last_lsn)
+            records = [frame.record for frame in frames]
             for record in records:
-                if record.lsn <= self._wal.last_lsn:
-                    # Duplicate after a reconnect: already durable here.
-                    continue
-                if record.lsn != self._wal.next_lsn:
-                    send_frame(
-                        conn,
-                        rp.REPL_ERROR,
-                        rp.encode_json(
-                            {
-                                "error": (
-                                    f"stream gap: expected lsn "
-                                    f"{self._wal.next_lsn}, got "
-                                    f"{record.lsn}"
-                                )
-                            }
-                        ),
-                    )
-                    return False
                 if record.rtype == rec.CONFIG:
                     # A newer layout is refused before it is stored.
                     check_format_version(
                         record.decode(), f"CONFIG record {record.lsn}"
                     )
-                self._wal.append(record.rtype, record.payload)
-                fresh.append(record)
+            self._wal.append_frames(frames)
             # Durable before acked: the sender's cursor must never run
             # ahead of what this disk can replay after a crash.
             self._wal.sync()
             send_frame(
                 conn, rp.ACK, rp.encode_lsn(self._wal.durable_lsn)
             )
-            for record in fresh:
+            for record in records:
                 # Bumped before applying: a record that fails half-way
                 # has still changed what a read would see.
                 self._applied_lsn = record.lsn
                 self._apply(record)
-            if fresh:
+            if records:
                 self.groups_applied += 1
         return True
 

@@ -80,9 +80,15 @@ class ProtocolError(RecordError):
 
 def encode_frame(rtype: int, payload: bytes) -> bytes:
     """One length-prefixed frame as bytes."""
+    return frame_header(rtype, len(payload)) + payload
+
+
+def frame_header(rtype: int, payload_len: int) -> bytes:
+    """The length prefix and type byte of a frame whose ``payload_len``
+    payload bytes follow it on the stream."""
     if not 0 < rtype < 256:
         raise ProtocolError(f"frame type must fit a u8, got {rtype}")
-    return _HEADER.pack(len(payload) + 1, rtype) + payload
+    return _HEADER.pack(payload_len + 1, rtype)
 
 
 def decode_frame(frame: bytes) -> tuple[int, bytes]:

@@ -1,5 +1,6 @@
 """SocketListener / SocketConnection: the mp.Connection surface on TCP."""
 
+import os
 import socket
 import threading
 
@@ -131,3 +132,69 @@ class TestEdges:
             # until the RST surfaces.
             for _ in range(64):
                 client.send_bytes(proto.encode_frame(5, b"x" * 65536))
+
+
+class TestFileRange:
+    """send_file_range: a frame header, then a file's bytes by sendfile."""
+
+    def test_tiny_send_buffer_forces_partial_sendfiles(
+        self, pair, tmp_path, monkeypatch
+    ):
+        server, client = pair
+        client._sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        data = os.urandom(1 << 20)
+        path = tmp_path / "segment"
+        path.write_bytes(data)
+        offset, count = 12345, len(data) - 20000
+        calls = []
+        real = os.sendfile
+
+        def counting(out_fd, in_fd, at, n):
+            sent = real(out_fd, in_fd, at, n)
+            calls.append((n, sent))
+            return sent
+
+        monkeypatch.setattr(os, "sendfile", counting)
+        with open(path, "rb") as fh:
+            sender = threading.Thread(
+                target=client.send_file_range,
+                args=(proto.frame_header(52, count), fh.fileno(), offset, count),
+            )
+            sender.start()
+            try:
+                rtype, got = proto.recv_frame(server)
+            finally:
+                sender.join(30.0)
+        assert (rtype, got) == (52, data[offset:offset + count])
+        assert any(sent < n for n, sent in calls), "no partial sendfile"
+        assert sum(sent for _, sent in calls) == count
+
+    def test_fault_point_resets_before_any_byte(self, pair, tmp_path):
+        from repro.chaos import points as chaos_points
+        from repro.chaos.plan import FaultPlan
+
+        server, client = pair
+        path = tmp_path / "segment"
+        path.write_bytes(b"x" * 100)
+        plan = FaultPlan(0, rates={"net.send": 1.0, "net.delay": 0.0})
+        with chaos_points.installed(plan), open(path, "rb") as fh:
+            with pytest.raises(BrokenPipeError, match="injected connection reset"):
+                client.send_file_range(proto.frame_header(52, 100), fh.fileno(), 0, 100)
+        assert plan.counts() == {"net.send": 1}
+        assert client.closed
+        with pytest.raises(EOFError):
+            proto.recv_frame(server)  # the peer saw a clean end, no partial frame
+
+    def test_file_shorter_than_the_range_raises(self, pair, tmp_path):
+        _server, client = pair
+        path = tmp_path / "segment"
+        path.write_bytes(b"x" * 10)
+        with open(path, "rb") as fh:
+            with pytest.raises(OSError, match="short of the range"):
+                client.send_file_range(proto.frame_header(52, 20), fh.fileno(), 0, 20)
+
+    def test_closed_connection_raises(self, pair, tmp_path):
+        _server, client = pair
+        client.close()
+        with pytest.raises(OSError, match="closed"):
+            client.send_file_range(b"", 0, 0, 1)

@@ -1,31 +1,52 @@
-"""Property: replication resume reproduces a byte-identical WAL.
+"""Property: a standby's log is its primary's bytes, however it is shipped.
 
-A standby's log is built by appending the shipped ``(rtype, payload)``
-pairs in LSN order — frames are deterministic functions of
-``(rtype, lsn, payload)``, so the standby's committed frame stream
-must be byte-for-byte the primary's, *no matter where the stream was
-cut and resumed*.
-That is the invariant the replication cursor rests on: reconnecting at
-an arbitrary durable watermark and replaying the suffix through
-:class:`~repro.durable.stream.WalTailReader` may leave no seam.
+A RECORDS group is a run of the primary's WAL frames, located by
+:class:`~repro.durable.stream.WalTailReader` and stored by the standby
+unchanged once each frame is verified, so the standby's committed frame
+stream must be byte-for-byte the primary's — *no matter where the
+stream was cut, split into groups, or resumed*, and whatever segment
+boundaries fall inside a group.  And it must be what the per-record
+path frozen in ``tests/replication/per_record_reference.py`` wrote (one
+``append`` per decoded record), with the applied truths and spent
+budget bitwise equal to that path's.
 """
 
+import os
+import sys
 import tempfile
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.durable.records import RECORD_TYPES
+from repro.durable import DurabilityConfig, DurabilityManager, RecordApplier
+from repro.durable import records as rec
+from repro.durable.recovery import service_from_config
 from repro.durable.stream import WalTailReader
-from repro.durable.wal import SEGMENT_MAGIC, WriteAheadLog, list_segments
+from repro.durable.wal import (
+    SEGMENT_MAGIC,
+    WriteAheadLog,
+    list_segments,
+    split_frames,
+)
+from repro.privacy.ldp import LDPGuarantee
+from repro.replication import protocol as rp
+from repro.replication.standby import StandbyServer
+from repro.service.ingest import IngestService, ServiceConfig
+from repro.service.ledger import BudgetLedger
+from repro.service.loadgen import LoadGenerator
+from repro.service.topology import Topology
+from repro.workers.protocol import decode_frame
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "replication"))
+import per_record_reference as reference  # noqa: E402
 
 #: Small segments so multi-record runs exercise rotation too.
 SEGMENT_BYTES = 2048
 
 records_strategy = st.lists(
     st.tuples(
-        st.sampled_from(RECORD_TYPES),
+        st.sampled_from(rec.RECORD_TYPES),
         st.binary(min_size=0, max_size=200),
     ),
     min_size=1,
@@ -33,9 +54,9 @@ records_strategy = st.lists(
 )
 
 
-def write_primary(directory: Path, records) -> None:
+def write_primary(directory: Path, records, segment_bytes=SEGMENT_BYTES) -> None:
     with WriteAheadLog(
-        directory, fsync="never", max_segment_bytes=SEGMENT_BYTES
+        directory, fsync="never", max_segment_bytes=segment_bytes
     ) as wal:
         for rtype, payload in records:
             wal.append(rtype, payload)
@@ -56,6 +77,23 @@ def frame_stream(directory: Path) -> bytes:
     )
 
 
+def groups(directory: Path, after_lsn: int, watermarks, max_bytes=None):
+    """The RECORDS payloads a sender ships from ``after_lsn`` while the
+    durable watermark steps through ``watermarks``."""
+    with WalTailReader(directory, after_lsn=after_lsn) as reader:
+        for up_to in watermarks:
+            while (span := reader.poll(up_to, max_bytes=max_bytes)) is not None:
+                yield os.pread(span.fd, span.length, span.offset)
+
+
+def store_group(wal: WriteAheadLog, payload: bytes) -> None:
+    """The standby's store step: verify, append the frames unchanged."""
+    frames = rp.verify_records(payload, wal.last_lsn)
+    if frames:
+        assert wal.append_frames(frames) == frames[-1].lsn
+    wal.sync()
+
+
 @settings(max_examples=30, deadline=None)
 @given(records=records_strategy, data=st.data())
 def test_resume_from_any_split_is_byte_identical(records, data):
@@ -74,10 +112,8 @@ def test_resume_from_any_split_is_byte_identical(records, data):
         wal = WriteAheadLog(
             standby, fsync="never", max_segment_bytes=SEGMENT_BYTES
         )
-        reader = WalTailReader(primary, after_lsn=0)
-        for record in reader.poll(split):
-            assert wal.append(record.rtype, record.payload) == record.lsn
-        wal.sync()
+        for payload in groups(primary, 0, [split]):
+            store_group(wal, payload)
         wal.close()
 
         # Session two: a fresh handle resumes after what survived on
@@ -89,10 +125,8 @@ def test_resume_from_any_split_is_byte_identical(records, data):
             max_segment_bytes=SEGMENT_BYTES,
             start_lsn=split + 1,
         )
-        reader = WalTailReader(primary, after_lsn=split)
-        for record in reader.poll(last):
-            assert wal.append(record.rtype, record.payload) == record.lsn
-        wal.sync()
+        for payload in groups(primary, split, [last]):
+            store_group(wal, payload)
         wal.close()
 
         assert frame_stream(standby) == frame_stream(primary)
@@ -101,8 +135,9 @@ def test_resume_from_any_split_is_byte_identical(records, data):
 @settings(max_examples=30, deadline=None)
 @given(records=records_strategy, data=st.data())
 def test_tail_reader_suffix_matches_source(records, data):
-    """The reader emits exactly the records above the cursor, with
-    payloads intact, regardless of where the cursor sits."""
+    """The located frames are exactly the records above the cursor,
+    payloads intact, regardless of where the cursor sits — the records
+    the per-record reader emits."""
     cursor = data.draw(
         st.integers(min_value=0, max_value=len(records)),
         label="cursor",
@@ -110,9 +145,201 @@ def test_tail_reader_suffix_matches_source(records, data):
     with tempfile.TemporaryDirectory() as tmp:
         primary = Path(tmp) / "primary"
         write_primary(primary, records)
-        out = WalTailReader(primary, after_lsn=cursor).poll(len(records))
-        assert [(r.lsn, r.rtype, bytes(r.payload)) for r in out] == [
+        shipped = b"".join(groups(primary, cursor, [len(records)]))
+        out = [
+            (f.lsn, f.rtype, bytes(f.record.payload))
+            for f in split_frames(shipped)
+        ]
+        assert out == [
             (lsn, rtype, payload)
             for lsn, (rtype, payload) in enumerate(records, start=1)
             if lsn > cursor
         ]
+        old = reference.PerRecordTailReader(primary, after_lsn=cursor)
+        assert out == [
+            (r.lsn, r.rtype, bytes(r.payload)) for r in old.poll(len(records))
+        ]
+
+
+@st.composite
+def sessions(draw, last: int):
+    """Reconnect points in ``[0, last]`` ending at ``last``; per session,
+    the watermarks the primary's durable LSN steps through and how far
+    below the standby's cursor the new reader starts (a reconnect that
+    replays history the standby already holds)."""
+    ends = sorted(set(draw(st.lists(st.integers(0, last), max_size=3)) + [last]))
+    plan = []
+    for end in ends:
+        steps = draw(st.lists(st.integers(0, end), max_size=3))
+        plan.append((sorted(steps) + [end], draw(st.integers(0, 3))))
+    return plan
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    records=records_strategy,
+    primary_segment=st.integers(64, 1024),
+    standby_segment=st.integers(64, 1024),
+    max_bytes=st.one_of(st.none(), st.integers(1, 1024)),
+    data=st.data(),
+)
+def test_shipped_frames_match_primary_and_per_record_reference(
+    records, primary_segment, standby_segment, max_bytes, data
+):
+    """Ship splits, group caps, segment rotation on both sides mid-group
+    and reconnects that replay history: the standby's frame stream is
+    the primary's and the per-record reference's, byte for byte."""
+    plan = data.draw(sessions(len(records)), label="sessions")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_primary(root / "primary", records, primary_segment)
+        cursor = 0
+        for watermarks, back in plan:
+            with WriteAheadLog(
+                root / "standby", fsync="never",
+                max_segment_bytes=standby_segment, start_lsn=cursor + 1,
+            ) as wal:
+                start = max(cursor - back, 0)
+                for payload in groups(root / "primary", start, watermarks, max_bytes):
+                    store_group(wal, payload)
+                cursor = wal.last_lsn
+        assert cursor == len(records)
+
+        # The per-record path over the same sessions.
+        cursor = 0
+        for watermarks, back in plan:
+            with WriteAheadLog(
+                root / "reference", fsync="never",
+                max_segment_bytes=standby_segment, start_lsn=cursor + 1,
+            ) as wal:
+                reader = reference.PerRecordTailReader(
+                    root / "primary", after_lsn=max(cursor - back, 0)
+                )
+                for up_to in watermarks:
+                    group = reference.encode_records(reader.poll(up_to))
+                    reference.store(wal, reference.decode_records(group))
+                    wal.sync()
+                cursor = wal.last_lsn
+
+        primary = frame_stream(root / "primary")
+        assert frame_stream(root / "standby") == primary
+        assert frame_stream(root / "reference") == primary
+
+
+# ---------------------------------------------------------------------------
+# Applied state: a real primary's log, shipped to a StandbyServer.
+
+
+class Replies:
+    """The reply side of a hand-driven replication connection."""
+
+    def __init__(self) -> None:
+        self.frames = []
+
+    def send_bytes(self, data: bytes) -> None:
+        self.frames.append(decode_frame(data))
+
+
+def run_primary(root: Path, chunks: int, chunk_size: int, devices: int,
+                segment_bytes: int, seed: int) -> int:
+    """A durable primary: one campaign charging a ledger, bulk chunks
+    and device submissions; returns its last LSN once closed."""
+    gen = LoadGenerator("prop-c0", num_users=30, num_objects=8, random_state=seed)
+    manager = DurabilityManager(DurabilityConfig(
+        directory=root / "primary", fsync="never", max_segment_bytes=segment_bytes
+    ))
+    service = IngestService(
+        ServiceConfig(num_shards=2, max_batch=64),
+        ledger=BudgetLedger(epsilon_cap=100.0),
+        topology=Topology.in_process(durability=manager),
+    )
+    try:
+        service.register_campaign(
+            gen.campaign_id, gen.object_ids, max_users=30,
+            user_ids=gen.user_ids, cost=LDPGuarantee(epsilon=0.01, delta=0.0),
+        )
+        for chunk in gen.column_chunks(chunks * chunk_size, chunk_size=chunk_size):
+            service.submit_columns(
+                chunk.campaign_id, chunk.user_slots, chunk.object_slots, chunk.values
+            )
+            for submission in gen.submissions(devices) if devices else ():
+                service.submit(submission)
+            service.pump()
+        service.flush()
+    finally:
+        service.close()
+        manager.close()
+    return manager.wal.durable_lsn
+
+
+def applied(service):
+    """Every campaign's served state and the spent budget, as bytes."""
+    state = {}
+    for cid in service.campaign_ids:
+        snap = service.campaign_state(cid).folded_snapshot()
+        state[cid] = (
+            snap.truths.tobytes(), snap.contributor_weights.tobytes(),
+            list(snap.contributor_ids), snap.claims_ingested,
+        )
+    return state, service.ledger.to_records()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    chunks=st.integers(1, 5),
+    chunk_size=st.integers(1, 200),
+    devices=st.integers(0, 3),
+    segment_bytes=st.integers(512, 8192),
+    max_bytes=st.one_of(st.none(), st.integers(1, 4096)),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_standby_applies_what_the_per_record_reference_applies(
+    chunks, chunk_size, devices, segment_bytes, max_bytes, seed, data
+):
+    """A StandbyServer fed the primary's frames — split, capped and
+    resumed across standby restarts — holds the primary's frame stream
+    and applies truths and budget bitwise equal to the per-record
+    path's."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        last = run_primary(root, chunks, chunk_size, devices, segment_bytes, seed)
+        plan = data.draw(sessions(last), label="sessions")
+
+        standby = None
+        try:
+            for watermarks, back in plan:
+                standby = StandbyServer(root / "standby", fsync="never")
+                replies = Replies()
+                start = max(standby.durable_lsn - back, 0)
+                for payload in groups(root / "primary", start, watermarks, max_bytes):
+                    assert standby._dispatch(replies, rp.RECORDS, payload)
+                assert all(rtype == rp.ACK for rtype, _ in replies.frames)
+                if watermarks[-1] < last:
+                    standby.stop()  # reconnect: a restart resumes the cursor
+            assert standby.durable_lsn == last
+            shipped = applied(standby.service)
+        finally:
+            if standby is not None:
+                standby.stop()
+
+        # The per-record path: decode, append one by one, apply.
+        with WriteAheadLog(root / "reference", fsync="never") as wal:
+            group = reference.PerRecordTailReader(root / "primary").poll(last)
+            fresh = reference.store(
+                wal, reference.decode_records(reference.encode_records(group))
+            )
+            service = applier = None
+            for record in fresh:
+                if record.rtype == rec.CONFIG:
+                    service = service_from_config(record.decode())
+                    applier = RecordApplier(service)
+                else:
+                    applier.apply(record)
+        try:
+            assert shipped == applied(service)
+        finally:
+            service.close()
+        primary = frame_stream(root / "primary")
+        assert frame_stream(root / "standby") == primary
+        assert frame_stream(root / "reference") == primary

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from full_read_reference import assert_same_read, decode, full_read
 from repro.durable import DurabilityConfig, DurabilityManager
-from repro.durable.stream import WalTailReader
 from repro.net.transport import FrameServer, connect
 from repro.replication import protocol as rp
 from repro.replication.client import ReplicaError, ReplicaReadClient
@@ -32,7 +31,13 @@ from repro.service.loadgen import LoadGenerator
 from repro.service.topology import Topology
 from repro.workers import protocol as proto
 from repro.workers.protocol import recv_frame, send_frame
-from test_standby import attach_sender, feed, quiesce, wait_shipped
+from test_standby import (
+    attach_sender,
+    committed_frames,
+    feed,
+    quiesce,
+    wait_shipped,
+)
 
 
 class FastStandby(StandbyServer):
@@ -225,16 +230,16 @@ class ReadHarness:
     # ------------------------------------------------------------------
     def ship(self) -> None:
         self.manager.sync()
-        records = WalTailReader(
-            self.manager.wal.directory, after_lsn=self.shipped
-        ).poll(self.manager.durable_lsn)
-        if not records:
+        durable = self.manager.durable_lsn
+        if durable == self.shipped:
             return
-        send_frame(self.link, rp.RECORDS, rp.encode_records(records))
+        send_frame(self.link, rp.RECORDS, committed_frames(
+            self.manager.wal.directory, self.shipped, durable
+        ))
         rtype, payload = recv_frame(self.link)
         assert rtype == rp.ACK
         self.shipped = rp.decode_lsn(payload)
-        assert self.shipped == records[-1].lsn
+        assert self.shipped == durable
         self._barrier()
 
     def chunk(self, campaign_id: str, new_users: int, seed: int) -> None:

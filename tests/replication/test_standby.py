@@ -8,9 +8,11 @@ exercised without subprocesses.
 """
 
 import contextlib
+import os
 import socket
 import struct
 import tempfile
+import threading
 import time
 import zlib
 from pathlib import Path
@@ -24,10 +26,19 @@ from repro.durable import FORMAT_VERSION, DurabilityConfig, DurabilityManager
 from repro.durable import records as rec
 from repro.durable.checkpoint import encode_file, unpack_payload, verify_file
 from repro.durable.stream import TailGapError, WalTailReader
+from repro.chaos import points as chaos_points
+from repro.chaos.plan import FaultPlan
+from repro.durable.wal import (
+    SEGMENT_MAGIC,
+    _frame_header,
+    list_segments,
+    split_frames,
+)
 from repro.net.transport import connect
 from repro.privacy.ldp import LDPGuarantee
 from repro.replication import protocol as rp
 from repro.replication.client import ReplicaError, ReplicaReadClient
+from repro.replication import sender as sender_module
 from repro.replication.sender import ReplicationSender
 from repro.replication.standby import StandbyError, StandbyServer
 from repro.service.ingest import IngestService, ServiceConfig
@@ -125,6 +136,71 @@ def ledger_key(records):
     return sorted(
         (r["user_id"], r["epsilon"], r["delta"]) for r in records
     )
+
+
+def committed_frames(directory, after_lsn: int, up_to_lsn: int) -> bytes:
+    """The primary's frames with ``after_lsn < lsn <= up_to_lsn``, as
+    its segments hold them: the payload of a RECORDS group."""
+    parts = []
+    with WalTailReader(directory, after_lsn=after_lsn) as reader:
+        while (span := reader.poll(up_to_lsn)) is not None:
+            parts.append(os.pread(span.fd, span.length, span.offset))
+    return b"".join(parts)
+
+
+def wal_frame(rtype: int, lsn: int, payload: bytes) -> bytes:
+    """One record framed as the WAL frames it."""
+    return _frame_header(rtype, lsn, (payload,), len(payload)) + payload
+
+
+def frame_stream(directory: Path) -> bytes:
+    """Every frame of a log in LSN order, segment magics stripped."""
+    return b"".join(
+        seg.read_bytes()[len(SEGMENT_MAGIC):] for seg in list_segments(directory)
+    )
+
+
+def wait_for(condition, *, timeout=10.0, what="condition"):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, f"timed out waiting for {what}"
+        time.sleep(0.01)
+
+
+def flip(data: bytes, index: int) -> bytes:
+    return data[:index] + bytes([data[index] ^ 1]) + data[index + 1:]
+
+
+def with_length(frame: bytes, length: int) -> bytes:
+    return length.to_bytes(4, "little") + frame[4:]
+
+
+def retyped(frame: bytes, rtype: int) -> bytes:
+    """``frame`` with its record type replaced and its CRC made to fit."""
+    lsn = int.from_bytes(frame[9:17], "little")
+    return wal_frame(rtype, lsn, frame[17:])
+
+
+#: Hostile RECORDS groups built from a run of at least three of the
+#: primary's frames above the standby's cursor, and the words of each
+#: refusal.
+HOSTILE_GROUPS = {
+    "truncated-mid-header": lambda f: (b"".join(f[:-1]) + f[-1][:10], "mid-header"),
+    "truncated-mid-body": lambda f: (b"".join(f)[:-1], "follow its header"),
+    "flipped-crc": lambda f: (flip(f[0], 4) + b"".join(f[1:]), "fails its CRC"),
+    "flipped-payload": lambda f: (b"".join(f[:-1]) + flip(f[-1], len(f[-1]) - 1),
+                                  "fails its CRC"),
+    "length-above-max-body": lambda f: (with_length(f[0], (1 << 30) + 1), "declares a body"),
+    "length-past-the-body": lambda f: (with_length(b"".join(f), len(b"".join(f))),
+                                       "follow its header"),
+    "length-below-body-header": lambda f: (with_length(f[0], 3), "declares a body"),
+    "unknown-rtype": lambda f: (retyped(f[0], 200), "unknown record type 200"),
+    "lsn-gap": lambda f: (b"".join(f[1:]), "stream gap"),
+    "gap-inside-the-group": lambda f: (f[0] + f[2], "follows lsn"),
+    "duplicate-frame": lambda f: (f[0] + f[0], "follows lsn"),
+    "reordered-frames": lambda f: (f[0] + f[2] + f[1], "follows lsn"),
+    "trailing-bytes": lambda f: (b"".join(f) + b"\x00", "mid-header"),
+}
 
 
 def free_port() -> int:
@@ -509,11 +585,11 @@ class TestStreamIntegrity:
         address = ("127.0.0.1", standby.start())
         try:
             before = directory_bytes(tmp_path / "sb0")
-            config = rec.WalRecord(1, rec.CONFIG, rec.encode_json_payload(
+            config = wal_frame(rec.CONFIG, 1, rec.encode_json_payload(
                 {"version": FORMAT_VERSION + 1, "layout": "unknown"}
             ))
             with open_stream(address, 0) as conn:
-                send_frame(conn, rp.RECORDS, rp.encode_records([config]))
+                send_frame(conn, rp.RECORDS, config)
                 rtype, payload = recv_frame(conn)
             assert rtype == rp.REPL_ERROR
             assert (
@@ -586,10 +662,8 @@ class TestStreamIntegrity:
             watermark = quiesce(service, manager, sender)
             applied_before = standby.records_applied
 
-            first = WalTailReader(
-                manager.wal.directory, after_lsn=0
-            ).poll(1)
-            assert len(first) == 1
+            first = committed_frames(manager.wal.directory, 0, 1)
+            assert [frame.lsn for frame in split_frames(first)] == [1]
 
             conn = connect(address, timeout=10.0)
             try:
@@ -607,7 +681,7 @@ class TestStreamIntegrity:
                 # A duplicate of an already-durable record (a reconnect
                 # replaying history) is acked at the unchanged
                 # watermark and never re-applied.
-                send_frame(conn, rp.RECORDS, rp.encode_records(first))
+                send_frame(conn, rp.RECORDS, first)
                 rtype, payload = recv_frame(conn)
                 assert rtype == rp.ACK
                 assert rp.decode_lsn(payload) == watermark
@@ -615,20 +689,112 @@ class TestStreamIntegrity:
 
                 # A gap (skipped LSNs) must never be appended: the
                 # standby's log would stop being the primary's prefix.
-                gap = [
-                    type(first[0])(
-                        lsn=watermark + 5,
-                        rtype=first[0].rtype,
-                        payload=b"",
-                    )
-                ]
-                send_frame(conn, rp.RECORDS, rp.encode_records(gap))
+                gap = wal_frame(rec.REFRESH, watermark + 5, b"")
+                send_frame(conn, rp.RECORDS, gap)
                 rtype, payload = recv_frame(conn)
                 assert rtype == rp.REPL_ERROR
                 assert "stream gap" in rp.decode_json(payload)["error"]
                 assert standby.durable_lsn == watermark
             finally:
                 conn.close()
+        finally:
+            service.close()
+            standby.stop()
+
+    def test_corrupt_committed_frame_is_refused_by_lsn(self, tmp_path):
+        """One payload byte of committed frame 3 flipped on the
+        primary's disk: the standby refuses the group naming lsn 3,
+        stores and applies nothing, and the link records the refusal
+        and keeps redialling — instead of shipping 1-2 and then waiting
+        silently below the watermark forever."""
+        gen, chunks = make_traffic(total_chunks=4)
+        standby = StandbyServer(tmp_path / "sb0")
+        address = ("127.0.0.1", standby.start())
+        service, manager = primary_service(tmp_path)
+        try:
+            register(service, gen)
+            feed(service, chunks)
+            service.flush()
+            manager.sync()
+            assert manager.wal.durable_lsn >= 5
+            segment = list_segments(manager.wal.directory)[0]
+            frames = split_frames(segment.read_bytes()[len(SEGMENT_MAGIC):])
+            assert frames[2].lsn == 3
+            end = len(SEGMENT_MAGIC) + sum(len(f.frame) for f in frames[:3])
+            with open(segment, "r+b") as fh:
+                fh.seek(end - 1)
+                byte = fh.read(1)[0]
+                fh.seek(end - 1)
+                fh.write(bytes([byte ^ 0xFF]))
+
+            sender = attach_sender(manager, [address])
+            link = sender.links[0]
+            wait_for(
+                lambda: "lsn 3 fails its CRC" in (link.last_error or ""),
+                what="the link to record the refusal",
+            )
+            wait_for(lambda: link.reconnects >= 2, what="a redial")
+            assert standby.durable_lsn == 0 and standby.records_applied == 0
+            assert link.ack_lsn == 0
+        finally:
+            service.close()
+            standby.stop()
+
+    def test_format_1_peer_refused_by_name(self, tmp_path):
+        standby = StandbyServer(tmp_path / "sb0")
+        address = ("127.0.0.1", standby.start())
+        try:
+            conn = connect(address, timeout=10.0)
+            try:
+                send_frame(conn, rp.HELLO, rp.encode_json({"format": 1}))
+                rtype, payload = recv_frame(conn)
+            finally:
+                conn.close()
+            assert rtype == rp.REPL_ERROR
+            assert rp.decode_json(payload)["error"] == (
+                "replication format 1 refused: this standby speaks format 2"
+            )
+        finally:
+            standby.stop()
+
+    @pytest.mark.parametrize("name", sorted(HOSTILE_GROUPS))
+    def test_hostile_group_changes_nothing(self, tmp_path, name):
+        """A refused RECORDS group appends nothing, applies nothing and
+        leaves the cursor where it was; the stream then goes on."""
+        gen, chunks = make_traffic(total_chunks=4)
+        standby = StandbyServer(tmp_path / "sb0")
+        address = ("127.0.0.1", standby.start())
+        service, manager = primary_service(tmp_path)
+        sender = attach_sender(manager, [address])
+        try:
+            register(service, gen)
+            feed(service, chunks[:1])
+            cursor = quiesce(service, manager, sender)
+            sender.close()
+            feed(service, chunks[1:])
+            service.flush()
+            manager.sync()
+            durable = manager.wal.durable_lsn
+            good = committed_frames(manager.wal.directory, cursor, durable)
+            frames = [bytes(f.frame) for f in split_frames(good)]
+            assert len(frames) >= 3
+            hostile, reason = HOSTILE_GROUPS[name](frames)
+            before = directory_bytes(tmp_path / "sb0")
+            applied = standby.records_applied
+            with open_stream(address, cursor) as conn:
+                send_frame(conn, rp.RECORDS, hostile)
+                rtype, payload = recv_frame(conn)
+            assert rtype == rp.REPL_ERROR
+            assert reason in rp.decode_json(payload)["error"]
+            assert directory_bytes(tmp_path / "sb0") == before
+            assert standby.records_applied == applied
+            assert standby.durable_lsn == cursor
+            with open_stream(address, cursor) as conn:
+                send_frame(conn, rp.RECORDS, good)
+                assert recv_frame(conn) == (rp.ACK, rp.encode_lsn(durable))
+            assert frame_stream(tmp_path / "sb0") == frame_stream(
+                manager.wal.directory
+            )
         finally:
             service.close()
             standby.stop()
@@ -665,13 +831,14 @@ class TestCheckpointResync:
             service.flush()
             manager.compact()
             durable = manager.wal.durable_lsn
-            reader = WalTailReader(manager.wal.directory, after_lsn=0)
-            with pytest.raises(TailGapError, match="lsn 1 "):
-                reader.poll(durable)
+            with WalTailReader(manager.wal.directory, after_lsn=0) as reader:
+                with pytest.raises(TailGapError, match="lsn 1 "):
+                    reader.poll(durable)
             # A cursor already at the watermark is not behind anything.
-            assert WalTailReader(
+            with WalTailReader(
                 manager.wal.directory, after_lsn=durable
-            ).poll(durable) == []
+            ) as reader:
+                assert reader.poll(durable) is None
         finally:
             service.close()
 
@@ -803,12 +970,11 @@ class TestCheckpointResync:
             # the log as records.
             service.flush()
             manager.sync()
-            records = WalTailReader(manager.wal.directory, after_lsn=cursor).poll(
-                manager.wal.durable_lsn
-            )
+            durable = manager.wal.durable_lsn
+            frames = committed_frames(manager.wal.directory, cursor, durable)
             with open_stream(address, cursor) as conn:
-                send_frame(conn, rp.RECORDS, rp.encode_records(records))
-                assert recv_frame(conn) == (rp.ACK, rp.encode_lsn(records[-1].lsn))
+                send_frame(conn, rp.RECORDS, frames)
+                assert recv_frame(conn) == (rp.ACK, rp.encode_lsn(durable))
             with ReplicaReadClient(address) as client:
                 replica = client.snapshot(gen.campaign_id)
             assert replica.truths.tobytes() == (
@@ -901,6 +1067,109 @@ def open_stream(address, cursor: int):
         yield conn
     finally:
         conn.close()
+
+
+class SenderReset(FaultPlan):
+    """Resets the first send made on a replication link thread, and
+    injects nothing anywhere else (the in-process standby shares the
+    fault switchboard)."""
+
+    def __init__(self) -> None:
+        super().__init__(
+            0, rates={"net.send": 1.0, "net.delay": 0.0, "net.connect": 0.0},
+            max_per_point=1,
+        )
+
+    def fire(self, point):
+        if not threading.current_thread().name.startswith("repl-sender"):
+            return None
+        return super().fire(point)
+
+
+class TestFrameShipping:
+    """Groups are byte ranges of segment files, sent with sendfile."""
+
+    @pytest.mark.parametrize("fault", ["chaos-reset", "cut-mid-frame"])
+    def test_rotation_spanning_ship_resumes_bitwise_after_a_reset(
+        self, tmp_path, monkeypatch, fault
+    ):
+        """Two frames a segment and two a group, so ships cross segment
+        rotations; the link dies once mid-stream — by the ``net.send``
+        fault point, or with half a group on the wire — and resumes
+        from the standby's cursor: the standby's log is the primary's
+        bytes and its truths the primary's bits."""
+        monkeypatch.setattr(sender_module, "MAX_GROUP_BYTES", 4000)
+        gen, chunks = make_traffic(total_chunks=12)
+        manager = DurabilityManager(DurabilityConfig(
+            directory=tmp_path / "wal", fsync="batch", max_segment_bytes=4096
+        ))
+        service = IngestService(
+            service_config(), topology=Topology.in_process(durability=manager)
+        )
+        standby = StandbyServer(tmp_path / "sb0")
+        sender = attach_sender(manager, [("127.0.0.1", standby.start())])
+        link = sender.links[0]
+        try:
+            register(service, gen)
+            feed(service, chunks[:4])
+            quiesce(service, manager, sender)
+            if fault == "chaos-reset":
+                context = chaos_points.installed(SenderReset())
+            else:
+                context = cut_first_sendfile(monkeypatch)
+            with context:
+                feed(service, chunks[4:])
+                watermark = quiesce(service, manager, sender)
+            assert link.reconnects == 1
+            assert ("injected connection reset" if fault == "chaos-reset"
+                    else "cut mid-frame") in link.last_error
+            assert len(list_segments(manager.wal.directory)) > watermark // 3
+            assert link.groups_shipped < link.records_shipped
+            assert standby.durable_lsn == watermark
+            assert frame_stream(tmp_path / "sb0") == frame_stream(tmp_path / "wal")
+            primary_snap = service.snapshot(gen.campaign_id)
+            with ReplicaReadClient(standby.address) as client:
+                replica_snap = client.snapshot(gen.campaign_id)
+            assert replica_snap.truths.tobytes() == primary_snap.truths.tobytes()
+        finally:
+            service.close()
+            standby.stop()
+
+    def test_bytes_shipped_counts_frame_bytes(self, tmp_path):
+        gen, chunks = make_traffic(total_chunks=3)
+        standby = StandbyServer(tmp_path / "sb0")
+        service, manager = primary_service(tmp_path)
+        sender = attach_sender(manager, [("127.0.0.1", standby.start())])
+        try:
+            register(service, gen)
+            feed(service, chunks)
+            watermark = quiesce(service, manager, sender)
+            link = sender.stats()["standbys"][0]
+            assert link["records_shipped"] == watermark
+            assert link["bytes_shipped"] == len(frame_stream(tmp_path / "wal"))
+        finally:
+            service.close()
+            standby.stop()
+
+
+@contextlib.contextmanager
+def cut_first_sendfile(monkeypatch):
+    """The first sendfile sends half its range, then the link drops."""
+    real = os.sendfile
+    cut = []
+
+    def sendfile(out_fd, in_fd, offset, count):
+        if cut:
+            return real(out_fd, in_fd, offset, count)
+        cut.append(real(out_fd, in_fd, offset, count // 2))
+        raise ConnectionResetError("cut mid-frame")
+
+    monkeypatch.setattr(os, "sendfile", sendfile)
+    try:
+        yield
+    finally:
+        monkeypatch.setattr(os, "sendfile", real)
+    assert cut, "no group was cut"
 
 
 class TestSyncModes:
