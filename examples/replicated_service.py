@@ -7,9 +7,11 @@ topology the ``repro.replication`` package exists for:
 1. ``Topology.replicated(standbys=1)`` starts the primary's
    write-ahead log shipping to a warm standby (a ``repro standby``
    subprocess) as part of ordinary service construction;
-2. claims stream through the primary; every committed group is shipped
-   post-fsync — the WAL's own frames, sent from the segment file with
-   ``sendfile`` — and the standby verifies each frame, stores it
+2. claims stream through the primary; committed frames are shipped
+   post-fsync in groups of up to 2 MiB — the WAL's own frames, sent
+   from the segment file with ``sendfile`` — and a group that is not
+   full ships once a caller waits on it or its oldest frame has waited
+   0.1 s.  The standby verifies each frame, stores it
    unchanged and acks only after *its own* fsync, then replays it into
    live aggregators: its log is the primary's bytes;
 3. the standby serves snapshot reads over :class:`ReplicaReadClient`
@@ -45,6 +47,8 @@ from repro.service import (
 
 CHUNK = 512
 CLAIMS = 30_000
+#: How long the demo waits for the standby to ack the primary's log.
+WAIT_SECONDS = 60.0
 
 
 def frames_up_to(directory: Path, lsn: int) -> bytes:
@@ -98,7 +102,17 @@ def main() -> None:
         manager.sync()
         watermark = manager.wal.durable_lsn
         sender = service.replication
+        # Asking ships the group the link holds now, not after its hold.
+        deadline = time.monotonic() + WAIT_SECONDS
+        sender.wait_replicated(watermark, timeout=WAIT_SECONDS)
         while sender.min_ack_lsn() < watermark:
+            if time.monotonic() > deadline:
+                lag = sender.stats()["standbys"][0]
+                raise RuntimeError(
+                    f"standby still {lag['lag_lsn']} LSNs "
+                    f"({lag['lag_seconds']:.1f} s) behind the primary's "
+                    f"LSN {watermark} after {WAIT_SECONDS:.0f} s"
+                )
             time.sleep(0.02)
         link = sender.stats()["standbys"][0]
         print(

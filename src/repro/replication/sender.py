@@ -14,23 +14,42 @@ replication cursor on both ends:
   exactly what survived on the standby's disk.
 
 One shipping thread per standby (a :class:`_StandbyLink`) wakes on the
-WAL's post-fsync commit hook, locates the committed suffix through an
-incremental :class:`~repro.durable.stream.WalTailReader`, and ships it
-in bounded groups: each group is one RECORDS frame header followed by
-a byte range of a segment file, sent with ``os.sendfile`` — the frames
-as the WAL wrote them, never read or copied in this process.  A link
-that reconnects (or whose cursor fell below the primary's compaction
-floor) resynchronises: records still on disk are located again from
-the cursor; records compaction dropped are covered by shipping the
-newest checkpoint file's bytes first.  A link whose standby refuses a
-group (a frame that fails its CRC, say) or whose log cannot be walked
-to the watermark records the error in ``last_error`` and reconnects
-under its backoff.
+WAL's post-fsync commit hook and grows a *held* group with the newly
+committed frames through an incremental
+:class:`~repro.durable.stream.WalTailReader` (walking only the new
+frame headers).  A group is one RECORDS frame header followed by a
+byte range of a segment file, sent with ``os.sendfile`` — the frames
+as the WAL wrote them, never read or copied in this process.  The link
+ships the held group when
+
+* it is full: the next committed frame would take it past
+  :data:`MAX_GROUP_BYTES` (a larger frame ships alone);
+* it reaches the end of its segment (the next committed frame is in
+  the next file);
+* a caller waits on an LSN inside it — :meth:`ReplicationSender.wait_replicated`,
+  semi-sync's :meth:`ReplicationSender.after_group_commit` through it,
+  and :meth:`ReplicationSender.close`; or
+* its oldest frame has waited :data:`MAX_HOLD_SECONDS`.
+
+So a bulk stream ships groups whose boundaries are the greedy packing
+of each segment's frames — a function of the committed bytes, not of
+thread scheduling — and a trickle still ships within
+:data:`MAX_HOLD_SECONDS`.  A link that reconnects (or whose cursor
+fell below the primary's compaction floor) resynchronises: records
+still on disk are located again from the cursor; records compaction
+dropped are covered by shipping the newest checkpoint file's bytes
+first.  A link whose standby refuses a group (a frame that fails its
+CRC, say), whose connection fails, or whose log cannot be walked to
+the watermark records the error in ``last_error`` and reconnects under
+its backoff; any other exception is a bug and ends the link's thread.
 
 Sync modes:
 
-* ``"async"`` — ingest never waits; standbys trail by whatever the
-  network allows (the ``replication_lag_*`` gauges say how much);
+* ``"async"`` — ingest never waits; a standby trails by the group its
+  link holds — up to :data:`MAX_GROUP_BYTES` of frames, or
+  :data:`MAX_HOLD_SECONDS` of commits — plus what commits during one
+  group's send-to-ack round trip (the ``replication_lag_*`` gauges
+  say how much);
 * ``"semi-sync"`` — the service's pump blocks (via
   :meth:`ReplicationSender.after_group_commit`) until at least one
   standby has acked the pump's last LSN, bounding data loss on primary
@@ -43,26 +62,51 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from repro.durable.stream import TailGapError, WalTailReader
+from repro.durable.wal import WalError
+from repro.net.framing import FramingError
 from repro.net.transport import connect
 from repro.obs.registry import Histogram, series_key
 from repro.replication import protocol as rp
 from repro.utils.backoff import Backoff
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
-from repro.workers.protocol import frame_header, recv_frame, send_frame
+from repro.workers.protocol import (
+    ProtocolError,
+    frame_header,
+    recv_frame,
+    send_frame,
+)
 
 _LOGGER = get_logger("replication.sender")
 
 SYNC_MODES = ("async", "semi-sync")
 
 #: Soft cap on one RECORDS group's payload bytes (a larger frame ships
-#: alone); large committed suffixes are shipped as several groups so
-#: acks (and semi-sync progress) flow during catch-up.
-MAX_GROUP_BYTES = 4 * 1024 * 1024
+#: alone).  A link fills its held group up to it before shipping, and
+#: a long committed suffix ships as several groups, so acks (and
+#: semi-sync progress) flow during catch-up.
+MAX_GROUP_BYTES = 2 * 1024 * 1024
+
+#: The longest a committed frame waits in a held group that no caller
+#: waits on.  Long enough that a bulk stream fills groups by bytes
+#: (2 MiB of ``replicated_bulk`` commits in ~45 ms), short enough to
+#: bound the async loss window of a trickle.
+MAX_HOLD_SECONDS = 0.1
+
+#: Commit times kept for the lag gauge and the hold deadline; beyond
+#: it, neighbouring entries are merged (see ``_thin_commit_times``).
+COMMIT_TIMES_KEPT = 4096
+
+#: How long :meth:`ReplicationSender.close` waits for connected links
+#: to ship what they hold.
+CLOSE_DRAIN_SECONDS = 5.0
+
+_LSN = itemgetter(0)
 
 
 class ReplicationError(RuntimeError):
@@ -123,7 +167,20 @@ class _StandbyLink:
                 self.connected = True
                 self._backoff.reset()
                 self._stream(conn)
-            except Exception as exc:
+            # What a link redials on: the connection failed or the
+            # standby sent what it cannot read or refused a group
+            # (OSError, EOFError, FramingError, ProtocolError,
+            # ReplicationError), or the log cannot be walked to the
+            # watermark (WalError).  Anything else is a bug: it ends
+            # this thread instead of redialling on backoff forever.
+            except (
+                OSError,
+                EOFError,
+                FramingError,
+                ProtocolError,
+                ReplicationError,
+                WalError,
+            ) as exc:
                 if sender.stopped:
                     break
                 self.last_error = str(exc)
@@ -134,6 +191,9 @@ class _StandbyLink:
                     exc,
                 )
                 sender.wait_or_stop(self._backoff.next())
+            except Exception as exc:
+                self.last_error = repr(exc)
+                raise
             finally:
                 self.connected = False
                 if conn is not None:
@@ -170,19 +230,34 @@ class _StandbyLink:
         reader = WalTailReader(sender.wal.directory, after_lsn=cursor)
         try:
             while not sender.stopped:
-                durable = sender.wal.durable_lsn
                 try:
-                    span = reader.poll(durable, max_bytes=MAX_GROUP_BYTES)
+                    held = reader.scan(
+                        sender.wal.durable_lsn, max_bytes=MAX_GROUP_BYTES
+                    )
                 except TailGapError:
                     # The suffix above the cursor was compacted away; a
                     # checkpoint covers the dropped prefix.
                     reader.close()
                     reader = self._resync(conn, reader.next_lsn - 1)
                     continue
-                if span is not None:
-                    self._ship(conn, span)
-                    continue
-                sender.wait_for_commit(reader.next_lsn)
+                if held is None:
+                    sender.wait_for_commit(reader.scan_lsn)
+                elif reader.complete:
+                    self._ship(conn, reader)
+                else:
+                    due = sender.ship_due(held.first_lsn)
+                    if due > time.monotonic():
+                        sender.wait_for_commit(
+                            reader.scan_lsn, held_from=held.first_lsn, until=due
+                        )
+                    else:
+                        # For a waiter or by age: take in what committed
+                        # since the scan first (the held span stays in
+                        # its segment, so this cannot move the reader).
+                        reader.scan(
+                            sender.wal.durable_lsn, max_bytes=MAX_GROUP_BYTES
+                        )
+                        self._ship(conn, reader)
         finally:
             reader.close()
 
@@ -213,9 +288,12 @@ class _StandbyLink:
         )
         return WalTailReader(sender.wal.directory, after_lsn=lsn)
 
-    def _ship(self, conn, span) -> None:
-        """One RECORDS group: the span's frames, straight from the file."""
+    def _ship(self, conn, reader) -> None:
+        """One RECORDS group: the reader's held frames, straight from the
+        file."""
         sender = self.sender
+        span = reader.held
+        reader.take()
         start = time.perf_counter()
         conn.send_file_range(
             frame_header(rp.RECORDS, span.length),
@@ -283,9 +361,13 @@ class ReplicationSender:
         self.semi_sync_timeouts = 0
         self._commit_cv = threading.Condition()
         self._committed_lsn = 0
-        #: (lsn, monotonic time) of recent group commits, for the
-        #: time-based lag gauge.
-        self._commit_times: deque = deque(maxlen=4096)
+        #: The highest LSN a caller waits on: a held group that reaches
+        #: it ships at once.
+        self._demand_lsn = 0
+        #: (lsn, monotonic time) of the group commits some standby has
+        #: not acked, in LSN order, for the lag gauge and the hold
+        #: deadline.
+        self._commit_times: list = []
         self._stopped = False
         self._manager = None
         self._listener = None
@@ -310,37 +392,112 @@ class ReplicationSender:
         self._manager = manager
         self._listener = self._on_commit
         manager.wal.add_commit_listener(self._listener)
-        with self._commit_cv:
-            self._committed_lsn = manager.wal.durable_lsn
+        # Frames committed before now are aged from now.
+        self._on_commit(manager.wal.durable_lsn)
         for link in self.links:
             link.start()
 
     def _on_commit(self, durable_lsn: int) -> None:
         # Runs on the WAL's committing thread: record the time for the
-        # lag gauge and wake every shipping thread.
+        # lag gauge and the hold deadline, and wake every link.
         with self._commit_cv:
-            self._committed_lsn = durable_lsn
-            self._commit_times.append((durable_lsn, time.monotonic()))
+            self._committed_lsn = max(self._committed_lsn, durable_lsn)
+            times = self._commit_times
+            if not times or times[-1][0] < durable_lsn:
+                times.append((durable_lsn, time.monotonic()))
+            del times[:bisect_right(times, self.min_ack_lsn(), key=_LSN)]
+            if len(times) > COMMIT_TIMES_KEPT:
+                self._thin_commit_times()
             self._commit_cv.notify_all()
 
-    def wait_for_commit(self, next_lsn: int) -> None:
-        """Park a link thread until a commit reaches ``next_lsn``."""
+    def _thin_commit_times(self) -> None:
+        """Halve the kept commit times, so a standby that stays down
+        costs bounded memory.
+
+        Each merged pair keeps the later LSN and the *earlier* time:
+        the first entry above an ack still carries the oldest unacked
+        commit's time.  A pair with some link's ack between its two
+        LSNs is never merged, so every link's lag stays exact; an ack
+        that later lands inside a merged stretch reads the stretch's
+        oldest commit, never a younger one.
+        """
+        acks = [link.ack_lsn for link in self.links]
+        kept: list = []
+        merge = False
+        for lsn, committed_at in self._commit_times:
+            if merge and not any(kept[-1][0] <= a < lsn for a in acks):
+                kept[-1] = (lsn, kept[-1][1])
+                merge = False
+            else:
+                kept.append((lsn, committed_at))
+                merge = True
+        self._commit_times = kept
+
+    def _committed_at(self, after_lsn: int) -> Optional[float]:
+        """When the oldest kept commit above ``after_lsn`` happened
+        (caller holds ``_commit_cv``)."""
+        times = self._commit_times
+        i = bisect_right(times, after_lsn, key=_LSN)
+        return times[i][1] if i < len(times) else None
+
+    def ship_due(self, first_lsn: int) -> float:
+        """The monotonic time a held group starting at ``first_lsn``
+        ships: now if a caller waits on it, else once its oldest frame
+        has waited :data:`MAX_HOLD_SECONDS`."""
         with self._commit_cv:
-            if self._committed_lsn >= next_lsn or self._stopped:
+            if self._demand_lsn >= first_lsn:
+                return float("-inf")
+            committed_at = self._committed_at(first_lsn - 1)
+        if committed_at is None:
+            # Scanned between the WAL's commit and its listener: the
+            # frame committed just now.
+            committed_at = time.monotonic()
+        return committed_at + MAX_HOLD_SECONDS
+
+    def wait_for_commit(
+        self,
+        next_lsn: int,
+        *,
+        held_from: Optional[int] = None,
+        until: Optional[float] = None,
+    ) -> None:
+        """Park a link thread until a commit reaches ``next_lsn``, a
+        caller waits on ``held_from`` or later, or ``until`` (at most
+        0.2 s)."""
+        with self._commit_cv:
+            if (
+                self._stopped
+                or self._committed_lsn >= next_lsn
+                or (held_from is not None and self._demand_lsn >= held_from)
+            ):
                 return
-            self._commit_cv.wait(0.2)
+            timeout = 0.2
+            if until is not None:
+                timeout = min(timeout, until - time.monotonic())
+            if timeout > 0:
+                self._commit_cv.wait(timeout)
 
     def wait_or_stop(self, seconds: float) -> None:
         with self._commit_cv:
             if not self._stopped:
                 self._commit_cv.wait(seconds)
 
+    def _demand(self, lsn: int) -> None:
+        """A caller waits on ``lsn``: every link ships the group that
+        holds it now instead of filling it."""
+        with self._commit_cv:
+            if lsn > self._demand_lsn:
+                self._demand_lsn = lsn
+                self._commit_cv.notify_all()
+
     # ------------------------------------------------------------------
     def wait_replicated(
         self, lsn: int, *, timeout: Optional[float] = None
     ) -> bool:
-        """Block until at least one standby has acked ``lsn``."""
+        """Block until at least one standby has acked ``lsn``; a link
+        holding ``lsn`` in a partial group ships it at once."""
         deadline = None if timeout is None else time.monotonic() + timeout
+        self._demand(lsn)
         with self.ack_cv:
             while not any(link.ack_lsn >= lsn for link in self.links):
                 if self._stopped:
@@ -374,15 +531,15 @@ class ReplicationSender:
         return max(0, durable - link.ack_lsn)
 
     def lag_seconds(self, link: _StandbyLink) -> float:
-        """Age of the oldest committed-but-unacked group (0 if none)."""
+        """Age of the oldest committed group the standby has not acked
+        (0 if none), a held group's wait included."""
         if self.lag_lsn(link) == 0:
             return 0.0
-        now = time.monotonic()
         with self._commit_cv:
-            for lsn, committed_at in self._commit_times:
-                if lsn > link.ack_lsn:
-                    return max(0.0, now - committed_at)
-        return 0.0
+            committed_at = self._committed_at(link.ack_lsn)
+        if committed_at is None:
+            return 0.0
+        return max(0.0, time.monotonic() - committed_at)
 
     def min_ack_lsn(self) -> int:
         return min((link.ack_lsn for link in self.links), default=0)
@@ -411,9 +568,17 @@ class ReplicationSender:
         }
 
     def close(self) -> None:
-        """Stop shipping threads and unhook the WAL (idempotent)."""
+        """Ship what the links hold, stop them and unhook the WAL
+        (idempotent).
+
+        Closing waits on the committed tail like any caller: each
+        connected link ships its held group first, for up to
+        :data:`CLOSE_DRAIN_SECONDS`.
+        """
         if self._stopped:
             return
+        if self._manager is not None:
+            self._drain(self.wal.durable_lsn)
         self._stopped = True
         with self._commit_cv:
             self._commit_cv.notify_all()
@@ -423,3 +588,15 @@ class ReplicationSender:
             link.join(timeout=5.0)
         if self._manager is not None and self._listener is not None:
             self._manager.wal.remove_commit_listener(self._listener)
+
+    def _drain(self, lsn: int) -> None:
+        deadline = time.monotonic() + CLOSE_DRAIN_SECONDS
+        self._demand(lsn)
+        with self.ack_cv:
+            while any(
+                link.connected and link.ack_lsn < lsn for link in self.links
+            ):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return
+                self.ack_cv.wait(min(remaining, 0.05))

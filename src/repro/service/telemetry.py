@@ -295,6 +295,17 @@ class ServiceTelemetry:
                     float(standby["bytes_shipped"]))
                 add("counter",
                     series_key(
+                        "repro_replication_groups_shipped_total", labels
+                    ),
+                    float(standby["groups_shipped"]))
+                add("counter",
+                    series_key(
+                        "repro_replication_checkpoints_shipped_total",
+                        labels,
+                    ),
+                    float(standby["checkpoints_shipped"]))
+                add("counter",
+                    series_key(
                         "repro_replication_reconnects_total", labels
                     ),
                     float(standby["reconnects"]))

@@ -82,6 +82,70 @@ class TestSpans:
             assert [(f, last) for f, last, _ in spans(reader, 6)] == [(2, 3), (4, 6)]
 
 
+class TestHeldSpan:
+    """scan() grows a held span from where it stopped; take() hands it
+    out.  Complete means no later frame can join it."""
+
+    def test_a_held_span_grows_by_walking_only_new_headers(
+        self, tmp_path, monkeypatch
+    ):
+        write_log(tmp_path, 6)
+        reads = []
+        real = os.pread
+        monkeypatch.setattr(
+            stream.os, "pread", lambda fd, n, at: reads.append(at) or real(fd, n, at)
+        )
+        with WalTailReader(tmp_path) as reader:
+            assert reader.scan(2, max_bytes=10 * FRAME)[3:] == (1, 2)
+            del reads[:]
+            held = reader.scan(5, max_bytes=10 * FRAME)
+            assert held[3:] == (1, 5) and not reader.complete
+            first = len(SEGMENT_MAGIC)
+            assert reads == [first + i * FRAME for i in (2, 3, 4)]
+            assert reader.next_lsn == 1 and reader.scan_lsn == 6
+            assert read_span(held) == b"".join(
+                f.frame for f in split_frames(list_segments(tmp_path)[0]
+                                              .read_bytes()[first:first + 5 * FRAME])
+            )
+            reader.take()
+            assert reader.held is None and reader.next_lsn == 6
+            assert reader.scan(6)[3:] == (6, 6)
+
+    def test_complete_when_the_next_frame_would_not_fit_or_it_fills(self, tmp_path):
+        write_log(tmp_path, 5)
+        with WalTailReader(tmp_path) as reader:
+            assert reader.scan(2, max_bytes=2 * FRAME + 1)[3:] == (1, 2)
+            assert not reader.complete  # frame 3 is not committed yet
+            assert reader.scan(5, max_bytes=2 * FRAME + 1)[3:] == (1, 2)
+            assert reader.complete
+            assert reader.scan(5, max_bytes=2 * FRAME + 1)[3:] == (1, 2)  # stays
+            reader.take()
+            assert reader.scan(4, max_bytes=2 * FRAME)[3:] == (3, 4)
+            assert reader.complete  # filled: any next frame would overflow
+
+    def test_complete_at_a_segment_end_only_once_the_next_frame_commits(
+        self, tmp_path
+    ):
+        write_log(tmp_path, 4, max_segment_bytes=len(SEGMENT_MAGIC) + 3 * FRAME)
+        with WalTailReader(tmp_path) as reader:
+            assert reader.scan(3)[3:] == (1, 3)
+            assert not reader.complete
+            assert reader.scan(4)[3:] == (1, 3)  # LSN 4 is in the next file
+            assert reader.complete
+            reader.take()
+            assert reader.scan(4)[3:] == (4, 4)
+
+    def test_close_drops_the_held_span_and_the_next_scan_walks_it_again(
+        self, tmp_path
+    ):
+        write_log(tmp_path, 3)
+        reader = WalTailReader(tmp_path)
+        assert reader.scan(2)[3:] == (1, 2)
+        reader.close()
+        assert reader.scan(3)[3:] == (1, 3)
+        reader.close()
+
+
 class TestTypedErrors:
     def test_truncated_segment_below_the_watermark_raises(self, tmp_path):
         """A walk that cannot reach the watermark says so: the shipped

@@ -9,12 +9,20 @@ boundaries fall inside a group.  And it must be what the per-record
 path frozen in ``tests/replication/per_record_reference.py`` wrote (one
 ``append`` per decoded record), with the applied truths and spent
 budget bitwise equal to that path's.
+
+A live sender forms its groups from the committed bytes alone: with no
+caller waiting and the hold delay out of reach, the groups it ships
+are the greedy packing of each segment's frames up to
+``MAX_GROUP_BYTES``; a caller waiting on an LSN cuts the group holding
+it at the watermark, at once.
 """
 
 import os
 import sys
 import tempfile
+import threading
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +39,8 @@ from repro.durable.wal import (
 )
 from repro.privacy.ldp import LDPGuarantee
 from repro.replication import protocol as rp
+from repro.replication import sender as sender_module
+from repro.replication.sender import ReplicationSender
 from repro.replication.standby import StandbyServer
 from repro.service.ingest import IngestService, ServiceConfig
 from repro.service.ledger import BudgetLedger
@@ -343,3 +353,198 @@ def test_standby_applies_what_the_per_record_reference_applies(
         primary = frame_stream(root / "primary")
         assert frame_stream(root / "standby") == primary
         assert frame_stream(root / "reference") == primary
+
+
+# ---------------------------------------------------------------------------
+# Group formation: a live sender shipping to a StandbyServer over a socket.
+
+
+def segment_frames(directory: Path):
+    """Per segment file, the ``(lsn, size)`` of each of its frames."""
+    return [
+        [(f.lsn, len(f.frame))
+         for f in split_frames(seg.read_bytes()[len(SEGMENT_MAGIC):])]
+        for seg in list_segments(directory)
+    ]
+
+
+def greedy_groups(segments, max_bytes: int, waits):
+    """The groups a link ships, computed offline from the frames: per
+    segment, a group closes before the frame that would take it past
+    ``max_bytes`` and after one that fills it; and for each wait on
+    ``lsn`` made at watermark ``durable``, after ``durable`` if ``lsn``
+    falls in the group then open."""
+    groups = []
+    for frames in segments:
+        first = None
+        for lsn, size in frames:
+            if first is not None and held + size > max_bytes:
+                groups.append((first, last))
+                first = None
+            if first is None:
+                first, held = lsn, 0
+            held, last = held + size, lsn
+            if held >= max_bytes or any(
+                durable == lsn and wanted >= first for wanted, durable in waits
+            ):
+                groups.append((first, lsn))
+                first = None
+        if first is not None:
+            groups.append((first, last))
+    return groups
+
+
+class Replay:
+    """The primary's log applied record by record, as far as asked."""
+
+    def __init__(self) -> None:
+        self.service = self.applier = None
+        self.lsn = 0
+
+    def to(self, directory: Path, lsn: int):
+        for frame in split_frames(frame_stream(directory)):
+            if self.lsn < frame.lsn <= lsn:
+                record = frame.record
+                if record.rtype == rec.CONFIG:
+                    self.service = service_from_config(record.decode())
+                    self.applier = RecordApplier(self.service)
+                else:
+                    self.applier.apply(record)
+                self.lsn = frame.lsn
+        return None if self.service is None else applied(self.service)
+
+
+def cut_once(at: int, link):
+    """An ``os.sendfile`` whose ``at``-th call on ``link``'s thread sends
+    half its range and then drops the link: one reset mid-stream,
+    mid-frame."""
+    real = os.sendfile
+    calls = []
+
+    def sendfile(out_fd, in_fd, offset, count):
+        if threading.current_thread() is not link._thread:
+            return real(out_fd, in_fd, offset, count)
+        calls.append(count)
+        if len(calls) - 1 != at:
+            return real(out_fd, in_fd, offset, count)
+        real(out_fd, in_fd, offset, count // 2)
+        raise ConnectionResetError("cut mid-frame")
+
+    return sendfile
+
+
+commit_plans = st.lists(
+    st.one_of(st.integers(1, 200), st.just("wait")), min_size=1, max_size=20
+)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    plan=commit_plans,
+    max_group=st.integers(200, 3000),
+    segment_bytes=st.integers(512, 4096),
+    cut_at=st.integers(0, 8),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_live_groups_are_the_greedy_packing_and_waits_cut_them(
+    plan, max_group, segment_bytes, cut_at, seed, data
+):
+    """Arbitrary commit sequences — chunk sizes set the frame sizes —
+    over small segments and group caps, with waits at random LSNs and
+    one link reset mid-stream: the standby's log is the primary's
+    bytes and its state the primary's replayed to every acked
+    watermark; every wait returns without waiting out the hold; and the
+    shipped groups are the offline greedy packing, cut where the waits
+    cut them."""
+    gen = LoadGenerator("prop-c0", num_users=30, num_objects=8, random_state=seed)
+    claims = sum(step for step in plan if step != "wait") or 1
+    (pool,) = gen.column_chunks(claims, chunk_size=claims)
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        standby = StandbyServer(root / "standby", fsync="never")
+        sender = ReplicationSender(
+            [("127.0.0.1", standby.start())], connect_timeout=10.0
+        )
+        shipped, waits = [], []
+        real_ship = sender_module._StandbyLink._ship
+
+        def ship(link, conn, reader):
+            span = reader.held
+            real_ship(link, conn, reader)
+            if link.sender is sender:  # not a link another test left
+                shipped.append((span.first_lsn, span.last_lsn))
+
+        with mock.patch.object(sender_module, "MAX_GROUP_BYTES", max_group), \
+                mock.patch.object(sender_module, "MAX_HOLD_SECONDS", 3600.0), \
+                mock.patch.object(sender_module._StandbyLink, "_ship", ship), \
+                mock.patch.object(os, "sendfile", cut_once(cut_at, sender.links[0])):
+            run_live_session(
+                root, standby, sender, gen, pool, plan, segment_bytes, waits, data
+            )
+        assert shipped == greedy_groups(
+            segment_frames(root / "primary"), max_group, waits
+        )
+
+
+def run_live_session(root, standby, sender, gen, pool, plan, segment_bytes,
+                     waits, data) -> None:
+    """Drive a durable primary through ``plan`` with ``sender``
+    attached, checking the standby at every wait; close everything."""
+    manager = DurabilityManager(DurabilityConfig(
+        directory=root / "primary", fsync="never",
+        max_segment_bytes=segment_bytes,
+    ))
+    service = IngestService(
+        ServiceConfig(num_shards=2, max_batch=64),
+        ledger=BudgetLedger(epsilon_cap=100.0),
+        topology=Topology.in_process(durability=manager),
+    )
+    replay = Replay()
+
+    def wait(lsn: int) -> None:
+        waits.append((lsn, manager.wal.durable_lsn))
+        # The hold is 3600 s: returning at all means it was not waited out.
+        assert sender.wait_replicated(lsn, timeout=30.0)
+        with standby._apply_lock:  # what the stream has applied
+            acked = standby.durable_lsn
+            stored = frame_stream(root / "standby")
+            state = None if standby.service is None else applied(standby.service)
+        assert acked >= lsn
+        assert stored == b"".join(
+            f.frame for f in split_frames(frame_stream(root / "primary"))
+            if f.lsn <= acked
+        )
+        assert state == replay.to(root / "primary", acked)
+
+    try:
+        manager.attach_replication(sender)
+        service.register_campaign(
+            gen.campaign_id, gen.object_ids, max_users=30,
+            user_ids=gen.user_ids, cost=LDPGuarantee(epsilon=0.01, delta=0.0),
+        )
+        offset = 0
+        for step in plan:
+            if step == "wait":
+                if manager.wal.durable_lsn:
+                    wait(data.draw(
+                        st.integers(1, manager.wal.durable_lsn), label="lsn"
+                    ))
+                continue
+            part = slice(offset, offset + step)
+            offset += step
+            service.submit_columns(
+                pool.campaign_id, pool.user_slots[part],
+                pool.object_slots[part], pool.values[part],
+            )
+            service.pump()
+        service.flush()
+        manager.sync()
+        wait(manager.wal.durable_lsn)
+    finally:
+        sender.close()
+        service.close()
+        manager.close()
+        standby.stop()
+        if replay.service is not None:
+            replay.service.close()

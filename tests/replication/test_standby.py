@@ -30,6 +30,7 @@ from repro.chaos import points as chaos_points
 from repro.chaos.plan import FaultPlan
 from repro.durable.wal import (
     SEGMENT_MAGIC,
+    WalCorruptionError,
     _frame_header,
     list_segments,
     split_frames,
@@ -120,10 +121,14 @@ def quiesce(service, manager, sender, *, timeout=60.0):
 
 
 def wait_shipped(manager, sender, *, timeout=60.0):
-    """Wait for every standby to ack what the primary has logged."""
+    """Wait for every standby to ack what the primary has logged.
+
+    Asking first makes every link ship the group it holds now, instead
+    of once its oldest frame has waited ``MAX_HOLD_SECONDS``."""
     manager.sync()
     watermark = manager.wal.durable_lsn
     deadline = time.monotonic() + timeout
+    sender.wait_replicated(watermark, timeout=timeout)
     while sender.min_ack_lsn() < watermark:
         assert time.monotonic() < deadline, (
             f"standbys stuck at {sender.min_ack_lsn()} < {watermark}"
@@ -318,6 +323,8 @@ class TestShipAndRead:
                 "repro_replication_connected",
                 "repro_replication_records_shipped_total",
                 "repro_replication_bytes_shipped_total",
+                "repro_replication_groups_shipped_total",
+                "repro_replication_checkpoints_shipped_total",
                 "repro_replication_reconnects_total",
                 "repro_replication_ship_seconds",
             ):
@@ -660,7 +667,8 @@ class TestStreamIntegrity:
             register(service, gen)
             feed(service, chunks)
             watermark = quiesce(service, manager, sender)
-            applied_before = standby.records_applied
+            # status() takes the apply lock: the acked group is applied.
+            applied_before = standby.status()["records_applied"]
 
             first = committed_frames(manager.wal.directory, 0, 1)
             assert [frame.lsn for frame in split_frames(first)] == [1]
@@ -780,7 +788,7 @@ class TestStreamIntegrity:
             assert len(frames) >= 3
             hostile, reason = HOSTILE_GROUPS[name](frames)
             before = directory_bytes(tmp_path / "sb0")
-            applied = standby.records_applied
+            applied = standby.status()["records_applied"]
             with open_stream(address, cursor) as conn:
                 send_frame(conn, rp.RECORDS, hostile)
                 rtype, payload = recv_frame(conn)
@@ -1170,6 +1178,169 @@ def cut_first_sendfile(monkeypatch):
     finally:
         monkeypatch.setattr(os, "sendfile", real)
     assert cut, "no group was cut"
+
+
+def acked_within(sender, watermark, timeout):
+    """Seconds until every standby acked ``watermark``, polling without
+    asking (so a held group is not shipped on demand); None if never."""
+    start = time.monotonic()
+    while time.monotonic() - start < timeout:
+        if sender.min_ack_lsn() >= watermark:
+            return time.monotonic() - start
+        time.sleep(0.01)
+    return None
+
+
+class TestGroupFormation:
+    """A link holds a partial group until it is full, its segment ends,
+    a caller waits on it, or its oldest frame has waited
+    ``MAX_HOLD_SECONDS``."""
+
+    def test_a_partial_group_ships_once_its_oldest_frame_has_waited(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(sender_module, "MAX_HOLD_SECONDS", 0.5)
+        gen, chunks = make_traffic(total_chunks=1)
+        standby = StandbyServer(tmp_path / "sb0")
+        service, manager = primary_service(tmp_path)
+        sender = attach_sender(manager, [("127.0.0.1", standby.start())])
+        try:
+            register(service, gen)
+            quiesce(service, manager, sender)
+            feed(service, chunks)  # one commit
+            manager.sync()
+            # Nobody asks: the group ships by age alone, and not sooner.
+            waited = acked_within(sender, manager.wal.durable_lsn, 10.0)
+            assert waited is not None and waited >= 0.4
+            assert sender.links[0].groups_shipped == 2
+        finally:
+            service.close()
+            standby.stop()
+
+    def test_a_waiter_and_close_ship_a_held_group_at_once(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(sender_module, "MAX_HOLD_SECONDS", 3600.0)
+        gen, chunks = make_traffic(total_chunks=4)
+        standby = StandbyServer(tmp_path / "sb0")
+        service, manager = primary_service(tmp_path)
+        sender = attach_sender(manager, [("127.0.0.1", standby.start())])
+        try:
+            register(service, gen)
+            feed(service, chunks[:2])
+            manager.sync()
+            watermark = manager.wal.durable_lsn
+            assert acked_within(sender, watermark, 0.3) is None  # held
+            assert sender.lag_seconds(sender.links[0]) >= 0.3
+            assert sender.wait_replicated(watermark, timeout=10.0)
+            feed(service, chunks[2:])
+            manager.sync()
+            sender.close()
+            assert standby.durable_lsn == manager.wal.durable_lsn
+            assert frame_stream(tmp_path / "sb0") == frame_stream(tmp_path / "wal")
+        finally:
+            service.close()
+            standby.stop()
+
+    def test_lag_seconds_is_the_first_unacked_commits_age_after_4096_more(
+        self, tmp_path
+    ):
+        """A standby down for more commits than the sender keeps times
+        for still reports the age of its first unacked commit, and the
+        kept times stay bounded."""
+        standby = StandbyServer(tmp_path / "sb0")
+        manager = DurabilityManager(
+            DurabilityConfig(directory=tmp_path / "wal", fsync="never")
+        )
+        sender = attach_sender(
+            manager, [("127.0.0.1", standby.start())], connect_timeout=0.2
+        )
+        link = sender.links[0]
+        try:
+            manager.wal.append(rec.REFRESH, b"")
+            manager.sync()
+            assert sender.wait_replicated(1, timeout=10.0)
+            standby.stop()
+            before = time.monotonic()
+            manager.wal.append(rec.REFRESH, b"")
+            manager.sync()
+            committed = time.monotonic()
+            time.sleep(0.5)
+            for _ in range(2 * sender_module.COMMIT_TIMES_KEPT + 100):
+                manager.wal.append(rec.REFRESH, b"")
+                manager.sync()
+            low = time.monotonic() - committed
+            lag = sender.lag_seconds(link)
+            high = time.monotonic() - before
+            assert link.ack_lsn == 1
+            assert low <= lag <= high
+            assert len(sender._commit_times) <= sender_module.COMMIT_TIMES_KEPT + 1
+        finally:
+            sender.close()
+            manager.close()
+            standby.stop()
+
+
+class TestLinkErrors:
+    """A link redials on what a connection, a standby or the log can
+    throw at it; anything else is a bug, and it surfaces."""
+
+    def test_a_log_that_cannot_be_walked_redials(self, tmp_path, monkeypatch):
+        real = WalTailReader.scan
+        injected = []
+
+        def scan(self, *args, **kwargs):
+            # Only this test's log: a link another test left behind
+            # must not take the fault.
+            if not injected and self._dir == tmp_path / "wal":
+                injected.append(True)
+                raise WalCorruptionError("injected: lsn 1 is missing")
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(WalTailReader, "scan", scan)
+        gen, chunks = make_traffic(total_chunks=2)
+        standby = StandbyServer(tmp_path / "sb0")
+        service, manager = primary_service(tmp_path)
+        sender = attach_sender(manager, [("127.0.0.1", standby.start())])
+        link = sender.links[0]
+        try:
+            register(service, gen)
+            feed(service, chunks)
+            watermark = quiesce(service, manager, sender)
+            assert link.reconnects == 1
+            assert "injected" in link.last_error
+            assert standby.durable_lsn == watermark
+        finally:
+            service.close()
+            standby.stop()
+
+    def test_a_bug_ends_the_link_instead_of_redialling(
+        self, tmp_path, monkeypatch
+    ):
+        def scan(self, *args, **kwargs):
+            if self._dir == tmp_path / "wal":
+                raise TypeError("a bug in the hold logic")
+            return real(self, *args, **kwargs)
+
+        real = WalTailReader.scan
+        surfaced = []
+        monkeypatch.setattr(WalTailReader, "scan", scan)
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: surfaced.append(args.exc_value)
+        )
+        standby = StandbyServer(tmp_path / "sb0")
+        service, manager = primary_service(tmp_path)
+        sender = attach_sender(manager, [("127.0.0.1", standby.start())])
+        link = sender.links[0]
+        try:
+            link.join(timeout=10.0)
+            assert not link._thread.is_alive()
+            assert [type(exc) for exc in surfaced] == [TypeError]
+            assert link.reconnects == 0
+            assert "a bug in the hold logic" in link.last_error
+        finally:
+            service.close()
+            standby.stop()
 
 
 class TestSyncModes:

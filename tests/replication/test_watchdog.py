@@ -87,6 +87,8 @@ def quiesce(service, manager, sender, *, timeout=60.0):
     manager.sync()
     watermark = manager.wal.durable_lsn
     deadline = time.monotonic() + timeout
+    # Asking ships the links' held groups now, not after a hold.
+    sender.wait_replicated(watermark, timeout=timeout)
     while sender.min_ack_lsn() < watermark:
         assert time.monotonic() < deadline
         time.sleep(0.01)
