@@ -16,7 +16,9 @@ topology the ``repro.replication`` package exists for:
    live aggregators: its log is the primary's bytes;
 3. the standby serves snapshot reads over :class:`ReplicaReadClient`
    while the primary keeps ingesting — reads that never touch the
-   primary's log;
+   primary's log.  A re-read of a campaign no shipped record touched
+   is answered empty: a reply's version is the campaign's own read
+   key, not the standby's position in the log;
 4. the primary is abandoned mid-conversation (nothing shut down
    cleanly) and the standby is *promoted*: it comes back as a primary
    whose truths are bit-for-bit the crashed one's at the replicated
@@ -59,6 +61,40 @@ def frames_up_to(directory: Path, lsn: int) -> bytes:
     return b"".join(f.frame for f in split_frames(stream) if f.lsn <= lsn)
 
 
+def feed(service, gen, claims: int) -> None:
+    for i, chunk in enumerate(gen.column_chunks(claims, chunk_size=CHUNK)):
+        service.submit_columns(
+            chunk.campaign_id,
+            chunk.user_slots,
+            chunk.object_slots,
+            chunk.values,
+        )
+        if i % 8 == 7:
+            service.pump()
+
+
+def replicate(service, manager) -> int:
+    """Flush, commit, and wait until the standby acked it all; returns
+    the watermark."""
+    service.flush()
+    manager.sync()
+    watermark = manager.wal.durable_lsn
+    sender = service.replication
+    # Asking ships the group the link holds now, not after its hold.
+    deadline = time.monotonic() + WAIT_SECONDS
+    sender.wait_replicated(watermark, timeout=WAIT_SECONDS)
+    while sender.min_ack_lsn() < watermark:
+        if time.monotonic() > deadline:
+            lag = sender.stats()["standbys"][0]
+            raise RuntimeError(
+                f"standby still {lag['lag_lsn']} LSNs "
+                f"({lag['lag_seconds']:.1f} s) behind the primary's "
+                f"LSN {watermark} after {WAIT_SECONDS:.0f} s"
+            )
+        time.sleep(0.02)
+    return watermark
+
+
 def main() -> None:
     root = Path(tempfile.mkdtemp(prefix="repro-replicated-"))
     primary_dir = root / "wal"
@@ -67,6 +103,10 @@ def main() -> None:
         num_users=120,
         num_objects=48,
         random_state=7,
+    )
+    # A second campaign, fed on its own while the first stays quiet.
+    noise = LoadGenerator(
+        "city-noise", num_users=60, num_objects=24, random_state=11
     )
 
     print("== primary + 1 warm standby ==")
@@ -79,41 +119,19 @@ def main() -> None:
         topology=Topology.replicated(standbys=1, durability=manager),
     )
     try:
-        service.register_campaign(
-            gen.campaign_id,
-            gen.object_ids,
-            max_users=gen.num_users,
-            user_ids=gen.user_ids,
-            method="crh",
-            cost=LDPGuarantee(epsilon=0.001, delta=0.0),
-        )
-        for i, chunk in enumerate(
-            gen.column_chunks(CLAIMS, chunk_size=CHUNK)
-        ):
-            service.submit_columns(
-                chunk.campaign_id,
-                chunk.user_slots,
-                chunk.object_slots,
-                chunk.values,
+        for each in (gen, noise):
+            service.register_campaign(
+                each.campaign_id,
+                each.object_ids,
+                max_users=each.num_users,
+                user_ids=each.user_ids,
+                method="crh",
+                cost=LDPGuarantee(epsilon=0.001, delta=0.0),
             )
-            if i % 8 == 7:
-                service.pump()
-        service.flush()
-        manager.sync()
-        watermark = manager.wal.durable_lsn
+        feed(service, gen, CLAIMS)
+        feed(service, noise, CLAIMS // 10)
+        watermark = replicate(service, manager)
         sender = service.replication
-        # Asking ships the group the link holds now, not after its hold.
-        deadline = time.monotonic() + WAIT_SECONDS
-        sender.wait_replicated(watermark, timeout=WAIT_SECONDS)
-        while sender.min_ack_lsn() < watermark:
-            if time.monotonic() > deadline:
-                lag = sender.stats()["standbys"][0]
-                raise RuntimeError(
-                    f"standby still {lag['lag_lsn']} LSNs "
-                    f"({lag['lag_seconds']:.1f} s) behind the primary's "
-                    f"LSN {watermark} after {WAIT_SECONDS:.0f} s"
-                )
-            time.sleep(0.02)
         link = sender.stats()["standbys"][0]
         print(
             f"  shipped {link['records_shipped']} records "
@@ -141,6 +159,22 @@ def main() -> None:
                 f"{'equal to primary' if match else 'DIFFER'}"
             )
             assert match, "replica truths diverged from the primary's!"
+
+            # Ship records for the noise campaign only: the quiet
+            # campaign's re-read must be an empty reply.
+            feed(service, noise, CLAIMS // 10)
+            replicate(service, manager)
+            empty = replica.status()["reads_unchanged"]
+            again = replica.snapshot(gen.campaign_id)
+            quiet = replica.status()["reads_unchanged"] == empty + 1
+            print(
+                f"  re-read of {gen.campaign_id!r} after "
+                f"{noise.campaign_id!r}-only records: "
+                f"{'empty reply' if quiet else 'FULL reply'}"
+            )
+            assert quiet and again is replica_snap, (
+                "a campaign no record touched was re-sent whole!"
+            )
 
             print("\n== crash the primary, promote the standby ==")
             spent_before = service.ledger.to_records()

@@ -100,12 +100,13 @@ class ReplicaReadClient:
 
         The request carries the version of this client's last reply for
         the campaign; while it holds, the standby answers empty and that
-        reply's snapshot, which is immutable, is returned again.  A reply
-        this client cannot decode raises :class:`ReplicaError` and drops
-        the campaign's cache, so the next read starts over.
+        reply's snapshot, which is immutable, is returned again.  A read
+        that raises (a refusal, such as an unknown campaign, or a reply
+        this client cannot decode) drops the campaign's cache, so the
+        next read starts over.
         """
         with self._lock:
-            cached = self._cache.get(campaign_id)
+            cached = self._cache.pop(campaign_id, None)
             request = {"campaign_id": campaign_id}
             if cached is not None:
                 request["version"] = cached[0]
@@ -113,11 +114,11 @@ class ReplicaReadClient:
                 rp.READ_REQ, rp.encode_json(request), rp.READ_RESP
             )
             if not resp and cached is not None:
+                self._cache[campaign_id] = cached
                 return cached[1]
             try:
                 version, snapshot = _decode_read(resp)
             except (ProtocolError, KeyError, TypeError, ValueError) as exc:
-                self._cache.pop(campaign_id, None)
                 raise ReplicaError(
                     f"bad READ_RESP for {campaign_id!r}: {exc}"
                 ) from exc

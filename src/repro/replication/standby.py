@@ -115,11 +115,10 @@ class StandbyServer(FrameServer):
         self.records_applied = 0
         self.groups_applied = 0
         self._fencing_epoch = 0
-        # A read's version names this process (the nonce), the
-        # campaign's state object (its read_serial) and the applied LSN:
-        # re-registration, resync and restart all change it.
+        # A read's version is this nonce and the campaign's read key: a
+        # restart changes the first, re-registration and resync the
+        # second, and a record that fails to apply draws a new nonce.
         self._nonce = os.urandom(8).hex()
-        self._applied_lsn = 0
         self.reads_full = 0
         self.reads_unchanged = 0
         self._bootstrap()
@@ -169,7 +168,6 @@ class StandbyServer(FrameServer):
             self._service = recovered.service
             self._applier = RecordApplier(self._service)
             start_lsn = recovered.report.last_lsn + 1
-            self._applied_lsn = recovered.report.last_lsn
         self._wal = WriteAheadLog(
             self._dir, fsync=self._fsync, start_lsn=start_lsn
         )
@@ -311,10 +309,14 @@ class StandbyServer(FrameServer):
                 conn, rp.ACK, rp.encode_lsn(self._wal.durable_lsn)
             )
             for record in records:
-                # Bumped before applying: a record that fails half-way
-                # has still changed what a read would see.
-                self._applied_lsn = record.lsn
-                self._apply(record)
+                try:
+                    self._apply(record)
+                except BaseException:
+                    # A record that failed half-way may have changed a
+                    # campaign without moving its key: no version handed
+                    # out so far may hold.
+                    self._nonce = os.urandom(8).hex()
+                    raise
             if records:
                 self.groups_applied += 1
         return True
@@ -369,7 +371,6 @@ class StandbyServer(FrameServer):
             self._wal = WriteAheadLog(
                 self._dir, fsync=self._fsync, start_lsn=lsn + 1
             )
-            self._applied_lsn = lsn
             send_frame(conn, rp.ACK, rp.encode_lsn(lsn))
         return True
 
@@ -378,12 +379,13 @@ class StandbyServer(FrameServer):
         """Answer a ``READ_REQ``: empty when the reader's ``version``
         still holds, else the whole snapshot and its version.
 
-        The version is a string naming this standby process, the
-        campaign's state object and the last LSN applied; one that is
+        The version is a string: this process's nonce, then the
+        campaign's :meth:`~repro.service.shard.CampaignState.read_key`,
+        so records for other campaigns leave it standing; one that is
         missing or of another type never matches.  The reply is the
         state this standby's applied log defines: a read folds nothing
         the log did not, so it never sets the replica apart from its
-        primary.  A promoted standby's reads are always whole.
+        primary.  A promoted standby reads, and keys, as a primary does.
         """
         body = rp.decode_json(payload)
         campaign_id = body.get("campaign_id")
@@ -403,17 +405,21 @@ class StandbyServer(FrameServer):
                 )
                 return True
             state = service.campaign_state(campaign_id)
-            version = (
-                f"{self._nonce}:{state.read_serial}:{self._applied_lsn}"
-            )
+            asked = body.get("version")
             if self._promoted:
                 # A promoted standby is a primary: its read folds, and
                 # its own durability manager logs the fold as REFRESH.
                 snapshot = service.snapshot(campaign_id)
-            elif body.get("version") == version:
+            elif asked == self._version(state):
                 snapshot = None
             else:
                 snapshot = state.folded_snapshot()
+            if snapshot is not None:
+                # Taken after the build: a full refit's read refits, and
+                # the reply must name the state it shows.
+                version = self._version(state)
+                if asked == version:
+                    snapshot = None
             if snapshot is None:
                 self.reads_unchanged += 1
             else:
@@ -440,6 +446,9 @@ class StandbyServer(FrameServer):
             ),
         )
         return True
+
+    def _version(self, state) -> str:
+        return ":".join(map(str, (self._nonce, *state.read_key())))
 
     def status(self) -> dict:
         """Watermarks, campaigns, and the spent-budget ledger."""

@@ -36,8 +36,8 @@ Backend selection (:func:`resolve_backend`, used by
   configured forgetting rate would make two same-config campaigns
   diverge by size alone.
 
-Both backends expose the same surface (``ingest`` / ``truths`` /
-``weights`` / counters), so shards treat them uniformly.  Each also
+Both backends expose the same surface (``ingest`` / ``refresh`` /
+``folded`` / counters), so shards treat them uniformly.  Each also
 counts its deferred-work cost — ``refreshes`` and ``refresh_seconds``
 — so a benchmark can show what a read actually pays per backend
 (``python3 benchmarks/e2e/run.py --workload read_mix`` times dirty and
@@ -120,28 +120,29 @@ class IncrementalAggregator(ABC):
         """
         return False
 
-    @abstractmethod
     def truths(self) -> np.ndarray:
         """Current ``(N,)`` truths (0.0 for never-seen objects)."""
+        self.refresh()
+        return self.folded()[0]
 
-    @abstractmethod
     def weights(self) -> np.ndarray:
         """Current ``(S,)`` user weights (1.0 for silent users)."""
+        self.refresh()
+        return self.folded()[1]
 
-    @abstractmethod
     def seen_objects(self) -> np.ndarray:
         """``(N,)`` mask of objects with at least one ingested claim."""
+        self.refresh()
+        return self.folded()[2]
 
+    @abstractmethod
     def folded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(truths, weights, seen_objects)`` as the folds so far left
         them, folding nothing in: what a replica serves, since a fold
         its log does not hold would set it apart from its primary.
-
-        This default reads through a refresh, which only a backend whose
-        refresh is timing-independent (``refresh_changes_state`` always
-        False, like the full refit) may do.
+        After :meth:`refresh` it is what the three accessors return,
+        which is how a read builds from one call.
         """
-        return self.truths(), self.weights(), self.seen_objects()
 
     @property
     def staged_claims(self) -> int:
@@ -262,18 +263,6 @@ class StreamingAggregator(IncrementalAggregator):
         self.version += 1
         self.refreshes += 1
         self.refresh_seconds += time.perf_counter() - start
-
-    def truths(self) -> np.ndarray:
-        self.refresh()
-        return self._stream.truths
-
-    def weights(self) -> np.ndarray:
-        self.refresh()
-        return self._stream.weights
-
-    def seen_objects(self) -> np.ndarray:
-        self.refresh()
-        return self._stream.seen_objects
 
     def folded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         stream = self._stream
@@ -420,17 +409,11 @@ class FullRefitAggregator(IncrementalAggregator):
         self.refreshes += 1
         self.refresh_seconds += time.perf_counter() - start
 
-    def truths(self) -> np.ndarray:
+    def folded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # A refit is timing-independent (refresh_changes_state is always
+        # False), so this backend may read through one.
         self.refresh()
-        return self._truths.copy()
-
-    def weights(self) -> np.ndarray:
-        self.refresh()
-        return self._weights.copy()
-
-    def seen_objects(self) -> np.ndarray:
-        self.refresh()
-        return self._seen.copy()
+        return self._truths.copy(), self._weights.copy(), self._seen.copy()
 
     def state_dict(self) -> dict:
         if self._users:

@@ -103,16 +103,13 @@ class CampaignState:
         # Sampled traces whose claims are in the batcher but whose batch
         # has not flushed yet.
         self.pending_traces: list = []
-        # Unique in this process: a replica's read version names the
-        # state object by it, so a re-registered campaign or a resynced
-        # service never passes for the state a reader last saw.
+        # Unique in this process, so a re-registered campaign or a
+        # resynced service never passes for the state a reader last saw.
         self.read_serial = next(_READ_SERIALS)
         #: The campaign's REGISTER body, set by whoever registered it:
         #: what a checkpoint stores and a worker's spec is projected from.
         self.spec: Optional[dict] = None
-        # What snapshot() last returned and the state it showed, set as
-        # one tuple: (aggregator, user table, (aggregator version, claims
-        # accepted, pending claims, table length), snapshot).
+        # (read_key() it showed, what snapshot() last returned).
         self._last_read: Optional[tuple] = None
 
     # ------------------------------------------------------------------
@@ -120,7 +117,7 @@ class CampaignState:
     def last_snapshot(self) -> Optional[TruthSnapshot]:
         """What :meth:`snapshot` last returned (None before any read)."""
         last = self._last_read
-        return None if last is None else last[3]
+        return None if last is None else last[1]
 
     def user_slot(self, user_id: str) -> int:
         """Slot for ``user_id``, assigning the next free one; -1 if full.
@@ -164,6 +161,20 @@ class CampaignState:
         except KeyError:
             return None
 
+    def read_key(self) -> tuple:
+        """The one rule for when a read may reuse anything: equal keys
+        mean equal reads, on a primary, over a worker proxy and off a
+        replica.
+
+        The aggregator's ``version`` moves whenever its truths, weights,
+        counters or staged claims can; a read flushes its campaign
+        first, so every claim that reached the batcher (and with it the
+        contributors) has moved it too.  The table's length decides the
+        form of ``contributor_ids``.  The serial tells a re-registered
+        campaign's fresh state from the one a reader last saw.
+        """
+        return (self.read_serial, self.aggregator.version, len(self.user_table))
+
     def snapshot(self) -> TruthSnapshot:
         """Immutable read-side view of the campaign's current state.
 
@@ -174,31 +185,25 @@ class CampaignState:
         are a slice of the table when every slot contributed, else a
         :class:`SlotIds` view resolved by whoever reads them.
 
-        A read of unchanged state returns the last snapshot itself.  The
-        key is the aggregator's ``version`` and identity, the claim and
-        pending counters, and the user table's identity and length:
-        everything a snapshot shows moves one of them (contributors only
-        change as claims are accepted, and the table is only appended
-        to or replaced).
+        The caller flushes the campaign first, as
+        :meth:`~repro.service.ingest.IngestService.snapshot` does.  A
+        read whose :meth:`read_key` is the last read's returns the last
+        snapshot itself.  A changed read costs one aggregator call
+        (:meth:`~repro.service.aggregator.IncrementalAggregator.folded`,
+        one RPC for a worker's campaign).
         """
         aggregator = self.aggregator
         aggregator.refresh()
-        table = self.user_table
-        pending = self.batcher.pending
-        counters = (aggregator.version, self.claims_accepted, pending, len(table))
+        key = self.read_key()
         last = self._last_read
-        same_table = last is not None and last[1] is table
-        if same_table and last[0] is aggregator and last[2] == counters:
-            return last[3]
-        weights = aggregator.weights()
+        if last is not None and last[0] == key:
+            return last[1]
         snapshot = self._view(
-            aggregator.truths(),
-            weights,
-            aggregator.seen_objects(),
-            pending,
-            last[3].contributor_ids if same_table else None,
+            *aggregator.folded(),
+            self.batcher.pending,
+            None if last is None else last[1].contributor_ids,
         )
-        self._last_read = (aggregator, table, counters, snapshot)
+        self._last_read = (key, snapshot)
         return snapshot
 
     def folded_snapshot(self) -> TruthSnapshot:
@@ -221,8 +226,9 @@ class CampaignState:
     def _view(
         self, truths, weights, seen, pending: int, ids=None
     ) -> TruthSnapshot:
-        """``ids`` is an earlier snapshot's ``contributor_ids`` over the
-        same table, reused when it is the tuple this read would slice."""
+        """``ids`` is an earlier snapshot's ``contributor_ids``, reused
+        when it is the tuple this read would slice (the table is only
+        appended to once reads begin)."""
         table = self.user_table
         filled = len(table)
         counts = self.claims_by_slot[:filled]

@@ -12,8 +12,8 @@ Two objects hide the process boundary from the service layer:
   :class:`~repro.service.aggregator.IncrementalAggregator` surface for
   one campaign whose real aggregator lives in a worker.  ``ingest``
   ships the batch as a :class:`~repro.durable.records.WorkItem` frame;
-  ``truths``/``weights``/``seen_objects`` answer from one cached
-  snapshot RPC; ``state_dict``/``load_state`` round-trip the worker
+  ``folded`` is one snapshot RPC, and the proxy keeps nothing of it;
+  ``state_dict``/``load_state`` round-trip the worker
   aggregator's full state, which is how durable checkpoints capture
   remote campaigns.
 
@@ -317,7 +317,6 @@ class RemoteAggregator(IncrementalAggregator):
         self._backend = backend
         self._refine_every = refine_every
         self._staged = 0
-        self._cache: dict | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -334,10 +333,10 @@ class RemoteAggregator(IncrementalAggregator):
         The campaign's aggregator state has already moved (register +
         ``load_state`` on the new worker, ordered after every shipped
         frame), staged-claim bookkeeping included — so the local mirror
-        carries over unchanged; only the cached snapshot must go.
+        carries over unchanged.  The version moves so that the next
+        read is answered by the new owner.
         """
         self._handle = handle
-        self._cache = None
         self.version += 1
 
     def ingest(self, batch: ClaimBatch) -> None:
@@ -351,7 +350,6 @@ class RemoteAggregator(IncrementalAggregator):
         )
         self.claims_ingested += batch.size
         self.batches_ingested += 1
-        self._cache = None
         self.version += 1
         if self._backend == "streaming":
             # Mirror StreamingAggregator.ingest: once refine_every
@@ -368,26 +366,20 @@ class RemoteAggregator(IncrementalAggregator):
         if self.refresh_changes_state:
             self._handle.send_refresh(self._campaign_id)
             self._staged = 0
-            self._cache = None
             self.version += 1
 
     # ------------------------------------------------------------------
-    def truths(self) -> np.ndarray:
-        return self._fetch()["truths"]
-
-    def weights(self) -> np.ndarray:
-        return self._fetch()["weights"]
-
-    def seen_objects(self) -> np.ndarray:
-        return np.asarray(self._fetch()["seen_objects"], dtype=bool)
-
-    def _fetch(self) -> dict:
-        if self._cache is None:
-            self._cache = self._handle.snapshot(self._campaign_id)
-            # Answering the snapshot folded any staged claims remotely
-            # (truths() refreshes); keep the mirror in step.
-            self._staged = 0
-        return self._cache
+    def folded(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One snapshot RPC.  The worker folds what it has staged before
+        answering, so this is the folded state only with nothing staged:
+        after :meth:`refresh`, as every read does first."""
+        state = self._handle.snapshot(self._campaign_id)
+        self._staged = 0  # keep the mirror in step with that fold
+        return (
+            state["truths"],
+            state["weights"],
+            np.asarray(state["seen_objects"], dtype=bool),
+        )
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
@@ -412,5 +404,4 @@ class RemoteAggregator(IncrementalAggregator):
             )
         else:
             self._staged = 0
-        self._cache = None
         self.version += 1

@@ -237,12 +237,14 @@ class ShardRuntime:
 
     def _on_snapshot(self, campaign_id: str, send) -> None:
         aggregator = self._aggregator(campaign_id)
+        aggregator.refresh()
+        truths, weights, seen = aggregator.folded()
         payload = proto.pack_state(
             {
                 "campaign_id": campaign_id,
-                "truths": aggregator.truths(),
-                "weights": aggregator.weights(),
-                "seen_objects": aggregator.seen_objects(),
+                "truths": truths,
+                "weights": weights,
+                "seen_objects": seen,
                 "claims_ingested": aggregator.claims_ingested,
                 "batches_ingested": aggregator.batches_ingested,
             }

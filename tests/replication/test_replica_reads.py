@@ -3,9 +3,10 @@ refuses.
 
 A read is answered from the standby's applied log without folding
 anything that log did not fold; a reader whose last reply's version
-still holds gets an empty reply and its cached snapshot.  Every read
-must still equal the full reply of ``full_read_reference`` at that
-moment.
+still holds gets an empty reply and its cached snapshot.  A version is
+the standby's nonce and the campaign's own read key, so records for
+other campaigns leave it standing.  Every read must still equal the
+full reply of ``full_read_reference`` at that moment.
 """
 
 import gc
@@ -21,6 +22,9 @@ from hypothesis import strategies as st
 
 from full_read_reference import assert_same_read, decode, full_read
 from repro.durable import DurabilityConfig, DurabilityManager
+from repro.durable import records as rec
+from repro.durable.recovery import RecordApplier
+from repro.durable.wal import split_frames
 from repro.net.transport import FrameServer, connect
 from repro.replication import protocol as rp
 from repro.replication.client import ReplicaError, ReplicaReadClient
@@ -130,7 +134,9 @@ class TestReadFoldsNothing:
     def test_promoted_standby_reads_fold_like_a_primary(self, replicated):
         """Promotion changes what a read may do, not the log: the same
         client's next read must fold what the replica left staged, as
-        the primary's own read does, not come back unchanged."""
+        the primary's own read does, not come back unchanged.  A read
+        after it, with nothing new, is answered by the same key as
+        before promotion: empty."""
         gen, chunks, service, manager, sender, standby, address = replicated
         feed(service, chunks[:1])
         wait_shipped(manager, sender)
@@ -145,8 +151,8 @@ class TestReadFoldsNothing:
         assert primary.pending_claims == promoted.pending_claims == 0
         assert promoted.truths.tobytes() == primary.truths.tobytes()
         assert promoted.weights_by_user == primary.weights_by_user
-        assert again.truths.tobytes() == primary.truths.tobytes()
-        assert standby.status()["reads_unchanged"] == 0
+        assert again is promoted
+        assert standby.status()["reads_unchanged"] == 1
 
 
 # ======================================================================
@@ -178,6 +184,9 @@ class ReadHarness:
             self._register(campaign_id)
         self.shipped = 0
         self.reads = {"full": 0, "unchanged": 0}
+        #: (client, campaign) pairs whose last reply no applied record
+        #: has touched since: the next such read must be empty.
+        self.quiet = set()
         self.standby = None
         self.clients = []
         self._start_standby()
@@ -210,6 +219,7 @@ class ReadHarness:
         # A client that outlives a standby restart keeps its cache, as a
         # reconnecting reader would: its version must not fit the new
         # process.
+        self.quiet.clear()
         old = self.clients
         self.clients = [ReplicaReadClient(address) for _ in range(2)]
         for new, gone in zip(self.clients, old):
@@ -233,14 +243,17 @@ class ReadHarness:
         durable = self.manager.durable_lsn
         if durable == self.shipped:
             return
-        send_frame(self.link, rp.RECORDS, committed_frames(
+        frames = committed_frames(
             self.manager.wal.directory, self.shipped, durable
-        ))
+        )
+        send_frame(self.link, rp.RECORDS, frames)
         rtype, payload = recv_frame(self.link)
         assert rtype == rp.ACK
         self.shipped = rp.decode_lsn(payload)
         assert self.shipped == durable
         self._barrier()
+        touched = {campaign_of(f.record) for f in split_frames(frames)}
+        self.quiet = {pair for pair in self.quiet if pair[1] not in touched}
 
     def chunk(self, campaign_id: str, new_users: int, seed: int) -> None:
         self._feed(campaign_id, new_users, seed)
@@ -286,14 +299,22 @@ class ReadHarness:
         assert rtype == rp.ACK
         self.shipped = rp.decode_lsn(payload)
         assert self.shipped == lsn
+        self.quiet.clear()
 
     def restart(self) -> None:
         self._stop_standby()
         self._start_standby()
 
     def read(self, index: int, campaign_id: str) -> None:
+        empty = self.standby.reads_unchanged
         got = self.clients[index].snapshot(campaign_id)
         assert_same_read(got, full_read(self.standby.service, campaign_id))
+        if (index, campaign_id) in self.quiet:
+            assert self.standby.reads_unchanged == empty + 1, (
+                f"client {index} got a full reply of {campaign_id!r}, "
+                f"which no record touched since its last reply"
+            )
+        self.quiet.add((index, campaign_id))
 
     def close(self) -> None:
         self._stop_standby()
@@ -301,6 +322,17 @@ class ReadHarness:
             client.close()
         self.primary.close()
         self.manager.close()
+
+
+def campaign_of(record):
+    """The campaign a shipped record changes (None for CONFIG and
+    CHARGE, which change none)."""
+    if record.rtype in (rec.CONFIG, rec.CHARGE):
+        return None
+    body = record.decode()
+    if record.rtype == rec.BATCH:
+        return body.campaign_id
+    return body["campaign_id"]
 
 
 #: Step kinds, reads and chunks weighted up so most reads follow a
@@ -348,6 +380,25 @@ _steps = st.lists(
 )
 @example(
     steps=[
+        ("read", 0, "stream", 0, 0),
+        # Records for another campaign only: "stream" reads empty.
+        ("chunk", 0, "refit", 3, 1),
+        ("chunk", 0, "refit", 0, 2),
+        ("chunk", 0, "refit", 2, 3),
+        ("read", 0, "stream", 0, 0),
+    ]
+)
+@example(
+    steps=[
+        # The first read refits, and its reply must name the refit
+        # state, or the second read is a second full reply.
+        ("chunk", 0, "refit", 0, 1),
+        ("read", 0, "refit", 0, 0),
+        ("read", 0, "refit", 0, 0),
+    ]
+)
+@example(
+    steps=[
         ("chunk", 0, "stream", 0, 1),
         ("checkpoint", 0, "stream", 0, 0),
         ("chunk", 0, "stream", 0, 2),
@@ -371,7 +422,8 @@ def test_every_read_equals_the_full_reply(steps):
                 else:
                     getattr(harness, kind)()
             # Each campaign read twice by each client: the second read
-            # of a pair has nothing new, whatever the steps did.
+            # of a pair has nothing new, whatever the steps did, and
+            # must be empty.
             for campaign_id in CAMPAIGNS:
                 for index in (0, 1, 0, 1):
                     harness.read(index, campaign_id)
@@ -408,6 +460,65 @@ def test_a_replaced_campaign_state_is_freed(tmp_path):
         harness.resync()
         gc.collect()
         assert resynced() is None
+    finally:
+        harness.close()
+
+
+def test_a_refused_read_drops_the_cached_snapshot(tmp_path):
+    """A read of a campaign the standby no longer knows is refused, and
+    the reader lets go of its last snapshot of it then, not when the
+    connection closes."""
+    harness = ReadHarness(tmp_path)
+    try:
+        harness.chunk("stream", 5, 0)
+        harness.read(0, "stream")
+        client = harness.clients[0]
+        kept = weakref.ref(client._cache["stream"][1])
+        harness.primary.unregister_campaign("stream")
+        harness.ship()
+        with pytest.raises(ReplicaError, match="unknown campaign"):
+            client.snapshot("stream")
+        gc.collect()
+        assert kept() is None
+    finally:
+        harness.close()
+
+
+def test_a_record_that_fails_half_way_invalidates_every_version(
+    tmp_path, monkeypatch
+):
+    """A record whose apply raises after changing a campaign, but before
+    anything that moves its read key: a version handed out before it
+    must get a full reply, and that reply is the full reference's."""
+    harness = ReadHarness(tmp_path)
+    try:
+        harness.chunk("stream", 5, 0)
+        harness.read(0, "stream")
+        service = harness.standby.service
+        applied = RecordApplier.apply
+
+        def half_apply(applier, record):
+            if record.rtype != rec.BATCH:
+                return applied(applier, record)
+            item = record.decode()
+            # What the real apply changes first, short of the version.
+            state = service.campaign_state(item.campaign_id)
+            state.aggregator.claims_ingested += item.size
+            raise RuntimeError("apply failed half-way")
+
+        monkeypatch.setattr(RecordApplier, "apply", half_apply)
+        harness._feed("stream", 0, 1)
+        harness.manager.sync()
+        send_frame(harness.link, rp.RECORDS, committed_frames(
+            harness.manager.wal.directory, harness.shipped,
+            harness.manager.durable_lsn,
+        ))
+        assert recv_frame(harness.link)[0] == rp.ACK  # acked, then applied
+        harness._barrier()
+        harness.quiet.clear()  # the failed batch touched "stream"
+        full = harness.standby.reads_full
+        harness.read(0, "stream")
+        assert harness.standby.reads_full == full + 1
     finally:
         harness.close()
 
@@ -478,9 +589,13 @@ def shipped(tmp_path):
         harness.close()
 
 
-def _stale_lsn(version: str) -> str:
-    nonce, serial, lsn = version.split(":")
-    return f"{nonce}:{serial}:{int(lsn) - 1}"
+def _stale_key(version: str) -> str:
+    """The version of the same state before its last batch: the nonce,
+    then the read key with the aggregator's version one lower."""
+    nonce, serial, aggregator_version, *counters = version.split(":")
+    return ":".join(
+        [nonce, serial, str(int(aggregator_version) - 1), *counters]
+    )
 
 
 @pytest.mark.parametrize(
@@ -494,7 +609,7 @@ def _stale_lsn(version: str) -> str:
         pytest.param(lambda v: {"version": True}, id="version-bool"),
         pytest.param(lambda v: {"version": v[:-1]}, id="version-truncated"),
         pytest.param(lambda v: {"version": "x" + v[1:]}, id="version-nonce"),
-        pytest.param(lambda v: {"version": _stale_lsn(v)}, id="version-stale"),
+        pytest.param(lambda v: {"version": _stale_key(v)}, id="version-stale"),
     ],
 )
 def test_hostile_read_request_gets_a_full_reply(shipped, fields):

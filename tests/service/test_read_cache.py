@@ -130,6 +130,23 @@ REWIND_AFTER_REREAD = [
 ]
 
 
+def submit(campaign_id, user_id):
+    return ("submit", ClaimSubmission(
+        campaign_id=campaign_id, user_id=user_id, object_ids=("o0",),
+        values=(1.0,),
+    ))
+
+
+#: A new user takes a slot, then its claim is evicted by the other
+#: campaign's: the table grows with nothing else moving, and the read
+#: after it must be a new one.
+EVICTED_NEW_USER = [
+    ("read", "s"), submit("s", "u0"),
+    submit("f", "ann"), submit("f", "ann"), submit("f", "ann"),
+    ("read", "s"),
+]
+
+
 def moved(state) -> tuple:
     """What any operation that changes a campaign's read moves."""
     return (
@@ -148,6 +165,7 @@ def moved(state) -> tuple:
     cap=st.sampled_from([3.0, 1e6]),
 )
 @example(ops=REWIND_AFTER_REREAD, max_batch=5, overflow="reject", cap=1e6)
+@example(ops=EVICTED_NEW_USER, max_batch=5, overflow="drop_oldest", cap=1e6)
 @settings(max_examples=40, deadline=None)
 def test_cached_reads_equal_uncached_reads(method, ops, max_batch, overflow, cap):
     with tempfile.TemporaryDirectory() as tmp:
