@@ -1,15 +1,14 @@
-"""Async-commit durability, log compaction, and crash recovery.
+"""Group-commit durability, log compaction, and crash recovery.
 
 The write-ahead log guarantees a crashed truth server comes back
-bit-for-bit — but an append-only log grows forever, and synchronous
-group commit taxes the ingest thread.  This demo walks the PR-5
-additions end to end:
+bit-for-bit — but an append-only log grows forever.  This demo walks
+the durable layer end to end:
 
-1. a campaign streams claims through a service whose WAL runs in
-   ``async_commit`` mode: a background writer thread group-commits
-   staged records, the durable-ack watermark (``durable_lsn``) trails
-   the appends, and every pump acknowledges durability without paying
-   fdatasync latency inline;
+1. a campaign streams claims through a service whose WAL stages each
+   pump's records and commits them as one group on the pump thread
+   (one ``writev`` and one fdatasync per pump under ``fsync="batch"``),
+   so the durable-ack watermark (``durable_lsn``) reaches every
+   appended record before the pump acknowledges it;
 2. ``compact()`` rewrites the log down to its live records — the
    post-checkpoint suffix, the registration, and nothing else — behind
    an atomic temp-dir + rename + directory-fsync swap, reclaiming
@@ -67,12 +66,11 @@ def main() -> None:
             random_state=2020,
         )
 
-        # -- phase 1: async-commit ingest -------------------------------
+        # -- phase 1: group-commit ingest -------------------------------
         manager = DurabilityManager(
             DurabilityConfig(
                 directory=directory,
-                fsync="batch",
-                async_commit=True,  # background writer + durable-ack
+                fsync="batch",  # one group commit per pump
                 checkpoint_every_claims=25_000,
             )
         )
@@ -100,7 +98,7 @@ def main() -> None:
         print("ingested:            ", doomed.summary())
         print(
             f"WAL appends:          {stats.wal_appends} records in "
-            f"{stats.wal_commit_groups} background group commits "
+            f"{stats.wal_commit_groups} group commits on the pump thread "
             f"(durable-lsn lag at last pump: {stats.wal_durable_lag})"
         )
 

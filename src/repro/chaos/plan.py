@@ -140,8 +140,8 @@ class FaultPlan:
     def fire(self, point: str) -> Optional[InjectedFault]:
         """One query at ``point``; the fault to inject, or None.
 
-        Thread-safe: hook sites live on the WAL writer thread, link
-        threads, and the pump thread simultaneously.  Determinism is
+        Thread-safe: hook sites live on whichever thread drains the
+        WAL, link threads, and the pump thread simultaneously.  Determinism is
         per point — the nth query at a point always gets the same
         answer for a given seed, regardless of interleaving.
         """

@@ -8,14 +8,10 @@ memory; this package makes that state survive a crash:
   assignments, and privacy-budget charges), with ``never`` / ``batch``
   / ``always`` fsync policies, segment rotation, and retention.  Every
   append stages its record, and each drain commits the staged group
-  with one ``writev`` and one fdatasync; the monotone ``durable_lsn``
-  watermark plus ``wait_durable(lsn)`` give callers a durable-ack
-  primitive.  Synchronous commit drains on the calling thread (at sync
-  points, or per record under ``always``); with ``async_commit`` a
-  background writer thread drains instead, so ``always`` means
-  "acknowledged after durable" via grouped syncs and ``batch``
-  group-commit latency leaves the ingest thread entirely.  A failed
-  drain stays failed in both modes;
+  with one ``writev`` and one fdatasync, on the calling thread (at
+  ``sync()``, per record under ``always``, or when staging crosses its
+  high-water mark); the monotone ``durable_lsn`` watermark is the
+  durable-ack primitive.  A failed drain stays failed;
 * :func:`compact_directory` /
   :meth:`~repro.durable.manager.DurabilityManager.compact` —
   claim-granular log compaction: rewrite the live records (the
@@ -39,7 +35,7 @@ memory; this package makes that state survive a crash:
 * :class:`RecoveryManager` — rebuilds the service after a crash from
   the latest valid checkpoint plus the log suffix, truncating any torn
   tail, with bit-for-bit identical truths on the replayed batches
-  (including after async-commit crashes and mid-compaction crashes);
+  (including after mid-compaction crashes);
 * :class:`WorkItem` — the serialisable work-item format the log (and
   the multi-process shard workers) move around.
 

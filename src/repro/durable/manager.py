@@ -23,15 +23,8 @@ to.  The contract mirrors the ingest pipeline's own events:
   checkpoint's ledger snapshot.  Under ``fsync="always"`` each charge
   is appended at admission.  Charges for claims that never became
   durable stay spent (the safe direction);
-* ``after_pump`` — the group-commit point: syncs the log under the
-  ``batch`` fsync policy and triggers automatic checkpoints.  With
-  ``async_commit`` enabled the write+fsync work runs on the WAL's
-  background writer thread instead: ``after_pump`` just *requests* a
-  group commit under ``batch``/``never`` (no commit latency on the
-  ingest thread), and under ``always`` waits on the durable-ack
-  watermark (``wait_durable``) so a completed pump still guarantees
-  its batches are on disk — grouped syncs instead of one fdatasync
-  per frame.
+* ``after_pump`` — the group-commit point: syncs the log on the pump
+  thread and triggers automatic checkpoints.
 
 The manager keeps no record of its own of the campaigns it logs: a
 checkpoint reads the bound service's live ``CampaignState`` (its
@@ -93,12 +86,6 @@ class DurabilityConfig:
         manually).
     keep_checkpoints:
         Completed checkpoints retained on disk.
-    async_commit:
-        Run WAL write+fsync on a background writer thread (see
-        :mod:`repro.durable.wal`): ``after_pump`` becomes non-blocking
-        under ``batch``/``never`` and a grouped durable-ack under
-        ``always``.  Control records (registrations, checkpoints) and
-        read-path syncs still block until durable.
     compaction:
         A :class:`~repro.durable.daemon.CompactionPolicy` enabling
         policy-driven compaction: ``after_pump`` checks the directory's
@@ -113,7 +100,6 @@ class DurabilityConfig:
     max_segment_bytes: int = 64 * 1024 * 1024
     checkpoint_every_claims: int = 0
     keep_checkpoints: int = 3
-    async_commit: bool = False
     compaction: Optional[CompactionPolicy] = None
 
     def __post_init__(self) -> None:
@@ -157,7 +143,6 @@ class DurabilityManager:
             fsync=config.fsync,
             max_segment_bytes=config.max_segment_bytes,
             start_lsn=start_lsn,
-            async_commit=config.async_commit,
         )
         self._checkpoints = CheckpointStore(
             config.directory, keep=config.keep_checkpoints
@@ -402,25 +387,12 @@ class DurabilityManager:
         """The WAL's durable-ack watermark (see :class:`WriteAheadLog`)."""
         return self._wal.durable_lsn
 
-    def wait_durable(self, lsn: int, *, timeout=None) -> bool:
-        """Block until records up to ``lsn`` are durable (durable-ack)."""
-        return self._wal.wait_durable(lsn, timeout=timeout)
-
     def after_pump(self) -> None:
-        """Group-commit point, called by the service after each pump.
-
-        Synchronous commit: one blocking flush+fsync (the ``batch``
-        policy's group commit).  Async commit: ``batch``/``never`` just
-        request a background group commit and return — commit latency
-        leaves the ingest thread entirely — while ``always`` waits on
-        the durable-ack watermark, so the pump acknowledges its batches
-        only once they are on disk (grouped syncs, not one per frame).
-        """
+        """Group-commit point, called by the service after each pump:
+        drains the pump's records to the log (the ``batch`` policy's
+        group commit) before the pump acknowledges them."""
         self._log_charges()
-        if self._config.async_commit and self._config.fsync != "always":
-            self._wal.request_sync()
-        else:
-            self._wal.sync()
+        self._wal.sync()
         if self._replication is not None:
             # Semi-sync back-pressure: under that mode the pump blocks
             # until at least one standby acked this pump's last LSN (a
@@ -521,7 +493,7 @@ class DurabilityManager:
         A fresh checkpoint is written first by default, so the rewrite
         retires everything the service has already aggregated — the
         claim-granular replacement for segment retention.  Appends are
-        blocked for the duration (the WAL quiesces its writer thread);
+        blocked for the duration (the WAL holds its lock throughout);
         see :mod:`repro.durable.compaction` for the crash-safety
         protocol.
         """
@@ -554,8 +526,8 @@ class DurabilityManager:
 
     def close(self) -> None:
         """Drain, flush, and close the log (the directory stays
-        recoverable).  Idempotent — a sticky async-writer error is
-        raised by the first close only (see
+        recoverable).  Idempotent — a sticky drain error is raised by
+        the first close only (see
         :meth:`~repro.durable.wal.WriteAheadLog.close`)."""
         try:
             self._log_charges()

@@ -19,10 +19,10 @@ those batches.  Claims that were accepted but still buffered in a
 micro-batcher at crash time were never logged and are lost; their
 budget charges, logged no later than the first batch or commit point
 after admission, stay spent wherever that point became durable (the
-privacy-safe direction).  Under ``async_commit`` the same applies one
-level down: records staged for the background writer but never
-committed (beyond the durable-ack watermark) are a lost *suffix* —
-everything at or below the watermark replays.
+privacy-safe direction).  The same applies one level down: records
+staged in the log but never committed (beyond the durable-ack
+watermark) are a lost *suffix* — everything at or below the watermark
+replays.
 
 Compacted logs (see :mod:`repro.durable.compaction`) recover through
 the same protocol — an interrupted compaction swap is rolled forward

@@ -23,37 +23,25 @@ LSN and *stages* ``(type, LSN, payload buffers)`` — or, for a replica,
 everything staged as one group — one ``os.writev`` per segment it
 touches (split further only at ``IOV_MAX``), then one ``fdatasync``
 unless the policy is ``never`` — and only then advances the monotone
-watermark :attr:`WriteAheadLog.durable_lsn` that
-:meth:`WriteAheadLog.wait_durable` blocks on.  A frame opens a new
+watermark :attr:`WriteAheadLog.durable_lsn`.  A frame opens a new
 segment exactly when it would overflow the current one, so where
 groups end never changes the bytes on disk.  Policies (``fsync=``):
 ``"never"`` writes without fsync (survives process crashes, not power
 loss); ``"batch"`` commits at each sync point
 (:meth:`WriteAheadLog.sync`, which the service calls after each pump);
-``"always"`` is described per mode below.
+``"always"`` commits each record before ``append()`` returns.
 
-In synchronous mode (the default) the calling thread drains: at
-``sync()``, ``compact()`` and ``close()``, inline under ``always`` (a
-group of one, durable before ``append()`` returns), and whenever the
-staged bytes cross a high-water mark that bounds staging memory.  A
+The calling thread drains, and only it: at ``sync()``, ``compact()``
+and ``close()``, inline under ``always`` (a group of one), and whenever
+the staged bytes cross a high-water mark
+(``min(max_segment_bytes, 1 MiB)``) that bounds staging memory.  A
 record reaches the file only at a drain; only records at or below
 ``durable_lsn`` were ever promised.
 
-With ``async_commit=True`` a background writer thread drains, at sync
-points (``sync()`` / ``request_sync()`` / ``wait_durable()``) and at
-the high-water mark, so write and fsync leave the appending thread.
-``always`` then means *ack after durable*: a sync point commits
-everything staged since the last one and blocks until the watermark
-passes, so a record is durable before the caller's next sync point
-acknowledges it (the ingestion service acks at every pump) instead of
-paying one fdatasync per record.  Under ``batch``,
-:meth:`WriteAheadLog.request_sync` (the service's pump hook) only
-schedules the commit, so its latency leaves the ingest thread.
-
-A failed drain is sticky in both modes: the first IO error is kept, and
-it and every later ``append``/``sync``/``wait_durable``/``close`` raise
-:class:`WalError` chained to it (``close()`` still releases the segment;
-only the first close raises).  Every group commit records its latency
+A failed drain is sticky: the first IO error is kept, and it and every
+later ``append``/``sync``/``close`` raise :class:`WalError` chained to
+it (``close()`` still releases the segment; only the first close
+raises).  Every group commit records its latency
 (:attr:`WriteAheadLog.commit_latencies`, ``groups_committed``,
 ``commit_seconds``).
 
@@ -134,6 +122,14 @@ _fdatasync = getattr(os, "fdatasync", os.fsync)
 
 #: Most buffers one ``os.writev`` call may take.
 _IOV_MAX = os.sysconf("SC_IOV_MAX")
+
+#: Per-group commit-latency samples kept in
+#: :attr:`WriteAheadLog.commit_latencies`.
+COMMIT_LATENCY_WINDOW = 4096
+
+#: Most staged frame bytes before a drain runs without waiting for a
+#: sync point (capped further by the segment size).
+STAGE_HIGH_WATER_BYTES = 1024 * 1024
 
 
 def _buffer_len(part) -> int:
@@ -434,13 +430,6 @@ class WriteAheadLog:
     start_lsn:
         First LSN this writer assigns (``last recovered LSN + 1`` when
         resuming).
-    async_commit:
-        Drain on a background writer thread instead of the calling
-        thread (see the module docstring).  Durability is acknowledged
-        via :attr:`durable_lsn` / :meth:`wait_durable` in both modes.
-    commit_latency_window:
-        Per-group commit-latency samples retained in
-        :attr:`commit_latencies` (a bounded deque).
     """
 
     def __init__(
@@ -450,8 +439,6 @@ class WriteAheadLog:
         fsync: str = "batch",
         max_segment_bytes: int = 64 * 1024 * 1024,
         start_lsn: int = 1,
-        async_commit: bool = False,
-        commit_latency_window: int = 4096,
     ) -> None:
         if fsync not in FSYNC_POLICIES:
             raise ValueError(
@@ -491,18 +478,15 @@ class WriteAheadLog:
         self._segment_bytes = 0
         # Appends arrive from producer threads (budget charges) as well
         # as the pump thread (batches); this lock keeps LSNs monotonic,
-        # is the producer barrier of compact() and close(), and covers
-        # the drain in synchronous mode.
+        # is the producer barrier of compact() and close(), and guards
+        # staging, the drain, the watermark and ``_closed``.
         self._io_lock = threading.Lock()
-        # Staged group and watermark, shared with the async writer.
-        self._commit_cv = threading.Condition(threading.Lock())
         self._staging: list[tuple] = []
         self._staged_bytes = 0
-        # Crossing this drains without waiting for a sync point: bounds
-        # staging memory and, in async mode, keeps background commits
-        # flowing between pumps.
-        self._stage_high_water = max(
-            min(self._max_segment_bytes, 1024 * 1024), 1
+        # Crossing this drains without waiting for a sync point, which
+        # bounds staging memory.
+        self._stage_high_water = min(
+            self._max_segment_bytes, STAGE_HIGH_WATER_BYTES
         )
         self.bytes_written = 0
         self.records_written = 0
@@ -512,7 +496,7 @@ class WriteAheadLog:
         #: Wall seconds of each group commit (writev + fdatasync),
         #: newest last; bounded so long-running services stay O(1).
         self.commit_latencies: deque[float] = deque(
-            maxlen=commit_latency_window
+            maxlen=COMMIT_LATENCY_WINDOW
         )
         self.groups_committed = 0
         self.commit_seconds = 0.0
@@ -520,16 +504,6 @@ class WriteAheadLog:
         self._closed = False
         self._error: Optional[BaseException] = None  # first failed drain
         self._commit_listeners: list = []
-        self._async = bool(async_commit)
-        self._commit_requested = False
-        self._stop = False
-        if self._async:
-            self._writer = threading.Thread(
-                target=self._writer_loop,
-                name=f"wal-writer-{self._dir.name}",
-                daemon=True,
-            )
-            self._writer.start()
 
     # ------------------------------------------------------------------
     @property
@@ -539,11 +513,6 @@ class WriteAheadLog:
     @property
     def fsync_policy(self) -> str:
         return self._fsync
-
-    @property
-    def async_commit(self) -> bool:
-        """Whether a background writer thread drains staged groups."""
-        return self._async
 
     @property
     def closed(self) -> bool:
@@ -563,8 +532,7 @@ class WriteAheadLog:
         """Monotone watermark: records at or below it are committed —
         fdatasynced under ``batch``/``always``, written to the OS under
         ``never``.  It trails :attr:`last_lsn` by the staged suffix
-        until a drain; :meth:`sync` / :meth:`wait_durable` close the
-        gap."""
+        until a drain; :meth:`sync` closes the gap."""
         return self._durable_lsn
 
     def add_commit_listener(self, listener) -> None:
@@ -572,10 +540,10 @@ class WriteAheadLog:
         commit, once the records at or below the watermark are on disk
         (fdatasynced unless the policy is ``never``).
 
-        Listeners run on the draining thread and must be cheap —
-        typically just waking a shipping thread.  Exceptions are
-        swallowed and logged so a misbehaving listener can never poison
-        the commit path.
+        Listeners run on the draining thread, under the log's lock, and
+        must be cheap — typically just waking a shipping thread.
+        Exceptions are swallowed and logged so a misbehaving listener
+        can never poison the commit path.
         """
         self._commit_listeners.append(listener)
 
@@ -603,10 +571,10 @@ class WriteAheadLog:
         mutated until the record is durable.
 
         The record reaches the file at the next drain: before this
-        returns under synchronous ``fsync="always"``, else at the next
-        sync point or high-water drain; :attr:`durable_lsn` /
-        :meth:`wait_durable` acknowledge it.  A closed log, or one
-        whose drain has failed, raises :class:`WalError`.
+        returns under ``fsync="always"``, else at the next sync point
+        or high-water drain; :attr:`durable_lsn` acknowledges it.  A
+        closed log, or one whose drain has failed, raises
+        :class:`WalError`.
         """
         if rtype not in RECORD_TYPES:
             raise ValueError(f"unknown record type {rtype}")
@@ -621,12 +589,9 @@ class WriteAheadLog:
                 f"record body of {payload_len} bytes is too large"
             )
         with self._io_lock:
-            with self._commit_cv:
-                self.check_append()
-                lsn = self._next_lsn
-                full = self._stage([(rtype, lsn, parts, payload_len)])
-            if not self._async and (full or self._fsync == "always"):
-                self._drain()
+            self.check_append()
+            lsn = self._next_lsn
+            self._stage([(rtype, lsn, parts, payload_len)])
         return lsn
 
     def append_frames(self, frames) -> int:
@@ -644,35 +609,32 @@ class WriteAheadLog:
             for lsn, _rtype, frame in frames
         ]
         with self._io_lock:
-            with self._commit_cv:
-                self.check_append()
-                for expected, entry in enumerate(entries, self._next_lsn):
-                    if entry[1] != expected:
-                        raise WalError(
-                            f"frame at lsn {entry[1]} does not continue "
-                            f"the log at lsn {expected}"
-                        )
-                full = self._stage(entries)
-            if not self._async and (full or self._fsync == "always"):
-                self._drain()
-        return self._next_lsn - 1
+            self.check_append()
+            for expected, entry in enumerate(entries, self._next_lsn):
+                if entry[1] != expected:
+                    raise WalError(
+                        f"frame at lsn {entry[1]} does not continue "
+                        f"the log at lsn {expected}"
+                    )
+            self._stage(entries)
+            return self._next_lsn - 1
 
-    def _stage(self, entries: list) -> bool:
+    def _stage(self, entries: list) -> None:
         """Queue ``(rtype, lsn, parts, payload_len)`` entries for the next
-        drain (both locks held); an rtype of None marks ``parts`` as one
-        whole frame.  Returns whether staging reached the high-water mark,
-        having already woken the async writer if so."""
+        drain (``_io_lock`` held); an rtype of None marks ``parts`` as one
+        whole frame.  Drains here under ``always`` or once staging
+        reaches the high-water mark."""
         self._next_lsn += len(entries)
         self.records_written += len(entries)
         self._staging.extend(entries)
         self._staged_bytes += sum(
             _FRAME_OVERHEAD + entry[3] for entry in entries
         )
-        full = self._staged_bytes >= self._stage_high_water
-        if full and self._async:
-            self._commit_requested = True
-            self._commit_cv.notify_all()
-        return full
+        if (
+            self._fsync == "always"
+            or self._staged_bytes >= self._stage_high_water
+        ):
+            self._drain()
 
     def check_append(self) -> None:
         """Raise :class:`WalError` where :meth:`append` would: the log
@@ -682,65 +644,12 @@ class WriteAheadLog:
             raise WalError("log is closed")
 
     def sync(self) -> None:
-        """Blocking group-commit point: on return every record appended
-        so far is committed (fdatasynced unless ``never``).  This thread
-        drains the staged group in synchronous mode and waits for the
-        writer in async mode; a failed drain raises :class:`WalError`."""
-        if self._async:
-            self._commit_staged()
-            return
+        """Group-commit point: drains the staged group on this thread, so
+        on return every record appended so far is committed
+        (fdatasynced unless ``never``); a failed drain raises
+        :class:`WalError`."""
         with self._io_lock:
-            self._commit_staged()
-
-    def request_sync(self) -> None:
-        """Non-blocking commit request (async mode).
-
-        Schedules a group commit of everything staged and returns
-        immediately; in synchronous mode this is just :meth:`sync`.
-        A previous failed drain raises here.
-        """
-        if not self._async:
-            self.sync()
-            return
-        with self._commit_cv:
-            self._raise_if_failed()
-            if self._staging:
-                self._commit_requested = True
-                self._commit_cv.notify_all()
-
-    def wait_durable(
-        self, lsn: int, *, timeout: Optional[float] = None
-    ) -> bool:
-        """Block until records up to ``lsn`` are committed (durable-ack).
-
-        Returns True once :attr:`durable_lsn` >= ``lsn``; False when
-        ``timeout`` (seconds) elapses first.  The wait arms a commit
-        request, so callers never deadlock waiting for a group the
-        writer was not asked to commit; a failed drain raises
-        :class:`WalError` instead of blocking forever.  In synchronous
-        mode a lagging watermark forces a :meth:`sync`.
-        """
-        self._raise_if_failed()
-        if not self._async:
-            if self._durable_lsn < lsn:
-                self.sync()
-            return self._durable_lsn >= lsn
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._commit_cv:
-            while self._durable_lsn < lsn:
-                self._raise_if_failed()
-                if self._closed:
-                    raise WalError("log is closed")
-                self._commit_requested = True
-                self._commit_cv.notify_all()
-                if deadline is None:
-                    self._commit_cv.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return False
-                    self._commit_cv.wait(remaining)
-            return True
+            self._drain()
 
     def retain(self, lsn: int) -> list[Path]:
         """Delete sealed segments fully covered by a checkpoint at ``lsn``.
@@ -778,7 +687,7 @@ class WriteAheadLog:
         from repro.durable.compaction import compact_directory
 
         with self._io_lock:
-            self._commit_staged()
+            self._drain()
             self._close_segment()
             return compact_directory(
                 self._dir,
@@ -799,17 +708,12 @@ class WriteAheadLog:
             if self._closed:
                 return
             try:
-                self._commit_staged()
+                self._drain()
             except WalError:
                 pass  # raised below, once the segment is released
             # Under the producer lock, so a racing append either staged
             # before the drain above or sees _closed and raises.
-            with self._commit_cv:
-                self._closed = True
-                self._stop = True
-                self._commit_cv.notify_all()
-            if self._async:
-                self._writer.join()
+            self._closed = True
             self._close_segment()
         self._raise_if_failed()
 
@@ -828,59 +732,26 @@ class WriteAheadLog:
                 f"{self._durable_lsn} may not be durable"
             ) from self._error
 
-    def _commit_staged(self) -> None:
-        """Commit everything staged so far (synchronous mode: drains
-        here, with ``_io_lock`` held; async: waits for the writer)."""
-        if self._async:
-            self.wait_durable(self._next_lsn - 1)
-        else:
-            self._drain()
-
     def _drain(self) -> None:
-        """Synchronous mode: commit the staged group on this thread
-        (``_io_lock`` held, which is all that guards staging here)."""
+        """Commit the staged group on this thread (``_io_lock`` held),
+        then advance the watermark and tell the listeners — the one
+        owner of the commit bookkeeping.  A failure becomes the log's
+        sticky error and raises :class:`WalError`."""
         self._raise_if_failed()
         group, self._staging, self._staged_bytes = self._staging, [], 0
-        if group:
-            self._commit_group(group)
-
-    def _writer_loop(self) -> None:
-        """Async mode: drain staged groups until close() stops us."""
-        while True:
-            with self._commit_cv:
-                while not self._stop and not (
-                    self._commit_requested and self._staging
-                ):
-                    self._commit_cv.wait()
-                self._commit_requested = False
-                group, self._staging, self._staged_bytes = self._staging, [], 0
-            if not group:
-                return
-            try:
-                self._commit_group(group)
-            except WalError:
-                return  # sticky: the next append/sync/wait/close raises
-
-    def _commit_group(self, group: list) -> None:
-        """Write one group, then advance the watermark and tell the
-        listeners — the one owner of the commit bookkeeping.  A failure
-        becomes the log's sticky error and raises :class:`WalError`."""
+        if not group:
+            return
         start = time.perf_counter()
         try:
             self._write_group(group)
         except Exception as exc:
-            with self._commit_cv:
-                self._error = exc
-                self._commit_cv.notify_all()
+            self._error = exc
             self._raise_if_failed()
         elapsed = time.perf_counter() - start
         durable = self._durable_lsn = group[-1][1]
         self.groups_committed += 1
         self.commit_seconds += elapsed
         self.commit_latencies.append(elapsed)
-        if self._async:
-            with self._commit_cv:  # only async mode has waiters
-                self._commit_cv.notify_all()
         self._notify_commit(durable)
 
     def _write_group(self, group: list) -> None:

@@ -15,9 +15,8 @@ sampled submission through the pipeline's stages::
   frame is handed to the transport, since remote aggregation
   completes asynchronously;
 * ``durable`` is stamped lazily, the first time the WAL's durable-LSN
-  watermark passes the trace's batch LSN (under ``async_commit`` that
-  is a later group commit; without durability it collapses onto
-  ``flush``).
+  watermark passes the trace's batch LSN (the pump's group commit;
+  without durability it collapses onto ``flush``).
 
 Sampling is 1-in-N per submit call (``sample_every``), so tracing cost
 is one integer modulo on the unsampled hot path and a tiny object
@@ -92,9 +91,10 @@ class SubmissionTrace:
                 deltas[stage] = None
             else:
                 deltas[stage] = max(ts - previous, 0.0)
-            # The durable stamp can land after "aggregated" was already
-            # stamped (async commit); deltas stay stage-over-previous-
-            # stamped-stage rather than going negative.
+            # The durable stamp lands after "aggregated" was already
+            # stamped (the group commit follows the pump); deltas stay
+            # stage-over-previous-stamped-stage rather than going
+            # negative.
             if ts is not None:
                 previous = ts
         return {

@@ -11,7 +11,10 @@ through the same :class:`~repro.durable.recovery.RecordApplier` crash
 recovery uses.  That ordering — append, commit, ack, apply — makes the
 standby's directory independently recoverable and its in-memory truths
 a pure function of the acked record sequence, which is what the
-promotion bitwise-equality invariant rests on.
+promotion bitwise-equality invariant rests on.  A record that fails to
+apply may leave its campaign half-changed, so the standby then rebuilds
+its service from its own directory, as a restart would; if that fails
+too, it refuses reads, records and promotion until a restart.
 
 Because the aggregators are live, reads are instant: the same listener
 (a :class:`~repro.net.transport.FrameServer` — a thread per
@@ -112,6 +115,9 @@ class StandbyServer(FrameServer):
         self._wal: Optional[WriteAheadLog] = None
         self._promoted = False
         self._durability = None
+        # LSN of a record whose apply failed and whose rebuild failed
+        # too: the live state is then not the log's (see _rebuild).
+        self._undefined_at: Optional[int] = None
         self.records_applied = 0
         self.groups_applied = 0
         self._fencing_epoch = 0
@@ -164,12 +170,28 @@ class StandbyServer(FrameServer):
         )
         start_lsn = 1
         if has_history:
-            recovered = RecoveryManager(self._dir).recover()
-            self._service = recovered.service
-            self._applier = RecordApplier(self._service)
-            start_lsn = recovered.report.last_lsn + 1
+            start_lsn = self._recover() + 1
         self._wal = WriteAheadLog(
             self._dir, fsync=self._fsync, start_lsn=start_lsn
+        )
+
+    def _recover(self, *, repair: bool = True) -> int:
+        """Replace the live service with one rebuilt from this standby's
+        directory; returns the last LSN the directory holds."""
+        recovered = RecoveryManager(self._dir).recover(repair=repair)
+        self._service = recovered.service
+        self._applier = RecordApplier(self._service)
+        return recovered.report.last_lsn
+
+    def _refusal(self) -> Optional[str]:
+        """Why nothing may read or extend the live state, or None
+        (``_apply_lock`` held)."""
+        if self._undefined_at is None:
+            return None
+        return (
+            f"record at lsn {self._undefined_at} failed to apply and "
+            f"the rebuild from {self._dir} failed too; the live state "
+            f"is not the log's until the standby restarts"
         )
 
     @property
@@ -286,11 +308,12 @@ class StandbyServer(FrameServer):
         :func:`~repro.replication.protocol.verify_records`) stores and
         applies nothing and leaves the cursor where it was."""
         with self._apply_lock:
-            if self._promoted or self._wal is None:
+            error = self._refusal()
+            if error is None and (self._promoted or self._wal is None):
+                error = "standby no longer replicates"
+            if error is not None:
                 send_frame(
-                    conn,
-                    rp.REPL_ERROR,
-                    rp.encode_json({"error": "standby no longer replicates"}),
+                    conn, rp.REPL_ERROR, rp.encode_json({"error": error})
                 )
                 return False
             frames = rp.verify_records(payload, self._wal.last_lsn)
@@ -308,18 +331,39 @@ class StandbyServer(FrameServer):
             send_frame(
                 conn, rp.ACK, rp.encode_lsn(self._wal.durable_lsn)
             )
-            for record in records:
+            for index, record in enumerate(records):
                 try:
                     self._apply(record)
-                except BaseException:
-                    # A record that failed half-way may have changed a
-                    # campaign without moving its key: no version handed
-                    # out so far may hold.
-                    self._nonce = os.urandom(8).hex()
-                    raise
+                except Exception:
+                    # The rebuild replays the rest of the group too.
+                    self._rebuild(record.lsn)
+                    self.records_applied += len(records) - index
+                    break
             if records:
                 self.groups_applied += 1
         return True
+
+    def _rebuild(self, lsn: int) -> None:
+        """The record at ``lsn`` failed to apply, perhaps half-way, so
+        the live state may be one the log does not define: rebuild it
+        from this directory, which already holds every record acked
+        (``_apply_lock`` held).  The failed record may have changed a
+        campaign without moving its key, so no version handed out so
+        far may hold: the nonce is redrawn.  When the rebuild raises
+        too, :meth:`_refusal` refuses every later read, RECORDS group
+        and promotion, and this group's sender is refused now."""
+        _LOGGER.exception(
+            "record at lsn %d failed to apply; rebuilding from %s",
+            lsn, self._dir,
+        )
+        self._nonce = os.urandom(8).hex()
+        try:
+            # The log was just committed: nothing to repair, and the
+            # open writer's segment must not be touched.
+            self._recover(repair=False)
+        except Exception as exc:
+            self._undefined_at = lsn
+            raise StandbyError(self._refusal()) from exc
 
     def _apply(self, record) -> None:
         if record.rtype == rec.CONFIG:
@@ -365,9 +409,7 @@ class StandbyServer(FrameServer):
                 elif entry != self._fence_path():
                     entry.unlink()
             CheckpointStore(self._dir).write(lsn, payload)
-            recovered = RecoveryManager(self._dir).recover()
-            self._service = recovered.service
-            self._applier = RecordApplier(self._service)
+            self._recover()
             self._wal = WriteAheadLog(
                 self._dir, fsync=self._fsync, start_lsn=lsn + 1
             )
@@ -391,17 +433,16 @@ class StandbyServer(FrameServer):
         campaign_id = body.get("campaign_id")
         with self._apply_lock:
             service = self._service
-            if (
+            error = self._refusal()
+            if error is None and (
                 service is None
                 or type(campaign_id) is not str
                 or not service.has_campaign(campaign_id)
             ):
+                error = f"unknown campaign {campaign_id!r}"
+            if error is not None:
                 send_frame(
-                    conn,
-                    rp.REPL_ERROR,
-                    rp.encode_json(
-                        {"error": f"unknown campaign {campaign_id!r}"}
-                    ),
+                    conn, rp.REPL_ERROR, rp.encode_json({"error": error})
                 )
                 return True
             state = service.campaign_state(campaign_id)
@@ -536,6 +577,9 @@ class StandbyServer(FrameServer):
                 )
             if self._promoted:
                 raise StandbyError("standby is already promoted")
+            error = self._refusal()
+            if error is not None:
+                raise StandbyError(error)
             if self._service is None or self._applier is None:
                 raise StandbyError(
                     "nothing replicated yet; no service to promote"

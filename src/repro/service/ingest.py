@@ -141,12 +141,10 @@ class ServiceStats:
     # ------------------------------------------------------------------
     # WAL observability (zero while running volatile): records
     # appended, group commits completed, accumulated commit seconds
-    # (write+flush+fsync wall time — on the ingest thread for
-    # synchronous commit, on the background writer under
-    # ``async_commit``), and the durable-LSN lag (records appended but
-    # not yet committed — the staged suffix a crash under async commit
-    # could lose).  Read live from the WAL itself, whose counters stay
-    # readable after it closes.
+    # (writev+fdatasync wall time, on the thread that drains), and the
+    # durable-LSN lag (records appended but not yet committed — the
+    # staged suffix a crash could lose).  Read live from the WAL
+    # itself, whose counters stay readable after it closes.
     def _live_wal(self):
         service = self._service
         if service is None or service.durability is None:
@@ -780,8 +778,7 @@ class IngestService:
         shard.flush_campaign(campaign_id)
         if self._durability is not None:
             # The read may have forced a tail batch into the log; make
-            # it durable before handing out truths derived from it
-            # (blocks on the durable-ack watermark under async commit).
+            # it durable before handing out truths derived from it.
             self._durability.sync()
             self._sample_wal_stats()
         state = shard.campaigns[campaign_id]

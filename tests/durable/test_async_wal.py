@@ -1,4 +1,10 @@
-"""Async group commit: writer thread, durable-ack watermark, crashes."""
+"""WAL commit path: round trip, durable watermark, close, crashes.
+
+The module and class names come from the asynchronous commit mode the
+WAL once had; every test here runs the one path, where the calling
+thread drains staged groups at ``sync()``, ``close()``, per append under
+``always``, or at the staging high-water mark.
+"""
 
 import os
 import subprocess
@@ -10,6 +16,7 @@ import pytest
 
 from repro.durable import records as rec
 from repro.durable.wal import (
+    COMMIT_LATENCY_WINDOW,
     WalError,
     WriteAheadLog,
     list_segments,
@@ -22,9 +29,7 @@ PAYLOAD = rec.encode_json_payload({"campaign_id": "c"})
 class TestAsyncRoundTrip:
     @pytest.mark.parametrize("fsync", ["never", "batch", "always"])
     def test_append_sync_read_back(self, tmp_path, fsync):
-        with WriteAheadLog(
-            tmp_path, fsync=fsync, async_commit=True
-        ) as wal:
+        with WriteAheadLog(tmp_path, fsync=fsync) as wal:
             lsns = [wal.append(rec.REFRESH, PAYLOAD) for _ in range(40)]
             wal.sync()
             assert wal.durable_lsn == lsns[-1]
@@ -34,7 +39,7 @@ class TestAsyncRoundTrip:
             assert record.decode()["campaign_id"] == "c"
 
     def test_close_drains_without_explicit_sync(self, tmp_path):
-        wal = WriteAheadLog(tmp_path, fsync="batch", async_commit=True)
+        wal = WriteAheadLog(tmp_path, fsync="batch")
         for _ in range(25):
             wal.append(rec.REFRESH, PAYLOAD)
         wal.close()
@@ -42,12 +47,9 @@ class TestAsyncRoundTrip:
             range(1, 26)
         )
 
-    def test_rotation_under_async_commit(self, tmp_path):
+    def test_rotation(self, tmp_path):
         with WriteAheadLog(
-            tmp_path,
-            fsync="never",
-            async_commit=True,
-            max_segment_bytes=256,
+            tmp_path, fsync="never", max_segment_bytes=256
         ) as wal:
             for _ in range(30):
                 wal.append(rec.REFRESH, PAYLOAD)
@@ -71,9 +73,7 @@ class TestAsyncRoundTrip:
             rec.campaign_id_prefix("camp"), users, objects, values
         )
         assert b"".join(bytes(p) for p in parts) == item.to_bytes()
-        with WriteAheadLog(
-            tmp_path, fsync="batch", async_commit=True
-        ) as wal:
+        with WriteAheadLog(tmp_path, fsync="batch") as wal:
             wal.append(rec.BATCH, parts)
             wal.sync()
         decoded = read_wal(tmp_path).records[0].decode()
@@ -94,44 +94,36 @@ class TestAsyncRoundTrip:
 
 
 class TestDurableAck:
-    def test_watermark_monotone_and_ackable(self, tmp_path):
-        with WriteAheadLog(
-            tmp_path, fsync="batch", async_commit=True
-        ) as wal:
-            assert wal.durable_lsn == 0
-            lsn = None
-            for _ in range(10):
-                lsn = wal.append(rec.REFRESH, PAYLOAD)
-            assert wal.wait_durable(lsn, timeout=10.0)
-            assert wal.durable_lsn >= lsn
-            before = wal.durable_lsn
-            assert wal.wait_durable(before)  # idempotent
-            assert wal.durable_lsn >= before
-
-    def test_wait_durable_timeout_for_unappended_lsn(self, tmp_path):
-        with WriteAheadLog(
-            tmp_path, fsync="batch", async_commit=True
-        ) as wal:
-            wal.append(rec.REFRESH, PAYLOAD)
-            assert not wal.wait_durable(99, timeout=0.05)
-
-    def test_request_sync_commits_in_background(self, tmp_path):
-        with WriteAheadLog(
-            tmp_path, fsync="batch", async_commit=True
-        ) as wal:
-            lsn = wal.append(rec.REFRESH, PAYLOAD)
-            wal.request_sync()  # non-blocking
-            assert wal.wait_durable(lsn, timeout=10.0)
-            assert wal.groups_committed >= 1
-            assert wal.commit_seconds >= 0.0
-            assert len(wal.commit_latencies) >= 1
-
     def test_sync_mode_watermark_advances_at_sync_points(self, tmp_path):
         with WriteAheadLog(tmp_path, fsync="batch") as wal:
-            lsn = wal.append(rec.REFRESH, PAYLOAD)
-            assert wal.durable_lsn < lsn
-            assert wal.wait_durable(lsn)
+            assert wal.durable_lsn == 0
+            for _ in range(10):
+                lsn = wal.append(rec.REFRESH, PAYLOAD)
+            assert wal.durable_lsn == 0
+            wal.sync()
             assert wal.durable_lsn == lsn
+            wal.sync()  # nothing staged: no group, watermark unchanged
+            assert wal.durable_lsn == lsn
+            assert wal.groups_committed == 1
+            assert wal.commit_seconds >= 0.0
+            assert len(wal.commit_latencies) == 1
+            assert wal.commit_latencies.maxlen == COMMIT_LATENCY_WINDOW
+
+    def test_watermark_monotone_and_ackable(self, tmp_path):
+        """Across appends and sync points the watermark never falls,
+        never passes the last appended LSN, and a sync acks all of it."""
+        seen = []
+        with WriteAheadLog(tmp_path, fsync="batch") as wal:
+            for round_ in range(5):
+                for _ in range(round_ + 1):
+                    wal.append(rec.REFRESH, PAYLOAD)
+                    seen.append(wal.durable_lsn)
+                    assert wal.durable_lsn <= wal.last_lsn
+                wal.sync()
+                assert wal.durable_lsn == wal.last_lsn
+                seen.append(wal.durable_lsn)
+        assert seen == sorted(seen)
+        assert seen[-1] == 15
 
     def test_sync_mode_always_durable_on_append(self, tmp_path):
         with WriteAheadLog(tmp_path, fsync="always") as wal:
@@ -143,7 +135,7 @@ class TestWriterFailure:
     def test_io_error_surfaces_on_next_sync_and_close(
         self, tmp_path, monkeypatch
     ):
-        wal = WriteAheadLog(tmp_path, fsync="batch", async_commit=True)
+        wal = WriteAheadLog(tmp_path, fsync="batch")
 
         def boom(fd):
             raise OSError("disk gone")
@@ -160,10 +152,10 @@ class TestWriterFailure:
             wal.close()
 
     def test_close_raises_once_then_no_ops(self, tmp_path, monkeypatch):
-        """A sticky writer error surfaces on the *first* close only:
-        the ``finally`` blocks unwinding above it close again and must
-        not re-raise (or hang joining an already-dead writer)."""
-        wal = WriteAheadLog(tmp_path, fsync="batch", async_commit=True)
+        """A failed drain surfaces on the *first* close only: the
+        ``finally`` blocks unwinding above it close again and must not
+        re-raise."""
+        wal = WriteAheadLog(tmp_path, fsync="batch")
 
         def boom(fd):
             raise OSError("disk gone")
@@ -176,7 +168,7 @@ class TestWriterFailure:
         wal.close()
 
     def test_clean_double_close_is_no_op(self, tmp_path):
-        wal = WriteAheadLog(tmp_path, fsync="batch", async_commit=True)
+        wal = WriteAheadLog(tmp_path, fsync="batch")
         wal.append(rec.REFRESH, PAYLOAD)
         wal.close()
         wal.close()
@@ -187,9 +179,7 @@ class TestWriterFailure:
         from repro.durable import DurabilityConfig, DurabilityManager
 
         manager = DurabilityManager(
-            DurabilityConfig(
-                directory=tmp_path, fsync="batch", async_commit=True
-            )
+            DurabilityConfig(directory=tmp_path, fsync="batch")
         )
 
         def boom(fd):
@@ -203,12 +193,13 @@ class TestWriterFailure:
         manager.close()
         manager.close()
 
-    @pytest.mark.parametrize("async_commit", [False, True])
-    def test_append_after_close_refused(self, tmp_path, async_commit):
-        wal = WriteAheadLog(
-            tmp_path, fsync="batch", async_commit=async_commit
-        )
+    @pytest.mark.parametrize("synced", [False, True])
+    def test_append_after_close_refused(self, tmp_path, synced):
+        """Refused whether close() drained the record or a sync had."""
+        wal = WriteAheadLog(tmp_path, fsync="batch")
         wal.append(rec.REFRESH, PAYLOAD)
+        if synced:
+            wal.sync()
         wal.close()
         with pytest.raises(WalError, match="closed"):
             wal.append(rec.REFRESH, PAYLOAD)
@@ -216,7 +207,7 @@ class TestWriterFailure:
     def test_appends_racing_close_are_drained_or_refused(self, tmp_path):
         """Every append that returned an LSN before close() must be on
         disk afterwards — a racer either gets drained or raises."""
-        wal = WriteAheadLog(tmp_path, fsync="batch", async_commit=True)
+        wal = WriteAheadLog(tmp_path, fsync="batch")
         acked = []
         refused = threading.Event()
 
@@ -241,16 +232,13 @@ class TestWriterFailure:
 
 class TestConcurrentProducers:
     def test_concurrent_async_appends_stay_framed(self, tmp_path):
-        wal = WriteAheadLog(
-            tmp_path,
-            fsync="never",
-            async_commit=True,
-            max_segment_bytes=4096,
-        )
+        """Producers that append without waiting on each other get
+        contiguous LSNs, each record framed whole."""
+        wal = WriteAheadLog(tmp_path, fsync="never", max_segment_bytes=4096)
         per_thread = 200
 
         def worker():
-            for i in range(per_thread):
+            for _ in range(per_thread):
                 wal.append(rec.CHARGE, PAYLOAD)
 
         threads = [threading.Thread(target=worker) for _ in range(6)]
@@ -269,8 +257,8 @@ class TestConcurrentProducers:
 
 
 class TestServiceWalObservability:
-    @pytest.mark.parametrize("async_commit", [False, True])
-    def test_stats_mirror_wal_counters(self, tmp_path, async_commit):
+    @pytest.mark.parametrize("rotate", [False, True])
+    def test_stats_mirror_wal_counters(self, tmp_path, rotate):
         from repro.durable.manager import (
             DurabilityConfig,
             DurabilityManager,
@@ -286,7 +274,7 @@ class TestServiceWalObservability:
             DurabilityConfig(
                 directory=tmp_path,
                 fsync="batch",
-                async_commit=async_commit,
+                max_segment_bytes=4096 if rotate else 64 * 1024 * 1024,
             )
         )
         service = IngestService(
@@ -320,6 +308,7 @@ class TestServiceWalObservability:
         assert stats.wal_commit_seconds >= 0.0
         # Snapshot forced a blocking sync, so the sampled lag is zero.
         assert stats.wal_durable_lag == 0
+        assert (len(list_segments(tmp_path)) > 1) == rotate
         as_dict = stats.as_dict()
         for key in (
             "wal_appends",
@@ -332,32 +321,28 @@ class TestServiceWalObservability:
 
 
 class TestCrashLosesOnlyUnackedSuffix:
-    @pytest.mark.parametrize("async_commit", [False, True])
-    def test_subprocess_crash_preserves_acked_prefix(
-        self, tmp_path, async_commit
-    ):
+    def test_subprocess_crash_preserves_acked_prefix(self, tmp_path):
         """Kill a process mid-stream: every record at or below the
         durable-ack watermark survives; only a staged, never-acked
         suffix may be lost — and what survives is a contiguous prefix,
-        never a gap.  Both modes stage, so both can lose that suffix."""
+        never a gap."""
         script = """
 import os, sys
 sys.path.insert(0, {src!r})
 from repro.durable import records as rec
 from repro.durable.wal import WriteAheadLog
 
-wal = WriteAheadLog(sys.argv[1], fsync="batch", async_commit={async_commit})
+wal = WriteAheadLog(sys.argv[1], fsync="batch")
 payload = rec.encode_json_payload({{"campaign_id": "c"}})
 for _ in range(60):
     wal.append(rec.REFRESH, payload)
-assert wal.wait_durable(25, timeout=30.0)
+wal.sync()
 for _ in range(60):
     wal.append(rec.REFRESH, payload)
 print(wal.durable_lsn, flush=True)
 os._exit(1)  # crash: no drain, no close
 """.format(
             src=str((os.path.dirname(__file__) or ".") + "/../../src"),
-            async_commit=async_commit,
         )
         proc = subprocess.run(
             [sys.executable, "-c", script, str(tmp_path)],
@@ -367,7 +352,7 @@ os._exit(1)  # crash: no drain, no close
         )
         assert proc.returncode == 1, proc.stderr
         acked = int(proc.stdout.strip())
-        assert acked >= 25
+        assert acked == 60
         scan = read_wal(tmp_path)
         survived = [r.lsn for r in scan.records]
         # Contiguous prefix covering at least the acked watermark.

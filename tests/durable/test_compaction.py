@@ -38,7 +38,6 @@ def build_durable_run(
     claims=24_000,
     checkpoint_every=8_000,
     cost=None,
-    async_commit=False,
 ):
     """Stream a deterministic campaign through a WAL-attached service."""
     manager = DurabilityManager(
@@ -46,7 +45,6 @@ def build_durable_run(
             directory=directory,
             fsync="batch",
             checkpoint_every_claims=checkpoint_every,
-            async_commit=async_commit,
         )
     )
     ledger = BudgetLedger(epsilon_cap=1e6) if cost is not None else None
@@ -141,9 +139,7 @@ class TestCompactionShrinks:
 
     def test_live_manager_compact_then_keep_serving(self, tmp_path):
         manager = DurabilityManager(
-            DurabilityConfig(
-                directory=tmp_path, fsync="batch", async_commit=True
-            )
+            DurabilityConfig(directory=tmp_path, fsync="batch")
         )
         service = IngestService(
             ServiceConfig(num_shards=2, max_batch=512),
@@ -381,20 +377,3 @@ class TestCompactionGuards:
         with pytest.raises(RecoveryError, match="retention"):
             RecoveryManager(tmp_path).recover()
 
-
-class TestAsyncCommitDurability:
-    def test_async_commit_service_recovers_bitwise(self, tmp_path):
-        live, gen, _ = build_durable_run(tmp_path, async_commit=True)
-        recovered = RecoveryManager(tmp_path).recover()
-        snap = recovered.service.snapshot(gen.campaign_id)
-        assert np.array_equal(live.truths, snap.truths)
-        assert live.weights_by_user == snap.weights_by_user
-
-    def test_async_commit_then_compact_then_recover(self, tmp_path):
-        live, gen, _ = build_durable_run(tmp_path, async_commit=True)
-        report = compact_directory(tmp_path)
-        assert report.records_after < report.records_before
-        snap = RecoveryManager(tmp_path).recover().service.snapshot(
-            gen.campaign_id
-        )
-        assert np.array_equal(live.truths, snap.truths)

@@ -1,10 +1,11 @@
 """The WAL's one write path: staged groups, writev, fdatasync.
 
-Both commit modes stage records and drain each group through the same
-``_write_group``; these tests pin what that must preserve (the per-frame
-writer's bytes, ``per_frame_reference``), how it writes (``writev``
-split at ``IOV_MAX``, resumed after short writes), what ``syncs``
-counts, and that a failed drain stays failed in synchronous mode too.
+Every record is staged and each group drains through ``_write_group`` on
+the calling thread; these tests pin what that must preserve (the
+per-frame writer's bytes, ``per_frame_reference``), when the durable
+watermark moves, how it writes (``writev`` split at ``IOV_MAX``, resumed
+after short writes), what ``syncs`` counts, and that a failed drain
+stays failed.
 """
 
 import os
@@ -14,7 +15,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import per_frame_reference as reference
@@ -58,33 +59,46 @@ operations = st.lists(
 
 
 @settings(max_examples=60, deadline=None)
+# Two empty-payload frames stage exactly the high-water mark: the drain
+# runs on reaching it, not only on passing it.
+@example(
+    ops=[(rec.REFRESH, [b""]), (rec.REFRESH, [b""])],
+    max_segment_bytes=2 * wal_module._FRAME_OVERHEAD,
+    fsync="batch",
+)
 @given(
     ops=operations,
     max_segment_bytes=st.integers(min_value=16, max_value=400),
     fsync=st.sampled_from(FSYNC_POLICIES),
-    async_commit=st.booleans(),
 )
-def test_every_mode_writes_the_per_frame_layout(
-    ops, max_segment_bytes, fsync, async_commit
-):
+def test_every_mode_writes_the_per_frame_layout(ops, max_segment_bytes, fsync):
     """Whatever the groups are — sync points anywhere, rotation inside
     a group, empty payloads — the segment names and bytes are the
-    per-frame writer's."""
+    per-frame writer's, and after every operation ``durable_lsn`` is
+    the committed prefix of a model of the drain rule: each append
+    under ``always``, else the last LSN at a ``sync`` or once the staged
+    frame bytes reach ``min(max_segment_bytes, 1 MiB)``."""
     records = []
+    high_water = min(max_segment_bytes, wal_module.STAGE_HIGH_WATER_BYTES)
+    committed = staged_bytes = 0
     with tempfile.TemporaryDirectory() as tmp:
         with WriteAheadLog(
-            tmp,
-            fsync=fsync,
-            max_segment_bytes=max_segment_bytes,
-            async_commit=async_commit,
+            tmp, fsync=fsync, max_segment_bytes=max_segment_bytes
         ) as wal:
             for op in ops:
                 if op == "sync":
                     wal.sync()
-                    continue
-                rtype, chunks = op
-                assert wal.append(rtype, as_parts(chunks)) == len(records) + 1
-                records.append((rtype, b"".join(chunks)))
+                    committed, staged_bytes = len(records), 0
+                else:
+                    rtype, chunks = op
+                    payload = b"".join(chunks)
+                    lsn = wal.append(rtype, as_parts(chunks))
+                    assert lsn == len(records) + 1
+                    records.append((rtype, payload))
+                    staged_bytes += wal_module._FRAME_OVERHEAD + len(payload)
+                    if fsync == "always" or staged_bytes >= high_water:
+                        committed, staged_bytes = lsn, 0
+                assert wal.durable_lsn == committed
         assert written_segments(tmp) == reference.segments(
             records, max_segment_bytes
         )
@@ -119,28 +133,29 @@ def test_short_writes_resume_across_iov_max_splits(tmp_path, monkeypatch):
     assert written_segments(tmp_path) == reference.segments(records, 1 << 26)
 
 
-@pytest.mark.parametrize("async_commit", [False, True])
+@pytest.mark.parametrize("multi_part", [False, True])
 def test_racing_producers_and_sync_points_keep_the_layout(
-    tmp_path, async_commit
+    tmp_path, multi_part
 ):
     """More producers than cores, a thread forcing sync points, and a
-    short switch interval: every acknowledged record is on disk, in LSN
-    order, framed and rotated exactly as the per-frame writer would."""
+    short switch interval: every acknowledged record, handed over whole
+    or in parts, is on disk, in LSN order, framed and rotated exactly as
+    the per-frame writer would."""
     per_thread = 300
     old_interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         with WriteAheadLog(
-            tmp_path,
-            fsync="never",
-            max_segment_bytes=512,
-            async_commit=async_commit,
+            tmp_path, fsync="never", max_segment_bytes=512
         ) as wal:
             done = threading.Event()
 
             def produce(tag):
                 for i in range(per_thread):
-                    wal.append(rec.CHARGE, (b"t%d" % tag, b"-%d" % i))
+                    parts = (b"t%d" % tag, b"-%d" % i)
+                    wal.append(
+                        rec.CHARGE, parts if multi_part else b"".join(parts)
+                    )
 
             def sync_points():
                 while not done.is_set():
@@ -170,21 +185,21 @@ def test_racing_producers_and_sync_points_keep_the_layout(
 
 
 @pytest.mark.parametrize(
-    "fsync, async_commit, max_segment_bytes, expected",
+    "fsync, multi_part, max_segment_bytes, expected",
     [
         ("never", False, 1 << 20, 0),
         ("never", True, 1 << 20, 0),
         ("batch", False, 1 << 20, 1),
         ("batch", True, 1 << 20, 1),
         ("always", False, 1 << 20, 3),
-        ("always", True, 1 << 20, 1),
+        ("always", True, 1 << 20, 3),
         # One frame per segment, and the second append crosses the
         # 64-byte high-water mark: two seals plus two group commits.
         ("batch", False, 64, 4),
     ],
 )
 def test_syncs_count_record_fdatasyncs(
-    tmp_path, monkeypatch, fsync, async_commit, max_segment_bytes, expected
+    tmp_path, monkeypatch, fsync, multi_part, max_segment_bytes, expected
 ):
     issued = []
     real = wal_module._fdatasync
@@ -192,13 +207,13 @@ def test_syncs_count_record_fdatasyncs(
         wal_module, "_fdatasync", lambda fd: (issued.append(fd), real(fd))
     )
     with WriteAheadLog(
-        tmp_path,
-        fsync=fsync,
-        async_commit=async_commit,
-        max_segment_bytes=max_segment_bytes,
+        tmp_path, fsync=fsync, max_segment_bytes=max_segment_bytes
     ) as wal:
+        payload = PAYLOAD
+        if multi_part:
+            payload = as_parts([PAYLOAD[:5], PAYLOAD[5:]])
         for _ in range(3):
-            wal.append(rec.REFRESH, PAYLOAD)
+            wal.append(rec.REFRESH, payload)
         wal.sync()
         assert wal.syncs == len(issued) == expected
         assert wal.durable_lsn == 3
@@ -240,8 +255,6 @@ class TestFailedDrainIsStickyInSyncMode:
         # retry must not report it durable or tell a replication sender.
         with pytest.raises(WalError, match="group commit failed"):
             wal.sync()
-        with pytest.raises(WalError, match="group commit failed"):
-            wal.wait_durable(1)
         with pytest.raises(WalError, match="group commit failed"):
             wal.append(rec.REFRESH, PAYLOAD)
         assert wal.durable_lsn == 0

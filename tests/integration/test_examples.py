@@ -76,7 +76,7 @@ def test_durable_service(capsys):
 
 def test_compact_recover(capsys):
     out = run_example("compact_recover", capsys)
-    assert "background group commits" in out
+    assert "group commits on the pump thread" in out
     assert "reclaimed" in out
     assert "truths bit-for-bit identical after compaction: True" in out
     assert (

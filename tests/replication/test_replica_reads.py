@@ -11,6 +11,7 @@ full reply of ``full_read_reference`` at that moment.
 
 import gc
 import itertools
+import shutil
 import tempfile
 import weakref
 from pathlib import Path
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from full_read_reference import assert_same_read, decode, full_read
 from repro.durable import DurabilityConfig, DurabilityManager
 from repro.durable import records as rec
-from repro.durable.recovery import RecordApplier
+from repro.durable.recovery import RecordApplier, RecoveryManager
 from repro.durable.wal import split_frames
 from repro.net.transport import FrameServer, connect
 from repro.replication import protocol as rp
@@ -484,41 +485,110 @@ def test_a_refused_read_drops_the_cached_snapshot(tmp_path):
         harness.close()
 
 
+def log_defined_read(harness, campaign_id: str):
+    """What the standby's own log defines for ``campaign_id``: a full
+    read of a service recovered from a copy of its directory."""
+    copy = harness.root / "log-copy"
+    shutil.rmtree(copy, ignore_errors=True)
+    shutil.copytree(harness.root / "sb", copy)
+    return full_read(RecoveryManager(copy).recover().service, campaign_id)
+
+
+def ship_half_applied_batch(harness, monkeypatch, *, failures: int):
+    """Ship one ``stream`` batch whose first ``failures`` applies change
+    the campaign's claim count and then raise, short of anything that
+    moves its read key."""
+    applied = RecordApplier.apply
+    left = [failures]
+
+    def half_apply(applier, record):
+        if record.rtype != rec.BATCH or not left[0]:
+            return applied(applier, record)
+        left[0] -= 1
+        item = record.decode()
+        state = applier.service.campaign_state(item.campaign_id)
+        state.aggregator.claims_ingested += item.size
+        raise RuntimeError("apply failed half-way")
+
+    monkeypatch.setattr(RecordApplier, "apply", half_apply)
+    harness._feed("stream", 0, 1)
+    harness.manager.sync()
+    send_frame(harness.link, rp.RECORDS, committed_frames(
+        harness.manager.wal.directory, harness.shipped,
+        harness.manager.durable_lsn,
+    ))
+    assert recv_frame(harness.link)[0] == rp.ACK  # acked, then applied
+    harness.shipped = harness.manager.durable_lsn
+
+
 def test_a_record_that_fails_half_way_invalidates_every_version(
     tmp_path, monkeypatch
 ):
-    """A record whose apply raises after changing a campaign, but before
-    anything that moves its read key: a version handed out before it
-    must get a full reply, and that reply is the full reference's."""
+    """A record whose apply raises after changing a campaign: the
+    standby rebuilds from its own log, so a version handed out before it
+    gets a full reply, and that reply is what the log defines."""
     harness = ReadHarness(tmp_path)
     try:
         harness.chunk("stream", 5, 0)
         harness.read(0, "stream")
-        service = harness.standby.service
-        applied = RecordApplier.apply
+        ship_half_applied_batch(harness, monkeypatch, failures=1)
+        harness._barrier()
+        full = harness.standby.reads_full
+        got = harness.clients[0].snapshot("stream")
+        assert harness.standby.reads_full == full + 1
+        assert_same_read(got, log_defined_read(harness, "stream"))
+        # The stream goes on from the rebuilt state.
+        harness.chunk("stream", 5, 2)
+        assert_same_read(
+            harness.clients[0].snapshot("stream"),
+            log_defined_read(harness, "stream"),
+        )
+    finally:
+        harness.close()
 
-        def half_apply(applier, record):
-            if record.rtype != rec.BATCH:
-                return applied(applier, record)
-            item = record.decode()
-            # What the real apply changes first, short of the version.
-            state = service.campaign_state(item.campaign_id)
-            state.aggregator.claims_ingested += item.size
-            raise RuntimeError("apply failed half-way")
 
-        monkeypatch.setattr(RecordApplier, "apply", half_apply)
-        harness._feed("stream", 0, 1)
+def test_a_record_the_rebuild_cannot_apply_refuses_until_restart(
+    tmp_path, monkeypatch
+):
+    """When the rebuild fails too, the live state is not the log's: the
+    standby refuses reads, further records and promotion, naming the
+    record, until a restart recovers it."""
+    harness = ReadHarness(tmp_path)
+    try:
+        harness.chunk("stream", 5, 0)
+        harness.read(0, "stream")
+        lsn = harness.manager.durable_lsn + 1
+        ship_half_applied_batch(harness, monkeypatch, failures=2)
+        # The group's sender hears why before the link drops.
+        rtype, payload = recv_frame(harness.link)
+        assert rtype == rp.REPL_ERROR
+        assert f"lsn {lsn} failed to apply" in rp.decode_json(payload)["error"]
+        with pytest.raises(ReplicaError, match=f"lsn {lsn} failed to apply"):
+            harness.clients[0].snapshot("stream")
+        with pytest.raises(ReplicaError, match=f"lsn {lsn} failed to apply"):
+            harness.clients[1].snapshot("refit")
+        with pytest.raises(ReplicaError, match=f"lsn {lsn} failed to apply"):
+            harness.clients[0].promote()
+        harness.link = connect(harness.standby.address, timeout=10.0)
+        send_frame(
+            harness.link, rp.HELLO,
+            rp.encode_json({"format": rp.REPLICATION_FORMAT}),
+        )
+        assert recv_frame(harness.link)[0] == rp.CURSOR
+        harness._feed("stream", 0, 3)
         harness.manager.sync()
         send_frame(harness.link, rp.RECORDS, committed_frames(
             harness.manager.wal.directory, harness.shipped,
             harness.manager.durable_lsn,
         ))
-        assert recv_frame(harness.link)[0] == rp.ACK  # acked, then applied
-        harness._barrier()
-        harness.quiet.clear()  # the failed batch touched "stream"
-        full = harness.standby.reads_full
-        harness.read(0, "stream")
-        assert harness.standby.reads_full == full + 1
+        rtype, payload = recv_frame(harness.link)
+        assert rtype == rp.REPL_ERROR
+        assert f"lsn {lsn} failed to apply" in rp.decode_json(payload)["error"]
+        harness.restart()
+        assert_same_read(
+            harness.clients[0].snapshot("stream"),
+            log_defined_read(harness, "stream"),
+        )
     finally:
         harness.close()
 
