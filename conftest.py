@@ -3,12 +3,13 @@
 Registers the ``slow`` marker and gates it behind ``--runslow`` (or
 ``REPRO_RUN_SLOW=1``) so the tier-1 suite stays fast: heavy service /
 throughput tests opt in with ``@pytest.mark.slow`` and are skipped by
-default.
+default.  Fails any test that leaves a replication sender running.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 
 import pytest
 
@@ -38,3 +39,25 @@ def pytest_collection_modifyitems(config, items) -> None:
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+def _senders() -> set:
+    return {
+        thread for thread in threading.enumerate()
+        if thread.name.startswith("repl-sender-")
+    }
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_replication_sender():
+    """A ``ReplicationSender`` a test does not close (through its
+    ``DurabilityManager``) keeps redialling its stopped standby until
+    the interpreter exits; fail the test that left one behind."""
+    before = _senders()
+    yield
+    leaked = []
+    for thread in _senders() - before:
+        thread.join(timeout=1.0)  # one that is closing gets to finish
+        if thread.is_alive():
+            leaked.append(thread.name)
+    assert not leaked, f"replication sender thread(s) left running: {leaked}"

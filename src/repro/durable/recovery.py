@@ -138,6 +138,21 @@ class RecoveredService:
     durability: Optional[DurabilityManager] = None
 
 
+def _recorded_config(fields: dict):
+    """The ``ServiceConfig`` a CONFIG record or checkpoint stored.
+
+    Directories written before the service had one overflow rule also
+    store ``"overflow"``; it is dropped, and replay is the same under
+    either old policy, because only claims that reached a batcher were
+    ever logged.
+    """
+    from repro.service.ingest import ServiceConfig
+
+    return ServiceConfig(
+        **{k: v for k, v in fields.items() if k != "overflow"}
+    )
+
+
 def service_from_config(body: dict, *, config=None, accountant=None):
     """The empty in-process service a CONFIG record body describes.
 
@@ -146,11 +161,11 @@ def service_from_config(body: dict, *, config=None, accountant=None):
     same caps — what replay (:class:`RecordApplier`) starts from, in
     recovery, on a standby, and in the drills' independent arbiters.
     """
-    from repro.service.ingest import IngestService, ServiceConfig
+    from repro.service.ingest import IngestService
     from repro.service.ledger import BudgetLedger
 
     if config is None:
-        config = ServiceConfig(**body["service_config"])
+        config = _recorded_config(body["service_config"])
     caps = body.get("ledger")
     ledger = None
     if caps is not None:
@@ -395,13 +410,13 @@ class RecoveryManager:
         """The empty service replay fills: persisted configuration
         (unless ``config`` overrides it) and ledger, from the
         checkpoint or else the log's CONFIG record."""
-        from repro.service.ingest import IngestService, ServiceConfig
+        from repro.service.ingest import IngestService
         from repro.service.ledger import BudgetLedger
 
         if checkpoint is not None:
             payload = checkpoint.payload
             if config is None:
-                config = ServiceConfig(**payload["service_config"])
+                config = _recorded_config(payload["service_config"])
             ledger_state = payload.get("ledger")
             ledger = None
             if ledger_state is not None:

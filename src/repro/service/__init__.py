@@ -8,8 +8,8 @@ on an :class:`IngestService`):
 
 * :class:`IngestService` — the front door: validation, privacy-budget
   admission (:class:`BudgetLedger`), campaign sharding
-  (:func:`shard_for`), bounded queues with reject/drop-oldest overflow
-  policies;
+  (:func:`shard_for`), bounded shard queues that refuse a submission
+  when full, before any budget is charged;
 * :class:`MicroBatcher` — columnar micro-batches: accepted claims live
   in NumPy index/value arrays, never per-claim Python objects;
 * :class:`StreamingAggregator` / :class:`FullRefitAggregator` —

@@ -48,9 +48,6 @@ from repro.utils.validation import ensure_in_range, ensure_int
 
 _LOGGER = get_logger("service.ingest")
 
-#: Accepted overflow policies for full shard queues.
-OVERFLOW_POLICIES = ("reject", "drop_oldest")
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -59,7 +56,6 @@ class ServiceConfig:
     num_shards: int = 4
     max_batch: int = 1024
     queue_capacity: int = 65536
-    overflow: str = "reject"
     decay: float = 1.0
     refine_sweeps: int = 2
     refine_every: int = 8192
@@ -78,11 +74,6 @@ class ServiceConfig:
         ensure_int(self.refine_every, "refine_every", minimum=1)
         ensure_int(self.trace_sample_every, "trace_sample_every", minimum=0)
         ensure_in_range(self.decay, "decay", 0.0, 1.0, low_inclusive=False)
-        if self.overflow not in OVERFLOW_POLICIES:
-            raise ValueError(
-                f"overflow must be one of {OVERFLOW_POLICIES}, "
-                f"got {self.overflow!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -176,9 +167,7 @@ class ServiceStats:
         """All refused claims — accepted + rejected == submitted claims.
 
         Backpressure refusals (``rejected_overflow``) are included: the
-        caller was told to back off and should retry.  Claims shed by
-        ``drop_oldest`` eviction after acceptance are *not* rejections;
-        see ``Shard.items_dropped`` / ``Shard.claims_dropped``.
+        caller was told to back off and should retry.
         """
         return (
             self.rejected_unknown_campaign
@@ -218,8 +207,6 @@ class ServiceStats:
                     "accepted": telemetry.shard_claims_accepted[i],
                     "rejected": telemetry.shard_claims_rejected[i],
                     "processed": shard.claims_processed,
-                    "items_dropped": shard.items_dropped,
-                    "claims_dropped": shard.claims_dropped,
                     "queue_depth": shard.queue_depth,
                 }
                 for i, shard in enumerate(service._shards)
@@ -234,7 +221,7 @@ class IngestService:
     ----------
     config:
         Service tuning; defaults to :class:`ServiceConfig`'s defaults
-        (4 shards, 1024-claim micro-batches, rejecting overflow).
+        (4 shards, 1024-claim micro-batches, 65 536-item shard queues).
     ledger:
         Optional privacy-budget admission control.  Campaigns registered
         with a per-submission ``cost`` charge it on every accepted
@@ -545,17 +532,13 @@ class IngestService:
             stats.rejected_capacity += n
             self.telemetry.shard_claims_rejected[shard.index] += n
             return IngestResult(0, n, "capacity")
-        reserved = False
-        if self._config.overflow == "reject":
-            # Backpressure fires before the budget charge: a submission
-            # the queue refuses must not spend the user's epsilon.  The
-            # reservation (not a bare has_room peek) keeps that true
-            # under concurrent producers.
-            if not shard.try_reserve():
-                stats.rejected_overflow += n
-                self.telemetry.shard_claims_rejected[shard.index] += n
-                return IngestResult(0, n, "overflow")
-            reserved = True
+        # Backpressure fires before the budget charge: a submission the
+        # queue refuses must not spend the user's epsilon, and the
+        # reservation keeps that true under concurrent producers.
+        if not shard.try_reserve():
+            stats.rejected_overflow += n
+            self.telemetry.shard_claims_rejected[shard.index] += n
+            return IngestResult(0, n, "overflow")
         try:
             cost = state.cost
             ledger = self._ledger
@@ -580,8 +563,7 @@ class IngestService:
                             user_id, cost, label=campaign_id
                         )
                 if refused:
-                    if reserved:
-                        shard.cancel_reservation()
+                    shard.cancel_reservation()
                     stats.rejected_budget += n
                     self.telemetry.shard_claims_rejected[shard.index] += n
                     return IngestResult(0, n, "budget")
@@ -592,8 +574,7 @@ class IngestService:
                     # between the capacity peek and the assignment.  The
                     # budget charge (if any) stands — over-charging is
                     # the safe direction — but the claims are refused.
-                    if reserved:
-                        shard.cancel_reservation()
+                    shard.cancel_reservation()
                     stats.rejected_capacity += n
                     self.telemetry.shard_claims_rejected[shard.index] += n
                     return IngestResult(0, n, "capacity")
@@ -601,13 +582,11 @@ class IngestService:
             # A charge the log refused at admission (a record could not
             # encode it, or the log is closed or failed): the charge
             # stands (safe side), the queue slot must not.
-            if reserved:
-                shard.cancel_reservation()
+            shard.cancel_reservation()
             raise
         # A scalar work item: the pump builds the columns.
         return self._enqueue(
-            shard, state, slot, object_slots, values,
-            reserved=reserved, trace=trace,
+            shard, state, slot, object_slots, values, trace=trace
         )
 
     def submit_columns(
@@ -662,23 +641,19 @@ class IngestService:
             stats.rejected_invalid_value += n
             shard_rejected[shard.index] += n
             return IngestResult(0, n, "invalid-value")
-        reserved = False
-        if self._config.overflow == "reject":
-            # As in submit(): refuse before charging anyone's budget,
-            # atomically against concurrent producers.
-            if not shard.try_reserve():
-                stats.rejected_overflow += n
-                shard_rejected[shard.index] += n
-                return IngestResult(0, n, "overflow")
-            reserved = True
+        # As in submit(): refuse before charging anyone's budget,
+        # atomically against concurrent producers.
+        if not shard.try_reserve():
+            stats.rejected_overflow += n
+            shard_rejected[shard.index] += n
+            return IngestResult(0, n, "overflow")
         try:
             if state.cost is not None and self._ledger is not None:
                 refused_user = self._charge_chunk(
                     state, campaign_id, user_slots
                 )
                 if refused_user is not None:
-                    if reserved:
-                        shard.cancel_reservation()
+                    shard.cancel_reservation()
                     stats.rejected_budget += n
                     shard_rejected[shard.index] += n
                     _LOGGER.debug(
@@ -698,12 +673,10 @@ class IngestService:
                 state.ensure_placeholder_slots(top_slot)
         except BaseException:
             # As in submit(): a charge stands, its queue slot does not.
-            if reserved:
-                shard.cancel_reservation()
+            shard.cancel_reservation()
             raise
         return self._enqueue(
-            shard, state, user_slots, object_slots, values,
-            reserved=reserved, trace=trace,
+            shard, state, user_slots, object_slots, values, trace=trace
         )
 
     # ------------------------------------------------------------------
@@ -917,30 +890,17 @@ class IngestService:
         objects: list[int] | np.ndarray,
         values: tuple | np.ndarray,
         *,
-        reserved: bool = False,
         trace=None,
     ) -> IngestResult:
+        """Queue an admitted item in the slot its caller reserved."""
         n = len(values)
         now = time.perf_counter()
         if trace is not None:
             trace.enqueue_ts = now
-        queued = shard.enqueue(
-            # The timestamp feeds the queue-wait histogram at pump time;
-            # the trace (almost always None) rides along to be stamped
-            # through flush/durable/aggregated.
-            (state, users, objects, values, now, trace),
-            overflow=self._config.overflow,
-            reserved=reserved,
-        )
-        if not queued:
-            self.stats.rejected_overflow += n
-            self.telemetry.shard_claims_rejected[shard.index] += n
-            return IngestResult(0, n, "overflow")
+        # The timestamp feeds the queue-wait histogram at pump time; the
+        # trace (almost always None) rides along to be stamped through
+        # flush/durable/aggregated.
+        shard.enqueue((state, users, objects, values, now, trace))
         self.stats.claims_accepted += n
         self.telemetry.shard_claims_accepted[shard.index] += n
         return _ACCEPTED[n] if n < len(_ACCEPTED) else IngestResult(n)
-    # NOTE: under "drop_oldest" an *evicted* item's claims stay in the
-    # service-level ``claims_accepted`` (they were admitted, then shed —
-    # visible via ``Shard.items_dropped``), but per-campaign contributor
-    # accounting happens at pump time, so shed claims never count toward
-    # contributors or quorum.

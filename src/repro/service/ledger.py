@@ -111,11 +111,22 @@ class BudgetLedger:
         ``ledger.lock`` across the whole check-then-charge sequence).
         """
         with self.lock:
-            eps = self._spent_epsilon.get(user_id, 0.0)
-            if eps + guarantee.epsilon > self._epsilon_cap + 1e-12:
-                return False
-            delta = self._spent_delta.get(user_id, 0.0)
-            return delta + guarantee.delta <= self._delta_cap + 1e-15
+            return not self._check(user_id, guarantee)[0]
+
+    def _check(
+        self, user_id: Hashable, guarantee: LDPGuarantee
+    ) -> tuple[str, float, float]:
+        """The one cap rule, under the caller's ``lock`` hold:
+        ``(refusal tag, new epsilon, new delta)``, the tag ``""`` when
+        ``guarantee`` fits under both caps; the totals are what charging
+        it would leave (meaningful only then)."""
+        new_eps = self._spent_epsilon.get(user_id, 0.0) + guarantee.epsilon
+        if new_eps > self._epsilon_cap + 1e-12:
+            return "epsilon-exhausted", new_eps, 0.0
+        new_delta = self._spent_delta.get(user_id, 0.0) + guarantee.delta
+        if new_delta > self._delta_cap + 1e-15:
+            return "delta-exhausted", new_eps, new_delta
+        return "", new_eps, new_delta
 
     def charge(
         self,
@@ -133,14 +144,10 @@ class BudgetLedger:
         submission; :meth:`admit` is the same charge with one.
         """
         with self.lock:
-            new_eps = self._spent_epsilon.get(user_id, 0.0) + guarantee.epsilon
-            if new_eps > self._epsilon_cap + 1e-12:
+            refusal, new_eps, new_delta = self._check(user_id, guarantee)
+            if refusal:
                 self.denied += 1
-                return "epsilon-exhausted"
-            new_delta = self._spent_delta.get(user_id, 0.0) + guarantee.delta
-            if new_delta > self._delta_cap + 1e-15:
-                self.denied += 1
-                return "delta-exhausted"
+                return refusal
             self._spent_epsilon[user_id] = new_eps
             self._spent_delta[user_id] = new_delta
             self.admitted += 1

@@ -169,11 +169,12 @@ class CampaignState:
         The aggregator's ``version`` moves whenever its truths, weights,
         counters or staged claims can; a read flushes its campaign
         first, so every claim that reached the batcher (and with it the
-        contributors) has moved it too.  The table's length decides the
-        form of ``contributor_ids``.  The serial tells a re-registered
+        contributors) has moved it too.  A user table that grew with
+        nothing else moving only holds users with no claim aggregated
+        yet, whom no read names.  The serial tells a re-registered
         campaign's fresh state from the one a reader last saw.
         """
-        return (self.read_serial, self.aggregator.version, len(self.user_table))
+        return (self.read_serial, self.aggregator.version)
 
     def snapshot(self) -> TruthSnapshot:
         """Immutable read-side view of the campaign's current state.
@@ -271,10 +272,10 @@ class Shard:
     loop's (``tests/service/per_item_reference.py``).
 
     A shard is single-consumer (one thread pumps) but safely
-    multi-producer: enqueue and the pump's queue takeover run under a
-    per-shard lock, so concurrent submitters cannot corrupt the queue
-    or the drop accounting.  Campaign state itself is only ever touched
-    by the pumping thread.
+    multi-producer: reservation, enqueue and the pump's queue takeover
+    run under a per-shard lock, so concurrent submitters cannot corrupt
+    the queue or overfill it.  Campaign state itself is only ever
+    touched by the pumping thread.
 
     When a durability hook is set (``shard.durability``), every
     micro-batch is appended to the write-ahead log immediately before
@@ -288,7 +289,6 @@ class Shard:
         self.index = index
         self._queue_capacity = queue_capacity
         self._queue: list[tuple] = []
-        self._head = 0
         self._lock = threading.Lock()
         self._reserved = 0
         self.campaigns: dict[str, CampaignState] = {}
@@ -296,18 +296,12 @@ class Shard:
         #: :class:`~repro.service.telemetry.ServiceTelemetry` hook, set
         #: by the owning service (None for bare shards in tests).
         self.telemetry = None
-        self.items_dropped = 0
-        self.claims_dropped = 0
         self.claims_processed = 0
 
     # ------------------------------------------------------------------
     @property
     def queue_depth(self) -> int:
-        return len(self._queue) - self._head
-
-    @property
-    def has_room(self) -> bool:
-        return self.queue_depth + self._reserved < self._queue_capacity
+        return len(self._queue)
 
     def register(self, state: CampaignState) -> None:
         self.campaigns[state.campaign_id] = state
@@ -315,17 +309,13 @@ class Shard:
     def try_reserve(self) -> bool:
         """Atomically claim one queue slot for a later ``enqueue``.
 
-        The reject-overflow path must decide *before* charging privacy
-        budget whether the queue will take the item; a bare has_room
-        check can be invalidated by a concurrent producer between the
-        check and the enqueue, which would spend epsilon on a refused
-        submission.  A reservation cannot be stolen.
+        Admission decides *before* charging privacy budget whether the
+        queue will take the item: a full queue refuses here, so a
+        refused submission spends no epsilon, and a concurrent producer
+        cannot fill the slot between this check and the enqueue.
         """
         with self._lock:
-            if (
-                len(self._queue) - self._head + self._reserved
-                >= self._queue_capacity
-            ):
+            if len(self._queue) + self._reserved >= self._queue_capacity:
                 return False
             self._reserved += 1
             return True
@@ -335,34 +325,13 @@ class Shard:
         with self._lock:
             self._reserved -= 1
 
-    def enqueue(
-        self, item: tuple, *, overflow: str, reserved: bool = False
-    ) -> bool:
-        """Queue one work item; apply ``overflow`` policy when full.
-
-        Returns True when the item was queued.  Under ``"drop_oldest"``
-        the oldest queued item is evicted to make room (the new item is
-        always queued); under ``"reject"`` the new item is refused
-        unless the caller holds a reservation (``reserved=True``),
-        which guarantees room.  Safe to call from multiple producer
-        threads.
-        """
+    def enqueue(self, item: tuple) -> None:
+        """Queue one work item in the slot a successful
+        :meth:`try_reserve` holds for it.  Safe to call from multiple
+        producer threads."""
         with self._lock:
-            if reserved:
-                self._reserved -= 1
-            elif (
-                self.queue_depth + self._reserved >= self._queue_capacity
-            ):
-                if overflow == "reject":
-                    return False
-                # drop_oldest: evict the head of the queue.
-                evicted = self._queue[self._head]
-                self._head += 1
-                self.items_dropped += 1
-                self.claims_dropped += len(evicted[3])
-                self._compact()
+            self._reserved -= 1
             self._queue.append(item)
-            return True
 
     def pump(self) -> int:
         """Drain the queue into batchers/aggregators; return claims moved.
@@ -372,17 +341,14 @@ class Shard:
         they enqueue mid-pump wait for the next pump).
         """
         with self._lock:
-            queue, head = self._queue, self._head
+            queue = self._queue
             self._queue = []
-            self._head = 0
         moved = 0
         telemetry = self.telemetry
         now = time.perf_counter() if telemetry is not None else 0.0
         runs: dict[CampaignState, _Run] = {}
         stamps: list[float] = []
-        for state, users, objects, values, stamp, trace in (
-            queue[head:] if head else queue
-        ):
+        for state, users, objects, values, stamp, trace in queue:
             if self.campaigns.get(state.campaign_id) is not state:
                 # The campaign was unregistered (or re-registered fresh)
                 # after this item was queued; drop it unprocessed.
@@ -444,9 +410,8 @@ class Shard:
     def _add(self, state: CampaignState, users, objects, values) -> None:
         for batch in state.batcher.add_columns(users, objects, values):
             self._ingest(state, batch)
-        # Contributor accounting happens here — when claims actually
-        # reach the batcher — so items shed by drop_oldest eviction
-        # never inflate a campaign's contributor set or quorum.
+        # Contributor accounting happens here, when claims reach the
+        # batcher: items of an unregistered campaign never count.
         state.claims_accepted += len(values)
         state.claims_by_slot += np.bincount(users, minlength=state.capacity)
 
@@ -478,9 +443,3 @@ class Shard:
             self.telemetry.on_batch(
                 self.index, state, time.perf_counter() - start, lsn
             )
-
-    def _compact(self) -> None:
-        # Reclaim the consumed prefix once it dominates the list.
-        if self._head > 4096 and self._head * 2 > len(self._queue):
-            del self._queue[: self._head]
-            self._head = 0

@@ -232,9 +232,6 @@ class ServiceTelemetry:
             add("counter",
                 series_key("repro_claims_processed_total", labels),
                 float(shard.claims_processed))
-            add("counter",
-                series_key("repro_claims_dropped_total", labels),
-                float(shard.claims_dropped))
             add("gauge",
                 series_key("repro_queue_depth", labels),
                 float(shard.queue_depth))

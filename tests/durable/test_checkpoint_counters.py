@@ -2,7 +2,7 @@
 state (live counters minus what the micro-batcher still buffers); they
 must equal the per-logged-batch counting a manager once kept beside the
 service (``shadow_counters_reference``) at every checkpoint, across
-registration churn, both overflow policies, every batch size, and crash
+registration churn, full-queue refusals, every batch size, and crash
 plus ``recover(resume=True)``."""
 
 import tempfile
@@ -154,23 +154,19 @@ def crash_and_resume(directory, config):
 @pytest.mark.parametrize("max_batch", [1, 7, 64])
 @given(
     ops=operations,
-    overflow=st.sampled_from(["reject", "drop_oldest"]),
     cap=st.sampled_from([3.0, 1e6]),  # refusing often / never
     every=st.sampled_from([0, 40]),  # manual / automatic checkpoints
 )
 @settings(max_examples=40, deadline=None)
 def test_checkpoint_counters_equal_the_logged_batches(
-    max_batch, ops, overflow, cap, every
+    max_batch, ops, cap, every
 ):
     with tempfile.TemporaryDirectory() as tmp:
         config = DurabilityConfig(
             directory=tmp, fsync="never", checkpoint_every_claims=every
         )
         service = IngestService(
-            ServiceConfig(
-                num_shards=1, max_batch=max_batch, queue_capacity=4,
-                overflow=overflow,
-            ),
+            ServiceConfig(num_shards=1, max_batch=max_batch, queue_capacity=4),
             ledger=BudgetLedger(epsilon_cap=cap),
             topology=Topology.in_process(durability=config),
         )

@@ -239,9 +239,9 @@ class ReadHarness:
         self.clients[0].status()
 
     # ------------------------------------------------------------------
-    def ship(self) -> None:
+    def ship(self, up_to=None) -> None:
         self.manager.sync()
-        durable = self.manager.durable_lsn
+        durable = self.manager.durable_lsn if up_to is None else up_to
         if durable == self.shipped:
             return
         frames = committed_frames(
@@ -259,6 +259,18 @@ class ReadHarness:
     def chunk(self, campaign_id: str, new_users: int, seed: int) -> None:
         self._feed(campaign_id, new_users, seed)
         self.ship()
+
+    def split(self, campaign_id: str, new_users: int, seed: int) -> None:
+        """A chunk for at least one new user whose shipped group ends
+        after its USERS record, before its BATCH: the standby's table
+        grows with nothing else moving.  A later step ships the rest."""
+        self._feed(campaign_id, max(new_users, 1), seed)
+        self.manager.sync()
+        frames = committed_frames(
+            self.manager.wal.directory, self.shipped, self.manager.durable_lsn
+        )
+        users = [f.lsn for f in split_frames(frames) if f.rtype == rec.USERS]
+        self.ship(users[-1] if users else None)
 
     def _feed(self, campaign_id: str, new_users: int, seed: int) -> None:
         users, objects, _ = CAMPAIGNS[campaign_id]
@@ -339,7 +351,7 @@ def campaign_of(record):
 #: Step kinds, reads and chunks weighted up so most reads follow a
 #: change within one incarnation (a stale version, same state object).
 _KINDS = ["read"] * 5 + ["chunk"] * 4 + [
-    "ship", "flush", "reregister", "checkpoint", "resync", "restart",
+    "ship", "split", "flush", "reregister", "checkpoint", "resync", "restart",
 ]
 #: (kind, client, campaign, new users, chunk seed); each kind uses what
 #: it needs.
@@ -369,6 +381,24 @@ _steps = st.lists(
         ("read", 0, "stream", 0, 0),
         ("chunk", 0, "stream", 6, 2),  # new users
         ("read", 0, "stream", 0, 0),
+    ]
+)
+@example(
+    steps=[
+        ("read", 0, "stream", 0, 0),
+        ("read", 1, "refit", 0, 0),
+        # The group ends between a USERS record and its BATCH: the
+        # table grew, and the reads before the rest is shipped are
+        # still what a full reply shows.
+        ("split", 0, "stream", 6, 1),
+        ("read", 0, "stream", 0, 0),
+        ("read", 0, "stream", 0, 0),
+        # Ships the rest of "stream"'s chunk, then ends the same way.
+        ("split", 0, "refit", 2, 2),
+        ("read", 1, "refit", 0, 0),
+        ("read", 0, "stream", 0, 0),
+        ("ship", 0, "stream", 0, 0),
+        ("read", 1, "refit", 0, 0),
     ]
 )
 @example(
@@ -416,8 +446,8 @@ def test_every_read_equals_the_full_reply(steps):
             for kind, client, campaign_id, new_users, seed in steps:
                 if kind == "read":
                     harness.read(client, campaign_id)
-                elif kind == "chunk":
-                    harness.chunk(campaign_id, new_users, seed)
+                elif kind in ("chunk", "split"):
+                    getattr(harness, kind)(campaign_id, new_users, seed)
                 elif kind == "reregister":
                     harness.reregister(campaign_id)
                 else:

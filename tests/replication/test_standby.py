@@ -264,6 +264,7 @@ class TestShipAndRead:
             assert link["bytes_shipped"] > 0
         finally:
             service.close()
+            manager.close()
             standby.stop()
 
     @pytest.mark.parametrize("silent", [(), ("never-submits",)])
@@ -300,6 +301,7 @@ class TestShipAndRead:
             assert not replica.contributor_weights.flags.writeable
         finally:
             service.close()
+            manager.close()
             standby.stop()
 
     def test_replication_metrics_exposed(self, tmp_path):
@@ -332,6 +334,7 @@ class TestShipAndRead:
             assert 'standby="0"' in text
         finally:
             service.close()
+            manager.close()
             standby.stop()
 
     def test_unknown_campaign_read_errors_but_connection_survives(
@@ -354,6 +357,7 @@ class TestShipAndRead:
                 assert snap.campaign_id == gen.campaign_id
         finally:
             service.close()
+            manager.close()
             standby.stop()
 
 
@@ -655,6 +659,7 @@ class TestStreamIntegrity:
             )
         finally:
             service.close()
+            manager.close()
             restarted.stop()
 
     def test_duplicate_group_deduped_and_gap_rejected(self, tmp_path):
@@ -707,6 +712,7 @@ class TestStreamIntegrity:
                 conn.close()
         finally:
             service.close()
+            manager.close()
             standby.stop()
 
     def test_corrupt_committed_frame_is_refused_by_lsn(self, tmp_path):
@@ -746,6 +752,7 @@ class TestStreamIntegrity:
             assert link.ack_lsn == 0
         finally:
             service.close()
+            manager.close()
             standby.stop()
 
     def test_format_1_peer_refused_by_name(self, tmp_path):
@@ -886,6 +893,7 @@ class TestCheckpointResync:
             )
         finally:
             service.close()
+            manager.close()
             standby.stop()
 
     def test_resync_never_takes_the_fence_off_the_disk(
@@ -917,6 +925,7 @@ class TestCheckpointResync:
                 time.sleep(0.01)
         finally:
             service.close()
+            manager.close()
             standby.stop()
         monkeypatch.undo()
         restarted = StandbyServer(tmp_path / "sb0")
@@ -1040,6 +1049,7 @@ class TestCheckpointResync:
                     ).read_bytes(), name
             finally:
                 service.close()
+                manager.close()
                 if standby is not None:
                     standby.stop()
 
@@ -1141,6 +1151,7 @@ class TestFrameShipping:
             assert replica_snap.truths.tobytes() == primary_snap.truths.tobytes()
         finally:
             service.close()
+            manager.close()
             standby.stop()
 
     def test_bytes_shipped_counts_frame_bytes(self, tmp_path):
@@ -1157,6 +1168,7 @@ class TestFrameShipping:
             assert link["bytes_shipped"] == len(frame_stream(tmp_path / "wal"))
         finally:
             service.close()
+            manager.close()
             standby.stop()
 
 
@@ -1215,6 +1227,7 @@ class TestGroupFormation:
             assert sender.links[0].groups_shipped == 2
         finally:
             service.close()
+            manager.close()
             standby.stop()
 
     def test_a_waiter_and_close_ship_a_held_group_at_once(
@@ -1312,6 +1325,7 @@ class TestLinkErrors:
             assert standby.durable_lsn == watermark
         finally:
             service.close()
+            manager.close()
             standby.stop()
 
     def test_a_bug_ends_the_link_instead_of_redialling(
@@ -1360,6 +1374,7 @@ class TestSyncModes:
             assert sender.semi_sync_timeouts == 0
         finally:
             service.close()
+            manager.close()
             standby.stop()
 
     def test_semi_sync_timeout_degrades_to_async(self, tmp_path):
@@ -1381,6 +1396,7 @@ class TestSyncModes:
             assert sender.semi_sync_timeouts >= 1
         finally:
             service.close()
+            manager.close()
 
     def test_async_never_blocks_on_dead_standby(self, tmp_path):
         gen, chunks = make_traffic(total_chunks=2)
@@ -1403,6 +1419,7 @@ class TestSyncModes:
             )
         finally:
             service.close()
+            manager.close()
 
 
 class TestSenderValidation:

@@ -209,6 +209,7 @@ class TestElection:
             assert lsn == watermark
         finally:
             service.close()
+            manager.close()
             lagging.stop()
             fresh.stop()
 
@@ -345,6 +346,7 @@ class TestAutomatedFailover:
             watchdog.stop()
             status_server.stop()
             service.close()
+            manager.close()
             standby0.stop()
             standby1.stop()
 
@@ -518,6 +520,7 @@ class TestQuorumFencedFailover:
                 watchdog.stop()
             status_server.stop()
             service.close()
+            manager.close()
             standby0.stop()
             standby1.stop()
 

@@ -30,13 +30,12 @@ def as_columns(users, objects, values):
 def pump(shard) -> int:
     """What ``shard.pump()`` did, one work item at a time."""
     with shard._lock:
-        queue, head = shard._queue, shard._head
+        queue = shard._queue
         shard._queue = []
-        shard._head = 0
     moved = 0
     telemetry = shard.telemetry
     now = time.perf_counter() if telemetry is not None else 0.0
-    for item in queue[head:] if head else queue:
+    for item in queue:
         state = item[0]
         if shard.campaigns.get(state.campaign_id) is not state:
             continue

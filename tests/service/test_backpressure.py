@@ -1,13 +1,13 @@
 """Concurrent-producer backpressure tests.
 
 The service is single-consumer (one pumping thread) but must tolerate
-many producer threads: enqueue and the pump's queue takeover share a
-per-shard lock.  These tests drive a full shard queue from several
-threads under both overflow policies and assert that nothing deadlocks
-and that every claim is accounted for exactly once — processed,
-dropped, or rejected.
+many producer threads: reservation, enqueue and the pump's queue
+takeover share a per-shard lock.  These tests drive a full shard queue
+from several threads and assert that nothing deadlocks and that every
+claim is accounted for exactly once — processed or refused.
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -22,14 +22,9 @@ NUM_OBJECTS = 8
 CHUNK = 32
 
 
-def make_service(overflow, queue_capacity=8):
+def make_service():
     service = IngestService(
-        ServiceConfig(
-            num_shards=1,
-            max_batch=CHUNK,
-            queue_capacity=queue_capacity,
-            overflow=overflow,
-        )
+        ServiceConfig(num_shards=1, max_batch=CHUNK, queue_capacity=8)
     )
     service.register_campaign(
         CAMPAIGN,
@@ -54,15 +49,10 @@ def producer(service, chunks_per_thread, seed, accepted_claims):
     accepted_claims.append(accepted)
 
 
-@pytest.mark.parametrize("overflow", ["drop_oldest", "reject"])
-def test_concurrent_producers_never_deadlock_and_account_exactly(overflow):
-    """Hammer one tiny shard queue from 8 threads while pumping.
-
-    ``drop_oldest`` must never deadlock and its drop counters must
-    explain every accepted-but-unprocessed claim; ``reject`` must
-    refuse (not lose) the overflow.
-    """
-    service = make_service(overflow)
+def test_concurrent_producers_never_deadlock_and_account_exactly():
+    """Hammer one tiny shard queue from 8 threads while pumping: a full
+    queue refuses the overflow and loses no accepted claim."""
+    service = make_service()
     shard = service._shards[0]
     accepted_claims: list[int] = []
     threads = [
@@ -92,82 +82,62 @@ def test_concurrent_producers_never_deadlock_and_account_exactly(overflow):
 
     accepted = sum(accepted_claims)
     processed = shard.claims_processed
-    dropped = shard.claims_dropped
     assert shard.queue_depth == 0
-    # Every accepted claim is either processed or (drop_oldest only)
-    # shed by eviction — exactly once.
-    assert accepted == processed + dropped
-    if overflow == "reject":
-        assert dropped == 0
-        total_submitted = 8 * 60 * CHUNK
-        assert accepted + service.stats.rejected_overflow >= accepted
-        assert accepted <= total_submitted
+    # Every claim is either processed or refused — exactly once.
+    assert accepted == processed == service.stats.claims_accepted
+    assert accepted + service.stats.rejected_overflow == 8 * 60 * CHUNK
     # The campaign's own accounting matches what was actually pumped.
     state = service.campaign_state(CAMPAIGN)
     assert state.claims_accepted == processed
     assert int(state.claims_by_slot.sum()) == processed
 
 
-def test_drop_oldest_eviction_counts_are_exact_single_threaded():
-    service = make_service("drop_oldest", queue_capacity=4)
-    shard = service._shards[0]
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        service.submit_columns(
-            CAMPAIGN,
-            rng.integers(0, NUM_USERS, size=CHUNK),
-            rng.integers(0, NUM_OBJECTS, size=CHUNK),
-            rng.normal(size=CHUNK),
-        )
-    # 10 accepted, capacity 4: six oldest items evicted, newest 4 kept.
-    assert shard.items_dropped == 6
-    assert shard.claims_dropped == 6 * CHUNK
-    assert shard.queue_depth == 4
-    service.pump()
-    assert shard.claims_processed == 4 * CHUNK
-    assert service.stats.claims_accepted == 10 * CHUNK
-
-
 def test_enqueue_is_thread_safe_at_shard_level():
-    """Direct shard hammering: total items in == queued + dropped."""
+    """Direct shard hammering, reserve then enqueue: total items in ==
+    queued + refused, and the queue never passes its capacity."""
     shard = Shard(0, queue_capacity=16)
     items_per_thread = 500
+    refused = []
 
     def worker(seed):
         values = np.ones(1)
         slots = np.zeros(1, dtype=np.int64)
+        count = 0
         for _ in range(items_per_thread):
-            assert shard.enqueue(
-                (None, slots, slots, values), overflow="drop_oldest"
-            )
+            if shard.try_reserve():
+                shard.enqueue((None, slots, slots, values))
+            else:
+                count += 1
+        refused.append(count)
 
     threads = [
         threading.Thread(target=worker, args=(s,)) for s in range(6)
     ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60)
-        assert not t.is_alive()
-    assert shard.queue_depth + shard.items_dropped == 6 * items_per_thread
-    assert shard.queue_depth <= 16
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between bytecodes
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert shard.queue_depth + sum(refused) == 6 * items_per_thread
+    assert shard.queue_depth == 16
+    assert not shard.try_reserve()
 
 
 def test_overflow_reject_never_spends_budget_concurrently():
-    """A reservation, not a has_room peek, gates the budget charge: no
-    producer may spend epsilon on a submission the queue then refuses."""
+    """A reservation gates the budget charge: no producer may spend
+    epsilon on a submission the queue then refuses."""
     from repro.privacy.ldp import LDPGuarantee
     from repro.service.ledger import BudgetLedger
 
     cost = LDPGuarantee(epsilon=0.001, delta=0.0)
     ledger = BudgetLedger(epsilon_cap=1e9)
     service = IngestService(
-        ServiceConfig(
-            num_shards=1,
-            max_batch=CHUNK,
-            queue_capacity=4,
-            overflow="reject",
-        ),
+        ServiceConfig(num_shards=1, max_batch=CHUNK, queue_capacity=4),
         ledger=ledger,
     )
     service.register_campaign(
@@ -252,17 +222,15 @@ def test_concurrent_placeholder_slots_stay_unique():
 def test_reservation_protocol_at_shard_level():
     shard = Shard(0, queue_capacity=2)
     assert shard.try_reserve() and shard.try_reserve()
-    # Capacity is fully reserved: no third reservation, no unreserved
-    # enqueue under reject.
+    # Capacity is fully reserved: no third reservation.
     assert not shard.try_reserve()
     item = (None, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
             np.ones(1))
-    assert not shard.enqueue(item, overflow="reject")
-    # Reserved enqueues always land.
-    assert shard.enqueue(item, overflow="reject", reserved=True)
-    assert shard.enqueue(item, overflow="reject", reserved=True)
+    # Reserved enqueues always land, and fill the queue.
+    shard.enqueue(item)
+    shard.enqueue(item)
     assert shard.queue_depth == 2
-    assert not shard.has_room
+    assert not shard.try_reserve()
     # A cancelled reservation re-opens its slot (here: reserve fails
     # while full, then succeeds again after the queue drains).
     shard2 = Shard(1, queue_capacity=1)

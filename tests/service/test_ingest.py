@@ -187,7 +187,7 @@ class TestScalarWorkItems:
 
 class TestBackpressure:
     def test_reject_policy_refuses_when_queue_full(self):
-        service = make_service(num_shards=1, queue_capacity=2, overflow="reject")
+        service = make_service(num_shards=1, queue_capacity=2)
         service.register_campaign("c1", ("o0", "o1"), max_users=8)
         assert service.submit(sub(user="u1")).ok
         assert service.submit(sub(user="u2")).ok
@@ -201,9 +201,7 @@ class TestBackpressure:
 
     def test_overflow_rejection_spends_no_budget(self):
         ledger = BudgetLedger(epsilon_cap=10.0)
-        service = make_service(
-            num_shards=1, queue_capacity=1, overflow="reject", ledger=ledger
-        )
+        service = make_service(num_shards=1, queue_capacity=1, ledger=ledger)
         cost = LDPGuarantee(epsilon=1.0, delta=0.0)
         service.register_campaign("c1", ("o0", "o1"), max_users=8, cost=cost)
         assert service.submit(sub(user="u1")).ok
@@ -269,24 +267,6 @@ class TestBackpressure:
                         service.submit_columns(*chunk)
             assert service._shards[0]._reserved == 0
             assert service.submit_columns(*chunk).ok
-
-    def test_drop_oldest_policy_sheds_head_of_queue(self):
-        service = make_service(
-            num_shards=1, queue_capacity=2, overflow="drop_oldest", max_batch=4
-        )
-        service.register_campaign("c1", ("o0",), max_users=8)
-        for i in range(5):
-            result = service.submit(sub(user=f"u{i}", objects=("o0",),
-                                        values=(float(i),)))
-            assert result.ok  # drop_oldest always accepts the newest
-        service.flush()
-        snap = service.snapshot("c1")
-        # The three oldest items were shed; the two newest survived.
-        assert snap.claims_ingested == 2
-        assert service._shards[0].items_dropped == 3
-        assert service._shards[0].claims_dropped == 3
-        # Shed users never became contributors (quorum integrity).
-        assert set(snap.weights_by_user) == {"u3", "u4"}
 
 
 class TestBulkColumns:
@@ -459,8 +439,9 @@ class TestSnapshots:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ServiceConfig(overflow="panic")
+    # A full shard queue always refuses; there is no policy to pick.
+    with pytest.raises(TypeError):
+        ServiceConfig(overflow="reject")
     with pytest.raises(ValueError):
         ServiceConfig(num_shards=0)
     with pytest.raises(ValueError):

@@ -239,7 +239,10 @@ def test_charge_and_admit_are_one_rule(eps_cap, delta_cap, steps):
     spent_eps, spent_delta = {}, {}
     for user_id, eps, delta in steps:
         guarantee = LDPGuarantee(eps, delta)
+        # can_admit previews the same rule, spending and counting nothing.
+        preview = via_charge.can_admit(user_id, guarantee)
         reason = via_charge.charge(user_id, guarantee, mechanism="m", label="l")
+        assert preview == (not reason)
         decision = via_admit.admit(user_id, guarantee, mechanism="m", label="l")
         expected = _reference_admit(
             spent_eps, spent_delta, user_id, guarantee, eps_cap, delta_cap

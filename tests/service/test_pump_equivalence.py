@@ -73,8 +73,8 @@ def column_chunks(draw):
             np.array(values))
 
 
-# Bursts outrun the 4-item queue between pumps (overflow refusals,
-# drop_oldest evictions) and exhaust a user's budget.
+# Bursts outrun the 4-item queue between pumps (overflow refusals) and
+# exhaust a user's budget.
 bursts = st.lists(
     st.one_of(submissions(), submissions(), submissions(), column_chunks()),
     min_size=1, max_size=12,
@@ -100,7 +100,7 @@ def register(service, campaign_id):
     )
 
 
-def build(max_batch, overflow, cap, directory):
+def build(max_batch, cap, directory):
     topology = None
     if directory is not None:
         topology = Topology.in_process(
@@ -109,7 +109,7 @@ def build(max_batch, overflow, cap, directory):
     service = IngestService(
         ServiceConfig(
             num_shards=1, max_batch=max_batch, queue_capacity=4,
-            overflow=overflow, trace_sample_every=3,
+            trace_sample_every=3,
         ),
         ledger=BudgetLedger(epsilon_cap=cap),
         topology=topology,
@@ -160,7 +160,6 @@ def accounting(service):
         del stats[timing]
     return {
         "stats": stats,
-        "dropped": (shard.items_dropped, shard.claims_dropped),
         "processed": shard.claims_processed,
         "campaigns": {
             cid: (
@@ -188,16 +187,15 @@ def directory_bytes(root):
 @pytest.mark.parametrize("max_batch", [1, 7, 64])
 @given(
     ops=operations,
-    overflow=st.sampled_from(["reject", "drop_oldest"]),
     cap=st.sampled_from([2.0, 1e6]),  # refusing often / never
     durable=st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_pump_equals_one_item_at_a_time(max_batch, ops, overflow, cap, durable):
+def test_pump_equals_one_item_at_a_time(max_batch, ops, cap, durable):
     with tempfile.TemporaryDirectory() as tmp:
         dirs = [f"{tmp}/{side}" if durable else None for side in "ab"]
-        service, batches = build(max_batch, overflow, cap, dirs[0])
-        reference, expected = build(max_batch, overflow, cap, dirs[1])
+        service, batches = build(max_batch, cap, dirs[0])
+        reference, expected = build(max_batch, cap, dirs[1])
         per_item_reference.install(reference)
         try:
             for op in ops + [("flush",)]:

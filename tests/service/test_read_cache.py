@@ -30,7 +30,7 @@ from repro.service.topology import Topology
 from repro.truthdiscovery.streaming import ClaimBatch
 
 #: One streaming and one full-refit campaign on one shard: they share
-#: its queue, so drop_oldest evicts across them.
+#: its queue, so one fills it for the other.
 BACKENDS = {"s": "streaming", "f": "full"}
 OBJECTS = tuple(f"o{i}" for i in range(4))
 REGISTERED = ("ann", "bob")  # named up front; may never submit
@@ -93,13 +93,13 @@ def register(service, campaign_id, method):
     )
 
 
-def build(directory, method, *, max_batch, overflow, cap):
-    # A three-item queue between pumps refuses or evicts; a cap of 3.0
-    # refuses some users after they took a slot.
+def build(directory, method, *, max_batch, cap):
+    # A three-item queue between pumps refuses; a cap of 3.0 refuses
+    # some users who took a slot earlier.
     service = IngestService(
         ServiceConfig(
             num_shards=1, max_batch=max_batch, queue_capacity=3,
-            overflow=overflow, refine_every=6,
+            refine_every=6,
         ),
         ledger=BudgetLedger(epsilon_cap=cap),
         topology=Topology.in_process(
@@ -137,10 +137,10 @@ def submit(campaign_id, user_id):
     ))
 
 
-#: A new user takes a slot, then its claim is evicted by the other
-#: campaign's: the table grows with nothing else moving, and the read
-#: after it must be a new one.
-EVICTED_NEW_USER = [
+#: A new user takes a slot, then the other campaign's third submission
+#: finds the three-item queue full and is refused; the next read
+#: aggregates the new user's claim and must be a new one.
+NEW_USER_BEFORE_FULL_QUEUE = [
     ("read", "s"), submit("s", "u0"),
     submit("f", "ann"), submit("f", "ann"), submit("f", "ann"),
     ("read", "s"),
@@ -161,18 +161,15 @@ def moved(state) -> tuple:
 @given(
     ops=operations,
     max_batch=st.sampled_from([1, 5, 64]),
-    overflow=st.sampled_from(["reject", "drop_oldest"]),
     cap=st.sampled_from([3.0, 1e6]),
 )
-@example(ops=REWIND_AFTER_REREAD, max_batch=5, overflow="reject", cap=1e6)
-@example(ops=EVICTED_NEW_USER, max_batch=5, overflow="drop_oldest", cap=1e6)
+@example(ops=REWIND_AFTER_REREAD, max_batch=5, cap=1e6)
+@example(ops=NEW_USER_BEFORE_FULL_QUEUE, max_batch=5, cap=1e6)
 @settings(max_examples=40, deadline=None)
-def test_cached_reads_equal_uncached_reads(method, ops, max_batch, overflow, cap):
+def test_cached_reads_equal_uncached_reads(method, ops, max_batch, cap):
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp) / "gen0"
-        service = build(
-            directory, method, max_batch=max_batch, overflow=overflow, cap=cap
-        )
+        service = build(directory, method, max_batch=max_batch, cap=cap)
         last = {}  # campaign -> (snapshot, state, moved, ops before it)
         first = {}  # campaign -> (state, aggregator state at its first read)
         touched = set()  # campaigns fed or rewound since their last read

@@ -90,20 +90,17 @@ def submit(service, user, value=1.0):
 @pytest.mark.parametrize("method", METHODS)
 @given(
     ops=operations,
-    overflow=st.sampled_from(["reject", "drop_oldest"]),
     max_batch=st.sampled_from([1, 5, 64]),
     user_ids=st.sampled_from([REGISTERED, None]),
 )
 @settings(max_examples=60, deadline=None)
 def test_weights_by_user_equals_the_eager_dict(
-    method, ops, overflow, max_batch, user_ids
+    method, ops, max_batch, user_ids
 ):
-    # Three queue slots between pumps: submissions are refused or, under
-    # drop_oldest, evicted — an evicted user is named but contributed
-    # nothing.
+    # Three queue slots between pumps: later submissions are refused,
+    # and a refused submission takes no user slot.
     service, state = build(
-        method, user_ids, max_batch=max_batch, queue_capacity=3,
-        overflow=overflow,
+        method, user_ids, max_batch=max_batch, queue_capacity=3
     )
     for op in ops:
         if op[0] == "submit":
@@ -117,17 +114,6 @@ def test_weights_by_user_equals_the_eager_dict(
         else:
             check(service, state)
     check(service, state)
-
-
-def test_an_evicted_submission_makes_no_contributor():
-    service, state = build(
-        user_ids=None, queue_capacity=1, overflow="drop_oldest"
-    )
-    assert submit(service, "shed").ok
-    assert submit(service, "kept").ok  # evicts the queued item
-    check(service, state)
-    assert state.user_table == ["shed", "kept"]
-    assert list(service.snapshot("c").weights_by_user) == ["kept"]
 
 
 @pytest.mark.parametrize("user_ids", [REGISTERED, None])
