@@ -20,53 +20,31 @@ Quickstart
 (12,)
 """
 
-from repro.core import (
-    PrivacyConfig,
-    PrivateAggregationOutcome,
-    PrivateTruthDiscovery,
-    UtilityEvaluation,
-)
-from repro.privacy import (
-    ExponentialVarianceGaussianMechanism,
-    FixedGaussianMechanism,
-    LDPGuarantee,
-    LaplaceMechanism,
-    PrivacyAccountant,
-)
-from repro.truthdiscovery import (
-    CATD,
-    CRH,
-    GTM,
-    ClaimMatrix,
-    MeanAggregator,
-    MedianAggregator,
-    TruthDiscoveryMethod,
-    TruthDiscoveryResult,
-    available_methods,
-    create_method,
-)
+from repro._lazy import lazy_exports
+
+_EXPORTS = {
+    "CATD": "repro.truthdiscovery.catd",
+    "CRH": "repro.truthdiscovery.crh",
+    "ClaimMatrix": "repro.truthdiscovery.claims",
+    "ExponentialVarianceGaussianMechanism": "repro.privacy.mechanisms",
+    "FixedGaussianMechanism": "repro.privacy.mechanisms",
+    "GTM": "repro.truthdiscovery.gtm",
+    "LDPGuarantee": "repro.privacy.ldp",
+    "LaplaceMechanism": "repro.privacy.mechanisms",
+    "MeanAggregator": "repro.truthdiscovery.baselines",
+    "MedianAggregator": "repro.truthdiscovery.baselines",
+    "PrivacyAccountant": "repro.privacy.accountant",
+    "PrivacyConfig": "repro.core.config",
+    "PrivateAggregationOutcome": "repro.core.results",
+    "PrivateTruthDiscovery": "repro.core.mechanism",
+    "TruthDiscoveryMethod": "repro.truthdiscovery.base",
+    "TruthDiscoveryResult": "repro.truthdiscovery.base",
+    "UtilityEvaluation": "repro.core.results",
+    "available_methods": "repro.truthdiscovery.registry",
+    "create_method": "repro.truthdiscovery.registry",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CATD",
-    "CRH",
-    "ClaimMatrix",
-    "ExponentialVarianceGaussianMechanism",
-    "FixedGaussianMechanism",
-    "GTM",
-    "LDPGuarantee",
-    "LaplaceMechanism",
-    "MeanAggregator",
-    "MedianAggregator",
-    "PrivacyAccountant",
-    "PrivacyConfig",
-    "PrivateAggregationOutcome",
-    "PrivateTruthDiscovery",
-    "TruthDiscoveryMethod",
-    "TruthDiscoveryResult",
-    "UtilityEvaluation",
-    "available_methods",
-    "create_method",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -19,30 +19,20 @@ SIGKILLed primary, automated watchdog promotion, bitwise/budget checks
 ``docs/operations.md`` for reproducing a drill seed locally).
 """
 
-from repro.chaos.plan import (
-    DEFAULT_RATES,
-    FAULT_POINTS,
-    FaultPlan,
-    InjectedFault,
-)
-from repro.chaos.points import (
-    active,
-    fire,
-    injected_counts,
-    install,
-    installed,
-    uninstall,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_RATES",
-    "FAULT_POINTS",
-    "FaultPlan",
-    "InjectedFault",
-    "active",
-    "fire",
-    "injected_counts",
-    "install",
-    "installed",
-    "uninstall",
-]
+_EXPORTS = {
+    "DEFAULT_RATES": "repro.chaos.plan",
+    "FAULT_POINTS": "repro.chaos.plan",
+    "FaultPlan": "repro.chaos.plan",
+    "InjectedFault": "repro.chaos.plan",
+    "active": "repro.chaos.points",
+    "fire": "repro.chaos.points",
+    "injected_counts": "repro.chaos.points",
+    "install": "repro.chaos.points",
+    "installed": "repro.chaos.points",
+    "uninstall": "repro.chaos.points",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

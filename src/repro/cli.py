@@ -431,7 +431,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "metrics":
-        from repro.obs import format_metrics, render_prometheus, try_scrape
+        from repro.obs.exposition import render_prometheus, try_scrape
+        from repro.obs.top import format_metrics
 
         snapshot = try_scrape(args.url)
         if snapshot is None:
@@ -445,7 +446,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "top":
-        from repro.obs import run_top
+        from repro.obs.top import run_top
 
         return run_top(
             args.url,
@@ -470,8 +471,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
 
     if args.command == "standby":
-        from repro.durable import CheckpointError, RecordError, WalError
-        from repro.replication import StandbyError, serve_standby
+        from repro.durable.checkpoint import CheckpointError
+        from repro.durable.records import RecordError
+        from repro.durable.wal import WalError
+        from repro.replication.standby import StandbyError, serve_standby
 
         def announce(port: int) -> None:
             # Same launch contract as serve-shard: the first stdout
@@ -545,7 +548,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "compact":
-        from repro.durable import WalError, compact_directory
+        from repro.durable.compaction import compact_directory
+        from repro.durable.wal import WalError
 
         directory = _resolve_dir(args)
         if directory is None:
@@ -562,13 +566,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "recover":
-        from repro.durable import (
-            CheckpointError,
-            RecordError,
-            RecoveryError,
-            RecoveryManager,
-            WalError,
-        )
+        from repro.durable.checkpoint import CheckpointError
+        from repro.durable.records import RecordError
+        from repro.durable.recovery import RecoveryError, RecoveryManager
+        from repro.durable.wal import WalError
 
         directory = _resolve_dir(args)
         if directory is None:

@@ -4,13 +4,14 @@
 and result types round out the public API.
 """
 
-from repro.core.config import PrivacyConfig
-from repro.core.mechanism import PrivateTruthDiscovery
-from repro.core.results import PrivateAggregationOutcome, UtilityEvaluation
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "PrivacyConfig",
-    "PrivateAggregationOutcome",
-    "PrivateTruthDiscovery",
-    "UtilityEvaluation",
-]
+_EXPORTS = {
+    "PrivacyConfig": "repro.core.config",
+    "PrivateAggregationOutcome": "repro.core.results",
+    "PrivateTruthDiscovery": "repro.core.mechanism",
+    "UtilityEvaluation": "repro.core.results",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

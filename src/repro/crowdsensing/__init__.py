@@ -14,38 +14,28 @@ with a :class:`~repro.service.ledger.BudgetLedger` admits every
 submission against it.
 """
 
-from repro.crowdsensing.campaign import CampaignReport, CampaignSpec
-from repro.crowdsensing.device import SensorModel, UserDevice
-from repro.crowdsensing.faults import RELIABLE, FaultModel, lossy
-from repro.crowdsensing.messages import (
-    AggregateAnnouncement,
-    ClaimSubmission,
-    Envelope,
-    TaskAssignment,
-    from_wire,
-    to_wire,
-)
-from repro.crowdsensing.runtime import build_devices, run_campaign
-from repro.crowdsensing.server import AggregationServer
-from repro.crowdsensing.transport import InProcessTransport, TransportStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AggregateAnnouncement",
-    "AggregationServer",
-    "CampaignReport",
-    "CampaignSpec",
-    "ClaimSubmission",
-    "Envelope",
-    "FaultModel",
-    "InProcessTransport",
-    "RELIABLE",
-    "SensorModel",
-    "TaskAssignment",
-    "TransportStats",
-    "UserDevice",
-    "build_devices",
-    "from_wire",
-    "lossy",
-    "run_campaign",
-    "to_wire",
-]
+_EXPORTS = {
+    "AggregateAnnouncement": "repro.crowdsensing.messages",
+    "AggregationServer": "repro.crowdsensing.server",
+    "CampaignReport": "repro.crowdsensing.campaign",
+    "CampaignSpec": "repro.crowdsensing.campaign",
+    "ClaimSubmission": "repro.crowdsensing.messages",
+    "Envelope": "repro.crowdsensing.messages",
+    "FaultModel": "repro.crowdsensing.faults",
+    "InProcessTransport": "repro.crowdsensing.transport",
+    "RELIABLE": "repro.crowdsensing.faults",
+    "SensorModel": "repro.crowdsensing.device",
+    "TaskAssignment": "repro.crowdsensing.messages",
+    "TransportStats": "repro.crowdsensing.transport",
+    "UserDevice": "repro.crowdsensing.device",
+    "build_devices": "repro.crowdsensing.runtime",
+    "from_wire": "repro.crowdsensing.messages",
+    "lossy": "repro.crowdsensing.faults",
+    "run_campaign": "repro.crowdsensing.runtime",
+    "to_wire": "repro.crowdsensing.messages",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

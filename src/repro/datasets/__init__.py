@@ -7,34 +7,22 @@
   substitution rationale.
 """
 
-from repro.datasets.floorplan import (
-    FloorplanDataset,
-    WalkerProfile,
-    generate_floorplan_dataset,
-    generate_segment_lengths,
-    sample_walker_profiles,
-)
-from repro.datasets.synthetic import (
-    PAPER_NUM_OBJECTS,
-    PAPER_NUM_USERS,
-    SyntheticDataset,
-    generate_synthetic,
-    generate_with_adversaries,
-    generate_with_variances,
-    sample_error_variances,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FloorplanDataset",
-    "PAPER_NUM_OBJECTS",
-    "PAPER_NUM_USERS",
-    "SyntheticDataset",
-    "WalkerProfile",
-    "generate_floorplan_dataset",
-    "generate_segment_lengths",
-    "generate_synthetic",
-    "generate_with_adversaries",
-    "generate_with_variances",
-    "sample_error_variances",
-    "sample_walker_profiles",
-]
+_EXPORTS = {
+    "FloorplanDataset": "repro.datasets.floorplan",
+    "PAPER_NUM_OBJECTS": "repro.datasets.synthetic",
+    "PAPER_NUM_USERS": "repro.datasets.synthetic",
+    "SyntheticDataset": "repro.datasets.synthetic",
+    "WalkerProfile": "repro.datasets.floorplan",
+    "generate_floorplan_dataset": "repro.datasets.floorplan",
+    "generate_segment_lengths": "repro.datasets.floorplan",
+    "generate_synthetic": "repro.datasets.synthetic",
+    "generate_with_adversaries": "repro.datasets.synthetic",
+    "generate_with_variances": "repro.datasets.synthetic",
+    "sample_error_variances": "repro.datasets.synthetic",
+    "sample_walker_profiles": "repro.datasets.floorplan",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

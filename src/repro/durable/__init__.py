@@ -44,70 +44,39 @@ benchmarks/e2e/run.py --workload bulk_durable`` (and
 ``device_paced_durable`` for ack latency under sync commit).
 """
 
-from repro.durable.checkpoint import (
-    Checkpoint,
-    CheckpointError,
-    CheckpointStore,
-)
-from repro.durable.compaction import (
-    CompactionInterrupted,
-    CompactionReport,
-    compact_directory,
-)
-from repro.durable.daemon import CompactionPolicy, CompactionTrigger
-from repro.durable.manager import (
-    DurabilityConfig,
-    DurabilityManager,
-    FORMAT_VERSION,
-)
-from repro.durable.records import RecordError, WalRecord, WorkItem
-from repro.durable.recovery import (
-    RecordApplier,
-    RecoveredService,
-    RecoveryError,
-    RecoveryManager,
-    RecoveryReport,
-)
-from repro.durable.stream import TailGapError, WalTailReader
-from repro.durable.wal import (
-    FSYNC_POLICIES,
-    WalCorruptionError,
-    WalError,
-    WalScan,
-    WriteAheadLog,
-    load_compaction_manifest,
-    read_wal,
-    repair_compaction,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Checkpoint",
-    "CheckpointError",
-    "CheckpointStore",
-    "CompactionInterrupted",
-    "CompactionPolicy",
-    "CompactionReport",
-    "CompactionTrigger",
-    "DurabilityConfig",
-    "DurabilityManager",
-    "FORMAT_VERSION",
-    "FSYNC_POLICIES",
-    "RecordApplier",
-    "RecordError",
-    "RecoveredService",
-    "RecoveryError",
-    "RecoveryManager",
-    "RecoveryReport",
-    "TailGapError",
-    "WalCorruptionError",
-    "WalError",
-    "WalRecord",
-    "WalScan",
-    "WalTailReader",
-    "WorkItem",
-    "WriteAheadLog",
-    "compact_directory",
-    "load_compaction_manifest",
-    "read_wal",
-    "repair_compaction",
-]
+_EXPORTS = {
+    "Checkpoint": "repro.durable.checkpoint",
+    "CheckpointError": "repro.durable.checkpoint",
+    "CheckpointStore": "repro.durable.checkpoint",
+    "CompactionInterrupted": "repro.durable.compaction",
+    "CompactionPolicy": "repro.durable.daemon",
+    "CompactionReport": "repro.durable.compaction",
+    "CompactionTrigger": "repro.durable.daemon",
+    "DurabilityConfig": "repro.durable.manager",
+    "DurabilityManager": "repro.durable.manager",
+    "FORMAT_VERSION": "repro.durable.manager",
+    "FSYNC_POLICIES": "repro.durable.wal",
+    "RecordApplier": "repro.durable.recovery",
+    "RecordError": "repro.durable.records",
+    "RecoveredService": "repro.durable.recovery",
+    "RecoveryError": "repro.durable.recovery",
+    "RecoveryManager": "repro.durable.recovery",
+    "RecoveryReport": "repro.durable.recovery",
+    "TailGapError": "repro.durable.stream",
+    "WalCorruptionError": "repro.durable.wal",
+    "WalError": "repro.durable.wal",
+    "WalRecord": "repro.durable.records",
+    "WalScan": "repro.durable.wal",
+    "WalTailReader": "repro.durable.stream",
+    "WorkItem": "repro.durable.records",
+    "WriteAheadLog": "repro.durable.wal",
+    "compact_directory": "repro.durable.compaction",
+    "load_compaction_manifest": "repro.durable.wal",
+    "read_wal": "repro.durable.wal",
+    "repair_compaction": "repro.durable.wal",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

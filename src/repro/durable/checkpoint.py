@@ -38,7 +38,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.durable.wal import _fsync_dir
+from repro.durable.fsync import fsync_dir
 from repro.utils.logging import get_logger
 
 _LOGGER = get_logger("durable.checkpoint")
@@ -303,7 +303,7 @@ class CheckpointStore:
         os.replace(tmp, path)
         # The rename itself must survive power loss, or the crash
         # silently rolls back to the previous checkpoint.
-        _fsync_dir(self._dir)
+        fsync_dir(self._dir)
         self._prune()
         _LOGGER.debug("checkpoint saved at lsn %d (%s)", lsn, path.name)
         return path

@@ -60,6 +60,7 @@ from typing import Optional, Union
 
 from repro.durable import records as rec
 from repro.durable.checkpoint import CheckpointStore
+from repro.durable.fsync import fsync_dir
 from repro.durable.wal import (
     COMPACT_DIRNAME,
     COMPACT_MANIFEST,
@@ -71,7 +72,6 @@ from repro.durable.wal import (
     WalRecord,
     _commit_compaction,
     _frame_header,
-    _fsync_dir,
     list_segments,
     read_wal,
     repair_compaction,
@@ -333,7 +333,7 @@ def compact_directory(
         json.dump(manifest, mfh, sort_keys=True)
         mfh.flush()
         os.fsync(mfh.fileno())
-    _fsync_dir(tmp)
+    fsync_dir(tmp)
     maybe_crash("before-commit")
     _commit_compaction(directory, crash=maybe_crash)
 

@@ -87,6 +87,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Union
 
 from repro.chaos import points as _chaos
+from repro.durable.fsync import fsync_dir
 from repro.durable.records import RECORD_TYPES, WalRecord
 from repro.utils.logging import get_logger
 
@@ -168,26 +169,6 @@ def _write_all(fd: int, buffers: list, size: int) -> None:
                 break
             written -= length
         buffers = [memoryview(buf).cast("B")[written:], *buffers[index + 1:]]
-
-
-def _fsync_dir(directory: Path) -> None:
-    """Make a create/rename in ``directory`` itself durable.
-
-    File data reaches the disk via fdatasync, but a freshly created
-    file's *directory entry* needs its own fsync or power loss can
-    leave the data unreachable.  Best-effort: platforms that cannot
-    fsync a directory just skip it.
-    """
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:  # pragma: no cover - platform-dependent
-        return
-    try:
-        os.fsync(fd)
-    except OSError:  # pragma: no cover - platform-dependent
-        pass
-    finally:
-        os.close(fd)
 
 
 class WalError(RuntimeError):
@@ -341,7 +322,7 @@ def _cleanup_after_commit(directory: Path, manifest: dict) -> None:
         shutil.rmtree(old)
         removed = True
     if removed:
-        _fsync_dir(directory)
+        fsync_dir(directory)
 
 
 def _commit_compaction(directory: Path, *, crash=None) -> None:
@@ -361,13 +342,13 @@ def _commit_compaction(directory: Path, *, crash=None) -> None:
             # coexisting means the swap that created cur completed).
             shutil.rmtree(old)
         os.rename(cur, old)
-        _fsync_dir(directory)
+        fsync_dir(directory)
     if crash is not None:
         crash("after-old-rename")
     os.rename(tmp, cur)
     if crash is not None:
         crash("after-rename")
-    _fsync_dir(directory)
+    fsync_dir(directory)
     manifest = load_compaction_manifest(directory)
     _cleanup_after_commit(directory, manifest)
 
@@ -410,7 +391,7 @@ def repair_compaction(directory: Union[str, Path]) -> None:
             "rolling back interrupted compaction swap in %s", directory
         )
         os.rename(old, cur)
-        _fsync_dir(directory)
+        fsync_dir(directory)
 
 
 class WriteAheadLog:
@@ -836,7 +817,7 @@ class WriteAheadLog:
             # The new directory entry must survive power loss too, or
             # every "durable" frame in this segment is unreachable; the
             # magic itself rides in the group's writev and fdatasync.
-            _fsync_dir(self._dir)
+            fsync_dir(self._dir)
 
     def _close_segment(self) -> None:
         if self._fh is not None:

@@ -20,11 +20,9 @@ boundary with it:
   is launched and owned through (``spawn_cli``, ``HostProcess``);
 * :mod:`repro.net.supervisor` — :class:`Supervisor`, journal-based
   checkpoint/replay failover keeping recovered truths bitwise-identical.
-
-Re-exports resolve lazily (PEP 562): the worker tier imports
-:mod:`repro.net.framing`, and the fabric modules import the worker tier,
-so eager re-imports here would close an import cycle.
 """
+
+from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "ShardPool": "repro.workers.pool",
@@ -45,16 +43,4 @@ _EXPORTS = {
 }
 
 __all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.net' has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -8,58 +8,36 @@ reports into it; see ``docs/observability.md`` for the metric-name
 reference.
 """
 
-from repro.obs.exposition import (
-    MetricsServer,
-    render_prometheus,
-    scrape,
-    try_scrape,
-)
-from repro.obs.registry import (
-    BUCKET_BASE,
-    BUCKET_EDGES,
-    NUM_BUCKETS,
-    NULL_REGISTRY,
-    SUMMARY_QUANTILES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricFamily,
-    MetricRegistry,
-    NullRegistry,
-    RegistrySnapshot,
-    bucket_index,
-    percentile_from_counts,
-    series_key,
-    series_name,
-)
-from repro.obs.top import format_metrics, render_dashboard, run_top
-from repro.obs.tracing import STAGES, SubmissionTrace, TraceCollector
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BUCKET_BASE",
-    "BUCKET_EDGES",
-    "NUM_BUCKETS",
-    "NULL_REGISTRY",
-    "STAGES",
-    "SUMMARY_QUANTILES",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricFamily",
-    "MetricRegistry",
-    "MetricsServer",
-    "NullRegistry",
-    "RegistrySnapshot",
-    "SubmissionTrace",
-    "TraceCollector",
-    "bucket_index",
-    "format_metrics",
-    "percentile_from_counts",
-    "render_dashboard",
-    "render_prometheus",
-    "run_top",
-    "scrape",
-    "series_key",
-    "series_name",
-    "try_scrape",
-]
+_EXPORTS = {
+    "BUCKET_BASE": "repro.obs.registry",
+    "BUCKET_EDGES": "repro.obs.registry",
+    "NUM_BUCKETS": "repro.obs.registry",
+    "NULL_REGISTRY": "repro.obs.registry",
+    "STAGES": "repro.obs.tracing",
+    "SUMMARY_QUANTILES": "repro.obs.registry",
+    "Counter": "repro.obs.registry",
+    "Gauge": "repro.obs.registry",
+    "Histogram": "repro.obs.registry",
+    "MetricFamily": "repro.obs.registry",
+    "MetricRegistry": "repro.obs.registry",
+    "MetricsServer": "repro.obs.exposition",
+    "NullRegistry": "repro.obs.registry",
+    "RegistrySnapshot": "repro.obs.registry",
+    "SubmissionTrace": "repro.obs.tracing",
+    "TraceCollector": "repro.obs.tracing",
+    "bucket_index": "repro.obs.registry",
+    "format_metrics": "repro.obs.top",
+    "percentile_from_counts": "repro.obs.registry",
+    "render_dashboard": "repro.obs.top",
+    "render_prometheus": "repro.obs.exposition",
+    "run_top": "repro.obs.top",
+    "scrape": "repro.obs.exposition",
+    "series_key": "repro.obs.registry",
+    "series_name": "repro.obs.registry",
+    "try_scrape": "repro.obs.exposition",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,99 +6,51 @@ accounting of Section 4.2, the sensitivity definitions of Definition 4.6
 and Lemma 4.7, and baseline mechanisms for ablations.
 """
 
-from repro.privacy.accountant import PrivacyAccountant, PrivacyEvent
-from repro.privacy.attacks import (
-    AttackReport,
-    LikelihoodRatioAttacker,
-    ThresholdAttacker,
-    audit_mechanism,
-    marginal_density,
-    theoretical_marginal_advantage,
-)
-from repro.privacy.ldp import (
-    LDPGuarantee,
-    epsilon_for_variance,
-    epsilon_of_mechanism,
-    guarantee_of_mechanism,
-    lambda2_for_epsilon,
-    laplace_epsilon,
-    marginal_laplace_epsilon,
-    strict_gaussian_epsilon,
-    variance_for_epsilon,
-)
-from repro.privacy.mechanisms import (
-    ExponentialVarianceGaussianMechanism,
-    FixedGaussianMechanism,
-    LaplaceMechanism,
-    NullMechanism,
-    PerturbationMechanism,
-    PerturbationResult,
-    create_mechanism,
-)
-from repro.privacy.noise import (
-    expected_absolute_noise,
-    gaussian_absolute_moment,
-    lambda2_for_expected_noise,
-    sample_exponential_variances,
-    sample_gaussian_noise,
-)
-from repro.privacy.randomized_response import (
-    CategoricalPerturbationResult,
-    PrivatePreferenceRandomizedResponse,
-    RandomizedResponseMechanism,
-    debias_vote_counts,
-    epsilon_for_keep_probability,
-    keep_probability,
-)
-from repro.privacy.sensitivity import (
-    SensitivityBound,
-    gamma_factor,
-    global_claim_range,
-    lemma47_bound,
-    normalized_sensitivity,
-    per_user_claim_range,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AttackReport",
-    "CategoricalPerturbationResult",
-    "ExponentialVarianceGaussianMechanism",
-    "LikelihoodRatioAttacker",
-    "PrivatePreferenceRandomizedResponse",
-    "RandomizedResponseMechanism",
-    "ThresholdAttacker",
-    "audit_mechanism",
-    "debias_vote_counts",
-    "epsilon_for_keep_probability",
-    "keep_probability",
-    "marginal_density",
-    "theoretical_marginal_advantage",
-    "FixedGaussianMechanism",
-    "LDPGuarantee",
-    "LaplaceMechanism",
-    "NullMechanism",
-    "PerturbationMechanism",
-    "PerturbationResult",
-    "PrivacyAccountant",
-    "PrivacyEvent",
-    "SensitivityBound",
-    "create_mechanism",
-    "epsilon_for_variance",
-    "epsilon_of_mechanism",
-    "expected_absolute_noise",
-    "gamma_factor",
-    "gaussian_absolute_moment",
-    "global_claim_range",
-    "guarantee_of_mechanism",
-    "lambda2_for_epsilon",
-    "lambda2_for_expected_noise",
-    "laplace_epsilon",
-    "marginal_laplace_epsilon",
-    "lemma47_bound",
-    "normalized_sensitivity",
-    "per_user_claim_range",
-    "sample_exponential_variances",
-    "sample_gaussian_noise",
-    "strict_gaussian_epsilon",
-    "variance_for_epsilon",
-]
+_EXPORTS = {
+    "AttackReport": "repro.privacy.attacks",
+    "CategoricalPerturbationResult": "repro.privacy.randomized_response",
+    "ExponentialVarianceGaussianMechanism": "repro.privacy.mechanisms",
+    "LikelihoodRatioAttacker": "repro.privacy.attacks",
+    "PrivatePreferenceRandomizedResponse": "repro.privacy.randomized_response",
+    "RandomizedResponseMechanism": "repro.privacy.randomized_response",
+    "ThresholdAttacker": "repro.privacy.attacks",
+    "audit_mechanism": "repro.privacy.attacks",
+    "debias_vote_counts": "repro.privacy.randomized_response",
+    "epsilon_for_keep_probability": "repro.privacy.randomized_response",
+    "keep_probability": "repro.privacy.randomized_response",
+    "marginal_density": "repro.privacy.attacks",
+    "theoretical_marginal_advantage": "repro.privacy.attacks",
+    "FixedGaussianMechanism": "repro.privacy.mechanisms",
+    "LDPGuarantee": "repro.privacy.ldp",
+    "LaplaceMechanism": "repro.privacy.mechanisms",
+    "NullMechanism": "repro.privacy.mechanisms",
+    "PerturbationMechanism": "repro.privacy.mechanisms",
+    "PerturbationResult": "repro.privacy.mechanisms",
+    "PrivacyAccountant": "repro.privacy.accountant",
+    "PrivacyEvent": "repro.privacy.accountant",
+    "SensitivityBound": "repro.privacy.sensitivity",
+    "create_mechanism": "repro.privacy.mechanisms",
+    "epsilon_for_variance": "repro.privacy.ldp",
+    "epsilon_of_mechanism": "repro.privacy.ldp",
+    "expected_absolute_noise": "repro.privacy.noise",
+    "gamma_factor": "repro.privacy.sensitivity",
+    "gaussian_absolute_moment": "repro.privacy.noise",
+    "global_claim_range": "repro.privacy.sensitivity",
+    "guarantee_of_mechanism": "repro.privacy.ldp",
+    "lambda2_for_epsilon": "repro.privacy.ldp",
+    "lambda2_for_expected_noise": "repro.privacy.noise",
+    "laplace_epsilon": "repro.privacy.ldp",
+    "marginal_laplace_epsilon": "repro.privacy.ldp",
+    "lemma47_bound": "repro.privacy.sensitivity",
+    "normalized_sensitivity": "repro.privacy.sensitivity",
+    "per_user_claim_range": "repro.privacy.sensitivity",
+    "sample_exponential_variances": "repro.privacy.noise",
+    "sample_gaussian_noise": "repro.privacy.noise",
+    "strict_gaussian_epsilon": "repro.privacy.ldp",
+    "variance_for_epsilon": "repro.privacy.ldp",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

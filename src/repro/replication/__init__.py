@@ -24,51 +24,27 @@ Construction normally goes through
 the pieces here are the public surface for custom deployments.
 """
 
-from repro.replication.client import (
-    FailoverReadClient,
-    ReplicaError,
-    ReplicaReadClient,
-)
-from repro.replication.pool import (
-    StandbyHandle,
-    StandbyPool,
-    launch_standby,
-    standby_directory,
-)
-from repro.replication.protocol import REPLICATION_FORMAT
-from repro.replication.sender import (
-    SYNC_MODES,
-    ReplicationError,
-    ReplicationSender,
-)
-from repro.replication.standby import (
-    StandbyError,
-    StandbyServer,
-    serve_standby,
-)
-from repro.replication.watchdog import (
-    FailoverWatchdog,
-    PrimaryStatusServer,
-    WatchdogError,
-    launch_watchdog,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "REPLICATION_FORMAT",
-    "SYNC_MODES",
-    "FailoverReadClient",
-    "FailoverWatchdog",
-    "PrimaryStatusServer",
-    "ReplicaError",
-    "ReplicaReadClient",
-    "ReplicationError",
-    "ReplicationSender",
-    "StandbyError",
-    "StandbyHandle",
-    "StandbyPool",
-    "StandbyServer",
-    "WatchdogError",
-    "launch_watchdog",
-    "serve_standby",
-    "standby_directory",
-]
+_EXPORTS = {
+    "REPLICATION_FORMAT": "repro.replication.protocol",
+    "SYNC_MODES": "repro.replication.sender",
+    "FailoverReadClient": "repro.replication.client",
+    "FailoverWatchdog": "repro.replication.watchdog",
+    "PrimaryStatusServer": "repro.replication.watchdog",
+    "ReplicaError": "repro.replication.client",
+    "ReplicaReadClient": "repro.replication.client",
+    "ReplicationError": "repro.replication.sender",
+    "ReplicationSender": "repro.replication.sender",
+    "StandbyError": "repro.replication.standby",
+    "StandbyHandle": "repro.replication.pool",
+    "StandbyPool": "repro.replication.pool",
+    "StandbyServer": "repro.replication.standby",
+    "WatchdogError": "repro.replication.watchdog",
+    "launch_watchdog": "repro.replication.watchdog",
+    "serve_standby": "repro.replication.standby",
+    "standby_directory": "repro.replication.pool",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

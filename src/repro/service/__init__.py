@@ -23,44 +23,29 @@ on an :class:`IngestService`):
   (``python3 benchmarks/e2e/run.py``).
 """
 
-from repro.service.aggregator import (
-    FullRefitAggregator,
-    IncrementalAggregator,
-    StreamingAggregator,
-    make_aggregator,
-    resolve_backend,
-)
-from repro.service.batcher import MicroBatcher
-from repro.service.ingest import (
-    IngestResult,
-    IngestService,
-    ServiceConfig,
-    ServiceStats,
-)
-from repro.service.ledger import AdmissionDecision, BudgetLedger
-from repro.service.loadgen import ColumnChunk, LoadGenerator
-from repro.service.shard import CampaignState, Shard, shard_for
-from repro.service.snapshot import TruthSnapshot
-from repro.service.topology import Topology
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AdmissionDecision",
-    "BudgetLedger",
-    "CampaignState",
-    "ColumnChunk",
-    "FullRefitAggregator",
-    "IncrementalAggregator",
-    "IngestResult",
-    "IngestService",
-    "LoadGenerator",
-    "MicroBatcher",
-    "ServiceConfig",
-    "ServiceStats",
-    "Shard",
-    "StreamingAggregator",
-    "Topology",
-    "TruthSnapshot",
-    "make_aggregator",
-    "resolve_backend",
-    "shard_for",
-]
+_EXPORTS = {
+    "AdmissionDecision": "repro.service.ledger",
+    "BudgetLedger": "repro.service.ledger",
+    "CampaignState": "repro.service.shard",
+    "ColumnChunk": "repro.service.loadgen",
+    "FullRefitAggregator": "repro.service.aggregator",
+    "IncrementalAggregator": "repro.service.aggregator",
+    "IngestResult": "repro.service.ingest",
+    "IngestService": "repro.service.ingest",
+    "LoadGenerator": "repro.service.loadgen",
+    "MicroBatcher": "repro.service.batcher",
+    "ServiceConfig": "repro.service.ingest",
+    "ServiceStats": "repro.service.ingest",
+    "Shard": "repro.service.shard",
+    "StreamingAggregator": "repro.service.aggregator",
+    "Topology": "repro.service.topology",
+    "TruthSnapshot": "repro.service.snapshot",
+    "make_aggregator": "repro.service.aggregator",
+    "resolve_backend": "repro.service.aggregator",
+    "shard_for": "repro.service.shard",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

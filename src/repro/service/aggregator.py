@@ -63,8 +63,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.truthdiscovery.claims import ClaimMatrix
-from repro.truthdiscovery.registry import create_method
 from repro.truthdiscovery.streaming import (
     STREAMING_ESTIMATORS,
     ClaimBatch,
@@ -382,6 +380,11 @@ class FullRefitAggregator(IncrementalAggregator):
     def refresh(self) -> None:
         if not self._dirty:
             return
+        # Imported here: the registry loads every batch method, and a
+        # shard host or standby whose campaigns all stream needs none.
+        from repro.truthdiscovery.claims import ClaimMatrix
+        from repro.truthdiscovery.registry import create_method
+
         start = time.perf_counter()
         users = np.concatenate(self._users)
         objects = np.concatenate(self._objects)

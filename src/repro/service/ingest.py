@@ -468,15 +468,20 @@ class IngestService:
         return shard.index
 
     def unregister_campaign(self, campaign_id: str) -> None:
-        """Drop a campaign's state from its shard.
+        """Drain a campaign, then drop its state from its shard.
 
-        Work items still queued for the campaign are skipped (dropped
-        unprocessed) at pump time; ledger charges are not refunded —
-        privacy budget spent on released data stays spent.
+        The campaign's queued work items and its partial batch first
+        reach its aggregator (and the log, when durable), so every
+        claim counted in ``claims_accepted`` — and charged to its
+        user's budget — is aggregated before the state goes.  Ledger
+        charges are not refunded: privacy budget spent on released
+        data stays spent.
         """
-        shard = self._campaign_shard.pop(campaign_id, None)
+        shard = self._campaign_shard.get(campaign_id)
         if shard is None:
             raise KeyError(f"campaign {campaign_id!r} not registered")
+        shard.flush_campaign(campaign_id)
+        del self._campaign_shard[campaign_id]
         del shard.campaigns[campaign_id]
         if self._durability is not None:
             self._durability.log_unregister(campaign_id)

@@ -5,90 +5,46 @@ weight-estimation loop) and the concrete methods used or referenced in the
 evaluation: CRH (Eq. 3), GTM, CATD, and the naive mean/median baselines.
 """
 
-from repro.truthdiscovery.base import (
-    TruthDiscoveryMethod,
-    TruthDiscoveryResult,
-    weighted_aggregate,
-)
-from repro.truthdiscovery.categorical import (
-    AccuracyEM,
-    CategoricalClaimMatrix,
-    CategoricalResult,
-    MajorityVoting,
-    WeightedVoting,
-    generate_categorical_dataset,
-)
-from repro.truthdiscovery.baselines import (
-    MeanAggregator,
-    MedianAggregator,
-    TrimmedMeanAggregator,
-)
-from repro.truthdiscovery.catd import CATD
-from repro.truthdiscovery.claims import ClaimMatrix, stack_claims
-from repro.truthdiscovery.convergence import (
-    CombinedCriterion,
-    ConvergenceCriterion,
-    FixedIterationsCriterion,
-    TruthChangeCriterion,
-    WeightChangeCriterion,
-    default_criterion,
-)
-from repro.truthdiscovery.crh import CRH
-from repro.truthdiscovery.distance import (
-    available_distances,
-    get_distance,
-    register_distance,
-)
-from repro.truthdiscovery.gtm import GTM, GTMWeightedAggregateOnly
-from repro.truthdiscovery.registry import (
-    available_methods,
-    create_method,
-    register_method,
-)
-from repro.truthdiscovery.streaming import (
-    STREAMING_ESTIMATORS,
-    ClaimBatch,
-    StreamingCATD,
-    StreamingCRH,
-    StreamingEstimator,
-    StreamingGTM,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AccuracyEM",
-    "CATD",
-    "CRH",
-    "CategoricalClaimMatrix",
-    "CategoricalResult",
-    "ClaimBatch",
-    "MajorityVoting",
-    "STREAMING_ESTIMATORS",
-    "StreamingCATD",
-    "StreamingCRH",
-    "StreamingEstimator",
-    "StreamingGTM",
-    "WeightedVoting",
-    "generate_categorical_dataset",
-    "ClaimMatrix",
-    "CombinedCriterion",
-    "ConvergenceCriterion",
-    "FixedIterationsCriterion",
-    "GTM",
-    "GTMWeightedAggregateOnly",
-    "MeanAggregator",
-    "MedianAggregator",
-    "TrimmedMeanAggregator",
-    "TruthChangeCriterion",
-    "TruthDiscoveryMethod",
-    "TruthDiscoveryResult",
-    "WeightChangeCriterion",
-    "available_distances",
-    "available_methods",
-    "create_method",
-    "default_criterion",
-    "get_distance",
-    "register_distance",
-    "register_method",
-    "stack_claims",
-    "weighted_aggregate",
-]
+_EXPORTS = {
+    "AccuracyEM": "repro.truthdiscovery.categorical",
+    "CATD": "repro.truthdiscovery.catd",
+    "CRH": "repro.truthdiscovery.crh",
+    "CategoricalClaimMatrix": "repro.truthdiscovery.categorical",
+    "CategoricalResult": "repro.truthdiscovery.categorical",
+    "ClaimBatch": "repro.truthdiscovery.streaming",
+    "MajorityVoting": "repro.truthdiscovery.categorical",
+    "STREAMING_ESTIMATORS": "repro.truthdiscovery.streaming",
+    "StreamingCATD": "repro.truthdiscovery.streaming",
+    "StreamingCRH": "repro.truthdiscovery.streaming",
+    "StreamingEstimator": "repro.truthdiscovery.streaming",
+    "StreamingGTM": "repro.truthdiscovery.streaming",
+    "WeightedVoting": "repro.truthdiscovery.categorical",
+    "generate_categorical_dataset": "repro.truthdiscovery.categorical",
+    "ClaimMatrix": "repro.truthdiscovery.claims",
+    "CombinedCriterion": "repro.truthdiscovery.convergence",
+    "ConvergenceCriterion": "repro.truthdiscovery.convergence",
+    "FixedIterationsCriterion": "repro.truthdiscovery.convergence",
+    "GTM": "repro.truthdiscovery.gtm",
+    "GTMWeightedAggregateOnly": "repro.truthdiscovery.gtm",
+    "MeanAggregator": "repro.truthdiscovery.baselines",
+    "MedianAggregator": "repro.truthdiscovery.baselines",
+    "TrimmedMeanAggregator": "repro.truthdiscovery.baselines",
+    "TruthChangeCriterion": "repro.truthdiscovery.convergence",
+    "TruthDiscoveryMethod": "repro.truthdiscovery.base",
+    "TruthDiscoveryResult": "repro.truthdiscovery.base",
+    "WeightChangeCriterion": "repro.truthdiscovery.convergence",
+    "available_distances": "repro.truthdiscovery.distance",
+    "available_methods": "repro.truthdiscovery.registry",
+    "create_method": "repro.truthdiscovery.registry",
+    "default_criterion": "repro.truthdiscovery.convergence",
+    "get_distance": "repro.truthdiscovery.distance",
+    "register_distance": "repro.truthdiscovery.distance",
+    "register_method": "repro.truthdiscovery.registry",
+    "stack_claims": "repro.truthdiscovery.claims",
+    "weighted_aggregate": "repro.truthdiscovery.base",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

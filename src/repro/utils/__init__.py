@@ -4,23 +4,18 @@ These helpers are deliberately small and dependency-free so that every
 other subpackage can import them without creating cycles.
 """
 
-from repro.utils.logging import get_logger
-from repro.utils.rng import as_generator, spawn_generators
-from repro.utils.validation import (
-    ensure_1d,
-    ensure_2d,
-    ensure_in_range,
-    ensure_positive,
-    ensure_probability,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "as_generator",
-    "ensure_1d",
-    "ensure_2d",
-    "ensure_in_range",
-    "ensure_positive",
-    "ensure_probability",
-    "get_logger",
-    "spawn_generators",
-]
+_EXPORTS = {
+    "as_generator": "repro.utils.rng",
+    "ensure_1d": "repro.utils.validation",
+    "ensure_2d": "repro.utils.validation",
+    "ensure_in_range": "repro.utils.validation",
+    "ensure_positive": "repro.utils.validation",
+    "ensure_probability": "repro.utils.validation",
+    "get_logger": "repro.utils.logging",
+    "spawn_generators": "repro.utils.rng",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -26,38 +26,25 @@ Entry point: ``IngestService(config, topology=Topology.workers(n))``
 — see :class:`repro.service.ingest.IngestService`.
 """
 
-from repro.workers.handles import (
-    RemoteAggregator,
-    WorkerCrashedError,
-    WorkerError,
-    WorkerHandle,
-)
-from repro.workers.pool import ShardPool, pipe_launcher, shard_ranges
-from repro.workers.protocol import (
-    ProtocolError,
-    decode_frame,
-    encode_frame,
-    pack_state,
-    recv_frame,
-    send_frame,
-    unpack_state,
-)
-from repro.workers.worker import worker_main
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ProtocolError",
-    "RemoteAggregator",
-    "ShardPool",
-    "WorkerCrashedError",
-    "WorkerError",
-    "WorkerHandle",
-    "decode_frame",
-    "encode_frame",
-    "pack_state",
-    "pipe_launcher",
-    "recv_frame",
-    "send_frame",
-    "shard_ranges",
-    "unpack_state",
-    "worker_main",
-]
+_EXPORTS = {
+    "ProtocolError": "repro.workers.protocol",
+    "RemoteAggregator": "repro.workers.handles",
+    "ShardPool": "repro.workers.pool",
+    "WorkerCrashedError": "repro.workers.handles",
+    "WorkerError": "repro.workers.handles",
+    "WorkerHandle": "repro.workers.handles",
+    "decode_frame": "repro.workers.protocol",
+    "encode_frame": "repro.workers.protocol",
+    "pack_state": "repro.workers.protocol",
+    "pipe_launcher": "repro.workers.pool",
+    "recv_frame": "repro.workers.protocol",
+    "send_frame": "repro.workers.protocol",
+    "shard_ranges": "repro.workers.pool",
+    "unpack_state": "repro.workers.protocol",
+    "worker_main": "repro.workers.worker",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

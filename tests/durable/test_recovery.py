@@ -485,6 +485,38 @@ class TestEdges:
         recovered = RecoveryManager(tmp_path).recover()
         assert recovered.service.campaign_ids == [gen.campaign_id]
 
+    def test_claims_queued_at_unregister_are_logged(self, tmp_path):
+        """Unregistering drains the campaign into the log first: the
+        one charged claim is replayed beside its charge."""
+        manager = DurabilityManager(DurabilityConfig(directory=tmp_path))
+        service = IngestService(
+            service_config(),
+            ledger=BudgetLedger(epsilon_cap=5.0),
+            topology=Topology.in_process(durability=manager),
+        )
+        service.register_campaign(
+            "c1", ["a"], max_users=4, user_ids=["u0"],
+            cost=LDPGuarantee(epsilon=1.0, delta=0.0),
+        )
+        assert service.submit_columns(
+            "c1", np.array([0]), np.array([0]), np.array([1.0])
+        ).ok
+        service.unregister_campaign("c1")
+        service.pump()
+        processed = sum(
+            shard["processed"] for shard in service.stats.as_dict()["shards"]
+        )
+        assert processed == service.stats.claims_accepted == 1
+        manager.sync()
+        del service, manager
+
+        recovered = RecoveryManager(tmp_path).recover()
+        report = recovered.report
+        assert report.claims_replayed == report.charges_replayed == 1
+        assert recovered.service.ledger.spent("u0").epsilon == (
+            pytest.approx(1.0)
+        )
+
     def test_torn_tail_is_survivable(self, tmp_path):
         gen, chunks = make_traffic(total_chunks=6)
         service, manager = durable_service(tmp_path)

@@ -438,6 +438,30 @@ class TestSnapshots:
         assert snap.num_contributors == 50
 
 
+class TestUnregister:
+    def test_queued_claims_are_aggregated_before_the_state_goes(self):
+        """A claim accepted and charged before its campaign is
+        unregistered is aggregated, not left in the queue to be
+        skipped: spent budget buys an aggregated claim."""
+        ledger = BudgetLedger(epsilon_cap=5.0)
+        service = make_service(num_shards=1, ledger=ledger)
+        service.register_campaign(
+            "c1", ("o0",), max_users=4,
+            cost=LDPGuarantee(epsilon=1.0, delta=0.0),
+        )
+        assert service.submit(sub(objects=("o0",), values=(1.0,))).ok
+        service.unregister_campaign("c1")
+        service.pump()
+        processed = sum(
+            shard["processed"] for shard in service.stats.as_dict()["shards"]
+        )
+        assert processed == service.stats.claims_accepted == 1
+        assert ledger.spent("u1").epsilon == pytest.approx(1.0)
+        assert not service.has_campaign("c1")
+        with pytest.raises(KeyError):
+            service.unregister_campaign("c1")
+
+
 def test_config_validation():
     # A full shard queue always refuses; there is no policy to pick.
     with pytest.raises(TypeError):

@@ -15,17 +15,22 @@ import pytest
 
 PUBLIC_MODULES = [
     "repro",
+    "repro.chaos",
     "repro.core",
     "repro.crowdsensing",
     "repro.datasets",
     "repro.durable",
     "repro.experiments",
     "repro.metrics",
+    "repro.net",
+    "repro.obs",
     "repro.privacy",
+    "repro.replication",
     "repro.service",
     "repro.theory",
     "repro.truthdiscovery",
     "repro.utils",
+    "repro.workers",
 ]
 
 
@@ -49,6 +54,14 @@ def test_public_callables_documented(module_name):
     assert undocumented == [], (
         f"{module_name} exports without docstrings: {undocumented}"
     )
+
+
+@pytest.mark.parametrize("module_name", PUBLIC_MODULES)
+def test_dir_lists_all_exports_and_unknown_names_raise(module_name):
+    module = importlib.import_module(module_name)
+    assert set(module.__all__) <= set(dir(module))
+    with pytest.raises(AttributeError, match=f"'{module_name}'"):
+        module.no_such_export
 
 
 def test_version_string():
@@ -134,23 +147,60 @@ def test_spawn_path_imports_stay_scipy_free(module_name):
     )
 
 
-def test_cli_import_leaves_the_figure_code_out():
-    """Every spawned serve-shard / standby / watchdog imports
-    ``repro.cli``; only ``list`` / ``run`` / ``all`` / ``show`` draw
-    figures, so they import ``repro.experiments`` themselves."""
+#: What no spawned child runs: the paper's batch pipeline, its metrics,
+#: theory, datasets and figures, the privacy attacks, and the
+#: crowdsensing simulation around the service.
+UNSERVED_MODULES = (
+    "repro.core",
+    "repro.metrics",
+    "repro.theory",
+    "repro.datasets",
+    "repro.experiments",
+    "repro.privacy.attacks",
+    "repro.crowdsensing.server",
+    "repro.crowdsensing.runtime",
+    "repro.crowdsensing.device",
+)
+
+#: A shard host or pipe worker aggregates through streaming estimators;
+#: a batch method is imported only when a full-refit campaign arrives.
+BATCH_METHODS = (
+    "repro.truthdiscovery.crh",
+    "repro.truthdiscovery.gtm",
+    "repro.truthdiscovery.catd",
+)
+
+#: Each module a spawned child runs, and what importing it must not load.
+SPAWN_ENTRIES = {
+    "repro.cli": UNSERVED_MODULES,
+    "repro.net.host": UNSERVED_MODULES + BATCH_METHODS,
+    "repro.workers.worker": UNSERVED_MODULES + BATCH_METHODS,
+    "repro.replication.standby": UNSERVED_MODULES,
+    "repro.replication.watchdog": UNSERVED_MODULES,
+}
+
+
+@pytest.mark.parametrize("module_name", sorted(SPAWN_ENTRIES))
+def test_spawn_path_leaves_unserved_modules_out(module_name):
+    """A child pays for every module it imports on every spawn and
+    failover.  Package ``__init__``s re-export lazily
+    (``repro._lazy``), so importing one module loads only what that
+    module imports itself."""
+    refused = sorted(SPAWN_ENTRIES[module_name])
     proc = subprocess.run(
         [
             sys.executable,
             "-c",
-            "import repro.cli, sys; "
-            "sys.exit('repro.experiments' in sys.modules)",
+            f"import {module_name}, sys; "
+            f"print(' '.join(sorted(set({refused!r}) & set(sys.modules))))",
         ],
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert proc.returncode == 0, (
-        f"importing repro.cli pulled in repro.experiments\n{proc.stderr}"
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], (
+        f"importing {module_name} loaded {proc.stdout.strip()}"
     )
 
 
