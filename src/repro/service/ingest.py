@@ -32,11 +32,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import isfinite
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.crowdsensing.messages import ClaimSubmission
 from repro.privacy.ldp import LDPGuarantee
 from repro.service.aggregator import make_aggregator, resolve_backend
 from repro.service.ledger import BudgetLedger
@@ -45,6 +44,9 @@ from repro.service.snapshot import TruthSnapshot
 from repro.service.topology import Topology
 from repro.utils.logging import get_logger
 from repro.utils.validation import ensure_in_range, ensure_int
+
+if TYPE_CHECKING:  # annotations only: a standby never loads the simulation
+    from repro.crowdsensing.messages import ClaimSubmission
 
 _LOGGER = get_logger("service.ingest")
 

@@ -23,17 +23,38 @@ each ingested batch is folded with scatter-adds, and a small number of
 refinement sweeps (aggregate / re-weight) runs over the retained
 statistics as matrix-vector products, allocating no ``(S, N)``
 temporary: Eq. 1 is ``(w @ sums) / (w @ counts)``, a per-user squared
-distance the expansion ``A - 2 (sums @ t) + counts @ t**2``.  Three
-invariants make that sound:
+distance the expansion ``A - 2 (sums @ t) + counts @ t**2``.
+
+The fold is chosen by density.  Every column is scattered with
+``np.add.at``, in claim order.  A batch with at least one claim per
+``_DENSE_FOLD_CELLS`` cells is dense: CRH then refills its per-cell
+squares in one pass over every cell instead of gathering and
+scattering them claim by claim (the crossover of the two is near
+claims = cells / 4 at 200 x 48, 400 x 64 and 2000 x 64, and 3 is its
+safe side; ``benchmarks/probes/fold_crossover.py`` prints the table).  Counts are
+not binned: a count ``np.bincount`` + cast lost to ``np.add.at`` at
+every measured density, and adding a binned count equals adding its
+claims one at a time only while counts are integers (``decay`` 1).
+The sweeps take a mask-free form when every user is active and every
+object present (no fancy indexing, no ``np.where``, in-place
+temporaries), the masked form otherwise.  Four invariants make all of
+that sound:
 
 1. *Cells are 0 or present*: a cell's statistics are all exactly 0 or
    its count exceeds ``_PRESENCE_FLOOR`` (decay and ``restore()`` flush
    fainter cells), so the sweeps need no presence mask.
 2. *Caches are pure functions of the statistics*: the active-user mask,
    CRH's per-cell squares and CATD's quantile table are recomputed from
-   them — per touched cell at fold, wholesale after decay or restore —
-   never accumulated by delta.
-3. *The snapshot format is unchanged*: no cache is serialised, and
+   them — per touched cell at a sparse fold, wholesale at a dense fold
+   and after decay or restore — never accumulated by delta.
+3. *Both folds and both sweep forms give the same bits*: statistics,
+   truths, weights and ``snapshot()`` do not depend on which one ran;
+   counts are binned only while integer, i.e. never by this code.  The
+   primary, a shard host, a standby's apply and recovery's replay stay
+   bitwise equal whatever their batch boundaries
+   (``tests/truthdiscovery/test_fold_equivalence.py`` checks it against
+   a frozen copy of the sparse fold and masked sweeps).
+4. *The snapshot format is unchanged*: no cache is serialised, and
    ``snapshot()`` / ``restore()`` round-trip the complete stream state
    bit-for-bit — the contract the durable checkpoint store relies on.
 
@@ -66,6 +87,11 @@ _PRESENCE_FLOOR = 1e-12
 #: how many it computes at a time (the cap is a multiple of the block).
 _QUANTILE_TABLE_CAP = 1 << 16
 _QUANTILE_BLOCK = 512
+#: A batch with at least one claim per this many cells is folded
+#: densely (see the module docstring for the measured crossover).
+_DENSE_FOLD_CELLS = 3
+#: Cells per block of a whole-cache refill (a 128 KiB temporary).
+_FILL_BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -188,6 +214,7 @@ class StreamingEstimator(ABC):
         self._weights = np.ones(num_users)
         self._per_user = np.zeros(num_users)
         self._active = np.zeros(num_users, dtype=bool)
+        self._all_active = False
         self._ones_objects = np.ones(num_objects)
         self._seen_objects = np.zeros(num_objects, dtype=bool)
         self._batches = 0
@@ -256,9 +283,10 @@ class StreamingEstimator(ABC):
         self._fold(
             batch.users * self._num_objects + batch.objects, batch.values
         )
-        self._seen_objects |= np.bincount(
-            batch.objects, minlength=self._num_objects
-        ).astype(bool)
+        if not self._seen_objects.all():  # (decay never clears it)
+            self._seen_objects |= np.bincount(
+                batch.objects, minlength=self._num_objects
+            ).astype(bool)
         self._batches += 1
         self._tally_users()
         if self._active.any():
@@ -285,6 +313,7 @@ class StreamingEstimator(ABC):
         (row sums as a product with ones: ~3x faster than ``sum``)."""
         self._per_user = self._counts @ self._ones_objects
         self._active = self._per_user > 0.0
+        self._all_active = bool(self._active.all())
 
     @abstractmethod
     def _refine(self) -> None:
@@ -295,18 +324,24 @@ class StreamingEstimator(ABC):
     def _alternate(self, sq_total, floor, reweigh) -> None:
         """Algorithm 1's sweeps: Eq. 1 truths (cell counts as repeated
         evidence; objects no weighted user covers keep theirs), then
-        ``reweigh(distances)`` on each user's floored squared distance."""
+        ``reweigh(distances)`` on each user's floored squared distance,
+        which ``reweigh`` may overwrite.  When every object carries
+        weight the floor on ``totals`` is the identity and the old
+        truths are never kept, so Eq. 1 is one division."""
         weights, truths = self._weights, self._truths
         for _ in range(self._sweeps):
             totals = weights @ self._counts
-            truths = np.where(
-                totals > _PRESENCE_FLOOR,
-                (weights @ self._sums) / np.maximum(totals, _PRESENCE_FLOOR),
-                truths,
-            )
-            weights = reweigh(np.maximum(
-                self._sq_distances(sq_total, truths, truths * truths), floor
-            ))
+            spread = weights @ self._sums
+            if totals.min() > _PRESENCE_FLOOR:
+                truths = np.divide(spread, totals, out=spread)
+            else:
+                truths = np.where(
+                    totals > _PRESENCE_FLOOR,
+                    spread / np.maximum(totals, _PRESENCE_FLOOR),
+                    truths,
+                )
+            distances = self._sq_distances(sq_total, truths, truths * truths)
+            weights = reweigh(np.maximum(distances, floor, out=distances))
         self._weights, self._truths = weights, truths
 
     def _sq_distances(self, sq_total, lin, quad) -> np.ndarray:
@@ -317,10 +352,13 @@ class StreamingEstimator(ABC):
         from ``t`` — every cell's ``q - 2 t v + c t**2`` at once, without
         revisiting a claim.  Clipped at 0: the expansion can go slightly
         negative under cancellation when the claims all equal ``t``.
+        Built in one fresh array: ``-2 x + a`` is ``a - 2 x`` exactly.
         """
-        return np.maximum(
-            sq_total - 2.0 * (self._sums @ lin) + self._counts @ quad, 0.0
-        )
+        out = self._sums @ lin
+        out *= -2.0
+        out += sq_total
+        out += self._counts @ quad
+        return np.maximum(out, 0.0, out=out)
 
     # ------------------------------------------------------------------
     def _set_params(self, values: dict) -> None:
@@ -467,12 +505,17 @@ class StreamingCRH(StreamingEstimator):
     #: Per-cell ``value_sum**2 / value_weight`` (0 where empty), whose
     #: row sums are the ``sq_total`` of ``sum_n (mean - t)**2 * weight``.
     #: Allocated at the first refine, kept current per touched cell by
-    #: the fold, refilled after decay and restore.
+    #: a sparse fold, refilled by a dense fold and after decay and
+    #: restore.
     _sq_cache = None
 
     def _fold(self, cells: np.ndarray, values: np.ndarray) -> None:
         super()._fold(cells, values)
-        if self._sq_cache is not None:
+        if self._sq_cache is None:
+            return
+        if cells.size * _DENSE_FOLD_CELLS >= self._sq_cache.size:
+            self._fill_sq_cache()  # dense: one pass over every cell
+        else:
             sums = self._sums.reshape(-1)[cells]
             self._sq_cache.reshape(-1)[cells] = (
                 sums * sums / self._counts.reshape(-1)[cells]
@@ -484,11 +527,17 @@ class StreamingCRH(StreamingEstimator):
             self._fill_sq_cache()
 
     def _fill_sq_cache(self) -> None:
-        np.multiply(self._sums, self._sums, out=self._sq_cache)
-        np.divide(
-            self._sq_cache, self._counts, out=self._sq_cache,
-            where=self._counts > 0.0,
-        )
+        """``sums**2 / counts`` in every cell.  Dividing by the floored
+        count is dividing by the count in a present cell and gives 0 in
+        an empty one (invariant 1), ~4x cheaper than ``where=``.  Rows
+        go in blocks of about ``_FILL_BLOCK_CELLS``, so the floored
+        counts never take a whole ``(S, N)`` temporary."""
+        rows = max(1, _FILL_BLOCK_CELLS // self._num_objects)
+        for start in range(0, self._num_users, rows):
+            block = slice(start, start + rows)
+            sums = self._sums[block]
+            squares = np.multiply(sums, sums, out=self._sq_cache[block])
+            squares /= np.maximum(self._counts[block], _PRESENCE_FLOOR)
 
     def _refine(self) -> None:
         if self._sq_cache is None:
@@ -500,11 +549,18 @@ class StreamingCRH(StreamingEstimator):
         )
 
     def _log_shares(self, distances: np.ndarray) -> np.ndarray:
-        """Eq. 3's -log-share weights, mean 1 over active users."""
-        picked = distances[self._active]
-        raw = -np.log(np.clip(picked / picked.sum(), 1e-300, 1.0 - 1e-12))
+        """Eq. 3's -log-share weights, mean 1 over active users (the
+        whole vector, in place, when every user is active)."""
+        raw = distances if self._all_active else distances[self._active]
+        raw /= raw.sum()
+        np.clip(raw, 1e-300, 1.0 - 1e-12, out=raw)
+        np.log(raw, out=raw)
+        np.negative(raw, out=raw)
+        raw *= raw.size / raw.sum()
+        if self._all_active:
+            return raw
         weights = np.ones(self._num_users)
-        weights[self._active] = raw * (raw.size / raw.sum())
+        weights[self._active] = raw
         return weights
 
 
@@ -583,12 +639,14 @@ class StreamingGTM(_MomentStreamingEstimator):
         counts, sums, sumsq = self._counts, self._sums, self._sumsq
         # Per-object standardisation from the column moments, matching
         # ClaimMatrix.object_means / object_stds (population variance,
-        # std floored at 1e-12) on duplicate-free data.
+        # std floored at 1e-12) on duplicate-free data.  An unseen
+        # column's cells are all exactly 0 (invariant 1), so dividing by
+        # the floored count gives it m = 0 without a mask.
         ones = np.ones(self._num_users)
         col_counts = ones @ counts
         seen = col_counts > _PRESENCE_FLOOR
         safe_counts = np.maximum(col_counts, _PRESENCE_FLOOR)
-        m = np.where(seen, (ones @ sums) / safe_counts, 0.0)
+        m = (ones @ sums) / safe_counts
         var = np.maximum((ones @ sumsq) / safe_counts - m**2, 0.0)
         s = np.sqrt(np.maximum(var, 1e-24))
         # Standardised claims are z = x * r - shift.  A column at the
@@ -598,25 +656,32 @@ class StreamingGTM(_MomentStreamingEstimator):
         r = np.where(var > 1e-24, 1.0 / s, 0.0)
         shift = m * r
         sq_total = sumsq @ (r * r)
+        prior = self._mu0 / self._sigma0_sq
+        prior_precision = 1.0 / self._sigma0_sq
+        shape = self._alpha + 1.0 + 0.5 * self._per_user
         precisions = self._weights
         for _ in range(self._sweeps):
             # Truth update: posterior mean of mu_n given precisions.
             mass = precisions @ counts
-            num = self._mu0 / self._sigma0_sq + (
-                (precisions @ sums) * r - mass * shift
-            )
-            mu = num / (1.0 / self._sigma0_sq + mass)
+            num = prior + ((precisions @ sums) * r - mass * shift)
+            mu = num / (prior_precision + mass)
             # Quality update: MAP of the inverse-gamma posterior from
             # the exact standardised residuals around mu.
             centre = shift + mu
-            residual = self._sq_distances(sq_total, centre * r, centre**2)
-            variances = (self._beta + 0.5 * residual) / (
-                self._alpha + 1.0 + 0.5 * self._per_user
-            )
-            variances = np.maximum(variances, self._var_floor)
-            precisions = np.where(self._active, 1.0 / variances, 1.0)
+            variances = self._sq_distances(sq_total, centre * r, centre**2)
+            variances *= 0.5
+            variances += self._beta
+            variances /= shape
+            np.maximum(variances, self._var_floor, out=variances)
+            if self._all_active:
+                precisions = np.divide(1.0, variances, out=variances)
+            else:
+                precisions = np.where(self._active, 1.0 / variances, 1.0)
         self._weights = precisions
-        self._truths = np.where(seen, mu * s + m, self._truths)
+        truths = mu * s + m
+        self._truths = truths if seen.all() else np.where(
+            seen, truths, self._truths
+        )
 
 
 class StreamingCATD(_MomentStreamingEstimator):
@@ -699,11 +764,14 @@ class StreamingCATD(_MomentStreamingEstimator):
             self._quantiles(np.maximum(self._per_user, 1.0)), 1e-12
         )
         # Confidence-aware weights from the exact squared distances.
+        if self._all_active:
+            def reweigh(distances):
+                return np.divide(quantiles, distances, out=distances)
+        else:
+            def reweigh(distances):
+                return np.where(self._active, quantiles / distances, 1.0)
         self._alternate(
-            self._sumsq @ self._ones_objects, self._floor,
-            lambda distances: np.where(
-                self._active, quantiles / distances, 1.0
-            ),
+            self._sumsq @ self._ones_objects, self._floor, reweigh
         )
 
 

@@ -52,12 +52,15 @@ import sys
 import time
 import traceback
 
-import numpy as np
-
 from repro.durable import records as rec
 from repro.obs.registry import NULL_REGISTRY, MetricRegistry
 from repro.truthdiscovery.streaming import ClaimBatch
 from repro.workers import protocol as proto
+
+
+def _owned(column):
+    """``column`` when it owns its memory, else a copy of it."""
+    return column if column.flags.owndata else column.copy()
 
 
 class ShardRuntime:
@@ -220,14 +223,15 @@ class ShardRuntime:
     def _on_batch(self, item: rec.WorkItem) -> None:
         aggregator = self._aggregator(item.campaign_id)
         start = time.perf_counter()
-        # Copy out of the frame buffer: decoded columns are read-only
-        # views, and downstream aggregation must own writable int64/f64
-        # arrays exactly like the single-process path hands it.
+        # Aggregation must own writable int64/f64 columns, exactly like
+        # the single-process path hands it.  Decoding already widened
+        # u16/i4 slots into fresh arrays; the values, and i8 slots, are
+        # still views of the frame, so only those are copied.
         aggregator.ingest(
             ClaimBatch(
-                users=np.array(item.user_slots, dtype=np.int64),
-                objects=np.array(item.object_slots, dtype=np.int64),
-                values=np.array(item.values, dtype=float),
+                users=_owned(item.user_slots),
+                objects=_owned(item.object_slots),
+                values=_owned(item.values),
             )
         )
         self.claims_aggregated += item.size

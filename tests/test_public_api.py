@@ -204,6 +204,36 @@ def test_spawn_path_leaves_unserved_modules_out(module_name):
     )
 
 
+#: What a standby runs after its ``PORT`` line: the service a CONFIG
+#: record describes.  Replay needs none of the crowdsensing simulation.
+STANDBY_SERVICE_BUILD = """
+import sys
+from dataclasses import asdict
+import repro.replication.standby
+from repro.durable.recovery import service_from_config
+from repro.service.ingest import ServiceConfig
+body = {{"service_config": asdict(ServiceConfig()),
+         "ledger": {{"epsilon_cap": 1.0, "delta_cap": 0.0}}}}
+service_from_config(body).close()
+refused = {refused!r}
+print(" ".join(sorted(m for m in sys.modules if m.startswith(refused))))
+"""
+
+
+def test_spawn_path_standby_service_build_leaves_the_simulation_out():
+    refused = UNSERVED_MODULES + ("repro.crowdsensing",)
+    proc = subprocess.run(
+        [sys.executable, "-c", STANDBY_SERVICE_BUILD.format(refused=refused)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], (
+        f"building a standby's service loaded {proc.stdout.strip()}"
+    )
+
+
 #: One whole protocol round; the server always runs on an in-process
 #: ``IngestService``, and that must not drag in any deployment stack.
 CAMPAIGN_ROUND = """

@@ -150,3 +150,52 @@ class TestCrossProcess:
             process.join(timeout=30)
             parent.close()
         assert process.exitcode == 0
+
+
+class TestRuntimeColumns:
+    """A shard host hands aggregation one owned, writable copy of each
+    column: decoding already widened u16/i4 slots into fresh arrays,
+    so only the frame views (values, and i8 slots) are copied."""
+
+    @pytest.mark.parametrize("high", [7, 2**20, 2**40], ids=["u16", "i4", "i8"])
+    @pytest.mark.parametrize("buffer", [bytes, bytearray])
+    def test_batch_columns_are_owned_and_copied_once(
+        self, monkeypatch, high, buffer
+    ):
+        from repro.durable import records as rec
+        from repro.workers.worker import ShardRuntime
+
+        runtime = ShardRuntime(0, (0, 1))
+        ignore = lambda *frame: None  # noqa: E731
+        for rtype, body in (
+            (rec.CONFIG, {"obs": False}),
+            (rec.REGISTER, {"campaign_id": "c", "num_users": 4,
+                            "num_objects": 3, "aggregator": "streaming"}),
+        ):
+            runtime.on_frame(rtype, rec.encode_json_payload(body), ignore)
+        decoded, ingested = [], []
+        decode = WorkItem.from_bytes
+        monkeypatch.setattr(
+            WorkItem, "from_bytes",
+            lambda data: decoded.append(decode(data)) or decoded[-1],
+        )
+        monkeypatch.setattr(
+            runtime._aggregators["c"], "ingest", ingested.append
+        )
+        slots = np.array([0, 1, 2, high], dtype=np.int64)
+        payload = buffer(
+            WorkItem("c", slots, slots, np.arange(4.0)).to_bytes()
+        )
+        runtime.on_frame(rec.BATCH, payload, ignore)
+        ((item,), (batch,)) = decoded, ingested
+        frame = np.frombuffer(payload, dtype=np.uint8)
+        for name, column in (("users", batch.users),
+                             ("objects", batch.objects),
+                             ("values", batch.values)):
+            assert column.flags.writeable, name
+            assert not np.shares_memory(column, frame), name
+        np.testing.assert_array_equal(batch.users, slots)
+        assert batch.values.tobytes() == np.arange(4.0).tobytes()
+        # One owned copy per column: widened slots are used as decoded.
+        assert (batch.users is item.user_slots) == (high < 2**31)
+        assert (batch.objects is item.object_slots) == (high < 2**31)
