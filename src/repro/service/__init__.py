@@ -11,7 +11,9 @@ on an :class:`IngestService`):
   (:func:`shard_for`), bounded shard queues that refuse a submission
   when full, before any budget is charged;
 * :class:`MicroBatcher` — columnar micro-batches: accepted claims live
-  in NumPy index/value arrays, never per-claim Python objects;
+  in NumPy index/value arrays, never per-claim Python objects; it takes
+  over the columns it is given and emits views of them, copying only a
+  batch that straddles two of them;
 * :class:`StreamingAggregator` / :class:`FullRefitAggregator` —
   incremental truth discovery per campaign: streaming CRH/GTM/CATD
   sufficient statistics for campaigns at scale (O(S x N) reads), a

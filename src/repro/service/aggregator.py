@@ -246,10 +246,12 @@ class StreamingAggregator(IncrementalAggregator):
         if len(self._staged) == 1:
             merged = self._staged[0]
         else:
-            merged = ClaimBatch(
-                users=np.concatenate([b.users for b in self._staged]),
-                objects=np.concatenate([b.objects for b in self._staged]),
-                values=np.concatenate([b.values for b in self._staged]),
+            # Every staged batch was checked where it entered the
+            # process; their concatenation needs no second check.
+            merged = ClaimBatch.unchecked(
+                np.concatenate([b.users for b in self._staged]),
+                np.concatenate([b.objects for b in self._staged]),
+                np.concatenate([b.values for b in self._staged]),
             )
         self._staged.clear()
         self._staged_claims = 0
@@ -324,10 +326,11 @@ class StreamingAggregator(IncrementalAggregator):
         values = np.asarray(state["staged_values"], dtype=float)
         # Staged batches are merged at refresh regardless of their
         # original boundaries, so restoring them as one batch is exact.
+        # They were checked before they were staged; a checkpoint (CRC
+        # checked) or a hand-off carries them as their owner wrote them,
+        # and the estimator still range-checks them at the fold.
         if users.size:
-            self._staged = [
-                ClaimBatch(users=users, objects=objects, values=values)
-            ]
+            self._staged = [ClaimBatch.unchecked(users, objects, values)]
         else:
             self._staged = []
         self._staged_claims = int(users.size)

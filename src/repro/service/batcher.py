@@ -2,11 +2,17 @@
 
 The per-message server keeps one Python object per submission and pays
 attribute/dispatch overhead per claim at finalise.  The service instead
-lands every accepted claim directly into three preallocated NumPy
-columns — user slot, object index, value — and emits a
-:class:`~repro.truthdiscovery.streaming.ClaimBatch` whenever the buffer
-fills.  Between a claim's arrival and its aggregation there is exactly
-one array write; no per-claim Python objects survive.
+cuts admitted claim columns — user slot, object index, value — into
+batches (:class:`~repro.truthdiscovery.streaming.ClaimBatch`) of
+``max_batch`` claims, with no per-claim Python objects.
+
+The batcher takes over the columns it is given.  They were checked at
+admission (``submit_columns`` copies its chunk there; the pump builds
+``submit()``'s claims into fresh columns) and nothing writes to them
+afterwards, so a batch lying inside one of them is emitted as views of
+it.  Only a batch that straddles two or more pieces is built, with one
+concatenate per column: between admission and the aggregator a claim
+is copied at most once more.
 """
 
 from __future__ import annotations
@@ -20,21 +26,21 @@ from repro.utils.validation import ensure_int
 
 
 class MicroBatcher:
-    """Fixed-capacity columnar claim buffer emitting full batches.
+    """Cuts admitted claim columns into batches of ``max_batch`` claims.
 
     Parameters
     ----------
     max_batch:
-        Claims per emitted batch.  The buffer is preallocated at this
-        size; ``add_columns`` fills it and returns completed batches as
-        copies, so the buffer is immediately reusable.
+        Claims per emitted batch.  ``add_columns`` keeps the columns it
+        is given (a tail shorter than a batch waits for the next call or
+        ``flush``) and returns completed batches, as views of those
+        columns wherever a batch lies inside one of them.
     """
 
     def __init__(self, max_batch: int = 1024) -> None:
         self._capacity = ensure_int(max_batch, "max_batch", minimum=1)
-        self._users = np.empty(self._capacity, dtype=np.int64)
-        self._objects = np.empty(self._capacity, dtype=np.int64)
-        self._values = np.empty(self._capacity, dtype=float)
+        # Pending [users, objects, values] pieces, in arrival order.
+        self._pieces: list[list[np.ndarray]] = []
         self._fill = 0
         self.batches_emitted = 0
         self.claims_buffered = 0
@@ -51,9 +57,10 @@ class MicroBatcher:
 
     @property
     def buffered_users(self) -> np.ndarray:
-        """User slots of the buffered claims (a view; valid until the
-        next ``add_columns`` or ``flush``)."""
-        return self._users[: self._fill]
+        """User slots of the buffered claims (a copy)."""
+        if not self._pieces:
+            return np.empty(0, dtype=np.int64)
+        return np.concatenate([piece[0] for piece in self._pieces])
 
     # ------------------------------------------------------------------
     def add_columns(
@@ -62,41 +69,61 @@ class MicroBatcher:
         object_indices: np.ndarray,
         values: np.ndarray,
     ) -> list[ClaimBatch]:
-        """Append aligned claim columns; return any completed batches.
+        """Take over aligned, checked claim columns; return any completed
+        batches.
 
-        Inputs longer than the remaining buffer space are split across
-        consecutive batches, so arbitrarily large chunks are fine.
+        Inputs longer than the remaining room are split across
+        consecutive batches, so arbitrarily large chunks are fine.  The
+        caller must not write to the columns afterwards: emitted and
+        pending batches may be views of them.
         """
+        columns = (
+            np.asarray(user_slots, dtype=np.int64),
+            np.asarray(object_indices, dtype=np.int64),
+            np.asarray(values, dtype=float),
+        )
+        n = len(columns[2])
+        if n == 0:
+            return []
+        self.claims_buffered += n
+        cap = self._capacity
         emitted: list[ClaimBatch] = []
-        n = len(values)
         start = 0
-        while n - start > 0:
-            take = min(self._capacity - self._fill, n - start)
-            stop = start + take
-            lo, hi = self._fill, self._fill + take
-            self._users[lo:hi] = user_slots[start:stop]
-            self._objects[lo:hi] = object_indices[start:stop]
-            self._values[lo:hi] = values[start:stop]
-            self._fill = hi
-            self.claims_buffered += take
-            start = stop
-            if self._fill == self._capacity:
+        if self._fill:
+            # Top up the pending batch first.
+            start = min(cap - self._fill, n)
+            self._pieces.append([column[:start] for column in columns])
+            self._fill += start
+            if self._fill == cap:
                 emitted.append(self._emit())
+        while n - start >= cap:
+            stop = start + cap
+            emitted.append(
+                self._batch(*[column[start:stop] for column in columns])
+            )
+            start = stop
+        if start < n:
+            self._pieces.append([column[start:] for column in columns])
+            self._fill = n - start
         return emitted
 
     def flush(self) -> Optional[ClaimBatch]:
-        """Emit the partial batch (None when the buffer is empty)."""
+        """Emit the partial batch (None when nothing is pending)."""
         if self._fill == 0:
             return None
         return self._emit()
 
     # ------------------------------------------------------------------
     def _emit(self) -> ClaimBatch:
-        batch = ClaimBatch(
-            users=self._users[: self._fill].copy(),
-            objects=self._objects[: self._fill].copy(),
-            values=self._values[: self._fill].copy(),
-        )
+        pieces = self._pieces
+        if len(pieces) == 1:
+            batch = self._batch(*pieces[0])
+        else:
+            batch = self._batch(*[np.concatenate(c) for c in zip(*pieces)])
+        self._pieces = []
         self._fill = 0
-        self.batches_emitted += 1
         return batch
+
+    def _batch(self, users, objects, values) -> ClaimBatch:
+        self.batches_emitted += 1
+        return ClaimBatch.unchecked(users, objects, values)

@@ -612,11 +612,16 @@ class IngestService:
         independent release: each distinct user is charged the campaign
         cost composed over their claim count in the chunk, and any user
         without headroom rejects the whole chunk (charging no one).
+
+        The three columns are copied on entry and only the copies are
+        checked and queued, so the caller may reuse its buffers as soon
+        as this returns.  From here on they move by reference: the
+        batcher cuts batches out of them without checking them again.
         """
         stats = self.stats
         stats.submissions += 1
         shard = self._campaign_shard.get(campaign_id)
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         n = values.size
         traces = self._traces
         trace = None if traces is None else traces.maybe_start(campaign_id, n)
@@ -625,8 +630,8 @@ class IngestService:
             return IngestResult(0, n, "unknown-campaign")
         shard_rejected = self.telemetry.shard_claims_rejected
         state = shard.campaigns[campaign_id]
-        user_slots = np.asarray(user_slots, dtype=np.int64)
-        object_slots = np.asarray(object_slots, dtype=np.int64)
+        user_slots = np.array(user_slots, dtype=np.int64)
+        object_slots = np.array(object_slots, dtype=np.int64)
         if not (user_slots.shape == object_slots.shape == values.shape):
             raise ValueError("user/object/value columns must share a shape")
         if values.ndim != 1:
@@ -635,12 +640,14 @@ class IngestService:
             raise ValueError("claim columns must be 1-D arrays")
         if n == 0:
             return _ACCEPTED[0]
-        if (object_slots.min() < 0
-                or object_slots.max() >= len(state.object_ids)):
+        # One reduction per slot column: viewed as uint64, a negative
+        # slot reads as at least 2**63, so ``max() >= bound`` catches it.
+        if object_slots.view(np.uint64).max() >= len(state.object_ids):
             stats.rejected_unknown_object += n
             shard_rejected[shard.index] += n
             return IngestResult(0, n, "unknown-object")
-        if user_slots.min() < 0 or user_slots.max() >= state.capacity:
+        top_slot = int(user_slots.view(np.uint64).max())
+        if top_slot >= state.capacity:
             stats.rejected_capacity += n
             shard_rejected[shard.index] += n
             return IngestResult(0, n, "capacity")
@@ -675,7 +682,6 @@ class IngestService:
             # protocol user ids that were (or will be) assigned through
             # user_slot() — register explicit user_ids to get real
             # names in snapshots.
-            top_slot = int(user_slots.max())
             if len(state.user_table) <= top_slot:
                 state.ensure_placeholder_slots(top_slot)
         except BaseException:

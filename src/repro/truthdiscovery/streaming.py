@@ -118,6 +118,22 @@ class ClaimBatch:
         object.__setattr__(self, "objects", objects)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def unchecked(
+        cls, users: np.ndarray, objects: np.ndarray, values: np.ndarray
+    ) -> "ClaimBatch":
+        """A batch of columns the caller already checked, as they are.
+
+        For a pipeline that admitted its columns once: aligned, non-empty
+        1-D ``int64``/``int64``/``float64`` arrays of finite values,
+        which nothing writes to afterwards.  No check runs and nothing is
+        copied, so a column that breaks the contract reaches the
+        estimator as it is (whose index range check still holds).
+        """
+        batch = object.__new__(cls)
+        batch.__dict__.update(users=users, objects=objects, values=values)
+        return batch
+
     @property
     def size(self) -> int:
         return self.users.size
@@ -270,9 +286,11 @@ class StreamingEstimator(ABC):
         """
         if decay_steps < 0:
             raise ValueError(f"decay_steps must be >= 0, got {decay_steps}")
-        if batch.users.max() >= self._num_users or batch.users.min() < 0:
+        # One reduction per column: viewed as uint64, a negative index
+        # reads as at least 2**63, so ``max() >= bound`` catches both ends.
+        if batch.users.view(np.uint64).max() >= self._num_users:
             raise ValueError("batch user index out of range")
-        if batch.objects.max() >= self._num_objects or batch.objects.min() < 0:
+        if batch.objects.view(np.uint64).max() >= self._num_objects:
             raise ValueError("batch object index out of range")
         # Forget, then fold the new claims into the retained cells.
         if decay_steps and self._decay < 1.0:

@@ -43,9 +43,34 @@ class TestMicroBatcher:
         batcher.add_columns(
             np.array([5, 6]), np.array([0, 1]), np.array([8.0, 9.0])
         )
-        # Refilling the buffer must not mutate the already-emitted batch.
+        # Later columns must not change an already-emitted batch.
         np.testing.assert_array_equal(batch.users, [0, 1])
         np.testing.assert_array_equal(batch.values, [1.0, 2.0])
+
+    def test_only_a_straddling_batch_is_built(self):
+        """A batch inside one piece is a view of it; one that straddles
+        pieces is concatenated (and so shares memory with neither)."""
+        batcher = MicroBatcher(max_batch=4)
+        first = (np.arange(6), np.arange(6) % 3, np.linspace(0.0, 1.0, 6))
+        second = (np.arange(5), np.arange(5) % 3, np.linspace(1.0, 2.0, 5))
+        (inside,) = batcher.add_columns(*first)
+        (straddling,) = batcher.add_columns(*second)
+        for got, piece in zip(
+            (inside.users, inside.objects, inside.values), first
+        ):
+            assert np.shares_memory(got, piece)
+        for got, a, b in zip(
+            (straddling.users, straddling.objects, straddling.values),
+            first, second,
+        ):
+            assert not np.shares_memory(got, a)
+            assert not np.shares_memory(got, b)
+            np.testing.assert_array_equal(got, np.concatenate([a[4:], b[:2]]))
+        assert batcher.pending == 3
+        np.testing.assert_array_equal(batcher.buffered_users, [2, 3, 4])
+        tail = batcher.flush()
+        assert np.shares_memory(tail.values, second[2])
+        assert batcher.batches_emitted == 3
 
     def test_large_chunk_spans_many_batches(self):
         batcher = MicroBatcher(max_batch=16)

@@ -245,3 +245,27 @@ class TestSnapshotRestore:
         )
         restored = StreamingCRH.from_snapshot(as_arrays)
         assert restored.snapshot() == as_lists
+
+
+@pytest.mark.parametrize("kind", ["crh", "gtm", "catd"])
+@pytest.mark.parametrize("column", ["users", "objects"])
+@pytest.mark.parametrize("bad", ["minus_one", "bound"])
+def test_every_estimator_refuses_both_ends_of_the_index_range(
+    kind, column, bad
+):
+    """A slot of -1 and a slot equal to the bound both raise, wherever
+    they sit in the batch, and the refused batch changes nothing."""
+    from repro.truthdiscovery.streaming import STREAMING_ESTIMATORS
+
+    stream = STREAMING_ESTIMATORS[kind](num_users=3, num_objects=2)
+    stream.ingest(ClaimBatch(
+        users=[0, 1, 2], objects=[0, 1, 0], values=[1.0, 2.0, 3.0]
+    ))
+    before = stream.snapshot()
+    columns = {"users": [0, 1, 2, 1], "objects": [1, 0, 1, 0]}
+    bound = 3 if column == "users" else 2
+    columns[column][2] = -1 if bad == "minus_one" else bound
+    batch = ClaimBatch(values=[1.0, 2.0, 3.0, 4.0], **columns)
+    with pytest.raises(ValueError, match=f"{column[:-1]} index out of range"):
+        stream.ingest(batch)
+    assert stream.snapshot() == before
