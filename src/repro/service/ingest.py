@@ -556,9 +556,14 @@ class IngestService:
                 # logs the recorded charges and reads the log position
                 # under the same lock) sees either both or neither — a
                 # charge can never fall between a checkpoint's ledger
-                # records and its replayed log suffix.
-                with ledger.lock:
-                    refused = ledger.charge(user_id, cost, label=campaign_id)
+                # records and its replayed log suffix.  One lock entry:
+                # the charge runs as the lock holder's primitive.
+                lock = ledger.lock
+                lock.acquire()
+                try:
+                    refused = ledger._charge_locked(
+                        user_id, cost, "", campaign_id
+                    )
                     if not refused and self._durability is not None:
                         # Recorded at admission, logged in order no
                         # later than the first batch or commit point
@@ -569,6 +574,8 @@ class IngestService:
                         self._durability.log_charge(
                             user_id, cost, label=campaign_id
                         )
+                finally:
+                    lock.release()
                 if refused:
                     shard.cancel_reservation()
                     stats.rejected_budget += n
@@ -591,10 +598,17 @@ class IngestService:
             # stands (safe side), the queue slot must not.
             shard.cancel_reservation()
             raise
-        # A scalar work item: the pump builds the columns.
-        return self._enqueue(
-            shard, state, slot, object_slots, values, trace=trace
-        )
+        # A scalar work item, in the slot reserved above: the pump
+        # builds the columns.  This is _enqueue's tail, inlined because
+        # it runs once per submission here (once per chunk on the bulk
+        # path).
+        now = time.perf_counter()
+        if trace is not None:
+            trace.enqueue_ts = now
+        shard.enqueue((state, slot, object_slots, values, now, trace))
+        stats.claims_accepted += n
+        self.telemetry.shard_claims_accepted[shard.index] += n
+        return _ACCEPTED[n] if n < len(_ACCEPTED) else IngestResult(n)
 
     def submit_columns(
         self,
@@ -880,7 +894,7 @@ class IngestService:
                 if not ledger.can_admit(user_id, charge):
                     return user_id
             for user_id, charge in chunk_charges:
-                if ledger.charge(user_id, charge, label=campaign_id):  # pragma: no cover
+                if ledger._charge_locked(user_id, charge, "", campaign_id):  # pragma: no cover
                     # Cannot happen while slots map to distinct users
                     # (can_admit passed above, under the same lock
                     # hold); never swallow a failed charge for accepted

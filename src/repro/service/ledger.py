@@ -144,18 +144,30 @@ class BudgetLedger:
         submission; :meth:`admit` is the same charge with one.
         """
         with self.lock:
-            refusal, new_eps, new_delta = self._check(user_id, guarantee)
-            if refusal:
-                self.denied += 1
-                return refusal
-            self._spent_epsilon[user_id] = new_eps
-            self._spent_delta[user_id] = new_delta
-            self.admitted += 1
-            if self._accountant is not None:
-                self._accountant.record(
-                    user_id, guarantee, mechanism=mechanism, label=label
-                )
-            return ""
+            return self._charge_locked(user_id, guarantee, mechanism, label)
+
+    def _charge_locked(
+        self,
+        user_id: Hashable,
+        guarantee: LDPGuarantee,
+        mechanism: str = "",
+        label: str = "",
+    ) -> str:
+        """:meth:`charge` for a caller that already holds ``lock``: the
+        ingest paths, which hold it across the charge and its log
+        record anyway, enter the re-entrant lock once instead of twice."""
+        refusal, new_eps, new_delta = self._check(user_id, guarantee)
+        if refusal:
+            self.denied += 1
+            return refusal
+        self._spent_epsilon[user_id] = new_eps
+        self._spent_delta[user_id] = new_delta
+        self.admitted += 1
+        if self._accountant is not None:
+            self._accountant.record(
+                user_id, guarantee, mechanism=mechanism, label=label
+            )
+        return ""
 
     def admit(
         self,
@@ -167,9 +179,7 @@ class BudgetLedger:
     ) -> AdmissionDecision:
         """:meth:`charge`, reported as an :class:`AdmissionDecision`."""
         with self.lock:
-            reason = self.charge(
-                user_id, guarantee, mechanism=mechanism, label=label
-            )
+            reason = self._charge_locked(user_id, guarantee, mechanism, label)
             return AdmissionDecision(
                 admitted=not reason,
                 reason=reason,

@@ -14,7 +14,6 @@ import itertools
 import threading
 import time
 import zlib
-from collections import namedtuple
 from typing import Optional, Sequence
 
 import numpy as np
@@ -254,9 +253,22 @@ class CampaignState:
         )
 
 
-#: One campaign's scalar work items awaiting one column assembly;
-#: ``room`` is what its batcher took before emitting when the run opened.
-_Run = namedtuple("_Run", "slots lengths objects values room")
+class _Run:
+    """One campaign's scalar work items awaiting one column assembly.
+
+    ``room`` starts at what the campaign's batcher took before emitting
+    when the run opened and counts down by each item's claims, so the
+    pump never measures the lists it grows.
+    """
+
+    __slots__ = ("slots", "lengths", "objects", "values", "room")
+
+    def __init__(self, room: int) -> None:
+        self.slots: list[int] = []
+        self.lengths: list[int] = []
+        self.objects: list[int] = []
+        self.values: list[float] = []
+        self.room = room
 
 
 class Shard:
@@ -314,11 +326,19 @@ class Shard:
         refused submission spends no epsilon, and a concurrent producer
         cannot fill the slot between this check and the enqueue.
         """
-        with self._lock:
+        # acquire/try/finally rather than ``with``: this section and
+        # enqueue's run on every submission, and on 3.11 the
+        # context-manager protocol costs about as much again as the
+        # lock itself.
+        lock = self._lock
+        lock.acquire()
+        try:
             if len(self._queue) + self._reserved >= self._queue_capacity:
                 return False
             self._reserved += 1
             return True
+        finally:
+            lock.release()
 
     def cancel_reservation(self) -> None:
         """Release a reservation whose submission was refused later."""
@@ -329,9 +349,13 @@ class Shard:
         """Queue one work item in the slot a successful
         :meth:`try_reserve` holds for it.  Safe to call from multiple
         producer threads."""
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             self._reserved -= 1
             self._queue.append(item)
+        finally:
+            lock.release()
 
     def pump(self) -> int:
         """Drain the queue into batchers/aggregators; return claims moved.
@@ -362,13 +386,13 @@ class Shard:
                 run = runs.get(state)
                 if run is None:
                     batcher = state.batcher
-                    room = batcher.capacity - batcher.pending
-                    run = runs[state] = _Run([], [], [], [], room)
+                    run = runs[state] = _Run(batcher.capacity - batcher.pending)
                 run.slots.append(users)
                 run.lengths.append(n)
                 run.objects.extend(objects)
                 run.values.extend(values)
-                if len(run.values) >= run.room:
+                run.room -= n
+                if run.room <= 0:
                     # The per-item loop would emit a batch here.
                     self._drain(state, runs.pop(state))
             else:

@@ -238,3 +238,97 @@ def test_reservation_protocol_at_shard_level():
     assert not shard2.try_reserve()
     shard2.cancel_reservation()
     assert shard2.try_reserve()
+
+
+def test_concurrent_scalar_submitters_charge_exactly_once(tmp_path):
+    """The device path under 8 producer threads and a pump thread, with
+    a ledger that runs out and a write-ahead log: one ledger lock entry
+    per submission still admits, charges and logs each one exactly once."""
+    from functools import reduce
+
+    from repro.crowdsensing.messages import ClaimSubmission
+    from repro.durable.manager import DurabilityConfig
+    from repro.privacy.ldp import LDPGuarantee
+    from repro.service.ledger import BudgetLedger
+    from repro.service.topology import Topology
+
+    cost = LDPGuarantee(epsilon=0.1, delta=0.0)
+    ledger = BudgetLedger(epsilon_cap=0.5)  # five submissions a user
+    service = IngestService(
+        ServiceConfig(num_shards=1, max_batch=CHUNK, queue_capacity=16),
+        ledger=ledger,
+        topology=Topology.in_process(durability=DurabilityConfig(
+            directory=tmp_path / "wal", fsync="never"
+        )),
+    )
+    users = [f"user{i}" for i in range(NUM_USERS)]
+    objects = [f"obj{i}" for i in range(NUM_OBJECTS)]
+    service.register_campaign(
+        CAMPAIGN, objects, max_users=NUM_USERS, user_ids=users, cost=cost
+    )
+    per_thread, claims = 80, 4
+    outcomes: list[list[tuple[str, str]]] = []
+
+    def submitter(seed):
+        rng = np.random.default_rng(seed)
+        mine = []
+        for _ in range(per_thread):
+            user = users[rng.integers(NUM_USERS)]
+            result = service.submit(ClaimSubmission(
+                campaign_id=CAMPAIGN,
+                user_id=user,
+                object_ids=tuple(
+                    objects[j] for j in rng.integers(0, NUM_OBJECTS, claims)
+                ),
+                values=tuple(rng.normal(size=claims).tolist()),
+            ))
+            mine.append((user, result.reason))
+        outcomes.append(mine)
+
+    stop = threading.Event()
+
+    def pump_loop():
+        while not stop.is_set():
+            service.pump()
+
+    threads = [
+        threading.Thread(target=submitter, args=(s,)) for s in range(8)
+    ]
+    pumper = threading.Thread(target=pump_loop)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads inside the sections
+    try:
+        pumper.start()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive(), "producer deadlocked"
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+    pumper.join(timeout=60)
+    assert not pumper.is_alive(), "pump loop deadlocked"
+    service.flush()
+    try:
+        flat = [o for mine in outcomes for o in mine]
+        assert len(flat) == 8 * per_thread
+        reasons = {reason for _, reason in flat}
+        assert reasons <= {"", "overflow", "budget"}
+        assert "budget" in reasons  # the ledger ran out for someone
+        stats = service.stats
+        accepted = sum(reason == "" for _, reason in flat)
+        assert stats.claims_accepted == accepted * claims
+        assert stats.claims_accepted + stats.claims_rejected == len(flat) * claims
+        assert service._shards[0].claims_processed == stats.claims_accepted
+        for user in users:
+            mine = sum(1 for u, reason in flat if u == user and reason == "")
+            # Spent is the cost added once per accepted submission.
+            assert ledger.spent(user).epsilon == reduce(
+                lambda total, _: total + cost.epsilon, range(mine), 0.0
+            )
+        assert ledger.admitted == accepted
+        assert service.durability.charges_logged == accepted
+        assert service._shards[0]._reserved == 0
+    finally:
+        service.close()

@@ -1,5 +1,7 @@
 """Ingestion-service tests: validation, admission, backpressure, reads."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -238,8 +240,47 @@ class TestBackpressure:
                     service.submit(sub(user=b"raw-%d" % i))
                 # The charge stands: over-charging is the safe side.
                 assert ledger.spent(b"raw-%d" % i).epsilon == 1.0
+                # The raise left the ledger lock: another thread takes
+                # it at once.
+                taken = []
+
+                def try_lock():
+                    taken.append(ledger.lock.acquire(blocking=False))
+                    if taken[-1]:
+                        ledger.lock.release()
+
+                thread = threading.Thread(target=try_lock)
+                thread.start()
+                thread.join(timeout=10)
+                assert not thread.is_alive() and taken == [True]
             assert service._shards[0]._reserved == 0
             assert service.submit(sub(user="u1")).ok
+            # A bytes id is refused after an accepted charge of the same
+            # cost too.
+            with pytest.raises(RecordError):
+                service.submit(sub(user=b"raw-3"))
+            assert service._shards[0]._reserved == 0
+
+    def test_closed_log_refuses_charges_at_admission(self, tmp_path):
+        from repro.durable.wal import WalError
+        from repro.service.topology import Topology
+
+        ledger = BudgetLedger(epsilon_cap=10.0)
+        service = IngestService(
+            ServiceConfig(num_shards=1, max_batch=8, queue_capacity=3),
+            ledger=ledger,
+            topology=Topology.in_process(durability=str(tmp_path / "wal")),
+        )
+        with service:
+            cost = LDPGuarantee(epsilon=1.0, delta=0.0)
+            service.register_campaign("c1", ("o0", "o1"), max_users=8, cost=cost)
+            assert service.submit(sub(user="u1")).ok
+            service.pump()  # its charge is in the log
+            service.durability.wal.close()
+            with pytest.raises(WalError, match="closed"):
+                service.submit(sub(user="u1"))
+            assert ledger.spent("u1").epsilon == 2.0  # the charge stands
+            assert service._shards[0]._reserved == 0
 
     def test_failed_chunk_charge_log_releases_the_reservation(
         self, tmp_path, monkeypatch
