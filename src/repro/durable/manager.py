@@ -150,11 +150,9 @@ class DurabilityManager:
         self._service = None
         #: User-table length already written per campaign (USERS records).
         self._users_synced: dict[str, int] = {}
-        # Hot-path encoding cache, derived from a campaign's state at its
-        # first logged batch: the length-prefixed campaign-id header when
-        # every slot the campaign can ever emit fits u16 (log_batch then
-        # takes the fast columnar encoder), else None.
-        self._u16_prefix: dict[str, Optional[bytes]] = {}
+        #: Each campaign's BATCH encoder (:func:`rec.batch_encoder`),
+        #: built from its state at its first logged batch.
+        self._batch_encoders: dict = {}
         self._claims_since_checkpoint = 0
         #: Charges admitted since the last CHARGE record, in order:
         #: ``(user_id, epsilon, delta, label)``.
@@ -264,7 +262,7 @@ class DurabilityManager:
         )
         self._wal.sync()
         self._users_synced.pop(campaign_id, None)
-        self._u16_prefix.pop(campaign_id, None)
+        self._batch_encoders.pop(campaign_id, None)
         return lsn
 
     def log_batch(self, state, batch) -> int:
@@ -303,34 +301,16 @@ class DurabilityManager:
             )
             self._users_synced[campaign_id] = table_len
         try:
-            prefix = self._u16_prefix[campaign_id]
+            encode = self._batch_encoders[campaign_id]
         except KeyError:
-            prefix = self._u16_prefix[campaign_id] = (
-                rec.campaign_id_prefix(campaign_id)
-                if state.capacity <= 0x10000
-                and len(state.object_ids) <= 0x10000
-                else None
+            encode = self._batch_encoders[campaign_id] = rec.batch_encoder(
+                campaign_id, state.capacity, len(state.object_ids)
             )
-        if prefix is not None:
-            # Fast path: slots are bounded by the campaign's capacity
-            # and object universe (validated at ingress), so the u16
-            # encoding and the cached id prefix apply to every batch —
-            # no per-batch width detection, column re-validation, or
-            # payload serialisation (the value column is handed to the
-            # log as a buffer and written directly).
-            payload = rec.encode_batch_parts(
-                prefix,
-                batch.users,
-                batch.objects,
-                batch.values,
-            )
-        else:
-            payload = rec.WorkItem(
-                campaign_id=campaign_id,
-                user_slots=batch.users,
-                object_slots=batch.objects,
-                values=batch.values,
-            ).to_bytes()
+        # Slots are bounded by the campaign's capacity and object
+        # universe (validated at ingress), so the encoder's width holds
+        # for every batch; the parts go to the log as buffers, written
+        # directly.
+        payload = encode(batch.users, batch.objects, batch.values)
         lsn = self._wal.append(rec.BATCH, payload)
         self.claims_logged += batch.size
         self.batches_logged += 1

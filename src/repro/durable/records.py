@@ -29,15 +29,25 @@ universes), which cuts the log to 12 bytes per claim; values are
 always f64 so replayed aggregation is bit-for-bit identical.  Wider
 encodings remain readable, so logs written by older versions replay
 unchanged.
+
+A BATCH payload has one encoder and one decoder.  :func:`batch_encoder`
+is what the write-ahead log (``DurabilityManager.log_batch``) and the
+shard fabric (``RemoteAggregator.ingest``) both call, so a batch's log
+record and its frame are the same bytes; :func:`decode_batch` is what
+every reader that aggregates a batch calls: the shard host, crash
+recovery and a standby's replay.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.truthdiscovery.streaming import ClaimBatch
 
 # ---------------------------------------------------------------------------
 # Record types.  Values are stable on-disk identifiers — never renumber.
@@ -248,6 +258,77 @@ def encode_batch_parts(
     )
 
 
+def batch_encoder(campaign_id: str, num_users: int, num_objects: int):
+    """The BATCH encoder of one campaign: ``encode(user_slots,
+    object_slots, values)`` returns the record payload as a tuple of
+    buffers.
+
+    When the campaign's user capacity and object universe are both at
+    most 65 536, every slot fits u16, so each batch takes
+    :func:`encode_batch_parts` under the campaign-id prefix computed
+    here, once.  A larger campaign's batches go through
+    :meth:`WorkItem.to_bytes`, which picks the slot width per batch.
+    The write-ahead log writes the parts as they are; the fabric joins
+    them once, for its journal and the wire.
+    """
+    if num_users <= 0x10000 and num_objects <= 0x10000:
+        return functools.partial(
+            encode_batch_parts, campaign_id_prefix(campaign_id)
+        )
+
+    def encode(user_slots, object_slots, values) -> tuple:
+        return (
+            WorkItem(campaign_id, user_slots, object_slots, values).to_bytes(),
+        )
+
+    return encode
+
+
+def decode_batch(payload) -> tuple[str, ClaimBatch]:
+    """``(campaign_id, batch)`` of a BATCH payload: the one decoder.
+
+    One header parse, then each slot column widened into a fresh
+    ``int64`` array and the value column copied once, so the batch owns
+    writable columns that do not alias ``payload`` (a frame, or a read
+    of the log) and stays valid whatever happens to it.  One
+    ``isfinite`` pass checks the values; the layout already makes the
+    columns aligned and 1-D, so the batch is built unchecked, and the
+    estimator still range-checks the slots.  ``payload`` is any bytes-
+    like object; a malformed one raises :class:`RecordError`.
+    """
+    try:
+        (cid_len,) = _U16.unpack_from(payload, 0)
+        offset = _U16.size + cid_len
+        cid = str(payload[_U16.size:offset], "utf-8")
+        (flags,) = _U8.unpack_from(payload, offset)
+        (n,) = _U32.unpack_from(payload, offset + _U8.size)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise RecordError(f"malformed work item: {exc}") from exc
+    offset += _U8.size + _U32.size
+    if flags & _FLAG_U16_SLOTS:
+        slot_dtype, slot_bytes = "<u2", 2
+    elif flags & _FLAG_NARROW_SLOTS:
+        slot_dtype, slot_bytes = "<i4", 4
+    else:
+        slot_dtype, slot_bytes = "<i8", 8
+    expected = offset + n * (2 * slot_bytes + 8)
+    if len(payload) != expected:
+        raise RecordError(
+            f"work item of {n} claims needs {expected} bytes, "
+            f"got {len(payload)}"
+        )
+    if n == 0:
+        raise RecordError("work item must carry at least one claim")
+    users = np.frombuffer(payload, slot_dtype, n, offset).astype(np.int64)
+    offset += n * slot_bytes
+    objects = np.frombuffer(payload, slot_dtype, n, offset).astype(np.int64)
+    offset += n * slot_bytes
+    values = np.frombuffer(payload, "<f8", n, offset).astype(np.float64)
+    if not np.isfinite(values).all():
+        raise RecordError("batch values must be finite")
+    return cid, ClaimBatch.unchecked(users, objects, values)
+
+
 @dataclass(frozen=True)
 class WalRecord:
     """One decoded write-ahead-log entry.
@@ -298,13 +379,21 @@ def check_charge(user_id, epsilon, delta, label) -> None:
     is refused while its caller can still undo the submission.
     """
     for value in (user_id, epsilon, delta, label):
-        if type(value) not in _JSON_SAFE:
-            try:
-                json.dumps(value, sort_keys=True)
-            except (TypeError, ValueError) as exc:
-                raise RecordError(
-                    f"record payload is not JSON-serialisable: {exc}"
-                ) from exc
+        check_json_value(value)
+
+
+def check_json_value(value) -> None:
+    """Raise :class:`RecordError` unless :func:`encode_json_payload`
+    encodes ``value``.  Admission runs it on a new user's id, where the
+    user gets a slot, so an id no USERS record could carry is refused
+    before anything is reserved for it."""
+    if type(value) not in _JSON_SAFE:
+        try:
+            json.dumps(value, sort_keys=True)
+        except (TypeError, ValueError) as exc:
+            raise RecordError(
+                f"record payload is not JSON-serialisable: {exc}"
+            ) from exc
 
 
 def encode_charge_group(charges) -> bytes:

@@ -218,7 +218,7 @@ class RecordApplier:
                 state = service.campaign_state(campaign_id)
                 state.aggregator.refresh()
         elif record.rtype == rec.BATCH:
-            self._apply_batch(record.decode())
+            self._apply_batch(*rec.decode_batch(record.payload))
         elif record.rtype == rec.CHARGE:
             charges = rec.charge_entries(record.decode())
             ledger = service.ledger
@@ -249,40 +249,34 @@ class RecordApplier:
             state.user_table.append(user_id)
             state.user_index[user_id] = slot
 
-    def _apply_batch(self, item: rec.WorkItem) -> None:
+    def _apply_batch(self, campaign_id: str, batch: ClaimBatch) -> None:
         service = self.service
-        if not service.has_campaign(item.campaign_id):
+        if not service.has_campaign(campaign_id):
             # A batch for a campaign the log never registered (or that
             # a later checkpoint no longer knows): nothing to feed.
             self.report.batches_skipped += 1
             _LOGGER.warning(
                 "skipping logged batch for unknown campaign %r",
-                item.campaign_id,
+                campaign_id,
             )
             return
-        state = service.campaign_state(item.campaign_id)
-        top_slot = int(item.user_slots.max())
+        state = service.campaign_state(campaign_id)
+        top_slot = int(batch.users.max())
         if top_slot >= state.capacity:
             raise RecoveryError(
-                f"logged batch for {item.campaign_id!r} references slot "
+                f"logged batch for {campaign_id!r} references slot "
                 f"{top_slot} beyond capacity {state.capacity}"
             )
         # Belt and braces: a USERS record always precedes its batch in
         # the log, but placeholder ids keep replay total if one is lost.
         state.ensure_placeholder_slots(top_slot)
-        state.aggregator.ingest(
-            ClaimBatch(
-                users=item.user_slots,
-                objects=item.object_slots,
-                values=item.values,
-            )
-        )
-        state.claims_accepted += item.size
+        state.aggregator.ingest(batch)
+        state.claims_accepted += batch.size
         state.claims_by_slot += np.bincount(
-            item.user_slots, minlength=state.capacity
+            batch.users, minlength=state.capacity
         )
         self.report.batches_replayed += 1
-        self.report.claims_replayed += item.size
+        self.report.claims_replayed += batch.size
 
 
 class RecoveryManager:

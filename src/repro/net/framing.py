@@ -12,9 +12,10 @@ Pipes deliver each ``send_bytes`` as one complete message, so the
 worker path historically decoded whole buffers.  Sockets do not:
 a frame can arrive split across arbitrarily many reads, and one read
 can end mid-header.  :class:`FrameReader` is the single decoder both
-paths share — feed it byte chunks as they arrive and it yields every
-complete ``(type, payload)`` frame, buffering any partial tail until
-the next feed.
+paths share — a socket reads into the buffer it offers, a pipe feeds it
+whole messages, and either way it yields every complete
+``(type, payload)`` frame, keeping any partial tail until more bytes
+arrive.
 
 The reader is strict about what a *complete* prefix must look like
 (a declared length of zero cannot even hold the type byte; a length
@@ -42,63 +43,138 @@ class FramingError(ValueError):
 
 
 class FrameReader:
-    """Stateful decoder turning byte chunks into complete frames.
+    """Stateful decoder turning received bytes into complete frames.
 
-    One instance per stream direction.  ``feed`` never blocks and never
-    over-reads: bytes beyond the last complete frame stay buffered for
-    the next call, so arbitrary fragmentation (and coalescing — several
-    frames in one read) decodes identically to whole-message delivery.
+    One instance per stream direction, and one copy of each frame's
+    bytes in user space.  A socket reads into :meth:`recv_buffer` and
+    reports what arrived with :meth:`received`; bytes a caller already
+    holds (a pipe message) go through :meth:`feed`, which does the same
+    from memory.  Reads land in one reusable buffer of ``buffer_bytes``,
+    where every frame that arrived whole is copied out once, so one read
+    can yield many small frames.  A frame whose body runs past what is
+    buffered gets a buffer of exactly its declared size, the bytes
+    already buffered move into it, and the rest of the body is read
+    straight into it; that buffer becomes the frame's payload (a
+    ``bytearray``, where a frame copied out of the reusable buffer is
+    ``bytes``).  A declared length is checked against its bounds before
+    anything is allocated for it.  Nothing is read past the last byte of
+    a frame's body, and arbitrary fragmentation (and coalescing —
+    several frames in one read) decodes identically to whole-message
+    delivery.
     """
 
-    def __init__(self, *, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
+    def __init__(
+        self,
+        *,
+        max_frame_bytes: int = MAX_FRAME_BYTES,
+        buffer_bytes: int = 1 << 16,
+    ) -> None:
         if max_frame_bytes < 1:
             raise ValueError(
                 f"max_frame_bytes must be >= 1, got {max_frame_bytes}"
             )
+        if buffer_bytes < _HEADER.size:
+            raise ValueError(
+                f"buffer_bytes must hold a frame header "
+                f"({_HEADER.size} bytes), got {buffer_bytes}"
+            )
         self._max = max_frame_bytes
-        self._buffer = bytearray()
+        self._view = memoryview(bytearray(buffer_bytes))
+        # Buffered, unconsumed bytes are _view[_start:_end].
+        self._start = self._end = 0
+        # The frame being read into its own buffer: its type, payload
+        # buffer and the bytes of it filled so far.
+        self._body: bytearray | None = None
+        self._body_type = 0
+        self._filled = 0
 
     # ------------------------------------------------------------------
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered that do not yet form a complete frame."""
-        return len(self._buffer)
+        if self._body is not None:
+            return _HEADER.size + self._filled
+        return self._end - self._start
 
     @property
     def at_boundary(self) -> bool:
         """True when the stream so far decoded into whole frames only."""
-        return not self._buffer
+        return self.pending_bytes == 0
 
     # ------------------------------------------------------------------
-    def feed(self, data: bytes) -> list[tuple[int, bytes]]:
-        """Absorb ``data``; return every frame completed by it."""
-        self._buffer.extend(data)
+    def recv_buffer(self) -> memoryview:
+        """Where the next bytes of the stream go (never empty): the
+        unfilled rest of a frame's own buffer, else the free tail of the
+        reusable one."""
+        if self._body is not None:
+            return memoryview(self._body)[self._filled:]
+        if self._start == self._end:
+            self._start = self._end = 0
+        elif self._end == len(self._view):
+            # Only a cut header can be left at the very end: a frame
+            # whose header is whole moved to its own buffer.
+            kept = self._end - self._start
+            self._view[:kept] = self._view[self._start:self._end]
+            self._start, self._end = 0, kept
+        return self._view[self._end:]
+
+    def received(self, nbytes: int) -> list[tuple[int, bytes]]:
+        """The first ``nbytes`` of the last :meth:`recv_buffer` now hold
+        stream bytes; return every frame they complete."""
+        body = self._body
+        if body is not None:
+            self._filled += nbytes
+            if self._filled < len(body):
+                return []
+            self._body = None
+            return [(self._body_type, body)]
+        self._end += nbytes
+        return self._frames()
+
+    def feed(self, data) -> list[tuple[int, bytes]]:
+        """Absorb bytes already in memory; return every frame completed
+        by them."""
+        data = memoryview(data).cast("B")
         frames: list[tuple[int, bytes]] = []
-        size = len(self._buffer)
         offset = 0
-        # A view, so each payload is copied out once (slicing the
-        # bytearray itself would copy it twice); released before the
-        # buffer is trimmed.
-        with memoryview(self._buffer) as view:
-            while size - offset >= _HEADER.size:
-                length, rtype = _HEADER.unpack_from(view, offset)
-                if length < 1:
-                    raise FramingError(
-                        "frame declares a length of 0 bytes, which cannot "
-                        "hold its type byte"
-                    )
-                if length > self._max:
-                    raise FramingError(
-                        f"frame declares {length} bytes, above the "
-                        f"{self._max}-byte ceiling — corrupt stream?"
-                    )
-                end = offset + _HEADER.size - 1 + length
-                if size < end:
-                    break  # partial tail; wait for more bytes
-                frames.append(
-                    (rtype, view[offset + _HEADER.size:end].tobytes())
+        while offset < len(data):
+            target = self.recv_buffer()
+            count = min(len(target), len(data) - offset)
+            target[:count] = data[offset:offset + count]
+            frames.extend(self.received(count))
+            offset += count
+        return frames
+
+    def _frames(self) -> list[tuple[int, bytes]]:
+        """Decode the reusable buffer: copy out each whole frame, and
+        move a frame whose body runs past it into its own buffer."""
+        view = self._view
+        start, end = self._start, self._end
+        frames: list[tuple[int, bytes]] = []
+        while end - start >= _HEADER.size:
+            length, rtype = _HEADER.unpack_from(view, start)
+            if length < 1:
+                raise FramingError(
+                    "frame declares a length of 0 bytes, which cannot "
+                    "hold its type byte"
                 )
-                offset = end
-        if offset:
-            del self._buffer[:offset]
+            if length > self._max:
+                raise FramingError(
+                    f"frame declares {length} bytes, above the "
+                    f"{self._max}-byte ceiling — corrupt stream?"
+                )
+            stop = start + _HEADER.size - 1 + length
+            if stop <= end:
+                frames.append(
+                    (rtype, view[start + _HEADER.size:stop].tobytes())
+                )
+                start = stop
+                continue
+            have = end - start - _HEADER.size
+            body = bytearray(length - 1)
+            body[:have] = view[start + _HEADER.size:end]
+            self._body, self._body_type, self._filled = body, rtype, have
+            start = end = 0
+            break
+        self._start, self._end = start, end
         return frames

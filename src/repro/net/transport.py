@@ -2,14 +2,20 @@
 
 :class:`SocketConnection` wraps one TCP stream in the exact API the
 parent-side worker machinery already speaks against a pipe —
-``send_bytes`` / ``poll(timeout)`` / ``close`` — plus a ``recv_frame``
-fast path that :func:`repro.workers.protocol.recv_frame` prefers when
-present, and ``send_file_range``, which sends a frame whose payload is
-a byte range of a file (the replication stream's WAL frames) by
-``os.sendfile``.  Because sockets fragment where pipes did not, every
-received chunk goes through the shared
-:class:`~repro.net.framing.FrameReader`; a frame is "available"
-(``poll`` returns True) only once all its bytes are buffered, so the
+``send_bytes`` / ``poll(timeout)`` / ``close`` — plus ``send_frame`` and
+``recv_frame`` fast paths that :func:`repro.workers.protocol.send_frame`
+and :func:`~repro.workers.protocol.recv_frame` prefer when present, and
+``send_file_range``, which sends a frame whose payload is a byte range
+of a file (the replication stream's WAL frames) by ``os.sendfile``.
+
+Each frame is copied once in user space on either side.  A frame's
+header and payload leave in one ``sendmsg``, never joined into one
+buffer.  Received bytes land where the shared
+:class:`~repro.net.framing.FrameReader` — the one decoder — asks for
+them (``recv_into``): its reusable buffer, from which each frame that
+arrived whole is copied out, or a buffer of exactly a frame's size for
+one whose body runs past what was read.  A frame is "available"
+(``poll`` returns True) only once all its bytes are received, so the
 caller never blocks mid-frame.
 
 :class:`SocketListener` is the accepting side; :func:`connect` the
@@ -38,12 +44,13 @@ from repro.net.framing import FrameReader, FramingError
 from repro.utils.backoff import Backoff
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
-from repro.workers.protocol import encode_frame
+from repro.workers.protocol import encode_frame, frame_header
 
 _LOGGER = get_logger("net.transport")
 
-#: Bytes per ``recv`` call; large enough that a state-RPC payload
-#: crosses in a few syscalls, small enough to stay allocation-friendly.
+#: Size of a connection's reusable receive buffer: the most one read
+#: takes when no frame is part-read, large enough that a burst of
+#: small frames crosses in one syscall.
 RECV_CHUNK = 1 << 16
 
 #: Send flag that holds a frame header back until its body follows
@@ -60,7 +67,7 @@ class SocketConnection:
         # never trade an RTT for coalescing.
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._sock: Optional[socket.socket] = sock
-        self._reader = FrameReader()
+        self._reader = FrameReader(buffer_bytes=RECV_CHUNK)
         self._frames: list[tuple[int, bytes]] = []
         self._eof = False
 
@@ -77,9 +84,18 @@ class SocketConnection:
         return self._sock.fileno()
 
     # ------------------------------------------------------------------
-    def send_bytes(self, data: bytes) -> None:
-        """Write one complete buffer (blocking until fully sent)."""
-        self._send_all(self._sending_socket(), memoryview(data))
+    def send_bytes(self, data: bytes, header: bytes = b"") -> None:
+        """Write one complete buffer, after ``header`` when one is given
+        (blocking until fully sent).  The two leave in one ``sendmsg``,
+        so a frame's header never has to be joined to its payload."""
+        buffers = [memoryview(data)]
+        if header:
+            buffers.insert(0, memoryview(header))
+        self._send_all(self._sending_socket(), buffers)
+
+    def send_frame(self, rtype: int, payload: bytes = b"") -> None:
+        """Write one frame: its header, then ``payload`` as it is."""
+        self.send_bytes(payload, frame_header(rtype, len(payload)))
 
     def send_file_range(
         self, header: bytes, fd: int, offset: int, count: int
@@ -94,7 +110,7 @@ class SocketConnection:
         """
         sock = self._sending_socket()
         # Held back for the body, so a small frame leaves as one packet.
-        self._send_all(sock, memoryview(header), _MSG_MORE)
+        self._send_all(sock, [memoryview(header)], _MSG_MORE)
         while count:
             try:
                 sent = os.sendfile(sock.fileno(), fd, offset, count)
@@ -134,11 +150,17 @@ class SocketConnection:
 
     @staticmethod
     def _send_all(
-        sock: socket.socket, view: memoryview, flags: int = 0
+        sock: socket.socket, buffers: list, flags: int = 0
     ) -> None:
-        while view:
+        """Send ``buffers`` back to back, resuming a partial send where
+        it stopped."""
+        while True:
+            while buffers and not buffers[0]:
+                del buffers[0]
+            if not buffers:
+                return
             try:
-                sent = sock.send(view, flags)
+                sent = sock.sendmsg(buffers, (), flags)
             except BlockingIOError:
                 select.select([], [sock], [])
                 continue
@@ -146,7 +168,12 @@ class SocketConnection:
                 raise
             except ConnectionError as exc:
                 raise BrokenPipeError(str(exc)) from exc
-            view = view[sent:]
+            while sent >= len(buffers[0]):
+                sent -= len(buffers[0])
+                del buffers[0]
+                if not buffers:
+                    return
+            buffers[0] = buffers[0][sent:]
 
     def poll(self, timeout: float = 0.0) -> bool:
         """True once a complete frame (or EOF) is ready to receive."""
@@ -181,25 +208,26 @@ class SocketConnection:
 
     def _pull(self) -> bool:
         """Drain readable bytes into the frame reader; True if any read."""
+        reader = self._reader
         got_any = False
         while True:
             try:
-                chunk = self._sock.recv(RECV_CHUNK)
+                count = self._sock.recv_into(reader.recv_buffer())
             except BlockingIOError:
                 return got_any
             except ConnectionResetError:
                 self._eof = True
                 return True
             got_any = True
-            if not chunk:
+            if not count:
                 self._eof = True
-                if self._reader.pending_bytes:
+                if reader.pending_bytes:
                     raise FramingError(
                         f"peer closed mid-frame with "
-                        f"{self._reader.pending_bytes} byte(s) pending"
+                        f"{reader.pending_bytes} byte(s) pending"
                     )
                 return True
-            self._frames.extend(self._reader.feed(chunk))
+            self._frames.extend(reader.received(count))
 
     # ------------------------------------------------------------------
     def close(self) -> None:

@@ -11,7 +11,10 @@ Two objects hide the process boundary from the service layer:
 * :class:`RemoteAggregator` — implements the
   :class:`~repro.service.aggregator.IncrementalAggregator` surface for
   one campaign whose real aggregator lives in a worker.  ``ingest``
-  ships the batch as a :class:`~repro.durable.records.WorkItem` frame;
+  encodes the batch with the write-ahead log's own encoder
+  (:func:`~repro.durable.records.batch_encoder`), joins it once — the
+  one buffer a supervisor journals and the wire carries — and ships it
+  as a ``BATCH`` frame;
   ``folded`` is one snapshot RPC, and the proxy keeps nothing of it;
   ``state_dict``/``load_state`` round-trip the worker
   aggregator's full state, which is how durable checkpoints capture
@@ -175,8 +178,10 @@ class WorkerHandle:
             rec.encode_json_payload({"campaign_id": campaign_id}),
         )
 
-    def send_batch(self, item: rec.WorkItem) -> None:
-        self.send(rec.BATCH, item.to_bytes())
+    def send_batch(self, payload: bytes) -> None:
+        """Ship one encoded BATCH payload (see
+        :func:`~repro.durable.records.batch_encoder`)."""
+        self.send(rec.BATCH, payload)
 
     def send_refresh(self, campaign_id: str) -> None:
         self.send(
@@ -317,6 +322,7 @@ class RemoteAggregator(IncrementalAggregator):
         self._backend = backend
         self._refine_every = refine_every
         self._staged = 0
+        self._encode = rec.batch_encoder(campaign_id, num_users, num_objects)
 
     # ------------------------------------------------------------------
     @property
@@ -341,12 +347,7 @@ class RemoteAggregator(IncrementalAggregator):
 
     def ingest(self, batch: ClaimBatch) -> None:
         self._handle.send_batch(
-            rec.WorkItem(
-                campaign_id=self._campaign_id,
-                user_slots=batch.users,
-                object_slots=batch.objects,
-                values=batch.values,
-            )
+            b"".join(self._encode(batch.users, batch.objects, batch.values))
         )
         self.claims_ingested += batch.size
         self.batches_ingested += 1

@@ -99,7 +99,7 @@ def decode_frame(frame: bytes) -> tuple[int, bytes]:
     (arbitrary fragmentation) run the exact same decoder; a pipe
     message must decode to exactly one frame with nothing left over.
     """
-    reader = FrameReader()
+    reader = FrameReader(buffer_bytes=max(len(frame), _HEADER.size))
     try:
         frames = reader.feed(frame)
     except FramingError as exc:
@@ -114,8 +114,17 @@ def decode_frame(frame: bytes) -> tuple[int, bytes]:
 
 
 def send_frame(conn, rtype: int, payload: bytes = b"") -> None:
-    """Write one frame to a connection (pipe or socket)."""
-    conn.send_bytes(encode_frame(rtype, payload))
+    """Write one frame to a connection (pipe or socket).
+
+    A :class:`~repro.net.transport.SocketConnection` sends the header
+    and ``payload`` in one ``sendmsg`` itself; a pipe, which delivers
+    whole messages, takes them as one buffer.
+    """
+    native = getattr(conn, "send_frame", None)
+    if native is not None:
+        native(rtype, payload)
+    else:
+        conn.send_bytes(encode_frame(rtype, payload))
 
 
 def recv_frame(conn) -> tuple[int, bytes]:

@@ -19,8 +19,12 @@ single-process run.
 
 The parent keeps everything else — validation, admission, user-slot
 tables, bounded queues, micro-batching, durability logging — and ships
-each completed micro-batch as a :class:`~repro.durable.records.WorkItem`
-frame.  Frames are processed strictly in order, which is what makes the
+each completed micro-batch as a ``BATCH`` frame whose payload is the
+write-ahead log's record of it (one encoder,
+:func:`~repro.durable.records.batch_encoder`); the runtime decodes it
+with the one decoder recovery and a standby use too
+(:func:`~repro.durable.records.decode_batch`).  Frames are processed
+strictly in order, which is what makes the
 snapshot/state RPCs consistent: by the time a request is answered, every
 batch sent before it has been aggregated.
 
@@ -54,13 +58,7 @@ import traceback
 
 from repro.durable import records as rec
 from repro.obs.registry import NULL_REGISTRY, MetricRegistry
-from repro.truthdiscovery.streaming import ClaimBatch
 from repro.workers import protocol as proto
-
-
-def _owned(column):
-    """``column`` when it owns its memory, else a copy of it."""
-    return column if column.flags.owndata else column.copy()
 
 
 class ShardRuntime:
@@ -159,7 +157,7 @@ class ShardRuntime:
     # ------------------------------------------------------------------
     def _dispatch(self, rtype: int, payload: bytes, send) -> None:
         if rtype == rec.BATCH:
-            self._on_batch(rec.WorkItem.from_bytes(payload))
+            self._on_batch(*rec.decode_batch(payload))
         elif rtype == rec.REFRESH:
             self._aggregator(self._json(payload)["campaign_id"]).refresh()
             self._refreshes_total.inc()
@@ -220,24 +218,16 @@ class ShardRuntime:
             **(spec.get("method_kwargs") or {}),
         )
 
-    def _on_batch(self, item: rec.WorkItem) -> None:
-        aggregator = self._aggregator(item.campaign_id)
+    def _on_batch(self, campaign_id: str, batch) -> None:
+        aggregator = self._aggregator(campaign_id)
         start = time.perf_counter()
-        # Aggregation must own writable int64/f64 columns, exactly like
-        # the single-process path hands it.  Decoding already widened
-        # u16/i4 slots into fresh arrays; the values, and i8 slots, are
-        # still views of the frame, so only those are copied.
-        aggregator.ingest(
-            ClaimBatch(
-                users=_owned(item.user_slots),
-                objects=_owned(item.object_slots),
-                values=_owned(item.values),
-            )
-        )
-        self.claims_aggregated += item.size
+        # The decoder hands over owned, writable int64/f64 columns,
+        # exactly like the single-process path does.
+        aggregator.ingest(batch)
+        self.claims_aggregated += batch.size
         self._aggregate_hist.observe(time.perf_counter() - start)
         self._batches_total.inc()
-        self._claims_total.inc(item.size)
+        self._claims_total.inc(batch.size)
 
     def _on_snapshot(self, campaign_id: str, send) -> None:
         aggregator = self._aggregator(campaign_id)

@@ -154,8 +154,8 @@ class TestCrossProcess:
 
 class TestRuntimeColumns:
     """A shard host hands aggregation one owned, writable copy of each
-    column: decoding already widened u16/i4 slots into fresh arrays,
-    so only the frame views (values, and i8 slots) are copied."""
+    column: the one BATCH decoder widens the slots into fresh arrays and
+    copies the values once, so no column is a view of the frame."""
 
     @pytest.mark.parametrize("high", [7, 2**20, 2**40], ids=["u16", "i4", "i8"])
     @pytest.mark.parametrize("buffer", [bytes, bytearray])
@@ -173,12 +173,7 @@ class TestRuntimeColumns:
                             "num_objects": 3, "aggregator": "streaming"}),
         ):
             runtime.on_frame(rtype, rec.encode_json_payload(body), ignore)
-        decoded, ingested = [], []
-        decode = WorkItem.from_bytes
-        monkeypatch.setattr(
-            WorkItem, "from_bytes",
-            lambda data: decoded.append(decode(data)) or decoded[-1],
-        )
+        ingested = []
         monkeypatch.setattr(
             runtime._aggregators["c"], "ingest", ingested.append
         )
@@ -187,15 +182,17 @@ class TestRuntimeColumns:
             WorkItem("c", slots, slots, np.arange(4.0)).to_bytes()
         )
         runtime.on_frame(rec.BATCH, payload, ignore)
-        ((item,), (batch,)) = decoded, ingested
+        (batch,) = ingested
         frame = np.frombuffer(payload, dtype=np.uint8)
         for name, column in (("users", batch.users),
                              ("objects", batch.objects),
                              ("values", batch.values)):
             assert column.flags.writeable, name
             assert not np.shares_memory(column, frame), name
+            # One owned copy per column: nothing is a view of a copy.
+            assert column.flags.owndata, name
+        assert batch.users.dtype == batch.objects.dtype == np.int64
+        assert batch.values.dtype == np.float64
         np.testing.assert_array_equal(batch.users, slots)
+        np.testing.assert_array_equal(batch.objects, slots)
         assert batch.values.tobytes() == np.arange(4.0).tobytes()
-        # One owned copy per column: widened slots are used as decoded.
-        assert (batch.users is item.user_slots) == (high < 2**31)
-        assert (batch.objects is item.object_slots) == (high < 2**31)
