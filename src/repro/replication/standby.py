@@ -55,6 +55,7 @@ from repro.durable.checkpoint import (
     file_manifest,
     verify_file,
 )
+from repro.durable.fsync import fsync_dir
 from repro.durable.manager import DurabilityManager
 from repro.durable.recovery import (
     RecordApplier,
@@ -149,8 +150,9 @@ class StandbyServer(FrameServer):
         """Durably record an accepted epoch *before* acting on it.
 
         Write-fsync-rename so a crash leaves either the old fence or
-        the new one, never a torn file — the refusal of stale PROMOTEs
-        must survive a standby restart.
+        the new one, never a torn file, then fsync the directory so the
+        rename itself survives power loss — the refusal of stale
+        PROMOTEs must survive a standby restart.
         """
         tmp = self._fence_path().with_suffix(".tmp")
         with open(tmp, "w", encoding="utf-8") as fh:
@@ -158,6 +160,7 @@ class StandbyServer(FrameServer):
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, self._fence_path())
+        fsync_dir(self._dir)
         self._fencing_epoch = epoch
 
     # ------------------------------------------------------------------

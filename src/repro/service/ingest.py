@@ -36,6 +36,7 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
+from repro.durable.records import check_json_value
 from repro.privacy.ldp import LDPGuarantee
 from repro.service.aggregator import make_aggregator, resolve_backend
 from repro.service.ledger import BudgetLedger
@@ -535,10 +536,16 @@ class IngestService:
         # not exhaust the campaign's user table.
         user_id = submission.user_id
         slot = state.user_index.get(user_id)
-        if slot is None and len(state.user_table) >= state.capacity:
-            stats.rejected_capacity += n
-            self.telemetry.shard_claims_rejected[shard.index] += n
-            return IngestResult(0, n, "capacity")
+        if slot is None:
+            if len(state.user_table) >= state.capacity:
+                stats.rejected_capacity += n
+                self.telemetry.shard_claims_rejected[shard.index] += n
+                return IngestResult(0, n, "capacity")
+            if self._durability is not None:
+                # A new user's id goes to the log in a USERS record, so
+                # an id no record can carry is refused here, before
+                # anything is reserved or charged for it.
+                check_json_value(user_id)
         # Backpressure fires before the budget charge: a submission the
         # queue refuses must not spend the user's epsilon, and the
         # reservation keeps that true under concurrent producers.

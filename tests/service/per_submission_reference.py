@@ -118,6 +118,11 @@ def submit(service, submission):
         stats.rejected_capacity += n
         service.telemetry.shard_claims_rejected[shard.index] += n
         return IngestResult(0, n, "capacity")
+    if slot is None and service._durability is not None:
+        # Not part of the two-pass path: the admission rule that a new
+        # user's id must be one a USERS record can carry, checked before
+        # anything is reserved or charged, kept in step with the library.
+        rec.check_json_value(user_id)
     if not try_reserve(shard):
         stats.rejected_overflow += n
         service.telemetry.shard_claims_rejected[shard.index] += n

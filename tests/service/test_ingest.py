@@ -223,6 +223,9 @@ class TestBackpressure:
         # Three charge records that could not be encoded (bytes user
         # ids are not JSON) used to leave three reservations behind:
         # the empty shard then refused every submission as "overflow".
+        # A new user's id is now checked where it would get a slot,
+        # before the reservation and the charge, so nothing is left
+        # behind and nothing is charged.
         from repro.durable.records import RecordError
         from repro.service.topology import Topology
 
@@ -238,8 +241,8 @@ class TestBackpressure:
             for i in range(3):
                 with pytest.raises(RecordError):
                     service.submit(sub(user=b"raw-%d" % i))
-                # The charge stands: over-charging is the safe side.
-                assert ledger.spent(b"raw-%d" % i).epsilon == 1.0
+                # Refused before the charge.
+                assert ledger.spent(b"raw-%d" % i).epsilon == 0.0
                 # The raise left the ledger lock: another thread takes
                 # it at once.
                 taken = []
@@ -260,6 +263,33 @@ class TestBackpressure:
             with pytest.raises(RecordError):
                 service.submit(sub(user=b"raw-3"))
             assert service._shards[0]._reserved == 0
+
+    def test_unloggable_id_is_refused_on_a_cost_free_durable_campaign(
+        self, tmp_path
+    ):
+        # Without a cost nothing checked the id at admission: the bytes
+        # user took a slot, and every later pump of the shard raised
+        # from the USERS record that could not carry it.
+        from repro.durable.records import RecordError
+        from repro.service.topology import Topology
+
+        service = IngestService(
+            ServiceConfig(num_shards=1, max_batch=2, queue_capacity=3),
+            topology=Topology.in_process(durability=str(tmp_path / "wal")),
+        )
+        with service:
+            service.register_campaign("c1", ("o0", "o1"), max_users=8)
+            with pytest.raises(RecordError):
+                service.submit(sub(user=b"raw"))
+            state = service.campaign_state("c1")
+            assert list(state.user_table) == []
+            assert service._shards[0]._reserved == 0
+            assert service.stats.claims_accepted == 0
+            for round_ in range(1, 4):
+                assert service.submit(sub(user="u1")).ok
+                service.pump()
+                assert service.snapshot("c1").claims_ingested == 2 * round_
+            assert list(state.user_table) == ["u1"]
 
     def test_closed_log_refuses_charges_at_admission(self, tmp_path):
         from repro.durable.wal import WalError
