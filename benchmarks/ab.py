@@ -2,7 +2,7 @@
 
     python3 benchmarks/ab.py --parent REV --workload W [--change REV]
         [--pairs N] [--seeds S ...] [--seconds S] [--out DIR]
-    python3 benchmarks/ab.py --parent REV --probe P [--probe-args "..."] ...
+    python3 benchmarks/ab.py --parent REV --probe P [--probe-args="--quick ..."] ...
     python3 benchmarks/ab.py --judge DIR
 
 Both trees are extracted with ``git archive`` into ``DIR/A`` (the
@@ -55,10 +55,12 @@ SIDES = ("A", "B")
 def workload_metrics(report: dict) -> dict[str, float]:
     """``{"<workload>.<metric>": value}`` of a ``run.py`` report: the
     end-to-end and ungated metrics of every repetition (repetitions of
-    one run are averaged)."""
+    one run are averaged), and ``checks_failed``, its failed
+    correctness checks."""
     out: dict[str, list[float]] = {}
     for workload, body in report["workloads"].items():
         for rep in body["reps"]:
+            out.setdefault(f"{workload}.checks_failed", []).append(float(rep["failed"]))
             for section in ("end_to_end", "ungated"):
                 for metric, value in rep.get(section, {}).items():
                     out.setdefault(f"{workload}.{metric}", []).append(float(value))

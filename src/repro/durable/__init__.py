@@ -37,7 +37,10 @@ memory; this package makes that state survive a crash:
   tail, with bit-for-bit identical truths on the replayed batches
   (including after mid-compaction crashes);
 * :class:`WorkItem` — the serialisable work-item format the log (and
-  the multi-process shard workers) move around.
+  the multi-process shard workers) move around; a batch is written by
+  one encoder and read by one decoder
+  (:func:`~repro.durable.records.batch_encoder`,
+  :func:`~repro.durable.records.decode_batch`).
 
 Logging cost and recovery speed are measured by ``python3
 benchmarks/e2e/run.py --workload bulk_durable`` (and

@@ -324,6 +324,12 @@ class DurabilityManager:
             rec.encode_json_payload({"campaign_id": campaign_id}),
         )
 
+    def check_user_id(self, user_id) -> None:
+        """Raise :class:`~repro.durable.records.RecordError` unless a
+        USERS record can carry ``user_id`` (admission runs it for a new
+        user, before anything is reserved or charged)."""
+        rec.check_json_value(user_id)
+
     def log_charge(
         self, user_id, guarantee: LDPGuarantee, *, label: str = ""
     ) -> None:

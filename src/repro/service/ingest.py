@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro.durable.records import check_json_value
 from repro.privacy.ldp import LDPGuarantee
 from repro.service.aggregator import make_aggregator, resolve_backend
 from repro.service.ledger import BudgetLedger
@@ -545,7 +544,7 @@ class IngestService:
                 # A new user's id goes to the log in a USERS record, so
                 # an id no record can carry is refused here, before
                 # anything is reserved or charged for it.
-                check_json_value(user_id)
+                self._durability.check_user_id(user_id)
         # Backpressure fires before the budget charge: a submission the
         # queue refuses must not spend the user's epsilon, and the
         # reservation keeps that true under concurrent producers.

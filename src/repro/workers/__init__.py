@@ -7,8 +7,10 @@ admission, user-slot tables, bounded queues, micro-batching, and
 durability logging:
 
 * :mod:`repro.workers.protocol` — length-prefixed frames over a duplex
-  pipe, reusing :class:`~repro.durable.records.WorkItem` and the WAL's
-  JSON control records as the cross-process format;
+  pipe or a socket, reusing the WAL's records as the cross-process
+  format: a BATCH frame carries a batch's log record (one encoder,
+  one decoder, :mod:`repro.durable.records`), and control frames the
+  JSON control records;
 * :mod:`repro.workers.worker` — the spawn-safe worker loop: per-campaign
   :class:`~repro.service.aggregator.IncrementalAggregator` instances fed
   strictly in frame order;

@@ -12,10 +12,12 @@ can move to raw sockets (the ROADMAP's multi-node follow-on) without a
 format change.
 
 The data plane reuses :mod:`repro.durable.records` wholesale: a claim
-batch crosses as a :class:`~repro.durable.records.WorkItem` under the
-``BATCH`` record type, and campaign lifecycle / service configuration
-cross as the same JSON control records (``CONFIG`` / ``REGISTER`` /
-``UNREGISTER`` / ``REFRESH``) the write-ahead log stores.  Worker-only
+batch crosses as its write-ahead-log record under the ``BATCH`` record
+type (:func:`~repro.durable.records.batch_encoder` writes it,
+:func:`~repro.durable.records.decode_batch` reads it), and campaign
+lifecycle / service configuration cross as the same JSON control
+records (``CONFIG`` / ``REGISTER`` / ``UNREGISTER`` / ``REFRESH``) the
+write-ahead log stores.  Worker-only
 control frames (snapshot and state RPCs, the readiness handshake,
 shutdown) use a disjoint type range so the two namespaces can never
 collide.
