@@ -85,6 +85,8 @@ _U32 = struct.Struct("<I")
 _FLAG_NARROW_SLOTS = 0x01
 #: WorkItem flag: slot columns encoded as u16 (takes precedence).
 _FLAG_U16_SLOTS = 0x02
+_SLOT_U16, _SLOT_I32, _SLOT_I64 = (np.dtype(t) for t in ("<u2", "<i4", "<i8"))
+_VALUE = np.dtype("<f8")
 
 
 class RecordError(ValueError):
@@ -170,45 +172,44 @@ class WorkItem:
         on the recovery path); callers that need to mutate it must
         copy.
         """
-        try:
-            (cid_len,) = _U16.unpack_from(payload, 0)
-            offset = _U16.size
-            cid = str(payload[offset:offset + cid_len], "utf-8")
-            offset += cid_len
-            (flags,) = _U8.unpack_from(payload, offset)
-            offset += _U8.size
-            (n,) = _U32.unpack_from(payload, offset)
-            offset += _U32.size
-            if flags & _FLAG_U16_SLOTS:
-                slot_dtype, slot_bytes = "<u2", 2
-            elif flags & _FLAG_NARROW_SLOTS:
-                slot_dtype, slot_bytes = "<i4", 4
-            else:
-                slot_dtype, slot_bytes = "<i8", 8
-            expected = offset + n * (2 * slot_bytes + 8)
-            if len(payload) != expected:
-                raise RecordError(
-                    f"work item of {n} claims needs {expected} bytes, "
-                    f"got {len(payload)}"
-                )
-            user_slots = np.frombuffer(payload, dtype=slot_dtype, count=n,
-                                       offset=offset)
-            offset += n * slot_bytes
-            object_slots = np.frombuffer(payload, dtype=slot_dtype, count=n,
-                                         offset=offset)
-            offset += n * slot_bytes
-            values = np.frombuffer(payload, dtype="<f8", count=n,
-                                   offset=offset)
-        except (struct.error, UnicodeDecodeError, ValueError) as exc:
-            if isinstance(exc, RecordError):
-                raise
-            raise RecordError(f"malformed work item: {exc}") from exc
+        cid, slot_dtype, n, offset = _batch_layout(payload)
+        width = slot_dtype.itemsize
         return cls(
             campaign_id=cid,
-            user_slots=user_slots,
-            object_slots=object_slots,
-            values=values,
+            user_slots=np.frombuffer(payload, slot_dtype, n, offset),
+            object_slots=np.frombuffer(
+                payload, slot_dtype, n, offset + n * width
+            ),
+            values=np.frombuffer(payload, _VALUE, n, offset + 2 * n * width),
         )
+
+
+def _batch_layout(payload) -> tuple[str, np.dtype, int, int]:
+    """``(campaign_id, slot_dtype, n, offset)`` of a BATCH payload: its
+    header parsed and its length checked against the ``n`` claims it
+    declares; the slot columns start at ``offset``."""
+    try:
+        (cid_len,) = _U16.unpack_from(payload, 0)
+        offset = _U16.size + cid_len
+        cid = str(payload[_U16.size:offset], "utf-8")
+        (flags,) = _U8.unpack_from(payload, offset)
+        (n,) = _U32.unpack_from(payload, offset + _U8.size)
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise RecordError(f"malformed work item: {exc}") from exc
+    offset += _U8.size + _U32.size
+    if flags & _FLAG_U16_SLOTS:
+        slot_dtype = _SLOT_U16
+    elif flags & _FLAG_NARROW_SLOTS:
+        slot_dtype = _SLOT_I32
+    else:
+        slot_dtype = _SLOT_I64
+    expected = offset + n * (2 * slot_dtype.itemsize + _VALUE.itemsize)
+    if len(payload) != expected:
+        raise RecordError(
+            f"work item of {n} claims needs {expected} bytes, "
+            f"got {len(payload)}"
+        )
+    return cid, slot_dtype, n, offset
 
 
 def campaign_id_prefix(campaign_id: str) -> bytes:
@@ -296,34 +297,15 @@ def decode_batch(payload) -> tuple[str, ClaimBatch]:
     estimator still range-checks the slots.  ``payload`` is any bytes-
     like object; a malformed one raises :class:`RecordError`.
     """
-    try:
-        (cid_len,) = _U16.unpack_from(payload, 0)
-        offset = _U16.size + cid_len
-        cid = str(payload[_U16.size:offset], "utf-8")
-        (flags,) = _U8.unpack_from(payload, offset)
-        (n,) = _U32.unpack_from(payload, offset + _U8.size)
-    except (struct.error, UnicodeDecodeError) as exc:
-        raise RecordError(f"malformed work item: {exc}") from exc
-    offset += _U8.size + _U32.size
-    if flags & _FLAG_U16_SLOTS:
-        slot_dtype, slot_bytes = "<u2", 2
-    elif flags & _FLAG_NARROW_SLOTS:
-        slot_dtype, slot_bytes = "<i4", 4
-    else:
-        slot_dtype, slot_bytes = "<i8", 8
-    expected = offset + n * (2 * slot_bytes + 8)
-    if len(payload) != expected:
-        raise RecordError(
-            f"work item of {n} claims needs {expected} bytes, "
-            f"got {len(payload)}"
-        )
+    cid, slot_dtype, n, offset = _batch_layout(payload)
     if n == 0:
         raise RecordError("work item must carry at least one claim")
+    width = slot_dtype.itemsize
     users = np.frombuffer(payload, slot_dtype, n, offset).astype(np.int64)
-    offset += n * slot_bytes
+    offset += n * width
     objects = np.frombuffer(payload, slot_dtype, n, offset).astype(np.int64)
-    offset += n * slot_bytes
-    values = np.frombuffer(payload, "<f8", n, offset).astype(np.float64)
+    offset += n * width
+    values = np.frombuffer(payload, _VALUE, n, offset).astype(np.float64)
     if not np.isfinite(values).all():
         raise RecordError("batch values must be finite")
     return cid, ClaimBatch.unchecked(users, objects, values)

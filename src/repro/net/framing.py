@@ -45,22 +45,25 @@ class FramingError(ValueError):
 class FrameReader:
     """Stateful decoder turning received bytes into complete frames.
 
-    One instance per stream direction, and one copy of each frame's
-    bytes in user space.  A socket reads into :meth:`recv_buffer` and
-    reports what arrived with :meth:`received`; bytes a caller already
-    holds (a pipe message) go through :meth:`feed`, which does the same
-    from memory.  Reads land in one reusable buffer of ``buffer_bytes``,
-    where every frame that arrived whole is copied out once, so one read
-    can yield many small frames.  A frame whose body runs past what is
-    buffered gets a buffer of exactly its declared size, the bytes
-    already buffered move into it, and the rest of the body is read
-    straight into it; that buffer becomes the frame's payload (a
-    ``bytearray``, where a frame copied out of the reusable buffer is
-    ``bytes``).  A declared length is checked against its bounds before
-    anything is allocated for it.  Nothing is read past the last byte of
-    a frame's body, and arbitrary fragmentation (and coalescing —
-    several frames in one read) decodes identically to whole-message
-    delivery.
+    One instance per stream direction, and at most one copy of each
+    frame's bytes in user space.  A socket reads into
+    :meth:`recv_buffer` and reports what arrived with :meth:`received`;
+    bytes a caller already holds (a pipe message) go through
+    :meth:`feed`, which does the same from memory.
+
+    Reads land in one reusable buffer of ``buffer_bytes``, where every
+    frame that arrived whole is copied out once, so one read can yield
+    many small frames.  A frame whose body runs past what is buffered
+    gets a buffer of exactly its declared size, and the bytes buffered
+    so far move into it.  While the rest of its body is at least a
+    reusable buffer long, it is read straight into that buffer; a
+    shorter rest is read through the reusable buffer, so the same read
+    can take the frames behind it.  The frame's own buffer becomes its
+    payload (a ``bytearray``, where a frame copied out of the reusable
+    buffer is ``bytes``).  A declared length is checked against its
+    bounds before anything is allocated for it, and arbitrary
+    fragmentation (and coalescing — several frames in one read) decodes
+    identically to whole-message delivery.
     """
 
     def __init__(
@@ -83,10 +86,13 @@ class FrameReader:
         # Buffered, unconsumed bytes are _view[_start:_end].
         self._start = self._end = 0
         # The frame being read into its own buffer: its type, payload
-        # buffer and the bytes of it filled so far.
+        # buffer and the bytes of it filled so far.  While there is one,
+        # the reusable buffer holds nothing.
         self._body: bytearray | None = None
         self._body_type = 0
         self._filled = 0
+        # True when the last recv_buffer() was the frame's own buffer.
+        self._direct = False
 
     # ------------------------------------------------------------------
     @property
@@ -104,10 +110,15 @@ class FrameReader:
     # ------------------------------------------------------------------
     def recv_buffer(self) -> memoryview:
         """Where the next bytes of the stream go (never empty): the
-        unfilled rest of a frame's own buffer, else the free tail of the
-        reusable one."""
-        if self._body is not None:
-            return memoryview(self._body)[self._filled:]
+        unfilled rest of a frame's own buffer when that rest is at least
+        a reusable buffer long, else the free tail of the reusable
+        one."""
+        body = self._body
+        self._direct = (
+            body is not None and len(body) - self._filled >= len(self._view)
+        )
+        if self._direct:
+            return memoryview(body)[self._filled:]
         if self._start == self._end:
             self._start = self._end = 0
         elif self._end == len(self._view):
@@ -122,14 +133,28 @@ class FrameReader:
         """The first ``nbytes`` of the last :meth:`recv_buffer` now hold
         stream bytes; return every frame they complete."""
         body = self._body
-        if body is not None:
+        if self._direct:
             self._filled += nbytes
             if self._filled < len(body):
                 return []
             self._body = None
             return [(self._body_type, body)]
         self._end += nbytes
-        return self._frames()
+        frames: list[tuple[int, bytes]] = []
+        if body is not None:
+            # The rest of a frame read through the reusable buffer.
+            take = min(len(body) - self._filled, nbytes)
+            body[self._filled:self._filled + take] = (
+                self._view[self._start:self._start + take]
+            )
+            self._start += take
+            self._filled += take
+            if self._filled < len(body):
+                return frames
+            self._body = None
+            frames.append((self._body_type, body))
+        frames.extend(self._frames())
+        return frames
 
     def feed(self, data) -> list[tuple[int, bytes]]:
         """Absorb bytes already in memory; return every frame completed

@@ -199,40 +199,53 @@ def send_all(frames, send_sizes):
     return bytes(sock.wire)
 
 
-def reference_wire(frames):
-    return b"".join(
+def reference_frames(frames):
+    """Each frame's bytes as the copying path wrote them."""
+    return [
         ref.batch_frame(*frame[1:2], *frame[4:]) if frame[0] == "batch"
         else ref.encode_frame(frame[1], frame[2])
         for frame in frames
-    )
+    ]
 
 
 @st.composite
-def splits(draw, size):
-    """Segment boundaries of a ``size``-byte stream: random cuts, or
-    every ``k`` bytes (1 byte at a time on a short stream), or none."""
-    mode = draw(st.sampled_from(["cuts", "every", "whole"]))
+def splits(draw, ends):
+    """Segment boundaries of a stream whose frames end at ``ends``:
+    random cuts, cuts a few bytes either side of frame ends, every
+    ``k`` bytes (1 byte at a time on a short stream), or none."""
+    size = ends[-1]
+    mode = draw(st.sampled_from(["cuts", "edges", "every", "whole"]))
     if mode == "whole" or size == 0:
         return [0, size]
     if mode == "every":
         k = draw(st.integers(max(1, size // 400), max(1, size)))
         return list(range(0, size, k)) + [size]
-    cuts = draw(st.lists(st.integers(0, size), max_size=12))
+    if mode == "edges":
+        # One byte short of a frame's end or past it, most of all.
+        near = st.one_of(st.sampled_from([-1, 1]), st.integers(-6, 6))
+        cuts = [
+            min(max(end + draw(near), 0), size)
+            for end in draw(st.lists(st.sampled_from(ends), max_size=6))
+        ]
+    else:
+        cuts = draw(st.lists(st.integers(0, size), max_size=12))
     return [0] + sorted(cuts) + [size]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(frames=frame_mixes, data=st.data())
 def test_frame_path_equals_the_copying_path(frames, data):
-    expected_wire = reference_wire(frames)
-    size = len(expected_wire)
+    pieces = reference_frames(frames)
+    expected_wire = b"".join(pieces)
+    ends = list(itertools.accumulate(map(len, pieces)))
+    size = ends[-1]
     send_sizes = data.draw(st.lists(
         st.integers(size // 400 + 1, 1 << 18), min_size=1, max_size=3
     ))
     wire = send_all(frames, send_sizes)
     assert wire == expected_wire
 
-    bounds = data.draw(splits(size))
+    bounds = data.draw(splits(ends))
     # The peer may hang up anywhere, mid-frame included.
     cut = data.draw(st.integers(0, size)) if data.draw(st.booleans()) else size
     segments = [wire[a:min(b, cut)] for a, b in zip(bounds, bounds[1:]) if a < cut]
@@ -297,6 +310,19 @@ class TestReceiver:
         # One read fills the reusable buffer, one reads the rest of the
         # body straight into the frame's own buffer, and one finds the
         # socket drained.
+        assert sock.recv_calls == 3
+
+    def test_a_short_tail_is_read_with_the_frames_behind_it(self):
+        """A frame cut by the end of a read whose rest is shorter than
+        the reusable buffer finishes through it, and the same read
+        takes the frames behind it: as many reads as the copying path
+        made (64 KiB, the rest, and the one finding the socket drained)."""
+        payloads = [bytes([i]) * 40_000 for i in range(3)]
+        wire = b"".join(proto.encode_frame(proto.STATE_RESP, p) for p in payloads)
+        sock = ScriptedSocket([wire])
+        with SocketConnection(sock) as conn:
+            got = [conn.recv_frame()[1] for _ in payloads]
+        assert got == payloads
         assert sock.recv_calls == 3
 
     @pytest.mark.parametrize("length", [0, (1 << 20) + 1])
