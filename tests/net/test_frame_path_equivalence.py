@@ -41,8 +41,9 @@ class ScriptedSocket:
     is read until it is drained, and the read after that fails with
     ``BlockingIOError``, as a socket with nothing more in flight does;
     after the last arrival the stream reads EOF if ``closed``.
-    ``sendmsg`` takes at most the next of ``send_sizes`` bytes per call
-    (cycled) and appends what it took to :attr:`wire`.
+    ``sendmsg`` (and ``send``, one buffer's) takes at most the next of
+    ``send_sizes`` bytes per call (cycled) and appends what it took to
+    :attr:`wire`.
     """
 
     def __init__(self, segments=(), *, closed=True, send_sizes=(1 << 40,)):
@@ -90,12 +91,17 @@ class ScriptedSocket:
             self._segments[0] = segment[count:]
         return count
 
+    def send(self, data, flags=0):
+        return self.sendmsg([data], (), flags)
+
     def sendmsg(self, buffers, ancdata=(), flags=0):
         self.sendmsg_calls += 1
         room = next(self._send_sizes)
         taken = 0
         for buffer in buffers:
-            self.sent_buffers.append(buffer.obj)
+            self.sent_buffers.append(
+                buffer.obj if isinstance(buffer, memoryview) else buffer
+            )
             view = memoryview(buffer)[:room - taken]
             self.wire += view
             taken += len(view)
@@ -288,8 +294,9 @@ def test_frame_path_equals_the_copying_path(frames, data):
 # ----------------------------------------------------------------------
 class TestReceiver:
     def test_a_burst_of_small_frames_is_one_read(self):
-        """Small frames that arrive together leave in one ``recv_into``
-        (and the one that finds the socket drained), as they did."""
+        """Small frames that arrive together are taken by one
+        ``recv_into``; it fills less than it was offered, so the socket
+        is drained and no read follows to find that out."""
         wire = b"".join(
             proto.encode_frame(rec.REFRESH, b'{"campaign_id":"c%d"}' % i)
             for i in range(40)
@@ -298,7 +305,7 @@ class TestReceiver:
         conn = SocketConnection(sock)
         frames = [conn.recv_frame() for _ in range(40)]
         assert [payload for _, payload in frames][-1] == b'{"campaign_id":"c39"}'
-        assert sock.recv_calls == 2
+        assert sock.recv_calls == 1
         conn.close()
 
     def test_a_frame_past_the_buffer_is_read_into_its_own(self):
@@ -315,15 +322,15 @@ class TestReceiver:
     def test_a_short_tail_is_read_with_the_frames_behind_it(self):
         """A frame cut by the end of a read whose rest is shorter than
         the reusable buffer finishes through it, and the same read
-        takes the frames behind it: as many reads as the copying path
-        made (64 KiB, the rest, and the one finding the socket drained)."""
+        takes the frames behind it: 64 KiB, then the rest, which drains
+        the socket (the copying path read once more to learn that)."""
         payloads = [bytes([i]) * 40_000 for i in range(3)]
         wire = b"".join(proto.encode_frame(proto.STATE_RESP, p) for p in payloads)
         sock = ScriptedSocket([wire])
         with SocketConnection(sock) as conn:
             got = [conn.recv_frame()[1] for _ in payloads]
         assert got == payloads
-        assert sock.recv_calls == 3
+        assert sock.recv_calls == 2
 
     @pytest.mark.parametrize("length", [0, (1 << 20) + 1])
     def test_bad_length_is_refused_before_any_allocation(self, length):
@@ -356,12 +363,21 @@ class TestReceiver:
 class TestSender:
     def test_header_and_payload_leave_in_one_sendmsg(self):
         sock = ScriptedSocket()
-        payload = b"p" * 1000
+        payload = b"p" * transport.SCATTER_BYTES
         with SocketConnection(sock) as conn:
             proto.send_frame(conn, rec.BATCH, payload)
         assert sock.sendmsg_calls == 1
         assert sock.sent_buffers[1] is payload
         assert bytes(sock.wire) == proto.encode_frame(rec.BATCH, payload)
+
+    def test_a_short_payload_leaves_joined_to_its_header(self):
+        sock = ScriptedSocket()
+        payload = b"p" * (transport.SCATTER_BYTES - 1)
+        with SocketConnection(sock) as conn:
+            proto.send_frame(conn, rec.BATCH, payload)
+        assert sock.sendmsg_calls == 1
+        (sent,) = sock.sent_buffers
+        assert sent == proto.encode_frame(rec.BATCH, payload)
 
     def test_fault_points_fire_once_per_frame(self, monkeypatch):
         fired = []
