@@ -8,13 +8,15 @@ and :func:`~repro.workers.protocol.recv_frame` prefer when present, and
 ``send_file_range``, which sends a frame whose payload is a byte range
 of a file (the replication stream's WAL frames) by ``os.sendfile``.
 
-Each frame is copied once in user space on either side.  A frame's
-header and payload leave in one ``sendmsg``, never joined into one
-buffer.  Received bytes land where the shared
+Each frame is copied at most once in user space on either side.  A
+frame's header and a payload of :data:`SCATTER_BYTES` or more leave in
+one ``sendmsg``, never joined into one buffer; a shorter payload is
+joined to its header.  Received bytes land where the shared
 :class:`~repro.net.framing.FrameReader` — the one decoder — asks for
 them (``recv_into``): its reusable buffer, from which each frame that
 arrived whole is copied out, or a buffer of exactly a frame's size for
-one whose body runs past what was read.  A frame is "available"
+one whose body runs past what was read; a read that fills less than
+it was offered ends the pull.  A frame is "available"
 (``poll`` returns True) only once all its bytes are received, so the
 caller never blocks mid-frame.
 
