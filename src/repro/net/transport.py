@@ -8,11 +8,13 @@ and :func:`~repro.workers.protocol.recv_frame` prefer when present, and
 ``send_file_range``, which sends a frame whose payload is a byte range
 of a file (the replication stream's WAL frames) by ``os.sendfile``.
 
-Each frame is copied at most once in user space on either side.  A
-frame's header and a payload of :data:`SCATTER_BYTES` or more leave in
+Frames have one encoder (:func:`~repro.workers.protocol.frame_header`
+ahead of the payload) and one decoder (the
+:class:`~repro.net.framing.FrameReader`), and each frame is copied at
+most once in user space on either side.  A frame's header and a
+payload of :data:`SCATTER_BYTES` or more leave in
 one ``sendmsg``, never joined into one buffer; a shorter payload is
-joined to its header.  Received bytes land where the shared
-:class:`~repro.net.framing.FrameReader` — the one decoder — asks for
+joined to its header.  Received bytes land where the reader asks for
 them (``recv_into``): its reusable buffer, from which each frame that
 arrived whole is copied out, or a buffer of exactly a frame's size for
 one whose body runs past what was read; a read that fills less than
