@@ -33,9 +33,14 @@ import struct
 _HEADER = struct.Struct("<IB")
 
 #: Default ceiling on one frame's declared size.  Aggregator state for
-#: a large campaign is tens of MB; 1 GiB rejects corrupt prefixes long
-#: before an allocation can hurt.
+#: a large campaign is tens of MB; 1 GiB rejects a corrupt prefix, and
+#: what the reader allocates for a frame follows the bytes that arrive
+#: (see :class:`FrameReader`), so a declared length alone costs little.
 MAX_FRAME_BYTES = 1 << 30
+
+#: A frame's own buffer starts at most this many reusable buffers long
+#: and doubles each time it fills, up to the frame's declared size.
+_FIRST_BODY_BUFFERS = 4
 
 
 class FramingError(ValueError):
@@ -45,8 +50,7 @@ class FramingError(ValueError):
 class FrameReader:
     """Stateful decoder turning received bytes into complete frames.
 
-    One instance per stream direction, and at most one copy of each
-    frame's bytes in user space.  A socket reads into
+    One instance per stream direction.  A socket reads into
     :meth:`recv_buffer` and reports what arrived with :meth:`received`;
     bytes a caller already holds (a pipe message) go through
     :meth:`feed`, which does the same from memory.
@@ -54,16 +58,19 @@ class FrameReader:
     Reads land in one reusable buffer of ``buffer_bytes``, where every
     frame that arrived whole is copied out once, so one read can yield
     many small frames.  A frame whose body runs past what is buffered
-    gets a buffer of exactly its declared size, and the bytes buffered
-    so far move into it.  While the rest of its body is at least a
-    reusable buffer long, it is read straight into that buffer; a
-    shorter rest is read through the reusable buffer, so the same read
-    can take the frames behind it.  The frame's own buffer becomes its
-    payload (a ``bytearray``, where a frame copied out of the reusable
-    buffer is ``bytes``).  A declared length is checked against its
-    bounds before anything is allocated for it, and arbitrary
-    fragmentation (and coalescing — several frames in one read) decodes
-    identically to whole-message delivery.
+    moves to a buffer of its own, the rest of its body is read straight
+    into it, and that buffer becomes its payload (a ``bytearray``, where
+    a frame copied out of the reusable buffer is ``bytes``).  The
+    frame's buffer is its declared size when that is at most
+    ``_FIRST_BODY_BUFFERS`` reusable buffers, and then each of its
+    bytes is copied at most once in user space.  A longer frame's buffer
+    starts at that size and doubles each time it fills, so what the
+    reader holds follows the bytes received, not what a header
+    declares; the doublings copy fewer bytes than the frame holds.  A
+    declared length is checked against its bounds before anything is
+    allocated for it, and arbitrary fragmentation (and coalescing —
+    several frames in one read) decodes identically to whole-message
+    delivery.
     """
 
     def __init__(
@@ -85,14 +92,13 @@ class FrameReader:
         self._view = memoryview(bytearray(buffer_bytes))
         # Buffered, unconsumed bytes are _view[_start:_end].
         self._start = self._end = 0
-        # The frame being read into its own buffer: its type, payload
-        # buffer and the bytes of it filled so far.  While there is one,
-        # the reusable buffer holds nothing.
+        # The frame being read into its own buffer: its type, declared
+        # payload size, buffer so far and the bytes of it filled.  While
+        # there is one, the reusable buffer holds nothing.
         self._body: bytearray | None = None
         self._body_type = 0
+        self._body_size = 0
         self._filled = 0
-        # True when the last recv_buffer() was the frame's own buffer.
-        self._direct = False
 
     # ------------------------------------------------------------------
     @property
@@ -110,14 +116,17 @@ class FrameReader:
     # ------------------------------------------------------------------
     def recv_buffer(self) -> memoryview:
         """Where the next bytes of the stream go (never empty): the
-        unfilled rest of a frame's own buffer when that rest is at least
-        a reusable buffer long, else the free tail of the reusable
-        one."""
+        unfilled rest of a part-read frame's own buffer, else the free
+        tail of the reusable one."""
         body = self._body
-        self._direct = (
-            body is not None and len(body) - self._filled >= len(self._view)
-        )
-        if self._direct:
+        if body is not None:
+            if self._filled == len(body):
+                # Full, and short of the declared size: double it.  A
+                # new buffer, since the caller may still hold a view of
+                # the old one.
+                body = bytearray(min(self._body_size, 2 * len(body)))
+                body[:self._filled] = self._body
+                self._body = body
             return memoryview(body)[self._filled:]
         if self._start == self._end:
             self._start = self._end = 0
@@ -133,28 +142,14 @@ class FrameReader:
         """The first ``nbytes`` of the last :meth:`recv_buffer` now hold
         stream bytes; return every frame they complete."""
         body = self._body
-        if self._direct:
+        if body is not None:
             self._filled += nbytes
-            if self._filled < len(body):
+            if self._filled < self._body_size:
                 return []
             self._body = None
             return [(self._body_type, body)]
         self._end += nbytes
-        frames: list[tuple[int, bytes]] = []
-        if body is not None:
-            # The rest of a frame read through the reusable buffer.
-            take = min(len(body) - self._filled, nbytes)
-            body[self._filled:self._filled + take] = (
-                self._view[self._start:self._start + take]
-            )
-            self._start += take
-            self._filled += take
-            if self._filled < len(body):
-                return frames
-            self._body = None
-            frames.append((self._body_type, body))
-        frames.extend(self._frames())
-        return frames
+        return self._frames()
 
     def feed(self, data) -> list[tuple[int, bytes]]:
         """Absorb bytes already in memory; return every frame completed
@@ -196,9 +191,12 @@ class FrameReader:
                 start = stop
                 continue
             have = end - start - _HEADER.size
-            body = bytearray(length - 1)
+            body = bytearray(
+                min(length - 1, _FIRST_BODY_BUFFERS * len(view))
+            )
             body[:have] = view[start + _HEADER.size:end]
-            self._body, self._body_type, self._filled = body, rtype, have
+            self._body, self._body_type = body, rtype
+            self._body_size, self._filled = length - 1, have
             start = end = 0
             break
         self._start, self._end = start, end

@@ -16,9 +16,9 @@ payload of :data:`SCATTER_BYTES` or more leave in
 one ``sendmsg``, never joined into one buffer; a shorter payload is
 joined to its header.  Received bytes land where the reader asks for
 them (``recv_into``): its reusable buffer, from which each frame that
-arrived whole is copied out, or a buffer of exactly a frame's size for
-one whose body runs past what was read; a read that fills less than
-it was offered ends the pull.  A frame is "available"
+arrived whole is copied out, or a frame's own buffer for one whose
+body runs past what was read; a read that fills less than it was
+offered ends the pull.  A frame is "available"
 (``poll`` returns True) only once all its bytes are received, so the
 caller never blocks mid-frame.
 

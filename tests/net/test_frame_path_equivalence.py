@@ -291,6 +291,45 @@ def test_frame_path_equals_the_copying_path(frames, data):
             assert not np.shares_memory(column, frame)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    buffer_bytes=st.integers(5, 64),
+    payloads=st.lists(
+        st.tuples(
+            st.integers(0, 255),
+            st.tuples(
+                st.one_of(st.integers(0, 64), st.integers(300, 2000)),
+                st.integers(0, 2**32),
+            ).map(lambda drawn: np.random.default_rng(drawn[1]).bytes(drawn[0])),
+        ),
+        min_size=1, max_size=6,
+    ),
+    max_frame_bytes=st.sampled_from([1 << 30, 1 << 30, 1500]),
+    data=st.data(),
+)
+def test_a_small_reader_buffer_decodes_as_the_copying_path(
+    buffer_bytes, payloads, max_frame_bytes, data
+):
+    """The same property on a reader whose reusable buffer is a few
+    bytes: most frames outgrow their first own buffer and double it,
+    some more than once, and any cut lands in a header or a body."""
+    wire = b"".join(ref.encode_frame(rtype, p) for rtype, p in payloads)
+    ends = list(itertools.accumulate(len(p) + 5 for _, p in payloads))
+    bounds = data.draw(splits(ends))
+    reader = FrameReader(max_frame_bytes=max_frame_bytes, buffer_bytes=buffer_bytes)
+    copying = ref.CopyingFrameReader(max_frame_bytes=max_frame_bytes)
+    for a, b in zip(bounds, bounds[1:]):
+        try:
+            want = copying.feed(wire[a:b])
+        except FramingError:
+            with pytest.raises(FramingError):
+                reader.feed(wire[a:b])
+            return
+        assert [(t, bytes(p)) for t, p in reader.feed(wire[a:b])] == want
+        assert reader.pending_bytes == copying.pending_bytes
+    assert reader.at_boundary
+
+
 # ----------------------------------------------------------------------
 class TestReceiver:
     def test_a_burst_of_small_frames_is_one_read(self):
@@ -319,18 +358,64 @@ class TestReceiver:
         # socket drained.
         assert sock.recv_calls == 3
 
-    def test_a_short_tail_is_read_with_the_frames_behind_it(self):
-        """A frame cut by the end of a read whose rest is shorter than
-        the reusable buffer finishes through it, and the same read
-        takes the frames behind it: 64 KiB, then the rest, which drains
-        the socket (the copying path read once more to learn that)."""
+    def test_a_short_tail_is_read_into_the_frame_and_the_rest_after(self):
+        """A frame cut by the end of a read finishes in its own buffer,
+        however short its rest; the frames behind it come in the next
+        read, which drains the socket: 64 KiB, the rest of the cut
+        frame, then the last frame."""
         payloads = [bytes([i]) * 40_000 for i in range(3)]
         wire = b"".join(proto.encode_frame(proto.STATE_RESP, p) for p in payloads)
         sock = ScriptedSocket([wire])
         with SocketConnection(sock) as conn:
             got = [conn.recv_frame()[1] for _ in payloads]
         assert got == payloads
-        assert sock.recv_calls == 2
+        assert sock.recv_calls == 3
+
+    def test_a_long_frame_grows_with_what_arrives(self):
+        """A frame past four reusable buffers starts in a buffer of
+        four and doubles it as it fills: with half of a 4 MiB frame
+        received, the reader holds under twice that half."""
+        payload = os.urandom(1 << 22)
+        wire = memoryview(proto.encode_frame(proto.STATE_RESP, payload))
+        half = len(wire) // 2
+        reader = FrameReader(buffer_bytes=RECV_CHUNK)
+        tracemalloc.start()
+        try:
+            assert reader.feed(wire[:half]) == []
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reader.pending_bytes == half
+        assert held < 2 * half and peak < 2 * half + 4 * RECV_CHUNK
+        assert reader.feed(wire[half:]) == [(proto.STATE_RESP, payload)]
+        assert reader.at_boundary
+
+    def test_a_large_declared_length_allocates_what_arrived(self):
+        """A header declaring 512 MiB, within the bound, followed by a
+        few body bytes costs a first buffer, not the declared size."""
+        header = (512 << 20).to_bytes(4, "little") + b"\x05"
+        reader = FrameReader()
+        tracemalloc.start()
+        try:
+            assert reader.feed(header + b"\x00" * 64) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reader.pending_bytes == 5 + 64
+        assert peak < 1 << 20
+
+    def test_a_large_declared_length_off_a_socket_allocates_what_arrived(self):
+        header = (512 << 20).to_bytes(4, "little") + b"\x05"
+        sock = ScriptedSocket([header + b"\x00" * 64], closed=False)
+        conn = SocketConnection(sock)
+        tracemalloc.start()
+        try:
+            assert not conn.poll(0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            conn.close()
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("length", [0, (1 << 20) + 1])
     def test_bad_length_is_refused_before_any_allocation(self, length):
