@@ -1,32 +1,38 @@
 """Parent-vs-change A/B by the claim rule: alternating pairs, a verdict per metric.
 
-    python3 benchmarks/ab.py --parent REV --workload W [--change REV]
-        [--pairs N] [--seeds S ...] [--seconds S] [--out DIR]
+    python3 benchmarks/ab.py --parent REV --workload W [--pairs N]
+        [--seeds S ...] [--out DIR]
     python3 benchmarks/ab.py --parent REV --probe P [--probe-args="--quick ..."] ...
     python3 benchmarks/ab.py --judge DIR
 
 Both trees are extracted with ``git archive`` into ``DIR/A`` (the
-parent) and ``DIR/B`` (the change, ``HEAD`` by default): paths of equal
-length, so neither side's allocations line up differently by accident.
+parent) and ``DIR/B`` (the change: ``HEAD``, as committed): paths of
+equal length, so neither side's allocations line up differently by
+accident.
 Each pair runs the parent and the change once on one seed, and the
 order alternates from pair to pair (A then B, then B then A), so a
 machine that speeds up or slows down during the study moves both sides
 alike.  A workload run is ``benchmarks/e2e/run.py --workload W --seed S
---output``, and a probe run is ``benchmarks/probes/P.py``; every report
-is kept, as ``DIR/reports/{A,B}/<seed>.json`` or ``.txt``.
+--output`` at the run length ``run.py`` fixes, and a probe run is
+``benchmarks/probes/P.py``; every report is kept, as
+``DIR/reports/{A,B}/<seed>.json`` or ``.txt``.
 
 For each metric the table gives both medians, the pairs the change won
 (a tie wins nothing), the parent's IQR, and a verdict.  ``CLAIM`` means
 the change is better on at least nine pairs in ten (rounded up) and its
 median is better than the parent's by more than the parent's IQR;
-anything else is ``no claim``.  A metric's direction comes from the
-benchmark catalog; every probe figure is a cost (lower is better).  A
-probe prints one figure per line as ``name value [unit]``; lines that
-start with ``#`` are comments.
+anything else is ``no claim``.  A gain does not count while more
+operations fail: when the change's runs failed more correctness checks
+(``checks_failed``, summed over the pairs) than the parent's, every
+row reads ``no claim`` and the line under the table says why.  A
+metric's direction comes from the benchmark catalog; every probe figure
+is a cost (lower is better).  A probe prints one figure per line as
+``name value [unit]``; lines that start with ``#`` are comments.
 
 ``--judge DIR`` prints the table for reports already in
-``DIR/reports`` without running anything.  Exit code 0 when at least
-one metric reads ``CLAIM``, else 1.
+``DIR/reports`` without running anything.  Exit code 1 when the change
+failed more checks than the parent, else 0: which metric a study
+claims is read from its row, not from the exit code.
 """
 
 from __future__ import annotations
@@ -140,28 +146,44 @@ def verdict(parent: list[float], change: list[float], better: str) -> dict:
     }
 
 
-def judge(reports: Path) -> list[tuple[str, dict]]:
-    """One verdict per metric present in every pair of both sides."""
+def judge(reports: Path) -> tuple[list[tuple[str, dict]], str | None]:
+    """One verdict per metric present in every pair of both sides, and
+    why no row may claim anything (None when a row may)."""
     sides = [load_side(reports / side) for side in SIDES]
     labels = sorted(set(sides[0]) & set(sides[1]))
     if not labels:
         raise SystemExit(f"ab: no paired reports under {reports}")
+    failed = [
+        sum(value for label in labels for name, value in side[label].items()
+            if name.endswith(".checks_failed"))
+        for side in sides
+    ]
+    refused = None
+    if failed[1] > failed[0]:
+        refused = (f"no claim on any row: the change failed {failed[1]:g} "
+                   f"correctness check(s) over {len(labels)} pair(s), "
+                   f"the parent {failed[0]:g}")
     names = set.intersection(*(set(side[label]) for side in sides for label in labels))
     rows = []
     for name in sorted(names):
         parent = [sides[0][label][name] for label in labels]
         change = [sides[1][label][name] for label in labels]
-        rows.append((name, verdict(parent, change, better_direction(name))))
-    return rows
+        row = verdict(parent, change, better_direction(name))
+        if refused:
+            row["verdict"] = "no claim"
+        rows.append((name, row))
+    return rows, refused
 
 
-def print_table(rows) -> None:
+def print_table(rows, refused: str | None) -> None:
     print(f"{'metric':<52}{'parent':>12}{'change':>12}{'diff':>9}"
           f"{'won':>7}{'parent IQR':>12}  verdict")
     for name, row in rows:
         print(f"{name:<52}{row['parent_median']:>12.5g}{row['change_median']:>12.5g}"
               f"{row['change']:>+9.1%}{row['wins']:>4}/{row['pairs']:<2}"
               f"{row['parent_iqr']:>12.4g}  {row['verdict']}")
+    if refused:
+        print(refused)
 
 
 # ----------------------------------------------------------------------
@@ -181,8 +203,6 @@ def run_one(tree: Path, args, seed: int, report: Path) -> None:
         cmd = [sys.executable, str(tree / "benchmarks" / "e2e" / "run.py"),
                "--workload", args.workload, "--seed", str(seed),
                "--output", str(report.with_suffix(".json"))]
-        if args.seconds is not None:
-            cmd += ["--seconds", str(args.seconds)]
         # A failed correctness check exits 1; its report is kept and read.
         subprocess.run(cmd, cwd=tree, stdout=subprocess.DEVNULL, check=False)
         if not report.with_suffix(".json").exists():
@@ -198,7 +218,7 @@ def study(args) -> Path:
     work = Path(args.out) if args.out else Path(tempfile.mkdtemp(prefix="ab-"))
     trees = {"A": work / "A", "B": work / "B"}
     extract(args.parent, trees["A"])
-    extract(args.change, trees["B"])
+    extract("HEAD", trees["B"])
     reports = work / "reports"
     for side in SIDES:
         (reports / side).mkdir(parents=True, exist_ok=True)
@@ -219,12 +239,10 @@ def main(argv=None) -> int:
     what.add_argument("--probe", help="a probe under benchmarks/probes, without .py")
     what.add_argument("--judge", type=Path, metavar="DIR",
                       help="judge the reports under DIR/reports; run nothing")
-    parser.add_argument("--parent", help="the parent revision (side A)")
-    parser.add_argument("--change", default="HEAD", help="the change revision (side B)")
+    parser.add_argument("--parent", help="the parent revision (side A; side B is HEAD)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seeds", type=int, nargs="+",
                         help="one seed per pair (default 1000, 1001, ...)")
-    parser.add_argument("--seconds", type=float, help="run.py's timed window")
     parser.add_argument("--probe-args", default="", help="arguments for the probe")
     parser.add_argument("--out", help="study directory (default: a new temporary one)")
     args = parser.parse_args(argv)
@@ -237,9 +255,9 @@ def main(argv=None) -> int:
             parser.error("--pairs must be positive, with a seed for each pair")
         reports = study(args)
         print(f"reports kept under {reports}")
-    rows = judge(reports)
-    print_table(rows)
-    return 0 if any(row["verdict"] == "CLAIM" for _, row in rows) else 1
+    rows, refused = judge(reports)
+    print_table(rows, refused)
+    return 1 if refused else 0
 
 
 if __name__ == "__main__":
