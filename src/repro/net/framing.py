@@ -38,9 +38,11 @@ _HEADER = struct.Struct("<IB")
 #: (see :class:`FrameReader`), so a declared length alone costs little.
 MAX_FRAME_BYTES = 1 << 30
 
-#: A frame's own buffer starts at most this many reusable buffers long
-#: and doubles each time it fills, up to the frame's declared size.
-_FIRST_BODY_BUFFERS = 4
+#: A frame's own buffer is never more than this many times the bytes
+#: of it received, counting at least one reusable buffer: it takes the
+#: frame's declared size once that is within the factor, and until then
+#: doubles each time it fills.
+_BODY_SLACK = 4
 
 
 class FramingError(ValueError):
@@ -62,15 +64,16 @@ class FrameReader:
     into it, and that buffer becomes its payload (a ``bytearray``, where
     a frame copied out of the reusable buffer is ``bytes``).  The
     frame's buffer is its declared size when that is at most
-    ``_FIRST_BODY_BUFFERS`` reusable buffers, and then each of its
-    bytes is copied at most once in user space.  A longer frame's buffer
-    starts at that size and doubles each time it fills, so what the
-    reader holds follows the bytes received, not what a header
-    declares; the doublings copy fewer bytes than the frame holds.  A
-    declared length is checked against its bounds before anything is
-    allocated for it, and arbitrary fragmentation (and coalescing —
-    several frames in one read) decodes identically to whole-message
-    delivery.
+    ``_BODY_SLACK`` reusable buffers, and then each of its bytes is
+    copied at most once in user space.  A longer frame's buffer starts
+    at that size and doubles each time it fills, until the declared
+    size is within ``_BODY_SLACK`` times what has arrived and the buffer
+    takes it: the reader holds what the bytes received warrant, not
+    what a header declares, and the regrowths copy fewer bytes than the
+    frame holds.  A declared length is checked against its bounds
+    before anything is allocated for it, and arbitrary fragmentation
+    (and coalescing — several frames in one read) decodes identically
+    to whole-message delivery.
     """
 
     def __init__(
@@ -121,11 +124,14 @@ class FrameReader:
         body = self._body
         if body is not None:
             if self._filled == len(body):
-                # Full, and short of the declared size: double it.  A
-                # new buffer, since the caller may still hold a view of
-                # the old one.
-                body = bytearray(min(self._body_size, 2 * len(body)))
-                body[:self._filled] = self._body
+                # Full, and short of the declared size: regrow.  A new
+                # buffer, since the caller may still hold a view of the
+                # old one.
+                size, filled = self._body_size, self._filled
+                body = bytearray(
+                    size if size <= _BODY_SLACK * filled else 2 * filled
+                )
+                body[:filled] = self._body
                 self._body = body
             return memoryview(body)[self._filled:]
         if self._start == self._end:
@@ -191,9 +197,7 @@ class FrameReader:
                 start = stop
                 continue
             have = end - start - _HEADER.size
-            body = bytearray(
-                min(length - 1, _FIRST_BODY_BUFFERS * len(view))
-            )
+            body = bytearray(min(length - 1, _BODY_SLACK * len(view)))
             body[:have] = view[start + _HEADER.size:end]
             self._body, self._body_type = body, rtype
             self._body_size, self._filled = length - 1, have

@@ -371,23 +371,24 @@ class TestReceiver:
         assert got == payloads
         assert sock.recv_calls == 3
 
-    def test_a_long_frame_grows_with_what_arrives(self):
-        """A frame past four reusable buffers starts in a buffer of
-        four and doubles it as it fills: with half of a 4 MiB frame
-        received, the reader holds under twice that half."""
+    @pytest.mark.parametrize("received", [100_000, 300_000, 1_100_000, 2_500_000])
+    def test_a_long_frame_grows_with_what_arrives(self, received):
+        """Part of a 4 MiB frame: the reader holds at most four times
+        what arrived (at least four reusable buffers), and a regrowth
+        holds the old buffer beside the new one."""
         payload = os.urandom(1 << 22)
         wire = memoryview(proto.encode_frame(proto.STATE_RESP, payload))
-        half = len(wire) // 2
         reader = FrameReader(buffer_bytes=RECV_CHUNK)
         tracemalloc.start()
         try:
-            assert reader.feed(wire[:half]) == []
+            assert reader.feed(wire[:received]) == []
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert reader.pending_bytes == half
-        assert held < 2 * half and peak < 2 * half + 4 * RECV_CHUNK
-        assert reader.feed(wire[half:]) == [(proto.STATE_RESP, payload)]
+        assert reader.pending_bytes == received
+        bound = 4 * max(received, RECV_CHUNK)
+        assert held < bound + 4096 and peak < bound + received + 4096
+        assert reader.feed(wire[received:]) == [(proto.STATE_RESP, payload)]
         assert reader.at_boundary
 
     def test_a_large_declared_length_allocates_what_arrived(self):
