@@ -49,6 +49,21 @@ class FramingError(ValueError):
     """The byte stream does not parse as length-prefixed frames."""
 
 
+def check_length(length: int, max_frame_bytes: int = MAX_FRAME_BYTES) -> None:
+    """The bounds on a frame's declared length, wherever a header is
+    read: at least 1 (the type byte) and at most ``max_frame_bytes``."""
+    if length < 1:
+        raise FramingError(
+            "frame declares a length of 0 bytes, which cannot "
+            "hold its type byte"
+        )
+    if length > max_frame_bytes:
+        raise FramingError(
+            f"frame declares {length} bytes, above the "
+            f"{max_frame_bytes}-byte ceiling — corrupt stream?"
+        )
+
+
 class FrameReader:
     """Stateful decoder turning received bytes into complete frames.
 
@@ -179,16 +194,7 @@ class FrameReader:
         frames: list[tuple[int, bytes]] = []
         while end - start >= _HEADER.size:
             length, rtype = _HEADER.unpack_from(view, start)
-            if length < 1:
-                raise FramingError(
-                    "frame declares a length of 0 bytes, which cannot "
-                    "hold its type byte"
-                )
-            if length > self._max:
-                raise FramingError(
-                    f"frame declares {length} bytes, above the "
-                    f"{self._max}-byte ceiling — corrupt stream?"
-                )
+            check_length(length, self._max)
             stop = start + _HEADER.size - 1 + length
             if stop <= end:
                 frames.append(

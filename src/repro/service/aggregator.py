@@ -56,6 +56,7 @@ the service benchmark's per-method RMSE section).
 
 from __future__ import annotations
 
+import functools
 import inspect
 import time
 from abc import ABC, abstractmethod
@@ -140,6 +141,11 @@ class IncrementalAggregator(ABC):
         its log does not hold would set it apart from its primary.
         After :meth:`refresh` it is what the three accessors return,
         which is how a read builds from one call.
+
+        The caller owns the three arrays: every call returns new ones
+        that share no memory with the backend's state or with an earlier
+        call's arrays (they may be read-only), so a reader keeps them or
+        slices them without copying again.
         """
 
     @property
@@ -259,7 +265,8 @@ class StreamingAggregator(IncrementalAggregator):
         # a refresh covering several windows' worth applies decay**k.
         steps = self._claims_since_decay // self._refine_every
         self._claims_since_decay -= steps * self._refine_every
-        self._stream.ingest(merged, decay_steps=steps)
+        # (ingest() without the truths copy it returns: folded() copies.)
+        self._stream._absorb(merged, steps)
         self.version += 1
         self.refreshes += 1
         self.refresh_seconds += time.perf_counter() - start
@@ -477,9 +484,17 @@ def _streaming_unsupported_kwargs(method: str, method_kwargs: dict) -> list:
     estimator_cls = STREAMING_ESTIMATORS.get(method)
     if estimator_cls is None:
         return sorted(method_kwargs)
+    return sorted(set(method_kwargs) - _model_kwargs(estimator_cls))
+
+
+@functools.lru_cache(maxsize=None)
+def _model_kwargs(estimator_cls: type) -> frozenset:
+    """The model keywords a streaming estimator's constructor takes, a
+    pure function of the class (``inspect.signature`` costs more than
+    the rest of a campaign's registration)."""
     accepted = set(inspect.signature(estimator_cls.__init__).parameters)
     accepted -= {"self", "num_users", "num_objects", "decay", "refine_sweeps"}
-    return sorted(set(method_kwargs) - accepted)
+    return frozenset(accepted)
 
 
 def resolve_backend(

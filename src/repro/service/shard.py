@@ -180,10 +180,11 @@ class CampaignState:
 
         Contributors are the users with an accepted claim (pre-registered
         users that never submitted are excluded), in slot order.  No
-        per-user Python work: weights are copied out now, because
-        ``claims_by_slot`` and the estimator change in place later; ids
-        are a slice of the table when every slot contributed, else a
-        :class:`SlotIds` view resolved by whoever reads them.
+        per-user Python work: the weights are a slice of the array
+        ``folded()`` returned, which the read owns (or, with some slot
+        silent, gathered from it); ids are a slice of the table when
+        every slot contributed, else a :class:`SlotIds` view resolved by
+        whoever reads them.
 
         The caller flushes the campaign first, as
         :meth:`~repro.service.ingest.IngestService.snapshot` does.  A
@@ -226,30 +227,33 @@ class CampaignState:
     def _view(
         self, truths, weights, seen, pending: int, ids=None
     ) -> TruthSnapshot:
-        """``ids`` is an earlier snapshot's ``contributor_ids``, reused
-        when it is the tuple this read would slice (the table is only
-        appended to once reads begin)."""
+        """A snapshot of arrays ``folded()`` returned, which the read
+        owns (its contract), so nothing is copied again.  ``ids`` is an
+        earlier snapshot's ``contributor_ids``, reused when it is the
+        tuple this read would slice (the table is only appended to once
+        reads begin)."""
         table = self.user_table
         filled = len(table)
         counts = self.claims_by_slot[:filled]
         if np.count_nonzero(counts) == filled:
             if type(ids) is not tuple or len(ids) != filled:
                 ids = tuple(table[:filled])
-            weights = weights[:filled].copy()
+            weights = weights[:filled]
         else:
             slots = np.flatnonzero(counts)
             ids = SlotIds(table, slots)
             weights = weights[slots]
-        return TruthSnapshot(
-            campaign_id=self.campaign_id,
-            object_ids=self.object_ids,
-            truths=truths,
-            seen_objects=seen,
-            contributor_ids=ids,
-            contributor_weights=weights,
-            claims_ingested=self.aggregator.claims_ingested,
-            batches_ingested=self.aggregator.batches_ingested,
-            pending_claims=pending,
+        aggregator = self.aggregator
+        return TruthSnapshot._owned(
+            self.campaign_id,
+            self.object_ids,
+            truths,
+            seen,
+            ids,
+            weights,
+            aggregator.claims_ingested,
+            aggregator.batches_ingested,
+            pending,
         )
 
 
@@ -362,8 +366,12 @@ class Shard:
 
         Takes over the queued items under the lock, then processes them
         outside it, so producers are blocked only for the swap (items
-        they enqueue mid-pump wait for the next pump).
+        they enqueue mid-pump wait for the next pump).  An empty queue
+        returns at once: an item enqueued as it is looked at waits for
+        the next pump the same way.
         """
+        if not self._queue:
+            return 0
         with self._lock:
             queue = self._queue
             self._queue = []

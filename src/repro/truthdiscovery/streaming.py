@@ -233,6 +233,7 @@ class StreamingEstimator(ABC):
         self._all_active = False
         self._ones_objects = np.ones(num_objects)
         self._seen_objects = np.zeros(num_objects, dtype=bool)
+        self._all_seen = False  # (decay never clears a seen object)
         self._batches = 0
 
     # ------------------------------------------------------------------
@@ -284,13 +285,21 @@ class StreamingEstimator(ABC):
         cell whose count decays to ``_PRESENCE_FLOOR`` (1e-12 of a
         claim) or below is flushed to exactly 0, not merely masked.
         """
+        self._absorb(batch, decay_steps)
+        return self.truths
+
+    def _absorb(self, batch: ClaimBatch, decay_steps: int) -> None:
+        """:meth:`ingest` without the copy of the truths it returns, for
+        a caller that reads them later (the service's aggregator)."""
         if decay_steps < 0:
             raise ValueError(f"decay_steps must be >= 0, got {decay_steps}")
         # One reduction per column: viewed as uint64, a negative index
         # reads as at least 2**63, so ``max() >= bound`` catches both ends.
-        if batch.users.view(np.uint64).max() >= self._num_users:
+        # (Reductions call the ufunc: the ndarray method wrappers cost
+        # more than a reduction over a few hundred values.)
+        if np.maximum.reduce(batch.users.view(np.uint64)) >= self._num_users:
             raise ValueError("batch user index out of range")
-        if batch.objects.view(np.uint64).max() >= self._num_objects:
+        if np.maximum.reduce(batch.objects.view(np.uint64)) >= self._num_objects:
             raise ValueError("batch object index out of range")
         # Forget, then fold the new claims into the retained cells.
         if decay_steps and self._decay < 1.0:
@@ -301,15 +310,15 @@ class StreamingEstimator(ABC):
         self._fold(
             batch.users * self._num_objects + batch.objects, batch.values
         )
-        if not self._seen_objects.all():  # (decay never clears it)
+        if not self._all_seen:
             self._seen_objects |= np.bincount(
                 batch.objects, minlength=self._num_objects
             ).astype(bool)
+            self._all_seen = bool(np.logical_and.reduce(self._seen_objects))
         self._batches += 1
         self._tally_users()
-        if self._active.any():
+        if self._all_active or np.logical_or.reduce(self._active):
             self._refine()
-        return self.truths
 
     def _fold(self, cells: np.ndarray, values: np.ndarray) -> None:
         """Scatter-add a batch at flat cells ``user * N + object`` (the
@@ -331,7 +340,7 @@ class StreamingEstimator(ABC):
         (row sums as a product with ones: ~3x faster than ``sum``)."""
         self._per_user = self._counts @ self._ones_objects
         self._active = self._per_user > 0.0
-        self._all_active = bool(self._active.all())
+        self._all_active = bool(np.logical_and.reduce(self._active))
 
     @abstractmethod
     def _refine(self) -> None:
@@ -350,7 +359,7 @@ class StreamingEstimator(ABC):
         for _ in range(self._sweeps):
             totals = weights @ self._counts
             spread = weights @ self._sums
-            if totals.min() > _PRESENCE_FLOOR:
+            if np.minimum.reduce(totals) > _PRESENCE_FLOOR:
                 truths = np.divide(spread, totals, out=spread)
             else:
                 truths = np.where(
@@ -481,6 +490,7 @@ class StreamingEstimator(ABC):
         self._truths = truths.copy()
         self._weights = weights.copy()
         self._seen_objects = seen.copy()
+        self._all_seen = bool(np.logical_and.reduce(seen))
         # (Older snapshots may carry sub-floor residue: settle it.)
         self._settle()
         self._tally_users()
@@ -498,14 +508,22 @@ class StreamingEstimator(ABC):
         return stream
 
     # ------------------------------------------------------------------
-    @staticmethod
-    def _normalise_active(weights: np.ndarray, active: np.ndarray) -> np.ndarray:
-        """Mean-1 weights over ``active`` users; inactive users keep 1."""
-        out = np.ones(weights.shape[0])
-        if active.any():
-            total = weights[active].sum()
+    def _normalised_weights(self) -> np.ndarray:
+        """A fresh array of the weights at mean 1 over active users;
+        inactive users read 1.  With every user active that is one
+        product, ``w * (S / sum(w))``: the masked form's sum and scale,
+        bit for bit."""
+        weights, active = self._weights, self._active
+        if self._all_active:
+            total = np.add.reduce(weights)
             if total > 0:
-                out[active] = weights[active] * (active.sum() / total)
+                return weights * (weights.size / total)
+            return np.ones(weights.size)
+        out = np.ones(weights.size)
+        if np.logical_or.reduce(active):
+            total = np.add.reduce(weights[active])
+            if total > 0:
+                out[active] = weights[active] * (np.add.reduce(active) / total)
         return out
 
 
@@ -570,11 +588,15 @@ class StreamingCRH(StreamingEstimator):
         """Eq. 3's -log-share weights, mean 1 over active users (the
         whole vector, in place, when every user is active)."""
         raw = distances if self._all_active else distances[self._active]
-        raw /= raw.sum()
-        np.clip(raw, 1e-300, 1.0 - 1e-12, out=raw)
+        raw /= np.add.reduce(raw)
+        # The clip as two in-place ufuncs (np.clip's wrapper costs more
+        # than both on a few hundred values).
+        np.maximum(raw, 1e-300, out=raw)
+        np.minimum(raw, 1.0 - 1e-12, out=raw)
         np.log(raw, out=raw)
-        np.negative(raw, out=raw)
-        raw *= raw.size / raw.sum()
+        # The negation folds into the scale: -x * (n / sum(-x)) is
+        # x * (n / sum(x)) exactly, IEEE rounding being sign-symmetric.
+        raw *= raw.size / np.add.reduce(raw)
         if self._all_active:
             return raw
         weights = np.ones(self._num_users)
@@ -597,7 +619,7 @@ class _MomentStreamingEstimator(StreamingEstimator):
     @property
     def weights(self) -> np.ndarray:
         """Raw model weights, mean-1 normalised over active users."""
-        return self._normalise_active(self._weights, self._active)
+        return self._normalised_weights()
 
 
 class StreamingGTM(_MomentStreamingEstimator):
@@ -652,6 +674,7 @@ class StreamingGTM(_MomentStreamingEstimator):
             "prior_mean": prior_mean, "prior_variance": prior_variance,
             "alpha": alpha, "beta": beta, "variance_floor": variance_floor,
         })
+        self._ones_users = np.ones(num_users)
 
     def _refine(self) -> None:
         counts, sums, sumsq = self._counts, self._sums, self._sumsq
@@ -660,7 +683,7 @@ class StreamingGTM(_MomentStreamingEstimator):
         # std floored at 1e-12) on duplicate-free data.  An unseen
         # column's cells are all exactly 0 (invariant 1), so dividing by
         # the floored count gives it m = 0 without a mask.
-        ones = np.ones(self._num_users)
+        ones = self._ones_users
         col_counts = ones @ counts
         seen = col_counts > _PRESENCE_FLOOR
         safe_counts = np.maximum(col_counts, _PRESENCE_FLOOR)
@@ -697,7 +720,7 @@ class StreamingGTM(_MomentStreamingEstimator):
                 precisions = np.where(self._active, 1.0 / variances, 1.0)
         self._weights = precisions
         truths = mu * s + m
-        self._truths = truths if seen.all() else np.where(
+        self._truths = truths if np.logical_and.reduce(seen) else np.where(
             seen, truths, self._truths
         )
 
@@ -761,8 +784,8 @@ class StreamingCATD(_MomentStreamingEstimator):
 
         half = self._significance / 2.0
         index = dof.astype(np.int64)
-        top = int(index.max())
-        if top >= _QUANTILE_TABLE_CAP or (index != dof).any():
+        top = int(np.maximum.reduce(index))
+        if top >= _QUANTILE_TABLE_CAP or np.logical_or.reduce(index != dof):
             return stats.chi2.ppf(half, df=dof)
         held = self._quantile_table.size
         if top >= held:

@@ -37,7 +37,7 @@ import struct
 
 from repro.durable import checkpoint
 from repro.durable.records import RecordError
-from repro.net.framing import FrameReader, FramingError
+from repro.net.framing import FrameReader, FramingError, check_length
 
 # ---------------------------------------------------------------------------
 # Frame types.  1..31 is reserved for repro.durable.records record types
@@ -96,11 +96,22 @@ def frame_header(rtype: int, payload_len: int) -> bytes:
 def decode_frame(frame: bytes) -> tuple[int, bytes]:
     """Inverse of :func:`encode_frame`; validates the length prefix.
 
-    Delegates to the shared :class:`~repro.net.framing.FrameReader`, so
-    the pipe path (whole-message delivery) and the socket path
-    (arbitrary fragmentation) run the exact same decoder; a pipe
-    message must decode to exactly one frame with nothing left over.
+    A pipe delivers whole messages, and a message must be exactly one
+    frame with nothing left over: a header whose declared length is the
+    rest of the message, within the bounds every reader applies
+    (:func:`~repro.net.framing.check_length`).  Such a message is
+    checked once and its payload sliced out once.  Any other message
+    goes through the shared :class:`~repro.net.framing.FrameReader`,
+    which names what is wrong exactly as the socket path would.
     """
+    if len(frame) >= _HEADER.size:
+        length, rtype = _HEADER.unpack_from(frame)
+        if length == len(frame) - _HEADER.size + 1:
+            try:
+                check_length(length)
+            except FramingError as exc:
+                raise ProtocolError(str(exc)) from exc
+            return rtype, bytes(frame[_HEADER.size:])
     reader = FrameReader(buffer_bytes=max(len(frame), _HEADER.size))
     try:
         frames = reader.feed(frame)
