@@ -23,8 +23,8 @@ Two shapes:
   clean one nothing.
 
 Times are wall µs from ``time.perf_counter()``, medians over reads.
-The split wraps the estimator's fold entry point (``_absorb`` where it
-exists, else ``ingest``, which also copies the truths it returns).
+The split wraps ``StreamingEstimator.ingest``, the aggregator's one
+call into the estimator (it also copies the truths it returns).
 Compare a parent and a change run alternately on one machine, each from
 its own checkout; the medians move with the machine.
 """
@@ -49,14 +49,12 @@ DEVICE_CAMPAIGNS, DEVICE_USERS, DEVICE_OBJECTS = 4, 2000, 64
 
 
 class FoldTimer:
-    """Seconds spent in the estimator's fold entry point since the last
+    """Seconds spent in ``StreamingEstimator.ingest`` since the last
     :meth:`take` (installed on the class, removed by :meth:`close`)."""
 
     def __init__(self) -> None:
-        self._name = "_absorb" if hasattr(StreamingEstimator, "_absorb") else "ingest"
-        self._original = getattr(StreamingEstimator, self._name)
         self.seconds = 0.0
-        original = self._original
+        original = self._original = StreamingEstimator.ingest
 
         def timed(stream, *args, **kwargs):
             start = time.perf_counter()
@@ -65,14 +63,14 @@ class FoldTimer:
             finally:
                 self.seconds += time.perf_counter() - start
 
-        setattr(StreamingEstimator, self._name, timed)
+        StreamingEstimator.ingest = timed
 
     def take(self) -> float:
         seconds, self.seconds = self.seconds, 0.0
         return seconds
 
     def close(self) -> None:
-        setattr(StreamingEstimator, self._name, self._original)
+        StreamingEstimator.ingest = self._original
 
 
 def timed_read(service, campaign_id: str, fold: FoldTimer) -> tuple[float, float]:

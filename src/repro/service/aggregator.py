@@ -265,8 +265,7 @@ class StreamingAggregator(IncrementalAggregator):
         # a refresh covering several windows' worth applies decay**k.
         steps = self._claims_since_decay // self._refine_every
         self._claims_since_decay -= steps * self._refine_every
-        # (ingest() without the truths copy it returns: folded() copies.)
-        self._stream._absorb(merged, steps)
+        self._stream.ingest(merged, decay_steps=steps)
         self.version += 1
         self.refreshes += 1
         self.refresh_seconds += time.perf_counter() - start

@@ -245,15 +245,8 @@ class CampaignState:
             weights = weights[slots]
         aggregator = self.aggregator
         return TruthSnapshot._owned(
-            self.campaign_id,
-            self.object_ids,
-            truths,
-            seen,
-            ids,
-            weights,
-            aggregator.claims_ingested,
-            aggregator.batches_ingested,
-            pending,
+            self.campaign_id, self.object_ids, truths, seen, ids, weights,
+            aggregator.claims_ingested, aggregator.batches_ingested, pending,
         )
 
 

@@ -98,8 +98,47 @@ class TruthSnapshot:
     pending_claims: int = 0
 
     def __post_init__(self) -> None:
-        truths = np.asarray(self.truths, dtype=float)
-        seen = np.asarray(self.seen_objects, dtype=bool)
+        for name, dtype in (
+            ("truths", float), ("seen_objects", bool),
+            ("contributor_weights", float),
+        ):
+            object.__setattr__(
+                self, name, np.asarray(getattr(self, name), dtype=dtype)
+            )
+        self._freeze()
+
+    @classmethod
+    def _owned(
+        cls, campaign_id: str, object_ids: tuple, truths: np.ndarray,
+        seen_objects: np.ndarray, contributor_ids: Sequence,
+        contributor_weights: np.ndarray, claims_ingested: int,
+        batches_ingested: int, pending_claims: int,
+    ) -> "TruthSnapshot":
+        """A snapshot of arrays the caller owns and already typed, for
+        the service's read path: ``float64`` truths and weights and a
+        ``bool`` seen mask, which nothing else writes to afterwards.
+        Checks the dtypes the constructor would convert to and the same
+        shapes, and marks the arrays read-only; converts and copies
+        nothing."""
+        if (truths.dtype, seen_objects.dtype, contributor_weights.dtype) != (
+            np.float64, np.bool_, np.float64
+        ):
+            raise ValueError("snapshot arrays must be float64, bool, float64")
+        snapshot = object.__new__(cls)
+        snapshot.__dict__.update(
+            campaign_id=campaign_id, object_ids=object_ids, truths=truths,
+            seen_objects=seen_objects, contributor_ids=contributor_ids,
+            contributor_weights=contributor_weights,
+            claims_ingested=claims_ingested,
+            batches_ingested=batches_ingested, pending_claims=pending_claims,
+        )
+        snapshot._freeze()
+        return snapshot
+
+    def _freeze(self) -> None:
+        """Check the arrays' shapes, then make them read-only."""
+        truths, seen = self.truths, self.seen_objects
+        weights = self.contributor_weights
         if truths.shape != (len(self.object_ids),):
             raise ValueError(
                 f"truths has shape {truths.shape} for "
@@ -107,7 +146,6 @@ class TruthSnapshot:
             )
         if seen.shape != truths.shape:
             raise ValueError("seen_objects must match truths in shape")
-        weights = np.asarray(self.contributor_weights, dtype=float)
         if weights.shape != (len(self.contributor_ids),):
             raise ValueError(
                 f"contributor_weights has shape {weights.shape} for "
@@ -115,59 +153,6 @@ class TruthSnapshot:
             )
         for array in (truths, seen, weights):
             array.setflags(write=False)
-        object.__setattr__(self, "truths", truths)
-        object.__setattr__(self, "seen_objects", seen)
-        object.__setattr__(self, "contributor_weights", weights)
-
-    @classmethod
-    def _owned(
-        cls,
-        campaign_id: str,
-        object_ids: tuple,
-        truths: np.ndarray,
-        seen_objects: np.ndarray,
-        contributor_ids: Sequence,
-        contributor_weights: np.ndarray,
-        claims_ingested: int,
-        batches_ingested: int,
-        pending_claims: int,
-    ) -> "TruthSnapshot":
-        """A snapshot of arrays the caller owns and already typed, for
-        the service's read path: ``float64`` truths and weights and a
-        ``bool`` seen mask, which nothing else writes to afterwards.
-        Checks the same shapes as the constructor, and the dtypes it
-        would convert to, and marks the arrays read-only; converts and
-        copies nothing."""
-        n = len(object_ids)
-        if (truths.dtype != np.float64 or seen_objects.dtype != np.bool_
-                or contributor_weights.dtype != np.float64):
-            raise ValueError("snapshot arrays must be float64, bool, float64")
-        if truths.shape != (n,):
-            raise ValueError(
-                f"truths has shape {truths.shape} for {n} objects"
-            )
-        if seen_objects.shape != truths.shape:
-            raise ValueError("seen_objects must match truths in shape")
-        if contributor_weights.shape != (len(contributor_ids),):
-            raise ValueError(
-                f"contributor_weights has shape {contributor_weights.shape} "
-                f"for {len(contributor_ids)} contributor ids"
-            )
-        for array in (truths, seen_objects, contributor_weights):
-            array.setflags(write=False)
-        snapshot = object.__new__(cls)
-        snapshot.__dict__.update(
-            campaign_id=campaign_id,
-            object_ids=object_ids,
-            truths=truths,
-            seen_objects=seen_objects,
-            contributor_ids=contributor_ids,
-            contributor_weights=contributor_weights,
-            claims_ingested=claims_ingested,
-            batches_ingested=batches_ingested,
-            pending_claims=pending_claims,
-        )
-        return snapshot
 
     __hash__ = None
 

@@ -285,12 +285,6 @@ class StreamingEstimator(ABC):
         cell whose count decays to ``_PRESENCE_FLOOR`` (1e-12 of a
         claim) or below is flushed to exactly 0, not merely masked.
         """
-        self._absorb(batch, decay_steps)
-        return self.truths
-
-    def _absorb(self, batch: ClaimBatch, decay_steps: int) -> None:
-        """:meth:`ingest` without the copy of the truths it returns, for
-        a caller that reads them later (the service's aggregator)."""
         if decay_steps < 0:
             raise ValueError(f"decay_steps must be >= 0, got {decay_steps}")
         # One reduction per column: viewed as uint64, a negative index
@@ -319,6 +313,7 @@ class StreamingEstimator(ABC):
         self._tally_users()
         if self._all_active or np.logical_or.reduce(self._active):
             self._refine()
+        return self.truths
 
     def _fold(self, cells: np.ndarray, values: np.ndarray) -> None:
         """Scatter-add a batch at flat cells ``user * N + object`` (the

@@ -1,7 +1,7 @@
 """``benchmarks/probes/primary_read.py`` runs from a bare checkout.
 
-Nothing else in tier-1 runs the probe, and it wraps the streaming
-estimator's fold entry point by name, so a rename there would otherwise
+Nothing else in tier-1 runs the probe, and it wraps
+``StreamingEstimator.ingest`` by name, so a rename there would otherwise
 break it silently.  ``--quick`` takes a few seconds.
 """
 

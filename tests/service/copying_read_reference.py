@@ -1,14 +1,12 @@
 """Frozen copying read path of the in-process service.
 
 This is how a primary read built its snapshot before the read path
-took one copy of each array it returns: ``StreamingAggregator.refresh``
-folded through ``StreamingEstimator.ingest`` (and dropped the truths
-copy it returns), ``folded()`` copied the estimator's arrays (GTM and
-CATD normalising their weights through the masked
-``_normalise_active``), ``CampaignState._view`` copied the weights
-again and built the snapshot through ``TruthSnapshot``'s public
-constructor, and ``Shard.pump`` took the lock and told the telemetry
-about an empty queue too.  It exists only as the reference the
+took one copy of each array it returns: ``folded()`` copied the
+estimator's arrays (GTM and CATD normalising their weights through the
+masked ``_normalise_active``), ``CampaignState._view`` copied the
+weights again and built the snapshot through ``TruthSnapshot``'s
+public constructor, and ``Shard.pump`` took the lock and told the
+telemetry about an empty queue too.  It exists only as the reference the
 read-path property compares against; do not "modernise" it.
 
 :func:`installed` swaps these into the library's classes for the
@@ -35,28 +33,6 @@ def normalise_active(weights, active):
         if total > 0:
             out[active] = weights[active] * (active.sum() / total)
     return out
-
-
-def refresh(self):
-    if not self._staged:
-        return
-    start = time.perf_counter()
-    if len(self._staged) == 1:
-        merged = self._staged[0]
-    else:
-        merged = type(self._staged[0]).unchecked(
-            np.concatenate([b.users for b in self._staged]),
-            np.concatenate([b.objects for b in self._staged]),
-            np.concatenate([b.values for b in self._staged]),
-        )
-    self._staged.clear()
-    self._staged_claims = 0
-    steps = self._claims_since_decay // self._refine_every
-    self._claims_since_decay -= steps * self._refine_every
-    self._stream.ingest(merged, decay_steps=steps)
-    self.version += 1
-    self.refreshes += 1
-    self.refresh_seconds += time.perf_counter() - start
 
 
 def folded(self):
@@ -135,7 +111,6 @@ def pump(self):
 
 
 _FROZEN = (
-    (StreamingAggregator, "refresh", refresh),
     (StreamingAggregator, "folded", folded),
     (CampaignState, "_view", view),
     (Shard, "pump", pump),

@@ -189,6 +189,32 @@ def test_columns_of_unequal_length_are_refused():
         )
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("contributor_weights", np.ones(3), "contributor_weights"),
+    ("truths", np.zeros(2), "truths"),
+    ("seen_objects", np.ones(2, dtype=bool), "seen_objects"),
+    ("truths", np.zeros(1, dtype=np.float32), "float64"),
+    ("seen_objects", np.ones(1), "bool"),
+])
+def test_the_read_paths_constructor_refuses_what_it_cannot_keep(
+    field, value, match
+):
+    # The service's own constructor converts nothing: a dtype the public
+    # one would convert is refused, and every shape check is the same.
+    fields = dict(
+        campaign_id="c", object_ids=("o0",), truths=np.zeros(1),
+        seen_objects=np.ones(1, dtype=bool), contributor_ids=("ann", "bob"),
+        contributor_weights=np.ones(2), claims_ingested=0,
+        batches_ingested=0, pending_claims=0,
+    )
+    snap = TruthSnapshot._owned(**fields)
+    assert snap == TruthSnapshot(**fields)
+    assert not snap.contributor_weights.flags.writeable
+    fields[field] = value
+    with pytest.raises(ValueError, match=match):
+        TruthSnapshot._owned(**fields)
+
+
 def test_slot_ids_reads_only_the_slots_it_was_given():
     table = ["a", "b", "c", "d"]
     ids = SlotIds(table, np.array([0, 2]))
