@@ -513,7 +513,6 @@ class StreamingEstimator(ABC):
             total = np.add.reduce(weights)
             if total > 0:
                 return weights * (weights.size / total)
-            return np.ones(weights.size)
         out = np.ones(weights.size)
         if np.logical_or.reduce(active):
             total = np.add.reduce(weights[active])
