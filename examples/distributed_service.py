@@ -29,6 +29,7 @@ import time
 
 import numpy as np
 
+from repro.net.supervisor import CAPTURE_EXPANSION
 from repro.service import (
     IngestService,
     LoadGenerator,
@@ -137,9 +138,15 @@ def main() -> None:
         f"  supervisor: {supervision['restarts']} restart(s), "
         f"recovered in {supervision['last_failover_seconds']:.2f} s\n"
         f"              {supervision['captures']} capture(s): "
-        f"{supervision['capture_bytes_total']:,} B of state captured for "
+        f"{supervision['capture_bytes_total']:,} B of state captured "
+        f"({supervision['captured_bytes']:,} B in force) for "
         f"{supervision['journaled_bytes_total']:,} B journaled"
     )
+    # Captures cost at most a quarter of the stream they insure, apart
+    # from those still in force and any a failover replaced early (the
+    # victim had none: this stream never reaches the claim floor).
+    replaced = supervision["capture_bytes_total"] - supervision["captured_bytes"]
+    assert CAPTURE_EXPANSION * replaced <= supervision["journaled_bytes_total"]
     assert_bitwise(generators, single, healed, "after failover + replay")
 
     print("\n== re-home a live shard between hosts mid-stream ==")

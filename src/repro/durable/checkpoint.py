@@ -28,7 +28,6 @@ replay.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 import zlib
@@ -56,10 +55,14 @@ _ARRAY_KEY = "__nd__"
 _U32 = struct.Struct("<I")
 #: What a wire blob may carry (bool, (u)int8-64, float16-64) as
 #: little-endian ``dtype.str``; anything else is refused both ways.
-_WIRE_DTYPES = frozenset(
-    np.dtype(code).newbyteorder("<").str for code in "?bBhHiIqQefd"
-)
+_WIRE_DTYPES = {
+    dtype.str: dtype
+    for dtype in (np.dtype(code).newbyteorder("<") for code in "?bBhHiIqQefd")
+}
 _WIRE_MAX_NDIM = 8
+#: Manifests are parsed from text: ``json.loads`` on bytes would build a
+#: decoder and sniff the encoding on every call.
+_MANIFEST_DECODER = json.JSONDecoder()
 
 
 class CheckpointError(RuntimeError):
@@ -99,19 +102,22 @@ def _hoist_arrays(obj, place, path: str):
 
 
 def _lower_arrays(obj, fetch):
-    """Inverse of :func:`_hoist_arrays`: placeholders become ``fetch(ref)``."""
-    if isinstance(obj, dict):
+    """Inverse of :func:`_hoist_arrays`: placeholders become ``fetch(ref)``.
+
+    In place, on a manifest just parsed (its containers are plain
+    ``dict`` and ``list``, and nothing else holds them).
+    """
+    if type(obj) is dict:
         if len(obj) == 1 and _ARRAY_KEY in obj:
             return fetch(obj[_ARRAY_KEY])
-        return {
-            k: v if type(v) in _JSON_SCALARS else _lower_arrays(v, fetch)
-            for k, v in obj.items()
-        }
-    if isinstance(obj, list):
-        return [
-            v if type(v) in _JSON_SCALARS else _lower_arrays(v, fetch)
-            for v in obj
-        ]
+        items = obj.items()
+    elif type(obj) is list:
+        items = enumerate(obj)
+    else:
+        return obj
+    for k, v in items:
+        if type(v) is dict or type(v) is list:
+            obj[k] = _lower_arrays(v, fetch)
     return obj
 
 
@@ -166,7 +172,7 @@ def payload_manifest(blob: bytes) -> tuple:
     if end > len(view):
         raise CheckpointError(f"manifest overruns a {len(view)}-byte blob")
     try:
-        manifest = json.loads(bytes(view[_U32.size:end]))
+        manifest = _MANIFEST_DECODER.decode(str(view[_U32.size:end], "utf-8"))
     except (ValueError, RecursionError) as exc:
         raise CheckpointError(f"malformed manifest: {exc}") from exc
     return manifest, view[end:]
@@ -181,31 +187,39 @@ def unpack_payload(blob: bytes):
     come back writable and owning their memory.
     """
     manifest, body = payload_manifest(blob)
+    size = len(body)
     used = 0
 
     def fetch(ref) -> np.ndarray:
         nonlocal used
         dtype_str, shape, offset = ref
+        dtype = _WIRE_DTYPES.get(dtype_str)
         if (
-            dtype_str not in _WIRE_DTYPES
+            dtype is None
             or type(shape) is not list
             or len(shape) > _WIRE_MAX_NDIM
-            or any(type(n) is not int or n < 0 for n in (*shape, offset))
+            or type(offset) is not int
+            or offset < 0
         ):
             raise ValueError(f"bad array reference {ref!r}")
-        dtype = np.dtype(dtype_str)
-        count = math.prod(shape)
-        used += count * dtype.itemsize
-        if max(used, offset + count * dtype.itemsize) > len(body):
-            raise ValueError(f"{ref!r} overruns a {len(body)}-byte body")
-        return np.frombuffer(body, dtype, count, offset).reshape(shape).copy()
+        count = 1
+        for n in shape:
+            if type(n) is not int or n < 0:
+                raise ValueError(f"bad array reference {ref!r}")
+            count *= n
+        nbytes = count * dtype.itemsize
+        used += nbytes
+        if used > size or offset + nbytes > size:
+            raise ValueError(f"{ref!r} overruns a {size}-byte body")
+        array = np.frombuffer(body, dtype, count, offset)
+        return (array if len(shape) == 1 else array.reshape(shape)).copy()
 
     try:
         payload = _lower_arrays(manifest, fetch)
     except (TypeError, ValueError, RecursionError) as exc:
         raise CheckpointError(f"malformed payload blob: {exc}") from exc
-    if used != len(body):
-        raise CheckpointError(f"{len(body) - used} unreferenced body byte(s)")
+    if used != size:
+        raise CheckpointError(f"{size - used} unreferenced body byte(s)")
     return payload
 
 

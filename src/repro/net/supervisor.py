@@ -33,20 +33,31 @@ markers — replaying the marker reproduces the fold at the same point
 in the stream, and a marker hitting an empty staging buffer is a
 no-op, so over-marking cannot perturb state.
 
-Captures cost what the stream costs.  A capture moves every campaign's
-full state back over the socket, so a host is re-captured only once
-its journal has grown to the size of the capture it would replace
-(``bytes_since_capture >= captured_bytes`` — both are sizes the journal
-already holds), and after every failover or re-home.  That one rule
-gives three bounds, whatever the state size: every capture is paid for
-by the stream that follows it, so capture traffic never exceeds the
-journaled bytes plus the captures still in force (write amplification
-<= 2); the parent holds at most blob + journal <= 2 x state per host;
-and a crash replays at most one state's worth of frames.
-``checkpoint_every_claims`` stays as the floor under it: when states
-are tiny the byte rule would fire every few frames, and the claim
-spacing is what amortises a sweep's fixed round-trip cost (it alone
-decides a host's first capture, when there is nothing to replace).
+Captures cost a quarter of the stream.  A capture moves every
+campaign's full state back over the socket, so a host is re-captured
+only once its journal has grown to :data:`CAPTURE_EXPANSION` (4) times
+the size of the capture it would replace (``bytes_since_capture >=
+CAPTURE_EXPANSION * captured_bytes`` — both are sizes the journal
+already holds), and after every failover or re-home.  It is Raft's
+log-compaction rule with Ongaro's worked factor (thesis, 2014, ch. 5),
+and it gives three bounds, whatever the state size:
+
+* capture traffic is at most a quarter of the journaled stream, plus
+  the captures still in force and those a failover or re-home replaced
+  early (both capture unconditionally): a capture is replaced by the
+  cadence only after four times its bytes have been journaled;
+* the parent holds at most capture + journal <= 5 x state per host
+  (6 x while a sweep is in flight, the new blobs beside the old);
+* a crash replays at most 4 states' worth of frames.
+
+Each bound is up to the frames of one pump (the rule is checked after
+every pump) and the claim floor: ``checkpoint_every_claims`` stays
+under the byte rule, because when states are tiny the byte rule would
+fire every few frames, and the claim spacing is what amortises a
+sweep's fixed round-trip cost (it alone decides a host's first
+capture, when there is nothing to replace).  A larger factor trades
+replay length and parent memory for fewer sweeps; at 1 the sweeps cost
+as much as the stream (``fabric_rpc``: 102 captures a run against 29).
 
 Hosts can also disappear *for good* — the machine is gone, not the
 process.  Respawn attempts are bounded by the shared jittered
@@ -80,6 +91,10 @@ _LOGGER = get_logger("net.supervisor")
 JOURNALLED_TYPES = frozenset(
     {rec.REGISTER, rec.UNREGISTER, rec.BATCH, rec.REFRESH, proto.LOAD_STATE}
 )
+
+#: A host is re-captured once its journal holds this many times the
+#: bytes of the capture it would replace (module docstring).
+CAPTURE_EXPANSION = 4
 
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
@@ -213,9 +228,10 @@ class Supervisor:
     def maybe_checkpoint(self) -> None:
         """Capture any host whose journal outgrew its last capture.
 
-        Due means the journal holds at least as many bytes as the
-        capture it would replace, and at least the claim floor (see the
-        module docstring for what the pair bounds).
+        Due means the journal holds at least :data:`CAPTURE_EXPANSION`
+        times the bytes of the capture it would replace, and at least
+        the claim floor (see the module docstring for what the pair
+        bounds).
         """
         if not self.active:
             return
@@ -225,7 +241,8 @@ class Supervisor:
             journal = handle.journal
             if (
                 journal.claims_since_capture >= self.checkpoint_every_claims
-                and journal.bytes_since_capture >= journal.captured_bytes
+                and journal.bytes_since_capture
+                >= CAPTURE_EXPANSION * journal.captured_bytes
             ):
                 self.checkpoint(handle)
 

@@ -167,8 +167,14 @@ class ShardPool:
         """Probe every child for crashes (cheap; called per pump).
 
         Supervised handles absorb crashes by restarting the child;
-        afterwards any child whose journal has grown to the size of its
-        last capture (and past the claim floor) is re-captured.
+        afterwards any child whose journal has grown to four times the
+        size of its last capture (and past the claim floor) is
+        re-captured.  Per host, that keeps capture traffic within a
+        quarter of the journaled stream (plus the captures in force and
+        those a failover or re-home replaced), the parent's copy within
+        capture + journal <= 5 x state (6 x during a sweep), and a
+        crash's replay within 4 states' worth of frames; see
+        :mod:`repro.net.supervisor`.
         Children declared lost for good (re-homed by the
         supervisor) are skipped — probing a retired corpse would only
         re-detect the loss.

@@ -97,19 +97,21 @@ def test_distributed_service(capsys):
     assert "truths identical bit-for-bit (after failover + replay)" in out
     assert "truths identical bit-for-bit (after online rebalancing)" in out
     assert "supervisor: 1 restart(s)" in out
-    captures, captured, journaled = (
+    captures, captured, in_force, journaled = (
         int(group.replace(",", ""))
         for group in re.search(
-            r"(\d+) capture\(s\): ([\d,]+) B of state captured for "
-            r"([\d,]+) B journaled",
+            r"(\d+) capture\(s\): ([\d,]+) B of state captured "
+            r"\(([\d,]+) B in force\) for ([\d,]+) B journaled",
             out,
         ).groups()
     )
     # Too short a stream for the cadence (a 50 000-claim floor): the
-    # one capture is the failover's, and state traffic stays below the
-    # stream it insures.
+    # one capture is the failover's and still in force, and the
+    # captures it is not (none here) cost at most a quarter of the
+    # stream they insure.
     assert captures == 1
-    assert 0 < captured <= journaled
+    assert 0 < captured == in_force
+    assert 4 * (captured - in_force) <= journaled
 
 
 def test_replicated_service(capsys):

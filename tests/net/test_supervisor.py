@@ -146,10 +146,22 @@ class TestFailover:
     def test_kill_after_checkpoint_replays_only_the_suffix(self):
         """With an aggressive checkpoint cadence the journal is
         captured mid-stream, so failover replays capture + suffix
-        rather than the whole history — and is still bitwise-exact."""
+        rather than the whole history — and is still bitwise-exact.
+        The stream is long enough for the byte rule (four captures of
+        journal) to let the victim's first capture happen before the
+        kill."""
         with IngestService(ServiceConfig(num_shards=4, max_batch=256)) \
                 as baseline:
-            expected = stream_campaigns(baseline)
+            expected = stream_campaigns(baseline, claims=12_000)
+
+        captures_at_kill = []
+
+        def kill_after_a_capture(service):
+            victim = service.worker_pool.handle_for(
+                service.shard_of("net-c1")
+            )
+            captures_at_kill.append(victim.journal.captures)
+            kill_owner_of(service, "net-c1")
 
         service = IngestService(
             ServiceConfig(num_shards=4, max_batch=256),
@@ -158,11 +170,12 @@ class TestFailover:
         service.worker_pool.supervisor.checkpoint_every_claims = 400
         try:
             got = stream_campaigns(
-                service, midstream=lambda s: kill_owner_of(s, "net-c1")
+                service, claims=12_000, midstream=kill_after_a_capture
             )
             stats = service.fabric_stats()["supervision"]
-            # The cadence fired: more captures than the 2 the failover
-            # itself takes (initial epoch is lazy; failover adds one).
+            # The cadence fired before the kill (so the replay was a
+            # capture plus a suffix), and the failover took one more.
+            assert captures_at_kill == [1]
             assert stats["restarts"] == 1
             assert stats["captures"] >= 2
         finally:
