@@ -60,8 +60,8 @@ _WIRE_DTYPES = {
     for dtype in (np.dtype(code).newbyteorder("<") for code in "?bBhHiIqQefd")
 }
 _WIRE_MAX_NDIM = 8
-#: Manifests are parsed from text: ``json.loads`` on bytes would build a
-#: decoder and sniff the encoding on every call.
+#: Manifests are UTF-8 text, parsed by one decoder: ``json.loads`` would
+#: sniff a bytes encoding and re-check its arguments on every call.
 _MANIFEST_DECODER = json.JSONDecoder()
 
 

@@ -106,9 +106,9 @@ def test_distributed_service(capsys):
         ).groups()
     )
     # Too short a stream for the cadence (a 50 000-claim floor): the
-    # one capture is the failover's and still in force, and the
-    # captures it is not (none here) cost at most a quarter of the
-    # stream they insure.
+    # one capture is the failover's and still in force; captures no
+    # longer in force (none here) cost at most a quarter of the stream
+    # they insured.
     assert captures == 1
     assert 0 < captured == in_force
     assert 4 * (captured - in_force) <= journaled

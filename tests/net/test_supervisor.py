@@ -147,9 +147,8 @@ class TestFailover:
         """With an aggressive checkpoint cadence the journal is
         captured mid-stream, so failover replays capture + suffix
         rather than the whole history — and is still bitwise-exact.
-        The stream is long enough for the byte rule (four captures of
-        journal) to let the victim's first capture happen before the
-        kill."""
+        The stream is long enough for the victim to pass the claim
+        floor, so its first capture comes before the kill."""
         with IngestService(ServiceConfig(num_shards=4, max_batch=256)) \
                 as baseline:
             expected = stream_campaigns(baseline, claims=12_000)
@@ -175,7 +174,7 @@ class TestFailover:
             stats = service.fabric_stats()["supervision"]
             # The cadence fired before the kill (so the replay was a
             # capture plus a suffix), and the failover took one more.
-            assert captures_at_kill == [1]
+            assert captures_at_kill[0] >= 1
             assert stats["restarts"] == 1
             assert stats["captures"] >= 2
         finally:
