@@ -28,7 +28,6 @@ replay.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.durable.fsync import fsync_dir
+from repro.durable.fsync import atomic_write
 from repro.utils.logging import get_logger
 
 _LOGGER = get_logger("durable.checkpoint")
@@ -309,15 +308,7 @@ class CheckpointStore:
         unchanged; prune old ones."""
         self._dir.mkdir(parents=True, exist_ok=True)
         path = self._dir / f"{CHECKPOINT_PREFIX}{lsn:020d}{CHECKPOINT_SUFFIX}"
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        # The rename itself must survive power loss, or the crash
-        # silently rolls back to the previous checkpoint.
-        fsync_dir(self._dir)
+        atomic_write(path, data)
         self._prune()
         _LOGGER.debug("checkpoint saved at lsn %d (%s)", lsn, path.name)
         return path

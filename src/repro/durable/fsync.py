@@ -1,4 +1,5 @@
-"""Directory fsync, shared by the log, its compaction and checkpoints.
+"""Directory fsync and atomic file replacement, shared by the log, its
+compaction, checkpoints and a standby's fence.
 
 Its own module so that :mod:`repro.durable.checkpoint`, which every
 shard host and pipe worker imports for the state encoding, does not
@@ -29,3 +30,16 @@ def fsync_dir(directory: Path) -> None:
         pass
     finally:
         os.close(fd)
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Replace ``path`` by ``data``: temp write, fsync, ``os.replace``,
+    then a directory fsync, so a crash leaves the old file or the new
+    one, never a torn one, and the rename survives power loss."""
+    tmp = path.with_suffix(".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    fsync_dir(path.parent)

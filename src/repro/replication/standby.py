@@ -55,7 +55,7 @@ from repro.durable.checkpoint import (
     file_manifest,
     verify_file,
 )
-from repro.durable.fsync import fsync_dir
+from repro.durable.fsync import atomic_write
 from repro.durable.manager import DurabilityManager
 from repro.durable.recovery import (
     RecordApplier,
@@ -149,18 +149,12 @@ class StandbyServer(FrameServer):
     def _persist_fencing_epoch(self, epoch: int) -> None:
         """Durably record an accepted epoch *before* acting on it.
 
-        Write-fsync-rename so a crash leaves either the old fence or
-        the new one, never a torn file, then fsync the directory so the
-        rename itself survives power loss — the refusal of stale
-        PROMOTEs must survive a standby restart.
+        :func:`~repro.durable.fsync.atomic_write`, so a crash leaves
+        either the old fence or the new one, never a torn file, and the
+        rename survives power loss — the refusal of stale PROMOTEs must
+        survive a standby restart.
         """
-        tmp = self._fence_path().with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f"{epoch}\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._fence_path())
-        fsync_dir(self._dir)
+        atomic_write(self._fence_path(), f"{epoch}\n".encode())
         self._fencing_epoch = epoch
 
     # ------------------------------------------------------------------

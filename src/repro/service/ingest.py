@@ -631,7 +631,11 @@ class IngestService:
         atomically.  Budget admission treats every bulk claim as an
         independent release: each distinct user is charged the campaign
         cost composed over their claim count in the chunk, and any user
-        without headroom rejects the whole chunk (charging no one).
+        without headroom rejects the whole chunk (charging no one).  A
+        charged chunk must name its users: a slot with no user id
+        (registered ``user_ids=`` or taken by :meth:`submit`) raises
+        ``ValueError`` before anything is reserved or charged; a
+        cost-free chunk names such slots ``"slot:N"``.
 
         The three columns are copied on entry and only the copies are
         checked and queued, so the caller may reuse its buffers as soon
@@ -675,6 +679,12 @@ class IngestService:
             stats.rejected_invalid_value += n
             shard_rejected[shard.index] += n
             return IngestResult(0, n, "invalid-value")
+        charged = state.cost is not None and self._ledger is not None
+        if charged and top_slot >= len(state.user_table):
+            raise ValueError(
+                f"a costed chunk must name its users: slot {top_slot} of "
+                f"{campaign_id!r} has no user id"
+            )
         # As in submit(): refuse before charging anyone's budget,
         # atomically against concurrent producers.
         if not shard.try_reserve():
@@ -682,7 +692,7 @@ class IngestService:
             shard_rejected[shard.index] += n
             return IngestResult(0, n, "overflow")
         try:
-            if state.cost is not None and self._ledger is not None:
+            if charged:
                 refused_user = self._charge_chunk(
                     state, campaign_id, user_slots
                 )
@@ -696,12 +706,11 @@ class IngestService:
                         refused_user,
                     )
                     return IngestResult(0, n, "budget")
-            # Columnar callers address users by slot; make sure the
-            # slots exist in the id table so snapshots can name
-            # contributors.  The "slot:" namespace cannot collide with
-            # protocol user ids that were (or will be) assigned through
-            # user_slot() — register explicit user_ids to get real
-            # names in snapshots.
+            # A cost-free chunk may address unnamed slots; name them
+            # so snapshots can name contributors.  The "slot:" namespace
+            # cannot collide with protocol user ids that were (or will
+            # be) assigned through user_slot() — register explicit
+            # user_ids to get real names in snapshots.
             if len(state.user_table) <= top_slot:
                 state.ensure_placeholder_slots(top_slot)
         except BaseException:
@@ -866,54 +875,38 @@ class IngestService:
     ):
         """Charge a chunk's users all or none; the refused user, or None.
 
-        Two-phase atomic admission: resolve each distinct slot to its
-        (possibly prospective) user id, check every user's headroom
-        first, and only then charge — so a rejected chunk spends no
-        one's budget.  Unlike the protocol path (one submission = one
-        release under a shared variance draw), each bulk claim is an
-        independent release, so a user is charged ``cost`` composed over
-        their claim count in the chunk — merging submissions into chunks
-        cannot under-charge.
+        Names each distinct slot's user and counts their claims; the
+        ledger's :meth:`~BudgetLedger.charge_group` then checks the
+        whole group before charging anyone.  Unlike the protocol path
+        (one submission = one release under a shared variance draw),
+        each bulk claim is an independent release, so a user is charged
+        ``cost`` composed over their claim count in the chunk — merging
+        submissions into chunks cannot under-charge.
         """
-        cost = state.cost
-        ledger = self._ledger
-        unique_slots, claim_counts = np.unique(user_slots, return_counts=True)
-        chunk_charges = [
-            (
-                state.user_table[s]
-                if s < len(state.user_table)
-                else f"slot:{s}",
-                LDPGuarantee(
-                    epsilon=cost.epsilon * int(c),
-                    delta=min(cost.delta * int(c), 1.0),
-                ),
+        if user_slots.max() < 4 * len(user_slots):  # a dense count is cheap
+            counts = np.bincount(user_slots)
+            slots = np.flatnonzero(counts)
+            counts = counts[slots]
+        else:
+            slots, counts = np.unique(user_slots, return_counts=True)
+        user_ids = [state.user_table[s] for s in slots.tolist()]
+        epsilon = state.cost.epsilon * counts
+        delta = np.minimum(state.cost.delta * counts, 1.0)
+        # The charge and its log records form one section under the
+        # ledger lock: a concurrent checkpoint sees both or neither.
+        with self._ledger.lock:
+            refused = self._ledger.charge_group(
+                user_ids, epsilon, delta, label=campaign_id
             )
-            for s, c in zip(unique_slots, claim_counts)
-        ]
-        # The whole check-then-charge sequence holds the ledger lock:
-        # concurrent producers cannot admit against the same headroom
-        # between our check and our charge, and a concurrent checkpoint
-        # sees the chunk's charges and their log records together or
-        # not at all.
-        with ledger.lock:
-            for user_id, charge in chunk_charges:
-                if not ledger.can_admit(user_id, charge):
-                    return user_id
-            for user_id, charge in chunk_charges:
-                if ledger._charge_locked(user_id, charge, "", campaign_id):  # pragma: no cover
-                    # Cannot happen while slots map to distinct users
-                    # (can_admit passed above, under the same lock
-                    # hold); never swallow a failed charge for accepted
-                    # claims.
-                    raise RuntimeError(
-                        f"budget charge failed after admission check "
-                        f"for {user_id!r}"
-                    )
-                if self._durability is not None:
+            if refused is None and self._durability is not None:
+                for user_id, eps, dlt in zip(
+                    user_ids, epsilon.tolist(), delta.tolist()
+                ):
                     self._durability.log_charge(
-                        user_id, charge, label=campaign_id
+                        user_id, LDPGuarantee(epsilon=eps, delta=dlt),
+                        label=campaign_id,
                     )
-        return None
+        return refused
 
     def _enqueue(
         self,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -64,3 +67,48 @@ def graded_quality_dataset():
     """Users with strictly increasing error variances (quality ladder)."""
     variances = np.linspace(0.01, 2.0, 12)
     return generate_with_variances(variances, num_objects=25, random_state=11)
+
+
+@pytest.fixture
+def atomic_write_events(monkeypatch) -> list:
+    """What :func:`repro.durable.fsync.atomic_write` does, in order:
+    ``"write"``, ``"fsync file"``, ``"replace"``, ``"fsync dir"``."""
+    from repro.durable import fsync as fsync_module
+
+    events: list = []
+    real_open, real_fsync, real_replace = open, os.fsync, os.replace
+
+    class RecordedFile:
+        def __init__(self, fh):
+            self._fh = fh
+
+        def write(self, data):
+            events.append("write")
+            return self._fh.write(data)
+
+        def __getattr__(self, name):
+            return getattr(self._fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return self._fh.__exit__(*exc_info)
+
+    def fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        events.append(f"fsync {kind}")
+        return real_fsync(fd)
+
+    def replace(src, dst):
+        events.append("replace")
+        return real_replace(src, dst)
+
+    monkeypatch.setattr(
+        fsync_module, "open",
+        lambda *args, **kwargs: RecordedFile(real_open(*args, **kwargs)),
+        raising=False,
+    )
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    return events

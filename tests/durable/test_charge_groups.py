@@ -40,6 +40,8 @@ COSTS = {
 OBJECTS = tuple(f"o{i}" for i in range(4))
 USERS = tuple(f"u{i}" for i in range(6))
 MAX_USERS = 8
+#: Registered up front: a costed chunk must name its users.
+KNOWN = USERS[:3]
 
 campaigns = st.sampled_from(sorted(COSTS))
 values = st.floats(-1e3, 1e3, allow_nan=False, width=64)
@@ -62,7 +64,7 @@ def device_submits(draw):
 def column_chunks(draw):
     n = draw(st.integers(1, 6))
     users = draw(st.lists(
-        st.integers(0, MAX_USERS - 1), min_size=n, max_size=n
+        st.integers(0, len(KNOWN) - 1), min_size=n, max_size=n
     ))
     objects = draw(st.lists(
         st.integers(0, len(OBJECTS) - 1), min_size=n, max_size=n
@@ -94,7 +96,8 @@ def durable_service(directory, fsync, *, reference):
     )
     for campaign_id, cost in COSTS.items():
         service.register_campaign(
-            campaign_id, OBJECTS, max_users=MAX_USERS, cost=cost
+            campaign_id, OBJECTS, max_users=MAX_USERS, user_ids=KNOWN,
+            cost=cost,
         )
     return service, manager
 

@@ -117,6 +117,17 @@ class TestLifecycle:
         store.save(1, payload())
         assert not list(tmp_path.glob("*.tmp"))
 
+    def test_write_is_made_durable(self, tmp_path, atomic_write_events):
+        """Written, fsynced, renamed into place, then the directory is
+        fsynced: without the last step a power loss can undo the rename
+        and roll recovery back to the previous checkpoint."""
+        store = CheckpointStore(tmp_path)
+        path = store.save(4, payload())
+        assert atomic_write_events == [
+            "write", "fsync file", "replace", "fsync dir"
+        ]
+        assert store.load(path).payload["tag"] == "x"
+
 
 def reframed(data: bytes, **fields) -> bytes:
     """``data`` with header fields replaced and the CRC made to fit."""

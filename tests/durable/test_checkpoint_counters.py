@@ -24,6 +24,8 @@ CAMPAIGNS = ("alpha", "beta")  # one shard: they share its queue
 OBJECTS = tuple(f"o{i}" for i in range(6))
 USERS = tuple(f"u{i}" for i in range(5))
 MAX_USERS = 3  # fewer than USERS: the table fills up
+#: Registered up front: a costed chunk must name its users.
+KNOWN = USERS[:2]
 COST = LDPGuarantee(epsilon=1.0, delta=0.0)
 
 campaigns = st.sampled_from(CAMPAIGNS)
@@ -47,7 +49,7 @@ def submissions(draw):
 def column_chunks(draw):
     n = draw(st.integers(1, 30))
     users = draw(st.lists(
-        st.integers(0, MAX_USERS - 1), min_size=n, max_size=n
+        st.integers(0, len(KNOWN) - 1), min_size=n, max_size=n
     ))
     objects = draw(st.lists(
         st.integers(0, len(OBJECTS) - 1), min_size=n, max_size=n
@@ -77,7 +79,8 @@ operations = st.lists(steps, max_size=20).map(
 
 def register(service, campaign_id):
     service.register_campaign(
-        campaign_id, OBJECTS, max_users=MAX_USERS, method="crh", cost=COST
+        campaign_id, OBJECTS, max_users=MAX_USERS, user_ids=KNOWN,
+        method="crh", cost=COST,
     )
 
 

@@ -493,57 +493,21 @@ class TestFencingEpoch:
         sender.close()
         return standby, address, service
 
-    def test_fence_rename_is_made_durable(self, tmp_path, monkeypatch):
+    def test_fence_rename_is_made_durable(
+        self, tmp_path, monkeypatch, atomic_write_events
+    ):
         """The fence is written, fsynced, renamed into place, and then
         its directory is fsynced: without the last step a power loss
         can undo the rename and restart the standby at an older epoch."""
-        import stat
-
-        from repro.replication import standby as standby_module
-
         standby = StandbyServer(tmp_path / "sb0")
-        events = []
-        real_open, real_fsync, real_replace = open, os.fsync, os.replace
-
-        class RecordedFile:
-            def __init__(self, fh):
-                self._fh = fh
-
-            def write(self, data):
-                events.append("write")
-                return self._fh.write(data)
-
-            def __getattr__(self, name):
-                return getattr(self._fh, name)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return self._fh.__exit__(*exc_info)
-
-        def fsync(fd):
-            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
-            events.append(f"fsync {kind}")
-            return real_fsync(fd)
-
-        def replace(src, dst):
-            events.append("replace")
-            return real_replace(src, dst)
-
-        monkeypatch.setattr(
-            standby_module, "open",
-            lambda *args, **kwargs: RecordedFile(real_open(*args, **kwargs)),
-            raising=False,
-        )
-        monkeypatch.setattr(os, "fsync", fsync)
-        monkeypatch.setattr(os, "replace", replace)
         try:
             standby._persist_fencing_epoch(7)
         finally:
             monkeypatch.undo()
             standby.stop()
-        assert events == ["write", "fsync file", "replace", "fsync dir"]
+        assert atomic_write_events == [
+            "write", "fsync file", "replace", "fsync dir"
+        ]
         assert (tmp_path / "sb0" / "FENCE").read_text() == "7\n"
         restarted = StandbyServer(tmp_path / "sb0")
         try:

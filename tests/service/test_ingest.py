@@ -205,7 +205,10 @@ class TestBackpressure:
         ledger = BudgetLedger(epsilon_cap=10.0)
         service = make_service(num_shards=1, queue_capacity=1, ledger=ledger)
         cost = LDPGuarantee(epsilon=1.0, delta=0.0)
-        service.register_campaign("c1", ("o0", "o1"), max_users=8, cost=cost)
+        service.register_campaign(
+            "c1", ("o0", "o1"), max_users=8, cost=cost,
+            user_ids=("u1", "u2", "u3", "u4"),
+        )
         assert service.submit(sub(user="u1")).ok
         result = service.submit(sub(user="u2"))
         assert result.reason == "overflow"
@@ -325,7 +328,10 @@ class TestBackpressure:
         )
         with service:
             cost = LDPGuarantee(epsilon=1.0, delta=0.0)
-            service.register_campaign("c1", ("o0", "o1"), max_users=8, cost=cost)
+            service.register_campaign(
+                "c1", ("o0", "o1"), max_users=8, cost=cost,
+                user_ids=("u0", "u1"),
+            )
             chunk = ("c1", np.array([0, 1]), np.array([0, 1]), np.array([1.0, 2.0]))
 
             def sticky(*args, **kwargs):
@@ -389,7 +395,9 @@ class TestBulkColumns:
         ledger = BudgetLedger(epsilon_cap=1.0)
         service = make_service(ledger=ledger)
         cost = LDPGuarantee(epsilon=0.6, delta=0.0)
-        service.register_campaign("c1", ("o0",), max_users=4, cost=cost)
+        service.register_campaign(
+            "c1", ("o0",), max_users=4, cost=cost, user_ids=("u0", "u1")
+        )
         # Exhaust slot 1's user.
         assert service.submit_columns(
             "c1", np.array([1]), np.array([0]), np.array([1.0])
@@ -419,7 +427,9 @@ class TestBulkColumns:
         ledger = BudgetLedger(epsilon_cap=1.0)
         service = make_service(ledger=ledger)
         cost = LDPGuarantee(epsilon=0.4, delta=0.0)
-        service.register_campaign("c1", ("o0", "o1"), max_users=4, cost=cost)
+        service.register_campaign(
+            "c1", ("o0", "o1"), max_users=4, cost=cost, user_ids=("u0", "u1")
+        )
         result = service.submit_columns(
             "c1",
             np.array([0, 0, 1]),

@@ -1,5 +1,6 @@
 """Budget-ledger admission control tests."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -69,13 +70,6 @@ class TestBudgetLedger:
         worst = ledger.worst_case()
         assert worst.epsilon == pytest.approx(1.0)
         assert worst.delta == pytest.approx(0.8)
-
-    def test_can_admit_previews_without_spending(self):
-        ledger = BudgetLedger(epsilon_cap=1.0)
-        assert ledger.can_admit("u1", RELEASE)
-        assert ledger.spent("u1").epsilon == 0.0  # preview spent nothing
-        ledger.admit("u1", RELEASE)
-        assert not ledger.can_admit("u1", RELEASE)
 
     def test_reset(self):
         ledger = BudgetLedger(epsilon_cap=1.0)
@@ -181,7 +175,7 @@ class TestLedgerConcurrency:
     def test_lock_composes_for_atomic_sections(self):
         ledger = BudgetLedger(epsilon_cap=1.0)
         with ledger.lock:  # re-entrant: inner calls must not deadlock
-            assert ledger.can_admit("u1", RELEASE)
+            assert ledger.to_records() == []
             assert ledger.admit("u1", RELEASE).admitted
         assert ledger.spent("u1").epsilon == pytest.approx(1.0)
 
@@ -231,18 +225,21 @@ _DELTAS = st.one_of(
 @example(1.0, 1e-5, [("b", 0.5, 5e-6), ("b", 0.5, 5e-6), ("b", 2e-12, 0.0),
                      ("b", 0.0, 2e-15), ("b", 5e-13, 5e-16)])
 def test_charge_and_admit_are_one_rule(eps_cap, delta_cap, steps):
-    twins = [
+    triplets = [
         BudgetLedger(eps_cap, delta_cap=delta_cap, accountant=PrivacyAccountant())
-        for _ in range(2)
+        for _ in range(3)
     ]
-    via_charge, via_admit = twins
+    via_charge, via_admit, via_group = triplets
     spent_eps, spent_delta = {}, {}
     for user_id, eps, delta in steps:
         guarantee = LDPGuarantee(eps, delta)
-        # can_admit previews the same rule, spending and counting nothing.
-        preview = via_charge.can_admit(user_id, guarantee)
         reason = via_charge.charge(user_id, guarantee, mechanism="m", label="l")
-        assert preview == (not reason)
+        # A group of one is the same rule; a refused group counts no
+        # denial.
+        refused = via_group.charge_group(
+            [user_id], np.array([eps]), np.array([delta]), label="l"
+        )
+        assert (refused is None) == (not reason)
         decision = via_admit.admit(user_id, guarantee, mechanism="m", label="l")
         expected = _reference_admit(
             spent_eps, spent_delta, user_id, guarantee, eps_cap, delta_cap
@@ -257,7 +254,17 @@ def test_charge_and_admit_are_one_rule(eps_cap, delta_cap, steps):
     assert (via_charge.admitted, via_charge.denied) == (
         via_admit.admitted, via_admit.denied,
     )
+    assert via_group.to_records() == via_charge.to_records()
+    assert via_group.worst_case() == via_charge.worst_case()
+    assert (via_group.admitted, via_group.denied) == (via_charge.admitted, 0)
     for user_id in "abc":
         assert via_charge.accountant.events_for(user_id) == (
             via_admit.accountant.events_for(user_id)
         )
+        assert [
+            (e.guarantee, e.label)
+            for e in via_group.accountant.events_for(user_id)
+        ] == [
+            (e.guarantee, e.label)
+            for e in via_charge.accountant.events_for(user_id)
+        ]

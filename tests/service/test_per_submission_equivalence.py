@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dict_ledger_reference
 import per_submission_reference
 from repro.crowdsensing.messages import ClaimSubmission
 from repro.durable.manager import DurabilityConfig
@@ -93,7 +94,7 @@ operations = st.lists(steps, min_size=2, max_size=30).map(
 )
 
 
-def build(caps, max_batch, directory, fsync):
+def build(caps, max_batch, directory, fsync, ledger_type=BudgetLedger):
     topology = None
     if directory is not None:
         topology = Topology.in_process(
@@ -105,7 +106,7 @@ def build(caps, max_batch, directory, fsync):
             num_shards=2, max_batch=max_batch, queue_capacity=4,
             trace_sample_every=3,
         ),
-        ledger=BudgetLedger(epsilon_cap, delta_cap=delta_cap),
+        ledger=ledger_type(epsilon_cap, delta_cap=delta_cap),
         topology=topology,
     )
     for campaign_id in CAMPAIGNS:
@@ -195,8 +196,13 @@ def test_one_pass_equals_the_two_pass_submit(durable, ops, caps, max_batch):
     with tempfile.TemporaryDirectory() as tmp:
         dirs = [f"{tmp}/{side}" if durable else None for side in "ab"]
         service, batches = build(caps, max_batch, dirs[0], durable)
-        reference, expected = build(caps, max_batch, dirs[1], durable)
+        # The two-pass path ran on the dict ledger and its bulk charge.
+        reference, expected = build(
+            caps, max_batch, dirs[1], durable,
+            dict_ledger_reference.BudgetLedger,
+        )
         per_submission_reference.install(reference)
+        dict_ledger_reference.install(reference)
         try:
             for op in ops + [("flush",)]:
                 assert apply(service, op) == apply(reference, op), op

@@ -37,6 +37,9 @@ REGISTERED = ("ann", "bob")  # named up front; may never submit
 USERS = REGISTERED + tuple(f"u{i}" for i in range(4))
 MAX_USERS = 6
 COST = LDPGuarantee(epsilon=1.0, delta=0.0)
+#: A costed chunk must name its users; the cost-free "f" lets chunks
+#: grow "slot:N" placeholders.
+COSTS = {"s": COST, "f": None}
 
 campaigns = st.sampled_from(sorted(BACKENDS))
 values = st.floats(-100.0, 100.0, allow_nan=False, width=64)
@@ -57,13 +60,14 @@ def submissions(draw):
 
 @st.composite
 def column_chunks(draw, kind="columns"):
-    # Slots past the named users grow "slot:N" placeholders.
     n = draw(st.integers(1, 8))
+    campaign_id = draw(campaigns)
+    top = len(REGISTERED) if COSTS[campaign_id] else MAX_USERS
     return (
         kind,
-        draw(campaigns),
+        campaign_id,
         np.array(draw(st.lists(
-            st.integers(0, MAX_USERS - 1), min_size=n, max_size=n
+            st.integers(0, top - 1), min_size=n, max_size=n
         ))),
         np.array(draw(st.lists(
             st.integers(0, len(OBJECTS) - 1), min_size=n, max_size=n
@@ -89,7 +93,8 @@ operations = st.lists(
 def register(service, campaign_id, method):
     service.register_campaign(
         campaign_id, OBJECTS, max_users=MAX_USERS, user_ids=REGISTERED,
-        method=method, aggregator=BACKENDS[campaign_id], cost=COST,
+        method=method, aggregator=BACKENDS[campaign_id],
+        cost=COSTS[campaign_id],
     )
 
 
