@@ -694,7 +694,7 @@ class IngestService:
         try:
             if charged:
                 refused_user = self._charge_chunk(
-                    state, campaign_id, user_slots
+                    state, campaign_id, user_slots, top_slot
                 )
                 if refused_user is not None:
                     shard.cancel_reservation()
@@ -871,7 +871,8 @@ class IngestService:
 
     # ------------------------------------------------------------------
     def _charge_chunk(
-        self, state: CampaignState, campaign_id: str, user_slots: np.ndarray
+        self, state: CampaignState, campaign_id: str, user_slots: np.ndarray,
+        top_slot: int,
     ):
         """Charge a chunk's users all or none; the refused user, or None.
 
@@ -883,7 +884,7 @@ class IngestService:
         ``cost`` composed over their claim count in the chunk — merging
         submissions into chunks cannot under-charge.
         """
-        if user_slots.max() < 4 * len(user_slots):  # a dense count is cheap
+        if top_slot < 4 * len(user_slots):  # a dense count is cheap
             counts = np.bincount(user_slots)
             slots = np.flatnonzero(counts)
             counts = counts[slots]

@@ -251,7 +251,10 @@ def crash(service, directory, generation, fsync, reference, monkeypatch):
 @given(ops=operations, caps=st.tuples(EPSILON_CAPS, DELTA_CAPS))
 @settings(max_examples=80, deadline=None)
 def test_one_rule_equals_the_dict_ledger(durable, ops, caps):
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        pytest.MonkeyPatch.context() as mp,
+    ):
         dirs = [f"{tmp}/{side}-0" if durable else None for side in "ab"]
         sides = [
             build(caps, dirs[0], durable, reference=False),
