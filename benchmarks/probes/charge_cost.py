@@ -10,10 +10,7 @@ This probe times, in CPU µs per call of the door:
 - ``costed_chunk``: the same chunk on a campaign with a ``cost``;
 - ``costed_chunk_durable``: that chunk with a write-ahead log at
   ``fsync="batch"``, so each charge is also recorded for the log;
-- ``costed_submit``: one 8-claim protocol submission with a ``cost``;
-- ``costed_chunk_sparse``: the costed chunk with its 200 users spread
-  over the slots of a 20 000-user campaign, where counting claims per
-  slot sorts rather than counting every slot up to the highest.
+- ``costed_submit``: one 8-claim protocol submission with a ``cost``.
 
     python benchmarks/probes/charge_cost.py [--quick]
 
@@ -50,12 +47,11 @@ from repro.service import (  # noqa: E402
 )
 
 USERS, OBJECTS, CHUNK, CLAIMS, GROUP = 200, 64, 2048, 8, 1024
-SPREAD = 100  # costed_chunk_sparse: user i at slot 100 * i
 COST = LDPGuarantee(epsilon=0.5, delta=0.0)
 
 
-def make_service(directory=None, *, cost=COST, users=USERS) -> IngestService:
-    """One CRH campaign ``c`` of ``users`` named users on a service with
+def make_service(directory=None, *, cost=COST) -> IngestService:
+    """One CRH campaign ``c`` of ``USERS`` named users on a service with
     a ledger that admits everything."""
     topology = None
     if directory is not None:
@@ -68,8 +64,8 @@ def make_service(directory=None, *, cost=COST, users=USERS) -> IngestService:
         topology=topology,
     )
     service.register_campaign(
-        "c", list(range(OBJECTS)), max_users=users,
-        user_ids=[f"u{i}" for i in range(users)], method="crh", cost=cost,
+        "c", list(range(OBJECTS)), max_users=USERS,
+        user_ids=[f"u{i}" for i in range(USERS)], method="crh", cost=cost,
     )
     return service
 
@@ -138,12 +134,6 @@ def main(argv=None) -> int:
             )
     with make_service() as service:
         rows["costed_submit"] = (time_submits(service, subs), "us/submission")
-    # Last: after a 20 000-user campaign, the rows above read slower.
-    with make_service(users=USERS * SPREAD) as service:
-        rows["costed_chunk_sparse"] = (
-            time_chunks(service, [(u * SPREAD, o, v) for u, o, v in chunks]),
-            "us/chunk",
-        )
     for name, (value, unit) in rows.items():
         print(f"{name} {value:.2f} {unit}")
     return 0

@@ -15,6 +15,12 @@ from repro.experiments.results import Panel
 _MARKERS = "ox+*#@%&"
 
 
+def _ticks(lo: float, hi: float, count: int) -> list[float]:
+    if hi <= lo:
+        hi = lo + 1.0
+    return [lo + (hi - lo) * i / (count - 1) for i in range(count)]
+
+
 def ascii_chart(panel: Panel, *, width: int = 68, height: int = 14) -> str:
     """Render ``panel`` as an ASCII chart.
 

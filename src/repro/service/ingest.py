@@ -694,7 +694,7 @@ class IngestService:
         try:
             if charged:
                 refused_user = self._charge_chunk(
-                    state, campaign_id, user_slots, top_slot
+                    state, campaign_id, user_slots
                 )
                 if refused_user is not None:
                     shard.cancel_reservation()
@@ -871,8 +871,7 @@ class IngestService:
 
     # ------------------------------------------------------------------
     def _charge_chunk(
-        self, state: CampaignState, campaign_id: str, user_slots: np.ndarray,
-        top_slot: int,
+        self, state: CampaignState, campaign_id: str, user_slots: np.ndarray
     ):
         """Charge a chunk's users all or none; the refused user, or None.
 
@@ -884,12 +883,7 @@ class IngestService:
         ``cost`` composed over their claim count in the chunk — merging
         submissions into chunks cannot under-charge.
         """
-        if top_slot < 4 * len(user_slots):  # a dense count is cheap
-            counts = np.bincount(user_slots)
-            slots = np.flatnonzero(counts)
-            counts = counts[slots]
-        else:
-            slots, counts = np.unique(user_slots, return_counts=True)
+        slots, counts = np.unique(user_slots, return_counts=True)
         user_ids = [state.user_table[s] for s in slots.tolist()]
         epsilon = state.cost.epsilon * counts
         delta = np.minimum(state.cost.delta * counts, 1.0)

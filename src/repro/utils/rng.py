@@ -18,7 +18,7 @@ the recommended NumPy practice for parallel streams.
 from __future__ import annotations
 
 import hashlib
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -117,3 +117,27 @@ def _stable_token_hash(token: Union[int, str]) -> int:
     digest = hashlib.blake2s(str(token).encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little") % (2**63)
 
+
+def fixed_sequence_generator(values: Sequence[float]) -> np.random.Generator:
+    """Return a Generator-like object replaying ``values`` for ``normal``.
+
+    Only used in tests that need exact control over sampled noise; kept in
+    the library so test helpers do not duplicate it.
+    """
+
+    class _Replay:  # pragma: no cover - trivial container
+        def __init__(self, vals: Sequence[float]) -> None:
+            self._vals = list(vals)
+            self._idx = 0
+
+        def normal(self, loc=0.0, scale=1.0, size=None):
+            if size is None:
+                out = self._vals[self._idx]
+                self._idx += 1
+                return loc + scale * out
+            n = int(np.prod(size))
+            chunk = self._vals[self._idx : self._idx + n]
+            self._idx += n
+            return loc + scale * np.asarray(chunk).reshape(size)
+
+    return _Replay(values)  # type: ignore[return-value]

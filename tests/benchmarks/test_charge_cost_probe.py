@@ -32,7 +32,7 @@ def test_quick_probe_prints_every_row(tmp_path):
     }
     assert list(rows) == [
         "uncosted_chunk", "costed_chunk", "costed_chunk_durable",
-        "costed_submit", "costed_chunk_sparse",
+        "costed_submit",
     ]
     for value, unit in rows.values():
         assert float(value) > 0 and unit.startswith("us/")

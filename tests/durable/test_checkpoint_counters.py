@@ -24,7 +24,8 @@ CAMPAIGNS = ("alpha", "beta")  # one shard: they share its queue
 OBJECTS = tuple(f"o{i}" for i in range(6))
 USERS = tuple(f"u{i}" for i in range(5))
 MAX_USERS = 3  # fewer than USERS: the table fills up
-#: Registered up front: a costed chunk must name its users.
+#: Named up front; a costed chunk may address a slot no user has taken
+#: yet only to be refused with ValueError.
 KNOWN = USERS[:2]
 COST = LDPGuarantee(epsilon=1.0, delta=0.0)
 
@@ -49,7 +50,7 @@ def submissions(draw):
 def column_chunks(draw):
     n = draw(st.integers(1, 30))
     users = draw(st.lists(
-        st.integers(0, len(KNOWN) - 1), min_size=n, max_size=n
+        st.integers(0, MAX_USERS - 1), min_size=n, max_size=n
     ))
     objects = draw(st.lists(
         st.integers(0, len(OBJECTS) - 1), min_size=n, max_size=n
@@ -116,7 +117,11 @@ def apply(service, op):
     if kind == "submit":
         service.submit(op[1])
     elif kind == "columns":
-        service.submit_columns(*op[1:])
+        try:
+            service.submit_columns(*op[1:])
+        except ValueError:  # only for a slot no user has taken
+            state = service.campaign_state(op[1])
+            assert op[2].max() >= len(state.user_table), op
     elif kind == "pump":
         service.pump()
     elif kind == "flush":

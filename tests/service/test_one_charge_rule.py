@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dict_ledger_reference
@@ -33,22 +33,27 @@ from repro.service.ingest import IngestService, ServiceConfig
 from repro.service.ledger import BudgetLedger
 from repro.service.topology import Topology
 
-#: alpha and beta charge; gamma is cost-free, so its chunks may address
-#: unnamed slots ("slot:N" placeholders, never charged).
+#: alpha, beta and wide charge; gamma is cost-free, so its chunks may
+#: address unnamed slots ("slot:N" placeholders, never charged).
 COSTS = {
     "alpha": LDPGuarantee(epsilon=0.1, delta=0.05),
     "beta": LDPGuarantee(epsilon=0.1, delta=0.0),
     "gamma": None,
+    "wide": LDPGuarantee(epsilon=0.1, delta=0.0),
 }
 OBJECTS = ("o0", "o1", "o2")
 USERS = ("u0", "u1", "u2", "u3")
-#: Named in every campaign up front: u0 spends one budget in alpha and
-#: beta.  u2 and u3 get slots 2 and 3 through submit(), when they do.
+#: Named in alpha, beta and gamma up front: u0 spends one budget in
+#: alpha and beta.  u2 and u3 get slots 2 and 3 through submit(), when
+#: they do.
 KNOWN = USERS[:2]
 MAX_USERS = 4
+#: All named in "wide" up front: charges through both doors there take
+#: the ledger past its first 16 rows, where its columns double.
+WIDE = tuple(f"w{i}" for i in range(64))
 #: Every row a ledger may hold, "slot:0" only through a recovered
 #: charge (a log written before chunks had to name their users).
-UNIVERSE = USERS + ("slot:0", "slot:1")
+UNIVERSE = USERS + ("slot:0", "slot:1") + WIDE
 #: Caps on and within the 1e-12 / 1e-15 slack of the sums the costs
 #: reach (0.1 x 3 is 0.30000000000000004; 0.05 x 3 is
 #: 0.15000000000000002), and ones that never refuse.
@@ -61,9 +66,12 @@ finite = st.floats(-1e6, 1e6, allow_nan=False, width=64)
 @st.composite
 def submissions(draw):
     n = draw(st.integers(1, 3))
+    campaign_id = draw(st.sampled_from(sorted(COSTS)))
     return ("submit", ClaimSubmission(
-        campaign_id=draw(st.sampled_from(sorted(COSTS))),
-        user_id=draw(st.sampled_from(USERS)),
+        campaign_id=campaign_id,
+        user_id=draw(st.sampled_from(
+            WIDE if campaign_id == "wide" else USERS
+        )),
         object_ids=tuple(draw(st.lists(
             st.sampled_from(OBJECTS), min_size=n, max_size=n
         ))),
@@ -73,15 +81,18 @@ def submissions(draw):
 
 @st.composite
 def column_chunks(draw):
-    n = draw(st.integers(1, 10))
+    campaign_id = draw(st.sampled_from(sorted(COSTS)))
+    # Mostly the named slots; 2 and 3 are named only once their user
+    # submitted.  Wide chunks reach any of its 64 slots.
+    slots = (
+        st.integers(0, len(WIDE) - 1) if campaign_id == "wide"
+        else st.sampled_from([0, 0, 1, 1, 2, 3])
+    )
+    n = draw(st.integers(1, 24 if campaign_id == "wide" else 10))
     return (
         "columns",
-        draw(st.sampled_from(sorted(COSTS))),
-        # Mostly the named slots; 2 and 3 are named only once their
-        # user submitted.
-        np.array(draw(st.lists(
-            st.sampled_from([0, 0, 1, 1, 2, 3]), min_size=n, max_size=n
-        ))),
+        campaign_id,
+        np.array(draw(st.lists(slots, min_size=n, max_size=n))),
         np.array(draw(st.lists(
             st.integers(0, len(OBJECTS) - 1), min_size=n, max_size=n
         ))),
@@ -122,9 +133,10 @@ def build(caps, directory, fsync, reference):
         topology=topology,
     )
     for campaign_id, cost in COSTS.items():
+        names = WIDE if campaign_id == "wide" else KNOWN
         service.register_campaign(
-            campaign_id, OBJECTS, max_users=MAX_USERS, user_ids=KNOWN,
-            method="crh", cost=cost,
+            campaign_id, OBJECTS, max_users=max(len(names), MAX_USERS),
+            user_ids=names, method="crh", cost=cost,
         )
     return watch(service, reference)
 
@@ -247,8 +259,35 @@ def crash(service, directory, generation, fsync, reference, monkeypatch):
     return watch(recovered, reference), str(crashed)
 
 
+def wide(*slots):
+    return ("columns", "wide", np.array(slots), np.zeros(len(slots), int),
+            np.ones(len(slots)))
+
+
+def wide_submit(user):
+    return ("submit", ClaimSubmission("wide", WIDE[user], ("o0",), (1.0,)))
+
+
+#: Both doors across every doubling of the ledger's columns: a chunk
+#: whose new users straddle row 15 (the spare of 16 rows), submit()
+#: taking row 31, a chunk ending on row 63, a single high slot, a round
+#: trip through 65 records and a refused group (w5's four claims).
+ACROSS_THE_SPARE_ROWS = [
+    *(wide_submit(i) for i in range(10)),
+    wide(*range(10, 30), 12, 29),
+    wide_submit(30), wide_submit(31), ("pump",),
+    wide(63), ("crash",),
+    wide(*range(32, 63)),
+    ("record_spent", "slot:0", 0.1, 0.0),
+    ("roundtrip",),
+    wide(0, 5, 5, 5, 5, 40), wide(0, 40, 63), ("pump",), ("crash",),
+]
+
+
 @pytest.mark.parametrize("durable", [None, "never", "always"])
 @given(ops=operations, caps=st.tuples(EPSILON_CAPS, DELTA_CAPS))
+@example(ops=ACROSS_THE_SPARE_ROWS, caps=(0.3, 0.15))
+@example(ops=ACROSS_THE_SPARE_ROWS, caps=(1e6, 1.0))
 @settings(max_examples=80, deadline=None)
 def test_one_rule_equals_the_dict_ledger(durable, ops, caps):
     with (

@@ -37,9 +37,6 @@ REGISTERED = ("ann", "bob")  # named up front; may never submit
 USERS = REGISTERED + tuple(f"u{i}" for i in range(4))
 MAX_USERS = 6
 COST = LDPGuarantee(epsilon=1.0, delta=0.0)
-#: A costed chunk must name its users; the cost-free "f" lets chunks
-#: grow "slot:N" placeholders.
-COSTS = {"s": COST, "f": None}
 
 campaigns = st.sampled_from(sorted(BACKENDS))
 values = st.floats(-100.0, 100.0, allow_nan=False, width=64)
@@ -60,14 +57,14 @@ def submissions(draw):
 
 @st.composite
 def column_chunks(draw, kind="columns"):
+    # Slots past the named users grow "slot:N" placeholders, or, on a
+    # costed campaign, are refused until a submission names them.
     n = draw(st.integers(1, 8))
-    campaign_id = draw(campaigns)
-    top = len(REGISTERED) if COSTS[campaign_id] else MAX_USERS
     return (
         kind,
-        campaign_id,
+        draw(campaigns),
         np.array(draw(st.lists(
-            st.integers(0, top - 1), min_size=n, max_size=n
+            st.integers(0, MAX_USERS - 1), min_size=n, max_size=n
         ))),
         np.array(draw(st.lists(
             st.integers(0, len(OBJECTS) - 1), min_size=n, max_size=n
@@ -90,15 +87,14 @@ operations = st.lists(
 )
 
 
-def register(service, campaign_id, method):
+def register(service, campaign_id, method, cost):
     service.register_campaign(
         campaign_id, OBJECTS, max_users=MAX_USERS, user_ids=REGISTERED,
-        method=method, aggregator=BACKENDS[campaign_id],
-        cost=COSTS[campaign_id],
+        method=method, aggregator=BACKENDS[campaign_id], cost=cost,
     )
 
 
-def build(directory, method, *, max_batch, cap):
+def build(directory, method, *, max_batch, cap, cost):
     # A three-item queue between pumps refuses; a cap of 3.0 refuses
     # some users who took a slot earlier.
     service = IngestService(
@@ -112,7 +108,7 @@ def build(directory, method, *, max_batch, cap):
         ),
     )
     for campaign_id in BACKENDS:
-        register(service, campaign_id, method)
+        register(service, campaign_id, method, cost)
     return service
 
 
@@ -167,14 +163,21 @@ def moved(state) -> tuple:
     ops=operations,
     max_batch=st.sampled_from([1, 5, 64]),
     cap=st.sampled_from([3.0, 1e6]),
+    # Costed, a chunk on a slot no user has taken raises ValueError;
+    # cost-free, it names the slot "slot:N".
+    cost=st.sampled_from([COST, None]),
 )
-@example(ops=REWIND_AFTER_REREAD, max_batch=5, cap=1e6)
-@example(ops=NEW_USER_BEFORE_FULL_QUEUE, max_batch=5, cap=1e6)
+@example(ops=REWIND_AFTER_REREAD, max_batch=5, cap=1e6, cost=COST)
+@example(ops=NEW_USER_BEFORE_FULL_QUEUE, max_batch=5, cap=1e6, cost=COST)
 @settings(max_examples=40, deadline=None)
-def test_cached_reads_equal_uncached_reads(method, ops, max_batch, cap):
+def test_cached_reads_equal_uncached_reads(
+    method, ops, max_batch, cap, cost
+):
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp) / "gen0"
-        service = build(directory, method, max_batch=max_batch, cap=cap)
+        service = build(
+            directory, method, max_batch=max_batch, cap=cap, cost=cost
+        )
         last = {}  # campaign -> (snapshot, state, moved, ops before it)
         first = {}  # campaign -> (state, aggregator state at its first read)
         touched = set()  # campaigns fed or rewound since their last read
@@ -207,7 +210,12 @@ def test_cached_reads_equal_uncached_reads(method, ops, max_batch, cap):
                 if kind == "submit":
                     service.submit(op[1])
                 elif kind == "columns":
-                    service.submit_columns(*op[1:])
+                    try:
+                        service.submit_columns(*op[1:])
+                    except ValueError:  # a costed chunk, an unnamed slot
+                        state = service.campaign_state(op[1])
+                        assert cost is not None, op
+                        assert op[2].max() >= len(state.user_table), op
                 elif kind == "pump":
                     service.pump()
                 elif kind == "flush":
@@ -226,7 +234,7 @@ def test_cached_reads_equal_uncached_reads(method, ops, max_batch, cap):
                         touched.add(op[1])
                 elif kind == "reregister":
                     service.unregister_campaign(op[1])  # items may be queued
-                    register(service, op[1], method)
+                    register(service, op[1], method, cost)
                 else:  # crash: recover a copy as it stands, carry on there
                     crashed = directory.with_name(f"gen{done}")
                     shutil.copytree(directory, crashed)
