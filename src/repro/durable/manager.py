@@ -42,6 +42,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Union
 
@@ -277,7 +278,7 @@ class DurabilityManager:
         batch never outlives the charges that admitted its claims.
         """
         if self._pending_charges:
-            self._log_charges()
+            self.log_pending_charges()
         campaign_id = state.campaign_id
         synced = self._users_synced.get(campaign_id, 0)
         # Read the length once and slice only up to it: producers may
@@ -348,9 +349,35 @@ class DurabilityManager:
         self._pending_charges.append((user_id, epsilon, delta, label))
         self.charges_logged += 1
         if self._config.fsync == "always":
-            self._log_charges()
+            self.log_pending_charges()
 
-    def _log_charges(self) -> None:
+    def check_charges(self, user_ids, label: str) -> None:
+        """Raise unless the log can take a group of charges: the label
+        once, each user id once, the log once.  Run under the ledger
+        lock *before* the group is charged, so a group the log could
+        not take is charged to no one."""
+        rec.check_json_value(label)
+        for user_id in user_ids:
+            rec.check_json_value(user_id)
+        self._wal.check_append()
+
+    def log_charges(
+        self, user_ids, epsilon: np.ndarray, delta: np.ndarray, label: str
+    ) -> None:
+        """Record a charged group (passed :meth:`check_charges`) in one
+        step: user ``user_ids[i]`` charged ``(epsilon[i], delta[i])``.
+        The entries are the ones :meth:`log_charge` would have staged
+        one by one, so the CHARGE record's bytes are the same."""
+        entries = zip(user_ids, epsilon.tolist(), delta.tolist(), repeat(label))
+        self.charges_logged += len(user_ids)
+        if self._config.fsync != "always":
+            self._pending_charges.extend(entries)
+            return
+        for entry in entries:  # one record per charge, as log_charge
+            self._pending_charges.append(entry)
+            self.log_pending_charges()
+
+    def log_pending_charges(self) -> None:
         """Append the charges admitted since the last CHARGE record as
         one record, under the ledger lock (a no-op when there are
         none)."""
@@ -365,7 +392,7 @@ class DurabilityManager:
     # ------------------------------------------------------------------
     def sync(self) -> None:
         """Force the log to disk (up to the fsync policy); blocking."""
-        self._log_charges()
+        self.log_pending_charges()
         self._wal.sync()
 
     @property
@@ -377,7 +404,7 @@ class DurabilityManager:
         """Group-commit point, called by the service after each pump:
         drains the pump's records to the log (the ``batch`` policy's
         group commit) before the pump acknowledges them."""
-        self._log_charges()
+        self.log_pending_charges()
         self._wal.sync()
         if self._replication is not None:
             # Semi-sync back-pressure: under that mode the pump blocks
@@ -446,7 +473,7 @@ class DurabilityManager:
         # position) or strictly after the position and replayed from
         # the suffix.  Never both, never neither.
         with self._charge_lock:
-            self._log_charges()
+            self.log_pending_charges()
             ledger_state = None if ledger is None else {
                 "epsilon_cap": ledger.epsilon_cap,
                 "delta_cap": ledger.delta_cap,
@@ -486,7 +513,7 @@ class DurabilityManager:
         if checkpoint_first and self._service is not None:
             self.checkpoint()
         else:
-            self._log_charges()
+            self.log_pending_charges()
         return self._wal.compact()
 
     def attach_replication(self, sender) -> None:
@@ -516,7 +543,7 @@ class DurabilityManager:
         the first close only (see
         :meth:`~repro.durable.wal.WriteAheadLog.close`)."""
         try:
-            self._log_charges()
+            self.log_pending_charges()
         finally:
             if self._replication is not None:
                 self._replication.close()

@@ -4,17 +4,21 @@ launcher of the shard fabric.
 Every process this package starts — shard hosts, standbys, watchdogs —
 goes through the same pieces:
 
-* :func:`spawn_cli` starts ``python -m repro.cli <argv>`` and hands back
-  a :class:`HostProcess`, the ``multiprocessing.Process`` surface over
-  the ``Popen``, so a pipe worker and a CLI child are owned through one
-  interface;
+* :func:`spawn_cli` asks this process's :mod:`launcher
+  <repro.net.launcher>` — one warm process that has already imported
+  NumPy and every child role — to fork ``repro.cli <argv>``, and hands
+  back a :class:`HostProcess`, the ``multiprocessing.Process`` surface
+  over that child, so a pipe worker and a CLI child are owned through
+  one interface.  The first spawn in a process starts the launcher and
+  pays the imports once; every later spawn, respawn and re-home is a
+  fork of a few milliseconds;
 * :func:`~repro.utils.process.reap` is the one shutdown ladder (join →
   terminate → kill), kept in a dependency-free module;
 * :class:`SocketLauncher` is what makes a
   :class:`~repro.workers.pool.ShardPool` a socket fabric: it starts
   ``repro serve-shard --port 0``, reads the ``PORT <n>`` line the child
   prints once it is listening (the launch contract), and dials.  Today
-  the hosts are ``127.0.0.1`` subprocesses; the launcher is exactly
+  the hosts are ``127.0.0.1`` children; the launcher is exactly
   what a multi-machine deployment replaces with its own process
   manager.
 """
@@ -23,11 +27,12 @@ from __future__ import annotations
 
 import os
 import select
-import subprocess
-import sys
+import signal
 import time
+import weakref
 from typing import Optional, Sequence
 
+from repro.net.launcher import launcher
 from repro.net.transport import SocketConnection, call, connect
 from repro.utils.logging import get_logger
 from repro.workers import protocol as proto
@@ -36,78 +41,107 @@ _LOGGER = get_logger("net.fabric")
 
 
 class HostProcess:
-    """``multiprocessing.Process``-shaped adapter over a CLI child.
+    """``multiprocessing.Process``-shaped handle on a launcher's child.
 
     Handles, pools and :func:`~repro.utils.process.reap` probe liveness
-    and escalate shutdown through this surface; giving the subprocess the same shape
-    keeps every crash-handling path identical across pipes and sockets.
+    and escalate shutdown through this surface; giving the CLI child
+    the same shape keeps every crash-handling path identical across
+    pipes and sockets.  Liveness and signals go through a pidfd, so
+    they can never reach a recycled pid; the exit code is the
+    launcher's report once it reaped the child.  A child whose launcher
+    died first reads dead with ``exitcode`` None: its status went to
+    whoever reaped it.
     """
 
-    def __init__(self, popen: subprocess.Popen) -> None:
-        self._popen = popen
-
-    @property
-    def pid(self) -> int:
-        return self._popen.pid
+    def __init__(self, owner, pid: int, pidfd: int) -> None:
+        self._owner = owner
+        self.pid = pid
+        self._pidfd = pidfd
+        weakref.finalize(self, os.close, pidfd)
+        #: Set by the launcher's exit report: the code, ``-signum``
+        #: for a signal.
+        self.returncode: Optional[int] = None
+        #: Set when the launcher died before reporting this child.
+        self.orphaned = False
+        self._exited = False
+        #: The read end of the launch pipe, when the port was awaited.
+        self.stdout = None
 
     @property
     def exitcode(self) -> Optional[int]:
-        return self._popen.poll()
+        if self.returncode is None and self._exit_seen(0):
+            self._owner.await_report(self, None)
+        return self.returncode
 
     def is_alive(self) -> bool:
-        return self._popen.poll() is None
+        return not self._exit_seen(0)
 
     def join(self, timeout: Optional[float] = None) -> None:
-        try:
-            self._popen.wait(timeout)
-        except subprocess.TimeoutExpired:
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if not self._exit_seen(timeout):
             return
-        self.close()
+        if self.returncode is None:
+            remaining = (
+                None if deadline is None
+                else max(0.0, deadline - time.monotonic())
+            )
+            self._owner.await_report(self, remaining)
+        if self.returncode is not None or self.orphaned:
+            self.close()
 
     def terminate(self) -> None:
-        self._popen.terminate()
+        self._signal(signal.SIGTERM)
 
     def kill(self) -> None:
-        self._popen.kill()
+        self._signal(signal.SIGKILL)
 
     def close(self) -> None:
         """Close the launch pipe (idempotent; ``join`` does it once the
         child is reaped).  ``pid`` and ``exitcode`` stay readable."""
-        if self._popen.stdout is not None:
-            self._popen.stdout.close()
+        if self.stdout is not None:
+            self.stdout.close()
+
+    def _exit_seen(self, timeout: Optional[float]) -> bool:
+        """Whether the child has exited, waiting up to ``timeout``."""
+        if not self._exited and self.returncode is None:
+            self._exited = bool(
+                select.select([self._pidfd], [], [], timeout)[0]
+            )
+        return self._exited or self.returncode is not None
+
+    def _signal(self, signum: int) -> None:
+        if self.returncode is None:
+            try:
+                signal.pidfd_send_signal(self._pidfd, signum)
+            except ProcessLookupError:
+                pass  # exited and reaped; its report is on its way
 
 
 def spawn_cli(
     argv: Sequence[str], *, port_timeout: Optional[float] = None
 ) -> tuple[HostProcess, Optional[int]]:
-    """Start ``python -m repro.cli <argv>`` with this checkout importable.
+    """Start ``repro.cli <argv>`` as ``python -m repro.cli`` would, as a
+    fork of this process's launcher.
 
-    With ``port_timeout`` the child's stdout is piped and its ``PORT
+    With ``port_timeout`` the child's stdout is a pipe and its ``PORT
     <n>`` announcement awaited (the ``serve-shard`` / ``standby`` launch
     contract); a child that does not announce is killed and reaped
     before the error propagates.  Without it the child inherits stdout
     and the port is ``None``.
     """
-    import repro
-
-    env = dict(os.environ)
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(
-        repro.__file__
-    )))
-    existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = (
-        src_dir if not existing else src_dir + os.pathsep + existing
-    )
-    popen = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", *argv],
-        stdout=None if port_timeout is None else subprocess.PIPE,
-        env=env,
-    )
-    process = HostProcess(popen)
     if port_timeout is None:
-        return process, None
+        return launcher().spawn(argv), None
+    read_end, write_end = os.pipe()
     try:
-        port = _read_port(popen, port_timeout)
+        process = launcher().spawn(argv, stdout=write_end)
+    except BaseException:
+        os.close(read_end)
+        raise
+    finally:
+        os.close(write_end)
+    process.stdout = os.fdopen(read_end, "rb")
+    try:
+        port = _read_port(process, port_timeout)
     except BaseException:
         process.kill()
         process.join()
@@ -115,15 +149,15 @@ def spawn_cli(
     return process, port
 
 
-def _read_port(popen: subprocess.Popen, timeout: float) -> int:
+def _read_port(process: HostProcess, timeout: float) -> int:
     """Read the child's ``PORT <n>`` announcement with a deadline."""
     deadline = time.monotonic() + timeout
-    stream = popen.stdout
+    stream = process.stdout
     while True:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
             raise TimeoutError(
-                f"child pid {popen.pid} announced no port within "
+                f"child pid {process.pid} announced no port within "
                 f"{timeout:.0f}s"
             )
         readable, _, _ = select.select([stream], [], [], remaining)
@@ -134,8 +168,8 @@ def _read_port(popen: subprocess.Popen, timeout: float) -> int:
         line = stream.readline().decode("utf-8", "replace").strip()
         if not line:
             raise RuntimeError(
-                f"child pid {popen.pid} exited before announcing a "
-                f"port (exit code {popen.poll()})"
+                f"child pid {process.pid} exited before announcing a "
+                f"port (exit code {process.exitcode})"
             )
         if line.startswith("PORT "):
             return int(line.split(None, 1)[1])

@@ -729,14 +729,31 @@ class IngestService:
         batches logged during the pump are synced (under the ``batch``
         fsync policy) and automatic checkpoints fire here.
         """
+        moved = self._pump_shards()
+        self._commit()
+        return moved
+
+    def flush(self) -> int:
+        """Pump everything, then force partial batches and refinements.
+
+        One group commit covers the pump and the tail: the pump's
+        charges are logged where its own commit would have put them,
+        then the tail batches and refreshes follow, then one sync.
+        """
+        moved = self._pump_shards()
+        if self._durability is not None:
+            self._durability.log_pending_charges()
+        for shard in self._shards:
+            shard.flush()
+        self._commit()
+        return moved
+
+    def _pump_shards(self) -> int:
         if self._pool is not None:
             # Surface a crashed worker as a clear error now, not as a
             # broken pipe halfway through shipping this pump's batches.
             self._pool.check()
         moved = sum(shard.pump() for shard in self._shards)
-        if self._durability is not None:
-            self._durability.after_pump()
-            self._sample_wal_stats()
         self._pumps += 1
         if (
             self._pool is not None
@@ -750,15 +767,10 @@ class IngestService:
             self._fold_supervision()
         return moved
 
-    def flush(self) -> int:
-        """Pump everything, then force partial batches and refinements."""
-        moved = self.pump()
-        for shard in self._shards:
-            shard.flush()
+    def _commit(self) -> None:
         if self._durability is not None:
             self._durability.after_pump()
             self._sample_wal_stats()
-        return moved
 
     def _sample_wal_stats(self) -> None:
         """Fold the WAL's commit activity into the telemetry layer:
@@ -889,18 +901,17 @@ class IngestService:
         delta = np.minimum(state.cost.delta * counts, 1.0)
         # The charge and its log records form one section under the
         # ledger lock: a concurrent checkpoint sees both or neither.
+        # A group the log could not take is refused before anyone is
+        # charged, the ledger's own all-or-none rule.
+        durability = self._durability
         with self._ledger.lock:
+            if durability is not None:
+                durability.check_charges(user_ids, campaign_id)
             refused = self._ledger.charge_group(
                 user_ids, epsilon, delta, label=campaign_id
             )
-            if refused is None and self._durability is not None:
-                for user_id, eps, dlt in zip(
-                    user_ids, epsilon.tolist(), delta.tolist()
-                ):
-                    self._durability.log_charge(
-                        user_id, LDPGuarantee(epsilon=eps, delta=dlt),
-                        label=campaign_id,
-                    )
+            if refused is None and durability is not None:
+                durability.log_charges(user_ids, epsilon, delta, campaign_id)
         return refused
 
     def _enqueue(

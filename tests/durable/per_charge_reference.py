@@ -18,6 +18,7 @@ from json.encoder import encode_basestring_ascii
 from math import isfinite
 
 from repro.durable import records as rec
+from repro.privacy.ldp import LDPGuarantee
 
 
 def _json_scalar(value) -> str:
@@ -48,7 +49,9 @@ def encode_charge_payload(user_id, epsilon, delta, label) -> bytes:
 
 def install(manager) -> None:
     """Make ``manager`` append one CHARGE record per charge at
-    admission, as format 2 did (its charge groups then stay empty)."""
+    admission, as format 2 did (its charge groups then stay empty); a
+    bulk chunk's group goes through ``log_charge`` one user at a time,
+    as format 2's bulk path did."""
     wal = manager.wal
 
     def log_charge(user_id, guarantee, *, label=""):
@@ -61,3 +64,11 @@ def install(manager) -> None:
         )
 
     manager.log_charge = log_charge
+
+    def log_charges(user_ids, epsilon, delta, label):
+        for user_id, eps, dlt in zip(user_ids, epsilon.tolist(), delta.tolist()):
+            manager.log_charge(
+                user_id, LDPGuarantee(epsilon=eps, delta=dlt), label=label
+            )
+
+    manager.log_charges = log_charges

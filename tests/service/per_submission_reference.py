@@ -52,7 +52,7 @@ def log_charge(durability, user_id, guarantee, *, label=""):
     durability._pending_charges.append((user_id, epsilon, delta, label))
     durability.charges_logged += 1
     if durability._config.fsync == "always":
-        durability._log_charges()
+        durability.log_pending_charges()
 
 
 def try_reserve(shard):

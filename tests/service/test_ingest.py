@@ -321,9 +321,10 @@ class TestBackpressure:
         from repro.durable.wal import WalError
         from repro.service.topology import Topology
 
+        ledger = BudgetLedger(epsilon_cap=10.0)
         service = IngestService(
             ServiceConfig(num_shards=1, max_batch=8, queue_capacity=2),
-            ledger=BudgetLedger(epsilon_cap=10.0),
+            ledger=ledger,
             topology=Topology.in_process(durability=str(tmp_path / "wal")),
         )
         with service:
@@ -338,12 +339,37 @@ class TestBackpressure:
                 raise WalError("earlier fsync failed")
 
             with monkeypatch.context() as patch:
-                patch.setattr(service.durability, "log_charge", sticky)
+                patch.setattr(service.durability, "check_charges", sticky)
                 for _ in range(2):
                     with pytest.raises(WalError):
                         service.submit_columns(*chunk)
             assert service._shards[0]._reserved == 0
+            # A group the log cannot take is charged to no one.
+            assert ledger.spent("u0").epsilon == ledger.spent("u1").epsilon == 0
             assert service.submit_columns(*chunk).ok
+
+    def test_closed_log_refuses_a_chunk_before_charging_anyone(self, tmp_path):
+        from repro.durable.wal import WalError
+        from repro.service.topology import Topology
+
+        ledger = BudgetLedger(epsilon_cap=10.0)
+        service = IngestService(
+            ServiceConfig(num_shards=1, max_batch=8),
+            ledger=ledger,
+            topology=Topology.in_process(durability=str(tmp_path / "wal")),
+        )
+        with service:
+            service.register_campaign(
+                "c1", ("o0",), max_users=4, user_ids=("u0", "u1"),
+                cost=LDPGuarantee(epsilon=1.0, delta=0.0),
+            )
+            service.durability.wal.close()
+            with pytest.raises(WalError, match="closed"):
+                service.submit_columns(
+                    "c1", np.array([0, 1]), np.array([0, 0]), np.ones(2)
+                )
+            assert ledger.num_users == 0
+            assert service._shards[0]._reserved == 0
 
 
 class TestBulkColumns:

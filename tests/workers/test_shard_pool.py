@@ -8,13 +8,11 @@ close — is what is under test, not a transport.
 """
 
 import multiprocessing
-import subprocess
-import sys
 import threading
 
 import pytest
 
-from repro.net.fabric import HostProcess
+from repro.net.fabric import spawn_cli
 from repro.utils.process import reap
 from repro.workers import ShardPool, WorkerCrashedError
 from repro.workers import protocol as proto
@@ -214,13 +212,13 @@ class TestShutdownLadder:
         assert stub.is_alive() == ("kill" in ignores)
 
     def test_reaping_a_cli_child_closes_its_launch_pipe(self):
-        popen = subprocess.Popen(
-            [sys.executable, "-c", "print('PORT 1', flush=True)"],
-            stdout=subprocess.PIPE,
+        process, _port = spawn_cli(
+            ["serve-shard", "--port", "0"], port_timeout=60.0
         )
-        process = HostProcess(popen)
+        pid = process.pid
+        process.terminate()  # a serving host's polite stop
         reap(process)
-        assert popen.stdout.closed
+        assert process.stdout.closed
         # Unlike multiprocessing.Process.close(), nothing is poisoned.
-        assert process.exitcode == 0 and process.pid == popen.pid
+        assert process.exitcode == 0 and process.pid == pid
         process.close()  # idempotent
