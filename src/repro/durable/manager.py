@@ -13,12 +13,14 @@ to.  The contract mirrors the ingest pipeline's own events:
   before it reaches the aggregator; this is the write-ahead property:
   a batch is never aggregated without first being in the log buffer
   (and, under ``fsync="always"``, on disk);
-* ``log_charge`` — every admitted privacy-budget charge, so spent
-  epsilon survives a restart.  A charge is recorded at admission and
-  logged in order, no later than the first batch or commit point after
-  it: one CHARGE record carries every charge admitted since the last,
-  appended before the next BATCH record (so a batch that survives a
-  crash never outlives the charges that admitted its claims), at
+* ``log_charge`` / ``log_charges`` — every admitted privacy-budget
+  charge (one, or a bulk chunk's group in one step after
+  ``check_charges``), so spent epsilon survives a restart.  A charge is
+  recorded at admission and logged in order, no later than the first
+  batch or commit point after it: one CHARGE record carries every
+  charge admitted since the last, appended before the next BATCH
+  record (so a batch that survives a crash never outlives the charges
+  that admitted its claims), at
   ``after_pump``/``sync``/``compact``/``close``, and inside a
   checkpoint's ledger snapshot.  Under ``fsync="always"`` each charge
   is appended at admission.  Charges for claims that never became
@@ -368,7 +370,9 @@ class DurabilityManager:
         step: user ``user_ids[i]`` charged ``(epsilon[i], delta[i])``.
         The entries are the ones :meth:`log_charge` would have staged
         one by one, so the CHARGE record's bytes are the same."""
-        entries = zip(user_ids, epsilon.tolist(), delta.tolist(), repeat(label))
+        entries = zip(
+            user_ids, epsilon.tolist(), delta.tolist(), repeat(label)
+        )
         self.charges_logged += len(user_ids)
         if self._config.fsync != "always":
             self._pending_charges.extend(entries)

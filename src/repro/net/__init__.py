@@ -18,6 +18,8 @@ boundary with it:
   one :class:`~repro.workers.pool.ShardPool` a fabric of shard-host
   processes on ports, beside the helpers every child of the service
   is launched and owned through (``spawn_cli``, ``HostProcess``);
+* :mod:`repro.net.launcher` — the one warm process every CLI child is
+  forked from, started at the first spawn;
 * :mod:`repro.net.supervisor` — :class:`Supervisor`, journal-based
   checkpoint/replay failover keeping recovered truths bitwise-identical.
 """

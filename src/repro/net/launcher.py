@@ -6,11 +6,12 @@ A ``python -m repro.cli serve-shard`` spends ~0.3 s importing NumPy and
 standby and watchdog used to pay that on every spawn, respawn and
 re-home.  The launcher pays it once: it is started lazily at the first
 spawn (``python -m repro.net.launcher``), imports :data:`PRELOAD` and
-:data:`ROLES`, and forks one child per request.  A child runs ``repro.cli.main(argv)``
-exactly as ``python -m repro.cli argv`` would — the parent's stdio,
-working directory and environment as they are at spawn time, a fresh
-interpreter's signal dispositions, and a normal interpreter exit (its
-own ``atexit`` hooks, flushed stdio, the CLI's exit code).
+:data:`ROLES`, and forks one child per request.  A child runs
+``repro.cli.main(argv)`` exactly as ``python -m repro.cli argv`` would
+— the parent's stdio, working directory and environment as they are at
+spawn time, a fresh interpreter's signal dispositions and random
+streams, and a normal interpreter exit (its own ``atexit`` hooks,
+flushed stdio, the CLI's exit code).
 
 The launcher is single-threaded and talks to its parent over one
 ``AF_UNIX`` ``SOCK_SEQPACKET`` pair:
@@ -129,8 +130,9 @@ def _serve(conn: socket.socket) -> Optional[list]:
     serial = 0
     roles_pending = True
     while True:
-        idle_ms = ROLES_AFTER_IDLE_S * 1e3 if roles_pending and serial else None
-        ready = poller.poll(idle_ms)
+        ready = poller.poll(
+            ROLES_AFTER_IDLE_S * 1e3 if roles_pending and serial else None
+        )
         if not ready and roles_pending:
             roles_pending = False
             _import(ROLES)
@@ -204,10 +206,15 @@ def _become_child(request: dict, fds: list, conn, children: dict) -> None:
     os.chdir(request["cwd"])
     os.environ.clear()
     os.environ.update(request["env"])
+    import numpy
     import repro.cli
 
     sys.argv = [repro.cli.__file__, *request["argv"]]
     sys.path[0] = request["cwd"]
+    # ``random`` reseeds itself in a fork; NumPy's global stream would
+    # repeat the launcher's in every child.  Nothing here draws from it,
+    # but a fresh interpreter would not share it either.
+    numpy.random.seed()
 
 
 # ----------------------------------------------------------------------
@@ -218,9 +225,13 @@ def child_environment() -> dict:
     import repro
 
     env = dict(os.environ)
-    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(
+        repro.__file__
+    )))
     existing = env.get("PYTHONPATH")
-    env["PYTHONPATH"] = src_dir if not existing else src_dir + os.pathsep + existing
+    env["PYTHONPATH"] = (
+        src_dir if not existing else src_dir + os.pathsep + existing
+    )
     return env
 
 

@@ -746,10 +746,10 @@ def launch_watchdog(
 ) -> HostProcess:
     """Start a detached ``repro watchdog`` process.
 
-    The child inherits stdout/stderr (its ``ARMED`` and ``PROMOTED``
-    lines land in the launcher's stream — the chaos drill reads them
-    from there even after the launcher is SIGKILLed) and is *not*
-    waited on: it must outlive this process, that is its job.
+    The child inherits this process's stdout/stderr (its ``ARMED`` and
+    ``PROMOTED`` lines land in this process's stream — the chaos drill
+    reads them from there even after this process is SIGKILLed) and is
+    *not* waited on: it must outlive this process, that is its job.
 
     ``index``/``peer_port``/``peers`` configure quorum voting (see
     :class:`WatchdogPeerServer`).

@@ -111,10 +111,11 @@ def test_module_docstring_quickstart_runs():
 
 
 #: What a spawned process imports before it can serve: the CLI, a shard
-#: host, a pipe worker, a standby, a watchdog — and ``repro.service``
-#: for the parent.
+#: host, a pipe worker, a standby, a watchdog, the launcher every CLI
+#: child is forked from — and ``repro.service`` for the parent.
 SPAWN_PATH_MODULES = [
     "repro.cli",
+    "repro.net.launcher",
     "repro.net.host",
     "repro.workers.worker",
     "repro.replication.standby",
@@ -177,6 +178,7 @@ SPAWN_ENTRIES = {
     "repro.workers.worker": UNSERVED_MODULES + BATCH_METHODS,
     "repro.replication.standby": UNSERVED_MODULES,
     "repro.replication.watchdog": UNSERVED_MODULES,
+    "repro.net.launcher": UNSERVED_MODULES,
 }
 
 
@@ -202,6 +204,64 @@ def test_spawn_path_leaves_unserved_modules_out(module_name):
     assert proc.stdout.split() == [], (
         f"importing {module_name} loaded {proc.stdout.strip()}"
     )
+
+
+#: Every CLI child is forked from the launcher and inherits all it
+#: imported: every role's entry module, not just its own.
+LAUNCHER_PRELOAD = """
+import sys
+from repro.net import launcher
+launcher._import(launcher.PRELOAD + launcher.ROLES)
+refused = {refused!r}
+print(" ".join(sorted(refused & set(sys.modules))))
+"""
+
+
+def test_spawn_path_launcher_preload_leaves_unserved_modules_out():
+    refused = {"scipy", "asyncio", *UNSERVED_MODULES}
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER_PRELOAD.format(refused=refused)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], (
+        f"the launcher's preload loaded {proc.stdout.strip()}"
+    )
+
+
+#: An in-process service's whole life, volatile and durable: no child
+#: process, so no launcher either.
+IN_PROCESS_LIFE = """
+import os, sys, tempfile
+import numpy as np
+from repro.service import IngestService, Topology
+with tempfile.TemporaryDirectory() as tmp:
+    for topology in (None, Topology.in_process(durability=tmp + "/wal")):
+        with IngestService(topology=topology) as service:
+            service.register_campaign("c", ["a"], max_users=2)
+            service.submit_columns(
+                "c", np.array([0]), np.array([0]), np.array([1.0])
+            )
+            service.flush()
+            service.snapshot("c")
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    sys.exit("repro.net.launcher" in sys.modules)
+sys.exit("a child process was started")
+"""
+
+
+def test_spawn_path_in_process_service_starts_no_launcher():
+    proc = subprocess.run(
+        [sys.executable, "-c", IN_PROCESS_LIFE],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 #: What a standby runs after its ``PORT`` line: the service a CONFIG
