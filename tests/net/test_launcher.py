@@ -57,7 +57,7 @@ class TestExitCodes:
     def test_kill_reads_minus_nine_once_reaped(self):
         process = serve_shard()
         process.kill()
-        process.join()
+        process.join(30)
         assert process.exitcode == -signal.SIGKILL
         assert_reaped(process)
 
@@ -116,7 +116,9 @@ class TestLauncherLifetime:
     def test_a_child_gets_the_stdio_and_cwd_of_its_spawn(
         self, tmp_path, monkeypatch, capfd
     ):
-        serve_shard().kill()  # the launcher is up, started elsewhere
+        earlier = serve_shard()  # the launcher is up, started elsewhere
+        earlier.kill()
+        earlier.join(30)
         with IngestService(
             topology=Topology.in_process(durability=str(tmp_path / "wal"))
         ) as service:

@@ -105,7 +105,7 @@ def test_a_killed_parent_takes_the_launcher_but_not_the_standby(tmp_path):
     try:
         killed = time.monotonic()
         parent.kill()
-        parent.wait()
+        parent.wait(30)
         assert exits_within(pids["launcher"], 1.0)
         assert time.monotonic() - killed < 1.5
         assert exits_within(pids["host"], 30)  # its data plane closed
