@@ -18,9 +18,9 @@ goes through the same pieces:
   :class:`~repro.workers.pool.ShardPool` a socket fabric: it starts
   ``repro serve-shard --port 0``, reads the ``PORT <n>`` line the child
   prints once it is listening (the launch contract), and dials.  Today
-  the hosts are ``127.0.0.1`` children; the launcher is exactly
-  what a multi-machine deployment replaces with its own process
-  manager.
+  the hosts are ``127.0.0.1`` children; :class:`SocketLauncher` is
+  exactly what a multi-machine deployment replaces with its own
+  process manager.
 """
 
 from __future__ import annotations
