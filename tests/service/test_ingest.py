@@ -315,8 +315,18 @@ class TestBackpressure:
             assert ledger.spent("u1").epsilon == 2.0  # the charge stands
             assert service._shards[0]._reserved == 0
 
+    @pytest.mark.parametrize(
+        "failing, spent",
+        [
+            # Refused before the charge: charged to no one.
+            ("check_charges", 0.0),
+            # Refused while staging, after the charge (an fsync="always"
+            # append): the charge stands, the safe side.
+            ("log_charges", 2.0),
+        ],
+    )
     def test_failed_chunk_charge_log_releases_the_reservation(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, failing, spent
     ):
         from repro.durable.wal import WalError
         from repro.service.topology import Topology
@@ -339,13 +349,13 @@ class TestBackpressure:
                 raise WalError("earlier fsync failed")
 
             with monkeypatch.context() as patch:
-                patch.setattr(service.durability, "check_charges", sticky)
+                patch.setattr(service.durability, failing, sticky)
                 for _ in range(2):
                     with pytest.raises(WalError):
                         service.submit_columns(*chunk)
             assert service._shards[0]._reserved == 0
-            # A group the log cannot take is charged to no one.
-            assert ledger.spent("u0").epsilon == ledger.spent("u1").epsilon == 0
+            assert ledger.spent("u0").epsilon == spent
+            assert ledger.spent("u1").epsilon == spent
             assert service.submit_columns(*chunk).ok
 
     def test_closed_log_refuses_a_chunk_before_charging_anyone(self, tmp_path):
