@@ -10,7 +10,8 @@ spawn (``python -m repro.net.launcher``), imports :data:`PRELOAD` and
 ``repro.cli.main(argv)`` exactly as ``python -m repro.cli argv`` would
 — the parent's stdio, working directory and environment as they are at
 spawn time, a fresh interpreter's signal dispositions and random
-streams, and a normal interpreter exit (its own ``atexit`` hooks,
+streams, a start away from the launcher's CPU (as an exec'd one is
+placed), and a normal interpreter exit (its own ``atexit`` hooks,
 flushed stdio, the CLI's exit code).
 
 The launcher is single-threaded and talks to its parent over one
@@ -196,6 +197,7 @@ def _become_child(request: dict, fds: list, conn, children: dict) -> None:
     conn.close()
     for pidfd in children:
         os.close(pidfd)
+    _leave_launcher_cpu()
     for target, fd in enumerate(fds):
         os.dup2(fd, target)
     for fd in fds:
@@ -215,6 +217,36 @@ def _become_child(request: dict, fds: list, conn, children: dict) -> None:
     # repeat the launcher's in every child.  Nothing here draws from it,
     # but a fresh interpreter would not share it either.
     numpy.random.seed()
+
+
+def _leave_launcher_cpu() -> None:
+    """Start this fresh fork off the CPU it was forked on, keeping the
+    CPU set it inherited.
+
+    The launcher runs where the parent that just woke it runs, and a
+    fork starts beside it; an exec'd interpreter is instead placed on
+    an idle CPU.  A shard host and the client that dials it, started on
+    one CPU, tend to stay there: each wakes the other as it blocks, and
+    the scheduler keeps such a pair together, so the two take turns on
+    one CPU while another idles (``fabric_rpc`` ran at 1.0 CPU-second
+    per second that way on a 2-vCPU VM, 1.17 with its host apart).
+    One move away, with the inherited set restored at once, leaves the
+    placement to the scheduler as an exec would.
+    """
+    allowed = os.sched_getaffinity(0)
+    if len(allowed) < 2:
+        return
+    try:
+        os.sched_setaffinity(0, allowed - {_current_cpu()})
+        os.sched_setaffinity(0, allowed)
+    except (OSError, ValueError, IndexError):
+        pass
+
+
+def _current_cpu() -> int:
+    """The CPU this task last ran on (field 39 of its ``stat``)."""
+    with open("/proc/self/stat") as stat:
+        return int(stat.read().rsplit(")", 1)[1].split()[36])
 
 
 # ----------------------------------------------------------------------

@@ -154,6 +154,7 @@ def stand_in(argv):
         "signals": SIGNALS(),
         "random": random.random(),
         "numpy": float(np.random.random()),
+        "cpus": sorted(os.sched_getaffinity(0)),
     }))
     return int(argv[0])
 
@@ -168,6 +169,8 @@ def SIGNALS():
 if sys.argv[1] == "fresh":
     print(json.dumps(SIGNALS()))
     sys.exit(0)
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 repro.cli.main = stand_in
 ours, theirs = socket.socketpair(socket.AF_UNIX, socket.SOCK_SEQPACKET)
 launcher_pid = os.fork()
@@ -218,6 +221,41 @@ def test_a_child_starts_fresh_and_ends_as_the_cli_would(tmp_path):
         assert state["signals"] == json.loads(fresh.stdout)
     assert states[0]["random"] != states[1]["random"]
     assert states[0]["numpy"] != states[1]["numpy"]
+    # Started off the launcher's CPU, but free to run where it could.
+    assert all(s["cpus"] == sorted(os.sched_getaffinity(0)) for s in states)
+
+
+@pytest.mark.parametrize("allowed", [{0, 1, 2, 3}, {2}])
+def test_a_fork_steps_off_its_cpu_and_back_to_its_set(monkeypatch, allowed):
+    """Two calls: every allowed CPU but the one it is on, then the set it
+    came with.  One allowed CPU leaves nothing to step to."""
+    assert launcher_mod._current_cpu() in os.sched_getaffinity(0)
+    calls = []
+    monkeypatch.setattr(launcher_mod.os, "sched_getaffinity", lambda pid: set(allowed))
+    monkeypatch.setattr(
+        launcher_mod.os, "sched_setaffinity", lambda pid, cpus: calls.append(set(cpus))
+    )
+    monkeypatch.setattr(launcher_mod, "_current_cpu", lambda: 2)
+    launcher_mod._leave_launcher_cpu()
+    if len(allowed) == 1:
+        assert calls == []
+    else:
+        assert calls == [allowed - {2}, allowed]
+
+
+def test_a_child_keeps_a_narrowed_cpu_set(tmp_path):
+    """A parent confined to one CPU (``taskset``) has children confined
+    to it: the move off the launcher's CPU never widens the set."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    forked = subprocess.run(
+        [sys.executable, "-c", CHILD_CONTRACT, "pinned"], env=env,
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+    )
+    assert forked.returncode == 0, forked.stderr
+    results = json.loads(forked.stdout.splitlines()[-1])
+    assert [r["exit"] for r in results] == [3, 0]
+    pinned = [min(os.sched_getaffinity(0))]
+    assert [json.loads(r["lines"][0])["cpus"] for r in results] == [pinned] * 2
 
 
 #: What under ``numpy.random`` draws nothing from the global stream:
