@@ -1,10 +1,9 @@
 """Multi-node shard fabric: the ingestion service over real sockets.
 
-``Topology.workers(n)`` moves shard aggregation into subprocesses behind
-pipes; ``Topology.fabric(n)`` goes one step further and talks to ``repro serve-shard``
-subprocesses over TCP — the same frame protocol, but each shard host is
-now an independently deployable process that could live on another
-machine.  The demo shows:
+``Topology.fabric(n)`` moves shard aggregation into ``repro serve-shard``
+subprocesses over TCP (``Topology.workers(n)`` is the same fabric
+without supervision): each shard host is an independently deployable
+process that could live on another machine.  The demo shows:
 
 1. the same service API — register, submit, pump, snapshot — with 2
    socket shard hosts behind 4 shards, launched through the real CLI

@@ -2,16 +2,16 @@
 
 The single-process service aggregates on the thread that pumps; with
 ``Topology.workers(n)`` each shard's aggregation moves into a worker
-process that receives micro-batches as compact ``WorkItem`` frames over
-a pipe.  The demo shows:
+process (a ``repro serve-shard`` child on a loopback port) that
+receives micro-batches as compact ``WorkItem`` frames.  The demo shows:
 
 1. the same service API — register, submit, pump, snapshot — with a
-   2-worker pool behind 4 shards (spawn start method, as on CI);
+   2-worker pool behind 4 shards;
 2. truths that are *bitwise identical* to a single-process run over the
    same traffic (aggregation state is a pure function of the batch
    sequence, wherever it runs);
 3. worker-crash behaviour: killing a worker surfaces a clear
-   ``WorkerCrashedError`` instead of a hung pipe.
+   ``WorkerCrashedError`` instead of a hung connection.
 
 Run:  PYTHONPATH=src python examples/multiprocess_workers.py
 """
@@ -57,11 +57,7 @@ def build_traffic():
 
 
 def run(generators, chunks, *, workers: int) -> dict:
-    topology = (
-        Topology.workers(workers, start_method="spawn")
-        if workers
-        else Topology.in_process()
-    )
+    topology = Topology.workers(workers) if workers else Topology.in_process()
     service = IngestService(
         ServiceConfig(num_shards=4, max_batch=2048), topology=topology
     )
@@ -120,7 +116,7 @@ def main() -> None:
     print("\n== a killed worker fails loudly, not silently ==")
     service = IngestService(
         ServiceConfig(num_shards=4, max_batch=2048),
-        topology=Topology.workers(2, start_method="spawn"),
+        topology=Topology.workers(2),
     )
     with service:
         gen = generators[0]

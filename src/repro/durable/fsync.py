@@ -2,7 +2,7 @@
 compaction, checkpoints and a standby's fence.
 
 Its own module so that :mod:`repro.durable.checkpoint`, which every
-shard host and pipe worker imports for the state encoding, does not
+shard host imports for the state encoding, does not
 load the whole write-ahead log for it.
 """
 

@@ -4,13 +4,13 @@ The worker tier (:mod:`repro.workers`) already speaks a length-prefixed,
 transport-independent frame protocol; this package crosses the machine
 boundary with it:
 
-* :mod:`repro.net.framing` — :class:`FrameReader`, the shared
-  incremental decoder both pipes and sockets use;
+* :mod:`repro.net.framing` — :class:`FrameReader`, the one
+  incremental frame decoder;
 * :mod:`repro.net.transport` — :class:`SocketListener` /
-  :class:`SocketConnection`, the ``multiprocessing``-connection surface
-  over TCP; :class:`FrameServer`, the one accept loop (threads over
-  blocking sockets), and :func:`call`, the one dial–ask–hang-up client;
-* :mod:`repro.net.host` — :class:`ShardHost`, the pipe worker's loop
+  :class:`SocketConnection`, framed TCP streams; :class:`FrameServer`,
+  the one accept loop (threads over blocking sockets), and
+  :func:`call`, the one dial–ask–hang-up client;
+* :mod:`repro.net.host` — :class:`ShardHost`, a shard worker's runtime
   behind a :class:`FrameServer` (``repro serve-shard``);
 * :mod:`repro.net.placement` — :class:`PlacementMap`, the mutable
   shard→host table;

@@ -7,11 +7,10 @@ goes through the same pieces:
 * :func:`spawn_cli` asks this process's :mod:`launcher
   <repro.net.launcher>` — one warm process that has already imported
   NumPy and every child role — to fork ``repro.cli <argv>``, and hands
-  back a :class:`HostProcess`, the ``multiprocessing.Process`` surface
-  over that child, so a pipe worker and a CLI child are owned through
-  one interface.  The first spawn in a process starts the launcher and
-  pays the imports once; every later spawn, respawn and re-home is a
-  fork of a few milliseconds;
+  back a :class:`HostProcess`, the ``Process``-shaped handle every
+  owner probes and stops a child through.  The first spawn in a
+  process starts the launcher and pays the imports once; every later
+  spawn, respawn and re-home is a fork of a few milliseconds;
 * :func:`~repro.utils.process.reap` is the one shutdown ladder (join →
   terminate → kill), kept in a dependency-free module;
 * :class:`SocketLauncher` is what makes a
@@ -41,12 +40,12 @@ _LOGGER = get_logger("net.fabric")
 
 
 class HostProcess:
-    """``multiprocessing.Process``-shaped handle on a launcher's child.
+    """``Process``-shaped handle on a launcher's child (``pid``,
+    ``exitcode``, ``is_alive``, ``join``, ``terminate``, ``kill``).
 
     Handles, pools and :func:`~repro.utils.process.reap` probe liveness
-    and escalate shutdown through this surface; giving the CLI child
-    the same shape keeps every crash-handling path identical across
-    pipes and sockets.  Liveness and signals go through a pidfd, so
+    and escalate shutdown through this surface, one crash-handling path
+    for every child.  Liveness and signals go through a pidfd, so
     they can never reach a recycled pid; the exit code is the
     launcher's report once it reaped the child.  A child whose launcher
     died first reads dead with ``exitcode`` None: its status went to

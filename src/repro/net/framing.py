@@ -1,21 +1,18 @@
 """Incremental length-prefixed frame decoding.
 
-Every byte stream in the system — the worker pipes, the shard-host
-sockets, the replication stream and the watchdog's status links —
-carries the same frame layout::
+Every byte stream in the system — the shard-host sockets, the
+replication stream and the watchdog's status links — carries the same
+frame layout::
 
     u32  length of everything after this field (little-endian)
     u8   frame type
     ...  payload
 
-Pipes deliver each ``send_bytes`` as one complete message, so the
-worker path historically decoded whole buffers.  Sockets do not:
-a frame can arrive split across arbitrarily many reads, and one read
-can end mid-header.  :class:`FrameReader` is the single decoder both
-paths share — a socket reads into the buffer it offers, a pipe feeds it
-whole messages, and either way it yields every complete
-``(type, payload)`` frame, keeping any partial tail until more bytes
-arrive.
+A TCP stream keeps no message boundaries: a frame can arrive split
+across arbitrarily many reads, and one read can end mid-header.
+:class:`FrameReader` is the one decoder: a socket reads into the buffer
+it offers, and it yields every complete ``(type, payload)`` frame,
+keeping any partial tail until more bytes arrive.
 
 The reader is strict about what a *complete* prefix must look like
 (a declared length of zero cannot even hold the type byte; a length
@@ -69,8 +66,8 @@ class FrameReader:
 
     One instance per stream direction.  A socket reads into
     :meth:`recv_buffer` and reports what arrived with :meth:`received`;
-    bytes a caller already holds (a pipe message) go through
-    :meth:`feed`, which does the same from memory.
+    bytes a caller already holds go through :meth:`feed`, which does
+    the same from memory.
 
     Reads land in one reusable buffer of ``buffer_bytes``, where every
     frame that arrived whole is copied out once, so one read can yield

@@ -1,8 +1,9 @@
-"""The shard host: the pipe worker's loop, on a socket.
+"""The shard host: one shard worker on a socket.
 
-``repro serve-shard`` turns a shard worker into a process on a port:
-the frame protocol the pipe workers speak, each frame handed to the
-shared :class:`~repro.workers.worker.ShardRuntime`, behind a
+``repro serve-shard`` is how every shard worker runs —
+``Topology.workers(n)`` and ``Topology.fabric(n)`` alike: a process on a
+port, each frame of the worker protocol handed to the
+:class:`~repro.workers.worker.ShardRuntime`, behind a
 :class:`~repro.net.transport.FrameServer` — so it accepts *multiple*
 connections, each on its own thread:
 
@@ -14,11 +15,12 @@ connections, each on its own thread:
   heartbeat) — an unsolicited frame on the data plane would be read as
   an error report by the parent, so heartbeats need their own stream.
 
-Lifecycle mirrors the pipe worker: ``SHUTDOWN`` exits cleanly; the data
-plane closing without one means the parent is gone, and the host exits
-rather than linger orphaned; a dispatch failure is reported as an
-``ERROR`` frame carrying the traceback, then the host exits nonzero
-(:meth:`ShardRuntime.serve_frame`, shared with the pipe path).  SIGTERM
+Lifecycle: ``SHUTDOWN`` exits cleanly; the data plane closing without
+one means the parent is gone, and the host exits rather than linger
+orphaned; a dispatch failure is reported as an ``ERROR`` frame carrying
+the traceback, then the host exits nonzero
+(:meth:`ShardRuntime.serve_frame`).  Either way the accept loop wakes at
+once (:meth:`~repro.net.transport.FrameServer.request_stop`).  SIGTERM
 is a graceful stop: a response a client is waiting on is sent whole
 before the host exits.
 """

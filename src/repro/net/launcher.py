@@ -427,8 +427,9 @@ def _shutdown() -> None:
 
 
 def _forget() -> None:
-    """In a fork of this process (a pipe worker): drop the inherited
-    channel, so the launcher sees EOF when its own parent goes."""
+    """In a fork of this process (the service starts none; a caller's
+    own ``os.fork``, or a library's): drop the inherited channel, so
+    the launcher sees EOF when its own parent goes."""
     global _current, _current_lock
     _current_lock = threading.Lock()
     if _current is not None:

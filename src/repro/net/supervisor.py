@@ -1,8 +1,8 @@
 """Supervised shard hosts: journal, checkpoint, restart, replay.
 
-A pipe worker dying is fatal by design — the parent raises
+An unsupervised worker dying is fatal by design — the parent raises
 :class:`~repro.workers.handles.WorkerCrashedError` and the operator
-recovers from the WAL.  A *fabric* must do better: shard hosts are
+recovers from the WAL.  A supervised fabric does better: shard hosts are
 remote processes that die for reasons that have nothing to do with the
 data (OOM killers, node reboots, deploys), and the service should ride
 through.

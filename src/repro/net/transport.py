@@ -1,12 +1,11 @@
-"""Socket transport with the ``multiprocessing`` connection surface.
+"""The framed socket transport: every connection in the system.
 
-:class:`SocketConnection` wraps one TCP stream in the exact API the
-parent-side worker machinery already speaks against a pipe —
-``send_bytes`` / ``poll(timeout)`` / ``close`` — plus ``send_frame`` and
-``recv_frame`` fast paths that :func:`repro.workers.protocol.send_frame`
-and :func:`~repro.workers.protocol.recv_frame` prefer when present, and
-``send_file_range``, which sends a frame whose payload is a byte range
-of a file (the replication stream's WAL frames) by ``os.sendfile``.
+:class:`SocketConnection` wraps one TCP stream in frames:
+``send_frame`` / ``recv_frame`` / ``poll(timeout)`` / ``close``, the
+raw ``send_bytes`` under ``send_frame``, and ``send_file_range``, which
+sends a frame whose payload is a byte range of a file (the replication
+stream's WAL frames) by ``os.sendfile``.  Shard workers, standbys,
+watchdogs and their clients all speak through it.
 
 Frames have one encoder (:func:`~repro.workers.protocol.frame_header`
 ahead of the payload) and one decoder (the
@@ -48,7 +47,7 @@ from repro.net.framing import FrameReader, FramingError
 from repro.utils.backoff import Backoff
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
-from repro.workers.protocol import encode_frame, frame_header
+from repro.workers.protocol import frame_header
 
 _LOGGER = get_logger("net.transport")
 
@@ -87,8 +86,7 @@ class SocketConnection:
         return self._sock is None
 
     def fileno(self) -> int:
-        """The socket's descriptor: ``select`` takes a connection, as
-        it takes a ``multiprocessing`` one."""
+        """The socket's descriptor, so ``select`` takes a connection."""
         if self._sock is None:
             raise OSError("connection is closed")
         return self._sock.fileno()
@@ -300,6 +298,17 @@ class SocketListener:
             raise OSError("listener is closed") from exc
         return SocketConnection(conn)
 
+    def shutdown(self) -> None:
+        """Stop listening: a thread blocked in :meth:`accept` wakes and
+        raises ``OSError`` (Linux).  Touches no lock, so a signal
+        handler may call it, and is a no-op once closed."""
+        sock = self._sock
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # closed under us
+
     def close(self) -> None:
         if self._sock is not None:
             try:
@@ -381,7 +390,7 @@ def call(
     """
     deadline = time.monotonic() + timeout
     with _dial(address, timeout) as conn:
-        conn.send_bytes(encode_frame(rtype, payload))
+        conn.send_frame(rtype, payload)
         try:
             if conn.poll(max(deadline - time.monotonic(), 0.0)):
                 return conn.recv_frame()
@@ -403,10 +412,12 @@ class FrameServer:
     :meth:`stop` wait for handlers that are mid-frame: a stop never
     tears a reply a client is waiting on.  A peer that hangs up or
     sends garbage ends its connection quietly; a handler that raises
-    is logged and costs its connection, never the server.
+    is logged and costs its connection, never the server.  A stop
+    shuts the listening socket down, which wakes the accept loop at
+    once; a connection notices it at its next frame or poll.
     """
 
-    POLL_SECONDS = 0.2  #: between looks at the stop flag, in every loop
+    POLL_SECONDS = 0.2  #: between a connection's looks at the stop flag
     DRAIN_SECONDS = 5.0  #: how long a stop waits for handlers mid-frame
 
     def __init__(
@@ -435,11 +446,9 @@ class FrameServer:
         try:
             while not self._stopping:
                 try:
-                    conn = self._listener.accept(timeout=self.POLL_SECONDS)
-                except TimeoutError:
-                    continue
+                    conn = self._listener.accept()
                 except OSError:
-                    break  # listener closed under us: stopping
+                    break  # listener shut down or closed: stopping
                 thread = threading.Thread(
                     target=self._serve_connection,
                     args=(conn,),
@@ -467,12 +476,14 @@ class FrameServer:
         self._thread.start()
 
     def request_stop(self) -> None:
-        """Ask :meth:`serve` to wind down (only sets a flag: signal-safe)."""
+        """Ask :meth:`serve` to wind down: set the flag, wake the accept
+        loop (signal-safe: no lock is taken)."""
         self._stopping = True
+        self._listener.shutdown()
 
     def stop(self) -> None:
         """Stop accepting, let handlers finish, join (idempotent)."""
-        self._stopping = True
+        self.request_stop()
         if self._thread is not None:
             self._thread.join(self.DRAIN_SECONDS + 1.0)
             self._thread = None

@@ -19,7 +19,7 @@ from repro.net.transport import connect
 from repro.replication import protocol as rp
 from repro.service.snapshot import TruthSnapshot
 from repro.workers import protocol as proto
-from repro.workers.protocol import ProtocolError, recv_frame, send_frame
+from repro.workers.protocol import ProtocolError
 
 
 class ReplicaError(RuntimeError):
@@ -79,7 +79,7 @@ class ReplicaReadClient:
     # ------------------------------------------------------------------
     def _exchange(self, rtype: int, payload: bytes, expected: int):
         """One request and its reply; the caller holds ``_lock``."""
-        send_frame(self._conn, rtype, payload)
+        self._conn.send_frame(rtype, payload)
         if not self._conn.poll(self._timeout):
             # A late reply would answer the *next* request: the
             # stream is unusable from here on.
@@ -88,7 +88,7 @@ class ReplicaReadClient:
                 f"standby {self._address} sent no reply within "
                 f"{self._timeout}s"
             )
-        return expect_reply(recv_frame(self._conn), expected)
+        return expect_reply(self._conn.recv_frame(), expected)
 
     def _call(self, rtype: int, payload: bytes, expected: int):
         with self._lock:
@@ -154,7 +154,7 @@ class ReplicaReadClient:
     def shutdown(self) -> None:
         """Tell the standby process to exit cleanly."""
         with self._lock:
-            send_frame(self._conn, proto.SHUTDOWN)
+            self._conn.send_frame(proto.SHUTDOWN)
 
     def close(self) -> None:
         self._conn.close()

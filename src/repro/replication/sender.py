@@ -75,12 +75,7 @@ from repro.replication import protocol as rp
 from repro.utils.backoff import Backoff
 from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
-from repro.workers.protocol import (
-    ProtocolError,
-    frame_header,
-    recv_frame,
-    send_frame,
-)
+from repro.workers.protocol import ProtocolError, frame_header
 
 _LOGGER = get_logger("replication.sender")
 
@@ -200,8 +195,7 @@ class _StandbyLink:
                     conn.close()
 
     def _handshake(self, conn) -> int:
-        send_frame(
-            conn,
+        conn.send_frame(
             rp.HELLO,
             rp.encode_json(
                 {
@@ -210,7 +204,7 @@ class _StandbyLink:
                 }
             ),
         )
-        rtype, payload = recv_frame(conn)
+        rtype, payload = conn.recv_frame()
         if rtype == rp.REPL_ERROR:
             raise ReplicationError(
                 rp.decode_json(payload).get("error", "standby error")
@@ -273,7 +267,7 @@ class _StandbyLink:
             )
         # The file's bytes, as they are: the standby checks and stores
         # them unchanged.
-        send_frame(conn, rp.CHECKPOINT, data)
+        conn.send_frame(rp.CHECKPOINT, data)
         ack = self._await_ack(conn)
         if ack != lsn:
             raise ReplicationError(
@@ -311,7 +305,7 @@ class _StandbyLink:
             sender.ack_cv.notify_all()
 
     def _await_ack(self, conn) -> int:
-        rtype, payload = recv_frame(conn)
+        rtype, payload = conn.recv_frame()
         if rtype == rp.REPL_ERROR:
             raise ReplicationError(
                 rp.decode_json(payload).get("error", "standby error")

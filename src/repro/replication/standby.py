@@ -69,7 +69,6 @@ from repro.replication import protocol as rp
 from repro.utils.logging import get_logger
 from repro.utils.process import on_sigterm
 from repro.workers import protocol as proto
-from repro.workers.protocol import send_frame
 
 _LOGGER = get_logger("replication.standby")
 
@@ -234,7 +233,7 @@ class StandbyServer(FrameServer):
             # logs this instead of a bare connection reset.
             _LOGGER.exception("standby connection failed")
             error = rp.encode_json({"error": str(exc)})
-            send_frame(conn, rp.REPL_ERROR, error)
+            conn.send_frame(rp.REPL_ERROR, error)
             return False
 
     def _dispatch(self, conn, rtype: int, payload: bytes) -> bool:
@@ -248,8 +247,8 @@ class StandbyServer(FrameServer):
         if rtype == rp.READ_REQ:
             return self._on_read(conn, payload)
         if rtype == rp.STATUS_REQ:
-            send_frame(
-                conn, rp.STATUS_RESP, rp.encode_json(self.status())
+            conn.send_frame(
+                rp.STATUS_RESP, rp.encode_json(self.status())
             )
             return True
         if rtype == rp.PROMOTE_REQ:
@@ -257,13 +256,12 @@ class StandbyServer(FrameServer):
         if rtype == rp.WD_PROMOTED:
             return self._on_fence_advance(conn, payload)
         if rtype == proto.PING:
-            send_frame(conn, proto.PONG)
+            conn.send_frame(proto.PONG)
             return True
         if rtype == proto.SHUTDOWN:
             self.request_stop()
             return False
-        send_frame(
-            conn,
+        conn.send_frame(
             rp.REPL_ERROR,
             rp.encode_json({"error": f"unexpected frame type {rtype}"}),
         )
@@ -273,8 +271,7 @@ class StandbyServer(FrameServer):
     def _on_hello(self, conn, payload: bytes) -> bool:
         body = rp.decode_json(payload)
         if body.get("format") != rp.REPLICATION_FORMAT:
-            send_frame(
-                conn,
+            conn.send_frame(
                 rp.REPL_ERROR,
                 rp.encode_json(
                     {
@@ -288,15 +285,14 @@ class StandbyServer(FrameServer):
             )
             return False
         if self._promoted:
-            send_frame(
-                conn,
+            conn.send_frame(
                 rp.REPL_ERROR,
                 rp.encode_json(
                     {"error": "standby was promoted; not accepting a stream"}
                 ),
             )
             return False
-        send_frame(conn, rp.CURSOR, rp.encode_lsn(self._wal.durable_lsn))
+        conn.send_frame(rp.CURSOR, rp.encode_lsn(self._wal.durable_lsn))
         return True
 
     def _on_records(self, conn, payload: bytes) -> bool:
@@ -309,8 +305,8 @@ class StandbyServer(FrameServer):
             if error is None and (self._promoted or self._wal is None):
                 error = "standby no longer replicates"
             if error is not None:
-                send_frame(
-                    conn, rp.REPL_ERROR, rp.encode_json({"error": error})
+                conn.send_frame(
+                    rp.REPL_ERROR, rp.encode_json({"error": error})
                 )
                 return False
             frames = rp.verify_records(payload, self._wal.last_lsn)
@@ -325,8 +321,8 @@ class StandbyServer(FrameServer):
             # Durable before acked: the sender's cursor must never run
             # ahead of what this disk can replay after a crash.
             self._wal.sync()
-            send_frame(
-                conn, rp.ACK, rp.encode_lsn(self._wal.durable_lsn)
+            conn.send_frame(
+                rp.ACK, rp.encode_lsn(self._wal.durable_lsn)
             )
             for index, record in enumerate(records):
                 try:
@@ -410,7 +406,7 @@ class StandbyServer(FrameServer):
             self._wal = WriteAheadLog(
                 self._dir, fsync=self._fsync, start_lsn=lsn + 1
             )
-            send_frame(conn, rp.ACK, rp.encode_lsn(lsn))
+            conn.send_frame(rp.ACK, rp.encode_lsn(lsn))
         return True
 
     # ------------------------------------------------------------------
@@ -438,8 +434,8 @@ class StandbyServer(FrameServer):
             ):
                 error = f"unknown campaign {campaign_id!r}"
             if error is not None:
-                send_frame(
-                    conn, rp.REPL_ERROR, rp.encode_json({"error": error})
+                conn.send_frame(
+                    rp.REPL_ERROR, rp.encode_json({"error": error})
                 )
                 return True
             state = service.campaign_state(campaign_id)
@@ -463,10 +459,9 @@ class StandbyServer(FrameServer):
             else:
                 self.reads_full += 1
         if snapshot is None:
-            send_frame(conn, rp.READ_RESP, b"")
+            conn.send_frame(rp.READ_RESP, b"")
             return True
-        send_frame(
-            conn,
+        conn.send_frame(
             rp.READ_RESP,
             proto.pack_state(
                 {
@@ -527,7 +522,7 @@ class StandbyServer(FrameServer):
                     "fence advanced to epoch %d (promotion elsewhere)",
                     epoch,
                 )
-        send_frame(conn, proto.PONG)
+        conn.send_frame(proto.PONG)
         return True
 
     def _on_promote(self, conn, payload: bytes) -> bool:
@@ -539,11 +534,11 @@ class StandbyServer(FrameServer):
         try:
             report = self.promote(epoch=epoch)
         except StandbyError as exc:
-            send_frame(
-                conn, rp.REPL_ERROR, rp.encode_json({"error": str(exc)})
+            conn.send_frame(
+                rp.REPL_ERROR, rp.encode_json({"error": str(exc)})
             )
             return True
-        send_frame(conn, rp.PROMOTE_RESP, rp.encode_json(report))
+        conn.send_frame(rp.PROMOTE_RESP, rp.encode_json(report))
         return True
 
     def promote(self, *, epoch: Optional[int] = None) -> dict:

@@ -57,7 +57,7 @@ from repro.utils.logging import get_logger
 from repro.utils.rng import derive_seed
 from repro.utils.validation import ensure_int, ensure_positive
 from repro.workers import protocol as proto
-from repro.workers.protocol import ProtocolError, send_frame
+from repro.workers.protocol import ProtocolError
 
 _LOGGER = get_logger("replication.watchdog")
 
@@ -93,7 +93,7 @@ class _FrameListener(FrameServer):
                 rp.REPL_ERROR,
                 rp.encode_json({"error": f"unsupported frame type {rtype}"}),
             )
-        send_frame(conn, *reply)
+        conn.send_frame(*reply)
         return True
 
 

@@ -231,12 +231,12 @@ class IngestService:
         ``"budget"``.
     topology:
         The deployment shape, one :class:`~repro.service.topology.
-        Topology` value (default ``Topology.in_process()``): pipe
-        workers, socket shard hosts or warm standbys, each optionally
-        with ``durability=`` — every registration, admitted budget
-        charge and flushed micro-batch written ahead to a log that
-        :class:`~repro.durable.recovery.RecoveryManager` rebuilds the
-        state from.  Call :meth:`close` (or use the service as a
+        Topology` value (default ``Topology.in_process()``): shard
+        worker processes (fail-fast or supervised) or warm standbys,
+        each optionally with ``durability=`` — every registration,
+        admitted budget charge and flushed micro-batch written ahead
+        to a log that :class:`~repro.durable.recovery.RecoveryManager`
+        rebuilds the state from.  Call :meth:`close` (or use the service as a
         context manager) to stop whatever the topology started.
     """
 
@@ -751,7 +751,8 @@ class IngestService:
     def _pump_shards(self) -> int:
         if self._pool is not None:
             # Surface a crashed worker as a clear error now, not as a
-            # broken pipe halfway through shipping this pump's batches.
+            # broken connection halfway through shipping this pump's
+            # batches.
             self._pool.check()
         moved = sum(shard.pump() for shard in self._shards)
         self._pumps += 1
@@ -824,7 +825,7 @@ class IngestService:
         """Barrier: return once workers aggregated every shipped batch
         (a no-op in-process, where pump aggregated synchronously) — so
         multi-process throughput counts finished aggregation, not
-        frames parked in a pipe."""
+        frames parked in a socket."""
         if self._pool is not None:
             self._pool.sync()
             if self.telemetry.enabled:

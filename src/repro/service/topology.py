@@ -38,7 +38,7 @@ from repro.utils.validation import ensure_int
 _LOGGER = get_logger("service.topology")
 
 #: Deployment shapes a topology can describe.
-TOPOLOGY_KINDS = ("in_process", "workers", "fabric", "replicated")
+TOPOLOGY_KINDS = ("in_process", "fabric", "replicated")
 
 #: Replication sync modes (mirrors repro.replication.sender.SYNC_MODES
 #: without importing the package at module load).
@@ -53,14 +53,12 @@ class Topology:
     Attributes
     ----------
     kind:
-        ``"in_process"`` / ``"workers"`` / ``"fabric"`` /
-        ``"replicated"``.
+        ``"in_process"`` / ``"fabric"`` / ``"replicated"``
+        (:meth:`workers` builds a ``"fabric"``).
     processes:
-        Worker processes (``workers``) or shard hosts (``fabric``).
+        Fabric only: shard hosts.
     supervise:
         Fabric only: restart and replay dead shard hosts.
-    start_method:
-        Workers only: the ``multiprocessing`` start method.
     standbys:
         Replicated only: warm standbys receiving the WAL stream.
     sync:
@@ -101,7 +99,6 @@ class Topology:
     kind: str = "in_process"
     processes: int = 0
     supervise: bool = True
-    start_method: str = "spawn"
     standbys: int = 0
     sync: str = "async"
     durability: Optional[object] = None
@@ -118,7 +115,7 @@ class Topology:
             raise ValueError(
                 f"kind must be one of {TOPOLOGY_KINDS}, got {self.kind!r}"
             )
-        if self.kind in ("workers", "fabric"):
+        if self.kind == "fabric":
             ensure_int(self.processes, "processes", minimum=1)
         if self.kind == "replicated":
             ensure_int(self.standbys, "standbys", minimum=1)
@@ -158,20 +155,13 @@ class Topology:
         return cls(kind="in_process", durability=durability)
 
     @classmethod
-    def workers(
-        cls,
-        processes: int,
-        *,
-        start_method: str = "spawn",
-        durability=None,
-    ) -> "Topology":
-        """Shard aggregation in ``processes`` pipe-connected workers."""
-        return cls(
-            kind="workers",
-            processes=processes,
-            start_method=start_method,
-            durability=durability,
-        )
+    def workers(cls, processes: int, *, durability=None) -> "Topology":
+        """Shard aggregation in ``processes`` fail-fast worker
+        processes: exactly ``fabric(processes, supervise=False)``, each
+        worker a ``repro serve-shard`` child on a loopback port, and a
+        crash raises :class:`~repro.workers.handles.WorkerCrashedError`
+        (recover from the WAL)."""
+        return cls.fabric(processes, supervise=False, durability=durability)
 
     @classmethod
     def fabric(
@@ -277,9 +267,9 @@ class Deployment:
 
     Members start in a fixed order: the durability manager is resolved
     first (a config or path becomes a manager this deployment owns),
-    then the :class:`~repro.workers.pool.ShardPool` (``workers`` /
-    ``fabric``) or the standbys (``replicated``), then — replicated
-    only — the WAL sender, and under ``auto_failover`` the primary's
+    then the :class:`~repro.workers.pool.ShardPool` (``fabric``) or the
+    standbys (``replicated``), then — replicated only — the WAL
+    sender, and under ``auto_failover`` the primary's
     status listener and the watchdog fleet.  Each member is registered
     on one :class:`contextlib.ExitStack` as soon as it is up, and
     :meth:`close` — like a start that fails part way — unwinds that
@@ -327,7 +317,7 @@ class Deployment:
 
             manager = DurabilityManager(manager)
             self.own(manager.close)
-        if topology.kind in ("workers", "fabric"):
+        if topology.kind == "fabric":
             self._start_pool(topology)
         elif topology.kind == "replicated":
             from repro.replication.pool import StandbyPool
@@ -345,23 +335,16 @@ class Deployment:
             self._start_shipping(topology, manager)
 
     def _start_pool(self, topology: Topology) -> None:
-        from repro.workers.pool import ShardPool, pipe_launcher
+        from repro.net.fabric import SocketLauncher
+        from repro.workers.pool import ShardPool
 
-        if topology.kind == "workers":
-            # Pipe workers are fail-fast: a crash raises
-            # WorkerCrashedError and the operator recovers from the WAL.
-            launch, supervise = pipe_launcher(topology.start_method), False
-        else:
-            from repro.net.fabric import SocketLauncher
-
-            launch, supervise = SocketLauncher(), topology.supervise
         config = self._service.config
         self.pool = ShardPool(
             config.num_shards,
             topology.processes,
             asdict(config),
-            launch,
-            supervise=supervise,
+            SocketLauncher(),
+            supervise=topology.supervise,
         )
         self.own(self.pool.close)
         if self.pool.supervisor is not None:
@@ -418,7 +401,7 @@ class Deployment:
             )
 
     # ------------------------------------------------------------------
-    # Pool-side bookkeeping (``workers`` / ``fabric``).
+    # Pool-side bookkeeping (``fabric``).
     def proxy(self, shard_index: int, spec: dict):
         """The parent-side :class:`~repro.workers.handles.
         RemoteAggregator` of a campaign (``spec`` is its REGISTER body)
@@ -450,7 +433,7 @@ class Deployment:
     def rebalance_shard(self, shard_index: int, target_worker: int) -> int:
         """Move one shard's campaigns to another worker/host, online.
 
-        Works identically over pipes and sockets: routing is the
+        Works identically with and without supervision: routing is the
         :class:`~repro.workers.pool.ShardPool`'s
         :class:`~repro.net.placement.PlacementMap`.  Per campaign on the
         shard: register the spec on the target, ship ``state_dict``

@@ -6,26 +6,27 @@ into worker processes while the ingest process keeps validation,
 admission, user-slot tables, bounded queues, micro-batching, and
 durability logging:
 
-* :mod:`repro.workers.protocol` — length-prefixed frames over a duplex
-  pipe or a socket, reusing the WAL's records as the cross-process
-  format: a BATCH frame carries a batch's log record (one encoder,
-  one decoder, :mod:`repro.durable.records`), and control frames the
-  JSON control records;
-* :mod:`repro.workers.worker` — the spawn-safe worker loop: per-campaign
+* :mod:`repro.workers.protocol` — length-prefixed frames over a
+  socket, reusing the WAL's records as the cross-process format: a
+  BATCH frame carries a batch's log record (one encoder, one decoder,
+  :mod:`repro.durable.records`), and control frames the JSON control
+  records;
+* :mod:`repro.workers.worker` — the shard host's runtime: per-campaign
   :class:`~repro.service.aggregator.IncrementalAggregator` instances fed
   strictly in frame order;
 * :mod:`repro.workers.pool` — :class:`ShardPool`: process lifecycle
-  and contiguous shard-range placement over a launcher
-  (:func:`pipe_launcher` here; the socket fabric's
-  :class:`~repro.net.fabric.SocketLauncher` drives the same pool);
-* :mod:`repro.workers.handles` — :class:`WorkerHandle` (pipe + crash
-  detection + RPCs) and :class:`RemoteAggregator`, the
+  and contiguous shard-range placement over a launcher (the socket
+  fabric's :class:`~repro.net.fabric.SocketLauncher`);
+* :mod:`repro.workers.handles` — :class:`WorkerHandle` (connection +
+  crash detection + RPCs) and :class:`RemoteAggregator`, the
   ``IncrementalAggregator`` proxy that lets the existing
   :class:`~repro.service.shard.Shard` machinery, durability logging,
   and checkpointing run unchanged against remote campaigns.
 
 Entry point: ``IngestService(config, topology=Topology.workers(n))``
-— see :class:`repro.service.ingest.IngestService`.
+— see :class:`repro.service.ingest.IngestService`.  Each worker is a
+``repro serve-shard`` child on a loopback port, exactly what
+``Topology.fabric(n, supervise=False)`` starts.
 """
 
 from repro._lazy import lazy_exports
@@ -37,15 +38,10 @@ _EXPORTS = {
     "WorkerCrashedError": "repro.workers.handles",
     "WorkerError": "repro.workers.handles",
     "WorkerHandle": "repro.workers.handles",
-    "decode_frame": "repro.workers.protocol",
     "encode_frame": "repro.workers.protocol",
     "pack_state": "repro.workers.protocol",
-    "pipe_launcher": "repro.workers.pool",
-    "recv_frame": "repro.workers.protocol",
-    "send_frame": "repro.workers.protocol",
     "shard_ranges": "repro.workers.pool",
     "unpack_state": "repro.workers.protocol",
-    "worker_main": "repro.workers.worker",
 }
 
 __all__ = list(_EXPORTS)

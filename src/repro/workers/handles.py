@@ -2,12 +2,12 @@
 
 Two objects hide the process boundary from the service layer:
 
-* :class:`WorkerHandle` — one worker process: its pipe, liveness
-  checking, typed frame senders, and blocking RPCs.  Every pipe
-  operation is crash-wrapped: if the worker died, the handle drains any
-  pending ``ERROR`` frame (so the remote traceback survives) and raises
-  :class:`WorkerCrashedError` with the exit code instead of a bare
-  ``BrokenPipeError``.
+* :class:`WorkerHandle` — one worker process: its data-plane
+  connection, liveness checking, typed frame senders, and blocking
+  RPCs.  Every operation on the connection is crash-wrapped: if the
+  worker died, the handle drains any pending ``ERROR`` frame (so the
+  remote traceback survives) and raises :class:`WorkerCrashedError`
+  with the exit code instead of a bare ``BrokenPipeError``.
 * :class:`RemoteAggregator` — implements the
   :class:`~repro.service.aggregator.IncrementalAggregator` surface for
   one campaign whose real aggregator lives in a worker.  ``ingest``
@@ -110,7 +110,8 @@ class WorkerHandle:
 
         Outside an RPC the worker only ever sends ``ERROR`` frames, so
         any pending frame here is a failure report; a dead process with
-        a silent pipe raises :class:`WorkerCrashedError` directly.
+        a silent connection raises :class:`WorkerCrashedError`
+        directly.
         """
         if self._closed:
             raise WorkerCrashedError(f"{self!r} is already shut down")
@@ -121,13 +122,13 @@ class WorkerHandle:
 
     # ------------------------------------------------------------------
     def send(self, rtype: int, payload: bytes = b"") -> None:
-        """Ship one frame, converting pipe failures into crash errors."""
+        """Ship one frame, converting send failures into crash errors."""
         if self._closed:
             raise WorkerCrashedError(f"{self!r} is already shut down")
         try:
-            proto.send_frame(self._conn, rtype, payload)
+            self._conn.send_frame(rtype, payload)
         except (BrokenPipeError, ConnectionResetError, OSError) as exc:
-            self._raise_crashed(f"pipe write failed ({exc})")
+            self._raise_crashed(f"send failed ({exc})")
 
     def request(self, rtype: int, payload: bytes, expect: int) -> bytes:
         """Blocking RPC: send one frame, wait for its typed response."""
@@ -155,9 +156,9 @@ class WorkerHandle:
                     self._raise_crashed("worker process died mid-RPC")
                 continue
             try:
-                got, body = proto.recv_frame(self._conn)
+                got, body = self._conn.recv_frame()
             except (EOFError, ConnectionResetError, OSError):
-                self._raise_crashed("pipe closed mid-RPC")
+                self._raise_crashed("connection closed mid-RPC")
             if got == proto.ERROR:
                 raise WorkerError(self._format_error(body))
             if got != expect:
@@ -236,7 +237,7 @@ class WorkerHandle:
         if self._closed:
             return
         try:
-            proto.send_frame(self._conn, proto.SHUTDOWN, b"")
+            self._conn.send_frame(proto.SHUTDOWN, b"")
         except (BrokenPipeError, ConnectionResetError, OSError):
             pass  # already dead; just reap it below
         reap(self.process, timeout)
@@ -249,9 +250,9 @@ class WorkerHandle:
     # ------------------------------------------------------------------
     def _drain_error(self) -> None:
         try:
-            got, body = proto.recv_frame(self._conn)
+            got, body = self._conn.recv_frame()
         except (EOFError, ConnectionResetError, OSError):
-            self._raise_crashed("pipe closed")
+            self._raise_crashed("connection closed")
         if got == proto.ERROR:
             raise WorkerError(self._format_error(body))
         raise WorkerError(
@@ -268,8 +269,8 @@ class WorkerHandle:
     def _raise_crashed(self, why: str) -> None:
         exitcode = self.process.exitcode
         # A failing worker tries to report its traceback before dying;
-        # surface it if one is queued behind the broken pipe.  The
-        # drain itself can hit the dead pipe (EOF polls as readable
+        # surface it if one is queued behind the broken stream.  The
+        # drain itself can hit the dead stream (EOF polls as readable
         # forever) — the guard stops that from recursing back here.
         if not self._closed and not self._crashing:
             self._crashing = True

@@ -6,21 +6,19 @@ contiguous range of the service's shards through a mutable
 rebalancing work identically whatever carries the frames.  The pool is
 transport-free: its one transport-specific input is a *launcher*,
 ``launch(worker_id, shard_range) -> (process, conn)``, returning a
-started child (the ``multiprocessing.Process`` surface) and a connected
-frame stream to it.  Two launchers exist:
-
-* :func:`pipe_launcher` — a ``multiprocessing`` process running
-  :func:`~repro.workers.worker.worker_main` on a duplex pipe
-  (``Topology.workers(n)``);
-* :class:`~repro.net.fabric.SocketLauncher` — a ``repro serve-shard``
-  child on a TCP port (``Topology.fabric(n)``).
+started child (a :class:`~repro.net.fabric.HostProcess`) and a
+connected :class:`~repro.net.transport.SocketConnection` to it.  The
+launcher is :class:`~repro.net.fabric.SocketLauncher`: a ``repro
+serve-shard`` child, forked from the process-wide launcher, on a
+loopback TCP port — for ``Topology.workers(n)`` and
+``Topology.fabric(n)`` alike.
 
 Startup is a handshake: each child receives a ``CONFIG`` frame (the
 service configuration, as the same JSON record the write-ahead log
 stores) as soon as it is launched and must answer ``READY`` — awaited
 only once every child is started, so slow starts overlap.  A child that
-dies importing NumPy or decoding the config is reported with its
-traceback instead of hanging the parent.
+fails on the config is reported with its traceback instead of hanging
+the parent.
 
 With ``supervise=True`` every handle journals its state-changing frames
 and a dead child is restarted through the same launcher and replayed
@@ -32,7 +30,6 @@ instead of poisoning the service with
 from __future__ import annotations
 
 import functools
-import multiprocessing
 
 from repro.chaos import points as _chaos
 from repro.durable import records as rec
@@ -41,37 +38,10 @@ from repro.utils.logging import get_logger
 from repro.utils.process import reap
 from repro.workers import protocol as proto
 from repro.workers.handles import WorkerHandle
-from repro.workers.worker import worker_main
 
 _LOGGER = get_logger("workers.pool")
 
-__all__ = ["ShardPool", "pipe_launcher", "shard_ranges"]
-
-
-def pipe_launcher(start_method: str = "spawn"):
-    """A launcher of pipe-connected ``multiprocessing`` workers.
-
-    ``spawn`` is the default start method: it is the only one available
-    everywhere Python 3.10–3.13 runs, it cannot inherit locks or
-    buffered state from a threaded parent, and it forces the frame
-    protocol to carry everything a worker needs.  Tests that need fast
-    startup on POSIX pass ``"fork"``.
-    """
-    ctx = multiprocessing.get_context(start_method)
-
-    def launch(worker_id: int, shard_range: tuple):
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        process = ctx.Process(
-            target=worker_main,
-            args=(child_conn, worker_id, shard_range),
-            name=f"repro-shard-worker-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return process, parent_conn
-
-    return launch
+__all__ = ["ShardPool", "shard_ranges"]
 
 
 class ShardPool:
@@ -94,8 +64,9 @@ class ShardPool:
         one.  ``False`` is fail-fast: a crash surfaces as
         :class:`~repro.workers.handles.WorkerCrashedError`.
     ready_timeout:
-        Seconds to wait for each child's READY handshake (spawning
-        interpreters and importing NumPy on a cold CI runner is slow).
+        Seconds to wait for each child's READY handshake (the first
+        launch starts the launcher, which imports NumPy; on a cold CI
+        runner that is slow).
     """
 
     def __init__(
@@ -192,8 +163,7 @@ class ShardPool:
                 handle.sync()
 
     def ping(self, worker_id: int, *, timeout: float = 5.0) -> float:
-        """Heartbeat one shard host off the data plane; returns the RTT
-        (socket launchers only — a pipe has no second stream)."""
+        """Heartbeat one shard host off the data plane; returns the RTT."""
         return self._launch.ping(worker_id, timeout=timeout)
 
     # ------------------------------------------------------------------

@@ -6,10 +6,10 @@ Everything that crosses the process boundary is a *frame*::
     u8   frame type
     ...  payload
 
-Frames travel over a ``multiprocessing`` duplex pipe today, but the
-explicit length prefix keeps them self-describing, so the same encoding
-can move to raw sockets (the ROADMAP's multi-node follow-on) without a
-format change.
+Frames travel over TCP (:class:`~repro.net.transport.SocketConnection`
+writes them, the shared :class:`~repro.net.framing.FrameReader` reads
+them back off the byte stream); the explicit length prefix is what keeps
+a stream of them self-describing.
 
 The data plane reuses :mod:`repro.durable.records` wholesale: a claim
 batch crosses as its write-ahead-log record under the ``BATCH`` record
@@ -37,11 +37,10 @@ import struct
 
 from repro.durable import checkpoint
 from repro.durable.records import RecordError
-from repro.net.framing import FrameReader, FramingError, check_length
 
 # ---------------------------------------------------------------------------
 # Frame types.  1..31 is reserved for repro.durable.records record types
-# (CONFIG/REGISTER/UNREGISTER/BATCH/REFRESH cross the pipe unchanged);
+# (CONFIG/REGISTER/UNREGISTER/BATCH/REFRESH cross the wire unchanged);
 # worker-only control frames start at 32.
 
 #: Snapshot RPC: request one campaign's truths/weights/counters.
@@ -91,68 +90,6 @@ def frame_header(rtype: int, payload_len: int) -> bytes:
     if not 0 < rtype < 256:
         raise ProtocolError(f"frame type must fit a u8, got {rtype}")
     return _HEADER.pack(payload_len + 1, rtype)
-
-
-def decode_frame(frame: bytes) -> tuple[int, bytes]:
-    """Inverse of :func:`encode_frame`; validates the length prefix.
-
-    A pipe delivers whole messages, and a message must be exactly one
-    frame with nothing left over: a header whose declared length is the
-    rest of the message, within the bounds every reader applies
-    (:func:`~repro.net.framing.check_length`).  Such a message is
-    checked once and its payload sliced out once.  Any other message
-    goes through the shared :class:`~repro.net.framing.FrameReader`,
-    which names what is wrong exactly as the socket path would.
-    """
-    if len(frame) >= _HEADER.size:
-        length, rtype = _HEADER.unpack_from(frame)
-        if length == len(frame) - _HEADER.size + 1:
-            try:
-                check_length(length)
-            except FramingError as exc:
-                raise ProtocolError(str(exc)) from exc
-            return rtype, bytes(frame[_HEADER.size:])
-    reader = FrameReader(buffer_bytes=max(len(frame), _HEADER.size))
-    try:
-        frames = reader.feed(frame)
-    except FramingError as exc:
-        raise ProtocolError(str(exc)) from exc
-    if len(frames) != 1 or reader.pending_bytes:
-        raise ProtocolError(
-            f"expected exactly one complete frame in {len(frame)} "
-            f"byte(s), decoded {len(frames)} with "
-            f"{reader.pending_bytes} byte(s) left over"
-        )
-    return frames[0]
-
-
-def send_frame(conn, rtype: int, payload: bytes = b"") -> None:
-    """Write one frame to a connection (pipe or socket).
-
-    A :class:`~repro.net.transport.SocketConnection` sends the header
-    and ``payload`` in one ``sendmsg`` itself; a pipe, which delivers
-    whole messages, takes them as one buffer.
-    """
-    native = getattr(conn, "send_frame", None)
-    if native is not None:
-        native(rtype, payload)
-    else:
-        conn.send_bytes(encode_frame(rtype, payload))
-
-
-def recv_frame(conn) -> tuple[int, bytes]:
-    """Read one frame from a connection (pipe or socket).
-
-    A ``multiprocessing`` pipe delivers whole messages, decoded here; a
-    :class:`~repro.net.transport.SocketConnection` reassembles frames
-    from the byte stream itself and exposes ``recv_frame`` directly.
-    Raises ``EOFError`` when the peer has gone away, exactly like the
-    underlying connection does.
-    """
-    native = getattr(conn, "recv_frame", None)
-    if native is not None:
-        return native()
-    return decode_frame(conn.recv_bytes())
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,10 @@
 
 :class:`ShardRuntime` is the transport-free core: given one decoded
 frame and a ``send`` callback it applies the frame to its campaign
-aggregators and emits any response frames.  Two transports drive it:
-
-* :func:`worker_main` — the (spawn-safe, module-level) entrypoint of a
-  pipe-connected worker process (:func:`repro.workers.pool.pipe_launcher`);
-* :class:`repro.net.host.ShardHost` — the same loop over a socket
-  (``repro serve-shard``), one host process per port.
+aggregators and emits any response frames.  One transport drives it:
+:class:`repro.net.host.ShardHost` (``repro serve-shard``), one host
+process per port, which is what ``Topology.workers(n)`` and
+``Topology.fabric(n)`` both start.
 
 A runtime owns a contiguous range of shards: every campaign routed to
 those shards lives here as an
@@ -44,15 +42,13 @@ Protocol (see :mod:`repro.workers.protocol`):
 
 Any exception is reported back as an ``ERROR`` frame carrying the full
 traceback before the process exits nonzero, so the parent can raise a
-useful error instead of a bare broken pipe
+useful error instead of a bare ``BrokenPipeError``
 (:meth:`ShardRuntime.serve_frame`, the one place that contract lives).
 """
 
 from __future__ import annotations
 
-import functools
 import json
-import sys
 import time
 import traceback
 
@@ -133,12 +129,12 @@ class ShardRuntime:
 
     def serve_frame(self, conn, rtype: int, payload: bytes) -> bool:
         """:meth:`on_frame` replying on ``conn``, plus the failure
-        contract of both transports: a frame whose dispatch raises is
+        contract of a shard host: a frame whose dispatch raises is
         reported as an ``ERROR`` frame carrying the traceback,
         :attr:`exit_code` becomes 1 and False stops the transport.  If
         the parent is already gone the send raises, and the traceback
         reaches stderr instead."""
-        send = functools.partial(proto.send_frame, conn)
+        send = conn.send_frame
         try:
             return self.on_frame(rtype, payload, send)
         except Exception:
@@ -256,31 +252,3 @@ class ShardRuntime:
         )
         send(proto.STATE_RESP, payload)
 
-
-def worker_main(conn, worker_id: int, shard_range: tuple) -> None:
-    """Process entrypoint: serve frames until SHUTDOWN or parent exit.
-
-    Must stay a module-level function with picklable arguments so the
-    ``spawn`` start method (the default on macOS/Windows and from
-    Python 3.14 on Linux) can import and call it.
-    """
-    runtime = ShardRuntime(worker_id, shard_range)
-    try:
-        while True:
-            try:
-                rtype, payload = proto.recv_frame(conn)
-            except EOFError:
-                # Parent went away without a SHUTDOWN; nothing left to
-                # serve.
-                break
-            if not runtime.serve_frame(conn, rtype, payload):
-                break
-    finally:
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover - double close on teardown
-            pass
-    if runtime.exit_code:
-        # The parent holds the full traceback; exit nonzero without
-        # spraying it on stderr a second time.
-        sys.exit(runtime.exit_code)

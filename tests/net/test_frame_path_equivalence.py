@@ -201,7 +201,7 @@ def send_all(frames, send_sizes):
                     ClaimBatch.unchecked(users, objects, values)
                 )
             else:
-                proto.send_frame(conn, frame[1], frame[2])
+                conn.send_frame(frame[1], frame[2])
     return bytes(sock.wire)
 
 
@@ -451,7 +451,7 @@ class TestSender:
         sock = ScriptedSocket()
         payload = b"p" * transport.SCATTER_BYTES
         with SocketConnection(sock) as conn:
-            proto.send_frame(conn, rec.BATCH, payload)
+            conn.send_frame(rec.BATCH, payload)
         assert sock.sendmsg_calls == 1
         assert sock.sent_buffers[1] is payload
         assert bytes(sock.wire) == proto.encode_frame(rec.BATCH, payload)
@@ -460,7 +460,7 @@ class TestSender:
         sock = ScriptedSocket()
         payload = b"p" * (transport.SCATTER_BYTES - 1)
         with SocketConnection(sock) as conn:
-            proto.send_frame(conn, rec.BATCH, payload)
+            conn.send_frame(rec.BATCH, payload)
         assert sock.sendmsg_calls == 1
         (sent,) = sock.sent_buffers
         assert sent == proto.encode_frame(rec.BATCH, payload)
@@ -472,7 +472,7 @@ class TestSender:
         )
         sock = ScriptedSocket(send_sizes=(7,))
         with SocketConnection(sock) as conn:
-            proto.send_frame(conn, rec.BATCH, b"x" * 100)
+            conn.send_frame(rec.BATCH, b"x" * 100)
         assert sock.sendmsg_calls > 1
         assert fired == ["net.delay", "net.send"]
 

@@ -1,5 +1,7 @@
 """FrameServer and call(): the one accept loop and its one-shot client."""
 
+import os
+import signal
 import socket
 import threading
 import time
@@ -8,6 +10,8 @@ import pytest
 
 from repro.chaos import FaultPlan
 from repro.chaos import points as chaos_points
+from repro.durable import records as rec
+from repro.net.host import ShardHost, serve_shard
 from repro.net.transport import FrameServer, SocketListener, call, connect
 from repro.workers import protocol as proto
 
@@ -18,7 +22,7 @@ BIG = 79  # a frame type answered with a multi-megabyte frame
 
 def recv(conn, *, timeout=10.0):
     assert conn.poll(timeout), "server sent no frame in time"
-    return proto.recv_frame(conn)
+    return conn.recv_frame()
 
 
 @pytest.fixture
@@ -35,7 +39,7 @@ def server():
             return False
         if rtype == BIG:
             payload = bytes(8 << 20)
-        proto.send_frame(conn, rtype, payload)
+        conn.send_frame(rtype, payload)
         return True
 
     srv = FrameServer("127.0.0.1", 0, on_frame)
@@ -56,7 +60,7 @@ class TestFrameServer:
         """What the vote handler's "a PING must never queue behind it"
         asks for: each connection has its own thread."""
         slow = connect(server.address, timeout=5.0)
-        proto.send_frame(slow, BLOCK, b"slow")
+        slow.send_frame(BLOCK, b"slow")
         assert server.entered.wait(10.0)
         start = time.monotonic()
         assert call(server.address, proto.PING, b"x", timeout=5.0) == (
@@ -72,11 +76,11 @@ class TestFrameServer:
     def test_false_closes_that_connection_only(self, server):
         stays = connect(server.address, timeout=5.0)
         leaves = connect(server.address, timeout=5.0)
-        proto.send_frame(leaves, HANGUP)
+        leaves.send_frame(HANGUP)
         assert leaves.poll(10.0)
         with pytest.raises(EOFError):
-            proto.recv_frame(leaves)
-        proto.send_frame(stays, 5, b"still here")
+            leaves.recv_frame()
+        stays.send_frame(5, b"still here")
         assert recv(stays) == (5, b"still here")
         stays.close()
         leaves.close()
@@ -93,7 +97,7 @@ class TestFrameServer:
 
     def test_request_stop_mid_reply_delivers_the_whole_frame(self, server):
         conn = connect(server.address, timeout=5.0)
-        proto.send_frame(conn, BIG)
+        conn.send_frame(BIG)
         # The reply outgrows the socket buffers, so the handler is
         # blocked mid-send until this side reads.
         time.sleep(0.3)
@@ -104,7 +108,7 @@ class TestFrameServer:
         # ... and the stop is then honoured: the connection ends.
         assert conn.poll(10.0)
         with pytest.raises(EOFError):
-            proto.recv_frame(conn)
+            conn.recv_frame()
         conn.close()
 
     def test_stop_twice_returns_and_leaves_no_thread(self, server):
@@ -115,7 +119,7 @@ class TestFrameServer:
             ]
 
         idle = connect(server.address, timeout=5.0)
-        proto.send_frame(idle, 5, b"hello")
+        idle.send_frame(5, b"hello")
         assert recv(idle) == (5, b"hello")
         assert len(live()) == 2  # the accept loop and idle's thread
         server.stop()
@@ -128,6 +132,53 @@ class TestFrameServer:
     def test_start_twice_is_refused(self, server):
         with pytest.raises(RuntimeError, match="already started"):
             server.start()
+
+
+class TestStopWakesTheAcceptLoop:
+    """A stop is acted on at once, not at the accept loop's next poll:
+    with the poll stretched to 30 s, a host still returns in moments."""
+
+    @pytest.fixture(autouse=True)
+    def slow_poll(self, monkeypatch):
+        monkeypatch.setattr(FrameServer, "POLL_SECONDS", 30.0)
+
+    def test_shard_host_returns_from_serve_soon_after_shutdown(self):
+        host = ShardHost()
+        codes = []
+        thread = threading.Thread(
+            target=lambda: codes.append(host.serve()), daemon=True
+        )
+        thread.start()
+        conn = connect(host.address, timeout=5.0)
+        conn.send_frame(rec.CONFIG, rec.encode_json_payload({"obs": False}))
+        assert recv(conn) == (proto.READY, b"")
+        start = time.monotonic()
+        conn.send_frame(proto.SHUTDOWN)
+        thread.join(10.0)
+        assert not thread.is_alive() and codes == [0]
+        assert time.monotonic() - start < 3.0
+        conn.close()
+
+    def test_sigterm_stops_a_serving_host_at_once(self):
+        """The SIGTERM handler calls ``request_stop``: it must wake the
+        accept loop from inside a signal handler too."""
+        timers = []
+
+        def announce(port):
+            timer = threading.Timer(0.1, os.kill, (os.getpid(), signal.SIGTERM))
+            timers.append(timer)
+            timer.start()
+
+        disposition = signal.getsignal(signal.SIGTERM)
+        start = time.monotonic()
+        try:
+            assert serve_shard(announce=announce) == 0
+            assert time.monotonic() - start < 3.0
+        finally:
+            timers[0].join()
+            # A stop SIGTERM asked for leaves SIGTERM ignored.
+            assert signal.getsignal(signal.SIGTERM) == signal.SIG_IGN
+            signal.signal(signal.SIGTERM, disposition)
 
 
 class TestCall:

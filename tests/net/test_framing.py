@@ -1,8 +1,7 @@
 """The shared frame decoder: exactness under arbitrary stream splits.
 
-ISSUE-6 satellite: both the pipe path (``decode_frame``) and the socket
-path (:class:`~repro.net.transport.SocketConnection`,
-:class:`~repro.net.host.ShardHost`) decode through one
+Every connection (:class:`~repro.net.transport.SocketConnection`, so
+every shard host, standby and watchdog link) decodes through one
 :class:`~repro.net.framing.FrameReader` — so this file is the single
 place the framing contract is pinned down, including the property that
 matters on a real socket: ``recv`` may split the byte stream anywhere,
@@ -65,16 +64,6 @@ class TestBasics:
         huge = ((1 << 30) + 1).to_bytes(4, "little") + b"\x05"
         with pytest.raises(FramingError):
             reader.feed(huge)
-
-    def test_decode_frame_rejects_trailing_garbage(self):
-        blob = proto.encode_frame(5, b"ok") + b"xx"
-        with pytest.raises(proto.ProtocolError):
-            proto.decode_frame(blob)
-
-    def test_decode_frame_rejects_truncation(self):
-        blob = proto.encode_frame(5, b"chopped")[:-3]
-        with pytest.raises(proto.ProtocolError):
-            proto.decode_frame(blob)
 
 
 frames_strategy = st.lists(

@@ -172,9 +172,7 @@ class TestDurabilityAfterPool:
         with pytest.raises(FileExistsError):
             IngestService(
                 ServiceConfig(num_shards=1),
-                topology=Topology.workers(
-                    1, start_method="fork", durability=occupied
-                ),
+                topology=Topology.workers(1, durability=occupied),
             )
         for pool in pools:
             for handle in pool.handles:

@@ -9,7 +9,7 @@ class TestShardRanges:
     def test_matches_worker_pool_split(self):
         from repro.workers.pool import shard_ranges as pool_ranges
 
-        # One implementation: the pipe pool re-exports this function.
+        # One implementation: the pool module re-exports this function.
         assert pool_ranges is shard_ranges
 
     def test_contiguous_and_complete(self):

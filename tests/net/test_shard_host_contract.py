@@ -71,19 +71,18 @@ def host(spawn_host):
 
 def recv(conn, *, timeout=30.0):
     assert conn.poll(timeout), "host sent no frame in time"
-    return proto.recv_frame(conn)
+    return conn.recv_frame()
 
 
 def handshake(address):
     conn = connect(address, timeout=10.0)
-    proto.send_frame(conn, rec.CONFIG, rec.encode_json_payload({}))
+    conn.send_frame(rec.CONFIG, rec.encode_json_payload({}))
     assert recv(conn) == (proto.READY, b"")
     return conn
 
 
 def register(conn, *, num_users=NUM_USERS, num_objects=NUM_OBJECTS):
-    proto.send_frame(
-        conn,
+    conn.send_frame(
         rec.REGISTER,
         rec.encode_json_payload(
             {
@@ -122,7 +121,7 @@ def error_traceback(payload):
 def test_first_stdout_line_is_the_port_and_config_answers_ready(host):
     _process, address = host  # the fixture asserted "PORT <n>" came first
     conn = handshake(address)
-    proto.send_frame(conn, proto.SYNC_REQ, b"token")
+    conn.send_frame(proto.SYNC_REQ, b"token")
     assert recv(conn) == (proto.SYNC_RESP, b"token")
     conn.close()
 
@@ -130,7 +129,7 @@ def test_first_stdout_line_is_the_port_and_config_answers_ready(host):
 def test_shutdown_frame_exits_zero(host):
     process, address = host
     conn = handshake(address)
-    proto.send_frame(conn, proto.SHUTDOWN)
+    conn.send_frame(proto.SHUTDOWN)
     assert process.wait(timeout=10) == 0
     conn.close()
 
@@ -138,7 +137,7 @@ def test_shutdown_frame_exits_zero(host):
 def test_first_frame_not_config_is_an_error_and_a_nonzero_exit(host):
     process, address = host
     conn = connect(address, timeout=10.0)
-    proto.send_frame(conn, proto.SYNC_REQ, b"")
+    conn.send_frame(proto.SYNC_REQ, b"")
     rtype, payload = recv(conn)
     assert rtype == proto.ERROR
     assert "expected a CONFIG frame" in error_traceback(payload)
@@ -158,7 +157,7 @@ def test_data_plane_closing_without_shutdown_ends_the_host(host):
 def test_dispatch_failure_reports_the_traceback_then_exits_nonzero(host):
     process, address = host
     conn = handshake(address)
-    proto.send_frame(conn, rec.BATCH, b"garbage bytes")
+    conn.send_frame(rec.BATCH, b"garbage bytes")
     rtype, payload = recv(conn)
     assert rtype == proto.ERROR
     assert "Traceback" in error_traceback(payload)
@@ -174,18 +173,18 @@ def stream_and_snapshot(address, *, ping_midway):
     register(conn)
     frames = batches(8)
     for frame in frames[:4]:
-        proto.send_frame(conn, rec.BATCH, frame)
+        conn.send_frame(rec.BATCH, frame)
     if ping_midway:
         side = connect(address, timeout=10.0)
-        proto.send_frame(side, proto.PING, b"beat")
+        side.send_frame(proto.PING, b"beat")
         assert recv(side) == (proto.PONG, b"beat")
         side.close()
     for frame in frames[4:]:
-        proto.send_frame(conn, rec.BATCH, frame)
-    proto.send_frame(conn, *campaign_request(proto.SNAPSHOT_REQ))
+        conn.send_frame(rec.BATCH, frame)
+    conn.send_frame(*campaign_request(proto.SNAPSHOT_REQ))
     rtype, body = recv(conn)
     assert rtype == proto.SNAPSHOT_RESP
-    proto.send_frame(conn, proto.SHUTDOWN)
+    conn.send_frame(proto.SHUTDOWN)
     conn.close()
     return body
 
@@ -212,7 +211,7 @@ def test_sigterm_mid_response_delivers_the_whole_frame_and_exits_zero(
     process, address = host
     conn = handshake(address)
     register(conn, num_users=8000, num_objects=64)
-    proto.send_frame(conn, *campaign_request(proto.STATE_REQ))
+    conn.send_frame(*campaign_request(proto.STATE_REQ))
     # First bytes of the response are here; the rest cannot be, because
     # nothing has read them yet.
     readable, _, _ = select.select([conn], [], [], 30.0)

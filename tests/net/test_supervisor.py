@@ -314,7 +314,7 @@ class TestFailover:
             uninstall()
 
     def test_unsupervised_fabric_fails_fast(self):
-        """supervise=False restores the pipe pool's contract: a dead
+        """supervise=False is ``Topology.workers``' contract: a dead
         host surfaces as WorkerCrashedError instead of healing."""
         with IngestService(
             ServiceConfig(num_shards=2, max_batch=64),

@@ -37,9 +37,9 @@ class TestRoundTrip:
         server, client = pair
         client.send_bytes(proto.encode_frame(5, b"to-server"))
         assert server.poll(5.0)
-        assert proto.recv_frame(server) == (5, b"to-server")
+        assert server.recv_frame() == (5, b"to-server")
         server.send_bytes(proto.encode_frame(33, b"to-client"))
-        assert proto.recv_frame(client) == (33, b"to-client")
+        assert client.recv_frame() == (33, b"to-client")
 
     def test_large_frame_survives_partial_sends(self, pair):
         server, client = pair
@@ -53,7 +53,7 @@ class TestRoundTrip:
         )
         sender.start()
         try:
-            rtype, got = proto.recv_frame(server)
+            rtype, got = server.recv_frame()
         finally:
             sender.join(30.0)
         assert rtype == 35
@@ -64,7 +64,7 @@ class TestRoundTrip:
         frames = [(i % 250 + 1, bytes([i % 251])) for i in range(200)]
         blob = b"".join(proto.encode_frame(t, p) for t, p in frames)
         client.send_bytes(blob)
-        got = [proto.recv_frame(server) for _ in frames]
+        got = [server.recv_frame() for _ in frames]
         assert got == frames
 
     def test_poll_zero_without_data(self, pair):
@@ -77,11 +77,11 @@ class TestRoundTrip:
             proto.encode_frame(1, b"a") + proto.encode_frame(2, b"b")
         )
         assert server.poll(5.0)
-        assert proto.recv_frame(server) == (1, b"a")
+        assert server.recv_frame() == (1, b"a")
         # The second frame is already buffered; poll must not block on
         # the (now idle) socket.
         assert server.poll(0)
-        assert proto.recv_frame(server) == (2, b"b")
+        assert server.recv_frame() == (2, b"b")
 
 
 class TestEdges:
@@ -162,7 +162,7 @@ class TestFileRange:
             )
             sender.start()
             try:
-                rtype, got = proto.recv_frame(server)
+                rtype, got = server.recv_frame()
             finally:
                 sender.join(30.0)
         assert (rtype, got) == (52, data[offset:offset + count])
@@ -183,7 +183,7 @@ class TestFileRange:
         assert plan.counts() == {"net.send": 1}
         assert client.closed
         with pytest.raises(EOFError):
-            proto.recv_frame(server)  # the peer saw a clean end, no partial frame
+            server.recv_frame()  # the peer saw a clean end, no partial frame
 
     def test_file_shorter_than_the_range_raises(self, pair, tmp_path):
         _server, client = pair

@@ -46,7 +46,6 @@ from repro.service.ingest import IngestService, ServiceConfig
 from repro.service.ledger import BudgetLedger
 from repro.service.loadgen import LoadGenerator
 from repro.service.topology import Topology
-from repro.workers.protocol import decode_frame
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "replication"))
 import per_record_reference as reference  # noqa: E402
@@ -246,8 +245,8 @@ class Replies:
     def __init__(self) -> None:
         self.frames = []
 
-    def send_bytes(self, data: bytes) -> None:
-        self.frames.append(decode_frame(data))
+    def send_frame(self, rtype: int, payload: bytes = b"") -> None:
+        self.frames.append((rtype, bytes(payload)))
 
 
 def run_primary(root: Path, chunks: int, chunk_size: int, devices: int,

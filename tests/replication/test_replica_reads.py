@@ -35,7 +35,6 @@ from repro.service.ingest import IngestService, ServiceConfig
 from repro.service.loadgen import LoadGenerator
 from repro.service.topology import Topology
 from repro.workers import protocol as proto
-from repro.workers.protocol import recv_frame, send_frame
 from test_standby import (
     attach_sender,
     committed_frames,
@@ -54,8 +53,8 @@ class FastStandby(StandbyServer):
 
 def read_raw(conn, body: dict):
     """Send one READ_REQ; ``(rtype, payload)`` of the answer."""
-    send_frame(conn, rp.READ_REQ, rp.encode_json(body))
-    return recv_frame(conn)
+    conn.send_frame(rp.READ_REQ, rp.encode_json(body))
+    return conn.recv_frame()
 
 
 # ======================================================================
@@ -211,11 +210,11 @@ class ReadHarness:
         self.standby = FastStandby(self.root / "sb", fsync="never")
         address = ("127.0.0.1", self.standby.start())
         self.link = connect(address, timeout=10.0)
-        send_frame(
-            self.link, rp.HELLO,
+        self.link.send_frame(
+            rp.HELLO,
             rp.encode_json({"format": rp.REPLICATION_FORMAT}),
         )
-        rtype, payload = recv_frame(self.link)
+        rtype, payload = self.link.recv_frame()
         assert rtype == rp.CURSOR and rp.decode_lsn(payload) == self.shipped
         # A client that outlives a standby restart keeps its cache, as a
         # reconnecting reader would: its version must not fit the new
@@ -247,8 +246,8 @@ class ReadHarness:
         frames = committed_frames(
             self.manager.wal.directory, self.shipped, durable
         )
-        send_frame(self.link, rp.RECORDS, frames)
-        rtype, payload = recv_frame(self.link)
+        self.link.send_frame(rp.RECORDS, frames)
+        rtype, payload = self.link.recv_frame()
         assert rtype == rp.ACK
         self.shipped = rp.decode_lsn(payload)
         assert self.shipped == durable
@@ -307,8 +306,8 @@ class ReadHarness:
             source._feed("refit", 0, self.shipped)
         source.checkpoint()
         lsn, data = source.manager.checkpoints.read_latest()
-        send_frame(self.link, rp.CHECKPOINT, data)
-        rtype, payload = recv_frame(self.link)
+        self.link.send_frame(rp.CHECKPOINT, data)
+        rtype, payload = self.link.recv_frame()
         assert rtype == rp.ACK
         self.shipped = rp.decode_lsn(payload)
         assert self.shipped == lsn
@@ -543,11 +542,11 @@ def ship_half_applied_batch(harness, monkeypatch, *, failures: int):
     monkeypatch.setattr(RecordApplier, "apply", half_apply)
     harness._feed("stream", 0, 1)
     harness.manager.sync()
-    send_frame(harness.link, rp.RECORDS, committed_frames(
+    harness.link.send_frame(rp.RECORDS, committed_frames(
         harness.manager.wal.directory, harness.shipped,
         harness.manager.durable_lsn,
     ))
-    assert recv_frame(harness.link)[0] == rp.ACK  # acked, then applied
+    assert harness.link.recv_frame()[0] == rp.ACK  # acked, then applied
     harness.shipped = harness.manager.durable_lsn
 
 
@@ -590,7 +589,7 @@ def test_a_record_the_rebuild_cannot_apply_refuses_until_restart(
         lsn = harness.manager.durable_lsn + 1
         ship_half_applied_batch(harness, monkeypatch, failures=2)
         # The group's sender hears why before the link drops.
-        rtype, payload = recv_frame(harness.link)
+        rtype, payload = harness.link.recv_frame()
         assert rtype == rp.REPL_ERROR
         assert f"lsn {lsn} failed to apply" in rp.decode_json(payload)["error"]
         with pytest.raises(ReplicaError, match=f"lsn {lsn} failed to apply"):
@@ -600,18 +599,18 @@ def test_a_record_the_rebuild_cannot_apply_refuses_until_restart(
         with pytest.raises(ReplicaError, match=f"lsn {lsn} failed to apply"):
             harness.clients[0].promote()
         harness.link = connect(harness.standby.address, timeout=10.0)
-        send_frame(
-            harness.link, rp.HELLO,
+        harness.link.send_frame(
+            rp.HELLO,
             rp.encode_json({"format": rp.REPLICATION_FORMAT}),
         )
-        assert recv_frame(harness.link)[0] == rp.CURSOR
+        assert harness.link.recv_frame()[0] == rp.CURSOR
         harness._feed("stream", 0, 3)
         harness.manager.sync()
-        send_frame(harness.link, rp.RECORDS, committed_frames(
+        harness.link.send_frame(rp.RECORDS, committed_frames(
             harness.manager.wal.directory, harness.shipped,
             harness.manager.durable_lsn,
         ))
-        rtype, payload = recv_frame(harness.link)
+        rtype, payload = harness.link.recv_frame()
         assert rtype == rp.REPL_ERROR
         assert f"lsn {lsn} failed to apply" in rp.decode_json(payload)["error"]
         harness.restart()
@@ -723,8 +722,8 @@ def test_hostile_read_request_gets_a_full_reply(shipped, fields):
         assert proto.unpack_state(payload)["version"] == version
         assert_same_read(decode(payload), full_read(standby.service, "stream"))
         # The connection survives the request.
-        send_frame(conn, proto.PING)
-        assert recv_frame(conn)[0] == proto.PONG
+        conn.send_frame(proto.PING)
+        assert conn.recv_frame()[0] == proto.PONG
     finally:
         conn.close()
 
@@ -752,8 +751,8 @@ def test_unknown_or_mistyped_campaign_is_an_error_not_a_hangup(
         )
         assert rtype == rp.REPL_ERROR
         assert "unknown campaign" in rp.decode_json(payload)["error"]
-        send_frame(conn, proto.PING)
-        assert recv_frame(conn)[0] == proto.PONG
+        conn.send_frame(proto.PING)
+        assert conn.recv_frame()[0] == proto.PONG
     finally:
         conn.close()
 
@@ -774,7 +773,7 @@ class ScriptedStandby(FrameServer):
 
     def _on_frame(self, conn, rtype, payload) -> bool:
         self.requests.append(rp.decode_json(payload))
-        send_frame(conn, rp.READ_RESP, self._replies.pop(0))
+        conn.send_frame(rp.READ_RESP, self._replies.pop(0))
         return True
 
 

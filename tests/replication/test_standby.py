@@ -47,7 +47,6 @@ from repro.service.ledger import BudgetLedger
 from repro.service.loadgen import LoadGenerator
 from repro.service.topology import Topology
 from repro.workers import protocol as proto
-from repro.workers.protocol import recv_frame, send_frame
 
 #: Chunk size equals the micro-batch size so every pump leaves the
 #: batcher empty — mid-stream comparisons are then exact (same trick
@@ -445,14 +444,13 @@ class TestPromotion:
 
             conn = connect(address, timeout=10.0)
             try:
-                send_frame(
-                    conn,
+                conn.send_frame(
                     rp.HELLO,
                     rp.encode_json(
                         {"format": rp.REPLICATION_FORMAT, "directory": "x"}
                     ),
                 )
-                rtype, payload = recv_frame(conn)
+                rtype, payload = conn.recv_frame()
             finally:
                 conn.close()
             assert rtype == rp.REPL_ERROR
@@ -551,12 +549,11 @@ class TestFencingEpoch:
             # standby must adopt the fence but stay a standby.
             conn = connect(address, timeout=10.0)
             try:
-                send_frame(
-                    conn,
+                conn.send_frame(
                     rp.WD_PROMOTED,
                     rp.encode_json({"fencing_epoch": 5}),
                 )
-                rtype, _payload = recv_frame(conn)
+                rtype, _payload = conn.recv_frame()
             finally:
                 conn.close()
             assert rtype == proto.PONG
@@ -584,12 +581,11 @@ class TestFencingEpoch:
         try:
             conn = connect(address, timeout=10.0)
             try:
-                send_frame(
-                    conn,
+                conn.send_frame(
                     rp.WD_PROMOTED,
                     rp.encode_json({"fencing_epoch": 7}),
                 )
-                recv_frame(conn)
+                conn.recv_frame()
             finally:
                 conn.close()
         finally:
@@ -622,8 +618,8 @@ class TestStreamIntegrity:
                 {"version": FORMAT_VERSION + 1, "layout": "unknown"}
             ))
             with open_stream(address, 0) as conn:
-                send_frame(conn, rp.RECORDS, config)
-                rtype, payload = recv_frame(conn)
+                conn.send_frame(rp.RECORDS, config)
+                rtype, payload = conn.recv_frame()
             assert rtype == rp.REPL_ERROR
             assert (
                 f"CONFIG record 1 has layout version {FORMAT_VERSION + 1}; "
@@ -702,22 +698,21 @@ class TestStreamIntegrity:
 
             conn = connect(address, timeout=10.0)
             try:
-                send_frame(
-                    conn,
+                conn.send_frame(
                     rp.HELLO,
                     rp.encode_json(
                         {"format": rp.REPLICATION_FORMAT, "directory": "x"}
                     ),
                 )
-                rtype, payload = recv_frame(conn)
+                rtype, payload = conn.recv_frame()
                 assert rtype == rp.CURSOR
                 assert rp.decode_lsn(payload) == watermark
 
                 # A duplicate of an already-durable record (a reconnect
                 # replaying history) is acked at the unchanged
                 # watermark and never re-applied.
-                send_frame(conn, rp.RECORDS, first)
-                rtype, payload = recv_frame(conn)
+                conn.send_frame(rp.RECORDS, first)
+                rtype, payload = conn.recv_frame()
                 assert rtype == rp.ACK
                 assert rp.decode_lsn(payload) == watermark
                 assert standby.records_applied == applied_before
@@ -725,8 +720,8 @@ class TestStreamIntegrity:
                 # A gap (skipped LSNs) must never be appended: the
                 # standby's log would stop being the primary's prefix.
                 gap = wal_frame(rec.REFRESH, watermark + 5, b"")
-                send_frame(conn, rp.RECORDS, gap)
-                rtype, payload = recv_frame(conn)
+                conn.send_frame(rp.RECORDS, gap)
+                rtype, payload = conn.recv_frame()
                 assert rtype == rp.REPL_ERROR
                 assert "stream gap" in rp.decode_json(payload)["error"]
                 assert standby.durable_lsn == watermark
@@ -783,8 +778,8 @@ class TestStreamIntegrity:
         try:
             conn = connect(address, timeout=10.0)
             try:
-                send_frame(conn, rp.HELLO, rp.encode_json({"format": 1}))
-                rtype, payload = recv_frame(conn)
+                conn.send_frame(rp.HELLO, rp.encode_json({"format": 1}))
+                rtype, payload = conn.recv_frame()
             finally:
                 conn.close()
             assert rtype == rp.REPL_ERROR
@@ -819,16 +814,16 @@ class TestStreamIntegrity:
             before = directory_bytes(tmp_path / "sb0")
             applied = standby.status()["records_applied"]
             with open_stream(address, cursor) as conn:
-                send_frame(conn, rp.RECORDS, hostile)
-                rtype, payload = recv_frame(conn)
+                conn.send_frame(rp.RECORDS, hostile)
+                rtype, payload = conn.recv_frame()
             assert rtype == rp.REPL_ERROR
             assert reason in rp.decode_json(payload)["error"]
             assert directory_bytes(tmp_path / "sb0") == before
             assert standby.records_applied == applied
             assert standby.durable_lsn == cursor
             with open_stream(address, cursor) as conn:
-                send_frame(conn, rp.RECORDS, good)
-                assert recv_frame(conn) == (rp.ACK, rp.encode_lsn(durable))
+                conn.send_frame(rp.RECORDS, good)
+                assert conn.recv_frame() == (rp.ACK, rp.encode_lsn(durable))
             assert frame_stream(tmp_path / "sb0") == frame_stream(
                 manager.wal.directory
             )
@@ -842,10 +837,10 @@ class TestStreamIntegrity:
         try:
             conn = connect(address, timeout=10.0)
             try:
-                send_frame(
-                    conn, rp.HELLO, rp.encode_json({"format": 999})
+                conn.send_frame(
+                    rp.HELLO, rp.encode_json({"format": 999})
                 )
-                rtype, payload = recv_frame(conn)
+                rtype, payload = conn.recv_frame()
             finally:
                 conn.close()
             assert rtype == rp.REPL_ERROR
@@ -1000,8 +995,8 @@ class TestCheckpointResync:
             }[damage]
             before = directory_bytes(tmp_path / "sb0")
             with open_stream(address, cursor) as conn:
-                send_frame(conn, rp.CHECKPOINT, frame)
-                rtype, payload = recv_frame(conn)
+                conn.send_frame(rp.CHECKPOINT, frame)
+                rtype, payload = conn.recv_frame()
             assert rtype == rp.REPL_ERROR
             assert error in rp.decode_json(payload)["error"]
             assert directory_bytes(tmp_path / "sb0") == before
@@ -1012,8 +1007,8 @@ class TestCheckpointResync:
             durable = manager.wal.durable_lsn
             frames = committed_frames(manager.wal.directory, cursor, durable)
             with open_stream(address, cursor) as conn:
-                send_frame(conn, rp.RECORDS, frames)
-                assert recv_frame(conn) == (rp.ACK, rp.encode_lsn(durable))
+                conn.send_frame(rp.RECORDS, frames)
+                assert conn.recv_frame() == (rp.ACK, rp.encode_lsn(durable))
             with ReplicaReadClient(address) as client:
                 replica = client.snapshot(gen.campaign_id)
             assert replica.truths.tobytes() == (
@@ -1100,10 +1095,10 @@ def open_stream(address, cursor: int):
     """A hand-driven replication connection, past its handshake."""
     conn = connect(address, timeout=10.0)
     try:
-        send_frame(
-            conn, rp.HELLO, rp.encode_json({"format": rp.REPLICATION_FORMAT})
+        conn.send_frame(
+            rp.HELLO, rp.encode_json({"format": rp.REPLICATION_FORMAT})
         )
-        assert recv_frame(conn) == (rp.CURSOR, rp.encode_lsn(cursor))
+        assert conn.recv_frame() == (rp.CURSOR, rp.encode_lsn(cursor))
         yield conn
     finally:
         conn.close()

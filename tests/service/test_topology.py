@@ -18,10 +18,18 @@ class TestFactories:
         assert topo.durability is None
 
     def test_workers(self):
-        topo = Topology.workers(4, start_method="fork")
-        assert topo.kind == "workers"
+        """``workers(n)`` is the unsupervised fabric, nothing else: one
+        launch path, no start method."""
+        topo = Topology.workers(4, durability="run/wal")
+        assert topo == Topology.fabric(
+            4, supervise=False, durability="run/wal"
+        )
+        assert topo.kind == "fabric"
         assert topo.processes == 4
-        assert topo.start_method == "fork"
+        assert topo.supervise is False
+        assert not hasattr(topo, "start_method")
+        with pytest.raises(TypeError, match="start_method"):
+            Topology.workers(4, start_method="fork")
 
     def test_fabric(self):
         topo = Topology.fabric(2, supervise=False)
@@ -93,7 +101,7 @@ class TestValidation:
 class TestIngestServiceTopology:
     def test_legacy_keywords_raise_type_error(self):
         """``topology=`` is the only way to say a deployment shape; a
-        worker pool and a socket fabric are different kinds of it."""
+        worker pool is the fabric without supervision."""
         for keyword, value in (
             ("durability", None),
             ("workers", 1),

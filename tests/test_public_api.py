@@ -5,10 +5,12 @@ name must resolve, carry a docstring, and the headline workflow from the
 README must work verbatim.
 """
 
+import ast
 import importlib
 import inspect
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,8 +113,10 @@ def test_module_docstring_quickstart_runs():
 
 
 #: What a spawned process imports before it can serve: the CLI, a shard
-#: host, a pipe worker, a standby, a watchdog, the launcher every CLI
-#: child is forked from — and ``repro.service`` for the parent.
+#: host and the worker runtime it serves (``repro.workers.worker``,
+#: imported by the shard host only), a standby, a watchdog, the
+#: launcher every CLI child is forked from — and ``repro.service`` for
+#: the parent.
 SPAWN_PATH_MODULES = [
     "repro.cli",
     "repro.net.launcher",
@@ -163,7 +167,7 @@ UNSERVED_MODULES = (
     "repro.crowdsensing.device",
 )
 
-#: A shard host or pipe worker aggregates through streaming estimators;
+#: A shard host aggregates through streaming estimators;
 #: a batch method is imported only when a full-refit campaign arrives.
 BATCH_METHODS = (
     "repro.truthdiscovery.crh",
@@ -317,6 +321,25 @@ def test_campaign_round_loads_no_deployment_stack():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_multiprocessing_import_in_src():
+    """Every child is a fork of the one launcher
+    (``repro.net.launcher``); a second launch path would come back one
+    convenient ``multiprocessing`` import at a time."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    offenders = []
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "multiprocessing" for m in modules):
+                offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+    assert offenders == []
 
 
 def test_one_pool_and_no_drill_in_the_library():

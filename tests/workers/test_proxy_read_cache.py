@@ -21,9 +21,7 @@ def test_unchanged_re_read_sends_no_rpc_and_rebalance_matches_in_process():
     chunks = list(gen.column_chunks(3 * 512, chunk_size=512))
     config = ServiceConfig(num_shards=4, max_batch=256)
     twin = IngestService(config)
-    service = IngestService(
-        config, topology=Topology.workers(2, start_method="fork")
-    )
+    service = IngestService(config, topology=Topology.workers(2))
     try:
         for each in (service, twin):
             each.register_campaign(

@@ -1,28 +1,27 @@
 """``ShardPool`` over a fake launcher, and the shutdown ladder on stubs.
 
 No child process is started here: the launcher serves a real
-:class:`~repro.workers.worker.ShardRuntime` from a thread on a
-``multiprocessing.Pipe`` and hands the pool a stub process object, so
-the pool's own logic — launch order, ownership on failure, respawn,
-close — is what is under test, not a transport.
+:class:`~repro.workers.worker.ShardRuntime` from a thread on one end of
+a loopback connection and hands the pool a stub process object, so the
+pool's own logic — launch order, ownership on failure, respawn, close —
+is what is under test, not a launch.
 """
 
-import multiprocessing
 import threading
 
 import pytest
 
 from repro.net.fabric import spawn_cli
+from repro.net.transport import SocketListener, connect
 from repro.utils.process import reap
 from repro.workers import ShardPool, WorkerCrashedError
-from repro.workers import protocol as proto
 from repro.workers.worker import ShardRuntime
 
 CONFIG = {"obs": False}
 
 
 class ThreadProcess:
-    """The ``multiprocessing.Process`` surface over a serving thread."""
+    """The ``Process`` surface over a serving thread."""
 
     def __init__(self, pid: int, conn, runtime: ShardRuntime) -> None:
         self.pid = pid
@@ -35,15 +34,12 @@ class ThreadProcess:
         self._thread.start()
 
     def _serve(self, conn, runtime) -> None:
-        def send(rtype, payload=b""):
-            proto.send_frame(conn, rtype, payload)
-
         try:
             while not self._dead.is_set():
                 if not conn.poll(0.02):
                     continue
-                rtype, payload = proto.recv_frame(conn)
-                if not runtime.on_frame(rtype, payload, send):
+                rtype, payload = conn.recv_frame()
+                if not runtime.on_frame(rtype, payload, conn.send_frame):
                     self.exitcode = 0
                     return
             self.exitcode = -9
@@ -66,22 +62,22 @@ class ThreadProcess:
 
 
 class SpyConn:
-    """A pipe end that logs when the pool starts waiting on it."""
+    """A connection that logs when the pool starts waiting on it."""
 
     def __init__(self, conn, events: list, worker_id: int) -> None:
         self._conn = conn
         self._events = events
         self._worker_id = worker_id
 
-    def send_bytes(self, data) -> None:
-        self._conn.send_bytes(data)
+    def send_frame(self, rtype, payload=b"") -> None:
+        self._conn.send_frame(rtype, payload)
 
     def poll(self, timeout=0.0) -> bool:
         self._events.append(("await", self._worker_id))
         return self._conn.poll(timeout)
 
-    def recv_bytes(self) -> bytes:
-        return self._conn.recv_bytes()
+    def recv_frame(self):
+        return self._conn.recv_frame()
 
     def close(self) -> None:
         self._conn.close()
@@ -96,7 +92,9 @@ class FakeLauncher:
     def __call__(self, worker_id, shard_range):
         if worker_id == self.fail_at:
             raise OSError(f"cannot launch child {worker_id}")
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
+        with SocketListener() as listener:
+            parent_conn = connect(listener.address, timeout=5.0)
+            child_conn = listener.accept(timeout=5.0)
         process = ThreadProcess(
             1000 + len(self.processes),
             child_conn,
@@ -219,6 +217,6 @@ class TestShutdownLadder:
         process.terminate()  # a serving host's polite stop
         reap(process)
         assert process.stdout.closed
-        # Unlike multiprocessing.Process.close(), nothing is poisoned.
+        # close() poisons nothing: pid and exitcode stay readable.
         assert process.exitcode == 0 and process.pid == pid
         process.close()  # idempotent

@@ -14,7 +14,7 @@ def make_service(workers, **overrides):
     defaults = dict(num_shards=4, max_batch=512)
     defaults.update(overrides)
     topology = (
-        Topology.workers(workers, start_method="fork")
+        Topology.workers(workers)
         if workers
         else Topology.in_process()
     )
@@ -62,10 +62,10 @@ class TestStatsRpc:
             service.close()
 
     def test_merged_snapshot_carries_proc_labelled_series(self):
-        """One scrape of the parent sees every process, over pipes and
-        over the socket fabric (same STATS frames, same runtime)."""
+        """One scrape of the parent sees every process, unsupervised
+        and supervised (same STATS frames, same runtime)."""
         for topology in (
-            Topology.workers(2, start_method="fork"),
+            Topology.workers(2),
             Topology.fabric(2),
         ):
             service = IngestService(

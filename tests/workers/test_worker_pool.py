@@ -1,16 +1,20 @@
 """End-to-end tests for the multi-process shard-worker pool.
 
-``fork`` keeps most of these fast on POSIX; the dedicated spawn test
-plus the CI smoke job cover the portable startup path.
+Every worker is a launcher-forked ``repro serve-shard`` child on a
+loopback port (``Topology.workers(n)``, the unsupervised fabric).
 """
 
 import os
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import numpy as np
 import pytest
 
+import repro
 from repro.durable import (
     DurabilityConfig,
     DurabilityManager,
@@ -30,15 +34,13 @@ from repro.workers import WorkerCrashedError, WorkerError
 from repro.workers.handles import RemoteAggregator
 
 
-def make_service(workers, *, start_method="fork", num_shards=4, **overrides):
+def make_service(workers, *, num_shards=4, **overrides):
     defaults = dict(num_shards=num_shards, max_batch=512)
     defaults.update(overrides)
     ledger = defaults.pop("ledger", None)
     durability = defaults.pop("durability", None)
     if workers:
-        topology = Topology.workers(
-            workers, start_method=start_method, durability=durability
-        )
+        topology = Topology.workers(workers, durability=durability)
     else:
         topology = Topology.in_process(durability=durability)
     return IngestService(
@@ -153,15 +155,6 @@ class TestBitwiseAgreement:
             assert np.array_equal(snap.truths, other.truths)
             assert snap.weights_by_user == other.weights_by_user
             assert snap.claims_ingested == other.claims_ingested
-
-    def test_spawn_start_method_end_to_end(self):
-        with make_service(0, num_shards=2) as single:
-            expected = stream_campaigns(single, num_campaigns=2,
-                                        claims=4_000)
-        with make_service(2, num_shards=2, start_method="spawn") as multi:
-            got = stream_campaigns(multi, num_campaigns=2, claims=4_000)
-        for cid, snap in expected.items():
-            assert np.array_equal(snap.truths, got[cid].truths)
 
 
 class TestServiceSurface:
@@ -295,19 +288,12 @@ class TestLifecycle:
         service.close()
         service.close()
 
-    @pytest.mark.parametrize(
-        "topology",
-        [
-            Topology.workers(1, start_method="fork"),
-            Topology.fabric(1, supervise=False),
-        ],
-        ids=["pipe", "socket"],
-    )
-    def test_remote_failure_surfaces_traceback(self, topology):
-        """One contract, both transports: the frame that failed comes
-        back as the remote traceback, not as a bare broken stream."""
+    def test_remote_failure_surfaces_traceback(self):
+        """The frame that failed comes back as the remote traceback,
+        not as a bare broken stream."""
         service = IngestService(
-            ServiceConfig(num_shards=4, max_batch=512), topology=topology
+            ServiceConfig(num_shards=4, max_batch=512),
+            topology=Topology.workers(1),
         )
         try:
             handle = service.worker_pool.handles[0]
@@ -317,6 +303,45 @@ class TestLifecycle:
             assert "Traceback" in str(excinfo.value)
         finally:
             service.close()
+
+
+class TestScriptWithoutMainGuard:
+    def test_a_module_level_pool_runs_from_a_plain_script(self, tmp_path):
+        """Workers are launcher forks, so a script needs no
+        ``if __name__ == "__main__"`` guard: nothing re-imports it in
+        the child (``spawn`` did, and refused to start a pool there)."""
+        script = tmp_path / "no_guard.py"
+        script.write_text(textwrap.dedent("""
+            import numpy as np
+            from repro.service import IngestService, ServiceConfig, Topology
+
+            service = IngestService(
+                ServiceConfig(num_shards=2), topology=Topology.workers(1)
+            )
+            service.register_campaign("c", ["a", "b"], max_users=2)
+            service.submit_columns(
+                "c", np.array([0, 1]), np.array([0, 1]), np.array([1.0, 2.0])
+            )
+            snapshot = service.snapshot("c")
+            assert snapshot.claims_ingested == 2, snapshot
+            service.close()
+            print("OK")
+        """))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "OK"
 
 
 class TestDurabilityIntegration:

@@ -1,9 +1,10 @@
-"""WorkItem wire-format coverage: the bytes the worker pipe relies on.
+"""WorkItem wire-format coverage: the bytes a shard worker relies on.
 
 The multi-process tentpole ships every micro-batch as
 ``WorkItem.to_bytes`` and the worker rebuilds it with ``from_bytes``;
 these tests pin the round trip down over dtypes, shapes, NaN/inf
-payloads, and an actual spawn-context pipe crossing.
+payloads, and an actual crossing into a freshly spawned process over a
+framed loopback connection.
 """
 
 import math
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
 from repro.durable.records import RecordError, WorkItem
+from repro.net.framing import FrameReader
+from repro.net.transport import SocketListener, connect
 from repro.workers import protocol as proto
 
 _SLOT_DTYPES = (np.int8, np.int16, np.int32, np.int64,
@@ -81,7 +84,7 @@ class TestRoundtripProperty:
     @settings(max_examples=50, deadline=None)
     @given(work_items())
     def test_roundtrip_through_frame(self, item):
-        rtype, payload = proto.decode_frame(
+        ((rtype, payload),) = FrameReader().feed(
             proto.encode_frame(5, item.to_bytes())
         )
         out = WorkItem.from_bytes(payload)
@@ -112,27 +115,29 @@ class TestEdgeCases:
             WorkItem("c", np.empty(0, int), np.empty(0, int), np.empty(0))
 
 
-def _echo_work_items(conn):  # pragma: no cover - runs in the child
+def _echo_work_items(address):  # pragma: no cover - runs in the child
     """Child side of the spawn round-trip: decode, re-encode, send back."""
-    while True:
-        rtype, payload = proto.recv_frame(conn)
-        if rtype == proto.SHUTDOWN:
-            conn.close()
-            return
-        item = WorkItem.from_bytes(payload)
-        proto.send_frame(conn, rtype, item.to_bytes())
+    with connect(address, timeout=30.0) as conn:
+        while True:
+            rtype, payload = conn.recv_frame()
+            if rtype == proto.SHUTDOWN:
+                return
+            item = WorkItem.from_bytes(payload)
+            conn.send_frame(rtype, item.to_bytes())
 
 
 class TestCrossProcess:
     def test_spawn_pipe_roundtrip(self):
-        """The wire format survives a real spawn-context process hop."""
+        """The wire format survives a real process hop: a spawned
+        interpreter dials back over loopback and echoes every item."""
         ctx = multiprocessing.get_context("spawn")
-        parent, child = ctx.Pipe(duplex=True)
-        process = ctx.Process(
-            target=_echo_work_items, args=(child,), daemon=True
-        )
-        process.start()
-        child.close()
+        with SocketListener() as listener:
+            process = ctx.Process(
+                target=_echo_work_items, args=(listener.address,),
+                daemon=True,
+            )
+            process.start()
+            parent = listener.accept(timeout=60.0)
         try:
             rng = np.random.default_rng(7)
             for n in (1, 5, 2048):
@@ -142,8 +147,8 @@ class TestCrossProcess:
                     object_slots=rng.integers(0, 50, size=n),
                     values=rng.normal(size=n),
                 )
-                proto.send_frame(parent, 5, item.to_bytes())
-                rtype, payload = proto.recv_frame(parent)
+                parent.send_frame(5, item.to_bytes())
+                rtype, payload = parent.recv_frame()
                 out = WorkItem.from_bytes(payload)
                 assert out.campaign_id == item.campaign_id
                 np.testing.assert_array_equal(
@@ -154,7 +159,7 @@ class TestCrossProcess:
                 )
                 assert out.values.tobytes() == item.values.tobytes()
         finally:
-            proto.send_frame(parent, proto.SHUTDOWN, b"")
+            parent.send_frame(proto.SHUTDOWN, b"")
             process.join(timeout=30)
             parent.close()
         assert process.exitcode == 0
