@@ -65,6 +65,14 @@ class TestBasics:
         with pytest.raises(FramingError):
             reader.feed(huge)
 
+    @pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+    def test_the_payload_is_bytes_whatever_the_fed_buffer(self, wrap):
+        reader = FrameReader()
+        wire = proto.encode_frame(proto.SNAPSHOT_RESP, b"payload")
+        frames = reader.feed(wrap(wire))
+        assert frames == [(proto.SNAPSHOT_RESP, b"payload")]
+        assert type(frames[0][1]) is bytes
+
 
 frames_strategy = st.lists(
     st.tuples(

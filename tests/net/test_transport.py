@@ -2,11 +2,12 @@
 
 import os
 import socket
+import struct
 import threading
 
 import pytest
 
-from repro.net.framing import FramingError
+from repro.net.framing import MAX_FRAME_BYTES, FramingError
 from repro.net.transport import SocketListener, connect
 from repro.workers import protocol as proto
 
@@ -104,6 +105,37 @@ class TestEdges:
                 raw.sendall(proto.encode_frame(5, b"payload")[:3])
             finally:
                 raw.close()
+            with pytest.raises(FramingError):
+                server.recv_frame()
+            server.close()
+
+    @pytest.mark.parametrize("length", [0, MAX_FRAME_BYTES + 1, 2**32 - 1])
+    def test_bad_header_length_raises_framing_error(self, length):
+        """A header declaring no room for its type byte, or more than
+        the frame limit, is refused as it arrives, not waited out."""
+        with SocketListener() as listener:
+            raw = socket.create_connection(listener.address, timeout=10.0)
+            server = listener.accept(timeout=10.0)
+            try:
+                raw.sendall(struct.pack("<IB", length, 5) + b"abc")
+                with pytest.raises(FramingError):
+                    server.recv_frame()
+            finally:
+                raw.close()
+                server.close()
+
+    def test_trailing_garbage_after_a_frame_raises_at_close(self):
+        """Bytes after a frame are the start of the next one: the frame
+        is delivered, and a close before that one completes is an
+        error, not a short frame."""
+        with SocketListener() as listener:
+            raw = socket.create_connection(listener.address, timeout=10.0)
+            server = listener.accept(timeout=10.0)
+            try:
+                raw.sendall(proto.encode_frame(5, b"ok") + b"xx")
+            finally:
+                raw.close()
+            assert server.recv_frame() == (5, b"ok")
             with pytest.raises(FramingError):
                 server.recv_frame()
             server.close()

@@ -8,6 +8,7 @@ import pytest
 
 from repro.durable import records as rec
 from repro.net.framing import FrameReader
+from repro.net.transport import SocketListener, connect
 from repro.workers import protocol as proto
 from repro.workers.pool import shard_ranges
 
@@ -55,6 +56,19 @@ class TestFrames:
     def test_bad_rtype_rejected(self):
         with pytest.raises(proto.ProtocolError):
             proto.encode_frame(300, b"")
+
+    def test_over_a_socket(self):
+        """A worker frame crosses a loopback connection whole, sent
+        with the connection's own ``send_frame``."""
+        with SocketListener() as listener:
+            client = connect(listener.address, timeout=10.0)
+            server = listener.accept(timeout=10.0)
+            try:
+                client.send_frame(rec.REFRESH, b"{}")
+                assert server.recv_frame() == (rec.REFRESH, b"{}")
+            finally:
+                client.close()
+                server.close()
 
     def test_worker_types_disjoint_from_record_types(self):
         worker_types = {
