@@ -54,7 +54,15 @@ from typing import Optional, Sequence
 from repro.utils.logging import enable_console_logging
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI's parser: every subcommand, or only ``command``'s.
+
+    A parser built for one subcommand parses an argv that starts with
+    that subcommand as the full parser does, to the same namespace or
+    the same error, and prints the same usage line; it is what
+    :func:`main` builds, so a child pays only for its own role's
+    subparser.
+    """
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description=(
@@ -65,17 +73,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-v", "--verbose", action="store_true", help="enable debug logging"
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        # A one-subcommand parser names the others only in its usage
+        # line, which must read as the full parser's does.
+        metavar=None if command is None else "{%s}" % ",".join(SUBCOMMANDS),
+    )
+    for name, add in SUBCOMMANDS.items():
+        if command is None or name == command:
+            add(sub)
+    return parser
 
+
+def _add_list(sub) -> None:
     sub.add_parser("list", help="list available experiments")
 
+
+def _add_run(sub) -> None:
     run_p = sub.add_parser("run", help="run one experiment")
     run_p.add_argument("name", help="experiment name (see 'list')")
     _add_run_options(run_p)
 
+
+def _add_all(sub) -> None:
     all_p = sub.add_parser("all", help="run every experiment")
     _add_run_options(all_p)
 
+
+def _add_serve_shard(sub) -> None:
     serve_p = sub.add_parser(
         "serve-shard",
         help="run one shard host: the worker frame protocol on a TCP port",
@@ -108,6 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
         "(informational; campaigns arrive via REGISTER frames)",
     )
 
+
+def _add_standby(sub) -> None:
     standby_p = sub.add_parser(
         "standby",
         help="run one warm standby: receive, persist, and replay a "
@@ -140,6 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
         "the standby acks a shipped group only after its own fsync)",
     )
 
+
+def _add_watchdog(sub) -> None:
     watchdog_p = sub.add_parser(
         "watchdog",
         help="heartbeat a primary's status listener; on death, elect "
@@ -203,6 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
         "peer); any peer switches on majority voting before promotion",
     )
 
+
+def _add_metrics(sub) -> None:
     metrics_p = sub.add_parser(
         "metrics",
         help="scrape a live metrics endpoint once and pretty-print it",
@@ -218,6 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
         "formatted summary",
     )
 
+
+def _add_top(sub) -> None:
     top_p = sub.add_parser(
         "top",
         help="live terminal dashboard over a metrics endpoint",
@@ -241,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
         "the endpoint goes away)",
     )
 
+
+def _add_compact(sub) -> None:
     compact_p = sub.add_parser(
         "compact",
         help="rewrite a durability directory's WAL down to live records",
@@ -274,6 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the compaction report as JSON to this path",
     )
 
+
+def _add_recover(sub) -> None:
     recover_p = sub.add_parser(
         "recover",
         help="rebuild service state from a durability directory",
@@ -312,6 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the recovery report as JSON to this path",
     )
 
+
+def _add_show(sub) -> None:
     show_p = sub.add_parser("show", help="render a previously saved result")
     show_p.add_argument("name", help="figure id saved in the store")
     show_p.add_argument(
@@ -323,7 +363,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="emit markdown tables instead of ASCII charts",
     )
 
-    return parser
+
+#: One builder per subcommand, in the order ``--help`` lists them.
+SUBCOMMANDS = {
+    "list": _add_list,
+    "run": _add_run,
+    "all": _add_all,
+    "serve-shard": _add_serve_shard,
+    "standby": _add_standby,
+    "watchdog": _add_watchdog,
+    "metrics": _add_metrics,
+    "top": _add_top,
+    "compact": _add_compact,
+    "recover": _add_recover,
+    "show": _add_show,
+}
 
 
 def _resolve_dir(args) -> Optional[str]:
@@ -395,7 +449,11 @@ def _print_result(result, markdown: bool) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Anything but a subcommand first (an option, -h, an unknown or
+    # abbreviated name) gets the full parser and its messages.
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args = build_parser(command).parse_args(argv)
     if args.verbose:
         enable_console_logging()
 

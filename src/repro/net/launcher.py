@@ -11,8 +11,9 @@ spawn (``python -m repro.net.launcher``), imports :data:`PRELOAD` and
 — the parent's stdio, working directory and environment as they are at
 spawn time, a fresh interpreter's signal dispositions and random
 streams, a start away from the launcher's CPU (as an exec'd one is
-placed), and a normal interpreter exit (its own ``atexit`` hooks,
-flushed stdio, the CLI's exit code).
+placed), and a normal interpreter exit (its non-daemon threads joined,
+its own ``atexit`` hooks, flushed stdio, the CLI's exit code) without
+the heap teardown that would follow it.
 
 The launcher is single-threaded and talks to its parent over one
 ``AF_UNIX`` ``SOCK_SEQPACKET`` pair:
@@ -51,7 +52,7 @@ import threading
 import time
 import weakref
 from array import array
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 #: What the launcher imports once, so that no child imports it again:
 #: NumPy and the CLI, which every child runs, before the first fork; the
@@ -96,25 +97,89 @@ def _receive(sock: socket.socket, max_fds: int) -> tuple[Optional[dict], list]:
 # The launcher process
 # ----------------------------------------------------------------------
 def main(fd: int) -> int:
-    """Serve spawn requests on the channel ``fd``; in each forked child,
-    run the CLI and return its exit code."""
+    """Serve spawn requests on the channel ``fd``; a forked child runs
+    the CLI and exits (:func:`_run_child`), never returning here."""
     fresh_sigint = signal.getsignal(signal.SIGINT)
     # A terminal's Ctrl-C reaches the whole process group: the parent
     # decides what it means, and the launcher goes when its channel does.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _import(PRELOAD)
+    _import(PRELOAD, parse=True)
     argv = _serve(socket.socket(fileno=fd))
     if argv is None:
         return 0
     signal.signal(signal.SIGINT, fresh_sigint)
+    _run_child(argv)
+
+
+def _run_child(argv: list) -> NoReturn:
+    """Run ``repro.cli.main(argv)`` and exit as the interpreter would
+    after it, minus the teardown.
+
+    A normal exit joins the non-daemon threads, runs the ``atexit``
+    hooks and flushes stdout and stderr, in that order, and then
+    finalises the heap.  In a fork of the launcher that heap is the
+    launcher's, shared copy-on-write: finalising it is most of the
+    exit, and frees nothing the kernel would not.  So this takes the
+    three steps and then ``os._exit``.  The exit code is the
+    interpreter's: a ``SystemExit`` code maps as ``sys.exit`` maps it,
+    another exception prints its traceback and exits 1, and an
+    uncaught ``KeyboardInterrupt`` ends the process by SIGINT.
+    """
     from repro.cli import main as cli_main
 
-    return cli_main(argv)
+    interrupted = False
+    try:
+        code = cli_main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    except BaseException as exc:  # the top level, as the interpreter's own
+        sys.excepthook(type(exc), exc, exc.__traceback__)
+        interrupted = isinstance(exc, KeyboardInterrupt)
+        code = 1
+    if code is None:
+        status = 0
+    elif isinstance(code, int):
+        status = code & 0xFF
+    else:
+        print(code, file=sys.stderr)
+        status = 1
+    _join_non_daemon_threads()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is not None and not stream.closed:
+                stream.flush()
+        except Exception:
+            status = 120  # what the interpreter exits with then
+    if interrupted:
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        status = 128 + signal.SIGINT  # as the interpreter, if still here
+    os._exit(status)
 
 
-def _import(names) -> None:
+def _join_non_daemon_threads() -> None:
+    """Wait for every non-daemon thread, as the interpreter's exit
+    does (one may start another while it is waited for)."""
+    while True:
+        pending = [
+            thread for thread in threading.enumerate()
+            if not thread.daemon and thread is not threading.current_thread()
+        ]
+        if not pending:
+            return
+        for thread in pending:
+            thread.join()
+
+
+def _import(names, parse: bool = False) -> None:
     for name in names:
         importlib.import_module(name)
+    if parse:
+        # argparse compiles its regexes at first use: once here, not in
+        # every child (``repro.cli.main`` on a shard host's argv, in a
+        # fork: 2 406 calls without this parse, 1 478 with it).
+        sys.modules["repro.cli"].build_parser().parse_args(["list"])
     # Children never collect what the launcher imported: no fork walks
     # (and copies) those pages to find it all alive.
     gc.freeze()
@@ -170,6 +235,8 @@ def _serve(conn: socket.socket) -> Optional[list]:
             if pid == 0:
                 _become_child(request, fds, conn, children)
                 return request["argv"]
+            if pid is not None:
+                _leave_launcher_cpu(pid)
             for received in fds:
                 os.close(received)
             if pid is not None:
@@ -197,7 +264,6 @@ def _become_child(request: dict, fds: list, conn, children: dict) -> None:
     conn.close()
     for pidfd in children:
         os.close(pidfd)
-    _leave_launcher_cpu()
     for target, fd in enumerate(fds):
         os.dup2(fd, target)
     for fd in fds:
@@ -206,8 +272,14 @@ def _become_child(request: dict, fds: list, conn, children: dict) -> None:
     # interpreter line-buffers it on a terminal.
     sys.stdout.reconfigure(line_buffering=os.isatty(1))
     os.chdir(request["cwd"])
-    os.environ.clear()
-    os.environ.update(request["env"])
+    # By difference, not clear() + update(): each key written is a
+    # putenv and, in a fresh fork, pages copied; most are already equal.
+    env = request["env"]
+    for key in [key for key in os.environ if key not in env]:
+        del os.environ[key]
+    for key, value in env.items():
+        if os.environ.get(key) != value:
+            os.environ[key] = value
     import numpy
     import repro.cli
 
@@ -219,9 +291,9 @@ def _become_child(request: dict, fds: list, conn, children: dict) -> None:
     numpy.random.seed()
 
 
-def _leave_launcher_cpu() -> None:
-    """Start this fresh fork off the CPU it was forked on, keeping the
-    CPU set it inherited.
+def _leave_launcher_cpu(pid: int = 0) -> None:
+    """Start the fresh fork ``pid`` (0: this process) off the CPU it
+    was forked on (this one's), keeping the CPU set it inherited.
 
     The launcher runs where the parent that just woke it runs, and a
     fork starts beside it; an exec'd interpreter is instead placed on
@@ -232,21 +304,34 @@ def _leave_launcher_cpu() -> None:
     per second that way on a 2-vCPU VM, 1.17 with its host apart).
     One move away, with the inherited set restored at once, leaves the
     placement to the scheduler as an exec would.
+
+    The launcher moves the child right after the fork, while it is
+    still queued behind the launcher: a child that moved itself first
+    waited for the launcher to block, then for the move.
     """
     allowed = os.sched_getaffinity(0)
     if len(allowed) < 2:
         return
     try:
-        os.sched_setaffinity(0, allowed - {_current_cpu()})
-        os.sched_setaffinity(0, allowed)
+        os.sched_setaffinity(pid, allowed - {_current_cpu()})
+        os.sched_setaffinity(pid, allowed)
     except (OSError, ValueError, IndexError):
-        pass
+        pass  # a child already gone, or no CPU number to read
 
 
 def _current_cpu() -> int:
-    """The CPU this task last ran on (field 39 of its ``stat``)."""
-    with open("/proc/self/stat") as stat:
-        return int(stat.read().rsplit(")", 1)[1].split()[36])
+    """The CPU this task last ran on (field 39 of its ``stat``).
+
+    Read with ``os.read``, not a file object: just after a fork, building
+    a text stream writes to some 60 more pages the two processes share,
+    each a copied page (~0.3 ms on a 2-vCPU VM).
+    """
+    fd = os.open("/proc/self/stat", os.O_RDONLY)
+    try:
+        stat = os.read(fd, 4096)
+    finally:
+        os.close(fd)
+    return int(stat.rsplit(b")", 1)[1].split()[36])
 
 
 # ----------------------------------------------------------------------

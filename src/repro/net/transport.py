@@ -249,6 +249,17 @@ class SocketConnection:
                 return True
 
     # ------------------------------------------------------------------
+    def shutdown_read(self) -> None:
+        """Read EOF from now on: a thread waiting in :meth:`poll` or
+        :meth:`recv_frame` wakes to it, and sends still work.  Touches
+        no lock, so a signal handler may call it; a no-op once closed."""
+        sock = self._sock
+        if sock is not None:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # closed under us, or the peer already left
+
     def close(self) -> None:
         if self._sock is not None:
             try:
@@ -413,8 +424,9 @@ class FrameServer:
     tears a reply a client is waiting on.  A peer that hangs up or
     sends garbage ends its connection quietly; a handler that raises
     is logged and costs its connection, never the server.  A stop
-    shuts the listening socket down, which wakes the accept loop at
-    once; a connection notices it at its next frame or poll.
+    shuts down the listening socket and the read side of every
+    connection, which wakes the accept loop and every idle connection
+    at once; a handler mid-frame still sends its reply.
     """
 
     POLL_SECONDS = 0.2  #: between a connection's looks at the stop flag
@@ -437,7 +449,7 @@ class FrameServer:
         self._name = name
         self._stopping = False
         self._thread: Optional[threading.Thread] = None
-        self._connections: list[threading.Thread] = []
+        self._connections: list[tuple[threading.Thread, SocketConnection]] = []
 
     def serve(self, announce: Optional[Callable[[int], None]] = None) -> None:
         """Announce the bound port, then accept until stopped (blocking)."""
@@ -457,13 +469,14 @@ class FrameServer:
                 )
                 thread.start()
                 self._connections = [
-                    t for t in self._connections if t.is_alive()
-                ] + [thread]
+                    (t, c) for t, c in self._connections if t.is_alive()
+                ] + [(thread, conn)]
         finally:
             self._stopping = True
             self._listener.close()
+            self._shutdown_reads()  # any accepted after request_stop looked
             deadline = time.monotonic() + self.DRAIN_SECONDS
-            for thread in self._connections:
+            for thread, _conn in self._connections:
                 thread.join(max(deadline - time.monotonic(), 0.0))
 
     def start(self) -> None:
@@ -477,9 +490,17 @@ class FrameServer:
 
     def request_stop(self) -> None:
         """Ask :meth:`serve` to wind down: set the flag, wake the accept
-        loop (signal-safe: no lock is taken)."""
+        loop and every connection waiting for a frame (signal-safe: no
+        lock is taken)."""
         self._stopping = True
         self._listener.shutdown()
+        self._shutdown_reads()
+
+    def _shutdown_reads(self) -> None:
+        """End every live connection's reads: a poll wakes to EOF, and
+        replies still go out."""
+        for _thread, conn in self._connections:
+            conn.shutdown_read()
 
     def stop(self) -> None:
         """Stop accepting, let handlers finish, join (idempotent)."""

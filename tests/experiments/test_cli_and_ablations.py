@@ -160,6 +160,32 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_main_builds_only_the_subparser_it_runs(self, monkeypatch):
+        """A launcher child pays for its own role's subparser alone; an
+        argv that names no subcommand first gets every one."""
+        import repro.cli as cli
+        import repro.net.host
+
+        built = []
+        for name, add in list(cli.SUBCOMMANDS.items()):
+            monkeypatch.setitem(
+                cli.SUBCOMMANDS,
+                name,
+                lambda sub, name=name, add=add: (built.append(name), add(sub)),
+            )
+        served = []
+        monkeypatch.setattr(
+            repro.net.host, "serve_shard", lambda **kw: served.append(kw) or 0
+        )
+        assert main(["serve-shard", "--port", "0", "--worker-id", "3"]) == 0
+        assert built == ["serve-shard"]
+        assert served[0]["worker_id"] == 3
+        for argv in (["serve"], ["no-such-command"], []):
+            built.clear()
+            with pytest.raises(SystemExit):
+                main(argv)
+            assert built == list(cli.SUBCOMMANDS)
+
     def test_verbose_flag(self, capsys, monkeypatch):
         import logging
 

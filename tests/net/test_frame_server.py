@@ -142,6 +142,20 @@ class TestStopWakesTheAcceptLoop:
     def slow_poll(self, monkeypatch):
         monkeypatch.setattr(FrameServer, "POLL_SECONDS", 30.0)
 
+    def test_stop_ends_an_idle_connection_at_once(self, server):
+        """An open connection that sends nothing is waiting in its poll:
+        the stop wakes it too, instead of leaving it to the poll."""
+        idle = connect(server.address, timeout=5.0)
+        idle.send_frame(5, b"hello")
+        assert recv(idle) == (5, b"hello")
+        start = time.monotonic()
+        server.stop()
+        assert time.monotonic() - start < 1.0
+        assert idle.poll(5.0)
+        with pytest.raises(EOFError):
+            idle.recv_frame()
+        idle.close()
+
     def test_shard_host_returns_from_serve_soon_after_shutdown(self):
         host = ShardHost()
         codes = []
