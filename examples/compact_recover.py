@@ -16,9 +16,9 @@ the durable layer end to end:
 3. the process "crashes"; ``RecoveryManager`` rebuilds the service from
    the checkpoint plus the compacted log, and the recovered truths are
    *bit-for-bit* the ones the doomed service held;
-4. for good measure, a compaction is crashed mid-swap at an injected
-   fault point and recovery still comes back bitwise — the swap rolls
-   forward or back, never half-way.
+4. for good measure, a compaction is crashed mid-swap, right after the
+   new generation is renamed into place, and recovery still comes back
+   bitwise — the swap rolls forward or back, never half-way.
 
 Run:  PYTHONPATH=src python examples/compact_recover.py
 """
@@ -32,12 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.durable import (
-    CompactionInterrupted,
     DurabilityConfig,
     DurabilityManager,
     RecoveryManager,
     compact_directory,
 )
+from repro.durable import fsync as disk
+from repro.durable.wal import COMPACT_DIRNAME
 from repro.service import (
     IngestService,
     LoadGenerator,
@@ -46,6 +47,10 @@ from repro.service import (
 )
 
 CHUNK = 512
+
+
+class Crash(Exception):
+    """The process 'dies' here."""
 
 
 def wal_bytes(directory: Path) -> int:
@@ -123,10 +128,26 @@ def main() -> None:
         assert identical, "truths diverged after compaction!"
 
         # -- phase 4: a compaction crash mid-swap is survivable ---------
+        # Every rename of the durable layer goes through the seam
+        # ``repro.durable.fsync.rename``; replacing it for one call
+        # makes the crash: the new generation is renamed into place,
+        # then the process "dies" before the directory fsync and the
+        # cleanup of the old generation.
+        rename = disk.rename
+
+        def rename_then_crash(source, target):
+            rename(source, target)
+            if target.name == COMPACT_DIRNAME:
+                raise Crash(f"crashed after renaming {source.name} -> "
+                            f"{target.name}")
+
+        disk.rename = rename_then_crash
         try:
-            compact_directory(directory, fault="after-rename")
-        except CompactionInterrupted as exc:
+            compact_directory(directory)
+        except Crash as exc:
             print(f"\ninjected mid-swap crash: {exc}")
+        finally:
+            disk.rename = rename
         re_recovered = RecoveryManager(directory).recover()
         again = re_recovered.service.snapshot(gen.campaign_id)
         survived = np.array_equal(doomed.truths, again.truths)

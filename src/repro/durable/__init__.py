@@ -53,7 +53,6 @@ _EXPORTS = {
     "Checkpoint": "repro.durable.checkpoint",
     "CheckpointError": "repro.durable.checkpoint",
     "CheckpointStore": "repro.durable.checkpoint",
-    "CompactionInterrupted": "repro.durable.compaction",
     "CompactionPolicy": "repro.durable.daemon",
     "CompactionReport": "repro.durable.compaction",
     "CompactionTrigger": "repro.durable.daemon",

@@ -36,7 +36,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from repro.durable.fsync import atomic_write
+from repro.durable import fsync as disk
 from repro.utils.logging import get_logger
 
 _LOGGER = get_logger("durable.checkpoint")
@@ -306,9 +306,9 @@ class CheckpointStore:
     def write(self, lsn: int, data) -> Path:
         """Store checkpoint file bytes covering ``lsn`` atomically and
         unchanged; prune old ones."""
-        self._dir.mkdir(parents=True, exist_ok=True)
+        disk.mkdir(self._dir)
         path = self._dir / f"{CHECKPOINT_PREFIX}{lsn:020d}{CHECKPOINT_SUFFIX}"
-        atomic_write(path, data)
+        disk.atomic_write(path, data)
         self._prune()
         _LOGGER.debug("checkpoint saved at lsn %d (%s)", lsn, path.name)
         return path
@@ -354,8 +354,11 @@ class CheckpointStore:
 
     def _prune(self) -> None:
         paths = self.paths()
-        for stale in paths[: max(len(paths) - self._keep, 0)]:
+        stale = paths[: max(len(paths) - self._keep, 0)]
+        for path in stale:
             try:
-                stale.unlink()
+                disk.remove(path)
             except OSError:  # pragma: no cover - race with manual cleanup
                 pass
+        if stale:
+            disk.fsync_dir(self._dir)

@@ -24,7 +24,8 @@ Crash safety — the swap protocol
 
 The rewrite lands in ``compact.tmp/`` (new segments first, each
 fsynced, then ``MANIFEST.json``, then the directory fsync — the
-manifest is the commit point), and is swapped in by
+manifest is the commit point; every write, sync, rename and removal
+goes through :mod:`repro.durable.fsync`), and is swapped in by
 :func:`~repro.durable.wal._commit_compaction`: the previous
 ``compacted/`` generation is renamed aside, the temp generation is
 renamed into place, the parent directory is fsynced, and the retired
@@ -41,18 +42,11 @@ has legitimate gaps at or below the manifest's ``checkpoint_lsn``;
 :class:`~repro.durable.recovery.RecoveryManager` refuses to rebuild
 from a compacted log whose required checkpoint is unreadable (replaying
 past the dropped records would silently produce wrong truths).
-
-``fault=`` injects a crash at a named point (``"before-manifest"``,
-``"before-commit"``, ``"after-old-rename"``, ``"after-rename"``) by
-raising :class:`CompactionInterrupted`; tests use it to prove torn
-compactions recover bitwise.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import shutil
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,7 +54,7 @@ from typing import Optional, Union
 
 from repro.durable import records as rec
 from repro.durable.checkpoint import CheckpointStore
-from repro.durable.fsync import fsync_dir
+from repro.durable import fsync as disk
 from repro.durable.wal import (
     COMPACT_DIRNAME,
     COMPACT_MANIFEST,
@@ -80,14 +74,6 @@ from repro.utils.logging import get_logger
 
 _LOGGER = get_logger("durable.compaction")
 
-#: Injectable crash points, in protocol order (see the module docstring).
-FAULT_POINTS = (
-    "before-manifest",
-    "before-commit",
-    "after-old-rename",
-    "after-rename",
-)
-
 _RTYPE_NAMES = {
     rec.CONFIG: "config",
     rec.REGISTER: "register",
@@ -97,10 +83,6 @@ _RTYPE_NAMES = {
     rec.CHARGE: "charge",
     rec.REFRESH: "refresh",
 }
-
-
-class CompactionInterrupted(WalError):
-    """Injected crash at a fault point (testing the swap protocol)."""
 
 
 @dataclass
@@ -218,18 +200,11 @@ def _encode_frame(record: WalRecord) -> bytes:
     return header + payload
 
 
-def _close_synced(fh) -> None:
-    fh.flush()
-    os.fsync(fh.fileno())
-    fh.close()
-
-
 def compact_directory(
     directory: Union[str, Path],
     *,
     checkpoint_lsn: Optional[int] = None,
     max_segment_bytes: int = 64 * 1024 * 1024,
-    fault: Optional[str] = None,
 ) -> CompactionReport:
     """Rewrite a durability directory down to its live records.
 
@@ -249,22 +224,11 @@ def compact_directory(
         unrecoverable).
     max_segment_bytes:
         Rotation threshold for the rewritten segments.
-    fault:
-        Test-only injected crash point (see :data:`FAULT_POINTS`).
     """
     start = time.perf_counter()
     directory = Path(directory)
     if not directory.is_dir():
         raise WalError(f"no WAL directory at {directory}")
-    if fault is not None and fault not in FAULT_POINTS:
-        raise ValueError(
-            f"fault must be one of {FAULT_POINTS}, got {fault!r}"
-        )
-
-    def maybe_crash(point: str) -> None:
-        if fault == point:
-            raise CompactionInterrupted(f"injected crash at {point!r}")
-
     repair_compaction(directory)
     newest = CheckpointStore(directory).load_latest()
     covered = newest.lsn if newest is not None else 0
@@ -297,31 +261,30 @@ def compact_directory(
 
     tmp = directory / COMPACT_TMP_DIRNAME
     if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir()
+        disk.remove(tmp)
+    disk.mkdir(tmp)
     segment_names: list[str] = []
-    fh = None
+    frames: list = []
     segment_bytes = 0
     for record in live:
         frame = _encode_frame(record)
         if (
-            fh is not None
+            frames
             and segment_bytes + len(frame) > max_segment_bytes
             and segment_bytes > len(SEGMENT_MAGIC)
         ):
-            _close_synced(fh)
-            fh = None
-        if fh is None:
-            name = f"{SEGMENT_PREFIX}{record.lsn:020d}{SEGMENT_SUFFIX}"
-            segment_names.append(name)
-            fh = open(tmp / name, "wb")
-            fh.write(SEGMENT_MAGIC)
+            disk.write_synced(tmp / segment_names[-1], frames)
+            frames = []
+        if not frames:
+            segment_names.append(
+                f"{SEGMENT_PREFIX}{record.lsn:020d}{SEGMENT_SUFFIX}"
+            )
+            frames.append(SEGMENT_MAGIC)
             segment_bytes = len(SEGMENT_MAGIC)
-        fh.write(frame)
+        frames.append(frame)
         segment_bytes += len(frame)
-    if fh is not None:
-        _close_synced(fh)
-    maybe_crash("before-manifest")
+    if frames:
+        disk.write_synced(tmp / segment_names[-1], frames)
     manifest = {
         "format": 1,
         "checkpoint_lsn": int(checkpoint_lsn),
@@ -329,13 +292,10 @@ def compact_directory(
         "segments": segment_names,
         "retired": [p.name for p in list_segments(directory)],
     }
-    with open(tmp / COMPACT_MANIFEST, "w", encoding="utf-8") as mfh:
-        json.dump(manifest, mfh, sort_keys=True)
-        mfh.flush()
-        os.fsync(mfh.fileno())
-    fsync_dir(tmp)
-    maybe_crash("before-commit")
-    _commit_compaction(directory, crash=maybe_crash)
+    encoded = json.dumps(manifest, sort_keys=True).encode("utf-8")
+    disk.write_synced(tmp / COMPACT_MANIFEST, (encoded,))
+    disk.fsync_dir(tmp)
+    _commit_compaction(directory)
 
     report.bytes_after = sum(
         (comp_dir / name).stat().st_size for name in segment_names

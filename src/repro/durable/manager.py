@@ -338,29 +338,27 @@ class DurabilityManager:
     ) -> None:
         """Record one admitted privacy-budget charge for the log.
 
-        Called under the ledger lock.  What the log could not write is
-        refused here, at admission: a value a CHARGE record cannot
-        encode raises :class:`~repro.durable.records.RecordError`, a
-        closed or failed log :class:`~repro.durable.wal.WalError`.  The
-        charge joins the next CHARGE record (see the module docstring);
-        under ``fsync="always"`` that record is appended now.
+        Called under the ledger lock.  A closed or failed log is refused
+        here, at admission, with :class:`~repro.durable.wal.WalError`.
+        Every value already passed a JSON encoding: the user id where it
+        got its slot (:meth:`check_user_id`, or in a REGISTER record or
+        a bind checkpoint), the label and cost in the campaign's
+        REGISTER record.  The charge joins the next CHARGE record (see
+        the module docstring); under ``fsync="always"`` that record is
+        appended now.
         """
         epsilon, delta = guarantee.epsilon, guarantee.delta
-        rec.check_charge(user_id, epsilon, delta, label)
         self._wal.check_append()
         self._pending_charges.append((user_id, epsilon, delta, label))
         self.charges_logged += 1
         if self._config.fsync == "always":
             self.log_pending_charges()
 
-    def check_charges(self, user_ids, label: str) -> None:
-        """Raise unless the log can take a group of charges: the label
-        once, each user id once, the log once.  Run under the ledger
-        lock *before* the group is charged, so a group the log could
-        not take is charged to no one."""
-        rec.check_json_value(label)
-        for user_id in user_ids:
-            rec.check_json_value(user_id)
+    def check_charges(self) -> None:
+        """Raise :class:`~repro.durable.wal.WalError` unless the log can
+        take a group of charges (it is open and has not failed).  Run
+        under the ledger lock *before* the group is charged, so a group
+        the log could not take is charged to no one."""
         self._wal.check_append()
 
     def log_charges(

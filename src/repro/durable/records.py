@@ -354,16 +354,6 @@ def encode_json_payload(obj: dict) -> bytes:
 _JSON_SAFE = frozenset((str, float, bool, type(None)))
 
 
-def check_charge(user_id, epsilon, delta, label) -> None:
-    """Raise :class:`RecordError` unless a CHARGE record can carry
-    this charge: each value must be one :func:`encode_json_payload`
-    encodes.  Run at admission, so a charge the log could not write
-    is refused while its caller can still undo the submission.
-    """
-    for value in (user_id, epsilon, delta, label):
-        check_json_value(value)
-
-
 def check_json_value(value) -> None:
     """Raise :class:`RecordError` unless :func:`encode_json_payload`
     encodes ``value``.  Admission runs it on a new user's id, where the
@@ -387,7 +377,8 @@ def encode_charge_group(charges) -> bytes:
 
     ``rows`` holds the group's distinct ``(label, epsilon, delta)`` in
     order of first use, and charge ``i`` is ``user_ids[i]`` charged
-    ``rows[row[i]]``.  Values must have passed :func:`check_charge`.
+    ``rows[row[i]]``.  Every value has passed a JSON encoding already
+    (see :meth:`~repro.durable.manager.DurabilityManager.log_charge`).
     """
     rows: dict = {}
     row = []

@@ -75,8 +75,6 @@ swap commits) is real corruption and raises
 from __future__ import annotations
 
 import json
-import os
-import shutil
 import struct
 import threading
 import time
@@ -87,7 +85,7 @@ from pathlib import Path
 from typing import Iterator, NamedTuple, Optional, Union
 
 from repro.chaos import points as _chaos
-from repro.durable.fsync import fsync_dir
+from repro.durable import fsync as disk
 from repro.durable.records import RECORD_TYPES, WalRecord
 from repro.utils.logging import get_logger
 
@@ -119,11 +117,6 @@ _FRAME_PREFIX = struct.Struct("<IIBQ")
 #: treated as corruption rather than an allocation request.
 MAX_BODY_BYTES = 1 << 30
 
-_fdatasync = getattr(os, "fdatasync", os.fsync)
-
-#: Most buffers one ``os.writev`` call may take.
-_IOV_MAX = os.sysconf("SC_IOV_MAX")
-
 #: Per-group commit-latency samples kept in
 #: :attr:`WriteAheadLog.commit_latencies`.
 COMMIT_LATENCY_WINDOW = 4096
@@ -150,25 +143,6 @@ def _frame_header(rtype: int, lsn: int, parts, payload_len: int) -> bytes:
         crc = zlib.crc32(part, crc)
     body_len = _BODY_HEADER.size + payload_len
     return _FRAME_HEADER.pack(body_len, crc) + body_header
-
-
-def _write_all(fd: int, buffers: list, size: int) -> None:
-    """Write ``buffers`` (``size`` bytes in all) to ``fd``: one
-    ``os.writev`` per ``_IOV_MAX`` buffers, and no per-buffer Python
-    work unless a call writes less than all (then it resumes there)."""
-    while True:
-        written = os.writev(
-            fd, buffers if len(buffers) <= _IOV_MAX else buffers[:_IOV_MAX]
-        )
-        size -= written
-        if size <= 0:
-            return
-        for index, buf in enumerate(buffers):
-            length = _buffer_len(buf)
-            if written < length:
-                break
-            written -= length
-        buffers = [memoryview(buf).cast("B")[written:], *buffers[index + 1:]]
 
 
 class WalError(RuntimeError):
@@ -315,22 +289,21 @@ def _cleanup_after_commit(directory: Path, manifest: dict) -> None:
     for name in manifest["retired"]:
         stale = directory / name
         if stale.exists():
-            stale.unlink()
+            disk.remove(stale)
             removed = True
     old = directory / COMPACT_OLD_DIRNAME
     if old.is_dir():
-        shutil.rmtree(old)
+        disk.remove(old)
         removed = True
     if removed:
-        fsync_dir(directory)
+        disk.fsync_dir(directory)
 
 
-def _commit_compaction(directory: Path, *, crash=None) -> None:
+def _commit_compaction(directory: Path) -> None:
     """Swap a fully written temp generation into place and clean up.
 
     Re-entrant from any crash point: :func:`repair_compaction` resumes
-    here whenever a complete temp generation exists.  ``crash`` is a
-    test-only fault hook called with the name of each crash point.
+    here whenever a complete temp generation exists.
     """
     tmp = directory / COMPACT_TMP_DIRNAME
     cur = directory / COMPACT_DIRNAME
@@ -340,15 +313,11 @@ def _commit_compaction(directory: Path, *, crash=None) -> None:
             # Garbage from an even earlier interrupted swap; the
             # current generation superseded it (rule: cur + old
             # coexisting means the swap that created cur completed).
-            shutil.rmtree(old)
-        os.rename(cur, old)
-        fsync_dir(directory)
-    if crash is not None:
-        crash("after-old-rename")
-    os.rename(tmp, cur)
-    if crash is not None:
-        crash("after-rename")
-    fsync_dir(directory)
+            disk.remove(old)
+        disk.rename(cur, old)
+        disk.fsync_dir(directory)
+    disk.rename(tmp, cur)
+    disk.fsync_dir(directory)
     manifest = load_compaction_manifest(directory)
     _cleanup_after_commit(directory, manifest)
 
@@ -378,7 +347,7 @@ def repair_compaction(directory: Union[str, Path]) -> None:
         _LOGGER.warning(
             "discarding uncommitted compaction attempt in %s", directory
         )
-        shutil.rmtree(tmp)
+        disk.remove(tmp)
     if cur.is_dir():
         # The committed generation is authoritative; finish any
         # interrupted cleanup behind it.
@@ -390,8 +359,8 @@ def repair_compaction(directory: Union[str, Path]) -> None:
         _LOGGER.warning(
             "rolling back interrupted compaction swap in %s", directory
         )
-        os.rename(old, cur)
-        fsync_dir(directory)
+        disk.rename(old, cur)
+        disk.fsync_dir(directory)
 
 
 class WriteAheadLog:
@@ -432,7 +401,7 @@ class WriteAheadLog:
         if start_lsn < 1:
             raise ValueError(f"start_lsn must be >= 1, got {start_lsn}")
         self._dir = Path(directory)
-        self._dir.mkdir(parents=True, exist_ok=True)
+        disk.mkdir(self._dir)
         repair_compaction(self._dir)
         floor = 0
         manifest = load_compaction_manifest(self._dir)
@@ -645,11 +614,13 @@ class WriteAheadLog:
         removed: list[Path] = []
         for current, successor in zip(segments, segments[1:]):
             if _segment_first_lsn(successor) <= lsn + 1:
-                current.unlink()
+                disk.remove(current)
                 removed.append(current)
             else:
                 break
         if removed:
+            if self._fsync != "never":
+                disk.fsync_dir(self._dir)
             _LOGGER.debug(
                 "retention at lsn %d removed %d segment(s)", lsn, len(removed)
             )
@@ -757,7 +728,7 @@ class WriteAheadLog:
                 and self._segment_bytes + frame_len > self._max_segment_bytes
                 and self._segment_bytes > len(SEGMENT_MAGIC)
             ):
-                _write_all(self._fh.fileno(), buffers, size)
+                disk.write_all(self._fh.fileno(), buffers, size)
                 if self._fsync != "never":
                     self._sync_segment()
                 self._close_segment()
@@ -779,7 +750,7 @@ class WriteAheadLog:
             # "dies".  Nothing in the group was acknowledged; the next
             # recovery's torn-tail repair truncates the partial frame.
             cut = _FRAME_HEADER.size + 3
-            _write_all(
+            disk.write_all(
                 self._fh.fileno(),
                 buffers[:last_frame] + [buffers[last_frame][:cut]],
                 last_frame_start + cut,
@@ -788,7 +759,7 @@ class WriteAheadLog:
                 f"chaos: torn WAL tail injected at lsn {group[-1][1]} "
                 f"(#{torn.index})"
             )
-        _write_all(self._fh.fileno(), buffers, size)
+        disk.write_all(self._fh.fileno(), buffers, size)
         if self._fsync != "never":
             self._sync_segment()
 
@@ -797,10 +768,7 @@ class WriteAheadLog:
         fault = _chaos.fire("wal.fsync")
         if fault is not None:
             raise OSError(f"chaos: injected fsync error (#{fault.index})")
-        # fdatasync skips the metadata flush (mtime etc.) where the
-        # platform offers it; the file length change that matters for
-        # replay is part of the data journal either way.
-        _fdatasync(self._fh.fileno())
+        disk.datasync(self._fh.fileno())
         self.syncs += 1
 
     def _open_segment(self, first_lsn: int) -> None:
@@ -811,13 +779,13 @@ class WriteAheadLog:
             # replaced; anything with content is a real collision.
             if path.stat().st_size > len(SEGMENT_MAGIC):
                 raise WalError(f"segment {path.name} already exists")
-        self._fh = open(path, "wb", buffering=0)
+        self._fh = disk.open_segment(path)
         self._segment_bytes = len(SEGMENT_MAGIC)
         if self._fsync != "never":
             # The new directory entry must survive power loss too, or
             # every "durable" frame in this segment is unreachable; the
             # magic itself rides in the group's writev and fdatasync.
-            fsync_dir(self._dir)
+            disk.fsync_dir(self._dir)
 
     def _close_segment(self) -> None:
         if self._fh is not None:
@@ -885,6 +853,13 @@ def _iter_frames(
         offset = body_start + length
 
 
+def _remove_segment(path: Path) -> None:
+    """Remove a frame-less torn segment, durably: a resumed writer may
+    reuse its name only once the removal cannot come back."""
+    disk.remove(path)
+    disk.fsync_dir(path.parent)
+
+
 def _scan_segment(
     path: Path,
     scan: WalScan,
@@ -916,7 +891,7 @@ def _scan_segment(
             scan.truncated_bytes += len(data)
             scan.truncated_segment = path.name
             if repair:
-                path.unlink()
+                _remove_segment(path)
             return expected_lsn
         raise WalCorruptionError(f"segment {path.name} has a bad header")
     consumed = len(SEGMENT_MAGIC)
@@ -972,14 +947,15 @@ def _scan_segment(
             # No intact frame survived: the whole segment is noise
             # (crash right after rotation).  Remove it so a resumed
             # writer can reuse the LSN range it claims in its name.
-            path.unlink()
+            _remove_segment(path)
             if scan.truncated_bytes:
                 _LOGGER.warning(
                     "removed frame-less torn segment %s", path.name
                 )
         elif scan.truncated_bytes:
-            with open(path, "rb+") as fh:
-                fh.truncate(consumed)
+            # Synced before the log resumes: torn bytes coming back in
+            # a segment that is no longer the last are corruption.
+            disk.truncate(path, consumed)
             _LOGGER.warning(
                 "truncated torn tail of %s: %d byte(s) dropped",
                 path.name,

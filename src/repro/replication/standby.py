@@ -43,7 +43,6 @@ Run one with ``repro standby --dir DIR``; the process announces
 from __future__ import annotations
 
 import os
-import shutil
 import threading
 import time
 from pathlib import Path
@@ -55,7 +54,7 @@ from repro.durable.checkpoint import (
     file_manifest,
     verify_file,
 )
-from repro.durable.fsync import atomic_write
+from repro.durable import fsync as disk
 from repro.durable.manager import DurabilityManager
 from repro.durable.recovery import (
     RecordApplier,
@@ -153,13 +152,13 @@ class StandbyServer(FrameServer):
         rename survives power loss — the refusal of stale PROMOTEs must
         survive a standby restart.
         """
-        atomic_write(self._fence_path(), f"{epoch}\n".encode())
+        disk.atomic_write(self._fence_path(), f"{epoch}\n".encode())
         self._fencing_epoch = epoch
 
     # ------------------------------------------------------------------
     def _bootstrap(self) -> None:
         """Recover any replicated prefix already on this disk."""
-        self._dir.mkdir(parents=True, exist_ok=True)
+        disk.mkdir(self._dir)
         self._fencing_epoch = self._load_fencing_epoch()
         has_history = bool(list_segments(self._dir)) or (
             CheckpointStore(self._dir).read_latest() is not None
@@ -393,14 +392,15 @@ class StandbyServer(FrameServer):
                     f"{self._wal.durable_lsn}"
                 )
             self._wal.close()
-            # The checkpoint supersedes everything replicated so far,
-            # but the fence never leaves the disk: a resync must not
-            # reopen the door to stale PROMOTEs, not even until a crash.
-            for entry in self._dir.iterdir():
-                if entry.is_dir():
-                    shutil.rmtree(entry)
-                elif entry != self._fence_path():
-                    entry.unlink()
+            # The checkpoint supersedes everything replicated so far.
+            # The log goes newest segment first (a crash leaves a
+            # prefix that recovers), durably before the checkpoint
+            # lands; the fence stays, or stale PROMOTEs could pass.
+            segments = list_segments(self._dir)
+            rest = set(self._dir.iterdir()) - {*segments, self._fence_path()}
+            for entry in [*reversed(segments), *sorted(rest)]:
+                disk.remove(entry)
+            disk.fsync_dir(self._dir)
             CheckpointStore(self._dir).write(lsn, payload)
             self._recover()
             self._wal = WriteAheadLog(

@@ -907,7 +907,7 @@ class IngestService:
         durability = self._durability
         with self._ledger.lock:
             if durability is not None:
-                durability.check_charges(user_ids, campaign_id)
+                durability.check_charges()
             refused = self._ledger.charge_group(
                 user_ids, epsilon, delta, label=campaign_id
             )

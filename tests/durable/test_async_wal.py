@@ -140,7 +140,7 @@ class TestWriterFailure:
         def boom(fd):
             raise OSError("disk gone")
 
-        monkeypatch.setattr("repro.durable.wal._fdatasync", boom)
+        monkeypatch.setattr("repro.durable.fsync.datasync", boom)
         wal.append(rec.REFRESH, PAYLOAD)
         with pytest.raises(WalError, match="group commit failed"):
             wal.sync()
@@ -160,7 +160,7 @@ class TestWriterFailure:
         def boom(fd):
             raise OSError("disk gone")
 
-        monkeypatch.setattr("repro.durable.wal._fdatasync", boom)
+        monkeypatch.setattr("repro.durable.fsync.datasync", boom)
         wal.append(rec.REFRESH, PAYLOAD)
         with pytest.raises(WalError, match="group commit failed"):
             wal.close()
@@ -186,7 +186,7 @@ class TestWriterFailure:
             raise OSError("disk gone")
 
         manager.wal.append(rec.REFRESH, PAYLOAD)
-        monkeypatch.setattr("repro.durable.wal._fdatasync", boom)
+        monkeypatch.setattr("repro.durable.fsync.datasync", boom)
         manager.wal.append(rec.REFRESH, PAYLOAD)
         with pytest.raises(WalError, match="group commit failed"):
             manager.close()

@@ -1,17 +1,15 @@
-"""Claim-granular compaction: shrink, atomic swap, torn-crash recovery."""
+"""Claim-granular compaction: shrink, atomic swap, guards.
 
-import shutil
+A crash at every point of the swap is tested in
+``test_seam_crashes.py``.
+"""
 
 import numpy as np
 import pytest
 
 from repro.durable import records as rec
 from repro.durable.checkpoint import CheckpointStore
-from repro.durable.compaction import (
-    FAULT_POINTS,
-    CompactionInterrupted,
-    compact_directory,
-)
+from repro.durable.compaction import compact_directory
 from repro.durable.manager import DurabilityConfig, DurabilityManager
 from repro.durable.recovery import RecoveryError, RecoveryManager
 from repro.durable.wal import (
@@ -187,60 +185,6 @@ class TestCompactionShrinks:
         assert report.records_before == 0
         assert report.records_after == 0
         assert not (tmp_path / "nothing" / COMPACT_DIRNAME).exists()
-
-
-class TestTornCompaction:
-    @pytest.fixture(scope="class")
-    def reference(self, tmp_path_factory):
-        base = tmp_path_factory.mktemp("torn-ref")
-        live, gen, _ = build_durable_run(base)
-        return base, live, gen
-
-    @pytest.mark.parametrize("fault", FAULT_POINTS)
-    def test_crash_at_fault_point_recovers_bitwise(
-        self, tmp_path, reference, fault
-    ):
-        base, live, gen = reference
-        work = tmp_path / "work"
-        shutil.copytree(base, work)
-        if fault == "after-old-rename":
-            # That fault point only exists once a previous compacted
-            # generation is being replaced.
-            compact_directory(work)
-        with pytest.raises(CompactionInterrupted):
-            compact_directory(work, fault=fault)
-        recovered = RecoveryManager(work).recover()
-        snap = recovered.service.snapshot(gen.campaign_id)
-        assert np.array_equal(live.truths, snap.truths), fault
-        # And a retried compaction repairs the swap and succeeds.
-        report = compact_directory(work)
-        assert report.records_after <= report.records_before
-        snap2 = RecoveryManager(work).recover().service.snapshot(
-            gen.campaign_id
-        )
-        assert np.array_equal(live.truths, snap2.truths), fault
-
-    def test_mid_swap_crash_readable_without_repair(
-        self, tmp_path, reference
-    ):
-        base, live, gen = reference
-        work = tmp_path / "work"
-        shutil.copytree(base, work)
-        compact_directory(work)
-        records_committed = len(read_wal(work).records)
-        with pytest.raises(CompactionInterrupted):
-            compact_directory(work, fault="after-old-rename")
-        # Read-only view (repair=False) still sees the previous
-        # committed generation, untouched on disk.
-        scan = read_wal(work, repair=False)
-        assert len(scan.records) == records_committed
-
-    def test_unknown_fault_point_rejected(self, tmp_path, reference):
-        base, _, _ = reference
-        work = tmp_path / "work"
-        shutil.copytree(base, work)
-        with pytest.raises(ValueError, match="fault"):
-            compact_directory(work, fault="between-everything")
 
 
 class TestCompactionGuards:

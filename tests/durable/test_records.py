@@ -151,7 +151,7 @@ class TestChargePayload:
         with pytest.raises(RecordError):
             _json_charge(user_id, 0.5, 0.0, "c1")
         with pytest.raises(RecordError):
-            rec.check_charge(user_id, 0.5, 0.0, "c1")
+            rec.check_json_value(user_id)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -169,9 +169,11 @@ class TestChargePayload:
             _json_charge(*values)
         except RecordError:
             with pytest.raises(RecordError):
-                rec.check_charge(*values)
+                for value in values:
+                    rec.check_json_value(value)
         else:
-            rec.check_charge(*values)
+            for value in values:
+                rec.check_json_value(value)
             rec.encode_charge_group([tuple(values)])
 
     def test_round_trips_through_a_wal_record(self):

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import per_frame_reference as reference
 from repro.chaos import FaultPlan
 from repro.chaos import points as chaos_points
+from repro.durable import fsync as disk
 from repro.durable import records as rec
 from repro.durable import wal as wal_module
 from repro.durable.wal import (
@@ -111,7 +112,7 @@ def test_short_writes_resume_across_iov_max_splits(tmp_path, monkeypatch):
     calls = []
 
     def short_writev(fd, buffers):
-        assert len(buffers) <= wal_module._IOV_MAX
+        assert len(buffers) <= disk._IOV_MAX
         calls.append(len(buffers))
         data = b"".join(bytes(buf) for buf in buffers)
         return real_write(fd, data[: max(1, len(data) // 3)])
@@ -128,8 +129,8 @@ def test_short_writes_resume_across_iov_max_splits(tmp_path, monkeypatch):
             records.append((rec.BATCH, b"h%d" % i + values.tobytes() + b"t"))
         wal.sync()
         assert wal.groups_committed == 1 and wal.syncs == 1
-    assert 5 * len(records) > wal_module._IOV_MAX
-    assert max(calls) == wal_module._IOV_MAX
+    assert 5 * len(records) > disk._IOV_MAX
+    assert max(calls) == disk._IOV_MAX
     assert written_segments(tmp_path) == reference.segments(records, 1 << 26)
 
 
@@ -202,9 +203,9 @@ def test_syncs_count_record_fdatasyncs(
     tmp_path, monkeypatch, fsync, multi_part, max_segment_bytes, expected
 ):
     issued = []
-    real = wal_module._fdatasync
+    real = disk.datasync
     monkeypatch.setattr(
-        wal_module, "_fdatasync", lambda fd: (issued.append(fd), real(fd))
+        disk, "datasync", lambda fd: (issued.append(fd), real(fd))
     )
     with WriteAheadLog(
         tmp_path, fsync=fsync, max_segment_bytes=max_segment_bytes

@@ -47,7 +47,8 @@ def charge(ledger, user_id, guarantee, *, mechanism="", label=""):
 
 def log_charge(durability, user_id, guarantee, *, label=""):
     epsilon, delta = guarantee.epsilon, guarantee.delta
-    rec.check_charge(user_id, epsilon, delta, label)
+    for value in (user_id, epsilon, delta, label):
+        rec.check_json_value(value)
     durability._wal.check_append()
     durability._pending_charges.append((user_id, epsilon, delta, label))
     durability.charges_logged += 1

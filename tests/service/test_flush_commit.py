@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro.durable.wal as wal_module
+import repro.durable.fsync as disk
 from repro.crowdsensing.messages import ClaimSubmission
 from repro.durable.manager import DurabilityConfig
 from repro.privacy.ldp import LDPGuarantee
@@ -37,13 +37,13 @@ def two_commit_flush(service) -> int:
 @pytest.fixture
 def fdatasyncs(monkeypatch):
     calls = []
-    real = wal_module._fdatasync
+    real = disk.datasync
 
     def record(fd):
         calls.append(fd)
         return real(fd)
 
-    monkeypatch.setattr(wal_module, "_fdatasync", record)
+    monkeypatch.setattr(disk, "datasync", record)
     return calls
 
 

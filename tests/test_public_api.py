@@ -342,6 +342,92 @@ def test_no_multiprocessing_import_in_src():
     assert offenders == []
 
 
+#: What changes a file or a directory.  Under ``repro.durable`` and
+#: ``repro.replication`` only ``repro.durable.fsync`` (the seam) may
+#: name them, so a test that replaces a seam function sees every call.
+_RAW_PERSISTENCE = {
+    "os": {
+        "fdatasync", "fsync", "ftruncate", "makedirs", "mkdir", "pwrite",
+        "remove", "removedirs", "rename", "renames", "replace", "rmdir",
+        "truncate", "unlink", "write", "writev",
+    },
+    "shutil": {"copy", "copy2", "copyfile", "copytree", "move", "rmtree"},
+}
+_RAW_PERSISTENCE_METHODS = {
+    "mkdir", "rename", "rmdir", "touch", "truncate", "unlink",
+    "write_bytes", "write_text",
+}
+_WRITE_FLAGS = {"O_APPEND", "O_CREAT", "O_RDWR", "O_TRUNC", "O_WRONLY"}
+
+
+def _raw_persistence(node, seam_names) -> str:
+    """What ``node`` does to the disk outside the seam ("" if nothing);
+    ``seam_names`` are the names the module binds the seam to."""
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        if node.attr in _RAW_PERSISTENCE.get(node.value.id, ()):
+            return f"{node.value.id}.{node.attr}"
+        if node.value.id == "os" and node.attr in _WRITE_FLAGS:
+            return f"os.open(..., {node.attr})"
+    if isinstance(node, ast.ImportFrom) and node.module in _RAW_PERSISTENCE:
+        for alias in node.names:
+            if alias.name in _RAW_PERSISTENCE[node.module]:
+                return f"from {node.module} import {alias.name}"
+    if not isinstance(node, ast.Call):
+        return ""
+    func = node.func
+    if (
+        isinstance(func, ast.Attribute)
+        and func.attr in _RAW_PERSISTENCE_METHODS
+        and not (
+            isinstance(func.value, ast.Name)
+            and func.value.id in {*seam_names, *_RAW_PERSISTENCE}
+        )
+    ):
+        return f".{func.attr}()"
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = node.args[1] if len(node.args) > 1 else next(
+            (kw.value for kw in node.keywords if kw.arg == "mode"), None
+        )
+        if mode is not None and not (
+            isinstance(mode, ast.Constant)
+            and not set(str(mode.value)) & set("wax+")
+        ):
+            return f"open(..., {ast.unparse(mode)})"
+    return ""
+
+
+def test_every_persisted_byte_goes_through_the_seam():
+    """The durable layer's writes, syncs, renames, removals,
+    truncations and ``mkdir`` s are functions of
+    ``repro.durable.fsync``; anywhere else under ``repro.durable`` or
+    ``repro.replication`` they are refused, each offender named."""
+    src = Path(__file__).resolve().parents[1] / "src" / "repro"
+    seam = src / "durable" / "fsync.py"
+    offenders = []
+    for package in ("durable", "replication"):
+        for path in sorted((src / package).rglob("*.py")):
+            if path == seam:
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            seam_names = {
+                alias.asname or alias.name
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "repro.durable"
+                for alias in node.names
+                if alias.name == "fsync"
+            }
+            for node in ast.walk(tree):
+                what = _raw_persistence(node, seam_names)
+                if what:
+                    offenders.append(
+                        f"{path.relative_to(src)}:{node.lineno}: {what}"
+                    )
+    assert not offenders, "raw persistence outside the seam:\n" + "\n".join(
+        sorted(offenders)
+    )
+
+
 def test_one_pool_and_no_drill_in_the_library():
     import repro.chaos
     import repro.net
@@ -407,3 +493,17 @@ def test_unreached_helpers_are_gone():
     ):
         with pytest.raises(ImportError):
             importlib.import_module(f"{package.__name__}.{module}")
+
+
+def test_compaction_has_no_crash_knob_of_its_own():
+    """A compaction is crashed through the durable layer's seam
+    (``tests/durable/seam.py``); its own fault points are gone."""
+    import repro.durable
+    from repro.durable import compaction, wal
+
+    assert "CompactionInterrupted" not in repro.durable.__all__
+    assert not hasattr(repro.durable, "CompactionInterrupted")
+    for name in ("CompactionInterrupted", "FAULT_POINTS", "maybe_crash"):
+        assert not hasattr(compaction, name)
+    assert "fault" not in inspect.signature(compaction.compact_directory).parameters
+    assert "crash" not in inspect.signature(wal._commit_compaction).parameters
