@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 import time
+from itertools import chain
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -64,6 +65,7 @@ from repro.durable.wal import (
     SEGMENT_SUFFIX,
     WalError,
     WalRecord,
+    _FRAME_OVERHEAD,
     _commit_compaction,
     _frame_header,
     list_segments,
@@ -263,28 +265,24 @@ def compact_directory(
     if tmp.exists():
         disk.remove(tmp)
     disk.mkdir(tmp)
-    segment_names: list[str] = []
-    frames: list = []
+    # Plan each segment's records, then stream its frames to the disk.
+    segments: list[list[WalRecord]] = []
     segment_bytes = 0
     for record in live:
-        frame = _encode_frame(record)
-        if (
-            frames
-            and segment_bytes + len(frame) > max_segment_bytes
-            and segment_bytes > len(SEGMENT_MAGIC)
-        ):
-            disk.write_synced(tmp / segment_names[-1], frames)
-            frames = []
-        if not frames:
-            segment_names.append(
-                f"{SEGMENT_PREFIX}{record.lsn:020d}{SEGMENT_SUFFIX}"
-            )
-            frames.append(SEGMENT_MAGIC)
+        size = _FRAME_OVERHEAD + len(record.payload)
+        if not segments or segment_bytes + size > max_segment_bytes:
+            segments.append([])
             segment_bytes = len(SEGMENT_MAGIC)
-        frames.append(frame)
-        segment_bytes += len(frame)
-    if frames:
-        disk.write_synced(tmp / segment_names[-1], frames)
+        segments[-1].append(record)
+        segment_bytes += size
+    segment_names = [
+        f"{SEGMENT_PREFIX}{records[0].lsn:020d}{SEGMENT_SUFFIX}"
+        for records in segments
+    ]
+    for name, records in zip(segment_names, segments):
+        disk.write_synced(
+            tmp / name, chain((SEGMENT_MAGIC,), map(_encode_frame, records))
+        )
     manifest = {
         "format": 1,
         "checkpoint_lsn": int(checkpoint_lsn),

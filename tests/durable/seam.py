@@ -12,7 +12,9 @@ function:
   dead process makes no more calls: what is on disk is what the first
   k calls left;
 * a failure raises ``OSError`` in place of the call, as a full disk
-  would, and the run goes on.
+  would, and the run goes on; a partial ``write_synced`` failure first
+  writes the first half of its bytes, as a disk that fills mid-write
+  leaves them.
 
 :func:`calls` records a clean run; :func:`crash_after` runs an action
 that must crash.  ``atomic_write`` is recorded as the three calls it is
@@ -70,11 +72,13 @@ class SeamRecorder:
         *,
         crash_after: Optional[int] = None,
         fail: Optional[str] = None,
+        partial: bool = False,
         on_event=None,
     ) -> None:
         self.events: list[Event] = []
         self.crash_after = crash_after
         self.fail = fail
+        self.partial = partial
         self.crashed = False
         self._on_event = on_event
         self._paths: dict[int, Path] = {}  # open segment fd -> path
@@ -107,6 +111,9 @@ class SeamRecorder:
             event = self._event(op, args)
             if op == self.fail:
                 self.fail = None
+                if self.partial:
+                    data = b"".join(args[1])
+                    Path(args[0]).write_bytes(data[: len(data) // 2])
                 raise OSError(f"seam: injected failure of {op} {event.path}")
             result = real(*args)
             if op == "open_segment":
@@ -139,10 +146,11 @@ def crash_after(k: int, action) -> list[Event]:
     return recorder.events
 
 
-def fail_first(op: str, action):
+def fail_first(op: str, action, *, partial: bool = False):
     """Run ``action()`` with its first call of ``op`` failing
-    (``OSError``); returns what ``action()`` raised."""
-    recorder = SeamRecorder(fail=op)
+    (``OSError``), after half its bytes if ``partial``; returns what
+    ``action()`` raised."""
+    recorder = SeamRecorder(fail=op, partial=partial)
     with recorder.installed(), pytest.raises(OSError) as info:
         action()
     return info.value

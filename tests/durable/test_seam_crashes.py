@@ -259,16 +259,28 @@ class TestCheckpointCrashes:
         ops = {event.op for event in events}
         assert {"write_synced", "rename", "fsync_dir", "remove"} <= ops
 
+    @pytest.mark.parametrize("partial", [False, True])
     def test_failed_checkpoint_write_leaves_the_directory_as_it_was(
-        self, tmp_path, base
+        self, tmp_path, base, partial
     ):
-        """A checkpoint write can fail on purpose."""
+        """A checkpoint write can fail on purpose, before its first byte
+        or part-way: a torn ``*.tmp`` is then all it adds, recovery
+        ignores it, and the next checkpoint write replaces it."""
         source, expected = base
         work = copy(source, tmp_path, "work")
         state = resume(work)
         before = directory_bytes(work)
-        seam.fail_first("write_synced", state.durability.checkpoint)
-        assert directory_bytes(work) == before
+        seam.fail_first(
+            "write_synced", state.durability.checkpoint, partial=partial
+        )
+        after = directory_bytes(work)
+        added = set(after) - set(before)
+        assert {name: after[name] for name in before} == before
+        assert len(added) == partial
+        assert all(name.endswith(".tmp") for name in added)
+        assert recovered(copy(work, tmp_path, "probe")) == expected
+        state.durability.checkpoint()
+        assert not any(name.endswith(".tmp") for name in directory_bytes(work))
         state.durability.close()
         assert recovered(work) == expected
 
@@ -376,16 +388,28 @@ class TestStandbyCrashes:
         segments = [name for name in removed if name.startswith("wal-")]
         assert segments == sorted(segments, reverse=True) and segments
 
-    def test_failed_fence_write_keeps_the_old_epoch(self, tmp_path, replicated):
+    @pytest.mark.parametrize("partial", [False, True])
+    def test_failed_fence_write_keeps_the_old_epoch(
+        self, tmp_path, replicated, partial
+    ):
+        """A FENCE write that fails, before its first byte or part-way,
+        keeps the old epoch on disk, and the next write replaces a torn
+        ``FENCE.tmp``."""
         source, _, _ = replicated
         work = copy(source, tmp_path, "work")
         standby = StandbyServer(work)
         try:
             seam.fail_first(
-                "write_synced", lambda: standby._persist_fencing_epoch(9)
+                "write_synced",
+                lambda: standby._persist_fencing_epoch(9),
+                partial=partial,
             )
             assert standby.fencing_epoch == 4
-            assert (work / "FENCE").read_text() == "4\n"
+            assert standby._load_fencing_epoch() == 4
+            assert (work / "FENCE.tmp").exists() == partial
+            standby._persist_fencing_epoch(9)
+            assert standby._load_fencing_epoch() == 9
+            assert not (work / "FENCE.tmp").exists()
         finally:
             standby.stop()
 
